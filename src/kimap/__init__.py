@@ -28,7 +28,6 @@ from .channel import (
     FaultSchedule,
     ScheduleError,
     SessionTranscript,
-    WireMessage,
     run_schedule,
     run_session,
     transcript_line,

@@ -21,7 +21,7 @@ import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class LengthMismatchError(ValueError):
@@ -58,17 +58,6 @@ class BitString:
     @classmethod
     def zeros(cls, length: int) -> "BitString":
         return cls(0, length)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value = (value << 1) | b
-            length += 1
-        return cls(value, length)
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
@@ -109,12 +98,6 @@ class BitString:
         return self._value.to_bytes((self._length + 7) // 8, "big")
 
     # -- operations --------------------------------------------------------
-
-    def xor(self, other: "BitString") -> "BitString":
-        return xor(self, other)
-
-    def concat(self, other: "BitString") -> "BitString":
-        return concat(self, other)
 
     def split(self) -> tuple["BitString", "BitString"]:
         return split(self)
@@ -225,29 +208,28 @@ class HashSpec:
     """Selects a hash variant and its output width.
 
     ``production`` truncates SHA-256; ``toy`` is a small multiply-rotate-xor
-    mixer over ``toy_state_bits`` of state, weak by design so tests can
-    brute-force preimages over tiny domains.
+    mixer over 64 bits of state, weak by design so tests can brute-force
+    preimages over tiny domains.
     """
 
     output_len_bits: int
     variant: str = "production"
-    toy_state_bits: int = 64
 
     def __post_init__(self) -> None:
         if self.variant not in ("production", "toy"):
             raise ValueError(f"unknown hash variant {self.variant!r}")
         if not 1 <= self.output_len_bits <= 256:
             raise ValueError("output_len_bits must be in 1..256")
-        if self.variant == "toy" and not self.output_len_bits <= self.toy_state_bits <= 64:
-            raise ValueError("toy_state_bits must satisfy output_len_bits <= width <= 64")
+        if self.variant == "toy" and self.output_len_bits > _TOY_STATE_BITS:
+            raise ValueError(f"toy output_len_bits must be <= {_TOY_STATE_BITS}")
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":
         return cls(output_len_bits, "production")
 
     @classmethod
-    def toy(cls, output_len_bits: int, state_bits: int = 64) -> "HashSpec":
-        return cls(output_len_bits, "toy", state_bits)
+    def toy(cls, output_len_bits: int) -> "HashSpec":
+        return cls(output_len_bits, "toy")
 
 
 def _pad_to_bytes(bits: BitString) -> bytes:
@@ -260,13 +242,15 @@ def _pad_to_bytes(bits: BitString) -> bytes:
     return padded.to_bytes()
 
 
-# Toy mixer constants (odd multipliers; pi-derived initial state).
+# Toy mixer constants (state width; odd multipliers; pi-derived initial state).
+_TOY_STATE_BITS = 64
 _TOY_INIT = 0x243F6A8885A308D3
 _TOY_MULT1 = 0x9E3779B97F4A7C15
 _TOY_MULT2 = 0xBF58476D1CE4E5B9
 
 
-def _toy_digest(data: bytes, width: int, out_bits: int) -> int:
+def _toy_digest(data: bytes, out_bits: int) -> int:
+    width = _TOY_STATE_BITS
     mask = (1 << width) - 1
     h = _TOY_INIT & mask
     for byte in data:
@@ -290,7 +274,7 @@ def _digest(spec: HashSpec, data: bytes) -> BitString:
         digest = hashlib.sha256(data).digest()
         value = int.from_bytes(digest, "big") >> (256 - spec.output_len_bits)
         return BitString(value, spec.output_len_bits)
-    return BitString(_toy_digest(data, spec.toy_state_bits, spec.output_len_bits), spec.output_len_bits)
+    return BitString(_toy_digest(data, spec.output_len_bits), spec.output_len_bits)
 
 
 def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
@@ -332,9 +316,6 @@ class Prng:
     _acc: int = field(default=0, repr=False)
     _acc_bits: int = field(default=0, repr=False)
 
-    def next_bits(self, nbits: int) -> BitString:
-        return prng_next(self, nbits)
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in ``[0, n)`` by rejection sampling."""
         if n <= 0:
@@ -352,10 +333,6 @@ class Prng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def derive(self, stream_id: int) -> "Prng":
-        """Fresh stream with the same seed and a different stream id."""
-        return Prng(self.seed, stream_id)
 
 
 def prng_next(p: Prng, nbits: int) -> BitString:

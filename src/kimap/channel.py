@@ -1,11 +1,12 @@
 """In-memory lossy/adversarial channel driving sessions between endpoints.
 
 The channel is a four-flight pipe. An :class:`AdversaryAction` intercepts
-one flight of one session: pass it, drop it, replace the payload, or replay
-a recorded flight from an earlier session. The simulator itself never
-mutates payloads; every transcript field is exactly what an endpoint
-emitted or an action substituted, and a field is present only if its flight
-was delivered.
+one flight of one session: drop it, replace the payload, or replay a
+recorded flight from an earlier session; a flight with no action passes
+unchanged. Every emitted payload is recorded under ``(session, flight)`` so
+later sessions can replay it. The simulator itself never mutates payloads;
+every transcript field is exactly what an endpoint emitted or an action
+substituted, and a field is present only if its flight was delivered.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ FLIGHT_BROADCAST = 3
 FLIGHT_TAG_AUTH = 4
 
 _PAYLOAD_TYPES = {1: Challenge, 2: TagNonce, 3: BroadcastAuth, 4: TagAuth}
-_DIRECTIONS = {1: "server->tag", 2: "tag->server", 3: "server->tag", 4: "tag->server"}
 
 Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
@@ -47,26 +47,18 @@ class ScheduleError(ValueError):
 
 
 @dataclass(frozen=True)
-class WireMessage:
-    direction: str
-    flight: int
-    payload: Payload
-    session_seq: int
-
-
-@dataclass(frozen=True)
 class AdversaryAction:
     """One interception. ``session_seq`` of ``None`` matches any session
     (useful when passing actions straight to :func:`run_session`)."""
 
-    kind: str  # "pass" | "drop" | "replace" | "replay"
+    kind: str  # "drop" | "replace" | "replay"
     flight: int
     session_seq: Optional[int] = None
     payload: Optional[Payload] = None
     source_session: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pass", "drop", "replace", "replay"):
+        if self.kind not in ("drop", "replace", "replay"):
             raise ScheduleError(f"unknown action kind {self.kind!r}")
         if self.flight not in (1, 2, 3, 4):
             raise ScheduleError(f"flight must be 1-4, got {self.flight}")
@@ -135,14 +127,15 @@ class SessionTranscript:
         return self.outcome_server is not None and self.outcome_server.accepted
 
 
-Recording = dict[tuple[int, int], WireMessage]
+# Every emitted payload, keyed by (session_seq, flight): the replay source.
+Recording = dict[tuple[int, int], Payload]
 
 
 def _deliver(flight: int, emitted: Payload, actions: list[AdversaryAction],
              session_seq: int, recording: Recording) -> Optional[Payload]:
-    recording[(session_seq, flight)] = WireMessage(_DIRECTIONS[flight], flight, emitted, session_seq)
+    recording[(session_seq, flight)] = emitted
     action = next((a for a in actions if a.flight == flight), None)
-    if action is None or action.kind == "pass":
+    if action is None:
         return emitted
     if action.kind == "drop":
         return None
@@ -152,7 +145,7 @@ def _deliver(flight: int, emitted: Payload, actions: list[AdversaryAction],
     if source is None:
         raise ScheduleError(
             f"replay source session {action.source_session} flight {flight} was never recorded")
-    return source.payload
+    return source
 
 
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],

@@ -3,14 +3,17 @@
 Subcommands::
 
     kimap init   --db DIR [--lambda N] [--tags N] [--seed N] [--force]
-    kimap run    --db DIR --sessions N [--schedule FILE] [--strict]
+    kimap run    --db DIR [--sessions N] [--schedule FILE] [--strict] [--hash {production,toy}]
     kimap game   {ind,forward,backward,ind2tag} DISTINGUISHER [--trials N] ...
     kimap cost   [--lambda N] [--tags N] [rate/cycle overrides]
     kimap lemma1 [--k N]
 
 The seed comes from --seed, else the KIMAP_SEED environment variable, else
 the fixed default 24301. Every command is deterministic under a fixed seed
-and inputs. Exit codes: 0 success, 1 operational failure (with --strict,
+and inputs. ``run`` takes the key width from the database, runs N >= 1
+sessions round-robin over its tags (the schedule file names the flights to
+drop, replay or replace) and rewrites the database only after every session
+ran. Exit codes: 0 success, 1 operational failure (with --strict,
 rejections or desynchronized records), 2 usage or configuration error.
 """
 
@@ -86,13 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run authentication sessions against the database")
     common(p_run)
-    p_run.add_argument("--db", required=True)
-    p_run.add_argument("--sessions", type=int, default=10)
+    p_run.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
+    p_run.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
     p_run.add_argument("--schedule", help="fault schedule file")
     p_run.add_argument("--strict", action="store_true",
                        help="exit 1 on any rejection or desynchronized record")
-    p_run.add_argument("--hardened-scan", dest="hardened", action=argparse.BooleanOptionalAction,
-                       default=True, help="tags scan every broadcast candidate (timing hardening)")
 
     p_game = sub.add_parser("game", help="run a privacy game and report the advantage")
     common(p_game)
@@ -219,14 +220,21 @@ def cmd_run(args) -> int:
     if len(master.value) != lam:
         print(f"kimap: master key width {len(master.value)} != database lambda {lam}", file=sys.stderr)
         return 2
+    if args.sessions < 1:
+        print(f"kimap: --sessions must be >= 1, got {args.sessions}", file=sys.stderr)
+        return 2
 
     spec = _hash_spec(args.hash, lam)
     server = ServerState(master=master, records=records, prng=Prng(seed, _RUN_SERVER_STREAM))
     tags = [TagState(key=rec.key_current, counter=rec.counter,
-                     prng=Prng(seed, _RUN_TAG_STREAM + idx), hardened_scan=args.hardened)
+                     prng=Prng(seed, _RUN_TAG_STREAM + idx))
             for idx, rec in enumerate(records.values())]
 
-    transcripts = run_schedule(server, tags, schedule, args.sessions, spec)
+    try:
+        transcripts = run_schedule(server, tags, schedule, args.sessions, spec)
+    except ScheduleError as exc:  # a replay whose source flight was never sent
+        print(f"kimap: {exc}", file=sys.stderr)
+        return 2
     save_database(db_path, lam, server.records)
 
     for t in transcripts:
@@ -283,10 +291,10 @@ def cmd_cost(args) -> int:
             tag_hash_ops=args.hash_ops,
             candidates=args.candidates,
         )
+        report = compute_cost(params, batch_tags=args.tags)
     except ValueError as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
-    report = compute_cost(params, batch_tags=args.tags)
     findings = check_budget(report, BudgetLimits())
     if args.format == "structured":
         print(report.to_line())

@@ -94,6 +94,8 @@ class CostReport:
 
 def compute_cost(params: CostParams, batch_tags: int = 200) -> CostReport:
     """Evaluate the cost model exactly."""
+    if batch_tags < 1:
+        raise ValueError(f"batch_tags must be >= 1, got {batch_tags}")
     hash_ms = Fraction(params.hash_cycles_per_block * 1000, params.tag_clock_hz)
     tag_compute = params.tag_hash_ops * hash_ms
     t2r = Fraction(params.uplink_bits * 1000, params.t2r_rate_bps)

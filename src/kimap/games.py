@@ -34,7 +34,6 @@ from .channel import SessionTranscript
 from .protocol import (
     BroadcastAuth,
     Challenge,
-    PendingCandidate,
     PendingSession,
     ServerAuthCandidate,
     ServerState,
@@ -144,13 +143,6 @@ class RestrictedTranscript:
     tag_updated: bool
 
 
-@dataclass
-class _PendingReply:
-    x_s: BitString
-    x_t: BitString
-    candidate: PendingCandidate
-
-
 class OracleHandle:
     """The adversary's sole access to a game world."""
 
@@ -170,7 +162,7 @@ class OracleHandle:
         self.revealed: set[int] = set()
         self.recorded: dict[int, dict[int, Quintuplet]] = {i: {} for i in range(len(tags))}
         self._pending_x_s: Optional[BitString] = None
-        self._pending_reply: dict[int, _PendingReply] = {}
+        self._pending_reply: dict[int, PendingSession] = {}
         self._labels = list(server.records)
 
     # -- bookkeeping -------------------------------------------------------
@@ -237,7 +229,7 @@ class OracleHandle:
         rec = self.server.records[self._labels[tag]]
         cand = make_candidate(self.spec, rec.counter, self.server.master, rec.key_current,
                               x_s, x_t, label=rec.label, slot="current")
-        self._pending_reply[tag] = _PendingReply(x_s=x_s, x_t=x_t, candidate=cand)
+        self._pending_reply[tag] = PendingSession(x_s=x_s, x_t=x_t, candidates=(cand,))
         return cand.sigma, cand.delta
 
     def _reply_prime_core(self, tag: int, x_s: BitString, sigma: BitString,
@@ -253,8 +245,7 @@ class OracleHandle:
         pend = self._pending_reply.pop(tag, None)
         outcome = None
         if pend is not None:
-            ps = PendingSession(x_s=pend.x_s, x_t=pend.x_t, candidates=(pend.candidate,))
-            outcome = server_finalize(self.server, ps, ta)
+            outcome = server_finalize(self.server, pend, ta)
         if updated:
             self.recorded[tag][period] = Quintuplet(
                 x_s=x_s, sigma=sigma, delta=delta, x_t=x_t, sigma_prime=ta.sigma_prime)

@@ -14,17 +14,19 @@ A session is four flights between a server and one tag:
 
 ``k'``/``k''`` and ``x'``/``x''`` are the left/right halves of ``k`` and
 ``x``. The tag keeps only its current key (and a session counter) between
-sessions; the server keeps, per tag, the current key plus one previous-key
-slot used for desynchronization recovery.
+sessions; the server keeps, per tag, the current key, one previous-key slot
+used for desynchronization recovery, the counter and a count of consecutive
+failed sessions.
 
 The server never learns which tag it is talking to from the wire: flight 3
 carries one candidate per (record, key slot), shuffled, and flight 4
 identifies the record by matching ``sigma'`` against precomputed
-expectations. On a failed or missing flight 4 the server parks the
-candidate next-key in the record's previous-key slot so that a tag which
-did ratchet can still be matched next session; two consecutive failures
-flag the record as desynchronized (a second blocked final flight is
-unrecoverable by design).
+expectations. The tag checks every candidate whether or not one matches.
+On a failed or missing flight 4 the server parks the candidate next-key in
+the record's previous-key slot so that a tag which did ratchet can still be
+matched next session. A record with two consecutive failures reads as
+desynchronized (a second blocked final flight is unrecoverable by design);
+the flag is derived from the failure count, never stored.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class TagState:
     key: BitString
     counter: int
     prng: Prng
-    hardened_scan: bool = True
     meter: OpMeter = field(default_factory=OpMeter)
     pending: Optional[_PendingTagSession] = field(default=None, repr=False)
 
@@ -95,7 +96,12 @@ class ServerTagRecord:
     key_previous: Optional[BitString]
     counter: int
     consecutive_failures: int = 0
-    desynchronized: bool = False
+
+    @property
+    def desynchronized(self) -> bool:
+        """Two or more failed sessions since the last accept: the recovery
+        slot has been overwritten, so a tag that ratcheted may be lost."""
+        return self.consecutive_failures >= 2
 
 
 @dataclass
@@ -159,7 +165,6 @@ class PendingSession:
 class AuthResult:
     accepted: bool
     label: Optional[str] = None
-    key_updated: bool = False
     matched_slot: Optional[str] = None
 
     @property
@@ -297,8 +302,8 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     On a verified candidate: derive the session key, emit ``sigma'``,
     ratchet the tag key, bump the counter. On no match: emit fresh random
     bits of the same width and keep the key, so success and failure are
-    indistinguishable on the wire (and, with ``hardened_scan``, take the
-    same number of hash operations regardless of where a match sits).
+    indistinguishable on the wire. Every candidate is checked, so the hash
+    count does not depend on where (or whether) a match sits.
     """
     if tag.pending is None:
         raise SessionOrderError("no session in flight on this tag")
@@ -311,8 +316,6 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
             sigma_hat = auth_server_tag(spec, k_prime, x_hat, x_s, x_t)
             if sigma_hat == cand.sigma and matched_x is None:
                 matched_x = x_hat
-                if not tag.hardened_scan:
-                    break
         if matched_x is None:
             sigma_prime = prng_next(tag.prng, len(tag.key))
             tag.pending = None
@@ -344,8 +347,7 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
         rec.key_current = cand.next_key
         rec.counter += 1
         rec.consecutive_failures = 0
-        rec.desynchronized = False
-        return AuthResult(accepted=True, label=cand.label, key_updated=True, matched_slot=cand.slot)
+        return AuthResult(accepted=True, label=cand.label, matched_slot=cand.slot)
     _hedge_on_failure(server, pending)
     return AuthResult(accepted=False)
 
@@ -368,5 +370,3 @@ def _hedge_on_failure(server: ServerState, pending: PendingSession) -> None:
         rec = server.records[cand.label]
         rec.key_previous = cand.next_key
         rec.consecutive_failures += 1
-        if rec.consecutive_failures >= 2:
-            rec.desynchronized = True

@@ -6,11 +6,14 @@
     v1 <label> <counter> <hex key_current>:<len> [<hex key_previous>:<len>]
 
 The master key lives in a separate file holding a single ``hex:len`` line;
-it never appears in the tag database.
+it never appears in the tag database. Both files are replaced atomically: a
+failed or interrupted save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -36,8 +39,25 @@ def dump_database(lam: int, records: dict[str, ServerTagRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, flush it to disk,
+    then rename it over ``path``. The temporary file is owner-only (0600),
+    so the replaced file is too."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_database(path: Union[str, Path], lam: int, records: dict[str, ServerTagRecord]) -> None:
-    Path(path).write_text(dump_database(lam, records))
+    _write_atomic(path, dump_database(lam, records))
 
 
 def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecord]]:
@@ -77,7 +97,7 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
 
 
 def save_master(path: Union[str, Path], master: MasterKey) -> None:
-    Path(path).write_text(master.value.to_text() + "\n")
+    _write_atomic(path, master.value.to_text() + "\n")
 
 
 def load_master(path: Union[str, Path]) -> MasterKey:

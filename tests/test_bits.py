@@ -251,4 +251,4 @@ class TestHashSpecValidation:
 
     def test_toy_state_bounds(self):
         with pytest.raises(ValueError):
-            HashSpec.toy(16, state_bits=8)
+            HashSpec.toy(65)

@@ -95,6 +95,22 @@ class TestRun:
         assert run_cli("run", "--db", str(db_dir), "--sessions", "1") == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_zero_sessions_is_config_error(self, db_dir, capsys):
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "0") == 2
+        assert capsys.readouterr().err.startswith("kimap: ")
+        assert (db_dir / "kimap.db").read_bytes() == before
+
+    def test_unrecorded_replay_source_is_config_error(self, db_dir, tmp_path, capsys):
+        sched = tmp_path / "sched.txt"
+        sched.write_text("1 3 replay 5\n")
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+                       "--schedule", str(sched)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kimap: ") and "never recorded" in err
+        assert (db_dir / "kimap.db").read_bytes() == before
+
     def test_unknown_schedule_action(self, db_dir, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 explode\n")
@@ -171,6 +187,11 @@ class TestCost:
         run_cli("cost", "--lambda", "128", "--format", "structured")
         out = capsys.readouterr().out
         assert "t2r_ms=0.40" in out and "r2t_ms=3.05" in out
+
+    def test_batch_below_one_is_config_error(self, capsys):
+        assert run_cli("cost", "--tags", "-5") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and "batch_serial" not in captured.out
 
     def test_inflated_ops_fail_budget(self, capsys):
         run_cli("cost", "--hash-ops", "40")

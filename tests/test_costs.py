@@ -91,6 +91,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             CostParams(tag_clock_hz=0)
 
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_batch_must_be_positive(self, batch):
+        with pytest.raises(ValueError):
+            compute_cost(CostParams(), batch_tags=batch)
+
 
 class TestAgreementWithInstrumentation:
     def test_model_and_metered_tag_agree_on_hash_ops(self):

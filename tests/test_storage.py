@@ -1,9 +1,11 @@
 """Database file format round-trips and error reporting."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from kimap.bits import BitString, Prng
-from kimap.protocol import MasterKey, keygen
+from kimap.protocol import MasterKey, ServerTagRecord, keygen
 from kimap.storage import (
     DatabaseFormatError,
     dump_database,
@@ -105,3 +107,24 @@ def test_master_file_roundtrip(tmp_path):
     path = tmp_path / "master.key"
     save_master(path, mk)
     assert load_master(path).value == mk.value
+
+
+# Has no UTF-8 encoding, so writing it raises once the file is already open.
+UNENCODABLE = "t\udcff"
+
+
+@pytest.mark.parametrize("which", ["database", "master"])
+def test_failed_save_leaves_old_file(provisioned, which):
+    server, db, mk = provisioned
+    path = db if which == "database" else mk
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        if which == "database":
+            rec = server.records["t001"]
+            server.records[UNENCODABLE] = ServerTagRecord(
+                label=UNENCODABLE, key_current=rec.key_current, key_previous=None, counter=1)
+            save_database(db, 64, server.records)
+        else:
+            save_master(mk, MasterKey(SimpleNamespace(to_text=lambda: UNENCODABLE)))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == ["kimap.db", "master.key"]
