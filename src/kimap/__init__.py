@@ -73,6 +73,7 @@ from .protocol import (
     ServerState,
     ServerTagRecord,
     SessionOrderError,
+    SlotKeys,
     TagAuth,
     TagNonce,
     TagState,
@@ -87,6 +88,7 @@ from .protocol import (
     server_prepare,
     server_timeout,
     session_key,
+    slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,
 )

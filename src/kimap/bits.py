@@ -188,7 +188,7 @@ def xor(a: BitString, b: BitString) -> BitString:
 
 def concat(a: BitString, b: BitString) -> BitString:
     """``a`` followed by ``b``."""
-    return BitString((a.value << len(b)) | b.value, len(a) + len(b))
+    return BitString((a._value << b._length) | b._value, a._length + b._length)
 
 
 def split(s: BitString) -> tuple[BitString, BitString]:
@@ -232,16 +232,6 @@ class HashSpec:
         return cls(output_len_bits, "toy")
 
 
-def _pad_to_bytes(bits: BitString) -> bytes:
-    # 10* padding: appending a 1 bit then zeros to a byte boundary keeps the
-    # bits -> bytes map injective, so the length-prefixed pair encoding below
-    # stays injective over pairs of arbitrary lengths.
-    padded = concat(bits, BitString(1, 1))
-    tail = (-len(padded)) % 8
-    padded = concat(padded, BitString(0, tail))
-    return padded.to_bytes()
-
-
 # Toy mixer constants (state width; odd multipliers; pi-derived initial state).
 _TOY_STATE_BITS = 64
 _TOY_INIT = 0x243F6A8885A308D3
@@ -282,11 +272,16 @@ def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
 
     The pair is encoded injectively: a 32-bit big-endian length prefix for
     ``left``, then ``left``'s bits, then ``right``'s bits, then 10* padding
-    to a byte boundary.
+    to a byte boundary. Appending a 1 bit then zeros keeps the bits -> bytes
+    map injective, so the encoding stays injective over pairs of arbitrary
+    lengths. The encoding is built as one integer.
     """
     _count("hash")
-    enc = concat(concat(BitString(len(left), 32), left), right)
-    return _digest(spec, _pad_to_bytes(enc))
+    n_left, n_right = left._length, right._length
+    enc = (((n_left << n_left | left._value) << n_right | right._value) << 1) | 1
+    n_bits = 32 + n_left + n_right + 1
+    pad = -n_bits % 8
+    return _digest(spec, (enc << pad).to_bytes((n_bits + pad) // 8, "big"))
 
 
 def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> BitString:
@@ -295,7 +290,10 @@ def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> B
     independent function at constant cost."""
     if i < 1:
         raise ValueError("session index must be >= 1")
-    return hash2(spec, concat(BitString(i, 32), left), right)
+    if i >> 32:
+        raise ValueError(f"session index {i} does not fit in 32 bits")
+    n_left = left._length
+    return hash2(spec, BitString(i << n_left | left._value, 32 + n_left), right)
 
 
 # ---------------------------------------------------------------------------

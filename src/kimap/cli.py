@@ -20,6 +20,7 @@ rejections or desynchronized records), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -176,6 +177,25 @@ def _parse_payload(flight: int, fields: list[str]):
     raise ScheduleError(f"wrong replacement field count for flight {flight}")
 
 
+def _check_payload_widths(schedule: FaultSchedule, lam: int) -> None:
+    """Every wire value is ``lam`` bits wide, so every field of a replacement
+    payload must be too. The endpoints raise on most other widths, so the
+    schedule is rejected before any session runs."""
+    for action in schedule.actions:
+        if action.kind != "replace":
+            continue
+        payload = action.payload
+        if isinstance(payload, BroadcastAuth):
+            fields = [v for c in payload.candidates for v in (c.sigma, c.delta)]
+        else:
+            fields = [getattr(payload, f.name) for f in dataclasses.fields(payload)]
+        for value in fields:
+            if len(value) != lam:
+                raise ScheduleError(
+                    f"session {action.session_seq} flight {action.flight}: replacement "
+                    f"field {value.to_text()} is {len(value)} bits, database lambda {lam}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -211,6 +231,7 @@ def cmd_run(args) -> int:
         lam, records = load_database(db_path)
         master = load_master(master_path)
         schedule = parse_schedule(args.schedule) if args.schedule else FaultSchedule([])
+        _check_payload_widths(schedule, lam)
     except FileNotFoundError as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,7 @@ from .protocol import (
     make_candidate,
     server_begin,
     server_finalize,
+    slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,
 )
@@ -227,8 +228,8 @@ class OracleHandle:
             raise SessionOrderError("reply needs a pending server challenge")
         x_s, self._pending_x_s = self._pending_x_s, None
         rec = self.server.records[self._labels[tag]]
-        cand = make_candidate(self.spec, rec.counter, self.server.master, rec.key_current,
-                              x_s, x_t, label=rec.label, slot="current")
+        keys = slot_keys(self.spec, rec.counter, self.server.master, rec.key_current)
+        cand = make_candidate(keys, x_s, x_t, label=rec.label, slot="current")
         self._pending_reply[tag] = PendingSession(x_s=x_s, x_t=x_t, candidates=(cand,))
         return cand.sigma, cand.delta
 

@@ -22,6 +22,14 @@ The server never learns which tag it is talking to from the wire: flight 3
 carries one candidate per (record, key slot), shuffled, and flight 4
 identifies the record by matching ``sigma'`` against precomputed
 expectations. The tag checks every candidate whether or not one matches.
+
+Per session the server computes 2 hashes per candidate (``sigma`` and the
+expected ``sigma'``). The partial key ``x``, ``delta`` and the two key
+concatenations depend only on the slot's key and the record's counter, so
+they are cached per record slot (:class:`SlotKeys`) and rebuilt only when
+those change, as for the record accepted last. The next key is computed only
+for the matched candidate, or for every record when a failed session hedges.
+
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
 matched next session. A record with two consecutive failures reads as
@@ -104,11 +112,32 @@ class ServerTagRecord:
         return self.consecutive_failures >= 2
 
 
+@dataclass(frozen=True, slots=True)
+class SlotKeys:
+    """The per-slot values of one (record, key slot) that stay fixed until
+    the slot's key or the record's counter changes: the partial key
+    ``x = H_i(SK*, k)``, ``delta = k XOR x``, the sigma key ``k' || x`` and
+    the session key ``k' || x'``."""
+
+    spec: HashSpec
+    key: BitString
+    x: BitString
+    delta: BitString
+    sigma_key: BitString
+    session_key: BitString
+
+
 @dataclass
 class ServerState:
     master: MasterKey
     records: dict[str, ServerTagRecord]
     prng: Prng
+    # (label, slot) -> ((spec, master, counter, key), SlotKeys): at most two
+    # entries per record, one per key slot. An entry is served only while
+    # everything x depends on is unchanged, so a record mutated directly
+    # never reads a stale one. Never persisted.
+    slot_cache: dict[tuple[str, str], tuple[tuple, SlotKeys]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lam(self) -> int:
@@ -141,14 +170,24 @@ class TagAuth:
     sigma_prime: BitString
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingCandidate:
     label: str
     slot: str  # "current" | "previous"
     sigma: BitString
     delta: BitString
     expected_sigma_prime: BitString
-    next_key: BitString
+    keys: SlotKeys = field(repr=False)
+    x_s: BitString = field(repr=False)
+
+    @property
+    def next_key(self) -> BitString:
+        """The key the server commits if this candidate's expectation is
+        met, ``H(k'' || x'', x_s)``. One hash on every read, so only the
+        matched candidate and the hedging path pay for it."""
+        _, k_dprime = split(self.keys.key)
+        _, x_dprime = split(self.keys.x)
+        return key_update(self.keys.spec, k_dprime, x_dprime, self.x_s)
 
 
 @dataclass(frozen=True)
@@ -265,20 +304,42 @@ def tag_respond_nonce(tag: TagState, challenge: Optional[Challenge] = None) -> T
     return TagNonce(x_t)
 
 
-def make_candidate(spec: HashSpec, counter: int, master: MasterKey, key: BitString,
-                   x_s: BitString, x_t: BitString, label: str = "", slot: str = "current") -> PendingCandidate:
-    """Flight-3 computation for one (record, key slot): the wire pair
-    ``(sigma, delta)`` plus the expected ``sigma'`` and the next key the
-    server will commit if that expectation is met."""
+def slot_keys(spec: HashSpec, counter: int, master: MasterKey, key: BitString) -> SlotKeys:
+    """The per-slot values of ``key`` at session ``counter``: one hash."""
     x = partial_key(spec, counter, master, key)
-    k_prime, k_dprime = split(key)
-    x_prime, x_dprime = split(x)
-    sigma = auth_server_tag(spec, k_prime, x, x_s, x_t)
-    delta = xor(key, x)
-    expected = auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))
-    next_key = key_update(spec, k_dprime, x_dprime, x_s)
-    return PendingCandidate(label=label, slot=slot, sigma=sigma, delta=delta,
-                            expected_sigma_prime=expected, next_key=next_key)
+    k_prime, _ = split(key)
+    x_prime, _ = split(x)
+    if len(x) != len(key):
+        raise LengthError(key, x)
+    return SlotKeys(spec=spec, key=key, x=x, delta=xor(key, x), sigma_key=k_prime + x,
+                    session_key=session_key(k_prime, x_prime))
+
+
+def make_candidate(keys: SlotKeys, x_s: BitString, x_t: BitString,
+                   label: str = "", slot: str = "current") -> PendingCandidate:
+    """Flight-3 computation for one (record, key slot): the wire pair
+    ``(sigma, delta)`` plus the expected ``sigma'``, two hashes. These are
+    the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, from
+    the slot's cached concatenations. The next key the server commits if
+    the expectation is met is computed on demand
+    (:attr:`PendingCandidate.next_key`)."""
+    if not len(keys.x) == len(x_s) == len(x_t):
+        raise LengthError(keys.x, x_s, x_t)
+    sigma = hash2(keys.spec, keys.sigma_key, x_s + x_t)
+    expected = hash2(keys.spec, x_t + x_s, keys.session_key)
+    return PendingCandidate(label=label, slot=slot, sigma=sigma, delta=keys.delta,
+                            expected_sigma_prime=expected, keys=keys, x_s=x_s)
+
+
+def _cached_slot_keys(server: ServerState, spec: HashSpec, rec: ServerTagRecord,
+                      slot: str, key: BitString) -> SlotKeys:
+    stamp = (spec, server.master, rec.counter, key)
+    cached = server.slot_cache.get((rec.label, slot))
+    if cached is not None and cached[0] == stamp:
+        return cached[1]
+    keys = slot_keys(spec, rec.counter, server.master, key)
+    server.slot_cache[(rec.label, slot)] = (stamp, keys)
+    return keys
 
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
@@ -286,11 +347,11 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     broadcast position leaks nothing about registry order."""
     entries: list[PendingCandidate] = []
     for rec in server.records.values():
-        entries.append(make_candidate(spec, rec.counter, server.master, rec.key_current,
-                                      x_s, x_t, label=rec.label, slot="current"))
+        keys = _cached_slot_keys(server, spec, rec, "current", rec.key_current)
+        entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="current"))
         if rec.key_previous is not None:
-            entries.append(make_candidate(spec, rec.counter, server.master, rec.key_previous,
-                                          x_s, x_t, label=rec.label, slot="previous"))
+            keys = _cached_slot_keys(server, spec, rec, "previous", rec.key_previous)
+            entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="previous"))
     server.prng.shuffle(entries)
     broadcast = BroadcastAuth(tuple(ServerAuthCandidate(e.sigma, e.delta) for e in entries))
     return broadcast, PendingSession(x_s=x_s, x_t=x_t, candidates=tuple(entries))

@@ -111,6 +111,20 @@ class TestRun:
         assert err.startswith("kimap: ") and "never recorded" in err
         assert (db_dir / "kimap.db").read_bytes() == before
 
+    @pytest.mark.parametrize("line", ["1 3 replace ad:8 ef:8", "1 1 replace ad:8",
+                                      "1 2 replace ad:8", "2 4 replace ad:8",
+                                      "1 3 replace beef:16 ad:8"])
+    def test_replace_payload_of_wrong_width_is_config_error(self, db_dir, tmp_path, capsys, line):
+        sched = tmp_path / "sched.txt"
+        sched.write_text(line + "\n")
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+                       "--schedule", str(sched)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and "lambda 16" in captured.err
+        assert captured.out == ""
+        assert (db_dir / "kimap.db").read_bytes() == before
+
     def test_unknown_schedule_action(self, db_dir, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 explode\n")

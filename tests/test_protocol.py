@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
+from kimap.bits import BitString, HashSpec, OpMeter, Prng, metered, prng_next, split, xor
 from kimap.protocol import (
     BroadcastAuth,
     MasterKey,
@@ -267,6 +267,24 @@ class TestCostAccounting:
         assert server_finalize(server, pending, ta).accepted
         assert (h1 - h0) == c + 2  # c verifications + answer + ratchet
         assert x1 - x0 == c
+
+    @pytest.mark.parametrize("n_records", [1, 4, 9])
+    def test_steady_state_server_hash_calls(self, n_records):
+        """One honest steady-state session with N records, so 2N candidates,
+        costs the server exactly 4N + 3 hashes: 2 per candidate (sigma and
+        the expected sigma'), 2 partial-key refreshes for the record accepted
+        last (its counter moved, so both of its slots are rebuilt), and 1
+        next key for the matched candidate. The 2 refreshes are the only
+        XORs (their deltas)."""
+        server, tags = keygen(64, n_records, Prng(33, 0))
+        for tag in tags:  # every record accepted once: both slots live
+            assert honest_session(server, tag, PROD64).accepted
+        for idx in (0, n_records // 2, n_records // 2):
+            meter = OpMeter()
+            with metered(meter):  # the tag's calls count to its own meter
+                assert honest_session(server, tags[idx], PROD64).accepted
+            assert meter.hash_calls == 4 * n_records + 3
+            assert meter.xor_calls == 2
 
     def test_hardened_scan_cost_independent_of_match_position(self):
         # same candidate count, different match positions, same hash count
