@@ -33,7 +33,7 @@ challenge = server_begin(server)
 print("flight 1  server -> tag   x_s =", challenge.x_s.to_text())
 
 # Flight 2: the tag answers with a fresh nonce.
-nonce = tag_respond_nonce(tag, challenge)
+nonce = tag_respond_nonce(tag)
 print("flight 2  tag -> server   x_t =", nonce.x_t.to_text())
 
 # Flight 3: the server derives the session's partial key from its master

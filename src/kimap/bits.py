@@ -93,10 +93,6 @@ class BitString:
         nibbles = (self._length + 3) // 4
         return f"{self._value:0{nibbles}x}:{self._length}" if nibbles else f":{self._length}"
 
-    def to_bytes(self) -> bytes:
-        """Value as big-endian bytes, left-padded to ``ceil(len/8)`` bytes."""
-        return self._value.to_bytes((self._length + 7) // 8, "big")
-
     # -- operations --------------------------------------------------------
 
     def split(self) -> tuple["BitString", "BitString"]:
@@ -124,9 +120,6 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString('{self._value:0{self._length}b}')" if self._length else "BitString('')"
-
-
-EMPTY = BitString(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +212,10 @@ class HashSpec:
         if self.variant not in ("production", "toy"):
             raise ValueError(f"unknown hash variant {self.variant!r}")
         if not 1 <= self.output_len_bits <= 256:
-            raise ValueError("output_len_bits must be in 1..256")
+            raise ValueError(f"hash output width must be 1..256 bits, got {self.output_len_bits}")
         if self.variant == "toy" and self.output_len_bits > _TOY_STATE_BITS:
-            raise ValueError(f"toy output_len_bits must be <= {_TOY_STATE_BITS}")
+            raise ValueError(f"toy hash output width must be <= {_TOY_STATE_BITS} bits, "
+                             f"got {self.output_len_bits}")
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":

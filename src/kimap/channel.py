@@ -31,11 +31,6 @@ from .protocol import (
     tag_verify_and_respond,
 )
 
-FLIGHT_CHALLENGE = 1
-FLIGHT_NONCE = 2
-FLIGHT_BROADCAST = 3
-FLIGHT_TAG_AUTH = 4
-
 _PAYLOAD_TYPES = {1: Challenge, 2: TagNonce, 3: BroadcastAuth, 4: TagAuth}
 
 Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
@@ -167,7 +162,7 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     if delivered_ch is None:
         return t
 
-    nonce = tag_respond_nonce(tag, delivered_ch)
+    nonce = tag_respond_nonce(tag)
     delivered_nonce = _deliver(2, nonce, actions, session_seq, recording)
     t.x_t = delivered_nonce
     if delivered_nonce is None:
@@ -196,14 +191,12 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
 
 
 def run_schedule(server: ServerState, tags: list[TagState], schedule: FaultSchedule,
-                 n_sessions: int, spec: HashSpec,
-                 labels: Optional[list[str]] = None) -> list[SessionTranscript]:
+                 n_sessions: int, spec: HashSpec) -> list[SessionTranscript]:
     """Run ``n_sessions`` sessions round-robin over ``tags``, applying the
     scheduled actions. Deterministic under fixed endpoint seeds."""
     if n_sessions < 1:
         raise ValueError("n_sessions must be >= 1")
-    if labels is None:
-        labels = list(server.records)
+    labels = list(server.records)
     recording: Recording = {}
     transcripts = []
     for seq in range(1, n_sessions + 1):

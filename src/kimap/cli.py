@@ -1,16 +1,22 @@
 """Command-line surface.
 
-Subcommands::
+Subcommands and the flags each one reads::
 
     kimap init   --db DIR [--lambda N] [--tags N] [--seed N] [--force]
-    kimap run    --db DIR [--sessions N] [--schedule FILE] [--strict] [--hash {production,toy}]
-    kimap game   {ind,forward,backward,ind2tag} DISTINGUISHER [--trials N] ...
-    kimap cost   [--lambda N] [--tags N] [rate/cycle overrides]
-    kimap lemma1 [--k N]
+    kimap run    --db DIR [--sessions N] [--schedule FILE] [--strict] [--seed N]
+                 [--hash {production,toy}]
+    kimap game   {ind,forward,backward,ind2tag} DISTINGUISHER [--trials N] [--tags N]
+                 [--e1 N] [--e2 N] [--r1 N] [--r2 N] [--rb N] [--lambda N] [--seed N]
+                 [--hash {production,toy}] [--format {table,structured}]
+    kimap cost   [--lambda N] [--tags N] [--hash-ops N] [--hash-cycles N] [--clock-hz N]
+                 [--t2r-bps N] [--r2t-bps N] [--serial-bps N] [--candidates N]
+                 [--format {table,structured}]
+    kimap lemma1 [--k N] [--mask HEX:LEN] [--seed N]
 
 The seed comes from --seed, else the KIMAP_SEED environment variable, else
 the fixed default 24301. Every command is deterministic under a fixed seed
-and inputs. ``run`` takes the key width from the database, runs N >= 1
+and inputs. ``init`` accepts key widths up to 256 bits, the widest hash
+output. ``run`` takes the key width from the database, runs N >= 1
 sessions round-robin over its tags (the schedule file names the flights to
 drop, replay or replace) and rewrites the database only after every session
 ran. Exit codes: 0 success, 1 operational failure (with --strict,
@@ -20,7 +26,6 @@ rejections or desynchronized records), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -46,7 +51,7 @@ from .protocol import (
     TagState,
     keygen,
 )
-from .storage import DatabaseFormatError, load_database, load_master, save_database, save_master
+from .storage import load_database, load_master, save_database, save_master
 
 DEFAULT_SEED = 24301
 
@@ -59,16 +64,26 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return value
     env = os.environ.get("KIMAP_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"kimap: KIMAP_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KIMAP_SEED must be an integer, got {env!r}") from None
 
 
 def _hash_spec(name: str, lam: int) -> HashSpec:
     return HashSpec.toy(lam) if name == "toy" else HashSpec.production(lam)
+
+
+# Flags shared by several subcommands; each subcommand takes only those its
+# handler reads.
+_SHARED_FLAGS = {
+    "--lambda": dict(dest="lam", type=int, default=64, help="key width in bits"),
+    "--seed": dict(type=int, default=None, help="PRNG seed (default: $KIMAP_SEED or 24301)"),
+    "--hash": dict(choices=["production", "toy"], default="production"),
+    "--format": dict(choices=["table", "structured"], default="table"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,20 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lambda", dest="lam", type=int, default=64, help="key width in bits")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: $KIMAP_SEED or 24301)")
-        p.add_argument("--hash", choices=["production", "toy"], default="production")
-        p.add_argument("--format", choices=["table", "structured"], default="table")
+    def shared(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     p_init = sub.add_parser("init", help="provision a server database and master key")
-    common(p_init)
+    shared(p_init, "--lambda", "--seed")
     p_init.add_argument("--tags", type=int, default=3, help="number of tags to provision")
     p_init.add_argument("--db", required=True, help="directory for kimap.db and master.key")
     p_init.add_argument("--force", action="store_true", help="overwrite an existing database")
 
     p_run = sub.add_parser("run", help="run authentication sessions against the database")
-    common(p_run)
+    shared(p_run, "--seed", "--hash")
     p_run.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
     p_run.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
     p_run.add_argument("--schedule", help="fault schedule file")
@@ -97,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 1 on any rejection or desynchronized record")
 
     p_game = sub.add_parser("game", help="run a privacy game and report the advantage")
-    common(p_game)
+    shared(p_game, "--lambda", "--seed", "--hash", "--format")
     p_game.add_argument("definition", choices=["ind", "forward", "backward", "ind2tag"])
     p_game.add_argument("distinguisher")
     p_game.add_argument("--trials", type=int, default=1000)
@@ -109,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_game.add_argument("--rb", type=int, default=64)
 
     p_cost = sub.add_parser("cost", help="evaluate the session cost model")
-    common(p_cost)
+    shared(p_cost, "--lambda", "--format")
     p_cost.add_argument("--tags", type=int, default=200, help="batch size for serial backhaul")
     p_cost.add_argument("--hash-ops", type=int, default=4)
     p_cost.add_argument("--hash-cycles", type=int, default=33)
@@ -120,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--candidates", type=int, default=1)
 
     p_lemma = sub.add_parser("lemma1", help="exhaustive one-time-pad bijection check")
-    common(p_lemma)
+    shared(p_lemma, "--seed")
     p_lemma.add_argument("--k", type=int, default=8)
     p_lemma.add_argument("--mask", type=str, default=None,
                          help="fixed mask as hex:len (default: drawn from the seed)")
@@ -133,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
 #   <session_seq> <flight 1-4> <drop | replay N | replace hex:len...>
 # ---------------------------------------------------------------------------
 
-def parse_schedule(path: str) -> FaultSchedule:
+def parse_schedule(path: str, lam: int) -> FaultSchedule:
+    """Read a schedule file for a database of key width ``lam``. Every wire
+    value is ``lam`` bits wide, so every field of a replacement payload must
+    be too."""
     actions = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,12 +165,14 @@ def parse_schedule(path: str) -> FaultSchedule:
             raise ScheduleError(f"{path}:{line_no}: session and flight must be integers") from None
         verb = fields[2]
         try:
+            if seq < 1:
+                raise ScheduleError(f"session must be >= 1, got {seq}")
             if verb == "drop":
                 actions.append(AdversaryAction.drop(flight, seq))
             elif verb == "replay":
                 actions.append(AdversaryAction.replay(flight, int(fields[3]), seq))
             elif verb == "replace":
-                payload = _parse_payload(flight, fields[3:])
+                payload = _parse_payload(flight, fields[3:], lam)
                 actions.append(AdversaryAction.replace(flight, payload, seq))
             else:
                 raise ScheduleError(f"unknown schedule action {verb!r}")
@@ -163,8 +181,12 @@ def parse_schedule(path: str) -> FaultSchedule:
     return FaultSchedule(actions)
 
 
-def _parse_payload(flight: int, fields: list[str]):
+def _parse_payload(flight: int, fields: list[str], lam: int):
     values = [BitString.from_text(f) for f in fields]
+    for value in values:
+        if len(value) != lam:
+            raise ScheduleError(f"replacement field {value.to_text()} is {len(value)} bits, "
+                                f"database lambda {lam}")
     if flight == 1 and len(values) == 1:
         return Challenge(values[0])
     if flight == 2 and len(values) == 1:
@@ -177,25 +199,6 @@ def _parse_payload(flight: int, fields: list[str]):
     raise ScheduleError(f"wrong replacement field count for flight {flight}")
 
 
-def _check_payload_widths(schedule: FaultSchedule, lam: int) -> None:
-    """Every wire value is ``lam`` bits wide, so every field of a replacement
-    payload must be too. The endpoints raise on most other widths, so the
-    schedule is rejected before any session runs."""
-    for action in schedule.actions:
-        if action.kind != "replace":
-            continue
-        payload = action.payload
-        if isinstance(payload, BroadcastAuth):
-            fields = [v for c in payload.candidates for v in (c.sigma, c.delta)]
-        else:
-            fields = [getattr(payload, f.name) for f in dataclasses.fields(payload)]
-        for value in fields:
-            if len(value) != lam:
-                raise ScheduleError(
-                    f"session {action.session_seq} flight {action.flight}: replacement "
-                    f"field {value.to_text()} is {len(value)} bits, database lambda {lam}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -206,13 +209,13 @@ def _db_paths(db: str) -> tuple[Path, Path]:
 
 
 def cmd_init(args) -> int:
-    seed = _resolve_seed(args.seed)
     db_path, master_path = _db_paths(args.db)
     if (db_path.exists() or master_path.exists()) and not args.force:
         print(f"kimap: refusing to overwrite {db_path.parent} (use --force)", file=sys.stderr)
         return 2
     try:
-        server, _tags = keygen(args.lam, args.tags, Prng(seed, 0))
+        server, _tags = keygen(args.lam, args.tags, Prng(args.seed, 0))
+        HashSpec.production(args.lam)  # run needs a hash this wide: at most 256 bits
     except Exception as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
@@ -225,17 +228,13 @@ def cmd_init(args) -> int:
 
 
 def cmd_run(args) -> int:
-    seed = _resolve_seed(args.seed)
     db_path, master_path = _db_paths(args.db)
     try:
         lam, records = load_database(db_path)
         master = load_master(master_path)
-        schedule = parse_schedule(args.schedule) if args.schedule else FaultSchedule([])
-        _check_payload_widths(schedule, lam)
-    except FileNotFoundError as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
-    except (DatabaseFormatError, ScheduleError) as exc:
+        schedule = parse_schedule(args.schedule, lam) if args.schedule else FaultSchedule([])
+        spec = _hash_spec(args.hash, lam)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
     if len(master.value) != lam:
@@ -245,10 +244,9 @@ def cmd_run(args) -> int:
         print(f"kimap: --sessions must be >= 1, got {args.sessions}", file=sys.stderr)
         return 2
 
-    spec = _hash_spec(args.hash, lam)
-    server = ServerState(master=master, records=records, prng=Prng(seed, _RUN_SERVER_STREAM))
+    server = ServerState(master=master, records=records, prng=Prng(args.seed, _RUN_SERVER_STREAM))
     tags = [TagState(key=rec.key_current, counter=rec.counter,
-                     prng=Prng(seed, _RUN_TAG_STREAM + idx))
+                     prng=Prng(args.seed, _RUN_TAG_STREAM + idx))
             for idx, rec in enumerate(records.values())]
 
     try:
@@ -275,7 +273,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_game(args) -> int:
-    seed = _resolve_seed(args.seed)
     try:
         d = make_distinguisher(args.distinguisher)
     except ValueError as exc:
@@ -284,7 +281,7 @@ def cmd_game(args) -> int:
     n = max(args.tags, 3) if args.definition == "ind2tag" else args.tags
     try:
         cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2,
-                         r1=args.r1, r2=args.r2, rb=args.rb, trials=args.trials, seed=seed)
+                         r1=args.r1, r2=args.r2, rb=args.rb, trials=args.trials, seed=args.seed)
         result = run_game(args.definition, cfg, d, _hash_spec(args.hash, args.lam))
     except (ValueError, ParameterError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
@@ -331,7 +328,6 @@ def cmd_cost(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    seed = _resolve_seed(args.seed)
     mask = None
     if args.mask is not None:
         try:
@@ -340,7 +336,7 @@ def cmd_lemma1(args) -> int:
             print(f"kimap: bad --mask: {exc}", file=sys.stderr)
             return 2
     try:
-        report = lemma1_bijection_check(args.k, mask=mask, prng=Prng(seed, 0))
+        report = lemma1_bijection_check(args.k, mask=mask, prng=Prng(args.seed, 0))
     except ValueError as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
@@ -353,6 +349,12 @@ def cmd_lemma1(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "seed" in vars(args):
+        try:
+            args.seed = _resolve_seed(args.seed)
+        except ValueError as exc:
+            print(f"kimap: {exc}", file=sys.stderr)
+            return 2
     handlers = {"init": cmd_init, "run": cmd_run, "game": cmd_game,
                 "cost": cmd_cost, "lemma1": cmd_lemma1}
     return handlers[args.command](args)

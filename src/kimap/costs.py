@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class CostParams:
     r2t_rate_bps: int = 126_000
     serial_rate_bps: int = 20_000
     tag_hash_ops: int = 4
-    t2r_bits: Optional[int] = None  # default 2*lambda
-    r2t_bits: Optional[int] = None  # default 3*lambda
     candidates: int = 1
 
     def __post_init__(self) -> None:
@@ -42,13 +39,11 @@ class CostParams:
 
     @property
     def uplink_bits(self) -> int:
-        return self.t2r_bits if self.t2r_bits is not None else 2 * self.lambda_bits
+        return 2 * self.lambda_bits
 
     @property
     def downlink_bits(self) -> int:
         """Challenge plus (sigma, delta) per candidate: lambda + 2*lambda*c."""
-        if self.r2t_bits is not None:
-            return self.r2t_bits
         return self.lambda_bits + 2 * self.lambda_bits * self.candidates
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .bits import BitString, HashSpec, Prng, prng_next, split, xor
 from .channel import SessionTranscript
@@ -70,9 +70,6 @@ class DoubleTestError(GameError):
     pass
 
 
-_DEFINITION_NAMES = {1: "ind", 2: "forward", 3: "backward", "ind": "ind",
-                     "forward": "forward", "backward": "backward", "ind2tag": "ind2tag"}
-
 # Oracles each definition admits. The backward game admits plain execute as
 # well: its stated adversary boundary counts execute queries, and the
 # leak-control arm of the restriction experiment needs them.
@@ -104,15 +101,6 @@ class GameConfig:
             raise ValueError("need n >= 1 and trials >= 1")
         if min(self.e1, self.e2, self.r1, self.r2, self.rb) < 0:
             raise ValueError("budgets must be >= 0")
-
-    def session_horizon(self, definition: Union[int, str]) -> int:
-        """Most full sessions the budgets allow in one world: the execute
-        budget plus however many sessions the paired query/reply budgets can
-        compose by hand."""
-        name = _DEFINITION_NAMES[definition]
-        if name == "backward":
-            return self.e2 + min(self.rb, self.r1, self.r2)
-        return self.e1 + min(self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -148,19 +136,18 @@ class OracleHandle:
     """The adversary's sole access to a game world."""
 
     def __init__(self, server: ServerState, tags: list[TagState], spec: HashSpec,
-                 cfg: GameConfig, definition: Union[int, str], aux_prng: Prng):
+                 cfg: GameConfig, definition: str, aux_prng: Prng):
         self.server = server
         self.tags = tags
         self.spec = spec
         self.cfg = cfg
-        self.definition = _DEFINITION_NAMES[definition]
+        self.definition = definition
         self.aux = aux_prng
         self.counters: dict[str, int] = {}
         self.test_used = False
         self.coin: Optional[int] = None
         self.challenge: Optional[int] = None
         self.challenge_pair: Optional[tuple[int, int]] = None
-        self.revealed: set[int] = set()
         self.recorded: dict[int, dict[int, Quintuplet]] = {i: {} for i in range(len(tags))}
         self._pending_x_s: Optional[BitString] = None
         self._pending_reply: dict[int, PendingSession] = {}
@@ -238,7 +225,7 @@ class OracleHandle:
         state = self.tags[tag]
         if state.pending is None:
             raise SessionOrderError("reply' needs a pending tag nonce")
-        x_t = state.pending.x_t
+        x_t = state.pending
         period = state.counter
         bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
         ta = tag_verify_and_respond(state, x_s, bc, self.spec)
@@ -342,7 +329,6 @@ class OracleHandle:
             raise OracleMisuseError("choose a challenge tag before revealing")
         if tag != self.challenge:
             raise OracleMisuseError("reveal_secret is allowed on the challenge tag only")
-        self.revealed.add(tag)
         return self.tags[tag].key
 
     def test(self, tag: int, period: int) -> Quintuplet:
@@ -588,35 +574,36 @@ _DEF_STRIDE = 1 << 28
 
 
 def _def_index(name: str) -> int:
-    return ("ind", "forward", "backward", "ind2tag").index(name)
+    definitions = ("ind", "forward", "backward", "ind2tag")
+    if name not in definitions:
+        raise ValueError(f"unknown game definition {name!r} (have: {', '.join(definitions)})")
+    return definitions.index(name)
 
 
-def new_world(cfg: GameConfig, definition: Union[int, str], spec: HashSpec,
+def new_world(cfg: GameConfig, definition: str, spec: HashSpec,
               trial: int = 0) -> OracleHandle:
     """One fresh game world, fully determined by (cfg.seed, definition, trial)."""
-    name = _DEFINITION_NAMES[definition]
     server, tags = keygen(cfg.lam, cfg.n, Prng(cfg.seed, trial))
-    aux = Prng(cfg.seed, _AUX_STREAM_BASE + _def_index(name) * _DEF_STRIDE + trial)
-    return OracleHandle(server, tags, spec, cfg, name, aux)
+    aux = Prng(cfg.seed, _AUX_STREAM_BASE + _def_index(definition) * _DEF_STRIDE + trial)
+    return OracleHandle(server, tags, spec, cfg, definition, aux)
 
 
-def run_game(definition: Union[int, str], cfg: GameConfig, d: Distinguisher,
+def run_game(definition: str, cfg: GameConfig, d: Distinguisher,
              spec: Optional[HashSpec] = None) -> GameResult:
     """Play ``cfg.trials`` independent worlds and tally the distinguisher's
     correct guesses against the test coin."""
-    name = _DEFINITION_NAMES[definition]
     if spec is None:
         spec = HashSpec.toy(cfg.lam) if cfg.lam <= 32 else HashSpec.production(cfg.lam)
     wins = 0
     for trial in range(cfg.trials):
-        handle = new_world(cfg, name, spec, trial)
-        d.reset(Prng(cfg.seed, _DIST_STREAM_BASE + _def_index(name) * _DEF_STRIDE + trial))
+        handle = new_world(cfg, definition, spec, trial)
+        d.reset(Prng(cfg.seed, _DIST_STREAM_BASE + _def_index(definition) * _DEF_STRIDE + trial))
         d.interact(handle)
         if not handle.test_used:
             raise GameError(f"distinguisher {d.name} never called test")
         if d.guess() == handle.coin:
             wins += 1
-    return GameResult(definition=name, distinguisher=d.name, cfg=cfg,
+    return GameResult(definition=definition, distinguisher=d.name, cfg=cfg,
                       wins=wins, trials=cfg.trials)
 
 

@@ -76,21 +76,16 @@ class MasterKey:
 
 
 @dataclass
-class _PendingTagSession:
-    x_s: Optional[BitString]
-    x_t: BitString
-
-
-@dataclass
 class TagState:
     """One tag. Persistent state between sessions is exactly the current
-    key and the session counter; everything else is transient."""
+    key and the session counter; everything else is transient. ``pending``
+    is the nonce ``x_t`` of the session in flight."""
 
     key: BitString
     counter: int
     prng: Prng
     meter: OpMeter = field(default_factory=OpMeter)
-    pending: Optional[_PendingTagSession] = field(default=None, repr=False)
+    pending: Optional[BitString] = field(default=None, repr=False)
 
     @property
     def persistent_secret_bits(self) -> int:
@@ -215,8 +210,8 @@ class AuthResult:
 # The algorithm suite.
 # ---------------------------------------------------------------------------
 
-def keygen(lam: int, n: int, prng: Prng, labels: Optional[list[str]] = None) -> tuple[ServerState, list[TagState]]:
-    """Provision a server and ``n`` tags.
+def keygen(lam: int, n: int, prng: Prng) -> tuple[ServerState, list[TagState]]:
+    """Provision a server and ``n`` tags, labelled ``t001``, ``t002``, ...
 
     Draw order (fixed, relied on by the known-answer fixtures): master key,
     each tag's initial key in label order, then a 64-bit base for the
@@ -226,15 +221,12 @@ def keygen(lam: int, n: int, prng: Prng, labels: Optional[list[str]] = None) -> 
         raise ParameterError(f"key width must be even and >= 8, got {lam}")
     if n < 1:
         raise ParameterError("need at least one tag")
-    if labels is None:
-        labels = [f"t{j:03d}" for j in range(1, n + 1)]
-    if len(labels) != n or len(set(labels)) != n:
-        raise ParameterError("labels must be unique and match the tag count")
 
     master = MasterKey(prng_next(prng, lam))
     initial_keys = [prng_next(prng, lam) for _ in range(n)]
     stream_base = prng_next(prng, 64).value
 
+    labels = [f"t{j:03d}" for j in range(1, n + 1)]
     records = {
         label: ServerTagRecord(label=label, key_current=key, key_previous=None, counter=1)
         for label, key in zip(labels, initial_keys)
@@ -291,16 +283,12 @@ def server_begin(server: ServerState) -> Challenge:
     return Challenge(prng_next(server.prng, server.lam))
 
 
-def tag_respond_nonce(tag: TagState, challenge: Optional[Challenge] = None) -> TagNonce:
-    """Flight 2: fresh random nonce; buffers the in-flight session values.
-
-    The challenge argument is optional because the oracle decomposition of
-    the security games produces the nonce without showing the tag a
-    challenge first; the channel simulator always passes the delivered one.
-    """
+def tag_respond_nonce(tag: TagState) -> TagNonce:
+    """Flight 2: fresh random nonce, buffered until flight 4. The challenge
+    is not buffered: flight 4 is handed the one the tag received."""
     with metered(tag.meter):
         x_t = prng_next(tag.prng, len(tag.key))
-    tag.pending = _PendingTagSession(x_s=challenge.x_s if challenge else None, x_t=x_t)
+    tag.pending = x_t
     return TagNonce(x_t)
 
 
@@ -368,7 +356,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     """
     if tag.pending is None:
         raise SessionOrderError("no session in flight on this tag")
-    x_t = tag.pending.x_t
+    x_t = tag.pending
     with metered(tag.meter):
         k_prime, k_dprime = split(tag.key)
         matched_x: Optional[BitString] = None

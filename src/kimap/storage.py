@@ -68,6 +68,8 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
         lam = int(lines[0][len(HEADER_PREFIX):])
     except ValueError:
         raise DatabaseFormatError(path, 1, "bad lambda in header") from None
+    if lam < 8 or lam % 2:
+        raise DatabaseFormatError(path, 1, f"lambda must be even and >= 8, got {lam}")
 
     records: dict[str, ServerTagRecord] = {}
     for line_no, line in enumerate(lines[1:], start=2):

@@ -79,7 +79,7 @@ def test_criterion_02_tag_operation_budget():
         tag = tags[0]
         h0, p0, _ = tag.meter.snapshot()
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tag, ch)
+        nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
         c = len(bc.candidates)
         ta = tag_verify_and_respond(tag, ch.x_s, bc, spec)
@@ -198,7 +198,7 @@ def test_criterion_10_tamper_countermeasure():
         server, tags = keygen(16, 1, Prng(1010, 10 + round_no))
         tag = tags[0]
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tag, ch)
+        nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
         c = bc.candidates[0]
         if mutate.randbelow(2):

@@ -130,7 +130,7 @@ class TestTampering:
         k_tag = tags[0].key
         k_srv = server.records["t001"].key_current
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0], ch)
+        nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         c = bc.candidates[0]
         mangled = BroadcastAuth((ServerAuthCandidate(c.sigma, c.delta.flip(3)),))

@@ -2,9 +2,11 @@
 
 import pytest
 
+from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
-from kimap.storage import load_database
+from kimap.protocol import keygen
+from kimap.storage import load_database, save_database, save_master
 
 
 def run_cli(*argv):
@@ -43,11 +45,17 @@ class TestInit:
     def test_odd_width_is_config_error(self, tmp_path):
         assert run_cli("init", "--db", str(tmp_path / "y"), "--lambda", "63") == 2
 
+    def test_width_above_any_hash_is_config_error(self, tmp_path, capsys):
+        d = tmp_path / "y"
+        assert run_cli("init", "--db", str(d), "--lambda", "300") == 2
+        assert capsys.readouterr().err.startswith("kimap: ")
+        assert not d.exists()
+
 
 class TestRun:
     def test_honest_sessions_all_accepted(self, db_dir, capsys):
         code = run_cli("run", "--db", str(db_dir), "--sessions", "100",
-                       "--seed", "9", "--hash", "toy", "--lambda", "16")
+                       "--seed", "9", "--hash", "toy")
         out = capsys.readouterr().out
         assert code == 0
         assert "summary sessions=100 accepted=100 rejected=0" in out
@@ -124,6 +132,44 @@ class TestRun:
         assert captured.err.startswith("kimap: ") and "lambda 16" in captured.err
         assert captured.out == ""
         assert (db_dir / "kimap.db").read_bytes() == before
+
+    def test_session_zero_is_config_error(self, db_dir, tmp_path, capsys):
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0 4 drop\n")
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+                       "--schedule", str(sched)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and ":1:" in captured.err
+        assert captured.out == ""
+        assert (db_dir / "kimap.db").read_bytes() == before
+
+    def test_toy_hash_on_wide_db_is_config_error(self, tmp_path, capsys):
+        d = tmp_path / "wide"
+        assert run_cli("init", "--db", str(d), "--lambda", "128", "--tags", "1") == 0
+        before = (d / "kimap.db").read_bytes()
+        capsys.readouterr()
+        assert run_cli("run", "--db", str(d), "--sessions", "1", "--hash", "toy") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and captured.out == ""
+        assert (d / "kimap.db").read_bytes() == before
+
+    def test_db_wider_than_any_hash_is_config_error(self, tmp_path, capsys):
+        # init refuses such a width, so the files are written directly
+        server, _ = keygen(258, 1, Prng(1, 0))
+        save_database(tmp_path / "kimap.db", 258, server.records)
+        save_master(tmp_path / "master.key", server.master)
+        before = (tmp_path / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and captured.out == ""
+        assert (tmp_path / "kimap.db").read_bytes() == before
+
+    def test_db_lambda_keygen_rejects_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "kimap.db").write_text("kimapdb v1 lambda=7\nv1 t001 1 00:7\n")
+        (tmp_path / "master.key").write_text("00:7\n")
+        assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
+        assert capsys.readouterr().err.startswith("kimap: ")
 
     def test_unknown_schedule_action(self, db_dir, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
@@ -226,6 +272,26 @@ class TestLemma1:
         assert run_cli("lemma1", "--k", "20") == 2
 
 
+class TestFlags:
+    # Each subcommand parses only the flags its handler reads, so a flag its
+    # handler would ignore is a usage error.
+    @pytest.mark.parametrize("argv", [
+        ("init", "--hash", "toy"), ("init", "--format", "structured"),
+        ("run", "--lambda", "16"), ("run", "--format", "structured"),
+        ("cost", "--seed", "1"), ("cost", "--hash", "toy"),
+        ("lemma1", "--lambda", "16"), ("lemma1", "--hash", "toy"),
+        ("lemma1", "--format", "structured"),
+    ])
+    def test_unread_flag_is_usage_error(self, db_dir, tmp_path, capsys, argv):
+        db = {"init": ["--db", str(tmp_path / "fresh")], "run": ["--db", str(db_dir)]}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *db.get(argv[0], []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and argv[1] in err
+        assert not (tmp_path / "fresh").exists()
+
+
 class TestSeedResolution:
     def test_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KIMAP_SEED", "1234")
@@ -235,6 +301,14 @@ class TestSeedResolution:
         run_cli("init", "--db", str(tmp_path / "b"), "--tags", "1", "--seed", "1234")
         b = (tmp_path / "b" / "kimap.db").read_bytes()
         assert a == b
+
+    def test_bad_env_seed_is_config_error(self, db_dir, monkeypatch, capsys):
+        monkeypatch.setenv("KIMAP_SEED", "abc")
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kimap: ") and "KIMAP_SEED" in err
+        assert (db_dir / "kimap.db").read_bytes() == before
 
     def test_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KIMAP_SEED", "1234")
@@ -248,7 +322,7 @@ class TestScheduleParsing:
     def test_replace_payload(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("# tamper flight 3 with one candidate\n2 3 replace dead:16 beef:16\n")
-        sched = parse_schedule(str(f))
+        sched = parse_schedule(str(f), 16)
         assert len(sched.actions) == 1
         assert sched.actions[0].kind == "replace"
         assert len(sched.actions[0].payload.candidates) == 1
@@ -256,18 +330,18 @@ class TestScheduleParsing:
     def test_replay_line(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("5 3 replay 4\n")
-        a = parse_schedule(str(f)).actions[0]
+        a = parse_schedule(str(f), 16).actions[0]
         assert a.kind == "replay" and a.source_session == 4 and a.session_seq == 5
 
     def test_bad_field_count(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1 3 replace dead:16\n")
         with pytest.raises(ScheduleError):
-            parse_schedule(str(f))
+            parse_schedule(str(f), 16)
 
     def test_error_carries_line_number(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1 4 drop\nbogus line here\n")
         with pytest.raises(ScheduleError) as err:
-            parse_schedule(str(f))
+            parse_schedule(str(f), 16)
         assert ":2:" in str(err.value)

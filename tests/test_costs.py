@@ -44,7 +44,7 @@ class TestDefaults:
 class TestScaling:
     def test_times_scale_linearly(self):
         base = compute_cost(CostParams())
-        doubled = compute_cost(CostParams(t2r_bits=256))
+        doubled = compute_cost(CostParams(t2r_rate_bps=320_000))
         assert doubled.t2r_ms == 2 * base.t2r_ms
 
     def test_hash_ops_scale_linearly(self):

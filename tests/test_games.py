@@ -395,12 +395,6 @@ class TestRunGame:
         r = run_game("ind2tag", cfg, RandomGuess(), TOY16)
         assert r.advantage <= r.ci95 + 0.05
 
-    def test_numeric_definition_ids(self):
-        cfg = GameConfig(lam=16, n=2, trials=50, seed=64)
-        assert run_game(1, cfg, RandomGuess(), TOY16).definition == "ind"
-        assert run_game(2, cfg, RandomGuess(), TOY16).definition == "forward"
-        assert run_game(3, cfg, RandomGuess(), TOY16).definition == "backward"
-
     def test_result_line_fields(self):
         cfg = GameConfig(lam=16, n=2, trials=50, seed=65)
         line = run_game("ind", cfg, RandomGuess(), TOY16).to_line()
@@ -412,10 +406,10 @@ class TestRunGame:
         with pytest.raises(ValueError):
             make_distinguisher("oracle-of-delphi")
 
-    def test_session_horizon(self):
-        cfg = GameConfig(lam=16, n=2, e1=5, e2=7, r1=3, r2=4, rb=2)
-        assert cfg.session_horizon("ind") == 5 + 3
-        assert cfg.session_horizon("backward") == 7 + 2
+    def test_unknown_definition(self):
+        cfg = GameConfig(lam=16, n=2, trials=1, seed=66)
+        with pytest.raises(ValueError, match="unknown game definition"):
+            run_game("bogus", cfg, RandomGuess(), TOY16)
 
 
 class TestWilson:

@@ -33,7 +33,7 @@ PROD64 = HashSpec.production(64)
 
 def honest_session(server, tag, spec, label=None):
     ch = server_begin(server)
-    nonce = tag_respond_nonce(tag, ch)
+    nonce = tag_respond_nonce(tag)
     bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
     ta = tag_verify_and_respond(tag, ch.x_s, bc, spec)
     return server_finalize(server, pending, ta)
@@ -159,7 +159,7 @@ class TestFlights:
         positions = set()
         for _ in range(20):
             ch = server_begin(server)
-            nonce = tag_respond_nonce(tags[0], ch)
+            nonce = tag_respond_nonce(tags[0])
             bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
             positions.add(next(i for i, c in enumerate(pending.candidates) if c.label == "t001"))
             ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
@@ -180,7 +180,7 @@ class TestTagVerify:
     def test_all_candidates_corrupted(self):
         server, tags = keygen(16, 1, Prng(13, 0))
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0], ch)
+        nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         k_before = tags[0].key
         mangled = BroadcastAuth(tuple(
@@ -201,7 +201,7 @@ class TestTagVerify:
         honest_session(server, tags[0], TOY16)
         assert tags[0].pending is None
         ch = server_begin(server)
-        tag_respond_nonce(tags[0], ch)
+        tag_respond_nonce(tags[0])
         bad = BroadcastAuth((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
         tag_verify_and_respond(tags[0], ch.x_s, bad, TOY16)
         assert tags[0].pending is None
@@ -213,7 +213,7 @@ class TestServerFinalize:
         prng = Prng(17, 0)
         for _ in range(1000):
             ch = server_begin(server)
-            nonce = tag_respond_nonce(tags[0], ch)
+            nonce = tag_respond_nonce(tags[0])
             _, pending = server_prepare(server, ch.x_s, nonce.x_t, PROD64)
             tags[0].pending = None
             result = server_finalize(server, pending, TagAuth(prng_next(prng, 64)))
@@ -232,7 +232,7 @@ class TestServerFinalize:
     def test_timeout_parks_recovery_key(self):
         server, tags = keygen(16, 1, Prng(19, 0))
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0], ch)
+        nonce = tag_respond_nonce(tags[0])
         _, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         expected_next = pending.candidates[0].next_key
         tags[0].pending = None
@@ -258,7 +258,7 @@ class TestCostAccounting:
         server, tags = keygen(16, n_tags, Prng(21, 0))
         tag = tags[0]
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tag, ch)
+        nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         c = len(bc.candidates)
         h0, p0, x0 = tag.meter.snapshot()
@@ -293,7 +293,7 @@ class TestCostAccounting:
             server, tags = keygen(16, 4, Prng(seed, 0))
             tag = tags[seed % 4]
             ch = server_begin(server)
-            nonce = tag_respond_nonce(tag, ch)
+            nonce = tag_respond_nonce(tag)
             bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
             h0 = tag.meter.hash_calls
             tag_verify_and_respond(tag, ch.x_s, bc, TOY16)
@@ -321,7 +321,7 @@ class TestPadProperty:
         # exactly one partial key, so delta alone pins nothing
         server, tags = keygen(8, 1, Prng(24, 0))
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0], ch)
+        nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY8)
         delta = bc.candidates[0].delta
         xs = {xor(delta, BitString(k, 8)) for k in range(256)}
@@ -338,7 +338,7 @@ class TestForwardOneWayness:
         server, tags = keygen(16, 1, Prng(23, 0))
         k_i = tags[0].key
         ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0], ch)
+        nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, spec)
         server_finalize(server, pending, ta)

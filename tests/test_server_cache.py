@@ -122,7 +122,7 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
         tag = tags[tag_idx % n_tags]
         challenge = server_begin(server)
         server_begin(ref)
-        nonce = tag_respond_nonce(tag, challenge)
+        nonce = tag_respond_nonce(tag)
         if fault == "drop-2":
             tag.pending = None
             continue

@@ -81,6 +81,16 @@ def test_width_mismatch_detected(tmp_path):
         load_database(path)
 
 
+@pytest.mark.parametrize("lam", [7, 6, 0])
+def test_lambda_keygen_rejects_is_format_error(tmp_path, lam):
+    # keygen accepts only even widths >= 8; the header may not claim others
+    path = tmp_path / "bad.db"
+    path.write_text(f"kimapdb v1 lambda={lam}\nv1 t001 1 {BitString(0, lam).to_text()}\n")
+    with pytest.raises(DatabaseFormatError) as err:
+        load_database(path)
+    assert ":1:" in str(err.value)
+
+
 def test_duplicate_label_detected(tmp_path):
     path = tmp_path / "bad.db"
     row = f"v1 t001 1 {'00' * 8}:64"
