@@ -79,6 +79,7 @@ from .protocol import (
     TagState,
     auth_server_tag,
     auth_tag_msg,
+    check_key_width,
     key_update,
     keygen,
     make_candidate,

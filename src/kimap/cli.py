@@ -5,17 +5,22 @@ Subcommands and the flags each one reads::
     kimap init   --db DIR [--lambda N] [--tags N] [--seed N] [--force]
     kimap run    --db DIR [--sessions N] [--schedule FILE] [--strict] [--seed N]
                  [--hash {production,toy}]
-    kimap game   {ind,forward,backward,ind2tag} DISTINGUISHER [--trials N] [--tags N]
-                 [--e1 N] [--e2 N] [--r1 N] [--r2 N] [--rb N] [--lambda N] [--seed N]
-                 [--hash {production,toy}] [--format {table,structured}]
-    kimap cost   [--lambda N] [--tags N] [--hash-ops N] [--hash-cycles N] [--clock-hz N]
+    kimap game   DEFINITION DISTINGUISHER [--trials N] [--tags N] [--e1 N] [--e2 N]
+                 [--lambda N] [--seed N] [--hash {production,toy}]
+                 [--format {table,structured}]
+    kimap cost   [--lambda N] [--tags N] [--hash-cycles N] [--clock-hz N]
                  [--t2r-bps N] [--r2t-bps N] [--serial-bps N] [--candidates N]
                  [--format {table,structured}]
     kimap lemma1 [--k N] [--mask HEX:LEN] [--seed N]
 
+Flags must be spelled in full. DEFINITION names a game in
+``kimap.games.DEFINITIONS``; ``game`` keeps the default step-oracle budgets
+(r1, r2, rb), which no registered distinguisher spends.
+
 The seed comes from --seed, else the KIMAP_SEED environment variable, else
 the fixed default 24301. Every command is deterministic under a fixed seed
-and inputs. ``init`` accepts key widths up to 256 bits, the widest hash
+and inputs. ``init`` and ``cost`` accept the key widths ``keygen`` can
+provision (even, >= 8), and ``init`` at most 256 bits, the widest hash
 output. ``run`` takes the key width from the database, runs N >= 1
 sessions round-robin over its tags (the schedule file names the flights to
 drop, replay or replace) and rewrites the database only after every session
@@ -39,7 +44,7 @@ from .channel import (
     transcript_line,
 )
 from .costs import BudgetLimits, CostParams, check_budget, compute_cost, findings_pass
-from .games import GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
+from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
 from .protocol import (
     BroadcastAuth,
     Challenge,
@@ -91,17 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
     def shared(p: argparse.ArgumentParser, *flags: str) -> None:
         for flag in flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
 
-    p_init = sub.add_parser("init", help="provision a server database and master key")
+    p_init = add("init", "provision a server database and master key")
     shared(p_init, "--lambda", "--seed")
     p_init.add_argument("--tags", type=int, default=3, help="number of tags to provision")
     p_init.add_argument("--db", required=True, help="directory for kimap.db and master.key")
     p_init.add_argument("--force", action="store_true", help="overwrite an existing database")
 
-    p_run = sub.add_parser("run", help="run authentication sessions against the database")
+    p_run = add("run", "run authentication sessions against the database")
     shared(p_run, "--seed", "--hash")
     p_run.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
     p_run.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
@@ -109,22 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--strict", action="store_true",
                        help="exit 1 on any rejection or desynchronized record")
 
-    p_game = sub.add_parser("game", help="run a privacy game and report the advantage")
+    p_game = add("game", "run a privacy game and report the advantage")
     shared(p_game, "--lambda", "--seed", "--hash", "--format")
-    p_game.add_argument("definition", choices=["ind", "forward", "backward", "ind2tag"])
+    p_game.add_argument("definition", choices=list(DEFINITIONS))
     p_game.add_argument("distinguisher")
     p_game.add_argument("--trials", type=int, default=1000)
     p_game.add_argument("--tags", type=int, default=2, help="tags per game world")
     p_game.add_argument("--e1", type=int, default=16)
     p_game.add_argument("--e2", type=int, default=16)
-    p_game.add_argument("--r1", type=int, default=64)
-    p_game.add_argument("--r2", type=int, default=64)
-    p_game.add_argument("--rb", type=int, default=64)
 
-    p_cost = sub.add_parser("cost", help="evaluate the session cost model")
+    p_cost = add("cost", "evaluate the session cost model")
     shared(p_cost, "--lambda", "--format")
     p_cost.add_argument("--tags", type=int, default=200, help="batch size for serial backhaul")
-    p_cost.add_argument("--hash-ops", type=int, default=4)
     p_cost.add_argument("--hash-cycles", type=int, default=33)
     p_cost.add_argument("--clock-hz", type=int, default=100_000)
     p_cost.add_argument("--t2r-bps", type=int, default=640_000)
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--serial-bps", type=int, default=20_000)
     p_cost.add_argument("--candidates", type=int, default=1)
 
-    p_lemma = sub.add_parser("lemma1", help="exhaustive one-time-pad bijection check")
+    p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
     shared(p_lemma, "--seed")
     p_lemma.add_argument("--k", type=int, default=8)
     p_lemma.add_argument("--mask", type=str, default=None,
@@ -216,10 +220,10 @@ def cmd_init(args) -> int:
     try:
         server, _tags = keygen(args.lam, args.tags, Prng(args.seed, 0))
         HashSpec.production(args.lam)  # run needs a hash this wide: at most 256 bits
+        db_path.parent.mkdir(parents=True, exist_ok=True)
     except Exception as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
-    db_path.parent.mkdir(parents=True, exist_ok=True)
     save_database(db_path, args.lam, server.records)
     save_master(master_path, server.master)
     for label in server.records:
@@ -234,7 +238,7 @@ def cmd_run(args) -> int:
         master = load_master(master_path)
         schedule = parse_schedule(args.schedule, lam) if args.schedule else FaultSchedule([])
         spec = _hash_spec(args.hash, lam)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
     if len(master.value) != lam:
@@ -280,8 +284,8 @@ def cmd_game(args) -> int:
         return 2
     n = max(args.tags, 3) if args.definition == "ind2tag" else args.tags
     try:
-        cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2,
-                         r1=args.r1, r2=args.r2, rb=args.rb, trials=args.trials, seed=args.seed)
+        cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2, trials=args.trials,
+                         seed=args.seed)
         result = run_game(args.definition, cfg, d, _hash_spec(args.hash, args.lam))
     except (ValueError, ParameterError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
@@ -306,7 +310,6 @@ def cmd_cost(args) -> int:
             t2r_rate_bps=args.t2r_bps,
             r2t_rate_bps=args.r2t_bps,
             serial_rate_bps=args.serial_bps,
-            tag_hash_ops=args.hash_ops,
             candidates=args.candidates,
         )
         report = compute_cost(params, batch_tags=args.tags)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
+from .protocol import ParameterError, check_key_width
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -19,7 +21,7 @@ class CostParams:
     640 kbps tag-to-reader and 126 kbps reader-to-tag air rates, and a
     20 kbps serial reader-to-server link. A session moves 2*lambda bits up
     (nonce + tag authenticator) and 3*lambda bits down (challenge + one
-    sigma/delta candidate)."""
+    sigma/delta candidate), and the tag computes 4 hash-equivalents."""
 
     lambda_bits: int = 64
     hash_cycles_per_block: int = 33
@@ -27,15 +29,23 @@ class CostParams:
     t2r_rate_bps: int = 640_000
     r2t_rate_bps: int = 126_000
     serial_rate_bps: int = 20_000
-    tag_hash_ops: int = 4
     candidates: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("lambda_bits", "hash_cycles_per_block", "tag_clock_hz",
-                     "t2r_rate_bps", "r2t_rate_bps", "serial_rate_bps",
-                     "tag_hash_ops", "candidates"):
+        try:
+            check_key_width(self.lambda_bits)
+        except ParameterError as exc:
+            raise ValueError(str(exc)) from None
+        for name in ("hash_cycles_per_block", "tag_clock_hz", "t2r_rate_bps",
+                     "r2t_rate_bps", "serial_rate_bps", "candidates"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+    @property
+    def tag_hash_ops(self) -> int:
+        """The nonce draw, one hash per candidate scanned, then the tag
+        authenticator and the key update: 3 + c hash-equivalents."""
+        return 3 + self.candidates
 
     @property
     def uplink_bits(self) -> int:

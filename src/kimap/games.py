@@ -1,6 +1,7 @@
 """Mechanized privacy games: oracles, distinguishers, and advantage estimation.
 
-Three games run against a live world (one server, ``n`` tags):
+Each game runs against a live world (one server, ``n`` tags) and is given
+in :data:`DEFINITIONS` by the oracles it admits and the instance it tests:
 
 * ``ind`` -- can the adversary tell a tag's real session transcript from
   uniform random values of the same shape?
@@ -9,17 +10,17 @@ Three games run against a live world (one server, ``n`` tags):
 * ``backward`` -- after revealing the key while being denied the challenge
   values that drive key updates, can it tell the *next* instance's
   transcript from random?
-
-``ind2tag`` is the two-tag variant: the test material comes from one of two
-challenge tags and the adversary guesses which.
+* ``ind2tag`` -- the two-tag variant: the test material comes from one of
+  two challenge tags and the adversary guesses which.
 
 The adversary is a :class:`Distinguisher` that touches the world only
-through an :class:`OracleHandle`. Each oracle call is budgeted; the
-``*_b`` oracles model the restricted view in which the server's true
-challenge is consumed internally but withheld from the adversary (a decoy
-``x_rand`` is shown instead). ``test`` may be called once per world: it
-flips a coin and returns either the real recorded instance or uniform
-bitstrings of identical shape.
+through an :class:`OracleHandle`, whose every oracle is admitted by the
+definition and budgeted by :class:`GameConfig`. The ``*_b`` oracles model
+the restricted view in which the server's true challenge is consumed
+internally but withheld from the adversary (a decoy ``x_rand`` is shown
+instead). ``test`` (``test_pair`` in ``ind2tag``) may be called once per
+world: it flips a coin and returns either the real recorded instance or
+uniform bitstrings of identical shape (in ``ind2tag``, one of two tags').
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import BitString, HashSpec, Prng, prng_next, split, xor
 from .channel import SessionTranscript
@@ -70,18 +71,28 @@ class DoubleTestError(GameError):
     pass
 
 
-# Oracles each definition admits. The backward game admits plain execute as
-# well: its stated adversary boundary counts execute queries, and the
-# leak-control arm of the restriction experiment needs them.
-_ALLOWED = {
-    "ind": {"query_s", "query_t", "reply", "reply_prime", "execute", "test"},
-    "forward": {"query_s", "query_t", "reply", "reply_prime", "execute", "reveal_secret", "test"},
-    "backward": {"query_b", "query_t", "reply", "reply_b", "execute", "execute_b",
-                 "reveal_secret", "test"},
-    "ind2tag": {"query_s", "query_t", "reply", "reply_prime", "execute", "test"},
+class Definition(NamedTuple):
+    oracles: frozenset[str]
+    test_offset: int  # test(tag, period) returns the instance at period + offset
+
+
+_PLAIN = frozenset({"query_s", "query_t", "reply", "reply_prime", "execute", "test"})
+
+# The game definitions; their order fixes each one's PRNG streams. The
+# backward game admits plain execute as well: its stated adversary boundary
+# counts execute queries, and the leak-control arm of the restriction
+# experiment needs them.
+DEFINITIONS = {
+    "ind": Definition(_PLAIN, 0),
+    "forward": Definition(_PLAIN | {"reveal_secret"}, -1),
+    "backward": Definition(frozenset({"query_b", "query_t", "reply", "reply_b", "execute",
+                                      "execute_b", "reveal_secret", "test"}), +1),
+    "ind2tag": Definition(_PLAIN, 0),
 }
 
-_TEST_OFFSET = {"ind": 0, "forward": -1, "backward": +1, "ind2tag": 0}
+# The GameConfig budget each counted oracle draws on.
+_BUDGET = {"query_s": "r1", "reply": "r1", "query_t": "r2", "reply_prime": "r2",
+           "query_b": "rb", "reply_b": "rb", "execute": "e1", "execute_b": "e2"}
 
 
 @dataclass(frozen=True)
@@ -184,31 +195,28 @@ class OracleHandle:
         if not 0 <= tag < len(self.tags):
             raise OracleMisuseError(f"no tag {tag}")
 
-    def _check(self, oracle: str) -> None:
-        if oracle not in _ALLOWED[self.definition]:
+    def _admit(self, oracle: str, *tags: int) -> None:
+        """Every oracle's admission: in the definition's set, then within
+        its budget (spent even when a tag check then fails), then the named
+        tags exist."""
+        if oracle not in DEFINITIONS[self.definition].oracles:
             raise OracleMisuseError(f"{oracle} is not in the {self.definition} game's oracle set")
+        if oracle in _BUDGET:
+            limit = getattr(self.cfg, _BUDGET[oracle])
+            used = self.counters.get(oracle, 0)
+            if used >= limit:
+                raise BudgetExceededError(f"{oracle} budget of {limit} exhausted")
+            self.counters[oracle] = used + 1
+        for tag in tags:
+            self._check_tag(tag)
 
-    def _budget(self, oracle: str, limit: int) -> None:
-        used = self.counters.get(oracle, 0)
-        if used >= limit:
-            raise BudgetExceededError(f"{oracle} budget of {limit} exhausted")
-        self.counters[oracle] = used + 1
+    # -- session steps (unbudgeted; composed by the oracles) -----------------
 
-    # -- core steps (unbudgeted; composed by execute/execute_b) -------------
-
-    def _query_s_core(self) -> BitString:
-        x_s = server_begin(self.server).x_s
-        self._pending_x_s = x_s
-        return x_s
-
-    def _query_b_core(self) -> tuple[BitString, BitString]:
-        x_s = server_begin(self.server).x_s
-        x_rand = server_begin(self.server).x_s
-        self._pending_x_s = x_s
-        return x_s, x_rand
-
-    def _query_t_core(self, tag: int) -> BitString:
-        return tag_respond_nonce(self.tags[tag]).x_t
+    def _begin(self, decoy: bool) -> tuple[BitString, Optional[BitString]]:
+        """Draws the true challenge, kept pending inside the world, then a
+        decoy ``x_rand`` if asked."""
+        self._pending_x_s = server_begin(self.server).x_s
+        return self._pending_x_s, server_begin(self.server).x_s if decoy else None
 
     def _reply_core(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
         if self._pending_x_s is None:
@@ -231,146 +239,126 @@ class OracleHandle:
         ta = tag_verify_and_respond(state, x_s, bc, self.spec)
         updated = state.counter != period
         pend = self._pending_reply.pop(tag, None)
-        outcome = None
-        if pend is not None:
-            outcome = server_finalize(self.server, pend, ta)
+        outcome = server_finalize(self.server, pend, ta) if pend is not None else None
         if updated:
             self.recorded[tag][period] = Quintuplet(
                 x_s=x_s, sigma=sigma, delta=delta, x_t=x_t, sigma_prime=ta.sigma_prime)
         return ta.sigma_prime, updated, outcome
 
-    # -- public oracles ------------------------------------------------------
-
-    def query_s(self) -> BitString:
-        """Fresh server challenge for the current period."""
-        self._check("query_s")
-        self._budget("query_s", self.cfg.r1)
-        return self._query_s_core()
-
-    def query_t(self, tag: int) -> BitString:
-        """Fresh nonce from the named tag."""
-        self._check("query_t")
-        self._budget("query_t", self.cfg.r2)
-        self._check_tag(tag)
-        return self._query_t_core(tag)
-
-    def query_b(self) -> BitString:
-        """Starts a session whose true challenge stays inside the world;
-        the adversary only gets a decoy."""
-        self._check("query_b")
-        self._budget("query_b", self.cfg.rb)
-        _, x_rand = self._query_b_core()
-        return x_rand
-
-    def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
-        """Server flight-3 computation for the named tag's current key."""
-        self._check("reply")
-        self._budget("reply", self.cfg.r1)
-        self._check_tag(tag)
-        return self._reply_core(tag, x_t)
-
-    def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
-        """Tag flight-4 computation (verify, answer, ratchet on success);
-        the answer is forwarded to the server."""
-        self._check("reply_prime")
-        self._budget("reply_prime", self.cfg.r2)
-        self._check_tag(tag)
-        sigma_prime, _, _ = self._reply_prime_core(tag, x_s, sigma, delta)
-        return sigma_prime
-
-    def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
-        """Like reply_prime, but the tag is fed the session's hidden true
-        challenge; ``x_rand`` is only the adversary's view of flight 1."""
-        self._check("reply_b")
-        self._budget("reply_b", self.cfg.rb)
-        self._check_tag(tag)
-        pend = self._pending_reply.get(tag)
-        if pend is None:
-            raise SessionOrderError("reply_b needs a pending restricted session")
-        sigma_prime, _, _ = self._reply_prime_core(tag, pend.x_s, sigma, delta)
-        return sigma_prime
-
-    def execute(self, tag: int) -> SessionTranscript:
-        """Eavesdrop one full honest session."""
-        self._check("execute")
-        self._budget("execute", self.cfg.e1)
-        self._check_tag(tag)
+    def _eavesdrop(self, tag: int, restricted: bool) -> SessionTranscript | RestrictedTranscript:
+        """One full honest session on the named tag. The restricted view
+        swaps the true challenge for a decoy drawn right after it."""
         period = self.tags[tag].counter
-        x_s = self._query_s_core()
-        x_t = self._query_t_core(tag)
+        x_s, x_rand = self._begin(decoy=restricted)
+        x_t = tag_respond_nonce(self.tags[tag]).x_t
         sigma, delta = self._reply_core(tag, x_t)
         sigma_prime, updated, outcome = self._reply_prime_core(tag, x_s, sigma, delta)
+        if restricted:
+            return RestrictedTranscript(x_rand=x_rand, x_t=x_t, sigma=sigma, delta=delta,
+                                        sigma_prime=sigma_prime, session_seq=period,
+                                        tag_updated=updated)
         return SessionTranscript(
             session_seq=period, label=self._labels[tag],
             x_s=Challenge(x_s), x_t=TagNonce(x_t),
             broadcast=BroadcastAuth((ServerAuthCandidate(sigma, delta),)),
             sigma_prime=TagAuth(sigma_prime), tag_updated=updated, outcome_server=outcome)
 
+    # -- public oracles ------------------------------------------------------
+
+    def query_s(self) -> BitString:
+        """Fresh server challenge for the current period."""
+        self._admit("query_s")
+        return self._begin(decoy=False)[0]
+
+    def query_t(self, tag: int) -> BitString:
+        """Fresh nonce from the named tag."""
+        self._admit("query_t", tag)
+        return tag_respond_nonce(self.tags[tag]).x_t
+
+    def query_b(self) -> BitString:
+        """Starts a session whose true challenge stays inside the world;
+        the adversary only gets a decoy."""
+        self._admit("query_b")
+        return self._begin(decoy=True)[1]
+
+    def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
+        """Server flight-3 computation for the named tag's current key."""
+        self._admit("reply", tag)
+        return self._reply_core(tag, x_t)
+
+    def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
+        """Tag flight-4 computation (verify, answer, ratchet on success);
+        the answer is forwarded to the server."""
+        self._admit("reply_prime", tag)
+        return self._reply_prime_core(tag, x_s, sigma, delta)[0]
+
+    def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
+        """Like reply_prime, but the tag is fed the session's hidden true
+        challenge; ``x_rand`` is only the adversary's view of flight 1."""
+        self._admit("reply_b", tag)
+        pend = self._pending_reply.get(tag)
+        if pend is None:
+            raise SessionOrderError("reply_b needs a pending restricted session")
+        return self._reply_prime_core(tag, pend.x_s, sigma, delta)[0]
+
+    def execute(self, tag: int) -> SessionTranscript:
+        """Eavesdrop one full honest session."""
+        self._admit("execute", tag)
+        return self._eavesdrop(tag, restricted=False)
+
     def execute_b(self, tag: int) -> RestrictedTranscript:
         """Eavesdrop one honest session except the true challenge: the world
         still performs the real key update internally."""
-        self._check("execute_b")
-        self._budget("execute_b", self.cfg.e2)
-        self._check_tag(tag)
-        period = self.tags[tag].counter
-        x_s, x_rand = self._query_b_core()
-        x_t = self._query_t_core(tag)
-        sigma, delta = self._reply_core(tag, x_t)
-        sigma_prime, updated, _ = self._reply_prime_core(tag, x_s, sigma, delta)
-        return RestrictedTranscript(x_rand=x_rand, x_t=x_t, sigma=sigma, delta=delta,
-                                    sigma_prime=sigma_prime, session_seq=period,
-                                    tag_updated=updated)
+        self._admit("execute_b", tag)
+        return self._eavesdrop(tag, restricted=True)
 
     def reveal_secret(self, tag: int) -> BitString:
         """The named tag's current key. Allowed on the challenge tag only."""
-        self._check("reveal_secret")
-        self._check_tag(tag)
+        self._admit("reveal_secret", tag)
         if self.challenge is None:
             raise OracleMisuseError("choose a challenge tag before revealing")
         if tag != self.challenge:
             raise OracleMisuseError("reveal_secret is allowed on the challenge tag only")
         return self.tags[tag].key
 
+    def _admit_test(self, pair: bool) -> None:
+        """Single use, admission, and the variant this game plays."""
+        if self.test_used:
+            raise DoubleTestError("test may be called only once")
+        self._admit("test")
+        if pair != (self.definition == "ind2tag"):
+            raise OracleMisuseError("test_pair exists only in the two-tag game" if pair
+                                    else "the two-tag game uses test_pair")
+
+    def _flip(self) -> int:
+        self.test_used = True
+        self.coin = prng_next(self.aux, 1).value
+        return self.coin
+
     def test(self, tag: int, period: int) -> Quintuplet:
         """Single-use challenge: returns the real instance at the game's
         period offset, or five uniform strings of identical shape."""
-        if self.test_used:
-            raise DoubleTestError("test may be called only once")
-        self._check("test")
-        if self.definition == "ind2tag":
-            raise OracleMisuseError("the two-tag game uses test_pair")
+        self._admit_test(pair=False)
         if self.challenge is None or tag != self.challenge:
             raise OracleMisuseError("test must target the chosen challenge tag")
-        target = period + _TEST_OFFSET[self.definition]
+        target = period + DEFINITIONS[self.definition].test_offset
         quint = self.recorded[tag].get(target)
         if quint is None:
             raise OracleMisuseError(f"instance {target} of tag {tag} was never materialized")
-        self.test_used = True
-        self.coin = prng_next(self.aux, 1).value
-        if self.coin == 1:
+        if self._flip() == 1:
             return quint
-        return self._random_like(quint)
+        return Quintuplet(*(prng_next(self.aux, len(f)) for f in quint.fields()))
 
     def test_pair(self, tag_a: int, tag_b: int, period: int) -> Quintuplet:
         """Two-tag variant: the material is one challenge tag's real
         instance; the adversary guesses which tag produced it."""
-        if self.test_used:
-            raise DoubleTestError("test may be called only once")
-        self._check("test")
-        if self.definition != "ind2tag":
-            raise OracleMisuseError("test_pair exists only in the two-tag game")
+        self._admit_test(pair=True)
         if self.challenge_pair != (tag_a, tag_b):
             raise OracleMisuseError("test_pair must target the chosen challenge pair")
         quints = (self.recorded[tag_a].get(period), self.recorded[tag_b].get(period))
         if quints[0] is None or quints[1] is None:
             raise OracleMisuseError(f"instance {period} missing for a challenge tag")
-        self.test_used = True
-        self.coin = prng_next(self.aux, 1).value
-        return quints[self.coin]
-
-    def _random_like(self, quint: Quintuplet) -> Quintuplet:
-        vals = [prng_next(self.aux, len(f)) for f in quint.fields()]
-        return Quintuplet(*vals)
+        return quints[self._flip()]
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +389,23 @@ class RandomGuess(Distinguisher):
     name = "random-guess"
 
     def interact(self, h: OracleHandle) -> None:
+        # One session per tag, the challenge tags last. The tested instance
+        # is the challenge tag's first; forward and backward play one more.
         flavor = h.execute_b if h.definition == "backward" else h.execute
+        last = h.n_tags - 1
         if h.definition == "ind2tag":
-            a, b = h.n_tags - 2, h.n_tags - 1
-            h.choose_challenge_pair(a, b)
-            for t in range(h.n_tags):
-                if t not in (a, b):
-                    flavor(t)
-            flavor(a)
-            flavor(b)
-            h.test_pair(a, b, 1)
-            return
-        c = h.n_tags - 1
-        h.choose_challenge(c)
-        for t in range(h.n_tags):
-            if t != c:
-                flavor(t)
-        if h.definition == "ind":
-            flavor(c)
-            h.test(c, 1)
-        elif h.definition == "forward":
-            flavor(c)
-            flavor(c)
-            h.test(c, 2)
+            h.choose_challenge_pair(last - 1, last)
         else:
-            flavor(c)
-            flavor(c)
-            h.test(c, 1)
+            h.choose_challenge(last)
+        for t in range(h.n_tags):
+            flavor(t)
+        if h.definition == "ind2tag":
+            h.test_pair(last - 1, last, 1)
+            return
+        offset = DEFINITIONS[h.definition].test_offset
+        for _ in range(abs(offset)):
+            flavor(last)
+        h.test(last, 1 - offset)
 
     def guess(self) -> int:
         return prng_next(self.prng, 1).value
@@ -453,17 +431,12 @@ class KeyKnowledge(Distinguisher):
         self.name = "key-knowledge-leaky" if leaky else "key-knowledge"
         self.match = False
 
-    def _eavesdrop(self, h: OracleHandle, tag: int):
+    def _eavesdrop(self, h: OracleHandle, tag: int) -> tuple[Optional[BitString], BitString]:
+        """Observes one session: (its challenge, or None if withheld; delta)."""
         if h.definition == "backward" and not self.leaky:
-            return h.execute_b(tag)
-        return h.execute(tag)
-
-    @staticmethod
-    def _view(transcript) -> tuple[Optional[BitString], BitString]:
-        """(visible challenge or None, delta) of an observed transcript."""
-        if isinstance(transcript, RestrictedTranscript):
-            return None, transcript.delta
-        return transcript.x_s.x_s, transcript.broadcast.candidates[0].delta
+            return None, h.execute_b(tag).delta
+        t = h.execute(tag)
+        return t.x_s.x_s, t.broadcast.candidates[0].delta
 
     @staticmethod
     def _evolve(spec: HashSpec, key: BitString, x_s: Optional[BitString],
@@ -493,7 +466,7 @@ class KeyKnowledge(Distinguisher):
             self._eavesdrop(h, c)                   # instance 1
             key = h.reveal_secret(c)                # key of period 2
             seen = self._eavesdrop(h, c)            # instance 2
-            key = self._evolve(h.spec, key, *self._view(seen))
+            key = self._evolve(h.spec, key, *seen)
             self._eavesdrop(h, c)                   # instance 3, the tested one
             material = h.test(c, 2)
             self.match = self._consistent(h.spec, key, material)
@@ -573,31 +546,28 @@ _DIST_STREAM_BASE = 1 << 33
 _DEF_STRIDE = 1 << 28
 
 
-def _def_index(name: str) -> int:
-    definitions = ("ind", "forward", "backward", "ind2tag")
-    if name not in definitions:
-        raise ValueError(f"unknown game definition {name!r} (have: {', '.join(definitions)})")
-    return definitions.index(name)
+def _stream(base: int, definition: str, trial: int) -> int:
+    if definition not in DEFINITIONS:
+        raise ValueError(f"unknown game definition {definition!r} "
+                         f"(have: {', '.join(DEFINITIONS)})")
+    return base + list(DEFINITIONS).index(definition) * _DEF_STRIDE + trial
 
 
 def new_world(cfg: GameConfig, definition: str, spec: HashSpec,
               trial: int = 0) -> OracleHandle:
     """One fresh game world, fully determined by (cfg.seed, definition, trial)."""
     server, tags = keygen(cfg.lam, cfg.n, Prng(cfg.seed, trial))
-    aux = Prng(cfg.seed, _AUX_STREAM_BASE + _def_index(definition) * _DEF_STRIDE + trial)
+    aux = Prng(cfg.seed, _stream(_AUX_STREAM_BASE, definition, trial))
     return OracleHandle(server, tags, spec, cfg, definition, aux)
 
 
-def run_game(definition: str, cfg: GameConfig, d: Distinguisher,
-             spec: Optional[HashSpec] = None) -> GameResult:
+def run_game(definition: str, cfg: GameConfig, d: Distinguisher, spec: HashSpec) -> GameResult:
     """Play ``cfg.trials`` independent worlds and tally the distinguisher's
     correct guesses against the test coin."""
-    if spec is None:
-        spec = HashSpec.toy(cfg.lam) if cfg.lam <= 32 else HashSpec.production(cfg.lam)
     wins = 0
     for trial in range(cfg.trials):
         handle = new_world(cfg, definition, spec, trial)
-        d.reset(Prng(cfg.seed, _DIST_STREAM_BASE + _def_index(definition) * _DEF_STRIDE + trial))
+        d.reset(Prng(cfg.seed, _stream(_DIST_STREAM_BASE, definition, trial)))
         d.interact(handle)
         if not handle.test_used:
             raise GameError(f"distinguisher {d.name} never called test")

@@ -210,6 +210,13 @@ class AuthResult:
 # The algorithm suite.
 # ---------------------------------------------------------------------------
 
+def check_key_width(lam: int) -> None:
+    """The one key-width rule: keys and partial keys split into equal
+    halves, so a width is even, and at least 8 bits."""
+    if lam < 8 or lam % 2:
+        raise ParameterError(f"key width must be even and >= 8, got {lam}")
+
+
 def keygen(lam: int, n: int, prng: Prng) -> tuple[ServerState, list[TagState]]:
     """Provision a server and ``n`` tags, labelled ``t001``, ``t002``, ...
 
@@ -217,8 +224,7 @@ def keygen(lam: int, n: int, prng: Prng) -> tuple[ServerState, list[TagState]]:
     each tag's initial key in label order, then a 64-bit base for the
     per-entity child streams (server is stream 0, tag ``l`` is stream 1+l).
     """
-    if lam < 8 or lam % 2:
-        raise ParameterError(f"key width must be even and >= 8, got {lam}")
+    check_key_width(lam)
     if n < 1:
         raise ParameterError("need at least one tag")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Union
 
 from .bits import BitString
-from .protocol import MasterKey, ServerTagRecord
+from .protocol import MasterKey, ParameterError, ServerTagRecord, check_key_width
 
 HEADER_PREFIX = "kimapdb v1 lambda="
 
@@ -68,8 +68,10 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
         lam = int(lines[0][len(HEADER_PREFIX):])
     except ValueError:
         raise DatabaseFormatError(path, 1, "bad lambda in header") from None
-    if lam < 8 or lam % 2:
-        raise DatabaseFormatError(path, 1, f"lambda must be even and >= 8, got {lam}")
+    try:
+        check_key_width(lam)
+    except ParameterError as exc:
+        raise DatabaseFormatError(path, 1, str(exc)) from None
 
     records: dict[str, ServerTagRecord] = {}
     for line_no, line in enumerate(lines[1:], start=2):

@@ -51,6 +51,13 @@ class TestInit:
         assert capsys.readouterr().err.startswith("kimap: ")
         assert not d.exists()
 
+    def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "afile"
+        f.write_text("keep\n")
+        assert run_cli("init", "--db", str(f)) == 2
+        assert capsys.readouterr().err.startswith("kimap: ")
+        assert f.read_text() == "keep\n"
+
 
 class TestRun:
     def test_honest_sessions_all_accepted(self, db_dir, capsys):
@@ -171,6 +178,21 @@ class TestRun:
         assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
         assert capsys.readouterr().err.startswith("kimap: ")
 
+    def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "afile"
+        f.write_text("keep\n")
+        assert run_cli("run", "--db", str(f), "--sessions", "1") == 2
+        assert capsys.readouterr().err.startswith("kimap: ")
+        assert f.read_text() == "keep\n"
+
+    def test_schedule_path_is_a_directory_is_config_error(self, db_dir, tmp_path, capsys):
+        before = (db_dir / "kimap.db").read_bytes()
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "1",
+                       "--schedule", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and captured.out == ""
+        assert (db_dir / "kimap.db").read_bytes() == before
+
     def test_unknown_schedule_action(self, db_dir, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 explode\n")
@@ -254,8 +276,13 @@ class TestCost:
         assert captured.err.startswith("kimap: ") and "batch_serial" not in captured.out
 
     def test_inflated_ops_fail_budget(self, capsys):
-        run_cli("cost", "--hash-ops", "40")
+        run_cli("cost", "--hash-cycles", "330")
         assert "budget fail" in capsys.readouterr().out
+
+    def test_width_keygen_rejects_is_config_error(self, capsys):
+        assert run_cli("cost", "--lambda", "7") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and captured.out == ""
 
 
 class TestLemma1:
@@ -273,19 +300,23 @@ class TestLemma1:
 
 
 class TestFlags:
-    # Each subcommand parses only the flags its handler reads, so a flag its
-    # handler would ignore is a usage error.
+    # Each subcommand parses only the flags its handler reads, spelled in
+    # full, so a flag its handler would ignore, or an abbreviation of one it
+    # reads, is a usage error.
     @pytest.mark.parametrize("argv", [
         ("init", "--hash", "toy"), ("init", "--format", "structured"),
         ("run", "--lambda", "16"), ("run", "--format", "structured"),
         ("cost", "--seed", "1"), ("cost", "--hash", "toy"),
         ("lemma1", "--lambda", "16"), ("lemma1", "--hash", "toy"),
         ("lemma1", "--format", "structured"),
+        ("game", "--r1", "5"), ("game", "--rb", "5"),
+        ("cost", "--hash-ops", "4"), ("cost", "--hash", "5"),
     ])
     def test_unread_flag_is_usage_error(self, db_dir, tmp_path, capsys, argv):
-        db = {"init": ["--db", str(tmp_path / "fresh")], "run": ["--db", str(db_dir)]}
+        required = {"init": ["--db", str(tmp_path / "fresh")], "run": ["--db", str(db_dir)],
+                    "game": ["ind", "random-guess"]}
         with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, *db.get(argv[0], []))
+            run_cli(argv[0], *required.get(argv[0], []), *argv[1:])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and argv[1] in err

@@ -49,7 +49,8 @@ class TestScaling:
 
     def test_hash_ops_scale_linearly(self):
         base = compute_cost(CostParams())
-        more = compute_cost(CostParams(tag_hash_ops=8))
+        more = compute_cost(CostParams(candidates=5))
+        assert more.params.tag_hash_ops == 8
         assert more.tag_compute_ms == 2 * base.tag_compute_ms
 
     def test_multi_candidate_downlink(self):
@@ -72,7 +73,7 @@ class TestBudget:
         assert all(f.passed for f in findings)
 
     def test_inflated_hash_ops_fail(self):
-        report = compute_cost(CostParams(tag_hash_ops=40))
+        report = compute_cost(CostParams(hash_cycles_per_block=330))
         assert report.total_ms > Fraction(13)
         findings = check_budget(report)
         assert not findings_pass(findings)
@@ -109,6 +110,21 @@ class TestAgreementWithInstrumentation:
         assert t.accepted
         h1, p1, _ = tag.meter.snapshot()
         assert (h1 - h0) + (p1 - p0) == params.tag_hash_ops == 4
+
+    def test_model_prices_the_metered_c_candidate_session(self):
+        # c records with no previous keys broadcast c candidates; the model
+        # must price exactly the tag work a metered session does
+        for c in range(1, 5):
+            server, tags = keygen(64, c, Prng(70 + c, 0))
+            tag = tags[0]
+            h0, p0, _ = tag.meter.snapshot()
+            t = run_session(server, tag, [], HashSpec.production(64), label="t001")
+            h1, p1, _ = tag.meter.snapshot()
+            assert t.accepted and len(t.broadcast.candidates) == c
+            report = compute_cost(CostParams(candidates=c))
+            metered = (h1 - h0) + (p1 - p0)
+            assert report.params.tag_hash_ops == metered, c
+            assert report.tag_compute_ms == metered * report.hash_time_ms
 
 
 class TestPresentation:
