@@ -56,10 +56,6 @@ class BitString:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(0, length)
-
-    @classmethod
     def from_text(cls, text: str) -> "BitString":
         """Parse the ``hex:len`` wire/fixture encoding (lowercase hex)."""
         hexpart, sep, lenpart = text.partition(":")
@@ -77,15 +73,6 @@ class BitString:
 
     def __len__(self) -> int:
         return self._length
-
-    def bit(self, i: int) -> int:
-        """Bit at index ``i``, counting from the most significant (index 0)."""
-        if not 0 <= i < self._length:
-            raise IndexError(f"bit index {i} out of range for length {self._length}")
-        return (self._value >> (self._length - 1 - i)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(self._length))
 
     def to_text(self) -> str:
         """The ``hex:len`` encoding: lowercase hex of the value, zero-padded
@@ -278,16 +265,21 @@ def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
     return _digest(spec, (enc << pad).to_bytes((n_bits + pad) // 8, "big"))
 
 
+# Width of the session counter ``i`` that H_i binds, and so of every stored
+# record counter.
+COUNTER_BITS = 32
+
+
 def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> BitString:
     """Session-bound digest ``H_i(left, right)``: the counter is folded into
-    the first argument as a 32-bit prefix, so each session index selects an
-    independent function at constant cost."""
+    the first argument as a :data:`COUNTER_BITS`-bit prefix, so each session
+    index selects an independent function at constant cost."""
     if i < 1:
         raise ValueError("session index must be >= 1")
-    if i >> 32:
-        raise ValueError(f"session index {i} does not fit in 32 bits")
+    if i >> COUNTER_BITS:
+        raise ValueError(f"session index {i} does not fit in {COUNTER_BITS} bits")
     n_left = left._length
-    return hash2(spec, BitString(i << n_left | left._value, 32 + n_left), right)
+    return hash2(spec, BitString(i << n_left | left._value, COUNTER_BITS + n_left), right)
 
 
 # ---------------------------------------------------------------------------

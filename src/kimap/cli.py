@@ -282,7 +282,9 @@ def cmd_game(args) -> int:
     except ValueError as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
-    n = max(args.tags, 3) if args.definition == "ind2tag" else args.tags
+    # A multi-tag challenge plays in a world with at least one tag besides it.
+    k = DEFINITIONS[args.definition].challenge_tags
+    n = args.tags if k == 1 else max(args.tags, k + 1)
     try:
         cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2, trials=args.trials,
                          seed=args.seed)

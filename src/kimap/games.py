@@ -13,14 +13,18 @@ in :data:`DEFINITIONS` by the oracles it admits and the instance it tests:
 * ``ind2tag`` -- the two-tag variant: the test material comes from one of
   two challenge tags and the adversary guesses which.
 
-The adversary is a :class:`Distinguisher` that touches the world only
-through an :class:`OracleHandle`, whose every oracle is admitted by the
-definition and budgeted by :class:`GameConfig`. The ``*_b`` oracles model
-the restricted view in which the server's true challenge is consumed
-internally but withheld from the adversary (a decoy ``x_rand`` is shown
-instead). ``test`` (``test_pair`` in ``ind2tag``) may be called once per
-world: it flips a coin and returns either the real recorded instance or
-uniform bitstrings of identical shape (in ``ind2tag``, one of two tags').
+A definition's ``challenge_tags`` column gives the game's shape: one
+challenge tag, or a pair. The adversary is a :class:`Distinguisher` that
+touches the world only through an :class:`OracleHandle`, whose every oracle
+is admitted by the definition and budgeted by :class:`GameConfig`. The
+``*_b`` oracles model the restricted view in which the server's true
+challenge is consumed internally but withheld from the adversary (a decoy
+``x_rand`` is shown instead). The adversary fixes the challenge once, with
+as many distinct tags as the column says (``choose_challenge(a)``, or
+``choose_challenge(a, b)`` in a two-tag game). ``test`` (``test_pair`` in a
+two-tag game) may be called once per world: it flips a coin and returns
+either the real recorded instance or uniform bitstrings of identical shape
+(in a two-tag game, one of the two tags' instances).
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ class DoubleTestError(GameError):
 class Definition(NamedTuple):
     oracles: frozenset[str]
     test_offset: int  # test(tag, period) returns the instance at period + offset
+    challenge_tags: int  # tags in the challenge: 1, or 2 for test_pair
 
 
 _PLAIN = frozenset({"query_s", "query_t", "reply", "reply_prime", "execute", "test"})
@@ -83,11 +88,11 @@ _PLAIN = frozenset({"query_s", "query_t", "reply", "reply_prime", "execute", "te
 # counts execute queries, and the leak-control arm of the restriction
 # experiment needs them.
 DEFINITIONS = {
-    "ind": Definition(_PLAIN, 0),
-    "forward": Definition(_PLAIN | {"reveal_secret"}, -1),
+    "ind": Definition(_PLAIN, 0, 1),
+    "forward": Definition(_PLAIN | {"reveal_secret"}, -1, 1),
     "backward": Definition(frozenset({"query_b", "query_t", "reply", "reply_b", "execute",
-                                      "execute_b", "reveal_secret", "test"}), +1),
-    "ind2tag": Definition(_PLAIN, 0),
+                                      "execute_b", "reveal_secret", "test"}), +1, 1),
+    "ind2tag": Definition(_PLAIN, 0, 2),
 }
 
 # The GameConfig budget each counted oracle draws on.
@@ -157,8 +162,7 @@ class OracleHandle:
         self.counters: dict[str, int] = {}
         self.test_used = False
         self.coin: Optional[int] = None
-        self.challenge: Optional[int] = None
-        self.challenge_pair: Optional[tuple[int, int]] = None
+        self.challenge: tuple[int, ...] = ()
         self.recorded: dict[int, dict[int, Quintuplet]] = {i: {} for i in range(len(tags))}
         self._pending_x_s: Optional[BitString] = None
         self._pending_reply: dict[int, PendingSession] = {}
@@ -174,22 +178,23 @@ class OracleHandle:
         """Deep-copy snapshot of the whole world (states, streams, counters)."""
         return copy.deepcopy(self)
 
-    def choose_challenge(self, tag: int) -> None:
-        if self.challenge is not None or self.challenge_pair is not None:
+    def choose_challenge(self, *tags: int) -> None:
+        """Fixes the challenge once: as many distinct tags as the game's
+        ``challenge_tags``."""
+        if self.challenge:
             raise OracleMisuseError("challenge already chosen")
-        self._check_tag(tag)
-        self.challenge = tag
+        self._check_shape(tags)
+        for tag in tags:
+            self._check_tag(tag)
+        if len(set(tags)) != len(tags):
+            raise OracleMisuseError("challenge tags must be distinct")
+        self.challenge = tags
 
-    def choose_challenge_pair(self, tag_a: int, tag_b: int) -> None:
-        if self.definition != "ind2tag":
-            raise OracleMisuseError("challenge pairs exist only in the two-tag game")
-        if self.challenge is not None or self.challenge_pair is not None:
-            raise OracleMisuseError("challenge already chosen")
-        self._check_tag(tag_a)
-        self._check_tag(tag_b)
-        if tag_a == tag_b:
-            raise OracleMisuseError("challenge pair must be two distinct tags")
-        self.challenge_pair = (tag_a, tag_b)
+    def _check_shape(self, tags: tuple[int, ...]) -> None:
+        want = DEFINITIONS[self.definition].challenge_tags
+        if len(tags) != want:
+            raise OracleMisuseError(f"the {self.definition} game takes {want} challenge "
+                                    f"tag(s), got {len(tags)}")
 
     def _check_tag(self, tag: int) -> None:
         if not 0 <= tag < len(self.tags):
@@ -225,7 +230,7 @@ class OracleHandle:
         rec = self.server.records[self._labels[tag]]
         keys = slot_keys(self.spec, rec.counter, self.server.master, rec.key_current)
         cand = make_candidate(keys, x_s, x_t, label=rec.label, slot="current")
-        self._pending_reply[tag] = PendingSession(x_s=x_s, x_t=x_t, candidates=(cand,))
+        self._pending_reply[tag] = PendingSession(x_s=x_s, candidates=(cand,))
         return cand.sigma, cand.delta
 
     def _reply_prime_core(self, tag: int, x_s: BitString, sigma: BitString,
@@ -315,50 +320,47 @@ class OracleHandle:
     def reveal_secret(self, tag: int) -> BitString:
         """The named tag's current key. Allowed on the challenge tag only."""
         self._admit("reveal_secret", tag)
-        if self.challenge is None:
+        if not self.challenge:
             raise OracleMisuseError("choose a challenge tag before revealing")
-        if tag != self.challenge:
+        if (tag,) != self.challenge:
             raise OracleMisuseError("reveal_secret is allowed on the challenge tag only")
         return self.tags[tag].key
 
-    def _admit_test(self, pair: bool) -> None:
-        """Single use, admission, and the variant this game plays."""
-        if self.test_used:
-            raise DoubleTestError("test may be called only once")
-        self._admit("test")
-        if pair != (self.definition == "ind2tag"):
-            raise OracleMisuseError("test_pair exists only in the two-tag game" if pair
-                                    else "the two-tag game uses test_pair")
+    def test(self, tag: int, period: int) -> Quintuplet:
+        """Single-use challenge: returns the real instance at the game's
+        period offset, or five uniform strings of identical shape."""
+        return self._test((tag,), period)
+
+    def test_pair(self, tag_a: int, tag_b: int, period: int) -> Quintuplet:
+        """Two-tag variant: the material is one challenge tag's real
+        instance; the adversary guesses which tag produced it."""
+        return self._test((tag_a, tag_b), period)
 
     def _flip(self) -> int:
         self.test_used = True
         self.coin = prng_next(self.aux, 1).value
         return self.coin
 
-    def test(self, tag: int, period: int) -> Quintuplet:
-        """Single-use challenge: returns the real instance at the game's
-        period offset, or five uniform strings of identical shape."""
-        self._admit_test(pair=False)
-        if self.challenge is None or tag != self.challenge:
-            raise OracleMisuseError("test must target the chosen challenge tag")
+    def _test(self, tags: tuple[int, ...], period: int) -> Quintuplet:
+        """Single use, admission, the game's shape, then the coin: a pair's
+        coin picks a tag; a single tag's picks real (1) or uniform (0)."""
+        if self.test_used:
+            raise DoubleTestError("test may be called only once")
+        self._admit("test")
+        self._check_shape(tags)
+        if tags != self.challenge:
+            raise OracleMisuseError("test must target the chosen challenge")
         target = period + DEFINITIONS[self.definition].test_offset
-        quint = self.recorded[tag].get(target)
-        if quint is None:
-            raise OracleMisuseError(f"instance {target} of tag {tag} was never materialized")
-        if self._flip() == 1:
-            return quint
-        return Quintuplet(*(prng_next(self.aux, len(f)) for f in quint.fields()))
-
-    def test_pair(self, tag_a: int, tag_b: int, period: int) -> Quintuplet:
-        """Two-tag variant: the material is one challenge tag's real
-        instance; the adversary guesses which tag produced it."""
-        self._admit_test(pair=True)
-        if self.challenge_pair != (tag_a, tag_b):
-            raise OracleMisuseError("test_pair must target the chosen challenge pair")
-        quints = (self.recorded[tag_a].get(period), self.recorded[tag_b].get(period))
-        if quints[0] is None or quints[1] is None:
-            raise OracleMisuseError(f"instance {period} missing for a challenge tag")
-        return quints[self._flip()]
+        quints = [self.recorded[tag].get(target) for tag in tags]
+        for tag, quint in zip(tags, quints):
+            if quint is None:
+                raise OracleMisuseError(f"instance {target} of tag {tag} was never materialized")
+        coin = self._flip()
+        if len(quints) > 1:
+            return quints[coin]
+        if coin == 1:
+            return quints[0]
+        return Quintuplet(*(prng_next(self.aux, len(f)) for f in quints[0].fields()))
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +391,19 @@ class RandomGuess(Distinguisher):
     name = "random-guess"
 
     def interact(self, h: OracleHandle) -> None:
-        # One session per tag, the challenge tags last. The tested instance
-        # is the challenge tag's first; forward and backward play one more.
-        flavor = h.execute_b if h.definition == "backward" else h.execute
-        last = h.n_tags - 1
-        if h.definition == "ind2tag":
-            h.choose_challenge_pair(last - 1, last)
-        else:
-            h.choose_challenge(last)
+        # One session per tag, the challenge tags last, eavesdropped with the
+        # restricted flavor where the game admits it. The tested instance is
+        # each challenge tag's first, so a nonzero offset plays more sessions.
+        d = DEFINITIONS[h.definition]
+        flavor = h.execute_b if "execute_b" in d.oracles else h.execute
+        challenge = tuple(range(h.n_tags - d.challenge_tags, h.n_tags))
+        h.choose_challenge(*challenge)
         for t in range(h.n_tags):
             flavor(t)
-        if h.definition == "ind2tag":
-            h.test_pair(last - 1, last, 1)
-            return
-        offset = DEFINITIONS[h.definition].test_offset
-        for _ in range(abs(offset)):
-            flavor(last)
-        h.test(last, 1 - offset)
+        for t in challenge:
+            for _ in range(abs(d.test_offset)):
+                flavor(t)
+        (h.test if len(challenge) == 1 else h.test_pair)(*challenge, 1 - d.test_offset)
 
     def guess(self) -> int:
         return prng_next(self.prng, 1).value
@@ -458,27 +456,24 @@ class KeyKnowledge(Distinguisher):
     def interact(self, h: OracleHandle) -> None:
         self.match = False
         c = h.n_tags - 1
+        for t in range(c):
+            self._eavesdrop(h, t)
+        if h.definition not in ("forward", "backward"):
+            raise OracleMisuseError("key-knowledge needs a reveal oracle; run it on the "
+                                    "forward or backward game")
         h.choose_challenge(c)
-        for t in range(h.n_tags):
-            if t != c:
-                self._eavesdrop(h, t)
+        self._eavesdrop(h, c)                       # instance 1
         if h.definition == "backward":
-            self._eavesdrop(h, c)                   # instance 1
             key = h.reveal_secret(c)                # key of period 2
             seen = self._eavesdrop(h, c)            # instance 2
             key = self._evolve(h.spec, key, *seen)
             self._eavesdrop(h, c)                   # instance 3, the tested one
             material = h.test(c, 2)
-            self.match = self._consistent(h.spec, key, material)
-        elif h.definition == "forward":
-            self._eavesdrop(h, c)                   # instance 1
+        else:
             self._eavesdrop(h, c)                   # instance 2, the tested one
             key = h.reveal_secret(c)                # key of period 3
             material = h.test(c, 3)
-            self.match = self._consistent(h.spec, key, material)
-        else:
-            raise OracleMisuseError("key-knowledge needs a reveal oracle; run it on the "
-                                    "forward or backward game")
+        self.match = self._consistent(h.spec, key, material)
 
     def guess(self) -> int:
         return 1 if self.match else 0

@@ -191,7 +191,6 @@ class PendingSession:
     finalize/timeout; never persisted."""
 
     x_s: BitString
-    x_t: BitString
     candidates: tuple[PendingCandidate, ...]
 
 
@@ -348,7 +347,7 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
             entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="previous"))
     server.prng.shuffle(entries)
     broadcast = BroadcastAuth(tuple(ServerAuthCandidate(e.sigma, e.delta) for e in entries))
-    return broadcast, PendingSession(x_s=x_s, x_t=x_t, candidates=tuple(entries))
+    return broadcast, PendingSession(x_s=x_s, candidates=tuple(entries))
 
 
 def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAuth, spec: HashSpec) -> TagAuth:

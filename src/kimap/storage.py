@@ -5,6 +5,9 @@
     kimapdb v1 lambda=<bits>
     v1 <label> <counter> <hex key_current>:<len> [<hex key_previous>:<len>]
 
+The counter is the record's session index, from 1 to 2**32 - 1 (the width
+``counter_hash`` binds).
+
 The master key lives in a separate file holding a single ``hex:len`` line;
 it never appears in the tag database. Both files are replaced atomically: a
 failed or interrupted save leaves the previous file intact.
@@ -17,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import Union
 
-from .bits import BitString
+from .bits import COUNTER_BITS, BitString
 from .protocol import MasterKey, ParameterError, ServerTagRecord, check_key_width
 
 HEADER_PREFIX = "kimapdb v1 lambda="
@@ -91,6 +94,9 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
             raise DatabaseFormatError(path, line_no, str(exc)) from None
         if counter < 1:
             raise DatabaseFormatError(path, line_no, f"counter must be >= 1, got {counter}")
+        if counter >> COUNTER_BITS:
+            raise DatabaseFormatError(path, line_no,
+                                      f"counter {counter} does not fit in {COUNTER_BITS} bits")
         if len(key_current) != lam or (key_previous is not None and len(key_previous) != lam):
             raise DatabaseFormatError(path, line_no, f"key width does not match header lambda={lam}")
         records[label] = ServerTagRecord(label=label, key_current=key_current,

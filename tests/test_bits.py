@@ -41,11 +41,11 @@ even_bitstrings = st.integers(min_value=0, max_value=128).flatmap(
 class TestBitString:
     def test_xor_identity(self):
         x = BitString(0b1011, 4)
-        assert xor(x, BitString.zeros(4)) == x
+        assert xor(x, BitString(0, 4)) == x
 
     def test_xor_self_inverse(self):
         x = BitString(0b1011, 4)
-        assert xor(x, x) == BitString.zeros(4)
+        assert xor(x, x) == BitString(0, 4)
 
     def test_xor_hand_computed(self):
         assert xor(BitString(0b1010, 4), BitString(0b0110, 4)) == BitString(0b1100, 4)
@@ -76,11 +76,6 @@ class TestBitString:
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
             BitString(16, 4)
-
-    def test_msb_first_indexing(self):
-        b = BitString(0b100, 3)
-        assert b.bits() == (1, 0, 0)
-        assert b.bit(0) == 1 and b.bit(2) == 0
 
     def test_flip(self):
         assert BitString(0b000, 3).flip(0) == BitString(0b100, 3)

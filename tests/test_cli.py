@@ -5,6 +5,7 @@ import pytest
 from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
+from kimap.games import DEFINITIONS, Definition
 from kimap.protocol import keygen
 from kimap.storage import load_database, save_database, save_master
 
@@ -178,6 +179,21 @@ class TestRun:
         assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
         assert capsys.readouterr().err.startswith("kimap: ")
 
+    def test_counter_wider_than_the_hash_binds_is_config_error(self, tmp_path, capsys):
+        d = tmp_path / "db"
+        assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
+        lines = (d / "kimap.db").read_text().splitlines()
+        assert lines[1].startswith("v1 t001 1 ")
+        lines[1] = lines[1].replace(" 1 ", " 4294967296 ", 1)
+        (d / "kimap.db").write_text("\n".join(lines) + "\n")
+        before = (d / "kimap.db").read_bytes()
+        capsys.readouterr()
+        assert run_cli("run", "--db", str(d), "--hash", "toy") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("kimap: ") and ":2:" in captured.err
+        assert captured.out == ""
+        assert (d / "kimap.db").read_bytes() == before
+
     def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "afile"
         f.write_text("keep\n")
@@ -248,6 +264,15 @@ class TestGame:
     def test_ind2tag_mode_runs(self, capsys):
         assert run_cli("game", "ind2tag", "random-guess", "--trials", "50",
                        "--lambda", "16", "--hash", "toy", "--seed", "4") == 0
+
+    def test_two_tag_game_is_one_table_row(self, monkeypatch, capsys):
+        monkeypatch.setitem(DEFINITIONS, "link2tag",
+                            Definition(DEFINITIONS["ind"].oracles, 0, 2))
+        assert run_cli("game", "link2tag", "random-guess", "--trials", "20", "--lambda", "16",
+                       "--hash", "toy", "--seed", "4", "--format", "structured") == 0
+        out = capsys.readouterr().out
+        assert out.startswith("gameresult definition=link2tag distinguisher=random-guess")
+        assert " n=3 " in out and " trials=20 " in out
 
     def test_bad_width_is_config_error(self, capsys):
         assert run_cli("game", "ind", "random-guess", "--lambda", "63",

@@ -5,7 +5,9 @@ import pytest
 
 from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
 from kimap.games import (
+    DEFINITIONS,
     BudgetExceededError,
+    Definition,
     DoubleTestError,
     GameConfig,
     KeyKnowledge,
@@ -363,6 +365,31 @@ class TestMisuse:
         with pytest.raises(OracleMisuseError):
             h.choose_challenge(1)
 
+    @pytest.mark.parametrize("definition,wrong", [
+        ("ind", (0, 1)), ("forward", ()), ("ind2tag", (1,)), ("ind2tag", (0, 1, 2)),
+        ("ind2tag", ()), ("ind2tag", (1, 1))])
+    def test_challenge_must_match_the_game_shape(self, definition, wrong):
+        h = world(definition, n=3)
+        with pytest.raises(OracleMisuseError):
+            h.choose_challenge(*wrong)
+        assert h.challenge == ()
+
+    def test_challenge_pair_in_two_tag_game(self):
+        h = world("ind2tag", n=3)
+        h.choose_challenge(1, 2)
+        assert h.challenge == (1, 2)
+        with pytest.raises(OracleMisuseError):
+            h.choose_challenge(0, 1)
+
+    def test_single_test_in_two_tag_game_is_misuse(self):
+        h = world("ind2tag", n=3)
+        h.choose_challenge(1, 2)
+        h.execute(1)
+        h.execute(2)
+        with pytest.raises(OracleMisuseError):
+            h.test(1, 1)
+        assert not h.test_used
+
     def test_test_pair_only_in_two_tag_game(self):
         h = world("ind")
         h.execute(0)
@@ -393,6 +420,13 @@ class TestRunGame:
     def test_ind2tag_mode(self):
         cfg = GameConfig(lam=16, n=3, trials=500, seed=63)
         r = run_game("ind2tag", cfg, RandomGuess(), TOY16)
+        assert r.advantage <= r.ci95 + 0.05
+
+    def test_two_tag_game_is_one_table_row(self, monkeypatch):
+        monkeypatch.setitem(DEFINITIONS, "link2tag", Definition(DEFINITIONS["ind"].oracles, 0, 2))
+        cfg = GameConfig(lam=16, n=3, trials=200, seed=64)
+        r = run_game("link2tag", cfg, RandomGuess(), TOY16)
+        assert r.definition == "link2tag" and r.trials == 200
         assert r.advantage <= r.ci95 + 0.05
 
     def test_result_line_fields(self):

@@ -74,6 +74,27 @@ def test_corrupt_record_reports_line(provisioned, tmp_path):
     assert ":3:" in str(err.value)
 
 
+@pytest.mark.parametrize("counter", [2 ** 32, 2 ** 40])
+def test_counter_wider_than_the_hash_binds_reports_line(provisioned, tmp_path, counter):
+    _, db, _ = provisioned
+    lines = db.read_text().splitlines()
+    lines[1] = lines[1].replace(" 1 ", f" {counter} ", 1)
+    bad = tmp_path / "bad.db"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatabaseFormatError, match="32 bits") as err:
+        load_database(bad)
+    assert ":2:" in str(err.value)
+
+
+def test_widest_counter_loads(provisioned, tmp_path):
+    _, db, _ = provisioned
+    lines = db.read_text().splitlines()
+    lines[1] = lines[1].replace(" 1 ", f" {2 ** 32 - 1} ", 1)
+    ok = tmp_path / "ok.db"
+    ok.write_text("\n".join(lines) + "\n")
+    assert load_database(ok)[1]["t001"].counter == 2 ** 32 - 1
+
+
 def test_width_mismatch_detected(tmp_path):
     path = tmp_path / "bad.db"
     path.write_text("kimapdb v1 lambda=64\nv1 t001 1 ab:8\n")
