@@ -31,7 +31,8 @@ from .protocol import (
     tag_verify_and_respond,
 )
 
-_PAYLOAD_TYPES = {1: Challenge, 2: TagNonce, 3: BroadcastAuth, 4: TagAuth}
+# The payload type each flight carries.
+PAYLOAD_TYPES = {1: Challenge, 2: TagNonce, 3: BroadcastAuth, 4: TagAuth}
 
 Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
@@ -58,10 +59,10 @@ class AdversaryAction:
         if self.flight not in (1, 2, 3, 4):
             raise ScheduleError(f"flight must be 1-4, got {self.flight}")
         if self.kind == "replace":
-            if not isinstance(self.payload, _PAYLOAD_TYPES[self.flight]):
+            if not isinstance(self.payload, PAYLOAD_TYPES[self.flight]):
                 raise ScheduleError(
                     f"replace payload for flight {self.flight} must be "
-                    f"{_PAYLOAD_TYPES[self.flight].__name__}")
+                    f"{PAYLOAD_TYPES[self.flight].__name__}")
         if self.kind == "replay" and self.source_session is None:
             raise ScheduleError("replay needs a source session")
 
@@ -195,7 +196,7 @@ def run_schedule(server: ServerState, tags: list[TagState], schedule: FaultSched
     """Run ``n_sessions`` sessions round-robin over ``tags``, applying the
     scheduled actions. Deterministic under fixed endpoint seeds."""
     if n_sessions < 1:
-        raise ValueError("n_sessions must be >= 1")
+        raise ValueError(f"sessions must be >= 1, got {n_sessions}")
     labels = list(server.records)
     recording: Recording = {}
     transcripts = []

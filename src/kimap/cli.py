@@ -24,8 +24,17 @@ provision (even, >= 8), and ``init`` at most 256 bits, the widest hash
 output. ``run`` takes the key width from the database, runs N >= 1
 sessions round-robin over its tags (the schedule file names the flights to
 drop, replay or replace) and rewrites the database only after every session
-ran. Exit codes: 0 success, 1 operational failure (with --strict,
-rejections or desynchronized records), 2 usage or configuration error.
+ran.
+
+Exit codes: 0 success, 1 operational failure (with --strict, rejections or
+desynchronized records), 2 usage or configuration error. A usage error is
+argparse's own (an unknown flag or a bad value type). Every other error a
+subcommand meets is an ``OSError``, ``ValueError`` or ``GameError`` raised
+by the library: a bad KIMAP_SEED, an out-of-range value, a malformed
+database, master key or schedule, a master key narrower or wider than the
+database's keys, a path of the wrong kind, a failed read or a failed write
+of kimap.db or master.key. ``main`` alone reports it, as
+``kimap: <message>`` on stderr, and returns 2.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from pathlib import Path
 
 from .bits import BitString, HashSpec, Prng
 from .channel import (
+    PAYLOAD_TYPES,
     AdversaryAction,
     FaultSchedule,
     ScheduleError,
@@ -45,17 +55,7 @@ from .channel import (
 )
 from .costs import BudgetLimits, CostParams, check_budget, compute_cost, findings_pass
 from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
-from .protocol import (
-    BroadcastAuth,
-    Challenge,
-    ParameterError,
-    ServerAuthCandidate,
-    ServerState,
-    TagAuth,
-    TagNonce,
-    TagState,
-    keygen,
-)
+from .protocol import BroadcastAuth, ServerAuthCandidate, ServerState, TagState, keygen
 from .storage import load_database, load_master, save_database, save_master
 
 DEFAULT_SEED = 24301
@@ -75,10 +75,6 @@ def _resolve_seed(value) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"KIMAP_SEED must be an integer, got {env!r}") from None
-
-
-def _hash_spec(name: str, lam: int) -> HashSpec:
-    return HashSpec.toy(lam) if name == "toy" else HashSpec.production(lam)
 
 
 # Flags shared by several subcommands; each subcommand takes only those its
@@ -180,7 +176,7 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
                 actions.append(AdversaryAction.replace(flight, payload, seq))
             else:
                 raise ScheduleError(f"unknown schedule action {verb!r}")
-        except (ScheduleError, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             raise ScheduleError(f"{path}:{line_no}: {exc}") from None
     return FaultSchedule(actions)
 
@@ -191,15 +187,12 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
         if len(value) != lam:
             raise ScheduleError(f"replacement field {value.to_text()} is {len(value)} bits, "
                                 f"database lambda {lam}")
-    if flight == 1 and len(values) == 1:
-        return Challenge(values[0])
-    if flight == 2 and len(values) == 1:
-        return TagNonce(values[0])
-    if flight == 3 and values and len(values) % 2 == 0:
-        pairs = [ServerAuthCandidate(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-        return BroadcastAuth(tuple(pairs))
-    if flight == 4 and len(values) == 1:
-        return TagAuth(values[0])
+    kind = PAYLOAD_TYPES.get(flight)
+    if kind is BroadcastAuth:  # (sigma, delta) pairs; every other flight carries one value
+        if values and len(values) % 2 == 0:
+            return BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
+    elif kind is not None and len(values) == 1:
+        return kind(values[0])
     raise ScheduleError(f"wrong replacement field count for flight {flight}")
 
 
@@ -215,15 +208,10 @@ def _db_paths(db: str) -> tuple[Path, Path]:
 def cmd_init(args) -> int:
     db_path, master_path = _db_paths(args.db)
     if (db_path.exists() or master_path.exists()) and not args.force:
-        print(f"kimap: refusing to overwrite {db_path.parent} (use --force)", file=sys.stderr)
-        return 2
-    try:
-        server, _tags = keygen(args.lam, args.tags, Prng(args.seed, 0))
-        HashSpec.production(args.lam)  # run needs a hash this wide: at most 256 bits
-        db_path.parent.mkdir(parents=True, exist_ok=True)
-    except Exception as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+        raise FileExistsError(f"refusing to overwrite {db_path.parent} (use --force)")
+    server, _tags = keygen(args.lam, args.tags, Prng(args.seed, 0))
+    HashSpec.production(args.lam)  # run needs a hash this wide: at most 256 bits
+    db_path.parent.mkdir(parents=True, exist_ok=True)
     save_database(db_path, args.lam, server.records)
     save_master(master_path, server.master)
     for label in server.records:
@@ -233,31 +221,17 @@ def cmd_init(args) -> int:
 
 def cmd_run(args) -> int:
     db_path, master_path = _db_paths(args.db)
-    try:
-        lam, records = load_database(db_path)
-        master = load_master(master_path)
-        schedule = parse_schedule(args.schedule, lam) if args.schedule else FaultSchedule([])
-        spec = _hash_spec(args.hash, lam)
-    except (OSError, ValueError) as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
-    if len(master.value) != lam:
-        print(f"kimap: master key width {len(master.value)} != database lambda {lam}", file=sys.stderr)
-        return 2
-    if args.sessions < 1:
-        print(f"kimap: --sessions must be >= 1, got {args.sessions}", file=sys.stderr)
-        return 2
+    lam, records = load_database(db_path)
+    master = load_master(master_path, lam)
+    schedule = parse_schedule(args.schedule, lam) if args.schedule else FaultSchedule([])
+    spec = HashSpec(lam, args.hash)
 
     server = ServerState(master=master, records=records, prng=Prng(args.seed, _RUN_SERVER_STREAM))
     tags = [TagState(key=rec.key_current, counter=rec.counter,
                      prng=Prng(args.seed, _RUN_TAG_STREAM + idx))
             for idx, rec in enumerate(records.values())]
 
-    try:
-        transcripts = run_schedule(server, tags, schedule, args.sessions, spec)
-    except ScheduleError as exc:  # a replay whose source flight was never sent
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+    transcripts = run_schedule(server, tags, schedule, args.sessions, spec)
     save_database(db_path, lam, server.records)
 
     for t in transcripts:
@@ -277,21 +251,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_game(args) -> int:
-    try:
-        d = make_distinguisher(args.distinguisher)
-    except ValueError as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+    d = make_distinguisher(args.distinguisher)
     # A multi-tag challenge plays in a world with at least one tag besides it.
     k = DEFINITIONS[args.definition].challenge_tags
     n = args.tags if k == 1 else max(args.tags, k + 1)
-    try:
-        cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2, trials=args.trials,
-                         seed=args.seed)
-        result = run_game(args.definition, cfg, d, _hash_spec(args.hash, args.lam))
-    except (ValueError, ParameterError, GameError) as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+    cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2, trials=args.trials, seed=args.seed)
+    result = run_game(args.definition, cfg, d, HashSpec(args.lam, args.hash))
     if args.format == "structured":
         print(result.to_line())
     else:
@@ -304,20 +269,16 @@ def cmd_game(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    try:
-        params = CostParams(
-            lambda_bits=args.lam,
-            hash_cycles_per_block=args.hash_cycles,
-            tag_clock_hz=args.clock_hz,
-            t2r_rate_bps=args.t2r_bps,
-            r2t_rate_bps=args.r2t_bps,
-            serial_rate_bps=args.serial_bps,
-            candidates=args.candidates,
-        )
-        report = compute_cost(params, batch_tags=args.tags)
-    except ValueError as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+    params = CostParams(
+        lambda_bits=args.lam,
+        hash_cycles_per_block=args.hash_cycles,
+        tag_clock_hz=args.clock_hz,
+        t2r_rate_bps=args.t2r_bps,
+        r2t_rate_bps=args.r2t_bps,
+        serial_rate_bps=args.serial_bps,
+        candidates=args.candidates,
+    )
+    report = compute_cost(params, batch_tags=args.tags)
     findings = check_budget(report, BudgetLimits())
     if args.format == "structured":
         print(report.to_line())
@@ -333,18 +294,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    mask = None
-    if args.mask is not None:
-        try:
-            mask = BitString.from_text(args.mask)
-        except ValueError as exc:
-            print(f"kimap: bad --mask: {exc}", file=sys.stderr)
-            return 2
-    try:
-        report = lemma1_bijection_check(args.k, mask=mask, prng=Prng(args.seed, 0))
-    except ValueError as exc:
-        print(f"kimap: {exc}", file=sys.stderr)
-        return 2
+    mask = None if args.mask is None else BitString.from_text(args.mask)
+    report = lemma1_bijection_check(args.k, mask=mask, prng=Prng(args.seed, 0))
     print(report.to_line())
     if report.pairs is not None:
         for x, y in report.pairs:
@@ -354,15 +305,15 @@ def cmd_lemma1(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "seed" in vars(args):
-        try:
-            args.seed = _resolve_seed(args.seed)
-        except ValueError as exc:
-            print(f"kimap: {exc}", file=sys.stderr)
-            return 2
     handlers = {"init": cmd_init, "run": cmd_run, "game": cmd_game,
                 "cost": cmd_cost, "lemma1": cmd_lemma1}
-    return handlers[args.command](args)
+    try:
+        if "seed" in vars(args):
+            args.seed = _resolve_seed(args.seed)
+        return handlers[args.command](args)
+    except (OSError, ValueError, GameError) as exc:
+        print(f"kimap: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

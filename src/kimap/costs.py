@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .protocol import ParameterError, check_key_width
+from .protocol import check_key_width
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,7 @@ class CostParams:
     candidates: int = 1
 
     def __post_init__(self) -> None:
-        try:
-            check_key_width(self.lambda_bits)
-        except ParameterError as exc:
-            raise ValueError(str(exc)) from None
+        check_key_width(self.lambda_bits)
         for name in ("hash_cycles_per_block", "tag_clock_hz", "t2r_rate_bps",
                      "r2t_rate_bps", "serial_rate_bps", "candidates"):
             if getattr(self, name) <= 0:

@@ -35,6 +35,11 @@ the record's previous-key slot so that a tag which did ratchet can still be
 matched next session. A record with two consecutive failures reads as
 desynchronized (a second blocked final flight is unrecoverable by design);
 the flag is derived from the failure count, never stored.
+
+``H_i`` binds the counter as a ``COUNTER_BITS``-bit (32-bit) prefix, so a
+record at counter 2**32 - 1 is exhausted: accepting it would move the
+counter past that width. :func:`server_prepare` offers such a record no
+candidate, so its tag's sessions are rejected and the record stays as it is.
 """
 
 from __future__ import annotations
@@ -42,14 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bits import BitString, HashSpec, OpMeter, Prng, counter_hash, hash2, metered, prng_next, split, xor
+from .bits import (COUNTER_BITS, BitString, HashSpec, OpMeter, Prng, counter_hash, hash2, metered,
+                   prng_next, split, xor)
 
 
 class ProtocolError(Exception):
     pass
 
 
-class ParameterError(ProtocolError):
+class ParameterError(ProtocolError, ValueError):
     """Invalid protocol parameters (bad key width, no tags, ...)."""
 
 
@@ -337,9 +343,13 @@ def _cached_slot_keys(server: ServerState, spec: HashSpec, rec: ServerTagRecord,
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
     """Flight 3: one candidate per (record, available key slot), shuffled so
-    broadcast position leaks nothing about registry order."""
+    broadcast position leaks nothing about registry order. An exhausted
+    record, one whose next counter would not fit :data:`COUNTER_BITS`, gets
+    no candidate."""
     entries: list[PendingCandidate] = []
     for rec in server.records.values():
+        if (rec.counter + 1) >> COUNTER_BITS:
+            continue
         keys = _cached_slot_keys(server, spec, rec, "current", rec.key_current)
         entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="current"))
         if rec.key_previous is not None:

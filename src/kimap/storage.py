@@ -6,11 +6,14 @@
     v1 <label> <counter> <hex key_current>:<len> [<hex key_previous>:<len>]
 
 The counter is the record's session index, from 1 to 2**32 - 1 (the width
-``counter_hash`` binds).
+``counter_hash`` binds). A record at 2**32 - 1 loads but is exhausted: the
+server offers it no candidate, so its tag is rejected and the record is saved
+unchanged.
 
-The master key lives in a separate file holding a single ``hex:len`` line;
-it never appears in the tag database. Both files are replaced atomically: a
-failed or interrupted save leaves the previous file intact.
+The master key lives in a separate file holding a single ``hex:len`` line,
+as wide as the database's keys; it never appears in the tag database. Both
+files are replaced atomically: a failed or interrupted save leaves the
+previous file intact.
 """
 
 from __future__ import annotations
@@ -110,9 +113,13 @@ def save_master(path: Union[str, Path], master: MasterKey) -> None:
     _write_atomic(path, master.value.to_text() + "\n")
 
 
-def load_master(path: Union[str, Path]) -> MasterKey:
+def load_master(path: Union[str, Path], lam: int) -> MasterKey:
+    """Read the master key of a database of key width ``lam``."""
     text = Path(path).read_text().strip()
     try:
-        return MasterKey(BitString.from_text(text))
+        value = BitString.from_text(text)
     except ValueError as exc:
         raise DatabaseFormatError(path, 1, str(exc)) from None
+    if len(value) != lam:
+        raise DatabaseFormatError(path, 1, f"master key width {len(value)} != database lambda {lam}")
+    return MasterKey(value)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kimap import cli
 from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
@@ -20,6 +21,72 @@ def db_dir(tmp_path):
     assert run_cli("init", "--db", str(d), "--tags", "3", "--seed", "9",
                    "--lambda", "16") == 0
     return d
+
+
+def set_first_counter(d, counter):
+    """Rewrite t001's counter in ``d``'s database; return its new line."""
+    lines = (d / "kimap.db").read_text().splitlines()
+    assert lines[1].startswith("v1 t001 1 ")
+    lines[1] = lines[1].replace(" 1 ", f" {counter} ", 1)
+    (d / "kimap.db").write_text("\n".join(lines) + "\n")
+    return lines[1]
+
+
+def _write_replay_schedule(d, monkeypatch):
+    (d.parent / "sched.txt").write_text("1 3 replay 5\n")
+
+
+def _write_narrow_master(d, monkeypatch):
+    (d / "master.key").write_text("ab:8\n")
+
+
+def _set_bad_env_seed(d, monkeypatch):
+    monkeypatch.setenv("KIMAP_SEED", "abc")
+
+
+def _fail_save(d, monkeypatch):
+    def save_database(*_):
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "save_database", save_database)
+
+
+# (setup, argv, text stderr must hold); DB and SCHED in argv name the
+# provisioned database directory and a schedule file beside it.
+EXIT_2_CASES = {
+    "init-over-existing-db": (None, ("init", "--db", "DB"), "refusing to overwrite"),
+    "run-missing-db": (None, ("run", "--db", "DB/nope"), "nope"),
+    "run-zero-sessions": (None, ("run", "--db", "DB", "--sessions", "0"),
+                          "sessions must be >= 1, got 0"),
+    "run-bad-seed": (_set_bad_env_seed, ("run", "--db", "DB", "--sessions", "1"), "KIMAP_SEED"),
+    "run-unrecorded-replay": (_write_replay_schedule, ("run", "--db", "DB", "--sessions", "3",
+                                                       "--hash", "toy", "--schedule", "SCHED"),
+                              "never recorded"),
+    "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB", "--hash", "toy"),
+                          "master.key:1: master key width 8 != database lambda 16"),
+    "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
+    "game-no-execute-budget": (None, ("game", "ind", "random-guess", "--e1", "0"),
+                               "execute budget of 0 exhausted"),
+    "game-unknown-distinguisher": (None, ("game", "ind", "psychic"), "unknown distinguisher"),
+    "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even"),
+    "lemma1-k-too-large": (None, ("lemma1", "--k", "20"), "k must be in 1..16"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_2_CASES))
+def test_library_errors_exit_2_and_leave_files(db_dir, monkeypatch, capsys, case):
+    setup, argv, needle = EXIT_2_CASES[case]
+    if setup is not None:
+        setup(db_dir, monkeypatch)
+    files = [db_dir / "kimap.db", db_dir / "master.key"]
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    argv = [a.replace("DB", str(db_dir)).replace("SCHED", str(db_dir.parent / "sched.txt"))
+            for a in argv]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("kimap: ") and needle in captured.err
+    assert captured.out == ""
+    assert [f.read_bytes() for f in files] == before
 
 
 class TestInit:
@@ -182,10 +249,7 @@ class TestRun:
     def test_counter_wider_than_the_hash_binds_is_config_error(self, tmp_path, capsys):
         d = tmp_path / "db"
         assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
-        lines = (d / "kimap.db").read_text().splitlines()
-        assert lines[1].startswith("v1 t001 1 ")
-        lines[1] = lines[1].replace(" 1 ", " 4294967296 ", 1)
-        (d / "kimap.db").write_text("\n".join(lines) + "\n")
+        set_first_counter(d, 2**32)
         before = (d / "kimap.db").read_bytes()
         capsys.readouterr()
         assert run_cli("run", "--db", str(d), "--hash", "toy") == 2
@@ -193,6 +257,16 @@ class TestRun:
         assert captured.err.startswith("kimap: ") and ":2:" in captured.err
         assert captured.out == ""
         assert (d / "kimap.db").read_bytes() == before
+
+    def test_exhausted_counter_is_rejected_and_saved_unchanged(self, tmp_path, capsys):
+        d = tmp_path / "db"
+        assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
+        exhausted = set_first_counter(d, 2**32 - 1)
+        capsys.readouterr()
+        assert run_cli("run", "--db", str(d), "--hash", "toy", "--sessions", "4") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "summary sessions=4 accepted=2 rejected=2 aborted=0 recovered=0 desynced=0")
+        assert (d / "kimap.db").read_text().splitlines()[1] == exhausted
 
     def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "afile"

@@ -229,6 +229,22 @@ class TestServerFinalize:
         assert rec_a.key_previous == rec_a_before.key_previous
         assert rec_a.counter == rec_a_before.counter
 
+    def test_exhausted_counter_gets_no_candidate(self):
+        # accepting t001 at 2**32 - 1 would move its counter past the width
+        # counter_hash binds, so it is never offered; the other tag is
+        # unaffected, before and after
+        server, tags = keygen(16, 2, Prng(18, 0))
+        server.records["t001"].counter = tags[0].counter = 2**32 - 1
+        rec_before = dataclasses.replace(server.records["t001"])
+        outcomes = [honest_session(server, tags[i], TOY16).accepted for i in (0, 1, 0, 1)]
+        assert outcomes == [False, True, False, True]
+        ch = server_begin(server)
+        _, pending = server_prepare(server, ch.x_s, BitString(2, 16), TOY16)
+        assert {c.label for c in pending.candidates} == {"t002"}
+        rec = server.records["t001"]
+        assert (rec.key_current, rec.key_previous, rec.counter) == (
+            rec_before.key_current, rec_before.key_previous, rec_before.counter)
+
     def test_timeout_parks_recovery_key(self):
         server, tags = keygen(16, 1, Prng(19, 0))
         ch = server_begin(server)

@@ -36,7 +36,7 @@ def test_roundtrip(provisioned):
         assert rec.key_current == orig.key_current
         assert rec.key_previous == orig.key_previous
         assert rec.counter == orig.counter
-    assert load_master(mk).value == server.master.value
+    assert load_master(mk, 64).value == server.master.value
 
 
 def test_previous_key_persists(tmp_path):
@@ -137,7 +137,7 @@ def test_master_file_roundtrip(tmp_path):
     mk = MasterKey(BitString(0x1234567890ABCDEF, 64))
     path = tmp_path / "master.key"
     save_master(path, mk)
-    assert load_master(path).value == mk.value
+    assert load_master(path, 64).value == mk.value
 
 
 # Has no UTF-8 encoding, so writing it raises once the file is already open.
