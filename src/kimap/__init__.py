@@ -72,6 +72,7 @@ from .protocol import (
     ServerAuthCandidate,
     ServerState,
     ServerTagRecord,
+    SessionOperands,
     SessionOrderError,
     SlotKeys,
     TagAuth,
@@ -89,6 +90,7 @@ from .protocol import (
     server_prepare,
     server_timeout,
     session_key,
+    session_operands,
     slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,

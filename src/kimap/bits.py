@@ -89,7 +89,7 @@ class BitString:
         """Copy with bit ``i`` flipped (MSB-first index)."""
         if not 0 <= i < self._length:
             raise IndexError(f"bit index {i} out of range for length {self._length}")
-        return BitString(self._value ^ (1 << (self._length - 1 - i)), self._length)
+        return _trusted(self._value ^ (1 << (self._length - 1 - i)), self._length)
 
     def __xor__(self, other: "BitString") -> "BitString":
         return xor(self, other)
@@ -107,6 +107,16 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString('{self._value:0{self._length}b}')" if self._length else "BitString('')"
+
+
+def _trusted(value: int, length: int) -> BitString:
+    """A :class:`BitString` whose width holds by construction (a digest, or
+    the result of an operation on checked operands), built without
+    :class:`BitString`'s range checks."""
+    s = object.__new__(BitString)
+    s._value = value
+    s._length = length
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -142,41 +152,33 @@ def metered(meter: OpMeter) -> Iterator[OpMeter]:
         _ACTIVE_METER.reset(token)
 
 
-def _count(kind: str) -> None:
-    meter = _ACTIVE_METER.get()
-    if meter is None:
-        return
-    if kind == "hash":
-        meter.hash_calls += 1
-    elif kind == "prng":
-        meter.prng_calls += 1
-    else:
-        meter.xor_calls += 1
-
-
 # ---------------------------------------------------------------------------
 # Core bit operations.
 # ---------------------------------------------------------------------------
 
 def xor(a: BitString, b: BitString) -> BitString:
     """Bitwise XOR of two equal-length bitstrings."""
-    if len(a) != len(b):
-        raise LengthMismatchError(f"xor of lengths {len(a)} and {len(b)}")
-    _count("xor")
-    return BitString(a.value ^ b.value, len(a))
+    n = a._length
+    if n != b._length:
+        raise LengthMismatchError(f"xor of lengths {n} and {b._length}")
+    meter = _ACTIVE_METER.get()
+    if meter is not None:
+        meter.xor_calls += 1
+    return _trusted(a._value ^ b._value, n)
 
 
 def concat(a: BitString, b: BitString) -> BitString:
     """``a`` followed by ``b``."""
-    return BitString((a._value << b._length) | b._value, a._length + b._length)
+    return _trusted((a._value << b._length) | b._value, a._length + b._length)
 
 
 def split(s: BitString) -> tuple[BitString, BitString]:
     """The two equal halves of an even-length bitstring."""
-    if len(s) % 2:
-        raise OddLengthError(f"cannot split odd length {len(s)}")
-    half = len(s) // 2
-    return BitString(s.value >> half, half), BitString(s.value & ((1 << half) - 1), half)
+    n = s._length
+    if n % 2:
+        raise OddLengthError(f"cannot split odd length {n}")
+    half = n // 2
+    return _trusted(s._value >> half, half), _trusted(s._value & ((1 << half) - 1), half)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +242,6 @@ def _toy_digest(data: bytes, out_bits: int) -> int:
             return out
 
 
-def _digest(spec: HashSpec, data: bytes) -> BitString:
-    if spec.variant == "production":
-        digest = hashlib.sha256(data).digest()
-        value = int.from_bytes(digest, "big") >> (256 - spec.output_len_bits)
-        return BitString(value, spec.output_len_bits)
-    return BitString(_toy_digest(data, spec.output_len_bits), spec.output_len_bits)
-
-
 def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
     """Deterministic two-argument digest ``H(left, right)``.
 
@@ -257,12 +251,20 @@ def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
     map injective, so the encoding stays injective over pairs of arbitrary
     lengths. The encoding is built as one integer.
     """
-    _count("hash")
+    meter = _ACTIVE_METER.get()
+    if meter is not None:
+        meter.hash_calls += 1
     n_left, n_right = left._length, right._length
     enc = (((n_left << n_left | left._value) << n_right | right._value) << 1) | 1
     n_bits = 32 + n_left + n_right + 1
     pad = -n_bits % 8
-    return _digest(spec, (enc << pad).to_bytes((n_bits + pad) // 8, "big"))
+    data = (enc << pad).to_bytes((n_bits + pad) // 8, "big")
+    out_bits = spec.output_len_bits
+    if spec.variant == "production":
+        value = int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - out_bits)
+    else:
+        value = _toy_digest(data, out_bits)
+    return _trusted(value, out_bits)
 
 
 # Width of the session counter ``i`` that H_i binds, and so of every stored
@@ -279,7 +281,7 @@ def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> B
     if i >> COUNTER_BITS:
         raise ValueError(f"session index {i} does not fit in {COUNTER_BITS} bits")
     n_left = left._length
-    return hash2(spec, BitString(i << n_left | left._value, COUNTER_BITS + n_left), right)
+    return hash2(spec, _trusted(i << n_left | left._value, COUNTER_BITS + n_left), right)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ class Prng:
             return 0
         k = (n - 1).bit_length()
         while True:
-            v = prng_next(self, k).value
+            v = _draw(self, k)
             if v < n:
                 return v
 
@@ -323,7 +325,15 @@ def prng_next(p: Prng, nbits: int) -> BitString:
     """Draw ``nbits`` pseudorandom bits, advancing the stream state."""
     if nbits < 1:
         raise ValueError("nbits must be >= 1")
-    _count("prng")
+    return _trusted(_draw(p, nbits), nbits)
+
+
+def _draw(p: Prng, nbits: int) -> int:
+    """The next ``nbits`` (>= 1) bits of the stream as an int: one counted
+    PRNG draw."""
+    meter = _ACTIVE_METER.get()
+    if meter is not None:
+        meter.prng_calls += 1
     while p._acc_bits < nbits:
         block = hashlib.sha256(
             _PRNG_DOMAIN
@@ -338,4 +348,4 @@ def prng_next(p: Prng, nbits: int) -> BitString:
     out = p._acc >> excess
     p._acc &= (1 << excess) - 1
     p._acc_bits = excess
-    return BitString(out, nbits)
+    return out

@@ -27,7 +27,8 @@ drop, replay or replace) and rewrites the database only after every session
 ran.
 
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
-desynchronized records), 2 usage or configuration error. A usage error is
+desynchronized records; or stdout closed before the output was written), 2
+usage or configuration error. A usage error is
 argparse's own (an unknown flag or a bad value type). Every other error a
 subcommand meets is an ``OSError``, ``ValueError`` or ``GameError`` raised
 by the library: a bad KIMAP_SEED, an out-of-range value, a malformed
@@ -310,7 +311,16 @@ def main(argv=None) -> int:
     try:
         if "seed" in vars(args):
             args.seed = _resolve_seed(args.seed)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left early (``kimap run ... | head -1``), which
+        # is no configuration error. Point stdout at devnull so the flush at
+        # interpreter exit cannot fail again, and exit 1 as Python does on
+        # EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ from .protocol import (
     make_candidate,
     server_begin,
     server_finalize,
+    session_operands,
     slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,
@@ -229,7 +230,7 @@ class OracleHandle:
         x_s, self._pending_x_s = self._pending_x_s, None
         rec = self.server.records[self._labels[tag]]
         keys = slot_keys(self.spec, rec.counter, self.server.master, rec.key_current)
-        cand = make_candidate(keys, x_s, x_t, label=rec.label, slot="current")
+        cand = make_candidate(keys, session_operands(x_s, x_t), rec.label, "current")
         self._pending_reply[tag] = PendingSession(x_s=x_s, candidates=(cand,))
         return cand.sigma, cand.delta
 

@@ -27,7 +27,10 @@ Per session the server computes 2 hashes per candidate (``sigma`` and the
 expected ``sigma'``). The partial key ``x``, ``delta`` and the two key
 concatenations depend only on the slot's key and the record's counter, so
 they are cached per record slot (:class:`SlotKeys`) and rebuilt only when
-those change, as for the record accepted last. The next key is computed only
+those change, as for the record accepted last. The session operands
+``x_s || x_t`` and ``x_t || x_s`` are built once per session, with their
+width check (:func:`session_operands`), and every candidate on the server
+and every step of the tag's scan shares them. The next key is computed only
 for the matched candidate, or for every record when a failed session hedges.
 
 On a failed or missing flight 4 the server parks the candidate next-key in
@@ -45,7 +48,7 @@ candidate, so its tag's sessions are rejected and the record stays as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import (COUNTER_BITS, BitString, HashSpec, OpMeter, Prng, counter_hash, hash2, metered,
                    prng_next, split, xor)
@@ -118,9 +121,11 @@ class SlotKeys:
     """The per-slot values of one (record, key slot) that stay fixed until
     the slot's key or the record's counter changes: the partial key
     ``x = H_i(SK*, k)``, ``delta = k XOR x``, the sigma key ``k' || x`` and
-    the session key ``k' || x'``."""
+    the session key ``k' || x'``, derived from ``key`` at session
+    ``counter``."""
 
     spec: HashSpec
+    counter: int
     key: BitString
     x: BitString
     delta: BitString
@@ -133,12 +138,14 @@ class ServerState:
     master: MasterKey
     records: dict[str, ServerTagRecord]
     prng: Prng
-    # (label, slot) -> ((spec, master, counter, key), SlotKeys): at most two
-    # entries per record, one per key slot. An entry is served only while
-    # everything x depends on is unchanged, so a record mutated directly
-    # never reads a stale one. Never persisted.
-    slot_cache: dict[tuple[str, str], tuple[tuple, SlotKeys]] = field(
+    # Key slot ("current" | "previous") -> label -> SlotKeys, filled under
+    # slot_cache_stamp = (spec, master) and emptied when a session runs
+    # under another. An entry is served only while its record's counter and
+    # the very key object it was built from are unchanged, so a record
+    # mutated directly never reads a stale one. Never persisted.
+    slot_cache: dict[str, dict[str, SlotKeys]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    slot_cache_stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def lam(self) -> int:
@@ -155,8 +162,7 @@ class TagNonce:
     x_t: BitString
 
 
-@dataclass(frozen=True)
-class ServerAuthCandidate:
+class ServerAuthCandidate(NamedTuple):
     sigma: BitString
     delta: BitString
 
@@ -172,6 +178,20 @@ class TagAuth:
 
 
 @dataclass(frozen=True, slots=True)
+class SessionOperands:
+    """A session's two message operands, built once per session: ``s_t =
+    x_s || x_t`` is the right operand of every candidate's ``sigma``, and
+    ``t_s = x_t || x_s`` the left operand of every expected ``sigma'``.
+    ``width`` is the width of ``x_s`` and ``x_t``, and so of every key."""
+
+    x_s: BitString
+    x_t: BitString
+    s_t: BitString
+    t_s: BitString
+    width: int
+
+
+@dataclass(slots=True)
 class PendingCandidate:
     label: str
     slot: str  # "current" | "previous"
@@ -310,34 +330,48 @@ def slot_keys(spec: HashSpec, counter: int, master: MasterKey, key: BitString) -
     x_prime, _ = split(x)
     if len(x) != len(key):
         raise LengthError(key, x)
-    return SlotKeys(spec=spec, key=key, x=x, delta=xor(key, x), sigma_key=k_prime + x,
-                    session_key=session_key(k_prime, x_prime))
+    return SlotKeys(spec=spec, counter=counter, key=key, x=x, delta=xor(key, x),
+                    sigma_key=k_prime + x, session_key=session_key(k_prime, x_prime))
 
 
-def make_candidate(keys: SlotKeys, x_s: BitString, x_t: BitString,
+def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
+    """The session's operands :class:`SessionOperands`, after the one width
+    check they need: ``x_s`` and ``x_t`` are equally wide."""
+    if len(x_s) != len(x_t):
+        raise LengthError(x_s, x_t)
+    return SessionOperands(x_s, x_t, x_s + x_t, x_t + x_s, len(x_s))
+
+
+def make_candidate(keys: SlotKeys, ops: SessionOperands,
                    label: str = "", slot: str = "current") -> PendingCandidate:
     """Flight-3 computation for one (record, key slot): the wire pair
     ``(sigma, delta)`` plus the expected ``sigma'``, two hashes. These are
     the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, from
-    the slot's cached concatenations. The next key the server commits if
-    the expectation is met is computed on demand
+    the slot's cached concatenations and the session's operands. The next
+    key the server commits if the expectation is met is computed on demand
     (:attr:`PendingCandidate.next_key`)."""
-    if not len(keys.x) == len(x_s) == len(x_t):
-        raise LengthError(keys.x, x_s, x_t)
-    sigma = hash2(keys.spec, keys.sigma_key, x_s + x_t)
-    expected = hash2(keys.spec, x_t + x_s, keys.session_key)
-    return PendingCandidate(label=label, slot=slot, sigma=sigma, delta=keys.delta,
-                            expected_sigma_prime=expected, keys=keys, x_s=x_s)
+    if len(keys.x) != ops.width:
+        raise LengthError(keys.x, ops.x_s, ops.x_t)
+    spec = keys.spec
+    return PendingCandidate(label, slot, hash2(spec, keys.sigma_key, ops.s_t), keys.delta,
+                            hash2(spec, ops.t_s, keys.session_key), keys, ops.x_s)
 
 
-def _cached_slot_keys(server: ServerState, spec: HashSpec, rec: ServerTagRecord,
-                      slot: str, key: BitString) -> SlotKeys:
-    stamp = (spec, server.master, rec.counter, key)
-    cached = server.slot_cache.get((rec.label, slot))
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    keys = slot_keys(spec, rec.counter, server.master, key)
-    server.slot_cache[(rec.label, slot)] = (stamp, keys)
+def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
+    """The current- and previous-slot caches, emptied first if the spec or
+    the master key differ from the ones they were filled under."""
+    stamp = (spec, server.master)
+    if server.slot_cache_stamp != stamp:
+        server.slot_cache = {"current": {}, "previous": {}}
+        server.slot_cache_stamp = stamp
+    return server.slot_cache["current"], server.slot_cache["previous"]
+
+
+def _cached_slot_keys(server: ServerState, spec: HashSpec, cache: dict[str, SlotKeys],
+                      rec: ServerTagRecord, key: BitString) -> SlotKeys:
+    keys = cache.get(rec.label)
+    if keys is None or keys.counter != rec.counter or keys.key is not key:
+        keys = cache[rec.label] = slot_keys(spec, rec.counter, server.master, key)
     return keys
 
 
@@ -346,15 +380,17 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     broadcast position leaks nothing about registry order. An exhausted
     record, one whose next counter would not fit :data:`COUNTER_BITS`, gets
     no candidate."""
+    ops = session_operands(x_s, x_t)
+    current, previous = _slot_caches(server, spec)
     entries: list[PendingCandidate] = []
     for rec in server.records.values():
         if (rec.counter + 1) >> COUNTER_BITS:
             continue
-        keys = _cached_slot_keys(server, spec, rec, "current", rec.key_current)
-        entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="current"))
+        keys = _cached_slot_keys(server, spec, current, rec, rec.key_current)
+        entries.append(make_candidate(keys, ops, rec.label, "current"))
         if rec.key_previous is not None:
-            keys = _cached_slot_keys(server, spec, rec, "previous", rec.key_previous)
-            entries.append(make_candidate(keys, x_s, x_t, label=rec.label, slot="previous"))
+            keys = _cached_slot_keys(server, spec, previous, rec, rec.key_previous)
+            entries.append(make_candidate(keys, ops, rec.label, "previous"))
     server.prng.shuffle(entries)
     broadcast = BroadcastAuth(tuple(ServerAuthCandidate(e.sigma, e.delta) for e in entries))
     return broadcast, PendingSession(x_s=x_s, candidates=tuple(entries))
@@ -373,20 +409,23 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         raise SessionOrderError("no session in flight on this tag")
     x_t = tag.pending
     with metered(tag.meter):
-        k_prime, k_dprime = split(tag.key)
+        ops = session_operands(x_s, x_t)
+        key = tag.key
+        if len(key) != ops.width:
+            raise LengthError(key, x_s, x_t)
+        k_prime, k_dprime = split(key)
+        s_t = ops.s_t
         matched_x: Optional[BitString] = None
         for cand in broadcast.candidates:
-            x_hat = xor(cand.delta, tag.key)
-            sigma_hat = auth_server_tag(spec, k_prime, x_hat, x_s, x_t)
-            if sigma_hat == cand.sigma and matched_x is None:
+            x_hat = xor(cand.delta, key)
+            if hash2(spec, k_prime + x_hat, s_t) == cand.sigma and matched_x is None:
                 matched_x = x_hat
         if matched_x is None:
-            sigma_prime = prng_next(tag.prng, len(tag.key))
+            sigma_prime = prng_next(tag.prng, len(key))
             tag.pending = None
             return TagAuth(sigma_prime)
         x_prime, x_dprime = split(matched_x)
-        sk = session_key(k_prime, x_prime)
-        sigma_prime = auth_tag_msg(spec, x_t, x_s, sk)
+        sigma_prime = hash2(spec, ops.t_s, session_key(k_prime, x_prime))
         tag.key = key_update(spec, k_dprime, x_dprime, x_s)
     tag.counter += 1
     tag.pending = None
@@ -402,7 +441,12 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     the candidate's next key. Anything else is a rejection, which hedges
     (see :func:`_hedge_on_failure`).
     """
-    matches = [c for c in pending.candidates if c.expected_sigma_prime == ta.sigma_prime]
+    # The ints compare without a Python-level BitString.__eq__ call per
+    # candidate; the few whose values match are then compared in full.
+    want = ta.sigma_prime
+    value = want.value
+    matches = [c for c in pending.candidates
+               if c.expected_sigma_prime.value == value and c.expected_sigma_prime == want]
     if len(matches) == 1:
         cand = matches[0]
         rec = server.records[cand.label]

@@ -231,6 +231,50 @@ class TestMeter:
         assert m.hash_equivalent == 3
 
 
+    @pytest.mark.parametrize("spec", [TOY8, PROD64])
+    def test_hash2_counts_one_hash(self, spec):
+        with metered(OpMeter()) as m:
+            hash2(spec, BitString(1, 4), BitString(2, 4))
+        assert m.snapshot() == (1, 0, 0)
+
+    def test_randbelow_draws_are_prng_next_draws(self):
+        """randbelow rejection-samples the stream prng_next reads, and each
+        try is one counted PRNG draw; n = 1 draws nothing."""
+        bounds = (1, 2, 3, 5, 100, 1000, 1, *range(2, 300))
+        with metered(OpMeter()) as m:
+            stream = Prng(5, 1)
+            got = [stream.randbelow(n) for n in bounds]
+        replay, want, draws = Prng(5, 1), [], 0
+        for n in bounds:
+            v = 0
+            while n > 1:
+                draws += 1
+                v = prng_next(replay, (n - 1).bit_length()).value
+                if v < n:
+                    break
+            want.append(v)
+        assert got == want
+        assert m.prng_calls == draws
+
+
+class TestResultsFitTheirWidth:
+    """hash2, xor, concat and split build their results without the
+    constructor's range check; each result must still be a valid BitString."""
+
+    @given(a=bitstrings, b=bitstrings, raw=st.integers(0, (1 << 256) - 1),
+           width=st.integers(1, 256), toy=st.booleans())
+    def test_value_fits_length(self, a, b, raw, width, toy):
+        spec = HashSpec.toy(min(width, 64)) if toy else HashSpec.production(width)
+        ab = concat(a, b)
+        results = [hash2(spec, a, b), counter_hash(spec, 1 + raw % 1000, a, b), ab,
+                   xor(a, BitString(raw >> (256 - len(a)), len(a))), *split(concat(a, a))]
+        if len(ab) % 2 == 0:
+            results += split(ab)
+        for r in results:
+            assert 0 <= r.value < 2 ** len(r)
+        assert len(results[0]) == spec.output_len_bits
+
+
 class TestLemma1AtBitLevel:
     def test_toy_width_bijection(self):
         # for fixed L the map y -> L xor y hits all 2^8 values exactly once

@@ -1,7 +1,13 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kimap
 from kimap import cli
 from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
@@ -89,6 +95,26 @@ def test_library_errors_exit_2_and_leave_files(db_dir, monkeypatch, capsys, case
     assert [f.read_bytes() for f in files] == before
 
 
+def test_closed_stdout_exits_1_without_message(db_dir):
+    """``kimap run ... | head -1``: the reader of stdout leaves after one
+    line. That is no configuration error, so there is no ``kimap:`` line and
+    the exit code is 1, as for Python's own EPIPE exit."""
+    src = Path(kimap.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    # 3000 transcript lines overflow any pipe buffer, so a write meets the
+    # closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kimap", "run", "--db", str(db_dir), "--sessions", "3000",
+         "--hash", "toy"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"transcript session=1 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 class TestInit:
     def test_creates_records(self, db_dir, capsys):
         lam, records = load_database(db_dir / "kimap.db")
@@ -99,9 +125,6 @@ class TestInit:
         run_cli("init", "--db", str(tmp_path / "x"), "--tags", "2", "--seed", "1")
         out = capsys.readouterr().out.split()
         assert out == ["t001", "t002"]
-
-    def test_refuses_overwrite(self, db_dir):
-        assert run_cli("init", "--db", str(db_dir), "--seed", "9") == 2
 
     def test_force_overwrite_byte_identical(self, db_dir):
         before = (db_dir / "kimap.db").read_bytes(), (db_dir / "master.key").read_bytes()
@@ -167,9 +190,6 @@ class TestRun:
         assert all(rec.counter == 4 for rec in records.values())
         assert all(rec.key_previous is not None for rec in records.values())
 
-    def test_missing_db_is_config_error(self, tmp_path):
-        assert run_cli("run", "--db", str(tmp_path / "nope"), "--sessions", "1") == 2
-
     def test_corrupt_db_reports_line(self, db_dir, capsys):
         p = db_dir / "kimap.db"
         lines = p.read_text().splitlines()
@@ -177,12 +197,6 @@ class TestRun:
         p.write_text("\n".join(lines) + "\n")
         assert run_cli("run", "--db", str(db_dir), "--sessions", "1") == 2
         assert ":2:" in capsys.readouterr().err
-
-    def test_zero_sessions_is_config_error(self, db_dir, capsys):
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "0") == 2
-        assert capsys.readouterr().err.startswith("kimap: ")
-        assert (db_dir / "kimap.db").read_bytes() == before
 
     def test_unrecorded_replay_source_is_config_error(self, db_dir, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
@@ -378,11 +392,6 @@ class TestCost:
         run_cli("cost", "--hash-cycles", "330")
         assert "budget fail" in capsys.readouterr().out
 
-    def test_width_keygen_rejects_is_config_error(self, capsys):
-        assert run_cli("cost", "--lambda", "7") == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and captured.out == ""
-
 
 class TestLemma1:
     def test_k8(self, capsys):
@@ -393,9 +402,6 @@ class TestLemma1:
         run_cli("lemma1", "--k", "1", "--mask", "1:1")
         out = capsys.readouterr().out
         assert "pair x=1 y=0" in out and "pair x=0 y=1" in out
-
-    def test_k_too_large(self, capsys):
-        assert run_cli("lemma1", "--k", "20") == 2
 
 
 class TestFlags:

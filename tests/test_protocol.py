@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from kimap.bits import BitString, HashSpec, OpMeter, Prng, metered, prng_next, split, xor
+from kimap.bits import (BitString, HashSpec, LengthMismatchError, OpMeter, Prng, metered,
+                        prng_next, split, xor)
 from kimap.protocol import (
     BroadcastAuth,
+    LengthError,
     MasterKey,
     ParameterError,
     ServerAuthCandidate,
@@ -205,6 +207,34 @@ class TestTagVerify:
         bad = BroadcastAuth((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
         tag_verify_and_respond(tags[0], ch.x_s, bad, TOY16)
         assert tags[0].pending is None
+
+
+class TestWidthChecks:
+    """Operands of the wrong width raise, whether they are checked once per
+    session or once per candidate."""
+
+    @pytest.mark.parametrize("x_s_len,x_t_len", [(16, 15), (15, 16), (14, 14)])
+    def test_server_prepare_rejects_wrong_width_operands(self, x_s_len, x_t_len):
+        server, _ = keygen(16, 2, Prng(20, 0))
+        with pytest.raises(LengthError):
+            server_prepare(server, BitString(0, x_s_len), BitString(0, x_t_len), TOY16)
+
+    def test_tag_scan_rejects_wrong_width_delta(self):
+        server, tags = keygen(16, 2, Prng(21, 0))
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[0])
+        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
+        bad = ServerAuthCandidate(bc.candidates[-1].sigma, BitString(0, 15))
+        with pytest.raises(LengthMismatchError):
+            tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((*bc.candidates, bad)), TOY16)
+
+    def test_tag_scan_rejects_wrong_width_challenge(self):
+        server, tags = keygen(16, 1, Prng(22, 0))
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[0])
+        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
+        with pytest.raises(LengthError):
+            tag_verify_and_respond(tags[0], BitString(0, 15), bc, TOY16)
 
 
 class TestServerFinalize:

@@ -8,6 +8,12 @@ multi-tag fault schedules, with a database round trip and direct record
 mutations mid-run, both must give the same broadcast, the same expected
 ``sigma'`` and next key for every candidate, and the same records after
 every session.
+
+The tag side is held to the same reference: over even widths 8-64 and both
+hash variants, each candidate's ``sigma`` and expected ``sigma'`` are the
+digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, and the tag scan
+accepts exactly the first candidate whose ``sigma`` equals the reference
+``auth_server_tag`` of its ``delta``, mangled broadcasts included.
 """
 
 from dataclasses import dataclass
@@ -17,17 +23,22 @@ from hypothesis import strategies as st
 
 from kimap.bits import BitString, HashSpec, Prng, split, xor
 from kimap.protocol import (
+    BroadcastAuth,
+    ServerAuthCandidate,
     TagAuth,
     auth_server_tag,
     auth_tag_msg,
     key_update,
     keygen,
+    make_candidate,
     partial_key,
     server_begin,
     server_finalize,
     server_prepare,
     server_timeout,
     session_key,
+    session_operands,
+    slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,
 )
@@ -153,3 +164,84 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
                 ref_finalize(ref, entries, answer.sigma_prime)
         broadcasts.append(broadcast)
         assert record_states(server) == record_states(ref)
+
+
+def ref_scan(spec, key, x_s, x_t, candidates):
+    """The tag's flight 4 from the paper's formulas: ``(sigma', next key)``
+    from the first candidate that authenticates the server, else None."""
+    k_prime, k_dprime = split(key)
+    for c in candidates:
+        x = xor(c.delta, key)
+        if auth_server_tag(spec, k_prime, x, x_s, x_t) == c.sigma:
+            x_prime, x_dprime = split(x)
+            return (auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime)),
+                    key_update(spec, k_dprime, x_dprime, x_s))
+    return None
+
+
+# (candidate index, field, bit): flip one bit of a broadcast candidate. A
+# forged candidate (position, partial-key bits) is one more that verifies, so
+# which of two verifying candidates the tag takes shows.
+mangles = st.lists(st.tuples(st.integers(0, 15), st.sampled_from(("sigma", "delta")),
+                             st.integers(0, 63)), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.integers(4, 32).map(lambda h: 2 * h), toy=st.booleans(),
+       n_tags=st.integers(1, 4), seed=st.integers(0, 1 << 16),
+       warm=st.lists(st.booleans(), min_size=4, max_size=4), tag_idx=st.integers(0, 3),
+       mangle=mangles, foreign=st.booleans(),
+       forge=st.none() | st.tuples(st.integers(0, 16), st.integers(0, (1 << 64) - 1)))
+def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, tag_idx, mangle,
+                                                 foreign, forge):
+    spec = HashSpec.toy(lam) if toy else HashSpec.production(lam)
+    server, tags = keygen(lam, n_tags, Prng(seed, 0))
+    for tag, honest in zip(tags, warm):  # an accepted record broadcasts its previous slot too
+        if honest:
+            challenge = server_begin(server)
+            tag_respond_nonce(tag)
+            broadcast, pending = server_prepare(server, challenge.x_s, tag.pending, spec)
+            server_finalize(server, pending,
+                            tag_verify_and_respond(tag, challenge.x_s, broadcast, spec))
+
+    tag = tags[tag_idx % n_tags]
+    x_s = server_begin(server).x_s
+    x_t = tag_respond_nonce(tag).x_t
+    ops = session_operands(x_s, x_t)
+    for rec in server.records.values():
+        for key in filter(None, (rec.key_current, rec.key_previous)):
+            keys = slot_keys(spec, rec.counter, server.master, key)
+            cand = make_candidate(keys, ops)
+            k_prime, _ = split(key)
+            x_prime, _ = split(keys.x)
+            assert cand.sigma == auth_server_tag(spec, k_prime, keys.x, x_s, x_t)
+            assert cand.delta == xor(key, keys.x)
+            assert cand.expected_sigma_prime == auth_tag_msg(spec, x_t, x_s,
+                                                             session_key(k_prime, x_prime))
+
+    candidates = list(server_prepare(server, x_s, x_t, spec)[0].candidates)
+    if foreign:  # one more session's broadcast, for the same challenge and nonce
+        other, _ = keygen(lam, 1, Prng(seed + 1, 0))
+        candidates += server_prepare(other, x_s, x_t, spec)[0].candidates
+    for idx, field_name, bit in mangle:
+        i = idx % len(candidates)
+        sigma, delta = candidates[i].sigma, candidates[i].delta
+        if field_name == "sigma":
+            sigma = sigma.flip(bit % lam)
+        else:
+            delta = delta.flip(bit % lam)
+        candidates[i] = ServerAuthCandidate(sigma, delta)
+
+    key, counter = tag.key, tag.counter
+    if forge is not None:  # a second candidate that verifies under the tag's key
+        pos, bits = forge
+        x = BitString(bits >> (64 - lam), lam)
+        candidates.insert(pos % (len(candidates) + 1), ServerAuthCandidate(
+            auth_server_tag(spec, split(key)[0], x, x_s, x_t), xor(x, key)))
+    want = ref_scan(spec, key, x_s, x_t, candidates)
+    answer = tag_verify_and_respond(tag, x_s, BroadcastAuth(tuple(candidates)), spec)
+    if want is None:
+        assert (tag.key, tag.counter) == (key, counter)
+        assert len(answer.sigma_prime) == lam
+    else:
+        assert (answer.sigma_prime, tag.key, tag.counter) == (*want, counter + 1)
