@@ -18,6 +18,7 @@ from .bits import (
     concat,
     counter_hash,
     hash2,
+    hash2_layout,
     metered,
     prng_next,
     split,

@@ -6,7 +6,9 @@ never inferred from a byte container). The module also provides:
 
 * :class:`HashSpec` / :func:`hash2` / :func:`counter_hash` -- a pluggable
   hash with a deterministic two-argument form ``H(a, b)`` and a
-  counter-bound per-session form ``H_i(a, b)``.  Two variants exist:
+  counter-bound per-session form ``H_i(a, b)``. :func:`hash2_layout` states
+  the one input encoding, which :func:`hash2` takes from two bitstrings or
+  as an int already encoded.  Two variants exist:
   ``production`` (SHA-256 truncated to the output width) and ``toy`` (a
   small keyless mixer meant to be exhaustively brute-forceable in tests).
 * :class:`Prng` / :func:`prng_next` -- a deterministic counter-mode stream
@@ -21,6 +23,7 @@ import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -242,29 +245,58 @@ def _toy_digest(data: bytes, out_bits: int) -> int:
             return out
 
 
-def hash2(spec: HashSpec, left: BitString, right: BitString) -> BitString:
-    """Deterministic two-argument digest ``H(left, right)``.
+@lru_cache(maxsize=256)
+def hash2_layout(n_left: int, n_right: int) -> tuple[int, int, int, int]:
+    """The encoding :func:`hash2` digests, for an ``n_left``-bit left and an
+    ``n_right``-bit right operand, as ``(base, left_shift, right_shift,
+    nbytes)``: the input is ``base | left << left_shift | right <<
+    right_shift`` as ``nbytes`` big-endian bytes. ``base`` holds the 32-bit
+    length prefix and the 1 that starts the 10* padding."""
+    n_bits = 32 + n_left + n_right + 1
+    pad = -n_bits % 8
+    right_shift = pad + 1
+    left_shift = right_shift + n_right
+    base = n_left << (left_shift + n_left) | 1 << pad
+    return base, left_shift, right_shift, (n_bits + pad) // 8
+
+
+def hash2(spec: HashSpec, left: BitString | int, right: BitString | int) -> BitString | int:
+    """Deterministic two-argument digest ``H(left, right)``, the one counted
+    hash.
 
     The pair is encoded injectively: a 32-bit big-endian length prefix for
     ``left``, then ``left``'s bits, then ``right``'s bits, then 10* padding
     to a byte boundary. Appending a 1 bit then zeros keeps the bits -> bytes
     map injective, so the encoding stays injective over pairs of arbitrary
-    lengths. The encoding is built as one integer.
+    lengths. :func:`hash2_layout` states that encoding once, per pair of
+    widths, and there are two ways in:
+
+    * ``hash2(spec, left, right)`` with two :class:`BitString` operands
+      encodes them by the layout and returns the digest as a
+      :class:`BitString`;
+    * ``hash2(spec, encoded, nbytes)`` with the input already encoded by
+      the layout, as an int, and its byte count, returns the digest as an
+      int. A caller that hashes many inputs sharing an operand builds that
+      operand's term once and ORs in the rest.
+
+    Both count one hash and digest the same bytes.
     """
     meter = _ACTIVE_METER.get()
     if meter is not None:
         meter.hash_calls += 1
-    n_left, n_right = left._length, right._length
-    enc = (((n_left << n_left | left._value) << n_right | right._value) << 1) | 1
-    n_bits = 32 + n_left + n_right + 1
-    pad = -n_bits % 8
-    data = (enc << pad).to_bytes((n_bits + pad) // 8, "big")
+    encoded = type(left) is int
+    if encoded:
+        data = left.to_bytes(right, "big")
+    else:
+        base, left_shift, right_shift, nbytes = hash2_layout(left._length, right._length)
+        enc = base | left._value << left_shift | right._value << right_shift
+        data = enc.to_bytes(nbytes, "big")
     out_bits = spec.output_len_bits
     if spec.variant == "production":
         value = int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - out_bits)
     else:
         value = _toy_digest(data, out_bits)
-    return _trusted(value, out_bits)
+    return value if encoded else _trusted(value, out_bits)
 
 
 # Width of the session counter ``i`` that H_i binds, and so of every stored
@@ -315,10 +347,29 @@ class Prng:
                 return v
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
+        """In-place Fisher-Yates shuffle driven by this stream. Position
+        ``i`` takes the draws ``randbelow(i + 1)`` would, each counted as
+        one PRNG draw, in one loop over the stream's buffered bits."""
+        draws = 0
+        acc, acc_bits = self._acc, self._acc_bits
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            k = i.bit_length()
+            while True:
+                draws += 1
+                if acc_bits < k:
+                    self._acc, self._acc_bits = acc, acc_bits
+                    _fill(self, k)
+                    acc, acc_bits = self._acc, self._acc_bits
+                acc_bits -= k
+                j = acc >> acc_bits
+                acc &= (1 << acc_bits) - 1
+                if j <= i:
+                    break
             items[i], items[j] = items[j], items[i]
+        self._acc, self._acc_bits = acc, acc_bits
+        meter = _ACTIVE_METER.get()
+        if meter is not None:
+            meter.prng_calls += draws
 
 
 def prng_next(p: Prng, nbits: int) -> BitString:
@@ -334,6 +385,17 @@ def _draw(p: Prng, nbits: int) -> int:
     meter = _ACTIVE_METER.get()
     if meter is not None:
         meter.prng_calls += 1
+    if p._acc_bits < nbits:
+        _fill(p, nbits)
+    excess = p._acc_bits - nbits
+    out = p._acc >> excess
+    p._acc &= (1 << excess) - 1
+    p._acc_bits = excess
+    return out
+
+
+def _fill(p: Prng, nbits: int) -> None:
+    """Append stream blocks until at least ``nbits`` bits are buffered."""
     while p._acc_bits < nbits:
         block = hashlib.sha256(
             _PRNG_DOMAIN
@@ -344,8 +406,3 @@ def _draw(p: Prng, nbits: int) -> int:
         p._acc = (p._acc << 256) | int.from_bytes(block, "big")
         p._acc_bits += 256
         p._counter += 1
-    excess = p._acc_bits - nbits
-    out = p._acc >> excess
-    p._acc &= (1 << excess) - 1
-    p._acc_bits = excess
-    return out

@@ -24,14 +24,21 @@ identifies the record by matching ``sigma'`` against precomputed
 expectations. The tag checks every candidate whether or not one matches.
 
 Per session the server computes 2 hashes per candidate (``sigma`` and the
-expected ``sigma'``). The partial key ``x``, ``delta`` and the two key
-concatenations depend only on the slot's key and the record's counter, so
-they are cached per record slot (:class:`SlotKeys`) and rebuilt only when
-those change, as for the record accepted last. The session operands
-``x_s || x_t`` and ``x_t || x_s`` are built once per session, with their
-width check (:func:`session_operands`), and every candidate on the server
-and every step of the tag's scan shares them. The next key is computed only
-for the matched candidate, or for every record when a failed session hedges.
+expected ``sigma'``). Each hash input is one slot term ORed with one session
+term, both already encoded as ints by the one ``hash2`` layout
+(:func:`~kimap.bits.hash2_layout`, cached per pair of widths). Cached per
+record slot (:class:`SlotKeys`), and rebuilt only when the slot's key or the
+record's counter changes, as for the record accepted last: the partial key
+``x``, ``delta``, the length-prefixed ``k' || x`` term of ``sigma`` and the
+``k' || x'`` term of ``sigma'``. Built once per session, with their width
+check (:func:`session_operands`): the ``x_s || x_t`` term of ``sigma``, the
+length-prefixed ``x_t || x_s`` term of ``sigma'`` and the two byte counts.
+Every candidate on the server shares them, and so does the tag's scan,
+which ORs each candidate's ``x_hat = delta XOR k`` into one per-session
+input. Digests stay ints until they reach the wire: ``sigma`` becomes a
+``BitString``, the expected ``sigma'`` is compared as an int and then by
+width. The next key is computed only for the matched candidate, or for
+every record when a failed session hedges.
 
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
@@ -48,10 +55,11 @@ candidate, so its tag's sessions are rejected and the record stays as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .bits import (COUNTER_BITS, BitString, HashSpec, OpMeter, Prng, counter_hash, hash2, metered,
-                   prng_next, split, xor)
+from .bits import (COUNTER_BITS, BitString, HashSpec, LengthMismatchError, OpMeter, Prng, _trusted,
+                   counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
 
 
 class ProtocolError(Exception):
@@ -119,18 +127,20 @@ class ServerTagRecord:
 @dataclass(frozen=True, slots=True)
 class SlotKeys:
     """The per-slot values of one (record, key slot) that stay fixed until
-    the slot's key or the record's counter changes: the partial key
-    ``x = H_i(SK*, k)``, ``delta = k XOR x``, the sigma key ``k' || x`` and
-    the session key ``k' || x'``, derived from ``key`` at session
-    ``counter``."""
+    the slot's key or the record's counter changes, derived from ``key`` at
+    session ``counter``: the partial key ``x = H_i(SK*, k)``, ``delta = k
+    XOR x``, and the slot's terms of the two candidate hashes, encoded by
+    :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the length-prefixed,
+    shifted left operand ``k' || x`` of ``sigma``, and ``session_term``, the
+    shifted right operand ``k' || x'`` (the session key) of ``sigma'``."""
 
     spec: HashSpec
     counter: int
     key: BitString
     x: BitString
     delta: BitString
-    sigma_key: BitString
-    session_key: BitString
+    sigma_term: int
+    session_term: int
 
 
 @dataclass
@@ -179,16 +189,21 @@ class TagAuth:
 
 @dataclass(frozen=True, slots=True)
 class SessionOperands:
-    """A session's two message operands, built once per session: ``s_t =
-    x_s || x_t`` is the right operand of every candidate's ``sigma``, and
-    ``t_s = x_t || x_s`` the left operand of every expected ``sigma'``.
-    ``width`` is the width of ``x_s`` and ``x_t``, and so of every key."""
+    """A session's message operands, encoded once per session by
+    :func:`~kimap.bits.hash2_layout`: ``s_t_term`` is the shifted right
+    operand ``x_s || x_t`` of every candidate's ``sigma``, and ``t_s_term``
+    the length-prefixed, shifted left operand ``x_t || x_s`` of every
+    expected ``sigma'``; ``sigma_bytes`` and ``sigma_prime_bytes`` are the
+    two inputs' byte counts. ``width`` is the width of ``x_s`` and ``x_t``,
+    and so of every key."""
 
     x_s: BitString
     x_t: BitString
-    s_t: BitString
-    t_s: BitString
     width: int
+    s_t_term: int
+    t_s_term: int
+    sigma_bytes: int
+    sigma_prime_bytes: int
 
 
 @dataclass(slots=True)
@@ -197,9 +212,15 @@ class PendingCandidate:
     slot: str  # "current" | "previous"
     sigma: BitString
     delta: BitString
-    expected_sigma_prime: BitString
+    # The expected sigma' as an int; its width is the hash's output width.
+    sigma_prime_value: int
     keys: SlotKeys = field(repr=False)
     x_s: BitString = field(repr=False)
+
+    @property
+    def expected_sigma_prime(self) -> BitString:
+        """The ``sigma'`` this candidate expects, at the hash's output width."""
+        return _trusted(self.sigma_prime_value, self.keys.spec.output_len_bits)
 
     @property
     def next_key(self) -> BitString:
@@ -323,38 +344,55 @@ def tag_respond_nonce(tag: TagState) -> TagNonce:
     return TagNonce(x_t)
 
 
+@lru_cache(maxsize=64)
+def _layouts(width: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """The :func:`~kimap.bits.hash2_layout` of both candidate hashes for
+    keys of ``width`` bits: ``sigma = H(k' || x, x_s || x_t)`` and
+    ``sigma' = H(x_t || x_s, k' || x')``."""
+    return hash2_layout(width + width // 2, 2 * width), hash2_layout(2 * width, width)
+
+
 def slot_keys(spec: HashSpec, counter: int, master: MasterKey, key: BitString) -> SlotKeys:
     """The per-slot values of ``key`` at session ``counter``: one hash."""
     x = partial_key(spec, counter, master, key)
     k_prime, _ = split(key)
     x_prime, _ = split(x)
-    if len(x) != len(key):
+    width = len(key)
+    if len(x) != width:
         raise LengthError(key, x)
+    (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
     return SlotKeys(spec=spec, counter=counter, key=key, x=x, delta=xor(key, x),
-                    sigma_key=k_prime + x, session_key=session_key(k_prime, x_prime))
+                    sigma_term=base | (k_prime.value << width | x.value) << shift,
+                    session_term=session_key(k_prime, x_prime).value << sk_shift)
 
 
 def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
     """The session's operands :class:`SessionOperands`, after the one width
     check they need: ``x_s`` and ``x_t`` are equally wide."""
-    if len(x_s) != len(x_t):
+    width = len(x_s)
+    if len(x_t) != width:
         raise LengthError(x_s, x_t)
-    return SessionOperands(x_s, x_t, x_s + x_t, x_t + x_s, len(x_s))
+    (_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes) = _layouts(width)
+    s, t = x_s.value, x_t.value
+    return SessionOperands(x_s, x_t, width, (s << width | t) << st_shift,
+                           base | (t << width | s) << ts_shift, sigma_bytes, sigma_prime_bytes)
 
 
 def make_candidate(keys: SlotKeys, ops: SessionOperands,
                    label: str = "", slot: str = "current") -> PendingCandidate:
     """Flight-3 computation for one (record, key slot): the wire pair
     ``(sigma, delta)`` plus the expected ``sigma'``, two hashes. These are
-    the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, from
-    the slot's cached concatenations and the session's operands. The next
-    key the server commits if the expectation is met is computed on demand
+    the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, each
+    hashed from one slot term ORed with one session term. The next key the
+    server commits if the expectation is met is computed on demand
     (:attr:`PendingCandidate.next_key`)."""
     if len(keys.x) != ops.width:
         raise LengthError(keys.x, ops.x_s, ops.x_t)
     spec = keys.spec
-    return PendingCandidate(label, slot, hash2(spec, keys.sigma_key, ops.s_t), keys.delta,
-                            hash2(spec, ops.t_s, keys.session_key), keys, ops.x_s)
+    sigma = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
+    return PendingCandidate(label, slot, _trusted(sigma, spec.output_len_bits), keys.delta,
+                            hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes),
+                            keys, ops.x_s)
 
 
 def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
@@ -411,21 +449,32 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     with metered(tag.meter):
         ops = session_operands(x_s, x_t)
         key = tag.key
-        if len(key) != ops.width:
+        width = ops.width
+        if len(key) != width:
             raise LengthError(key, x_s, x_t)
         k_prime, k_dprime = split(key)
-        s_t = ops.s_t
-        matched_x: Optional[BitString] = None
-        for cand in broadcast.candidates:
-            x_hat = xor(cand.delta, key)
-            if hash2(spec, k_prime + x_hat, s_t) == cand.sigma and matched_x is None:
-                matched_x = x_hat
-        if matched_x is None:
-            sigma_prime = prng_next(tag.prng, len(key))
+        # sigma's input for a candidate is base | x_hat << shift: the slot
+        # term of k' || x_hat without x_hat, ORed with the session's term.
+        (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
+        base |= k_prime.value << (shift + width) | ops.s_t_term
+        nbytes, out_bits, k = ops.sigma_bytes, spec.output_len_bits, key.value
+        matched: Optional[int] = None
+        for sigma, delta in broadcast.candidates:
+            if len(delta) != width:
+                raise LengthMismatchError(f"xor of lengths {len(delta)} and {width}")
+            x_hat = delta.value ^ k
+            if (hash2(spec, base | x_hat << shift, nbytes) == sigma.value
+                    and len(sigma) == out_bits and matched is None):
+                matched = x_hat
+        # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
+        tag.meter.xor_calls += len(broadcast.candidates)
+        if matched is None:
+            sigma_prime = prng_next(tag.prng, width)
             tag.pending = None
             return TagAuth(sigma_prime)
-        x_prime, x_dprime = split(matched_x)
-        sigma_prime = hash2(spec, ops.t_s, session_key(k_prime, x_prime))
+        x_prime, x_dprime = split(_trusted(matched, width))
+        sk_term = session_key(k_prime, x_prime).value << sk_shift
+        sigma_prime = _trusted(hash2(spec, ops.t_s_term | sk_term, ops.sigma_prime_bytes), out_bits)
         tag.key = key_update(spec, k_dprime, x_dprime, x_s)
     tag.counter += 1
     tag.pending = None
@@ -441,12 +490,12 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     the candidate's next key. Anything else is a rejection, which hedges
     (see :func:`_hedge_on_failure`).
     """
-    # The ints compare without a Python-level BitString.__eq__ call per
-    # candidate; the few whose values match are then compared in full.
+    # Every expectation is compared as an int; the few whose values match
+    # are then held to the hash's output width.
     want = ta.sigma_prime
-    value = want.value
+    value, width = want.value, len(want)
     matches = [c for c in pending.candidates
-               if c.expected_sigma_prime.value == value and c.expected_sigma_prime == want]
+               if c.sigma_prime_value == value and c.keys.spec.output_len_bits == width]
     if len(matches) == 1:
         cand = matches[0]
         rec = server.records[cand.label]

@@ -1,7 +1,7 @@
 """Bitstring arithmetic, hash, and PRNG contracts."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kimap.bits import (
@@ -14,6 +14,7 @@ from kimap.bits import (
     concat,
     counter_hash,
     hash2,
+    hash2_layout,
     metered,
     prng_next,
     split,
@@ -170,6 +171,33 @@ class TestHash2:
         assert (0x21, 0x43) in found
 
 
+class TestHash2Encoded:
+    """The two ways into hash2 digest the same bytes: an input pre-encoded by
+    hash2_layout, with its byte count, gives the int value of the BitString
+    form's digest, and each way counts one hash."""
+
+    @given(n_left=st.integers(1, 300), n_right=st.integers(1, 300), data=st.data(),
+           toy=st.booleans(), out_bits=st.integers(1, 64))
+    @example(n_left=1, n_right=1, data=None, toy=False, out_bits=64)      # 35 bits
+    @example(n_left=7, n_right=3, data=None, toy=True, out_bits=16)       # 43 bits
+    @example(n_left=96, n_right=128, data=None, toy=False, out_bits=64)   # sigma at 64
+    @example(n_left=128, n_right=64, data=None, toy=False, out_bits=64)   # sigma' at 64
+    @example(n_left=300, n_right=299, data=None, toy=True, out_bits=8)
+    def test_encoded_int_matches_bitstring_form(self, n_left, n_right, data, toy, out_bits):
+        def value(n):
+            return data.draw(st.integers(0, (1 << n) - 1)) if data else (1 << n) - 1
+        left, right = BitString(value(n_left), n_left), BitString(value(n_right), n_right)
+        spec = HashSpec.toy(out_bits) if toy else HashSpec.production(out_bits)
+        base, left_shift, right_shift, nbytes = hash2_layout(n_left, n_right)
+        assert nbytes == (32 + n_left + n_right + 1 + 7) // 8
+        with metered(OpMeter()) as m:
+            want = hash2(spec, left, right)
+            got = hash2(spec, base | left.value << left_shift | right.value << right_shift, nbytes)
+        assert type(got) is int
+        assert (got, out_bits) == (want.value, len(want))
+        assert m.snapshot() == (2, 0, 0)
+
+
 class TestCounterHash:
     def test_deterministic(self):
         a, b = BitString(0x11, 8), BitString(0xEE, 8)
@@ -216,6 +244,25 @@ class TestPrng:
         items = list(range(10))
         Prng(4, 0).shuffle(items)
         assert sorted(items) == list(range(10))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 512, 513])
+    def test_shuffle_draws_are_randbelow_draws(self, n):
+        """The shuffle makes the draws a Fisher-Yates loop over randbelow
+        makes, counts them alike, and leaves the stream where that loop does."""
+        items, want = list(range(n)), list(range(n))
+        with metered(OpMeter()) as m:
+            stream = Prng(9, 3)
+            stream.randbelow(1000)  # start mid-block
+            stream.shuffle(items)
+        with metered(OpMeter()) as ref:
+            replay = Prng(9, 3)
+            replay.randbelow(1000)
+            for i in range(n - 1, 0, -1):
+                j = replay.randbelow(i + 1)
+                want[i], want[j] = want[j], want[i]
+        assert items == want
+        assert m.snapshot() == ref.snapshot()
+        assert prng_next(stream, 64) == prng_next(replay, 64)
 
 
 class TestMeter:

@@ -236,6 +236,39 @@ class TestWidthChecks:
         with pytest.raises(LengthError):
             tag_verify_and_respond(tags[0], BitString(0, 15), bc, TOY16)
 
+    @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
+    @pytest.mark.parametrize("extra", [1, 8, 48])
+    def test_tag_scan_holds_sigma_to_its_width(self, spec, extra):
+        """A candidate whose sigma has the digest's value but another width
+        does not authenticate the server."""
+        server, tags = keygen(16, 1, Prng(23, 0))
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[0])
+        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, spec)
+        (sigma, delta), = bc.candidates
+        assert sigma == auth_server_tag(spec, split(tags[0].key)[0], xor(delta, tags[0].key),
+                                        ch.x_s, nonce.x_t)
+        wide = ServerAuthCandidate(BitString(sigma.value, len(sigma) + extra), delta)
+        key, counter = tags[0].key, tags[0].counter
+        tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((wide,)), spec)
+        assert (tags[0].key, tags[0].counter) == (key, counter)
+
+    @pytest.mark.parametrize("extra", [1, 8, 48])
+    def test_finalize_holds_sigma_prime_to_its_width(self, extra):
+        """A sigma' whose value matches an expectation but whose width
+        differs is rejected, and the session hedges as any rejection does."""
+        server, tags = keygen(16, 2, Prng(24, 0))
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[1])
+        bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
+        answer = tag_verify_and_respond(tags[1], ch.x_s, bc, TOY16).sigma_prime
+        assert answer in [c.expected_sigma_prime for c in pending.candidates]
+        wide = TagAuth(BitString(answer.value, len(answer) + extra))
+        result = server_finalize(server, pending, wide)
+        assert not result.accepted
+        assert [rec.consecutive_failures for rec in server.records.values()] == [1, 1]
+        assert server.records["t002"].counter == 1
+
 
 class TestServerFinalize:
     def test_random_sigma_prime_rejected(self):
