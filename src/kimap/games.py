@@ -228,11 +228,11 @@ class OracleHandle:
         if self._pending_x_s is None:
             raise SessionOrderError("reply needs a pending server challenge")
         x_s, self._pending_x_s = self._pending_x_s, None
-        rec = self.server.records[self._labels[tag]]
-        keys = slot_keys(self.spec, rec.counter, self.server.master, rec.key_current)
-        cand = make_candidate(keys, session_operands(x_s, x_t), rec.label, "current")
-        self._pending_reply[tag] = PendingSession(x_s=x_s, candidates=(cand,))
-        return cand.sigma, cand.delta
+        keys = slot_keys(self.spec, self.server.master, self.server.records[self._labels[tag]],
+                         "current")
+        pair, expected = make_candidate(keys, session_operands(x_s, x_t))
+        self._pending_reply[tag] = PendingSession(x_s, (keys,), (expected,))
+        return pair
 
     def _reply_prime_core(self, tag: int, x_s: BitString, sigma: BitString,
                           delta: BitString) -> tuple[BitString, bool, Optional[object]]:
@@ -432,7 +432,7 @@ class KeyKnowledge(Distinguisher):
 
     def _eavesdrop(self, h: OracleHandle, tag: int) -> tuple[Optional[BitString], BitString]:
         """Observes one session: (its challenge, or None if withheld; delta)."""
-        if h.definition == "backward" and not self.leaky:
+        if "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky:
             return None, h.execute_b(tag).delta
         t = h.execute(tag)
         return t.x_s.x_s, t.broadcast.candidates[0].delta
@@ -456,15 +456,16 @@ class KeyKnowledge(Distinguisher):
 
     def interact(self, h: OracleHandle) -> None:
         self.match = False
+        d = DEFINITIONS[h.definition]
         c = h.n_tags - 1
         for t in range(c):
             self._eavesdrop(h, t)
-        if h.definition not in ("forward", "backward"):
+        if "reveal_secret" not in d.oracles:
             raise OracleMisuseError("key-knowledge needs a reveal oracle; run it on the "
                                     "forward or backward game")
         h.choose_challenge(c)
         self._eavesdrop(h, c)                       # instance 1
-        if h.definition == "backward":
+        if d.test_offset > 0:
             key = h.reveal_secret(c)                # key of period 2
             seen = self._eavesdrop(h, c)            # instance 2
             key = self._evolve(h.spec, key, *seen)

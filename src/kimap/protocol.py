@@ -37,8 +37,11 @@ Every candidate on the server shares them, and so does the tag's scan,
 which ORs each candidate's ``x_hat = delta XOR k`` into one per-session
 input. Digests stay ints until they reach the wire: ``sigma`` becomes a
 ``BitString``, the expected ``sigma'`` is compared as an int and then by
-width. The next key is computed only for the matched candidate, or for
-every record when a failed session hedges.
+width. A candidate is one slot and two digests: :func:`make_candidate`
+builds its wire pair once, and the pending session keeps, in broadcast
+order, only each candidate's :class:`SlotKeys` and expected ``sigma'``. The
+next key is computed only for the matched candidate, or for every record
+when a failed session hedges.
 
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
@@ -126,14 +129,17 @@ class ServerTagRecord:
 
 @dataclass(frozen=True, slots=True)
 class SlotKeys:
-    """The per-slot values of one (record, key slot) that stay fixed until
-    the slot's key or the record's counter changes, derived from ``key`` at
+    """One (record, key slot), as the record ``label`` held it in ``slot``
+    ("current" | "previous"), and the values that stay fixed until the
+    slot's key or the record's counter changes, derived from ``key`` at
     session ``counter``: the partial key ``x = H_i(SK*, k)``, ``delta = k
     XOR x``, and the slot's terms of the two candidate hashes, encoded by
     :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the length-prefixed,
     shifted left operand ``k' || x`` of ``sigma``, and ``session_term``, the
     shifted right operand ``k' || x'`` (the session key) of ``sigma'``."""
 
+    label: str
+    slot: str
     spec: HashSpec
     counter: int
     key: BitString
@@ -141,6 +147,15 @@ class SlotKeys:
     delta: BitString
     sigma_term: int
     session_term: int
+
+    def next_key(self, x_s: BitString) -> BitString:
+        """The key the server commits if this slot's candidate is matched in
+        the session with challenge ``x_s``: ``H(k'' || x'', x_s)``. One hash
+        on every call, so only the matched candidate and the hedging path
+        pay for it."""
+        _, k_dprime = split(self.key)
+        _, x_dprime = split(self.x)
+        return key_update(self.spec, k_dprime, x_dprime, x_s)
 
 
 @dataclass
@@ -206,39 +221,17 @@ class SessionOperands:
     sigma_prime_bytes: int
 
 
-@dataclass(slots=True)
-class PendingCandidate:
-    label: str
-    slot: str  # "current" | "previous"
-    sigma: BitString
-    delta: BitString
-    # The expected sigma' as an int; its width is the hash's output width.
-    sigma_prime_value: int
-    keys: SlotKeys = field(repr=False)
-    x_s: BitString = field(repr=False)
-
-    @property
-    def expected_sigma_prime(self) -> BitString:
-        """The ``sigma'`` this candidate expects, at the hash's output width."""
-        return _trusted(self.sigma_prime_value, self.keys.spec.output_len_bits)
-
-    @property
-    def next_key(self) -> BitString:
-        """The key the server commits if this candidate's expectation is
-        met, ``H(k'' || x'', x_s)``. One hash on every read, so only the
-        matched candidate and the hedging path pay for it."""
-        _, k_dprime = split(self.keys.key)
-        _, x_dprime = split(self.keys.x)
-        return key_update(self.keys.spec, k_dprime, x_dprime, self.x_s)
-
-
 @dataclass(frozen=True)
 class PendingSession:
-    """Server-side bookkeeping for one in-flight session. Discarded after
-    finalize/timeout; never persisted."""
+    """Server-side bookkeeping for one in-flight session, in broadcast
+    order: ``candidates`` holds the slot each broadcast candidate came from,
+    and ``expected`` each candidate's expected ``sigma'`` as an int (its
+    width is the hash's output width). Discarded after finalize/timeout;
+    never persisted."""
 
     x_s: BitString
-    candidates: tuple[PendingCandidate, ...]
+    candidates: tuple[SlotKeys, ...]
+    expected: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -352,16 +345,19 @@ def _layouts(width: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int
     return hash2_layout(width + width // 2, 2 * width), hash2_layout(2 * width, width)
 
 
-def slot_keys(spec: HashSpec, counter: int, master: MasterKey, key: BitString) -> SlotKeys:
-    """The per-slot values of ``key`` at session ``counter``: one hash."""
-    x = partial_key(spec, counter, master, key)
+def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str) -> SlotKeys:
+    """The :class:`SlotKeys` of ``rec``'s key in ``slot`` at the record's
+    counter: one hash."""
+    key = rec.key_current if slot == "current" else rec.key_previous
+    x = partial_key(spec, rec.counter, master, key)
     k_prime, _ = split(key)
     x_prime, _ = split(x)
     width = len(key)
     if len(x) != width:
         raise LengthError(key, x)
     (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
-    return SlotKeys(spec=spec, counter=counter, key=key, x=x, delta=xor(key, x),
+    return SlotKeys(label=rec.label, slot=slot, spec=spec, counter=rec.counter, key=key,
+                    x=x, delta=xor(key, x),
                     sigma_term=base | (k_prime.value << width | x.value) << shift,
                     session_term=session_key(k_prime, x_prime).value << sk_shift)
 
@@ -378,21 +374,19 @@ def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
                            base | (t << width | s) << ts_shift, sigma_bytes, sigma_prime_bytes)
 
 
-def make_candidate(keys: SlotKeys, ops: SessionOperands,
-                   label: str = "", slot: str = "current") -> PendingCandidate:
-    """Flight-3 computation for one (record, key slot): the wire pair
-    ``(sigma, delta)`` plus the expected ``sigma'``, two hashes. These are
+def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCandidate, int]:
+    """Flight-3 computation for one (record, key slot), two hashes: the wire
+    pair ``(sigma, delta)`` and the expected ``sigma'`` as an int. These are
     the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, each
     hashed from one slot term ORed with one session term. The next key the
     server commits if the expectation is met is computed on demand
-    (:attr:`PendingCandidate.next_key`)."""
+    (:meth:`SlotKeys.next_key`)."""
     if len(keys.x) != ops.width:
         raise LengthError(keys.x, ops.x_s, ops.x_t)
     spec = keys.spec
     sigma = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
-    return PendingCandidate(label, slot, _trusted(sigma, spec.output_len_bits), keys.delta,
-                            hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes),
-                            keys, ops.x_s)
+    return (ServerAuthCandidate(_trusted(sigma, spec.output_len_bits), keys.delta),
+            hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes))
 
 
 def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
@@ -406,10 +400,11 @@ def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
 
 
 def _cached_slot_keys(server: ServerState, spec: HashSpec, cache: dict[str, SlotKeys],
-                      rec: ServerTagRecord, key: BitString) -> SlotKeys:
+                      rec: ServerTagRecord, slot: str) -> SlotKeys:
     keys = cache.get(rec.label)
+    key = rec.key_current if slot == "current" else rec.key_previous
     if keys is None or keys.counter != rec.counter or keys.key is not key:
-        keys = cache[rec.label] = slot_keys(spec, rec.counter, server.master, key)
+        keys = cache[rec.label] = slot_keys(spec, server.master, rec, slot)
     return keys
 
 
@@ -420,18 +415,18 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     no candidate."""
     ops = session_operands(x_s, x_t)
     current, previous = _slot_caches(server, spec)
-    entries: list[PendingCandidate] = []
+    entries: list[tuple[SlotKeys, ServerAuthCandidate, int]] = []
     for rec in server.records.values():
         if (rec.counter + 1) >> COUNTER_BITS:
             continue
-        keys = _cached_slot_keys(server, spec, current, rec, rec.key_current)
-        entries.append(make_candidate(keys, ops, rec.label, "current"))
+        keys = _cached_slot_keys(server, spec, current, rec, "current")
+        entries.append((keys, *make_candidate(keys, ops)))
         if rec.key_previous is not None:
-            keys = _cached_slot_keys(server, spec, previous, rec, rec.key_previous)
-            entries.append(make_candidate(keys, ops, rec.label, "previous"))
+            keys = _cached_slot_keys(server, spec, previous, rec, "previous")
+            entries.append((keys, *make_candidate(keys, ops)))
     server.prng.shuffle(entries)
-    broadcast = BroadcastAuth(tuple(ServerAuthCandidate(e.sigma, e.delta) for e in entries))
-    return broadcast, PendingSession(x_s=x_s, candidates=tuple(entries))
+    slots, pairs, expected = tuple(zip(*entries)) or ((), (), ())
+    return BroadcastAuth(pairs), PendingSession(x_s, slots, expected)
 
 
 def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAuth, spec: HashSpec) -> TagAuth:
@@ -490,21 +485,19 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     the candidate's next key. Anything else is a rejection, which hedges
     (see :func:`_hedge_on_failure`).
     """
-    # Every expectation is compared as an int; the few whose values match
-    # are then held to the hash's output width.
+    # Every expectation is compared as an int; a sole match is then held
+    # to the hash's output width.
     want = ta.sigma_prime
-    value, width = want.value, len(want)
-    matches = [c for c in pending.candidates
-               if c.sigma_prime_value == value and c.keys.spec.output_len_bits == width]
-    if len(matches) == 1:
-        cand = matches[0]
-        rec = server.records[cand.label]
-        matched_key = rec.key_current if cand.slot == "current" else rec.key_previous
-        rec.key_previous = matched_key
-        rec.key_current = cand.next_key
-        rec.counter += 1
-        rec.consecutive_failures = 0
-        return AuthResult(accepted=True, label=cand.label, matched_slot=cand.slot)
+    if pending.expected.count(want.value) == 1:
+        keys = pending.candidates[pending.expected.index(want.value)]
+        if len(want) == keys.spec.output_len_bits:
+            rec = server.records[keys.label]
+            if keys.slot == "current":
+                rec.key_previous = rec.key_current
+            rec.key_current = keys.next_key(pending.x_s)
+            rec.counter += 1
+            rec.consecutive_failures = 0
+            return AuthResult(accepted=True, label=keys.label, matched_slot=keys.slot)
     _hedge_on_failure(server, pending)
     return AuthResult(accepted=False)
 
@@ -521,9 +514,9 @@ def _hedge_on_failure(server: ServerState, pending: PendingSession) -> None:
     # record's would-be next key in the previous-key slot so both cases can
     # be matched next session. Counted per record; two consecutive failures
     # without an accept mean the recovery slot itself was lost.
-    for cand in pending.candidates:
-        if cand.slot != "current":
+    for keys in pending.candidates:
+        if keys.slot != "current":
             continue
-        rec = server.records[cand.label]
-        rec.key_previous = cand.next_key
+        rec = server.records[keys.label]
+        rec.key_previous = keys.next_key(pending.x_s)
         rec.consecutive_failures += 1

@@ -262,7 +262,7 @@ class TestWidthChecks:
         nonce = tag_respond_nonce(tags[1])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         answer = tag_verify_and_respond(tags[1], ch.x_s, bc, TOY16).sigma_prime
-        assert answer in [c.expected_sigma_prime for c in pending.candidates]
+        assert answer.value in pending.expected and len(answer) == 16
         wide = TagAuth(BitString(answer.value, len(answer) + extra))
         result = server_finalize(server, pending, wide)
         assert not result.accepted
@@ -308,12 +308,41 @@ class TestServerFinalize:
         assert (rec.key_current, rec.key_previous, rec.counter) == (
             rec_before.key_current, rec_before.key_previous, rec_before.counter)
 
+    def test_tied_expectation_fails_closed(self):
+        # two records with the same current key and counter expect the same
+        # sigma', so the tag's honest answer matches both: no record is
+        # identified, the session is rejected and both records hedge
+        server, tags = keygen(16, 2, Prng(25, 0))
+        server.records["t002"].key_current = key = tags[0].key
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[0])
+        bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
+        ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
+        assert tags[0].counter == 2 and pending.expected.count(ta.sigma_prime.value) == 2
+        assert not server_finalize(server, pending, ta).accepted
+        for rec in server.records.values():
+            assert (rec.key_current, rec.key_previous, rec.counter, rec.consecutive_failures) \
+                == (key, tags[0].key, 1, 1)
+
+    def test_all_records_exhausted_broadcasts_nothing(self):
+        server, tags = keygen(16, 2, Prng(26, 0))
+        for rec, tag in zip(server.records.values(), tags):
+            rec.counter = tag.counter = 2**32 - 1
+        before = [dataclasses.replace(rec) for rec in server.records.values()]
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[0])
+        bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
+        assert bc.candidates == pending.candidates == pending.expected == ()
+        ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
+        assert not server_finalize(server, pending, ta).accepted
+        assert list(server.records.values()) == before
+
     def test_timeout_parks_recovery_key(self):
         server, tags = keygen(16, 1, Prng(19, 0))
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         _, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        expected_next = pending.candidates[0].next_key
+        expected_next = pending.candidates[0].next_key(ch.x_s)
         tags[0].pending = None
         result = server_timeout(server, pending)
         assert not result.accepted

@@ -1,13 +1,14 @@
 """The server's cached, lazy flight-3 path against a straight reference.
 
 ``server_prepare`` serves each slot's partial key, delta and key
-concatenations from a per-slot cache and computes the next key only when
-it is read. The reference below recomputes all four hashes of every
-candidate on every session, as the paper's flight 3 states them. Over random
-multi-tag fault schedules, with a database round trip and direct record
-mutations mid-run, both must give the same broadcast, the same expected
-``sigma'`` and next key for every candidate, and the same records after
-every session.
+concatenations from a per-slot cache, and the pending session keeps only
+each candidate's slot and expected ``sigma'``, whose next key is computed
+only when a session commits or hedges. The reference below recomputes all
+four hashes of every candidate on every session, as the paper's flight 3
+states them. Over random multi-tag fault schedules, with a database round
+trip and direct record mutations mid-run, both must give the same
+broadcast, the same expected ``sigma'`` and next key for every candidate,
+and the same records after every session.
 
 The tag side is held to the same reference: over even widths 8-64 and both
 hash variants, each candidate's ``sigma`` and expected ``sigma'`` are the
@@ -142,9 +143,11 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
 
         assert [(c.sigma, c.delta) for c in broadcast.candidates] == \
             [(e.sigma, e.delta) for e in entries]
-        assert [(c.label, c.slot, c.expected_sigma_prime) for c in pending.candidates] == \
+        assert [(k.label, k.slot, BitString(v, spec.output_len_bits))
+                for k, v in zip(pending.candidates, pending.expected, strict=True)] == \
             [(e.label, e.slot, e.expected) for e in entries]
-        assert [c.next_key for c in pending.candidates] == [e.next_key for e in entries]
+        assert [k.next_key(challenge.x_s) for k in pending.candidates] == \
+            [e.next_key for e in entries]
 
         if fault == "drop-3":
             tag.pending = None
@@ -209,15 +212,16 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
     x_t = tag_respond_nonce(tag).x_t
     ops = session_operands(x_s, x_t)
     for rec in server.records.values():
-        for key in filter(None, (rec.key_current, rec.key_previous)):
-            keys = slot_keys(spec, rec.counter, server.master, key)
-            cand = make_candidate(keys, ops)
-            k_prime, _ = split(key)
+        slots = ("current",) if rec.key_previous is None else ("current", "previous")
+        for slot in slots:
+            keys = slot_keys(spec, server.master, rec, slot)
+            (sigma, delta), expected = make_candidate(keys, ops)
+            k_prime, _ = split(keys.key)
             x_prime, _ = split(keys.x)
-            assert cand.sigma == auth_server_tag(spec, k_prime, keys.x, x_s, x_t)
-            assert cand.delta == xor(key, keys.x)
-            assert cand.expected_sigma_prime == auth_tag_msg(spec, x_t, x_s,
-                                                             session_key(k_prime, x_prime))
+            assert sigma == auth_server_tag(spec, k_prime, keys.x, x_s, x_t)
+            assert delta == xor(keys.key, keys.x)
+            assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
+                spec, x_t, x_s, session_key(k_prime, x_prime))
 
     candidates = list(server_prepare(server, x_s, x_t, spec)[0].candidates)
     if foreign:  # one more session's broadcast, for the same challenge and nonce
