@@ -20,6 +20,7 @@ never inferred from a byte container). The module also provides:
 from __future__ import annotations
 
 import hashlib
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -245,6 +246,10 @@ def _toy_digest(data: bytes, out_bits: int) -> int:
             return out
 
 
+# The first 8 bytes of a digest as a big-endian int.
+_unpack_u64 = struct.Struct(">Q").unpack_from
+
+
 @lru_cache(maxsize=256)
 def hash2_layout(n_left: int, n_right: int) -> tuple[int, int, int, int]:
     """The encoding :func:`hash2` digests, for an ``n_left``-bit left and an
@@ -279,7 +284,9 @@ def hash2(spec: HashSpec, left: BitString | int, right: BitString | int) -> BitS
       int. A caller that hashes many inputs sharing an operand builds that
       operand's term once and ORs in the rest.
 
-    Both count one hash and digest the same bytes.
+    Both count one hash and digest the same bytes. A production digest is
+    the top ``output_len_bits`` bits of the SHA-256 digest; up to 64 of them
+    are read from its first 8 bytes alone.
     """
     meter = _ACTIVE_METER.get()
     if meter is not None:
@@ -293,7 +300,11 @@ def hash2(spec: HashSpec, left: BitString | int, right: BitString | int) -> BitS
         data = enc.to_bytes(nbytes, "big")
     out_bits = spec.output_len_bits
     if spec.variant == "production":
-        value = int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - out_bits)
+        digest = hashlib.sha256(data).digest()
+        if out_bits <= 64:
+            value = _unpack_u64(digest)[0] >> (64 - out_bits)
+        else:
+            value = int.from_bytes(digest, "big") >> (256 - out_bits)
     else:
         value = _toy_digest(data, out_bits)
     return value if encoded else _trusted(value, out_bits)
@@ -349,24 +360,31 @@ class Prng:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream. Position
         ``i`` takes the draws ``randbelow(i + 1)`` would, each counted as
-        one PRNG draw, in one loop over the stream's buffered bits."""
+        one PRNG draw, in one loop over the stream's buffered bits.
+
+        The positions run in descending runs of one draw width ``k``
+        (``2**k - 1`` down to ``2**(k - 1)``), and each draw is the ``k``
+        bits below the consumed ones, read with the run's mask. Consumed
+        bits stay in the buffer until a refill or the end, so the stream
+        ends in the state a loop of ``randbelow`` calls leaves."""
         draws = 0
         acc, acc_bits = self._acc, self._acc_bits
-        for i in range(len(items) - 1, 0, -1):
-            k = i.bit_length()
-            while True:
-                draws += 1
-                if acc_bits < k:
-                    self._acc, self._acc_bits = acc, acc_bits
-                    _fill(self, k)
-                    acc, acc_bits = self._acc, self._acc_bits
-                acc_bits -= k
-                j = acc >> acc_bits
-                acc &= (1 << acc_bits) - 1
-                if j <= i:
-                    break
-            items[i], items[j] = items[j], items[i]
-        self._acc, self._acc_bits = acc, acc_bits
+        top = len(items) - 1
+        for k in range(max(top, 0).bit_length(), 0, -1):
+            mask = (1 << k) - 1
+            for i in range(min(top, mask), mask >> 1, -1):
+                while True:
+                    draws += 1
+                    if acc_bits < k:
+                        self._acc, self._acc_bits = acc & ((1 << acc_bits) - 1), acc_bits
+                        _fill(self, k)
+                        acc, acc_bits = self._acc, self._acc_bits
+                    acc_bits -= k
+                    j = (acc >> acc_bits) & mask
+                    if j <= i:
+                        break
+                items[i], items[j] = items[j], items[i]
+        self._acc, self._acc_bits = acc & ((1 << acc_bits) - 1), acc_bits
         meter = _ACTIVE_METER.get()
         if meter is not None:
             meter.prng_calls += draws

@@ -43,6 +43,14 @@ order, only each candidate's :class:`SlotKeys` and expected ``sigma'``. The
 next key is computed only for the matched candidate, or for every record
 when a failed session hedges.
 
+So a candidate costs few Python frames besides its digests. On the server
+it costs 4: :func:`server_prepare` checks the slot cache inline and calls
+:func:`make_candidate` once, which calls ``hash2`` twice and wraps ``sigma``
+in a ``BitString`` once; the width check compares ints and the wire pair is
+built at C level. The tag's scan costs 1 per candidate, its ``hash2`` call:
+it reads each ``delta``'s and ``sigma``'s width and value from the
+``BitString`` slots.
+
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
 matched next session. A record with two consecutive failures reads as
@@ -136,13 +144,15 @@ class SlotKeys:
     XOR x``, and the slot's terms of the two candidate hashes, encoded by
     :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the length-prefixed,
     shifted left operand ``k' || x`` of ``sigma``, and ``session_term``, the
-    shifted right operand ``k' || x'`` (the session key) of ``sigma'``."""
+    shifted right operand ``k' || x'`` (the session key) of ``sigma'``.
+    ``width`` is the width of ``key`` and of ``x``."""
 
     label: str
     slot: str
     spec: HashSpec
     counter: int
     key: BitString
+    width: int
     x: BitString
     delta: BitString
     sigma_term: int
@@ -190,6 +200,11 @@ class TagNonce:
 class ServerAuthCandidate(NamedTuple):
     sigma: BitString
     delta: BitString
+
+
+# Builds a ServerAuthCandidate from a pair at C level, without the
+# NamedTuple's generated Python __new__.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -357,7 +372,7 @@ def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str
         raise LengthError(key, x)
     (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
     return SlotKeys(label=rec.label, slot=slot, spec=spec, counter=rec.counter, key=key,
-                    x=x, delta=xor(key, x),
+                    width=width, x=x, delta=xor(key, x),
                     sigma_term=base | (k_prime.value << width | x.value) << shift,
                     session_term=session_key(k_prime, x_prime).value << sk_shift)
 
@@ -381,11 +396,11 @@ def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCand
     hashed from one slot term ORed with one session term. The next key the
     server commits if the expectation is met is computed on demand
     (:meth:`SlotKeys.next_key`)."""
-    if len(keys.x) != ops.width:
+    if keys.width != ops.width:
         raise LengthError(keys.x, ops.x_s, ops.x_t)
     spec = keys.spec
     sigma = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
-    return (ServerAuthCandidate(_trusted(sigma, spec.output_len_bits), keys.delta),
+    return (_new_tuple(ServerAuthCandidate, (_trusted(sigma, spec.output_len_bits), keys.delta)),
             hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes))
 
 
@@ -399,30 +414,31 @@ def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
     return server.slot_cache["current"], server.slot_cache["previous"]
 
 
-def _cached_slot_keys(server: ServerState, spec: HashSpec, cache: dict[str, SlotKeys],
-                      rec: ServerTagRecord, slot: str) -> SlotKeys:
-    keys = cache.get(rec.label)
-    key = rec.key_current if slot == "current" else rec.key_previous
-    if keys is None or keys.counter != rec.counter or keys.key is not key:
-        keys = cache[rec.label] = slot_keys(spec, server.master, rec, slot)
-    return keys
-
-
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
     """Flight 3: one candidate per (record, available key slot), shuffled so
     broadcast position leaks nothing about registry order. An exhausted
     record, one whose next counter would not fit :data:`COUNTER_BITS`, gets
-    no candidate."""
+    no candidate.
+
+    A slot's cached :class:`SlotKeys` is served only while its record's
+    counter and the very key object it was built from are unchanged."""
     ops = session_operands(x_s, x_t)
     current, previous = _slot_caches(server, spec)
+    master = server.master
     entries: list[tuple[SlotKeys, ServerAuthCandidate, int]] = []
     for rec in server.records.values():
-        if (rec.counter + 1) >> COUNTER_BITS:
+        counter = rec.counter
+        if (counter + 1) >> COUNTER_BITS:
             continue
-        keys = _cached_slot_keys(server, spec, current, rec, "current")
+        keys = current.get(rec.label)
+        if keys is None or keys.counter != counter or keys.key is not rec.key_current:
+            keys = current[rec.label] = slot_keys(spec, master, rec, "current")
         entries.append((keys, *make_candidate(keys, ops)))
-        if rec.key_previous is not None:
-            keys = _cached_slot_keys(server, spec, previous, rec, "previous")
+        key = rec.key_previous
+        if key is not None:
+            keys = previous.get(rec.label)
+            if keys is None or keys.counter != counter or keys.key is not key:
+                keys = previous[rec.label] = slot_keys(spec, master, rec, "previous")
             entries.append((keys, *make_candidate(keys, ops)))
     server.prng.shuffle(entries)
     slots, pairs, expected = tuple(zip(*entries)) or ((), (), ())
@@ -454,12 +470,14 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         base |= k_prime.value << (shift + width) | ops.s_t_term
         nbytes, out_bits, k = ops.sigma_bytes, spec.output_len_bits, key.value
         matched: Optional[int] = None
+        # Values and widths are read from the BitString slots directly, as
+        # bits' own helpers do, so hash2 is the one call per candidate.
         for sigma, delta in broadcast.candidates:
-            if len(delta) != width:
-                raise LengthMismatchError(f"xor of lengths {len(delta)} and {width}")
-            x_hat = delta.value ^ k
-            if (hash2(spec, base | x_hat << shift, nbytes) == sigma.value
-                    and len(sigma) == out_bits and matched is None):
+            if delta._length != width:
+                raise LengthMismatchError(f"xor of lengths {delta._length} and {width}")
+            x_hat = delta._value ^ k
+            if (hash2(spec, base | x_hat << shift, nbytes) == sigma._value
+                    and sigma._length == out_bits and matched is None):
                 matched = x_hat
         # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
         tag.meter.xor_calls += len(broadcast.candidates)

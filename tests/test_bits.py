@@ -245,24 +245,30 @@ class TestPrng:
         Prng(4, 0).shuffle(items)
         assert sorted(items) == list(range(10))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 512, 513])
+    @pytest.mark.parametrize("n", [*range(71), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1024])
     def test_shuffle_draws_are_randbelow_draws(self, n):
         """The shuffle makes the draws a Fisher-Yates loop over randbelow
-        makes, counts them alike, and leaves the stream where that loop does."""
-        items, want = list(range(n)), list(range(n))
-        with metered(OpMeter()) as m:
-            stream = Prng(9, 3)
-            stream.randbelow(1000)  # start mid-block
-            stream.shuffle(items)
-        with metered(OpMeter()) as ref:
-            replay = Prng(9, 3)
-            replay.randbelow(1000)
-            for i in range(n - 1, 0, -1):
-                j = replay.randbelow(i + 1)
-                want[i], want[j] = want[j], want[i]
-        assert items == want
-        assert m.snapshot() == ref.snapshot()
-        assert prng_next(stream, 64) == prng_next(replay, 64)
+        makes, counts them alike, and leaves the stream in the state that
+        loop does. Sizes cover each draw width's first and last position;
+        the stream starts with 0, 3 or 246 bits buffered, so a refill lands
+        at a run's first draw, inside a short run, or late in a long one."""
+        for offset in (0, 253, 10):
+            items, want = list(range(n)), list(range(n))
+            with metered(OpMeter()) as m:
+                stream = Prng(9, 3)
+                if offset:
+                    prng_next(stream, offset)
+                stream.shuffle(items)
+            with metered(OpMeter()) as ref:
+                replay = Prng(9, 3)
+                if offset:
+                    prng_next(replay, offset)
+                for i in range(n - 1, 0, -1):
+                    j = replay.randbelow(i + 1)
+                    want[i], want[j] = want[j], want[i]
+            assert items == want, offset
+            assert m.snapshot() == ref.snapshot(), offset
+            assert stream == replay, offset
 
 
 class TestMeter:

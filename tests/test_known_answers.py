@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kimap.bits import BitString, HashSpec, Prng, counter_hash, hash2
+from kimap.bits import BitString, HashSpec, Prng, counter_hash, hash2, hash2_layout
 from kimap.channel import run_session
 from kimap.protocol import keygen, partial_key
 
@@ -38,6 +38,20 @@ def test_hash2_known_answers_lambda16(fixture):
     for row in fixture["hash2_lambda16"]:
         got = hash2(spec, BitString.from_text(row["left"]), BitString.from_text(row["right"]))
         assert got.to_text() == row["digest"], row
+
+
+def test_hash2_production_known_answers(fixture):
+    """SHA-256 digests truncated to widths 1-256, through both ways into
+    hash2: two bitstrings, and the input pre-encoded as an int."""
+    rows = fixture["hash2_production"]
+    assert {row["out_bits"] for row in rows} >= {1, 8, 33, 63, 64, 65, 128, 255, 256}
+    for row in rows:
+        spec = HashSpec.production(row["out_bits"])
+        left, right = BitString.from_text(row["left"]), BitString.from_text(row["right"])
+        assert hash2(spec, left, right).to_text() == row["digest"], row
+        base, left_shift, right_shift, nbytes = hash2_layout(len(left), len(right))
+        encoded = base | left.value << left_shift | right.value << right_shift
+        assert hash2(spec, encoded, nbytes) == BitString.from_text(row["digest"]).value, row
 
 
 def test_counter_hash_known_answers(fixture):

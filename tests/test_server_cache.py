@@ -19,6 +19,7 @@ accepts exactly the first candidate whose ``sigma`` equals the reference
 
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,39 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
                 ref_finalize(ref, entries, answer.sigma_prime)
         broadcasts.append(broadcast)
         assert record_states(server) == record_states(ref)
+
+
+@pytest.mark.parametrize("change", ["current-key", "previous-key", "counter"])
+def test_each_slot_check_holds_on_its_own(change):
+    """In the protocol a current key and its record's counter change
+    together, so a session alone cannot tell the two halves of the current
+    slot's cache check apart. A slot's key replaced at the same counter, or
+    the counter moved under both slots' key objects, must be derived
+    afresh, as the reference derives it."""
+    spec = SPECS[64]
+    server, _ = keygen(64, 2, Prng(5, 0))
+    ref, _ = keygen(64, 2, Prng(5, 0))
+    x_s, x_t = BitString(0x0123456789ABCDEF, 64), BitString(0xFEDCBA9876543210, 64)
+    for world in (server, ref):
+        world.records["t001"].key_previous = BitString(0x5A5A5A5A5A5A5A5A, 64)
+    server_prepare(server, x_s, x_t, spec)  # fills both slot caches
+    ref_prepare(ref, x_s, x_t, spec)
+    for world in (server, ref):
+        rec = world.records["t001"]
+        if change == "counter":
+            rec.counter += 1
+        elif change == "current-key":
+            rec.key_current = rec.key_current.flip(0)
+        else:
+            rec.key_previous = rec.key_previous.flip(0)
+
+    broadcast, pending = server_prepare(server, x_s, x_t, spec)
+    entries = ref_prepare(ref, x_s, x_t, spec)
+    assert [(c.sigma, c.delta) for c in broadcast.candidates] == \
+        [(e.sigma, e.delta) for e in entries]
+    assert [(k.label, k.slot, BitString(v, spec.output_len_bits))
+            for k, v in zip(pending.candidates, pending.expected, strict=True)] == \
+        [(e.label, e.slot, e.expected) for e in entries]
 
 
 def ref_scan(spec, key, x_s, x_t, candidates):

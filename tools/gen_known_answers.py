@@ -2,8 +2,9 @@
 """Generate tests/fixtures/known_answers.json by straight-line computation.
 
 This script deliberately imports nothing from the kimap package: every
-primitive (toy digest, pair encoding, counter binding, PRNG stream, session
-algebra) is recomputed here from scratch on plain integers, so the fixture
+primitive (toy digest, production SHA-256 digest, pair encoding, counter
+binding, PRNG stream, session algebra) is recomputed here from scratch on
+plain integers, so the fixture
 is an independent oracle for the library. Bit values are (value, nbits)
 pairs, most-significant bit first; the output encodes them as "hex:len".
 
@@ -74,13 +75,24 @@ def toy_digest(data, width, out_bits):
             return out
 
 
+def encode(a, b):
+    # 32-bit length of a, then a, then b, padded to bytes
+    return pad_to_bytes(concat(concat((a[1], 32), a), b))
+
+
 def hash2(out_bits, a, b, width=64):
-    enc = concat(concat((a[1], 32), a), b)
-    return (toy_digest(pad_to_bytes(enc), width, out_bits), out_bits)
+    return (toy_digest(encode(a, b), width, out_bits), out_bits)
 
 
 def counter_hash(out_bits, i, a, b):
     return hash2(out_bits, concat((i, 32), a), b)
+
+
+def production_hash2(out_bits, a, b):
+    # SHA-256 of the same encoding, truncated to the top out_bits bits of
+    # the whole 256-bit digest
+    digest = hashlib.sha256(encode(a, b)).digest()
+    return (int.from_bytes(digest, "big") >> (256 - out_bits), out_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +130,13 @@ class Stream:
 
 TRANSCRIPT_SEED = 20106
 LAM = 8
+
+# Production digests: every output width in PRODUCTION_OUT_BITS for each
+# operand-width pair, operands drawn from one stream. (96, 128) and
+# (128, 64) are sigma's and sigma''s operands at 64-bit keys.
+PRODUCTION_SEED = 20107
+PRODUCTION_OUT_BITS = (1, 8, 33, 63, 64, 65, 128, 255, 256)
+PRODUCTION_WIDTHS = ((96, 128), (128, 64), (5, 12), (0, 4))
 
 
 def generate():
@@ -183,6 +202,16 @@ def generate():
         "sigma_prime": to_text(sigma_prime),
         "k2": to_text(k2),
     }
+
+    operands = Stream(PRODUCTION_SEED, 0)
+    rows = []
+    for n_left, n_right in PRODUCTION_WIDTHS:
+        a = operands.next_bits(n_left)
+        b = operands.next_bits(n_right)
+        for out_bits in PRODUCTION_OUT_BITS:
+            rows.append({"out_bits": out_bits, "left": to_text(a), "right": to_text(b),
+                         "digest": to_text(production_hash2(out_bits, a, b))})
+    fixture["hash2_production"] = rows
     return fixture
 
 
