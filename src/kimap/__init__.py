@@ -14,6 +14,7 @@ from .bits import (
     LengthMismatchError,
     OddLengthError,
     OpMeter,
+    ParameterError,
     Prng,
     concat,
     counter_hash,
@@ -67,9 +68,7 @@ from .protocol import (
     Challenge,
     LengthError,
     MasterKey,
-    ParameterError,
     PendingSession,
-    ProtocolError,
     ServerAuthCandidate,
     ServerState,
     ServerTagRecord,

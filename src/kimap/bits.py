@@ -36,6 +36,13 @@ class OddLengthError(ValueError):
     """Raised when splitting a bitstring of odd length."""
 
 
+class ParameterError(ValueError):
+    """A bad value from outside the library: a caller's parameter (a width,
+    count, budget, cost figure or name), ``KIMAP_SEED``, or the contents of a
+    database, master key or schedule file. ``kimap`` exits 2 on it; a broken
+    invariant inside the library raises anything else."""
+
+
 class BitString:
     """An immutable bit vector of explicit length, most-significant bit first.
 
@@ -203,12 +210,12 @@ class HashSpec:
 
     def __post_init__(self) -> None:
         if self.variant not in ("production", "toy"):
-            raise ValueError(f"unknown hash variant {self.variant!r}")
+            raise ParameterError(f"unknown hash variant {self.variant!r}")
         if not 1 <= self.output_len_bits <= 256:
-            raise ValueError(f"hash output width must be 1..256 bits, got {self.output_len_bits}")
+            raise ParameterError(f"hash output width must be 1..256 bits, got {self.output_len_bits}")
         if self.variant == "toy" and self.output_len_bits > _TOY_STATE_BITS:
-            raise ValueError(f"toy hash output width must be <= {_TOY_STATE_BITS} bits, "
-                             f"got {self.output_len_bits}")
+            raise ParameterError(f"toy hash output width must be <= {_TOY_STATE_BITS} bits, "
+                                 f"got {self.output_len_bits}")
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bits import HashSpec
+from .bits import HashSpec, ParameterError
 from .protocol import (
     AuthResult,
     BroadcastAuth,
@@ -37,7 +37,7 @@ PAYLOAD_TYPES = {1: Challenge, 2: TagNonce, 3: BroadcastAuth, 4: TagAuth}
 Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
 
-class ScheduleError(ValueError):
+class ScheduleError(ParameterError):
     """Malformed adversary action or schedule (unknown replay source,
     payload of the wrong shape for its flight, duplicate slot)."""
 
@@ -196,7 +196,7 @@ def run_schedule(server: ServerState, tags: list[TagState], schedule: FaultSched
     """Run ``n_sessions`` sessions round-robin over ``tags``, applying the
     scheduled actions. Deterministic under fixed endpoint seeds."""
     if n_sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {n_sessions}")
+        raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
     labels = list(server.records)
     recording: Recording = {}
     transcripts = []

@@ -28,14 +28,15 @@ ran.
 
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
 desynchronized records; or stdout closed before the output was written), 2
-usage or configuration error. A usage error is
-argparse's own (an unknown flag or a bad value type). Every other error a
-subcommand meets is an ``OSError``, ``ValueError`` or ``GameError`` raised
-by the library: a bad KIMAP_SEED, an out-of-range value, a malformed
-database, master key or schedule, a master key narrower or wider than the
-database's keys, a path of the wrong kind, a failed read or a failed write
-of kimap.db or master.key. ``main`` alone reports it, as
-``kimap: <message>`` on stderr, and returns 2.
+usage or configuration error. A usage error is argparse's own: an unknown
+flag or a bad value type, a malformed --mask included. A configuration
+error is a ``ParameterError`` (a bad KIMAP_SEED, an out-of-range value, a
+malformed database, master key or schedule, a master key narrower or wider
+than the database's keys), a ``GameError``, or an ``OSError`` or
+``UnicodeDecodeError`` (a path of the wrong kind, a file that is not text, a
+failed read or write of kimap.db or master.key). ``main`` alone reports it,
+as ``kimap: <message>`` on stderr, and returns 2. Any other exception is a
+library bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bits import BitString, HashSpec, Prng
+from .bits import BitString, HashSpec, ParameterError, Prng
 from .channel import (
     PAYLOAD_TYPES,
     AdversaryAction,
@@ -75,7 +76,7 @@ def _resolve_seed(value) -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"KIMAP_SEED must be an integer, got {env!r}") from None
+        raise ParameterError(f"KIMAP_SEED must be an integer, got {env!r}") from None
 
 
 # Flags shared by several subcommands; each subcommand takes only those its
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
     shared(p_lemma, "--seed")
     p_lemma.add_argument("--k", type=int, default=8)
-    p_lemma.add_argument("--mask", type=str, default=None,
+    p_lemma.add_argument("--mask", type=BitString.from_text, default=None,
                          help="fixed mask as hex:len (default: drawn from the seed)")
 
     return parser
@@ -164,20 +165,21 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
             flight = int(fields[1])
         except ValueError:
             raise ScheduleError(f"{path}:{line_no}: session and flight must be integers") from None
-        verb = fields[2]
+        verb, rest = fields[2], fields[3:]
         try:
             if seq < 1:
                 raise ScheduleError(f"session must be >= 1, got {seq}")
-            if verb == "drop":
+            if verb == "drop" and not rest:
                 actions.append(AdversaryAction.drop(flight, seq))
-            elif verb == "replay":
-                actions.append(AdversaryAction.replay(flight, int(fields[3]), seq))
+            elif verb == "replay" and len(rest) == 1:
+                actions.append(AdversaryAction.replay(flight, int(rest[0]), seq))
             elif verb == "replace":
-                payload = _parse_payload(flight, fields[3:], lam)
-                actions.append(AdversaryAction.replace(flight, payload, seq))
+                actions.append(AdversaryAction.replace(flight, _parse_payload(flight, rest, lam), seq))
+            elif verb in ("drop", "replay"):
+                raise ScheduleError(f"wrong field count for {verb}")
             else:
                 raise ScheduleError(f"unknown schedule action {verb!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ScheduleError(f"{path}:{line_no}: {exc}") from None
     return FaultSchedule(actions)
 
@@ -295,8 +297,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_lemma1(args) -> int:
-    mask = None if args.mask is None else BitString.from_text(args.mask)
-    report = lemma1_bijection_check(args.k, mask=mask, prng=Prng(args.seed, 0))
+    report = lemma1_bijection_check(args.k, mask=args.mask, prng=Prng(args.seed, 0))
     print(report.to_line())
     if report.pairs is not None:
         for x, y in report.pairs:
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
         # EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (OSError, ValueError, GameError) as exc:
+    except (OSError, UnicodeDecodeError, ParameterError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
 

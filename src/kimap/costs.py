@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
+from .bits import ParameterError
 from .protocol import check_key_width
 
 
@@ -36,7 +37,7 @@ class CostParams:
         for name in ("hash_cycles_per_block", "tag_clock_hz", "t2r_rate_bps",
                      "r2t_rate_bps", "serial_rate_bps", "candidates"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ParameterError(f"{name} must be positive")
 
     @property
     def tag_hash_ops(self) -> int:
@@ -97,7 +98,7 @@ class CostReport:
 def compute_cost(params: CostParams, batch_tags: int = 200) -> CostReport:
     """Evaluate the cost model exactly."""
     if batch_tags < 1:
-        raise ValueError(f"batch_tags must be >= 1, got {batch_tags}")
+        raise ParameterError(f"batch_tags must be >= 1, got {batch_tags}")
     hash_ms = Fraction(params.hash_cycles_per_block * 1000, params.tag_clock_hz)
     tag_compute = params.tag_hash_ops * hash_ms
     t2r = Fraction(params.uplink_bits * 1000, params.t2r_rate_bps)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bits import BitString, HashSpec, Prng, prng_next, split, xor
+from .bits import BitString, HashSpec, ParameterError, Prng, prng_next, split, xor
 from .channel import SessionTranscript
 from .protocol import (
     BroadcastAuth,
@@ -115,9 +115,9 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.trials < 1:
-            raise ValueError("need n >= 1 and trials >= 1")
+            raise ParameterError("need n >= 1 and trials >= 1")
         if min(self.e1, self.e2, self.r1, self.r2, self.rb) < 0:
-            raise ValueError("budgets must be >= 0")
+            raise ParameterError("budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -492,8 +492,8 @@ def make_distinguisher(name: str) -> Distinguisher:
     try:
         factory = DISTINGUISHERS[name]
     except KeyError:
-        raise ValueError(f"unknown distinguisher {name!r} "
-                         f"(have: {', '.join(sorted(DISTINGUISHERS))})") from None
+        raise ParameterError(f"unknown distinguisher {name!r} "
+                             f"(have: {', '.join(sorted(DISTINGUISHERS))})") from None
     return factory()
 
 
@@ -545,8 +545,8 @@ _DEF_STRIDE = 1 << 28
 
 def _stream(base: int, definition: str, trial: int) -> int:
     if definition not in DEFINITIONS:
-        raise ValueError(f"unknown game definition {definition!r} "
-                         f"(have: {', '.join(DEFINITIONS)})")
+        raise ParameterError(f"unknown game definition {definition!r} "
+                             f"(have: {', '.join(DEFINITIONS)})")
     return base + list(DEFINITIONS).index(definition) * _DEF_STRIDE + trial
 
 
@@ -597,11 +597,11 @@ def lemma1_bijection_check(k: int, mask: Optional[BitString] = None,
     """Exhaustively verify that for fixed ``L``, ``y -> L XOR y`` is a
     bijection on k-bit strings (the one-time-pad property behind delta)."""
     if not 1 <= k <= 16:
-        raise ValueError("k must be in 1..16 (the check is exhaustive)")
+        raise ParameterError("k must be in 1..16 (the check is exhaustive)")
     if mask is None:
         mask = prng_next(prng if prng is not None else Prng(0, 0), k)
     if len(mask) != k:
-        raise ValueError("mask width must equal k")
+        raise ParameterError("mask width must equal k")
     images = {xor(mask, BitString(y, k)).value for y in range(2 ** k)}
     pairs = None
     if k <= 4:

@@ -69,24 +69,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .bits import (COUNTER_BITS, BitString, HashSpec, LengthMismatchError, OpMeter, Prng, _trusted,
-                   counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
+from .bits import (COUNTER_BITS, BitString, HashSpec, LengthMismatchError, OpMeter, ParameterError,
+                   Prng, _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
 
 
-class ProtocolError(Exception):
-    pass
-
-
-class ParameterError(ProtocolError, ValueError):
-    """Invalid protocol parameters (bad key width, no tags, ...)."""
-
-
-class SessionOrderError(ProtocolError):
+class SessionOrderError(Exception):
     """A session step ran with no matching session in flight (driver bug,
     not an attack: attacks are modelled as values, not exceptions)."""
 
 
-class LengthError(ProtocolError, ValueError):
+class LengthError(ValueError):
     def __init__(self, *parts: "BitString"):
         super().__init__(f"inconsistent operand lengths: {[len(p) for p in parts]}")
 
@@ -173,14 +165,13 @@ class ServerState:
     master: MasterKey
     records: dict[str, ServerTagRecord]
     prng: Prng
-    # Key slot ("current" | "previous") -> label -> SlotKeys, filled under
-    # slot_cache_stamp = (spec, master) and emptied when a session runs
-    # under another. An entry is served only while its record's counter and
-    # the very key object it was built from are unchanged, so a record
-    # mutated directly never reads a stale one. Never persisted.
-    slot_cache: dict[str, dict[str, SlotKeys]] = field(
+    # (spec, master) -> the current- and previous-slot maps, label ->
+    # SlotKeys, built under that spec and master. An entry is served only
+    # while its record's counter and the very key object it was built from
+    # are unchanged, so a record mutated directly never reads a stale one.
+    # Never persisted.
+    slot_cache: dict[tuple, tuple[dict, dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    slot_cache_stamp: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def lam(self) -> int:
@@ -404,16 +395,6 @@ def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCand
             hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes))
 
 
-def _slot_caches(server: ServerState, spec: HashSpec) -> tuple[dict, dict]:
-    """The current- and previous-slot caches, emptied first if the spec or
-    the master key differ from the ones they were filled under."""
-    stamp = (spec, server.master)
-    if server.slot_cache_stamp != stamp:
-        server.slot_cache = {"current": {}, "previous": {}}
-        server.slot_cache_stamp = stamp
-    return server.slot_cache["current"], server.slot_cache["previous"]
-
-
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
     """Flight 3: one candidate per (record, available key slot), shuffled so
     broadcast position leaks nothing about registry order. An exhausted
@@ -423,8 +404,8 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     A slot's cached :class:`SlotKeys` is served only while its record's
     counter and the very key object it was built from are unchanged."""
     ops = session_operands(x_s, x_t)
-    current, previous = _slot_caches(server, spec)
     master = server.master
+    current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
     entries: list[tuple[SlotKeys, ServerAuthCandidate, int]] = []
     for rec in server.records.values():
         counter = rec.counter

@@ -23,13 +23,13 @@ import tempfile
 from pathlib import Path
 from typing import Union
 
-from .bits import COUNTER_BITS, BitString
-from .protocol import MasterKey, ParameterError, ServerTagRecord, check_key_width
+from .bits import COUNTER_BITS, BitString, ParameterError
+from .protocol import MasterKey, ServerTagRecord, check_key_width
 
 HEADER_PREFIX = "kimapdb v1 lambda="
 
 
-class DatabaseFormatError(ValueError):
+class DatabaseFormatError(ParameterError):
     def __init__(self, path: Union[str, Path], line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
         self.line_no = line_no

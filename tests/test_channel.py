@@ -72,6 +72,15 @@ class TestDrops:
         assert ts[1].accepted  # next session matches the current slot
         assert ts[1].outcome_server.matched_slot == "current"
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_other_tags_failure_keeps_recovery(self):
+        # t001 ratchets while its flight 4 is lost; t002's lost flight 3 in
+        # the next session must not take t001's recovery slot away
+        server, tags = keygen(64, 3, Prng(1, 0))
+        sched = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(3, 2)])
+        ts = run_schedule(server, tags, sched, 4, PROD64)
+        assert ts[3].label == "t001" and ts[3].accepted
+
     def test_drop_flight1_aborts_silently(self):
         server, tags = fresh_world(seed=106)
         sched = FaultSchedule([AdversaryAction.drop(1, 1)])

@@ -1,6 +1,7 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,18 @@ def _set_bad_env_seed(d, monkeypatch):
     monkeypatch.setenv("KIMAP_SEED", "abc")
 
 
+def _reinit_128_bits(d, monkeypatch):
+    assert main(["init", "--db", str(d), "--lambda", "128", "--tags", "1", "--force"]) == 0
+
+
+def _write_non_utf8_db(d, monkeypatch):
+    (d / "kimap.db").write_bytes(b"\xffkimapdb v1 lambda=16\n")
+
+
+def _write_non_utf8_schedule(d, monkeypatch):
+    (d.parent / "sched.txt").write_bytes(b"1 4 drop \xff\n")
+
+
 def _fail_save(d, monkeypatch):
     def save_database(*_):
         raise OSError("disk full")
@@ -70,10 +83,23 @@ EXIT_2_CASES = {
     "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB", "--hash", "toy"),
                           "master.key:1: master key width 8 != database lambda 16"),
     "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
+    "run-toy-hash-on-128-bits": (_reinit_128_bits, ("run", "--db", "DB", "--hash", "toy"),
+                                 "toy hash output width must be <= 64 bits, got 128"),
+    "run-db-not-utf8": (_write_non_utf8_db, ("run", "--db", "DB"), "can't decode byte 0xff"),
+    "run-schedule-not-utf8": (_write_non_utf8_schedule, ("run", "--db", "DB", "--hash", "toy",
+                                                         "--schedule", "SCHED"),
+                              "can't decode byte 0xff"),
+    "init-lambda-above-any-hash": (None, ("init", "--db", "DB", "--lambda", "300", "--force"),
+                                   "hash output width must be 1..256 bits, got 300"),
     "game-no-execute-budget": (None, ("game", "ind", "random-guess", "--e1", "0"),
                                "execute budget of 0 exhausted"),
     "game-unknown-distinguisher": (None, ("game", "ind", "psychic"), "unknown distinguisher"),
+    "game-zero-trials": (None, ("game", "ind", "random-guess", "--trials", "0"), "trials >= 1"),
+    "game-negative-budget": (None, ("game", "ind", "random-guess", "--e1", "-1"),
+                             "budgets must be >= 0"),
     "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even"),
+    "cost-zero-batch": (None, ("cost", "--tags", "0"), "batch_tags must be >= 1, got 0"),
+    "cost-zero-clock": (None, ("cost", "--clock-hz", "0"), "tag_clock_hz must be positive"),
     "lemma1-k-too-large": (None, ("lemma1", "--k", "20"), "k must be in 1..16"),
 }
 
@@ -93,6 +119,41 @@ def test_library_errors_exit_2_and_leave_files(db_dir, monkeypatch, capsys, case
     assert captured.err.startswith("kimap: ") and needle in captured.err
     assert captured.out == ""
     assert [f.read_bytes() for f in files] == before
+
+
+def test_library_bug_is_not_a_config_error(db_dir, monkeypatch):
+    """Only bad input exits 2: a ValueError from a broken invariant inside
+    the library propagates out of ``main``, so it ends in a traceback."""
+    def run_schedule(*_):
+        raise ValueError("broken invariant")
+    monkeypatch.setattr(cli, "run_schedule", run_schedule)
+    with pytest.raises(ValueError, match="broken invariant"):
+        run_cli("run", "--db", str(db_dir), "--hash", "toy")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_restart_changes_no_outcome(tmp_path, capsys):
+    """``run --sessions 3`` and ``run --sessions 2`` then ``run --sessions 1``
+    on a copy of the same database give the same per-session outcomes and
+    the same final desynchronized count."""
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert run_cli("init", "--db", str(whole), "--tags", "1", "--seed", "9", "--lambda", "16") == 0
+    shutil.copytree(whole, split)
+    sched = tmp_path / "sched.txt"
+    sched.write_text("1 4 drop\n2 4 drop\n")
+    capsys.readouterr()
+
+    def run(d, sessions, *schedule):
+        assert run_cli("run", "--db", str(d), "--sessions", str(sessions), "--seed", "9",
+                       "--hash", "toy", *schedule) == 0
+        *transcripts, summary = capsys.readouterr().out.splitlines()
+        return [t.rsplit(" server=", 1)[1] for t in transcripts], summary.rsplit(" ", 1)[1]
+
+    outcomes, desynced = run(whole, 3, "--schedule", str(sched))
+    assert (outcomes, desynced) == (["rejected"] * 3, "desynced=1")
+    first, _ = run(split, 2, "--schedule", str(sched))
+    last, split_desynced = run(split, 1)
+    assert (first + last, split_desynced) == (outcomes, desynced)
 
 
 def test_closed_stdout_exits_1_without_message(db_dir):
@@ -232,16 +293,6 @@ class TestRun:
         assert captured.err.startswith("kimap: ") and ":1:" in captured.err
         assert captured.out == ""
         assert (db_dir / "kimap.db").read_bytes() == before
-
-    def test_toy_hash_on_wide_db_is_config_error(self, tmp_path, capsys):
-        d = tmp_path / "wide"
-        assert run_cli("init", "--db", str(d), "--lambda", "128", "--tags", "1") == 0
-        before = (d / "kimap.db").read_bytes()
-        capsys.readouterr()
-        assert run_cli("run", "--db", str(d), "--sessions", "1", "--hash", "toy") == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and captured.out == ""
-        assert (d / "kimap.db").read_bytes() == before
 
     def test_db_wider_than_any_hash_is_config_error(self, tmp_path, capsys):
         # init refuses such a width, so the files are written directly
@@ -383,11 +434,6 @@ class TestCost:
         out = capsys.readouterr().out
         assert "t2r_ms=0.40" in out and "r2t_ms=3.05" in out
 
-    def test_batch_below_one_is_config_error(self, capsys):
-        assert run_cli("cost", "--tags", "-5") == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and "batch_serial" not in captured.out
-
     def test_inflated_ops_fail_budget(self, capsys):
         run_cli("cost", "--hash-cycles", "330")
         assert "budget fail" in capsys.readouterr().out
@@ -402,6 +448,14 @@ class TestLemma1:
         run_cli("lemma1", "--k", "1", "--mask", "1:1")
         out = capsys.readouterr().out
         assert "pair x=1 y=0" in out and "pair x=0 y=1" in out
+
+    @pytest.mark.parametrize("mask", ["zz:8", "1ff:8", "ff"])
+    def test_malformed_mask_is_usage_error(self, capsys, mask):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("lemma1", "--k", "8", "--mask", mask)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --mask" in captured.err and captured.out == ""
 
 
 class TestFlags:
@@ -474,6 +528,14 @@ class TestScheduleParsing:
         f.write_text("1 3 replace dead:16\n")
         with pytest.raises(ScheduleError):
             parse_schedule(str(f), 16)
+
+    @pytest.mark.parametrize("line", ["1 4 drop junk", "5 3 replay 4 9", "5 3 replay"])
+    def test_stray_or_missing_fields_rejected(self, tmp_path, line):
+        f = tmp_path / "s.txt"
+        f.write_text(f"2 4 drop\n{line}\n")
+        with pytest.raises(ScheduleError) as err:
+            parse_schedule(str(f), 16)
+        assert str(err.value).startswith(f"{f}:2: wrong field count for ")
 
     def test_error_carries_line_number(self, tmp_path):
         f = tmp_path / "s.txt"

@@ -203,6 +203,24 @@ def test_each_slot_check_holds_on_its_own(change):
         [(e.label, e.slot, e.expected) for e in entries]
 
 
+@pytest.mark.parametrize("first, second", [(HashSpec.toy(16), HashSpec.production(16)),
+                                           (HashSpec.production(16), HashSpec.toy(16))])
+def test_spec_switch_serves_the_new_specs_slots(first, second):
+    """The slot cache is keyed by the spec and master key its entries were
+    built under, so a live server prepared under one spec and then another
+    broadcasts the second spec's candidates, for both key slots."""
+    server, _ = keygen(16, 2, Prng(7, 0))
+    server.records["t001"].key_previous = BitString(0x5A5A, 16)
+    x_s, x_t = BitString(0x0123, 16), BitString(0xFEDC, 16)
+    server_prepare(server, x_s, x_t, first)
+    broadcast, pending = server_prepare(server, x_s, x_t, second)
+    ops = session_operands(x_s, x_t)
+    assert len(pending.candidates) == 3
+    assert list(zip(broadcast.candidates, pending.expected, strict=True)) == [
+        make_candidate(slot_keys(second, server.master, server.records[k.label], k.slot), ops)
+        for k in pending.candidates]
+
+
 def ref_scan(spec, key, x_s, x_t, candidates):
     """The tag's flight 4 from the paper's formulas: ``(sigma', next key)``
     from the first candidate that authenticates the server, else None."""
