@@ -11,8 +11,7 @@ command-line front end (:mod:`kimap.cli`).
 from .bits import (
     BitString,
     HashSpec,
-    LengthMismatchError,
-    OddLengthError,
+    LengthError,
     OpMeter,
     ParameterError,
     Prng,
@@ -46,7 +45,6 @@ from .costs import (
 from .games import (
     BudgetExceededError,
     Distinguisher,
-    DoubleTestError,
     GameConfig,
     GameError,
     GameResult,
@@ -66,7 +64,6 @@ from .protocol import (
     AuthResult,
     BroadcastAuth,
     Challenge,
-    LengthError,
     MasterKey,
     PendingSession,
     ServerAuthCandidate,

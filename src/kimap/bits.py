@@ -28,12 +28,10 @@ from functools import lru_cache
 from typing import Iterator
 
 
-class LengthMismatchError(ValueError):
-    """Raised when an operation requires equal-length bitstrings."""
-
-
-class OddLengthError(ValueError):
-    """Raised when splitting a bitstring of odd length."""
+class LengthError(ValueError):
+    """A broken width invariant: operands of unequal or wrong bit lengths, an
+    odd length split in halves, or a value that does not fit its width. The
+    message names the widths."""
 
 
 class ParameterError(ValueError):
@@ -58,9 +56,9 @@ class BitString:
 
     def __init__(self, value: int, length: int):
         if length < 0:
-            raise ValueError("length must be >= 0")
+            raise LengthError("length must be >= 0")
         if value < 0 or value >> length:
-            raise ValueError(f"value {value:#x} does not fit in {length} bits")
+            raise LengthError(f"value {value:#x} does not fit in {length} bits")
         self._value = value
         self._length = length
 
@@ -171,7 +169,7 @@ def xor(a: BitString, b: BitString) -> BitString:
     """Bitwise XOR of two equal-length bitstrings."""
     n = a._length
     if n != b._length:
-        raise LengthMismatchError(f"xor of lengths {n} and {b._length}")
+        raise LengthError(f"xor of lengths {n} and {b._length}")
     meter = _ACTIVE_METER.get()
     if meter is not None:
         meter.xor_calls += 1
@@ -187,7 +185,7 @@ def split(s: BitString) -> tuple[BitString, BitString]:
     """The two equal halves of an even-length bitstring."""
     n = s._length
     if n % 2:
-        raise OddLengthError(f"cannot split odd length {n}")
+        raise LengthError(f"cannot split odd length {n}")
     half = n // 2
     return _trusted(s._value >> half, half), _trusted(s._value & ((1 << half) - 1), half)
 
@@ -329,7 +327,7 @@ def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> B
     if i < 1:
         raise ValueError("session index must be >= 1")
     if i >> COUNTER_BITS:
-        raise ValueError(f"session index {i} does not fit in {COUNTER_BITS} bits")
+        raise LengthError(f"session index {i} does not fit in {COUNTER_BITS} bits")
     n_left = left._length
     return hash2(spec, _trusted(i << n_left | left._value, COUNTER_BITS + n_left), right)
 

@@ -44,8 +44,8 @@ class ScheduleError(ParameterError):
 
 @dataclass(frozen=True)
 class AdversaryAction:
-    """One interception. ``session_seq`` of ``None`` matches any session
-    (useful when passing actions straight to :func:`run_session`)."""
+    """One interception. ``session_seq`` of ``None`` matches any session: it
+    is for actions passed straight to :func:`run_session`, not a schedule."""
 
     kind: str  # "drop" | "replace" | "replay"
     flight: int
@@ -81,21 +81,23 @@ class AdversaryAction:
 
 @dataclass
 class FaultSchedule:
-    """Ordered interceptions for a multi-session run. Each (session, flight)
-    slot may carry at most one action."""
+    """Ordered interceptions for a multi-session run. Each action names its
+    session, and each (session, flight) slot may carry at most one action."""
 
     actions: list[AdversaryAction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         seen = set()
         for a in self.actions:
+            if a.session_seq is None:
+                raise ScheduleError(f"scheduled action on flight {a.flight} names no session")
             slot = (a.session_seq, a.flight)
             if slot in seen:
                 raise ScheduleError(f"duplicate action for session {a.session_seq} flight {a.flight}")
             seen.add(slot)
 
     def for_session(self, seq: int) -> list[AdversaryAction]:
-        return [a for a in self.actions if a.session_seq in (None, seq)]
+        return [a for a in self.actions if a.session_seq == seq]
 
 
 @dataclass

@@ -29,13 +29,13 @@ ran.
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
 desynchronized records; or stdout closed before the output was written), 2
 usage or configuration error. A usage error is argparse's own: an unknown
-flag or a bad value type, a malformed --mask included. A configuration
-error is a ``ParameterError`` (a bad KIMAP_SEED, an out-of-range value, a
-malformed database, master key or schedule, a master key narrower or wider
-than the database's keys), a ``GameError``, or an ``OSError`` or
-``UnicodeDecodeError`` (a path of the wrong kind, a file that is not text, a
-failed read or write of kimap.db or master.key). ``main`` alone reports it,
-as ``kimap: <message>`` on stderr, and returns 2. Any other exception is a
+flag or a bad value type, a malformed --mask included, with its reason. A
+configuration error is a ``ParameterError`` (a bad KIMAP_SEED, an
+out-of-range value, a malformed database, master key or schedule, one that
+is not UTF-8 text included, named as ``path:line``; a master key of another
+width than the database's keys), a ``GameError``, or an ``OSError`` (a path
+of the wrong kind, a failed read or write). ``main`` alone reports it, as
+``kimap: <message>`` on stderr, and returns 2. Any other exception is a
 library bug and ends in a traceback.
 """
 
@@ -58,7 +58,7 @@ from .channel import (
 from .costs import BudgetLimits, CostParams, check_budget, compute_cost, findings_pass
 from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
 from .protocol import BroadcastAuth, ServerAuthCandidate, ServerState, TagState, keygen
-from .storage import load_database, load_master, save_database, save_master
+from .storage import load_database, load_master, read_text, save_database, save_master
 
 DEFAULT_SEED = 24301
 
@@ -87,6 +87,14 @@ _SHARED_FLAGS = {
     "--hash": dict(choices=["production", "toy"], default="production"),
     "--format": dict(choices=["table", "structured"], default="table"),
 }
+
+
+def _mask(text: str) -> BitString:
+    """``--mask``'s type: a malformed mask is a usage error that says why."""
+    try:
+        return BitString.from_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
     shared(p_lemma, "--seed")
     p_lemma.add_argument("--k", type=int, default=8)
-    p_lemma.add_argument("--mask", type=BitString.from_text, default=None,
+    p_lemma.add_argument("--mask", type=_mask, default=None,
                          help="fixed mask as hex:len (default: drawn from the seed)")
 
     return parser
@@ -152,19 +160,22 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
     """Read a schedule file for a database of key width ``lam``. Every wire
     value is ``lam`` bits wide, so every field of a replacement payload must
     be too."""
+    def error(line_no: int, message: str) -> ScheduleError:
+        return ScheduleError(f"{path}:{line_no}: {message}")
+
     actions = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, error).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if len(fields) < 3:
-            raise ScheduleError(f"{path}:{line_no}: expected '<session> <flight> <action...>'")
+            raise error(line_no, "expected '<session> <flight> <action...>'")
         try:
             seq = int(fields[0])
             flight = int(fields[1])
         except ValueError:
-            raise ScheduleError(f"{path}:{line_no}: session and flight must be integers") from None
+            raise error(line_no, "session and flight must be integers") from None
         verb, rest = fields[2], fields[3:]
         try:
             if seq < 1:
@@ -180,7 +191,7 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
             else:
                 raise ScheduleError(f"unknown schedule action {verb!r}")
         except ValueError as exc:
-            raise ScheduleError(f"{path}:{line_no}: {exc}") from None
+            raise error(line_no, str(exc)) from None
     return FaultSchedule(actions)
 
 
@@ -322,7 +333,7 @@ def main(argv=None) -> int:
         # EPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (OSError, UnicodeDecodeError, ParameterError, GameError) as exc:
+    except (OSError, ParameterError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
 

@@ -69,11 +69,7 @@ class BudgetExceededError(GameError):
 
 class OracleMisuseError(GameError):
     """An oracle was called outside the active definition's allowed set or
-    against the game's phase rules."""
-
-
-class DoubleTestError(GameError):
-    pass
+    against the game's phase rules, a second test included."""
 
 
 class Definition(NamedTuple):
@@ -346,7 +342,7 @@ class OracleHandle:
         """Single use, admission, the game's shape, then the coin: a pair's
         coin picks a tag; a single tag's picks real (1) or uniform (0)."""
         if self.test_used:
-            raise DoubleTestError("test may be called only once")
+            raise OracleMisuseError("test may be called only once")
         self._admit("test")
         self._check_shape(tags)
         if tags != self.challenge:

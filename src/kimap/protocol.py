@@ -24,32 +24,16 @@ identifies the record by matching ``sigma'`` against precomputed
 expectations. The tag checks every candidate whether or not one matches.
 
 Per session the server computes 2 hashes per candidate (``sigma`` and the
-expected ``sigma'``). Each hash input is one slot term ORed with one session
-term, both already encoded as ints by the one ``hash2`` layout
-(:func:`~kimap.bits.hash2_layout`, cached per pair of widths). Cached per
-record slot (:class:`SlotKeys`), and rebuilt only when the slot's key or the
-record's counter changes, as for the record accepted last: the partial key
-``x``, ``delta``, the length-prefixed ``k' || x`` term of ``sigma`` and the
-``k' || x'`` term of ``sigma'``. Built once per session, with their width
-check (:func:`session_operands`): the ``x_s || x_t`` term of ``sigma``, the
-length-prefixed ``x_t || x_s`` term of ``sigma'`` and the two byte counts.
-Every candidate on the server shares them, and so does the tag's scan,
-which ORs each candidate's ``x_hat = delta XOR k`` into one per-session
-input. Digests stay ints until they reach the wire: ``sigma`` becomes a
-``BitString``, the expected ``sigma'`` is compared as an int and then by
-width. A candidate is one slot and two digests: :func:`make_candidate`
-builds its wire pair once, and the pending session keeps, in broadcast
-order, only each candidate's :class:`SlotKeys` and expected ``sigma'``. The
-next key is computed only for the matched candidate, or for every record
-when a failed session hedges.
-
-So a candidate costs few Python frames besides its digests. On the server
-it costs 4: :func:`server_prepare` checks the slot cache inline and calls
-:func:`make_candidate` once, which calls ``hash2`` twice and wraps ``sigma``
-in a ``BitString`` once; the width check compares ints and the wire pair is
-built at C level. The tag's scan costs 1 per candidate, its ``hash2`` call:
-it reads each ``delta``'s and ``sigma``'s width and value from the
-``BitString`` slots.
+expected ``sigma'``), each from one slot term ORed with one session term,
+both encoded as ints by the one ``hash2`` layout
+(:func:`~kimap.bits.hash2_layout`). A record slot's terms are cached in its
+:class:`SlotKeys`, rebuilt only when the slot's key or the record's counter
+changes; the session's terms are built once, with their width check, by
+:func:`session_operands`, and the tag's scan shares them. Digests stay ints
+until they reach the wire. The pending session keeps, in broadcast order,
+each candidate's :class:`SlotKeys` and expected ``sigma'``; the next key is
+computed only for the matched candidate, or for every record when a failed
+session hedges.
 
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
@@ -69,8 +53,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .bits import (COUNTER_BITS, BitString, HashSpec, LengthMismatchError, OpMeter, ParameterError,
-                   Prng, _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
+from .bits import (COUNTER_BITS, BitString, HashSpec, LengthError, OpMeter, ParameterError, Prng,
+                   _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
 
 
 class SessionOrderError(Exception):
@@ -78,9 +62,9 @@ class SessionOrderError(Exception):
     not an attack: attacks are modelled as values, not exceptions)."""
 
 
-class LengthError(ValueError):
-    def __init__(self, *parts: "BitString"):
-        super().__init__(f"inconsistent operand lengths: {[len(p) for p in parts]}")
+def _mismatch(*parts: BitString) -> LengthError:
+    """The width error for operands whose lengths do not fit together."""
+    return LengthError(f"inconsistent operand lengths: {[len(p) for p in parts]}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +283,7 @@ def partial_key(spec: HashSpec, i: int, sk_star: MasterKey, k: BitString) -> Bit
 def session_key(k_prime: BitString, x_prime: BitString) -> BitString:
     """Session key ``sk = k' || x'`` from the two left halves."""
     if len(k_prime) != len(x_prime):
-        raise LengthError(k_prime, x_prime)
+        raise _mismatch(k_prime, x_prime)
     return k_prime + x_prime
 
 
@@ -307,21 +291,21 @@ def key_update(spec: HashSpec, k_dprime: BitString, x_dprime: BitString, x_s: Bi
     """Next key ``k_{i+1} = H(k'' || x'', x_s)`` from the two right halves
     and the session challenge."""
     if len(k_dprime) != len(x_dprime) or len(x_s) != 2 * len(k_dprime):
-        raise LengthError(k_dprime, x_dprime, x_s)
+        raise _mismatch(k_dprime, x_dprime, x_s)
     return hash2(spec, k_dprime + x_dprime, x_s)
 
 
 def auth_server_tag(spec: HashSpec, k_prime: BitString, x: BitString, x_s: BitString, x_t: BitString) -> BitString:
     """Server authenticator ``sigma = H(k' || x, x_s || x_t)``."""
     if not (2 * len(k_prime) == len(x) == len(x_s) == len(x_t)):
-        raise LengthError(k_prime, x, x_s, x_t)
+        raise _mismatch(k_prime, x, x_s, x_t)
     return hash2(spec, k_prime + x, x_s + x_t)
 
 
 def auth_tag_msg(spec: HashSpec, x_t: BitString, x_s: BitString, sk: BitString) -> BitString:
     """Tag authenticator ``sigma' = H(x_t || x_s, sk)``."""
     if not (len(x_t) == len(x_s) == len(sk)):
-        raise LengthError(x_t, x_s, sk)
+        raise _mismatch(x_t, x_s, sk)
     return hash2(spec, x_t + x_s, sk)
 
 
@@ -360,7 +344,7 @@ def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str
     x_prime, _ = split(x)
     width = len(key)
     if len(x) != width:
-        raise LengthError(key, x)
+        raise _mismatch(key, x)
     (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
     return SlotKeys(label=rec.label, slot=slot, spec=spec, counter=rec.counter, key=key,
                     width=width, x=x, delta=xor(key, x),
@@ -373,7 +357,7 @@ def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
     check they need: ``x_s`` and ``x_t`` are equally wide."""
     width = len(x_s)
     if len(x_t) != width:
-        raise LengthError(x_s, x_t)
+        raise _mismatch(x_s, x_t)
     (_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes) = _layouts(width)
     s, t = x_s.value, x_t.value
     return SessionOperands(x_s, x_t, width, (s << width | t) << st_shift,
@@ -388,7 +372,7 @@ def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCand
     server commits if the expectation is met is computed on demand
     (:meth:`SlotKeys.next_key`)."""
     if keys.width != ops.width:
-        raise LengthError(keys.x, ops.x_s, ops.x_t)
+        raise _mismatch(keys.x, ops.x_s, ops.x_t)
     spec = keys.spec
     sigma = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
     return (_new_tuple(ServerAuthCandidate, (_trusted(sigma, spec.output_len_bits), keys.delta)),
@@ -443,7 +427,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         key = tag.key
         width = ops.width
         if len(key) != width:
-            raise LengthError(key, x_s, x_t)
+            raise _mismatch(key, x_s, x_t)
         k_prime, k_dprime = split(key)
         # sigma's input for a candidate is base | x_hat << shift: the slot
         # term of k' || x_hat without x_hat, ORed with the session's term.
@@ -455,7 +439,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         # bits' own helpers do, so hash2 is the one call per candidate.
         for sigma, delta in broadcast.candidates:
             if delta._length != width:
-                raise LengthMismatchError(f"xor of lengths {delta._length} and {width}")
+                raise _mismatch(delta, key)
             x_hat = delta._value ^ k
             if (hash2(spec, base | x_hat << shift, nbytes) == sigma._value
                     and sigma._length == out_bits and matched is None):

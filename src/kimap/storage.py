@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import os
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .bits import COUNTER_BITS, BitString, ParameterError
 from .protocol import MasterKey, ServerTagRecord, check_key_width
@@ -32,7 +33,17 @@ HEADER_PREFIX = "kimapdb v1 lambda="
 class DatabaseFormatError(ParameterError):
     def __init__(self, path: Union[str, Path], line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
+
+
+def read_text(path: Union[str, Path], error: Callable[[int, str], ParameterError]) -> str:
+    """The UTF-8 text of ``path``, read and decoded once; a byte that is not
+    UTF-8 raises ``error(line_no, message)`` for its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeError as exc:
+        raise error(data.count(b"\n", 0, exc.start) + 1,
+                    f"not UTF-8 text: can't decode byte {data[exc.start]:#04x}") from None
 
 
 def dump_database(lam: int, records: dict[str, ServerTagRecord]) -> str:
@@ -67,7 +78,7 @@ def save_database(path: Union[str, Path], lam: int, records: dict[str, ServerTag
 
 
 def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecord]]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path, partial(DatabaseFormatError, path)).splitlines()
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise DatabaseFormatError(path, 1, f"expected header '{HEADER_PREFIX}<bits>'")
     try:
@@ -115,7 +126,7 @@ def save_master(path: Union[str, Path], master: MasterKey) -> None:
 
 def load_master(path: Union[str, Path], lam: int) -> MasterKey:
     """Read the master key of a database of key width ``lam``."""
-    text = Path(path).read_text().strip()
+    text = read_text(path, partial(DatabaseFormatError, path)).strip()
     try:
         value = BitString.from_text(text)
     except ValueError as exc:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from kimap.bits import (
     BitString,
     HashSpec,
-    LengthMismatchError,
-    OddLengthError,
+    LengthError,
     OpMeter,
     Prng,
     concat,
@@ -52,7 +51,7 @@ class TestBitString:
         assert xor(BitString(0b1010, 4), BitString(0b0110, 4)) == BitString(0b1100, 4)
 
     def test_xor_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(LengthError):
             xor(BitString(0, 4), BitString(0, 5))
 
     def test_concat_identity_element(self):
@@ -71,7 +70,7 @@ class TestBitString:
         assert split(concat(a, a)) == (a, a)
 
     def test_split_odd_rejected(self):
-        with pytest.raises(OddLengthError):
+        with pytest.raises(LengthError):
             split(BitString(0b101, 5))
 
     def test_value_must_fit(self):

@@ -10,7 +10,7 @@ from kimap.channel import (
     run_schedule,
     run_session,
 )
-from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, keygen
+from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, keygen
 
 TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
@@ -205,6 +205,18 @@ class TestScheduleValidation:
     def test_duplicate_slot_rejected(self):
         with pytest.raises(ScheduleError):
             FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 1)])
+
+    def test_action_without_session_rejected(self):
+        """A wildcard would match every session, and so hide a numbered
+        action on the same flight from the duplicate-slot check."""
+        server, tags = fresh_world(n=2, seed=114)
+        bogus = TagAuth(BitString(0, 16))
+        with pytest.raises(ScheduleError, match="names no session"):
+            FaultSchedule([AdversaryAction.drop(4), AdversaryAction.replace(4, bogus, 2)])
+        sched = FaultSchedule([AdversaryAction.replace(4, bogus, 2)])
+        assert sched.for_session(1) == [] and sched.for_session(2) == sched.actions
+        t = run_schedule(server, tags, sched, 2, TOY16)[1]
+        assert t.sigma_prime == bogus and not t.accepted
 
     def test_replay_unknown_source(self):
         server, tags = fresh_world(seed=113)

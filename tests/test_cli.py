@@ -59,6 +59,10 @@ def _write_non_utf8_db(d, monkeypatch):
     (d / "kimap.db").write_bytes(b"\xffkimapdb v1 lambda=16\n")
 
 
+def _write_non_utf8_master(d, monkeypatch):
+    (d / "master.key").write_bytes(b"\xff:16\n")
+
+
 def _write_non_utf8_schedule(d, monkeypatch):
     (d.parent / "sched.txt").write_bytes(b"1 4 drop \xff\n")
 
@@ -85,10 +89,13 @@ EXIT_2_CASES = {
     "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
     "run-toy-hash-on-128-bits": (_reinit_128_bits, ("run", "--db", "DB", "--hash", "toy"),
                                  "toy hash output width must be <= 64 bits, got 128"),
-    "run-db-not-utf8": (_write_non_utf8_db, ("run", "--db", "DB"), "can't decode byte 0xff"),
+    "run-db-not-utf8": (_write_non_utf8_db, ("run", "--db", "DB"),
+                        "kimap.db:1: not UTF-8 text: can't decode byte 0xff"),
+    "run-master-not-utf8": (_write_non_utf8_master, ("run", "--db", "DB"),
+                            "master.key:1: not UTF-8 text: can't decode byte 0xff"),
     "run-schedule-not-utf8": (_write_non_utf8_schedule, ("run", "--db", "DB", "--hash", "toy",
                                                          "--schedule", "SCHED"),
-                              "can't decode byte 0xff"),
+                              "sched.txt:1: not UTF-8 text: can't decode byte 0xff"),
     "init-lambda-above-any-hash": (None, ("init", "--db", "DB", "--lambda", "300", "--force"),
                                    "hash output width must be 1..256 bits, got 300"),
     "game-no-execute-budget": (None, ("game", "ind", "random-guess", "--e1", "0"),
@@ -449,13 +456,20 @@ class TestLemma1:
         out = capsys.readouterr().out
         assert "pair x=1 y=0" in out and "pair x=0 y=1" in out
 
-    @pytest.mark.parametrize("mask", ["zz:8", "1ff:8", "ff"])
+    MASK_REASONS = {"zz:8": "invalid literal for int() with base 16: 'zz'",
+                    "1ff:8": "value 0x1ff does not fit in 8 bits",
+                    "ff": "missing ':<len>' in bitstring text 'ff'",
+                    "ab": "missing ':<len>' in bitstring text 'ab'"}
+
+    @pytest.mark.parametrize("mask", list(MASK_REASONS))
     def test_malformed_mask_is_usage_error(self, capsys, mask):
+        """argparse reports the parser's reason, not the parser's name."""
         with pytest.raises(SystemExit) as exc:
             run_cli("lemma1", "--k", "8", "--mask", mask)
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "error: argument --mask" in captured.err and captured.out == ""
+        assert f"error: argument --mask: {self.MASK_REASONS[mask]}" in captured.err
+        assert "from_text" not in captured.err and captured.out == ""
 
 
 class TestFlags:

@@ -8,7 +8,6 @@ from kimap.games import (
     DEFINITIONS,
     BudgetExceededError,
     Definition,
-    DoubleTestError,
     GameConfig,
     KeyKnowledge,
     OracleMisuseError,
@@ -269,7 +268,7 @@ class TestTestOracle:
         flavor(0)
         flavor(0)
         h.test(0, 1 if definition != "forward" else 2)
-        with pytest.raises(DoubleTestError):
+        with pytest.raises(OracleMisuseError, match="test may be called only once"):
             h.test(0, 1)
 
     def test_shapes_identical_for_both_coins(self):

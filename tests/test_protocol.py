@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from kimap.bits import (BitString, HashSpec, LengthMismatchError, OpMeter, Prng, metered,
-                        prng_next, split, xor)
+from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, metered, prng_next,
+                        split, xor)
 from kimap.protocol import (
     BroadcastAuth,
     LengthError,
@@ -18,12 +18,15 @@ from kimap.protocol import (
     auth_tag_msg,
     key_update,
     keygen,
+    make_candidate,
     partial_key,
     server_begin,
     server_finalize,
     server_prepare,
     server_timeout,
     session_key,
+    session_operands,
+    slot_keys,
     tag_respond_nonce,
     tag_verify_and_respond,
 )
@@ -209,9 +212,37 @@ class TestTagVerify:
         assert tags[0].pending is None
 
 
+def _make_candidate_of_other_width():
+    server, _ = keygen(16, 1, Prng(24, 0))
+    keys = slot_keys(TOY16, server.master, server.records["t001"], "current")
+    make_candidate(keys, session_operands(BitString(0, 8), BitString(0, 8)))
+
+
+def _tag_scan_of_narrow_delta():
+    server, tags = keygen(16, 1, Prng(25, 0))
+    ch = server_begin(server)
+    tag_respond_nonce(tags[0])
+    bad = ServerAuthCandidate(BitString(0, 16), BitString(0, 15))
+    tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((bad,)), TOY16)
+
+
 class TestWidthChecks:
     """Operands of the wrong width raise, whether they are checked once per
     session or once per candidate."""
+
+    @pytest.mark.parametrize("broken", [
+        lambda: xor(BitString(0, 4), BitString(0, 5)),
+        lambda: split(BitString(0, 5)),
+        lambda: BitString(16, 4),
+        lambda: counter_hash(TOY16, 2**32, BitString(0, 16), BitString(0, 16)),
+        lambda: session_operands(BitString(0, 16), BitString(0, 15)),
+        _make_candidate_of_other_width,
+        _tag_scan_of_narrow_delta,
+    ], ids=["xor", "split", "bitstring", "counter_hash", "session_operands", "make_candidate",
+            "tag_scan_delta"])
+    def test_every_width_check_raises_length_error(self, broken):
+        with pytest.raises(LengthError):
+            broken()
 
     @pytest.mark.parametrize("x_s_len,x_t_len", [(16, 15), (15, 16), (14, 14)])
     def test_server_prepare_rejects_wrong_width_operands(self, x_s_len, x_t_len):
@@ -225,7 +256,7 @@ class TestWidthChecks:
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         bad = ServerAuthCandidate(bc.candidates[-1].sigma, BitString(0, 15))
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(LengthError):
             tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((*bc.candidates, bad)), TOY16)
 
     def test_tag_scan_rejects_wrong_width_challenge(self):

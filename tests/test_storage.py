@@ -74,6 +74,19 @@ def test_corrupt_record_reports_line(provisioned, tmp_path):
     assert ":3:" in str(err.value)
 
 
+def test_non_utf8_record_reports_line(provisioned, tmp_path):
+    """A byte that is not UTF-8 is a format error at the line that holds
+    it, not a decoding error that names no file."""
+    _, db, _ = provisioned
+    data = db.read_bytes().splitlines(keepends=True)
+    data[2] = data[2].replace(b"t002", b"t\xe9\x02")
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(b"".join(data))
+    with pytest.raises(DatabaseFormatError, match="not UTF-8 text: can't decode byte 0xe9") as err:
+        load_database(bad)
+    assert str(err.value).startswith(f"{bad}:3: ")
+
+
 @pytest.mark.parametrize("counter", [2 ** 32, 2 ** 40])
 def test_counter_wider_than_the_hash_binds_reports_line(provisioned, tmp_path, counter):
     _, db, _ = provisioned
