@@ -24,8 +24,8 @@ import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 
 class LengthError(ValueError):
@@ -205,6 +205,11 @@ class HashSpec:
 
     output_len_bits: int
     variant: str = "production"
+    # The digest of hash2's encoded bytes, chosen once per spec: a production
+    # digest of up to 64 bits is the first 8 SHA-256 bytes shifted right by
+    # ``_sha_shift``; ``_digest(data)`` computes any digest.
+    _sha_shift: int | None = field(init=False, repr=False, compare=False)
+    _digest: Callable[[bytes], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variant not in ("production", "toy"):
@@ -214,6 +219,10 @@ class HashSpec:
         if self.variant == "toy" and self.output_len_bits > _TOY_STATE_BITS:
             raise ParameterError(f"toy hash output width must be <= {_TOY_STATE_BITS} bits, "
                                  f"got {self.output_len_bits}")
+        out_bits, toy = self.output_len_bits, self.variant == "toy"
+        object.__setattr__(self, "_sha_shift", None if toy or out_bits > 64 else 64 - out_bits)
+        object.__setattr__(self, "_digest", partial(_toy_digest if toy else _sha256_digest,
+                                                    out_bits=out_bits))
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":
@@ -251,8 +260,13 @@ def _toy_digest(data: bytes, out_bits: int) -> int:
             return out
 
 
+_sha256 = hashlib.sha256
 # The first 8 bytes of a digest as a big-endian int.
 _unpack_u64 = struct.Struct(">Q").unpack_from
+
+
+def _sha256_digest(data: bytes, out_bits: int) -> int:
+    return int.from_bytes(_sha256(data).digest(), "big") >> (256 - out_bits)
 
 
 @lru_cache(maxsize=256)
@@ -291,7 +305,8 @@ def hash2(spec: HashSpec, left: BitString | int, right: BitString | int) -> BitS
 
     Both count one hash and digest the same bytes. A production digest is
     the top ``output_len_bits`` bits of the SHA-256 digest; up to 64 of them
-    are read from its first 8 bytes alone.
+    are read from its first 8 bytes alone. Which digest applies is settled
+    once, when the :class:`HashSpec` is built.
     """
     meter = _ACTIVE_METER.get()
     if meter is not None:
@@ -303,16 +318,9 @@ def hash2(spec: HashSpec, left: BitString | int, right: BitString | int) -> BitS
         base, left_shift, right_shift, nbytes = hash2_layout(left._length, right._length)
         enc = base | left._value << left_shift | right._value << right_shift
         data = enc.to_bytes(nbytes, "big")
-    out_bits = spec.output_len_bits
-    if spec.variant == "production":
-        digest = hashlib.sha256(data).digest()
-        if out_bits <= 64:
-            value = _unpack_u64(digest)[0] >> (64 - out_bits)
-        else:
-            value = int.from_bytes(digest, "big") >> (256 - out_bits)
-    else:
-        value = _toy_digest(data, out_bits)
-    return value if encoded else _trusted(value, out_bits)
+    shift = spec._sha_shift
+    value = _unpack_u64(_sha256(data).digest())[0] >> shift if shift is not None else spec._digest(data)
+    return value if encoded else _trusted(value, spec.output_len_bits)
 
 
 # Width of the session counter ``i`` that H_i binds, and so of every stored
@@ -329,7 +337,9 @@ def counter_hash(spec: HashSpec, i: int, left: BitString, right: BitString) -> B
     if i >> COUNTER_BITS:
         raise LengthError(f"session index {i} does not fit in {COUNTER_BITS} bits")
     n_left = left._length
-    return hash2(spec, _trusted(i << n_left | left._value, COUNTER_BITS + n_left), right)
+    base, left_shift, right_shift, nbytes = hash2_layout(COUNTER_BITS + n_left, right._length)
+    enc = base | (i << n_left | left._value) << left_shift | right._value << right_shift
+    return _trusted(hash2(spec, enc, nbytes), spec.output_len_bits)
 
 
 # ---------------------------------------------------------------------------

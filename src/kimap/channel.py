@@ -39,7 +39,8 @@ Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
 class ScheduleError(ParameterError):
     """Malformed adversary action or schedule (unknown replay source,
-    payload of the wrong shape for its flight, duplicate slot)."""
+    payload of the wrong shape for its flight, duplicate slot, an action
+    passed to a session it does not name)."""
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,24 @@ def _deliver(flight: int, emitted: Payload, actions: list[AdversaryAction],
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
                 spec: HashSpec, *, session_seq: int = 1, label: str = "",
                 recording: Optional[Recording] = None) -> SessionTranscript:
-    """Drive the four flights once, applying each matching action.
+    """Drive the four flights once, applying the actions.
+
+    Every action must fit this session: its ``session_seq`` is ``None`` or
+    ``session_seq``, and no two act on one flight. Otherwise
+    :class:`ScheduleError` is raised before any flight runs.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
+    flights = set()
+    for a in actions:
+        if a.session_seq is not None and a.session_seq != session_seq:
+            raise ScheduleError(f"action on flight {a.flight} is for session {a.session_seq}, "
+                                f"not session {session_seq}")
+        if a.flight in flights:
+            raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
+        flights.add(a.flight)
     if recording is None:
         recording = {}
     t = SessionTranscript(session_seq=session_seq, label=label)

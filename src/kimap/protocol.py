@@ -28,12 +28,16 @@ expected ``sigma'``), each from one slot term ORed with one session term,
 both encoded as ints by the one ``hash2`` layout
 (:func:`~kimap.bits.hash2_layout`). A record slot's terms are cached in its
 :class:`SlotKeys`, rebuilt only when the slot's key or the record's counter
-changes; the session's terms are built once, with their width check, by
-:func:`session_operands`, and the tag's scan shares them. Digests stay ints
-until they reach the wire. The pending session keeps, in broadcast order,
-each candidate's :class:`SlotKeys` and expected ``sigma'``; the next key is
+changes, at one hash (the partial key) and one XOR (``delta``), with the key
+halves taken from the ints; the session's terms are built once, with their
+width check, by :func:`session_operands`, and the tag's scan shares them.
+Digests stay ints until they reach the wire. The pending session keeps, in
+broadcast order, each candidate's :class:`SlotKeys` and expected ``sigma'``;
+the next key, one hash from the slot's cached ``k'' || x''`` term, is
 computed only for the matched candidate, or for every record when a failed
-session hedges.
+session hedges. :func:`partial_key`, :func:`session_key`,
+:func:`key_update`, :func:`auth_server_tag` and :func:`auth_tag_msg` state
+the paper's formulas on bitstrings, and the tests hold the int path to them.
 
 On a failed or missing flight 4 the server parks the candidate next-key in
 the record's previous-key slot so that a tag which did ratchet can still be
@@ -74,7 +78,8 @@ def _mismatch(*parts: BitString) -> LengthError:
 @dataclass(frozen=True)
 class MasterKey:
     """Server-only master secret. Never serialized into tag state or wire
-    messages; only :func:`partial_key` consumes it."""
+    messages; only the partial key ``H_i(SK*, k)`` consumes it
+    (:func:`partial_key`, :func:`slot_keys`)."""
 
     value: BitString
 
@@ -111,17 +116,18 @@ class ServerTagRecord:
         return self.consecutive_failures >= 2
 
 
-@dataclass(frozen=True, slots=True)
-class SlotKeys:
+class SlotKeys(NamedTuple):
     """One (record, key slot), as the record ``label`` held it in ``slot``
     ("current" | "previous"), and the values that stay fixed until the
     slot's key or the record's counter changes, derived from ``key`` at
     session ``counter``: the partial key ``x = H_i(SK*, k)``, ``delta = k
-    XOR x``, and the slot's terms of the two candidate hashes, encoded by
-    :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the length-prefixed,
-    shifted left operand ``k' || x`` of ``sigma``, and ``session_term``, the
-    shifted right operand ``k' || x'`` (the session key) of ``sigma'``.
-    ``width`` is the width of ``key`` and of ``x``."""
+    XOR x``, and the slot's terms of the three hashes that use it, encoded
+    by :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the
+    length-prefixed, shifted left operand ``k' || x`` of ``sigma``;
+    ``session_term``, the shifted right operand ``k' || x'`` (the session
+    key) of ``sigma'``; and ``next_term``, the length-prefixed, shifted
+    left operand ``k'' || x''`` of the key update. ``width`` is the width of
+    ``key`` and of ``x``. Built by :func:`slot_keys`."""
 
     label: str
     slot: str
@@ -133,15 +139,20 @@ class SlotKeys:
     delta: BitString
     sigma_term: int
     session_term: int
+    next_term: int
 
     def next_key(self, x_s: BitString) -> BitString:
         """The key the server commits if this slot's candidate is matched in
-        the session with challenge ``x_s``: ``H(k'' || x'', x_s)``. One hash
-        on every call, so only the matched candidate and the hedging path
-        pay for it."""
-        _, k_dprime = split(self.key)
-        _, x_dprime = split(self.x)
-        return key_update(self.spec, k_dprime, x_dprime, x_s)
+        the session with challenge ``x_s``: ``H(k'' || x'', x_s)``, the
+        digest of :func:`key_update`. One hash on every call, so only the
+        matched candidate and the hedging path pay for it."""
+        width = self.width
+        if x_s._length != width:
+            raise _mismatch(self.key, x_s)
+        _, _, shift, nbytes = _layouts(width)[2]
+        spec = self.spec
+        return _trusted(hash2(spec, self.next_term | x_s._value << shift, nbytes),
+                        spec.output_len_bits)
 
 
 @dataclass
@@ -177,9 +188,11 @@ class ServerAuthCandidate(NamedTuple):
     delta: BitString
 
 
-# Builds a ServerAuthCandidate from a pair at C level, without the
-# NamedTuple's generated Python __new__.
+# Build a ServerAuthCandidate or SlotKeys from a tuple, and a BitString
+# whose width holds by construction, at C level, without a generated Python
+# __new__ or BitString's range checks.
 _new_tuple = tuple.__new__
+_new_object = object.__new__
 
 
 @dataclass(frozen=True)
@@ -328,28 +341,38 @@ def tag_respond_nonce(tag: TagState) -> TagNonce:
 
 
 @lru_cache(maxsize=64)
-def _layouts(width: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    """The :func:`~kimap.bits.hash2_layout` of both candidate hashes for
-    keys of ``width`` bits: ``sigma = H(k' || x, x_s || x_t)`` and
-    ``sigma' = H(x_t || x_s, k' || x')``."""
-    return hash2_layout(width + width // 2, 2 * width), hash2_layout(2 * width, width)
+def _layouts(width: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The :func:`~kimap.bits.hash2_layout` of the three hashes of a slot's
+    key for keys of ``width`` bits: ``sigma = H(k' || x, x_s || x_t)``,
+    ``sigma' = H(x_t || x_s, k' || x')`` and the next key ``H(k'' || x'',
+    x_s)``."""
+    return (hash2_layout(width + width // 2, 2 * width), hash2_layout(2 * width, width),
+            hash2_layout(width, width))
 
 
 def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str) -> SlotKeys:
     """The :class:`SlotKeys` of ``rec``'s key in ``slot`` at the record's
-    counter: one hash."""
+    counter: one hash and one XOR. The halves ``k'``, ``k''``, ``x'`` and
+    ``x''`` are taken from the ints, so the terms hold the values
+    :func:`partial_key`, :func:`session_key` and :func:`key_update` take."""
     key = rec.key_current if slot == "current" else rec.key_previous
-    x = partial_key(spec, rec.counter, master, key)
-    k_prime, _ = split(key)
-    x_prime, _ = split(x)
-    width = len(key)
-    if len(x) != width:
+    width = key._length
+    if width % 2:
+        raise LengthError(f"cannot split odd length {width}")
+    counter = rec.counter
+    x = counter_hash(spec, counter, master.value, key)
+    if x._length != width:
         raise _mismatch(key, x)
-    (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
-    return SlotKeys(label=rec.label, slot=slot, spec=spec, counter=rec.counter, key=key,
-                    width=width, x=x, delta=xor(key, x),
-                    sigma_term=base | (k_prime.value << width | x.value) << shift,
-                    session_term=session_key(k_prime, x_prime).value << sk_shift)
+    half = width >> 1
+    low = (1 << half) - 1
+    k, xv = key._value, x._value
+    k_prime = k >> half
+    (base, shift, _, _), (_, _, sk_shift, _), (next_base, next_shift, _, _) = _layouts(width)
+    return _new_tuple(SlotKeys, (
+        rec.label, slot, spec, counter, key, width, x, xor(key, x),
+        base | (k_prime << width | xv) << shift,
+        (k_prime << half | xv >> half) << sk_shift,
+        next_base | ((k & low) << half | xv & low) << next_shift))
 
 
 def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
@@ -358,7 +381,7 @@ def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
     width = len(x_s)
     if len(x_t) != width:
         raise _mismatch(x_s, x_t)
-    (_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes) = _layouts(width)
+    (_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes), _ = _layouts(width)
     s, t = x_s.value, x_t.value
     return SessionOperands(x_s, x_t, width, (s << width | t) << st_shift,
                            base | (t << width | s) << ts_shift, sigma_bytes, sigma_prime_bytes)
@@ -374,8 +397,10 @@ def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCand
     if keys.width != ops.width:
         raise _mismatch(keys.x, ops.x_s, ops.x_t)
     spec = keys.spec
-    sigma = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
-    return (_new_tuple(ServerAuthCandidate, (_trusted(sigma, spec.output_len_bits), keys.delta)),
+    sigma = _new_object(BitString)
+    sigma._value = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
+    sigma._length = spec.output_len_bits
+    return (_new_tuple(ServerAuthCandidate, (sigma, keys.delta)),
             hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes))
 
 
@@ -431,7 +456,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         k_prime, k_dprime = split(key)
         # sigma's input for a candidate is base | x_hat << shift: the slot
         # term of k' || x_hat without x_hat, ORed with the session's term.
-        (base, shift, _, _), (_, _, sk_shift, _) = _layouts(width)
+        (base, shift, _, _), (_, _, sk_shift, _), _ = _layouts(width)
         base |= k_prime.value << (shift + width) | ops.s_t_term
         nbytes, out_bits, k = ops.sigma_bytes, spec.output_len_bits, key.value
         matched: Optional[int] = None

@@ -1,5 +1,8 @@
 """Channel simulator: interception, recovery, and transcript fidelity."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from kimap.bits import BitString, HashSpec, Prng
@@ -217,6 +220,30 @@ class TestScheduleValidation:
         assert sched.for_session(1) == [] and sched.for_session(2) == sched.actions
         t = run_schedule(server, tags, sched, 2, TOY16)[1]
         assert t.sigma_prime == bogus and not t.accepted
+
+    def test_run_session_applies_actions_of_its_own_session(self):
+        server, tags = fresh_world(seed=116)
+        t = run_session(server, tags[0], [AdversaryAction.drop(4, 3)], TOY16, session_seq=3)
+        assert t.tag_updated and t.sigma_prime is None and not t.accepted
+
+    @pytest.mark.parametrize("actions, message", [
+        ([AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
+        ([AdversaryAction.drop(2), AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
+        ([AdversaryAction.drop(4), AdversaryAction.replace(4, TagAuth(BitString(0, 16)))],
+         "two actions on flight 4"),
+        ([AdversaryAction.drop(3, 1), AdversaryAction.replay(3, 1)], "two actions on flight 3"),
+    ], ids=["other-session", "other-session-second", "same-flight", "same-flight-numbered"])
+    def test_run_session_rejects_actions_that_do_not_fit(self, actions, message):
+        """An action numbered for another session, or a second action on one
+        flight, is a malformed schedule: it raises before any flight runs,
+        where before it was applied or silently ignored."""
+        server, tags = fresh_world(seed=117)
+        records = [dataclasses.replace(r) for r in server.records.values()]
+        prng, tag_prng = copy.deepcopy(server.prng), copy.deepcopy(tags[0].prng)
+        with pytest.raises(ScheduleError, match=message):
+            run_session(server, tags[0], actions, TOY16, session_seq=1)
+        assert list(server.records.values()) == records
+        assert server.prng == prng and tags[0].prng == tag_prng and tags[0].pending is None
 
     def test_replay_unknown_source(self):
         server, tags = fresh_world(seed=113)

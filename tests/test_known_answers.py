@@ -15,7 +15,7 @@ import pytest
 
 from kimap.bits import BitString, HashSpec, Prng, counter_hash, hash2, hash2_layout
 from kimap.channel import run_session
-from kimap.protocol import keygen, partial_key
+from kimap.protocol import MasterKey, keygen, partial_key
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "known_answers.json"
@@ -60,6 +60,19 @@ def test_counter_hash_known_answers(fixture):
         got = counter_hash(spec, row["i"], BitString.from_text(row["left"]),
                            BitString.from_text(row["right"]))
         assert got.to_text() == row["digest"], row
+
+
+def test_counter_hash_production_known_answers(fixture):
+    """Production partial keys ``H_i(SK*, k)`` at lambda 16, 64 and 128, at
+    the first, a middle and the last counter a record can hold."""
+    rows = fixture["counter_hash_production"]
+    assert {(row["out_bits"], row["i"]) for row in rows} == {
+        (lam, i) for lam in (16, 64, 128) for i in (1, 2**31, 2**32 - 1)}
+    for row in rows:
+        spec = HashSpec.production(row["out_bits"])
+        left, right = BitString.from_text(row["left"]), BitString.from_text(row["right"])
+        assert counter_hash(spec, row["i"], left, right).to_text() == row["digest"], row
+        assert partial_key(spec, row["i"], MasterKey(left), right).to_text() == row["digest"], row
 
 
 def test_full_transcript_lambda8(fixture):

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, metered, prng_next,
-                        split, xor)
+from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, hash2_layout, metered,
+                        prng_next, split, xor)
 from kimap.protocol import (
     BroadcastAuth,
     LengthError,
@@ -438,6 +438,83 @@ class TestCostAccounting:
             tag_verify_and_respond(tag, ch.x_s, bc, TOY16)
             counts.append(tag.meter.hash_calls - h0)
         assert len(set(counts)) == 1
+
+
+def _with_previous(lam, seed):
+    """A record whose both key slots are live, at a counter past 1."""
+    server, _ = keygen(lam, 1, Prng(seed, 0))
+    rec = server.records["t001"]
+    rec.key_previous = prng_next(Prng(seed, 1), lam)
+    rec.counter = 1 + seed
+    return server, rec
+
+
+def _left_term(left, n_right):
+    base, left_shift, _, _ = hash2_layout(len(left), n_right)
+    return base | left.value << left_shift
+
+
+def _right_term(n_left, right):
+    return right.value << hash2_layout(n_left, len(right))[2]
+
+
+# Toy and production specs, with a production width past 64 bits, whose
+# digest is not read from the first 8 bytes alone.
+SLOT_SPECS = [TOY8, TOY16, HashSpec.production(16), PROD64, HashSpec.production(128)]
+SPEC_IDS = [f"{spec.variant}{spec.output_len_bits}" for spec in SLOT_SPECS]
+SLOTS = ("current", "previous")
+
+
+class TestSlotKeys:
+    """A record slot's keys are built from ints at one hash and one XOR, and
+    its next key at one hash; every value equals the one the paper's
+    bitstring formulas give."""
+
+    @pytest.mark.parametrize("spec", SLOT_SPECS, ids=SPEC_IDS)
+    @pytest.mark.parametrize("slot", SLOTS)
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_costs_and_values_equal_the_bitstring_reference(self, spec, slot, seed):
+        lam = spec.output_len_bits
+        server, rec = _with_previous(lam, seed)
+        x_s = prng_next(Prng(seed, 2), lam)
+        with metered(OpMeter()) as build:
+            keys = slot_keys(spec, server.master, rec, slot)
+        with metered(OpMeter()) as update:
+            next_key = keys.next_key(x_s)
+        assert build.snapshot() == (1, 0, 1)  # the partial key and delta
+        assert update.snapshot() == (1, 0, 0)
+        key = rec.key_current if slot == "current" else rec.key_previous
+        x = partial_key(spec, rec.counter, server.master, key)
+        k_prime, k_dprime = split(key)
+        x_prime, x_dprime = split(x)
+        assert keys == (rec.label, slot, spec, rec.counter, key, lam, x, xor(key, x),
+                        _left_term(k_prime + x, 2 * lam),
+                        _right_term(2 * lam, session_key(k_prime, x_prime)),
+                        _left_term(k_dprime + x_dprime, lam))
+        assert next_key == key_update(spec, k_dprime, x_dprime, x_s)
+
+    @pytest.mark.parametrize("spec", SLOT_SPECS, ids=SPEC_IDS)
+    @pytest.mark.parametrize("width", [-2, -1, 1, 2])
+    def test_next_key_checks_the_challenge_width(self, spec, width):
+        lam = spec.output_len_bits
+        server, rec = _with_previous(lam, 7)
+        keys = slot_keys(spec, server.master, rec, "current")
+        with metered(OpMeter()) as meter, pytest.raises(LengthError):
+            keys.next_key(BitString(0, lam + width))
+        assert meter.hash_calls == 0
+
+    def test_odd_key_width_raises(self):
+        server, rec = _with_previous(16, 8)
+        rec.key_current = BitString(0x1234, 15)
+        with pytest.raises(LengthError, match="odd length 15"):
+            slot_keys(HashSpec.toy(15), server.master, rec, "current")
+
+    @pytest.mark.parametrize("spec", [HashSpec.toy(14), HashSpec.production(18)],
+                             ids=["toy14", "production18"])
+    def test_partial_key_of_another_width_raises(self, spec):
+        server, rec = _with_previous(16, 9)
+        with pytest.raises(LengthError, match="inconsistent operand lengths"):
+            slot_keys(spec, server.master, rec, "current")
 
 
 class TestTagStorage:

@@ -95,6 +95,10 @@ def production_hash2(out_bits, a, b):
     return (int.from_bytes(digest, "big") >> (256 - out_bits), out_bits)
 
 
+def production_counter_hash(out_bits, i, a, b):
+    return production_hash2(out_bits, concat((i, 32), a), b)
+
+
 # ---------------------------------------------------------------------------
 # PRNG: SHA-256 counter mode, bits consumed most-significant first.
 
@@ -137,6 +141,12 @@ LAM = 8
 PRODUCTION_SEED = 20107
 PRODUCTION_OUT_BITS = (1, 8, 33, 63, 64, 65, 128, 255, 256)
 PRODUCTION_WIDTHS = ((96, 128), (128, 64), (5, 12), (0, 4))
+
+# Production counter-bound digests: a master key and a key of width lambda,
+# drawn from one stream, at the first, a middle and the last 32-bit counter.
+COUNTER_SEED = 20108
+COUNTER_LAMBDAS = (16, 64, 128)
+COUNTERS = (1, 2**31, 2**32 - 1)
 
 
 def generate():
@@ -212,6 +222,16 @@ def generate():
             rows.append({"out_bits": out_bits, "left": to_text(a), "right": to_text(b),
                          "digest": to_text(production_hash2(out_bits, a, b))})
     fixture["hash2_production"] = rows
+
+    operands = Stream(COUNTER_SEED, 0)
+    rows = []
+    for lam in COUNTER_LAMBDAS:
+        a = operands.next_bits(lam)
+        b = operands.next_bits(lam)
+        for i in COUNTERS:
+            rows.append({"out_bits": lam, "i": i, "left": to_text(a), "right": to_text(b),
+                         "digest": to_text(production_counter_hash(lam, i, a, b))})
+    fixture["counter_hash_production"] = rows
     return fixture
 
 
