@@ -1,12 +1,12 @@
 """In-memory lossy/adversarial channel driving sessions between endpoints.
 
 The channel is a four-flight pipe. An :class:`AdversaryAction` intercepts
-one flight of one session: drop it, replace the payload, or replay a
-recorded flight from an earlier session; a flight with no action passes
-unchanged. Every emitted payload is recorded under ``(session, flight)`` so
-later sessions can replay it. The simulator itself never mutates payloads;
-every transcript field is exactly what an endpoint emitted or an action
-substituted, and a field is present only if its flight was delivered.
+one flight of one session (counted from 1): drop it, replace the payload,
+or replay that flight as an earlier session emitted it. Every emitted
+payload is recorded under ``(session, flight)`` for later replays. The
+simulator itself never mutates payloads; every transcript field is exactly
+what an endpoint emitted or an action substituted, and a field is present
+only if its flight was delivered.
 """
 
 from __future__ import annotations
@@ -38,19 +38,18 @@ Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
 
 class ScheduleError(ParameterError):
-    """Malformed adversary action or schedule (unknown replay source,
-    payload of the wrong shape for its flight, duplicate slot, an action
-    passed to a session it does not name)."""
+    """An action, schedule or session's set of actions that breaks a rule of
+    :class:`AdversaryAction`, :class:`FaultSchedule` or :func:`run_session`."""
 
 
 @dataclass(frozen=True)
 class AdversaryAction:
-    """One interception. ``session_seq`` of ``None`` matches any session: it
-    is for actions passed straight to :func:`run_session`, not a schedule."""
+    """One interception of ``flight`` (1-4) in session ``session_seq`` (>= 1).
+    A replay delivers that flight as session ``source_session`` emitted it."""
 
     kind: str  # "drop" | "replace" | "replay"
     flight: int
-    session_seq: Optional[int] = None
+    session_seq: int
     payload: Optional[Payload] = None
     source_session: Optional[int] = None
 
@@ -59,43 +58,46 @@ class AdversaryAction:
             raise ScheduleError(f"unknown action kind {self.kind!r}")
         if self.flight not in (1, 2, 3, 4):
             raise ScheduleError(f"flight must be 1-4, got {self.flight}")
-        if self.kind == "replace":
-            if not isinstance(self.payload, PAYLOAD_TYPES[self.flight]):
-                raise ScheduleError(
-                    f"replace payload for flight {self.flight} must be "
-                    f"{PAYLOAD_TYPES[self.flight].__name__}")
+        if self.session_seq < 1:
+            raise ScheduleError(f"session must be >= 1, got {self.session_seq}")
+        if self.kind == "replace" and not isinstance(self.payload, PAYLOAD_TYPES[self.flight]):
+            raise ScheduleError(f"replace payload for flight {self.flight} must be "
+                                f"{PAYLOAD_TYPES[self.flight].__name__}")
         if self.kind == "replay" and self.source_session is None:
             raise ScheduleError("replay needs a source session")
 
     @classmethod
-    def drop(cls, flight: int, session_seq: Optional[int] = None) -> "AdversaryAction":
+    def drop(cls, flight: int, session_seq: int) -> "AdversaryAction":
         return cls("drop", flight, session_seq)
 
     @classmethod
-    def replace(cls, flight: int, payload: Payload, session_seq: Optional[int] = None) -> "AdversaryAction":
+    def replace(cls, flight: int, payload: Payload, session_seq: int) -> "AdversaryAction":
         return cls("replace", flight, session_seq, payload=payload)
 
     @classmethod
-    def replay(cls, flight: int, source_session: int, session_seq: Optional[int] = None) -> "AdversaryAction":
+    def replay(cls, flight: int, source_session: int, session_seq: int) -> "AdversaryAction":
         return cls("replay", flight, session_seq, source_session=source_session)
 
 
 @dataclass
 class FaultSchedule:
-    """Ordered interceptions for a multi-session run. Each action names its
-    session, and each (session, flight) slot may carry at most one action."""
+    """Ordered interceptions for a multi-session run. Each (session, flight)
+    slot may carry at most one action."""
 
     actions: list[AdversaryAction] = field(default_factory=list)
+    _slots: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for a in self.actions:
-            if a.session_seq is None:
-                raise ScheduleError(f"scheduled action on flight {a.flight} names no session")
-            slot = (a.session_seq, a.flight)
-            if slot in seen:
-                raise ScheduleError(f"duplicate action for session {a.session_seq} flight {a.flight}")
-            seen.add(slot)
+        actions, self.actions = self.actions, []
+        for a in actions:
+            self.add(a)
+
+    def add(self, action: AdversaryAction) -> None:
+        slot = (action.session_seq, action.flight)
+        if slot in self._slots:
+            raise ScheduleError(f"duplicate action for session {slot[0]} flight {slot[1]}")
+        self._slots.add(slot)
+        self.actions.append(action)
 
     def for_session(self, seq: int) -> list[AdversaryAction]:
         return [a for a in self.actions if a.session_seq == seq]
@@ -130,21 +132,17 @@ class SessionTranscript:
 Recording = dict[tuple[int, int], Payload]
 
 
-def _deliver(flight: int, emitted: Payload, actions: list[AdversaryAction],
+def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
              session_seq: int, recording: Recording) -> Optional[Payload]:
     recording[(session_seq, flight)] = emitted
-    action = next((a for a in actions if a.flight == flight), None)
+    action = by_flight.get(flight)
     if action is None:
         return emitted
     if action.kind == "drop":
         return None
     if action.kind == "replace":
         return action.payload
-    source = recording.get((action.source_session, flight))
-    if source is None:
-        raise ScheduleError(
-            f"replay source session {action.source_session} flight {flight} was never recorded")
-    return source
+    return recording[(action.source_session, flight)]
 
 
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
@@ -152,41 +150,44 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
                 recording: Optional[Recording] = None) -> SessionTranscript:
     """Drive the four flights once, applying the actions.
 
-    Every action must fit this session: its ``session_seq`` is ``None`` or
-    ``session_seq``, and no two act on one flight. Otherwise
-    :class:`ScheduleError` is raised before any flight runs.
+    Every action must fit this session: it names ``session_seq``, no two act
+    on one flight, and a replay's source flight is already in ``recording``
+    (an earlier session emitted it). Otherwise :class:`ScheduleError` is
+    raised before any flight runs, and no state changes.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
-    flights = set()
+    recording = {} if recording is None else recording
+    by_flight: dict[int, AdversaryAction] = {}
     for a in actions:
-        if a.session_seq is not None and a.session_seq != session_seq:
+        if a.session_seq != session_seq:
             raise ScheduleError(f"action on flight {a.flight} is for session {a.session_seq}, "
                                 f"not session {session_seq}")
-        if a.flight in flights:
+        if a.flight in by_flight:
             raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
-        flights.add(a.flight)
-    if recording is None:
-        recording = {}
+        if a.kind == "replay" and (a.source_session, a.flight) not in recording:
+            raise ScheduleError(f"replay source session {a.source_session} flight {a.flight} "
+                                f"was never recorded")
+        by_flight[a.flight] = a
     t = SessionTranscript(session_seq=session_seq, label=label)
 
     challenge = server_begin(server)
-    delivered_ch = _deliver(1, challenge, actions, session_seq, recording)
+    delivered_ch = _deliver(1, challenge, by_flight, session_seq, recording)
     t.x_s = delivered_ch
     if delivered_ch is None:
         return t
 
     nonce = tag_respond_nonce(tag)
-    delivered_nonce = _deliver(2, nonce, actions, session_seq, recording)
+    delivered_nonce = _deliver(2, nonce, by_flight, session_seq, recording)
     t.x_t = delivered_nonce
     if delivered_nonce is None:
         tag.pending = None
         return t
 
     broadcast, pending = server_prepare(server, challenge.x_s, delivered_nonce.x_t, spec)
-    delivered_bc = _deliver(3, broadcast, actions, session_seq, recording)
+    delivered_bc = _deliver(3, broadcast, by_flight, session_seq, recording)
     t.broadcast = delivered_bc
     if delivered_bc is None:
         tag.pending = None
@@ -196,7 +197,7 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     counter_before = tag.counter
     ta = tag_verify_and_respond(tag, delivered_ch.x_s, delivered_bc, spec)
     t.tag_updated = tag.counter != counter_before
-    delivered_ta = _deliver(4, ta, actions, session_seq, recording)
+    delivered_ta = _deliver(4, ta, by_flight, session_seq, recording)
     t.sigma_prime = delivered_ta
     if delivered_ta is None:
         t.outcome_server = server_timeout(server, pending)

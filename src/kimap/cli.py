@@ -89,6 +89,12 @@ _SHARED_FLAGS = {
 }
 
 
+# ``kimap cost``'s own flags -> the CostParams field each sets and defaults to
+_COST_FLAGS = {"--hash-cycles": "hash_cycles_per_block", "--clock-hz": "tag_clock_hz",
+               "--t2r-bps": "t2r_rate_bps", "--r2t-bps": "r2t_rate_bps",
+               "--serial-bps": "serial_rate_bps", "--candidates": "candidates"}
+
+
 def _mask(text: str) -> BitString:
     """``--mask``'s type: a malformed mask is a usage error that says why."""
     try:
@@ -127,20 +133,17 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p_game, "--lambda", "--seed", "--hash", "--format")
     p_game.add_argument("definition", choices=list(DEFINITIONS))
     p_game.add_argument("distinguisher")
-    p_game.add_argument("--trials", type=int, default=1000)
+    p_game.add_argument("--trials", type=int, default=GameConfig.trials)
     p_game.add_argument("--tags", type=int, default=2, help="tags per game world")
-    p_game.add_argument("--e1", type=int, default=16)
-    p_game.add_argument("--e2", type=int, default=16)
+    p_game.add_argument("--e1", type=int, default=GameConfig.e1)
+    p_game.add_argument("--e2", type=int, default=GameConfig.e2)
 
     p_cost = add("cost", "evaluate the session cost model")
     shared(p_cost, "--lambda", "--format")
     p_cost.add_argument("--tags", type=int, default=200, help="batch size for serial backhaul")
-    p_cost.add_argument("--hash-cycles", type=int, default=33)
-    p_cost.add_argument("--clock-hz", type=int, default=100_000)
-    p_cost.add_argument("--t2r-bps", type=int, default=640_000)
-    p_cost.add_argument("--r2t-bps", type=int, default=126_000)
-    p_cost.add_argument("--serial-bps", type=int, default=20_000)
-    p_cost.add_argument("--candidates", type=int, default=1)
+    for flag, name in _COST_FLAGS.items():
+        p_cost.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                            type=int, default=getattr(CostParams, name))
 
     p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
     shared(p_lemma, "--seed")
@@ -163,7 +166,7 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
     def error(line_no: int, message: str) -> ScheduleError:
         return ScheduleError(f"{path}:{line_no}: {message}")
 
-    actions = []
+    schedule = FaultSchedule()
     for line_no, raw in enumerate(read_text(path, error).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,21 +181,20 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
             raise error(line_no, "session and flight must be integers") from None
         verb, rest = fields[2], fields[3:]
         try:
-            if seq < 1:
-                raise ScheduleError(f"session must be >= 1, got {seq}")
             if verb == "drop" and not rest:
-                actions.append(AdversaryAction.drop(flight, seq))
+                action = AdversaryAction.drop(flight, seq)
             elif verb == "replay" and len(rest) == 1:
-                actions.append(AdversaryAction.replay(flight, int(rest[0]), seq))
+                action = AdversaryAction.replay(flight, int(rest[0]), seq)
             elif verb == "replace":
-                actions.append(AdversaryAction.replace(flight, _parse_payload(flight, rest, lam), seq))
+                action = AdversaryAction.replace(flight, _parse_payload(flight, rest, lam), seq)
             elif verb in ("drop", "replay"):
                 raise ScheduleError(f"wrong field count for {verb}")
             else:
                 raise ScheduleError(f"unknown schedule action {verb!r}")
+            schedule.add(action)
         except ValueError as exc:
             raise error(line_no, str(exc)) from None
-    return FaultSchedule(actions)
+    return schedule
 
 
 def _parse_payload(flight: int, fields: list[str], lam: int):
@@ -202,10 +204,12 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
             raise ScheduleError(f"replacement field {value.to_text()} is {len(value)} bits, "
                                 f"database lambda {lam}")
     kind = PAYLOAD_TYPES.get(flight)
+    if kind is None:  # no such flight: AdversaryAction says so
+        return None
     if kind is BroadcastAuth:  # (sigma, delta) pairs; every other flight carries one value
         if values and len(values) % 2 == 0:
             return BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
-    elif kind is not None and len(values) == 1:
+    elif len(values) == 1:
         return kind(values[0])
     raise ScheduleError(f"wrong replacement field count for flight {flight}")
 
@@ -283,15 +287,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    params = CostParams(
-        lambda_bits=args.lam,
-        hash_cycles_per_block=args.hash_cycles,
-        tag_clock_hz=args.clock_hz,
-        t2r_rate_bps=args.t2r_bps,
-        r2t_rate_bps=args.r2t_bps,
-        serial_rate_bps=args.serial_bps,
-        candidates=args.candidates,
-    )
+    params = CostParams(lambda_bits=args.lam,
+                        **{name: getattr(args, name) for name in _COST_FLAGS.values()})
     report = compute_cost(params, batch_tags=args.tags)
     findings = check_budget(report, BudgetLimits())
     if args.format == "structured":

@@ -4,9 +4,12 @@ import copy
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kimap.bits import BitString, HashSpec, Prng
 from kimap.channel import (
+    PAYLOAD_TYPES,
     AdversaryAction,
     FaultSchedule,
     ScheduleError,
@@ -117,10 +120,10 @@ class TestDrops:
             if not faulted_last and driver.randbelow(3) == 0:
                 flight = 1 + driver.randbelow(4)
                 if driver.randbelow(2) or flight != 4:
-                    fault = AdversaryAction.drop(flight)
+                    fault = AdversaryAction.drop(flight, seq)
                 else:
                     bogus = TagAuth(prng_next(driver, 16))
-                    fault = AdversaryAction.replace(4, bogus)
+                    fault = AdversaryAction.replace(4, bogus, seq)
             t = run_session(server, tags[0], [fault] if fault else [], TOY16,
                             session_seq=seq, label="t001", recording=recording)
             faulted_last = fault is not None
@@ -191,7 +194,7 @@ class TestTranscriptFidelity:
 
     def test_dropped_fields_absent(self):
         server, tags = fresh_world(seed=111)
-        t = run_session(server, tags[0], [AdversaryAction.drop(2)], TOY16)
+        t = run_session(server, tags[0], [AdversaryAction.drop(2, 1)], TOY16)
         assert t.x_s is not None and t.x_t is None
         assert t.broadcast is None and t.sigma_prime is None
 
@@ -199,7 +202,7 @@ class TestTranscriptFidelity:
         server, tags = fresh_world(seed=112)
         ok = run_session(server, tags[0], [], TOY16)
         zero = BroadcastAuth((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
-        bad = run_session(server, tags[0], [AdversaryAction.replace(3, zero)], TOY16)
+        bad = run_session(server, tags[0], [AdversaryAction.replace(3, zero, 1)], TOY16)
         assert ok.tag_updated and not bad.tag_updated
         assert len(ok.sigma_prime.sigma_prime) == len(bad.sigma_prime.sigma_prime)
 
@@ -209,13 +212,21 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError):
             FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 1)])
 
+    def test_add_rejects_a_taken_slot_and_keeps_the_schedule(self):
+        sched = FaultSchedule([AdversaryAction.drop(4, 1)])
+        sched.add(AdversaryAction.drop(4, 2))
+        with pytest.raises(ScheduleError, match="duplicate action for session 2 flight 4"):
+            sched.add(AdversaryAction.drop(4, 2))
+        assert sched.actions == [AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)]
+
     def test_action_without_session_rejected(self):
-        """A wildcard would match every session, and so hide a numbered
-        action on the same flight from the duplicate-slot check."""
+        """Every action names its session: one without cannot be built, so
+        no action can match every session and hide a numbered action on
+        the same flight from the duplicate-slot check."""
         server, tags = fresh_world(n=2, seed=114)
         bogus = TagAuth(BitString(0, 16))
-        with pytest.raises(ScheduleError, match="names no session"):
-            FaultSchedule([AdversaryAction.drop(4), AdversaryAction.replace(4, bogus, 2)])
+        with pytest.raises(TypeError):
+            AdversaryAction.drop(4)
         sched = FaultSchedule([AdversaryAction.replace(4, bogus, 2)])
         assert sched.for_session(1) == [] and sched.for_session(2) == sched.actions
         t = run_schedule(server, tags, sched, 2, TOY16)[1]
@@ -228,22 +239,30 @@ class TestScheduleValidation:
 
     @pytest.mark.parametrize("actions, message", [
         ([AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
-        ([AdversaryAction.drop(2), AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
-        ([AdversaryAction.drop(4), AdversaryAction.replace(4, TagAuth(BitString(0, 16)))],
+        ([AdversaryAction.drop(2, 1), AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
+        ([AdversaryAction.drop(4, 1), AdversaryAction.replace(4, TagAuth(BitString(0, 16)), 1)],
          "two actions on flight 4"),
-        ([AdversaryAction.drop(3, 1), AdversaryAction.replay(3, 1)], "two actions on flight 3"),
-    ], ids=["other-session", "other-session-second", "same-flight", "same-flight-numbered"])
+        ([AdversaryAction.drop(3, 1), AdversaryAction.replay(3, 1, 1)], "two actions on flight 3"),
+        ([AdversaryAction.replay(3, 9, 1)], "replay source session 9 flight 3 was never recorded"),
+        ([AdversaryAction.drop(1, 1), AdversaryAction.replay(3, 7, 1)],
+         "replay source session 7 flight 3 was never recorded"),
+        ([AdversaryAction.replay(3, 1, 1)], "replay source session 1 flight 3 was never recorded"),
+    ], ids=["other-session", "other-session-second", "same-flight", "same-flight-numbered",
+            "unrecorded-source", "unrecorded-source-after-abort", "own-session-source"])
     def test_run_session_rejects_actions_that_do_not_fit(self, actions, message):
-        """An action numbered for another session, or a second action on one
-        flight, is a malformed schedule: it raises before any flight runs,
-        where before it was applied or silently ignored."""
+        """An action numbered for another session, a second action on one
+        flight, or a replay of a flight no earlier session emitted is a
+        malformed schedule: it raises before any flight runs."""
         server, tags = fresh_world(seed=117)
-        records = [dataclasses.replace(r) for r in server.records.values()]
-        prng, tag_prng = copy.deepcopy(server.prng), copy.deepcopy(tags[0].prng)
+        recording = {}
+        before = _state(server, tags[0], recording)
         with pytest.raises(ScheduleError, match=message):
-            run_session(server, tags[0], actions, TOY16, session_seq=1)
-        assert list(server.records.values()) == records
-        assert server.prng == prng and tags[0].prng == tag_prng and tags[0].pending is None
+            run_session(server, tags[0], actions, TOY16, session_seq=1, recording=recording)
+        assert _state(server, tags[0], recording) == before
+
+    def test_session_below_one_rejected(self):
+        with pytest.raises(ScheduleError, match="session must be >= 1, got 0"):
+            AdversaryAction.drop(4, 0)
 
     def test_replay_unknown_source(self):
         server, tags = fresh_world(seed=113)
@@ -253,8 +272,59 @@ class TestScheduleValidation:
 
     def test_replace_payload_shape_checked(self):
         with pytest.raises(ScheduleError):
-            AdversaryAction.replace(3, Challenge(BitString(0, 16)))
+            AdversaryAction.replace(3, Challenge(BitString(0, 16)), 1)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ScheduleError):
-            AdversaryAction("mangle", 1)
+            AdversaryAction("mangle", 1, 1)
+
+
+def _state(server, tag, recording):
+    """Everything a session may change: the server's records and PRNG, the
+    tag's key, counter, PRNG, pending nonce and meter, and the recording."""
+    return ([dataclasses.replace(r) for r in server.records.values()], copy.deepcopy(server.prng),
+            tag.key, tag.counter, copy.deepcopy(tag.prng), tag.pending, tag.meter.snapshot(),
+            dict(recording))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.integers(2, 5), aborts=st.lists(st.sampled_from([None, 1, 2, 3]), min_size=4,
+                                             max_size=4), data=st.data())
+def test_session_runs_or_changes_nothing(seq, aborts, data):
+    """Up to three random actions against a recording in which some earlier
+    sessions lost flight 1, 2 or 3: the session either runs, or raises
+    ScheduleError before any state changes. It raises exactly when an
+    action names another session, two share a flight, or a replay's
+    source flight was never recorded (its own session's included)."""
+    server, tags = fresh_world(n=2, seed=118)
+    recording = {}
+    for earlier in range(1, seq):
+        lost = aborts[earlier - 1]
+        run_session(server, tags[earlier % 2], [AdversaryAction.drop(lost, earlier)] if lost else [],
+                    TOY16, session_seq=earlier, recording=recording)
+    actions = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["drop", "replace", "replay"]))
+        flight, session = data.draw(st.integers(1, 4)), data.draw(st.integers(seq - 1, seq + 1))
+        if kind == "drop":
+            actions.append(AdversaryAction.drop(flight, session))
+        elif kind == "replay":
+            actions.append(AdversaryAction.replay(flight, data.draw(st.integers(1, seq + 1)), session))
+        else:
+            value = BitString(data.draw(st.integers(0, 0xFFFF)), 16)
+            payload = (BroadcastAuth((ServerAuthCandidate(value, value),)) if flight == 3
+                       else PAYLOAD_TYPES[flight](value))
+            actions.append(AdversaryAction.replace(flight, payload, session))
+    fits = (all(a.session_seq == seq for a in actions)
+            and len({a.flight for a in actions}) == len(actions)
+            and all((a.source_session, a.flight) in recording
+                    for a in actions if a.kind == "replay"))
+    tag = tags[seq % 2]
+    before = _state(server, tag, recording)
+    try:
+        run_session(server, tag, actions, TOY16, session_seq=seq, recording=recording)
+    except ScheduleError:
+        assert not fits
+        assert _state(server, tag, recording) == before
+    else:
+        assert fits

@@ -13,7 +13,8 @@ from kimap import cli
 from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
-from kimap.games import DEFINITIONS, Definition
+from kimap.costs import CostParams
+from kimap.games import DEFINITIONS, Definition, GameConfig
 from kimap.protocol import keygen
 from kimap.storage import load_database, save_database, save_master
 
@@ -39,8 +40,11 @@ def set_first_counter(d, counter):
     return lines[1]
 
 
-def _write_replay_schedule(d, monkeypatch):
-    (d.parent / "sched.txt").write_text("1 3 replay 5\n")
+def _schedule(text):
+    """A setup that writes ``text`` to the schedule file beside ``d``."""
+    def setup(d, monkeypatch):
+        (d.parent / "sched.txt").write_text(text)
+    return setup
 
 
 def _write_narrow_master(d, monkeypatch):
@@ -81,9 +85,19 @@ EXIT_2_CASES = {
     "run-zero-sessions": (None, ("run", "--db", "DB", "--sessions", "0"),
                           "sessions must be >= 1, got 0"),
     "run-bad-seed": (_set_bad_env_seed, ("run", "--db", "DB", "--sessions", "1"), "KIMAP_SEED"),
-    "run-unrecorded-replay": (_write_replay_schedule, ("run", "--db", "DB", "--sessions", "3",
-                                                       "--hash", "toy", "--schedule", "SCHED"),
+    "run-unrecorded-replay": (_schedule("1 3 replay 5\n"),
+                              ("run", "--db", "DB", "--sessions", "3", "--hash", "toy",
+                               "--schedule", "SCHED"),
                               "never recorded"),
+    "run-own-session-replay": (_schedule("1 3 replay 1\n"),
+                               ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                               "replay source session 1 flight 3 was never recorded"),
+    "run-duplicate-schedule-line": (_schedule("1 4 drop\n1 4 drop\n"),
+                                    ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                    "sched.txt:2: duplicate action for session 1 flight 4"),
+    "run-replace-on-flight-9": (_schedule("1 9 replace ab:16\n"),
+                                ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                "sched.txt:1: flight must be 1-4, got 9"),
     "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB", "--hash", "toy"),
                           "master.key:1: master key width 8 != database lambda 16"),
     "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
@@ -297,7 +311,8 @@ class TestRun:
         assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
                        "--schedule", str(sched)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and ":1:" in captured.err
+        assert captured.err.startswith("kimap: ")
+        assert ":1: session must be >= 1, got 0" in captured.err
         assert captured.out == ""
         assert (db_dir / "kimap.db").read_bytes() == before
 
@@ -424,6 +439,15 @@ class TestGame:
         assert run_cli("game", "ind", "random-guess", "--lambda", "63",
                        "--trials", "10") == 2
 
+    def test_budget_and_trial_defaults_are_game_config_defaults(self, monkeypatch, capsys):
+        seen, run_game = [], cli.run_game
+        monkeypatch.setattr(cli, "run_game",
+                            lambda name, cfg, d, spec: seen.append(cfg) or run_game(name, cfg, d, spec))
+        assert run_cli("game", "ind", "random-guess", "--hash", "toy", "--lambda", "16") == 0
+        [cfg] = seen
+        defaults = GameConfig(lam=16, n=2)
+        assert (cfg.e1, cfg.e2, cfg.trials) == (defaults.e1, defaults.e2, defaults.trials)
+
 
 class TestCost:
     def test_default_figures(self, capsys):
@@ -444,6 +468,19 @@ class TestCost:
     def test_inflated_ops_fail_budget(self, capsys):
         run_cli("cost", "--hash-cycles", "330")
         assert "budget fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, params", [
+        ((), CostParams()),
+        (("--lambda", "32", "--hash-cycles", "2", "--clock-hz", "3", "--t2r-bps", "4",
+          "--r2t-bps", "5", "--serial-bps", "6", "--candidates", "7"),
+         CostParams(32, 2, 3, 4, 5, 6, 7)),
+    ], ids=["defaults", "every-flag"])
+    def test_flags_set_their_fields(self, monkeypatch, capsys, argv, params):
+        seen, compute_cost = [], cli.compute_cost
+        monkeypatch.setattr(cli, "compute_cost",
+                            lambda p, batch_tags: seen.append(p) or compute_cost(p, batch_tags))
+        assert run_cli("cost", *argv) == 0
+        assert seen == [params]
 
 
 class TestLemma1:
@@ -550,6 +587,14 @@ class TestScheduleParsing:
         with pytest.raises(ScheduleError) as err:
             parse_schedule(str(f), 16)
         assert str(err.value).startswith(f"{f}:2: wrong field count for ")
+
+    @pytest.mark.parametrize("line", ["1 9 drop", "1 9 replay 1", "1 9 replace ab:16"])
+    def test_unknown_flight_named_for_every_action(self, tmp_path, line):
+        f = tmp_path / "s.txt"
+        f.write_text(f"{line}\n")
+        with pytest.raises(ScheduleError) as err:
+            parse_schedule(str(f), 16)
+        assert str(err.value) == f"{f}:1: flight must be 1-4, got 9"
 
     def test_error_carries_line_number(self, tmp_path):
         f = tmp_path / "s.txt"
