@@ -9,7 +9,7 @@ candidates for both slots, so one lost flight heals in the next session.
 Two consecutive losses are unrecoverable by design; the record is flagged.
 """
 
-from kimap import AdversaryAction, FaultSchedule, HashSpec, Prng, keygen, run_schedule
+from kimap import AdversaryAction, FaultSchedule, HashSpec, Prng, World, keygen
 
 spec = HashSpec.toy(16)
 
@@ -29,13 +29,13 @@ def show(transcripts, server):
 print("drop flight 4 of session 1, then run honestly")
 server, tags = keygen(16, 1, Prng(7, 0))
 schedule = FaultSchedule([AdversaryAction.drop(4, session_seq=1)])
-show(run_schedule(server, tags, schedule, 3, spec), server)
+show(World(server, tags, spec).run(schedule, 3), server)
 
 # Two consecutive blocked final flights: permanent desynchronization.
 print("drop flight 4 of sessions 1 and 2")
 server, tags = keygen(16, 1, Prng(7, 0))
 schedule = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)])
-show(run_schedule(server, tags, schedule, 4, spec), server)
+show(World(server, tags, spec).run(schedule, 4), server)
 
 # Tampering triggers the tag's timing countermeasure: it answers with fresh
 # random bits of the right shape instead of failing silently, so success and
@@ -44,4 +44,4 @@ show(run_schedule(server, tags, schedule, 4, spec), server)
 print("replay session 1's broadcast into session 2")
 server, tags = keygen(16, 1, Prng(7, 0))
 schedule = FaultSchedule([AdversaryAction.replay(3, source_session=1, session_seq=2)])
-show(run_schedule(server, tags, schedule, 3, spec), server)
+show(World(server, tags, spec).run(schedule, 3), server)

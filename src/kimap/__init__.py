@@ -29,7 +29,7 @@ from .channel import (
     FaultSchedule,
     ScheduleError,
     SessionTranscript,
-    run_schedule,
+    World,
     run_session,
     transcript_line,
 )

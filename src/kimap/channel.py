@@ -1,18 +1,19 @@
 """In-memory lossy/adversarial channel driving sessions between endpoints.
 
-The channel is a four-flight pipe. An :class:`AdversaryAction` intercepts
-one flight of one session (counted from 1): drop it, replace the payload,
-or replay that flight as an earlier session emitted it. Every emitted
-payload is recorded under ``(session, flight)`` for later replays. The
-simulator itself never mutates payloads; every transcript field is exactly
-what an endpoint emitted or an action substituted, and a field is present
-only if its flight was delivered.
+The channel is a four-flight pipe. A :class:`World` numbers its sessions
+from 1 and records every emitted payload under ``(session, flight)``;
+:func:`run_session`, the kernel, drives one session. An
+:class:`AdversaryAction` intercepts one flight of one session: drop it,
+replace the payload, or replay that flight as an earlier session emitted
+it. The simulator itself never mutates payloads; every transcript field is
+exactly what an endpoint emitted or an action substituted, and a field is
+present only if its flight was delivered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .bits import HashSpec, ParameterError
 from .protocol import (
@@ -45,7 +46,7 @@ class ScheduleError(ParameterError):
 @dataclass(frozen=True)
 class AdversaryAction:
     """One interception of ``flight`` (1-4) in session ``session_seq`` (>= 1).
-    A replay delivers that flight as session ``source_session`` emitted it."""
+    A replay delivers that flight as earlier session ``source_session`` emitted it."""
 
     kind: str  # "drop" | "replace" | "replay"
     flight: int
@@ -63,8 +64,9 @@ class AdversaryAction:
         if self.kind == "replace" and not isinstance(self.payload, PAYLOAD_TYPES[self.flight]):
             raise ScheduleError(f"replace payload for flight {self.flight} must be "
                                 f"{PAYLOAD_TYPES[self.flight].__name__}")
-        if self.kind == "replay" and self.source_session is None:
-            raise ScheduleError("replay needs a source session")
+        if self.kind == "replay" and not 1 <= (self.source_session or 0) < self.session_seq:
+            raise ScheduleError(f"replay source {self.source_session} is not before session "
+                                f"{self.session_seq}")
 
     @classmethod
     def drop(cls, flight: int, session_seq: int) -> "AdversaryAction":
@@ -148,11 +150,12 @@ def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
                 spec: HashSpec, *, session_seq: int = 1, label: str = "",
                 recording: Optional[Recording] = None) -> SessionTranscript:
-    """Drive the four flights once, applying the actions.
+    """Drive the four flights of session ``session_seq`` once, applying the
+    actions: the kernel of :meth:`World.session`, which numbers sessions.
 
     Every action must fit this session: it names ``session_seq``, no two act
     on one flight, and a replay's source flight is already in ``recording``
-    (an earlier session emitted it). Otherwise :class:`ScheduleError` is
+    (its earlier session emitted it). Otherwise :class:`ScheduleError` is
     raised before any flight runs, and no state changes.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
@@ -207,21 +210,30 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     return t
 
 
-def run_schedule(server: ServerState, tags: list[TagState], schedule: FaultSchedule,
-                 n_sessions: int, spec: HashSpec) -> list[SessionTranscript]:
-    """Run ``n_sessions`` sessions round-robin over ``tags``, applying the
-    scheduled actions. Deterministic under fixed endpoint seeds."""
-    if n_sessions < 1:
-        raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
-    labels = list(server.records)
-    recording: Recording = {}
-    transcripts = []
-    for seq in range(1, n_sessions + 1):
-        idx = (seq - 1) % len(tags)
-        transcripts.append(run_session(
-            server, tags[idx], schedule.for_session(seq), spec,
-            session_seq=seq, label=labels[idx], recording=recording))
-    return transcripts
+@dataclass
+class World:
+    """A server, its tags (``tags[i]`` answers for its ``i``-th record), the replay
+    recording and the next session's number: sessions count from 1 as they complete."""
+
+    server: ServerState
+    tags: list[TagState]
+    spec: HashSpec
+    recording: Recording = field(default_factory=dict, init=False)
+    next_seq: int = field(default=1, init=False)
+
+    def session(self, idx: int, actions: Sequence[AdversaryAction] = ()) -> SessionTranscript:
+        """Run session ``next_seq`` on ``tags[idx]``; a refused one changes nothing."""
+        t = run_session(self.server, self.tags[idx], actions, self.spec, session_seq=self.next_seq,
+                        label=list(self.server.records)[idx], recording=self.recording)
+        self.next_seq += 1
+        return t
+
+    def run(self, schedule: FaultSchedule, n_sessions: int) -> list[SessionTranscript]:
+        """Run the next ``n_sessions`` sessions round-robin, with their scheduled actions."""
+        if n_sessions < 1:
+            raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
+        return [self.session((self.next_seq - 1) % len(self.tags),
+                             schedule.for_session(self.next_seq)) for _ in range(n_sessions)]
 
 
 # ---------------------------------------------------------------------------

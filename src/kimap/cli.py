@@ -21,10 +21,10 @@ The seed comes from --seed, else the KIMAP_SEED environment variable, else
 the fixed default 24301. Every command is deterministic under a fixed seed
 and inputs. ``init`` and ``cost`` accept the key widths ``keygen`` can
 provision (even, >= 8), and ``init`` at most 256 bits, the widest hash
-output. ``run`` takes the key width from the database, runs N >= 1
-sessions round-robin over its tags (the schedule file names the flights to
-drop, replay or replace) and rewrites the database only after every session
-ran.
+output. ``run`` takes the key width from the database, runs sessions 1..N
+(N >= 1) round-robin over its tags in one ``channel.World`` (the schedule
+file names the flights to drop, replace or replay from an earlier session)
+and rewrites the database only after every session ran.
 
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
 desynchronized records; or stdout closed before the output was written), 2
@@ -52,7 +52,7 @@ from .channel import (
     AdversaryAction,
     FaultSchedule,
     ScheduleError,
-    run_schedule,
+    World,
     transcript_line,
 )
 from .costs import BudgetLimits, CostParams, check_budget, compute_cost, findings_pass
@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
                      prng=Prng(args.seed, _RUN_TAG_STREAM + idx))
             for idx, rec in enumerate(records.values())]
 
-    transcripts = run_schedule(server, tags, schedule, args.sessions, spec)
+    transcripts = World(server, tags, spec).run(schedule, args.sessions)
     save_database(db_path, lam, server.records)
 
     for t in transcripts:

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from kimap.bits import BitString, HashSpec, Prng
-from kimap.channel import AdversaryAction, FaultSchedule, run_schedule, run_session
+from kimap.channel import AdversaryAction, FaultSchedule, World, run_session
 from kimap.costs import CostParams, check_budget, compute_cost, findings_pass
 from kimap.games import (
     GameConfig,
@@ -45,13 +45,13 @@ def report(n: int, text: str) -> None:
 def test_criterion_01_honest_run_synchronization():
     spec = HashSpec.production(64)
     server, tags = keygen(64, 3, Prng(1001, 0))
-    labels = list(server.records)
+    world = World(server, tags, spec)
     started = time.monotonic()
     for seq in range(1, 1001):
         idx = (seq - 1) % 3
-        t = run_session(server, tags[idx], [], spec, session_seq=seq, label=labels[idx])
+        t = world.session(idx)
         assert t.accepted, f"session {seq} rejected"
-        assert tags[idx].key == server.records[labels[idx]].key_current, \
+        assert tags[idx].key == server.records[t.label].key_current, \
             f"keys diverged after session {seq}"
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"1000 sessions took {elapsed:.2f}s"
@@ -224,7 +224,7 @@ def test_criterion_11_desync_recovery_and_flagging():
     spec = HashSpec.toy(16)
 
     server, tags = keygen(16, 1, Prng(1012, 0))
-    ts = run_schedule(server, tags, FaultSchedule([AdversaryAction.drop(4, 1)]), 2, spec)
+    ts = World(server, tags, spec).run(FaultSchedule([AdversaryAction.drop(4, 1)]), 2)
     assert ts[0].tag_updated and not ts[0].accepted
     assert ts[1].accepted
     assert ts[1].outcome_server.matched_slot == "previous"
@@ -233,7 +233,7 @@ def test_criterion_11_desync_recovery_and_flagging():
 
     server, tags = keygen(16, 1, Prng(1013, 0))
     sched = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)])
-    run_schedule(server, tags, sched, 3, spec)
+    World(server, tags, spec).run(sched, 3)
     assert server.records["t001"].desynchronized
     report(11, "one dropped final flight recovers via the previous-key slot; "
                "two consecutive drops flag the record desynchronized")

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kimap.bits import BitString, HashSpec, Prng
+from kimap.bits import BitString, HashSpec, ParameterError, Prng
 from kimap.channel import (
     PAYLOAD_TYPES,
     AdversaryAction,
     FaultSchedule,
     ScheduleError,
-    run_schedule,
+    World,
     run_session,
+    transcript_line,
 )
 from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, keygen
 
@@ -35,26 +36,25 @@ class TestHonestRuns:
 
     def test_hundred_sessions_two_tags_all_accepted(self):
         server, tags = fresh_world(n=2, seed=101)
-        ts = run_schedule(server, tags, FaultSchedule([]), 100, TOY16)
+        ts = World(server, tags, TOY16).run(FaultSchedule([]), 100)
         assert len(ts) == 100
         assert all(t.accepted for t in ts)
 
     def test_chained_synchronization(self):
         server, tags = fresh_world(n=2, seed=102)
+        world = World(server, tags, TOY16)
         for seq in range(1, 51):
             idx = (seq - 1) % 2
-            t = run_session(server, tags[idx], [], TOY16, session_seq=seq,
-                            label=list(server.records)[idx])
-            assert t.accepted
-            rec = server.records[list(server.records)[idx]]
-            assert tags[idx].key == rec.key_current
+            t = world.session(idx)
+            assert t.accepted and t.session_seq == seq and t.label == list(server.records)[idx]
+            assert tags[idx].key == server.records[t.label].key_current
 
 
 class TestDrops:
     def test_drop_flight4_then_recover(self):
         server, tags = fresh_world(seed=103)
         sched = FaultSchedule([AdversaryAction.drop(4, 1)])
-        ts = run_schedule(server, tags, sched, 2, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 2)
         first, second = ts
         assert first.tag_updated and not first.accepted
         assert second.accepted
@@ -65,14 +65,14 @@ class TestDrops:
     def test_drop_flight4_twice_desynchronizes(self):
         server, tags = fresh_world(seed=104)
         sched = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)])
-        ts = run_schedule(server, tags, sched, 4, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 4)
         assert server.records["t001"].desynchronized
         assert not ts[2].accepted and not ts[3].accepted  # stuck for good
 
     def test_drop_flight3_tag_never_updates(self):
         server, tags = fresh_world(seed=105)
         sched = FaultSchedule([AdversaryAction.drop(3, 1)])
-        ts = run_schedule(server, tags, sched, 2, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 2)
         assert not ts[0].tag_updated and not ts[0].accepted
         assert ts[0].broadcast is None
         assert ts[1].accepted  # next session matches the current slot
@@ -84,13 +84,13 @@ class TestDrops:
         # the next session must not take t001's recovery slot away
         server, tags = keygen(64, 3, Prng(1, 0))
         sched = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(3, 2)])
-        ts = run_schedule(server, tags, sched, 4, PROD64)
+        ts = World(server, tags, PROD64).run(sched, 4)
         assert ts[3].label == "t001" and ts[3].accepted
 
     def test_drop_flight1_aborts_silently(self):
         server, tags = fresh_world(seed=106)
         sched = FaultSchedule([AdversaryAction.drop(1, 1)])
-        ts = run_schedule(server, tags, sched, 2, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 2)
         assert ts[0].x_s is None and ts[0].outcome_server is None
         assert not ts[0].tag_updated
         assert ts[1].accepted
@@ -99,7 +99,7 @@ class TestDrops:
         for flight in (1, 2, 3, 4):
             server, tags = fresh_world(seed=200 + flight)
             sched = FaultSchedule([AdversaryAction.drop(flight, 1)])
-            ts = run_schedule(server, tags, sched, 2, TOY16)
+            ts = World(server, tags, TOY16).run(sched, 2)
             assert ts[1].accepted, f"flight {flight} drop did not recover in one session"
             assert tags[0].key == server.records["t001"].key_current
 
@@ -113,8 +113,8 @@ class TestDrops:
 
         driver = Prng(314, 0)
         server, tags = fresh_world(seed=315)
+        world = World(server, tags, TOY16)
         faulted_last = True  # session 1 runs clean
-        recording = {}
         for seq in range(1, 301):
             fault = None
             if not faulted_last and driver.randbelow(3) == 0:
@@ -124,8 +124,7 @@ class TestDrops:
                 else:
                     bogus = TagAuth(prng_next(driver, 16))
                     fault = AdversaryAction.replace(4, bogus, seq)
-            t = run_session(server, tags[0], [fault] if fault else [], TOY16,
-                            session_seq=seq, label="t001", recording=recording)
+            t = world.session(0, [fault] if fault else [])
             faulted_last = fault is not None
             rec = server.records["t001"]
             assert not rec.desynchronized
@@ -158,7 +157,7 @@ class TestTampering:
     def test_replayed_broadcast_takes_failure_path(self):
         server, tags = fresh_world(seed=108)
         sched = FaultSchedule([AdversaryAction.replay(3, source_session=1, session_seq=2)])
-        ts = run_schedule(server, tags, sched, 3, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 3)
         assert ts[0].accepted
         assert not ts[1].tag_updated and not ts[1].accepted  # stale nonce binding
         assert ts[2].accepted  # recovery
@@ -167,7 +166,7 @@ class TestTampering:
         server, tags = fresh_world(seed=109)
         bogus = Challenge(BitString(0x1234, 16))
         sched = FaultSchedule([AdversaryAction.replace(1, bogus, 1)])
-        ts = run_schedule(server, tags, sched, 2, TOY16)
+        ts = World(server, tags, TOY16).run(sched, 2)
         # tag verified against the forged challenge, server signed its own:
         # the tag must reject and hold its key
         assert not ts[0].tag_updated and not ts[0].accepted
@@ -185,7 +184,7 @@ class TestTranscriptFidelity:
     @pytest.mark.parametrize("lam,spec", [(16, TOY16), (64, PROD64)])
     def test_every_wire_field_is_lambda_bits(self, lam, spec):
         server, tags = keygen(lam, 2, Prng(120, 0))
-        for t in run_schedule(server, tags, FaultSchedule([]), 10, spec):
+        for t in World(server, tags, spec).run(FaultSchedule([]), 10):
             assert len(t.x_s.x_s) == lam
             assert len(t.x_t.x_t) == lam
             for cand in t.broadcast.candidates:
@@ -229,7 +228,7 @@ class TestScheduleValidation:
             AdversaryAction.drop(4)
         sched = FaultSchedule([AdversaryAction.replace(4, bogus, 2)])
         assert sched.for_session(1) == [] and sched.for_session(2) == sched.actions
-        t = run_schedule(server, tags, sched, 2, TOY16)[1]
+        t = World(server, tags, TOY16).run(sched, 2)[1]
         assert t.sigma_prime == bogus and not t.accepted
 
     def test_run_session_applies_actions_of_its_own_session(self):
@@ -238,26 +237,54 @@ class TestScheduleValidation:
         assert t.tag_updated and t.sigma_prime is None and not t.accepted
 
     @pytest.mark.parametrize("actions, message", [
-        ([AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
-        ([AdversaryAction.drop(2, 1), AdversaryAction.drop(4, 7)], "for session 7, not session 1"),
-        ([AdversaryAction.drop(4, 1), AdversaryAction.replace(4, TagAuth(BitString(0, 16)), 1)],
+        ([AdversaryAction.drop(4, 7)], "for session 7, not session 3"),
+        ([AdversaryAction.drop(2, 3), AdversaryAction.drop(4, 7)], "for session 7, not session 3"),
+        ([AdversaryAction.drop(4, 3), AdversaryAction.replace(4, TagAuth(BitString(0, 16)), 3)],
          "two actions on flight 4"),
-        ([AdversaryAction.drop(3, 1), AdversaryAction.replay(3, 1, 1)], "two actions on flight 3"),
-        ([AdversaryAction.replay(3, 9, 1)], "replay source session 9 flight 3 was never recorded"),
-        ([AdversaryAction.drop(1, 1), AdversaryAction.replay(3, 7, 1)],
-         "replay source session 7 flight 3 was never recorded"),
-        ([AdversaryAction.replay(3, 1, 1)], "replay source session 1 flight 3 was never recorded"),
+        ([AdversaryAction.drop(3, 3), AdversaryAction.replay(3, 1, 3)], "two actions on flight 3"),
+        ([AdversaryAction.replay(3, 1, 3)], "replay source session 1 flight 3 was never recorded"),
+        ([AdversaryAction.drop(1, 3), AdversaryAction.replay(3, 2, 3)],
+         "replay source session 2 flight 3 was never recorded"),
+        ([AdversaryAction.replay(2, 2, 3)], "replay source session 2 flight 2 was never recorded"),
     ], ids=["other-session", "other-session-second", "same-flight", "same-flight-numbered",
-            "unrecorded-source", "unrecorded-source-after-abort", "own-session-source"])
+            "unrecorded-source", "unrecorded-source-after-abort", "unrecorded-source-flight-2"])
     def test_run_session_rejects_actions_that_do_not_fit(self, actions, message):
         """An action numbered for another session, a second action on one
-        flight, or a replay of a flight no earlier session emitted is a
-        malformed schedule: it raises before any flight runs."""
+        flight, or a replay of a flight its earlier session never emitted is
+        a malformed schedule: it raises before any flight runs. Session 1
+        lost flight 2 and session 2 lost flight 1, so neither emitted
+        flight 3, and session 2 emitted no flight 2."""
         server, tags = fresh_world(seed=117)
-        recording = {}
-        before = _state(server, tags[0], recording)
+        world = World(server, tags, TOY16)
+        world.session(0, [AdversaryAction.drop(2, 1)])
+        world.session(0, [AdversaryAction.drop(1, 2)])
+        before = _state(server, tags[0], world.recording), world.next_seq
         with pytest.raises(ScheduleError, match=message):
-            run_session(server, tags[0], actions, TOY16, session_seq=1, recording=recording)
+            world.session(0, actions)
+        assert (_state(server, tags[0], world.recording), world.next_seq) == before
+
+    @pytest.mark.parametrize("source, seq", [(9, 1), (7, 1), (1, 1), (3, 3), (0, 2), (None, 2)],
+                             ids=["later-source", "later-source-far", "own-session",
+                                  "own-later-session", "source-zero", "no-source"])
+    def test_replay_source_must_be_an_earlier_session(self, source, seq):
+        """A replay names the session whose flight it delivers. A session
+        that has not run yet, or the replaying session itself, emitted
+        nothing to replay, so such an action cannot be built."""
+        with pytest.raises(ScheduleError, match=f"replay source {source} is not before session {seq}"):
+            AdversaryAction("replay", 3, seq, source_session=source)
+
+    def test_session_cannot_replay_its_own_flight(self):
+        """Run session 1, then run session 1 again with the same recording and
+        a replay of its own flight 3: the replay cannot be built, so the
+        second session cannot overwrite the flight it claims to replay and
+        then deliver it as if nothing were replayed."""
+        server, tags = fresh_world(seed=119)
+        recording = {}
+        run_session(server, tags[0], [], TOY16, session_seq=1, recording=recording)
+        before = _state(server, tags[0], recording)
+        with pytest.raises(ScheduleError, match="replay source 1 is not before session 1"):
+            run_session(server, tags[0], [AdversaryAction.replay(3, 1, 1)], TOY16, session_seq=1,
+                        recording=recording)
         assert _state(server, tags[0], recording) == before
 
     def test_session_below_one_rejected(self):
@@ -265,10 +292,14 @@ class TestScheduleValidation:
             AdversaryAction.drop(4, 0)
 
     def test_replay_unknown_source(self):
+        """Session 1 loses flight 2, so session 2 cannot replay its flight 3:
+        the run stops there and keeps session 1."""
         server, tags = fresh_world(seed=113)
-        sched = FaultSchedule([AdversaryAction.replay(3, source_session=9, session_seq=1)])
-        with pytest.raises(ScheduleError):
-            run_schedule(server, tags, sched, 1, TOY16)
+        world = World(server, tags, TOY16)
+        sched = FaultSchedule([AdversaryAction.drop(2, 1), AdversaryAction.replay(3, 1, 2)])
+        with pytest.raises(ScheduleError, match="session 1 flight 3 was never recorded"):
+            world.run(sched, 3)
+        assert world.next_seq == 2 and sorted(world.recording) == [(1, 1), (1, 2)]
 
     def test_replace_payload_shape_checked(self):
         with pytest.raises(ScheduleError):
@@ -291,17 +322,17 @@ def _state(server, tag, recording):
 @given(seq=st.integers(2, 5), aborts=st.lists(st.sampled_from([None, 1, 2, 3]), min_size=4,
                                              max_size=4), data=st.data())
 def test_session_runs_or_changes_nothing(seq, aborts, data):
-    """Up to three random actions against a recording in which some earlier
-    sessions lost flight 1, 2 or 3: the session either runs, or raises
-    ScheduleError before any state changes. It raises exactly when an
-    action names another session, two share a flight, or a replay's
-    source flight was never recorded (its own session's included)."""
+    """Up to three random actions against a world in which some earlier
+    sessions lost flight 1, 2 or 3. A replay can be built exactly when its
+    source is an earlier session. The session either runs, or raises
+    ScheduleError before any state changes, its number included. It raises
+    exactly when an action names another session, two share a flight, or a
+    replay's source flight was never recorded."""
     server, tags = fresh_world(n=2, seed=118)
-    recording = {}
+    world = World(server, tags, TOY16)
     for earlier in range(1, seq):
         lost = aborts[earlier - 1]
-        run_session(server, tags[earlier % 2], [AdversaryAction.drop(lost, earlier)] if lost else [],
-                    TOY16, session_seq=earlier, recording=recording)
+        world.session(earlier % 2, [AdversaryAction.drop(lost, earlier)] if lost else [])
     actions = []
     for _ in range(data.draw(st.integers(0, 3))):
         kind = data.draw(st.sampled_from(["drop", "replace", "replay"]))
@@ -309,7 +340,13 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
         if kind == "drop":
             actions.append(AdversaryAction.drop(flight, session))
         elif kind == "replay":
-            actions.append(AdversaryAction.replay(flight, data.draw(st.integers(1, seq + 1)), session))
+            source = data.draw(st.integers(1, seq + 1))
+            try:
+                actions.append(AdversaryAction.replay(flight, source, session))
+            except ScheduleError:
+                assert source >= session
+            else:
+                assert source < session
         else:
             value = BitString(data.draw(st.integers(0, 0xFFFF)), 16)
             payload = (BroadcastAuth((ServerAuthCandidate(value, value),)) if flight == 3
@@ -317,14 +354,69 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
             actions.append(AdversaryAction.replace(flight, payload, session))
     fits = (all(a.session_seq == seq for a in actions)
             and len({a.flight for a in actions}) == len(actions)
-            and all((a.source_session, a.flight) in recording
+            and all((a.source_session, a.flight) in world.recording
                     for a in actions if a.kind == "replay"))
     tag = tags[seq % 2]
-    before = _state(server, tag, recording)
+    before = _state(server, tag, world.recording), world.next_seq
     try:
-        run_session(server, tag, actions, TOY16, session_seq=seq, recording=recording)
+        world.session(seq % 2, actions)
     except ScheduleError:
         assert not fits
-        assert _state(server, tag, recording) == before
+        assert (_state(server, tag, world.recording), world.next_seq) == before
     else:
-        assert fits
+        assert fits and world.next_seq == seq + 1
+
+
+class TestWorld:
+    def test_sessions_are_numbered_in_the_order_they_run(self):
+        server, tags = fresh_world(n=2, seed=121)
+        world = World(server, tags, TOY16)
+        first, second = world.session(1), world.session(0)
+        assert (first.session_seq, first.label) == (1, "t002")
+        assert (second.session_seq, second.label) == (2, "t001")
+        assert world.next_seq == 3 and first.accepted and second.accepted
+
+    def test_refused_session_changes_nothing(self):
+        """An action for another session, or a run of no sessions, is
+        refused: the number, the recording, the server and the tag stay."""
+        server, tags = fresh_world(seed=122)
+        world = World(server, tags, TOY16)
+        world.session(0)
+        before = _state(server, tags[0], world.recording), world.next_seq
+        with pytest.raises(ScheduleError, match="for session 1, not session 2"):
+            world.session(0, [AdversaryAction.drop(4, 1)])
+        with pytest.raises(ParameterError, match="sessions must be >= 1, got 0"):
+            world.run(FaultSchedule([]), 0)
+        assert (_state(server, tags[0], world.recording), world.next_seq) == before
+        assert world.session(0).session_seq == 2
+
+
+@st.composite
+def schedules(draw, n_sessions):
+    """At most one drop or replay per session. A replay names an earlier
+    session that emitted its flight: one that lost no earlier flight."""
+    schedule, lost = FaultSchedule(), {}
+    for seq in range(1, n_sessions + 1):
+        kind, flight = draw(st.sampled_from([None, "drop", "replay"])), draw(st.integers(1, 4))
+        if kind == "drop":
+            schedule.add(AdversaryAction.drop(flight, seq))
+            lost[seq] = flight
+        elif kind == "replay" and seq > 1:
+            source = draw(st.integers(1, seq - 1))
+            if lost.get(source, 4) >= flight:
+                schedule.add(AdversaryAction.replay(flight, source, seq))
+    return schedule
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(1, 6), b=st.integers(1, 6), data=st.data())
+def test_world_run_in_two_parts_equals_one_run(a, b, data):
+    """``run(s, a)`` then ``run(s, b)`` is ``run(s, a + b)`` on an identical
+    fresh world: the same transcripts, records and next session number."""
+    schedule = data.draw(schedules(a + b))
+    whole, split = (World(*fresh_world(n=2, seed=123), TOY16) for _ in range(2))
+    one = whole.run(schedule, a + b)
+    two = split.run(schedule, a) + split.run(schedule, b)
+    assert [transcript_line(t) for t in two] == [transcript_line(t) for t in one]
+    assert list(split.server.records.values()) == list(whole.server.records.values())
+    assert split.next_seq == whole.next_seq == a + b + 1

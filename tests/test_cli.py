@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kimap
-from kimap import cli
+from kimap import channel, cli
 from kimap.bits import Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
@@ -88,10 +88,14 @@ EXIT_2_CASES = {
     "run-unrecorded-replay": (_schedule("1 3 replay 5\n"),
                               ("run", "--db", "DB", "--sessions", "3", "--hash", "toy",
                                "--schedule", "SCHED"),
-                              "never recorded"),
+                              "sched.txt:1: replay source 5 is not before session 1"),
     "run-own-session-replay": (_schedule("1 3 replay 1\n"),
                                ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
-                               "replay source session 1 flight 3 was never recorded"),
+                               "sched.txt:1: replay source 1 is not before session 1"),
+    "run-aborted-replay-source": (_schedule("1 2 drop\n2 3 replay 1\n"),
+                                  ("run", "--db", "DB", "--sessions", "2", "--hash", "toy",
+                                   "--schedule", "SCHED"),
+                                  "replay source session 1 flight 3 was never recorded"),
     "run-duplicate-schedule-line": (_schedule("1 4 drop\n1 4 drop\n"),
                                     ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
                                     "sched.txt:2: duplicate action for session 1 flight 4"),
@@ -145,9 +149,9 @@ def test_library_errors_exit_2_and_leave_files(db_dir, monkeypatch, capsys, case
 def test_library_bug_is_not_a_config_error(db_dir, monkeypatch):
     """Only bad input exits 2: a ValueError from a broken invariant inside
     the library propagates out of ``main``, so it ends in a traceback."""
-    def run_schedule(*_):
+    def run_session(*_, **__):
         raise ValueError("broken invariant")
-    monkeypatch.setattr(cli, "run_schedule", run_schedule)
+    monkeypatch.setattr(channel, "run_session", run_session)
     with pytest.raises(ValueError, match="broken invariant"):
         run_cli("run", "--db", str(db_dir), "--hash", "toy")
 
@@ -287,7 +291,8 @@ class TestRun:
         assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
                        "--schedule", str(sched)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("kimap: ") and "never recorded" in err
+        assert err.startswith("kimap: ")
+        assert "sched.txt:1: replay source 5 is not before session 1" in err
         assert (db_dir / "kimap.db").read_bytes() == before
 
     @pytest.mark.parametrize("line", ["1 3 replace ad:8 ef:8", "1 1 replace ad:8",

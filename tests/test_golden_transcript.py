@@ -12,7 +12,7 @@ up here as a byte difference.
 from pathlib import Path
 
 from kimap.bits import BitString, HashSpec, Prng
-from kimap.channel import AdversaryAction, FaultSchedule, run_schedule, transcript_line
+from kimap.channel import AdversaryAction, FaultSchedule, World, transcript_line
 from kimap.protocol import TagAuth, keygen
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_transcript.txt"
@@ -39,7 +39,7 @@ SCHEDULE = FaultSchedule([
 
 def golden_lines() -> list[str]:
     server, tags = keygen(64, 4, Prng(7, 0))
-    transcripts = run_schedule(server, tags, SCHEDULE, SESSIONS, SPEC)
+    transcripts = World(server, tags, SPEC).run(SCHEDULE, SESSIONS)
     lines = [transcript_line(t) for t in transcripts]
     for rec in server.records.values():
         previous = rec.key_previous.to_text() if rec.key_previous is not None else "-"
