@@ -35,12 +35,10 @@ from .channel import (
 )
 from .costs import (
     BudgetFinding,
-    BudgetLimits,
     CostParams,
     CostReport,
     check_budget,
     compute_cost,
-    findings_pass,
 )
 from .games import (
     BudgetExceededError,

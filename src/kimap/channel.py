@@ -5,13 +5,15 @@ from 1 and records every emitted payload under ``(session, flight)``;
 :func:`run_session`, the kernel, drives one session. An
 :class:`AdversaryAction` intercepts one flight of one session: drop it,
 replace the payload, or replay that flight as an earlier session emitted
-it. The simulator itself never mutates payloads; every transcript field is
-exactly what an endpoint emitted or an action substituted, and a field is
-present only if its flight was delivered.
+it. A replacement must fit the wire (:func:`check_payload_widths`). The
+simulator itself never mutates payloads; every transcript field is exactly
+what an endpoint emitted or an action substituted, and a field is present
+only if its flight was delivered.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -40,7 +42,8 @@ Payload = Union[Challenge, TagNonce, BroadcastAuth, TagAuth]
 
 class ScheduleError(ParameterError):
     """An action, schedule or session's set of actions that breaks a rule of
-    :class:`AdversaryAction`, :class:`FaultSchedule` or :func:`run_session`."""
+    :class:`AdversaryAction`, :class:`FaultSchedule`, :func:`check_payload_widths`
+    or :func:`run_session`."""
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,41 @@ class SessionTranscript:
 Recording = dict[tuple[int, int], Payload]
 
 
+def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
+    """The width rule of a payload on the wire: ``x_s``, ``x_t`` and every
+    ``delta`` are ``key_bits`` wide, every ``sigma`` and ``sigma'``
+    ``hash_bits`` (the hash output width)."""
+    fields = ([kv for c in payload.candidates for kv in c._asdict().items()]
+              if isinstance(payload, BroadcastAuth) else vars(payload).items())
+    for name, value in fields:
+        width = hash_bits if name.startswith("sigma") else key_bits
+        if len(value) != width:
+            raise ScheduleError(f"replacement {name} {value.to_text()} is {len(value)} bits, "
+                                f"not {width}")
+
+
+def _fit(actions: Sequence[AdversaryAction], session_seq: int, recorded,
+         key_bits: int, hash_bits: int) -> dict[int, AdversaryAction]:
+    """The actions of session ``session_seq`` by flight, or :class:`ScheduleError`
+    if one does not fit it: each names the session, no two act on one flight,
+    a replacement has the wire's widths, and a replay's source flight is in
+    ``recorded``."""
+    by_flight: dict[int, AdversaryAction] = {}
+    for a in actions:
+        if a.session_seq != session_seq:
+            raise ScheduleError(f"action on flight {a.flight} is for session {a.session_seq}, "
+                                f"not session {session_seq}")
+        if a.flight in by_flight:
+            raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
+        if a.kind == "replace":
+            check_payload_widths(a.payload, key_bits, hash_bits)
+        elif a.kind == "replay" and (a.source_session, a.flight) not in recorded:
+            raise ScheduleError(f"replay source session {a.source_session} flight {a.flight} "
+                                f"was never recorded")
+        by_flight[a.flight] = a
+    return by_flight
+
+
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
              session_seq: int, recording: Recording) -> Optional[Payload]:
     recording[(session_seq, flight)] = emitted
@@ -154,26 +192,19 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     actions: the kernel of :meth:`World.session`, which numbers sessions.
 
     Every action must fit this session: it names ``session_seq``, no two act
-    on one flight, and a replay's source flight is already in ``recording``
-    (its earlier session emitted it). Otherwise :class:`ScheduleError` is
-    raised before any flight runs, and no state changes.
+    on one flight, a replacement has the widths of ``server``'s keys and of
+    ``spec``'s output (:func:`check_payload_widths`), and a replay's source
+    flight is already in ``recording`` (its earlier session emitted it).
+    Otherwise :class:`ScheduleError` is raised before any flight runs, and
+    no state changes.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
     recording = {} if recording is None else recording
-    by_flight: dict[int, AdversaryAction] = {}
-    for a in actions:
-        if a.session_seq != session_seq:
-            raise ScheduleError(f"action on flight {a.flight} is for session {a.session_seq}, "
-                                f"not session {session_seq}")
-        if a.flight in by_flight:
-            raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
-        if a.kind == "replay" and (a.source_session, a.flight) not in recording:
-            raise ScheduleError(f"replay source session {a.source_session} flight {a.flight} "
-                                f"was never recorded")
-        by_flight[a.flight] = a
+    by_flight = (_fit(actions, session_seq, recording, server.lam, spec.output_len_bits)
+                 if actions else {})
     t = SessionTranscript(session_seq=session_seq, label=label)
 
     challenge = server_begin(server)
@@ -229,11 +260,22 @@ class World:
         return t
 
     def run(self, schedule: FaultSchedule, n_sessions: int) -> list[SessionTranscript]:
-        """Run the next ``n_sessions`` sessions round-robin, with their scheduled actions."""
+        """Run the next ``n_sessions`` sessions round-robin, with their scheduled
+        actions. The run is refused whole, before its first session and with
+        nothing changed, unless every session's actions fit it as
+        :func:`run_session` requires; a replay's source session in the run
+        must drop no flight before the replayed one."""
         if n_sessions < 1:
             raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
-        return [self.session((self.next_seq - 1) % len(self.tags),
-                             schedule.for_session(self.next_seq)) for _ in range(n_sessions)]
+        first = self.next_seq
+        plan = [schedule.for_session(seq) for seq in range(first, first + n_sessions)]
+        emitted: dict[tuple[int, int], None] = {}  # what the run's sessions will record
+        recorded = ChainMap(emitted, self.recording)
+        for seq, actions in enumerate(plan, first):
+            by_flight = _fit(actions, seq, recorded, self.server.lam, self.spec.output_len_bits)
+            last = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
+            emitted.update(dict.fromkeys((seq, f) for f in range(1, last + 1)))
+        return [self.session((self.next_seq - 1) % len(self.tags), actions) for actions in plan]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ and inputs. ``init`` and ``cost`` accept the key widths ``keygen`` can
 provision (even, >= 8), and ``init`` at most 256 bits, the widest hash
 output. ``run`` takes the key width from the database, runs sessions 1..N
 (N >= 1) round-robin over its tags in one ``channel.World`` (the schedule
-file names the flights to drop, replace or replay from an earlier session)
-and rewrites the database only after every session ran.
+file names the flights to drop, replace or replay from an earlier session;
+a schedule that does not fit is refused before session 1 runs) and
+rewrites the database only after every session ran. ``cost`` builds one
+``costs.CostParams`` from its flags, ``--tags`` setting ``batch_tags``.
 
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
 desynchronized records; or stdout closed before the output was written), 2
@@ -53,9 +55,10 @@ from .channel import (
     FaultSchedule,
     ScheduleError,
     World,
+    check_payload_widths,
     transcript_line,
 )
-from .costs import BudgetLimits, CostParams, check_budget, compute_cost, findings_pass
+from .costs import CostParams, check_budget, compute_cost
 from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
 from .protocol import BroadcastAuth, ServerAuthCandidate, ServerState, TagState, keygen
 from .storage import load_database, load_master, read_text, save_database, save_master
@@ -90,9 +93,10 @@ _SHARED_FLAGS = {
 
 
 # ``kimap cost``'s own flags -> the CostParams field each sets and defaults to
-_COST_FLAGS = {"--hash-cycles": "hash_cycles_per_block", "--clock-hz": "tag_clock_hz",
-               "--t2r-bps": "t2r_rate_bps", "--r2t-bps": "r2t_rate_bps",
-               "--serial-bps": "serial_rate_bps", "--candidates": "candidates"}
+_COST_FLAGS = {"--tags": "batch_tags", "--hash-cycles": "hash_cycles_per_block",
+               "--clock-hz": "tag_clock_hz", "--t2r-bps": "t2r_rate_bps",
+               "--r2t-bps": "r2t_rate_bps", "--serial-bps": "serial_rate_bps",
+               "--candidates": "candidates"}
 
 
 def _mask(text: str) -> BitString:
@@ -140,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = add("cost", "evaluate the session cost model")
     shared(p_cost, "--lambda", "--format")
-    p_cost.add_argument("--tags", type=int, default=200, help="batch size for serial backhaul")
     for flag, name in _COST_FLAGS.items():
         p_cost.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
-                            type=int, default=getattr(CostParams, name))
+                            type=int, default=getattr(CostParams, name),
+                            help="batch size for serial backhaul" if name == "batch_tags" else None)
 
     p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
     shared(p_lemma, "--seed")
@@ -199,19 +203,17 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
 
 def _parse_payload(flight: int, fields: list[str], lam: int):
     values = [BitString.from_text(f) for f in fields]
-    for value in values:
-        if len(value) != lam:
-            raise ScheduleError(f"replacement field {value.to_text()} is {len(value)} bits, "
-                                f"database lambda {lam}")
     kind = PAYLOAD_TYPES.get(flight)
     if kind is None:  # no such flight: AdversaryAction says so
         return None
-    if kind is BroadcastAuth:  # (sigma, delta) pairs; every other flight carries one value
-        if values and len(values) % 2 == 0:
-            return BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
-    elif len(values) == 1:
-        return kind(values[0])
-    raise ScheduleError(f"wrong replacement field count for flight {flight}")
+    if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
+        payload = BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
+    elif kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
+        payload = kind(values[0])
+    else:
+        raise ScheduleError(f"wrong replacement field count for flight {flight}")
+    check_payload_widths(payload, lam, lam)  # ``run`` hashes to lam bits
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +291,8 @@ def cmd_game(args) -> int:
 def cmd_cost(args) -> int:
     params = CostParams(lambda_bits=args.lam,
                         **{name: getattr(args, name) for name in _COST_FLAGS.values()})
-    report = compute_cost(params, batch_tags=args.tags)
-    findings = check_budget(report, BudgetLimits())
+    report = compute_cost(params)
+    findings = check_budget(report)
     if args.format == "structured":
         print(report.to_line())
         for f in findings:
@@ -300,7 +302,7 @@ def cmd_cost(args) -> int:
         print()
         for f in findings:
             print(f"[{'PASS' if f.passed else 'FAIL'}] {f.name}: {f.detail}")
-    print(f"budget {'pass' if findings_pass(findings) else 'fail'}")
+    print(f"budget {'pass' if all(f.passed for f in findings) else 'fail'}")
     return 0
 
 

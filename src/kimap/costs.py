@@ -1,5 +1,6 @@
 """Parametric session-cost model: tag compute time, per-direction air time,
-and serial backhaul time, with pass/fail checks against deployment budgets.
+and serial backhaul time, with pass/fail checks against one deployment
+envelope. :class:`CostParams` holds every settable value.
 
 Arithmetic is exact (:class:`fractions.Fraction`) end to end; rounding
 happens only at presentation, to two decimal places, half-up.
@@ -22,7 +23,8 @@ class CostParams:
     640 kbps tag-to-reader and 126 kbps reader-to-tag air rates, and a
     20 kbps serial reader-to-server link. A session moves 2*lambda bits up
     (nonce + tag authenticator) and 3*lambda bits down (challenge + one
-    sigma/delta candidate), and the tag computes 4 hash-equivalents."""
+    sigma/delta candidate), and the tag computes 4 hash-equivalents. The
+    serial backhaul is also priced for a batch of ``batch_tags`` tags."""
 
     lambda_bits: int = 64
     hash_cycles_per_block: int = 33
@@ -31,11 +33,12 @@ class CostParams:
     r2t_rate_bps: int = 126_000
     serial_rate_bps: int = 20_000
     candidates: int = 1
+    batch_tags: int = 200
 
     def __post_init__(self) -> None:
         check_key_width(self.lambda_bits)
         for name in ("hash_cycles_per_block", "tag_clock_hz", "t2r_rate_bps",
-                     "r2t_rate_bps", "serial_rate_bps", "candidates"):
+                     "r2t_rate_bps", "serial_rate_bps", "candidates", "batch_tags"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
 
@@ -64,7 +67,6 @@ class CostReport:
     r2t_ms: Fraction
     total_ms: Fraction
     single_serial_ms: Fraction
-    batch_tags: int
     batch_serial_s: Fraction
 
     def rounded(self, value: Fraction, places: int = 2) -> Decimal:
@@ -78,7 +80,7 @@ class CostReport:
                 f"t2r_ms={r(self.t2r_ms)} r2t_ms={r(self.r2t_ms)} total_ms={r(self.total_ms)} "
                 f"approx_total_ms={r(self.total_ms, 1)} "
                 f"single_serial_ms={r(self.single_serial_ms)} "
-                f"batch_tags={self.batch_tags} batch_serial_s={r(self.batch_serial_s)}")
+                f"batch_tags={self.params.batch_tags} batch_serial_s={r(self.batch_serial_s)}")
 
     def to_table(self) -> str:
         r = self.rounded
@@ -89,22 +91,20 @@ class CostReport:
             (f"reader->tag ({self.params.downlink_bits} bits)", f"{r(self.r2t_ms)} ms"),
             ("session total", f"{r(self.total_ms)} ms (~{r(self.total_ms, 1)} ms)"),
             ("serial backhaul, 1 tag", f"{r(self.single_serial_ms)} ms"),
-            (f"serial backhaul, {self.batch_tags} tags", f"{r(self.batch_serial_s)} s"),
+            (f"serial backhaul, {self.params.batch_tags} tags", f"{r(self.batch_serial_s)} s"),
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
 
 
-def compute_cost(params: CostParams, batch_tags: int = 200) -> CostReport:
+def compute_cost(params: CostParams) -> CostReport:
     """Evaluate the cost model exactly."""
-    if batch_tags < 1:
-        raise ParameterError(f"batch_tags must be >= 1, got {batch_tags}")
     hash_ms = Fraction(params.hash_cycles_per_block * 1000, params.tag_clock_hz)
     tag_compute = params.tag_hash_ops * hash_ms
     t2r = Fraction(params.uplink_bits * 1000, params.t2r_rate_bps)
     r2t = Fraction(params.downlink_bits * 1000, params.r2t_rate_bps)
     single_serial = Fraction(params.uplink_bits * 1000, params.serial_rate_bps)
-    batch_serial = Fraction(batch_tags * params.uplink_bits, params.serial_rate_bps)
+    batch_serial = Fraction(params.batch_tags * params.uplink_bits, params.serial_rate_bps)
     return CostReport(
         params=params,
         hash_time_ms=hash_ms,
@@ -113,19 +113,15 @@ def compute_cost(params: CostParams, batch_tags: int = 200) -> CostReport:
         r2t_ms=r2t,
         total_ms=tag_compute + t2r + r2t,
         single_serial_ms=single_serial,
-        batch_tags=batch_tags,
         batch_serial_s=batch_serial,
     )
 
 
-@dataclass(frozen=True)
-class BudgetLimits:
-    """Deployment envelope: sessions must fit the low end of the available
-    read window, and the reader must sustain the required tags-per-second."""
-
-    window_min_ms: Fraction = Fraction(5)
-    window_max_ms: Fraction = Fraction(10)
-    tags_per_second: int = 200
+# The deployment envelope: a session must fit the low end of the available
+# read window, and the reader must sustain the required tags per second.
+_WINDOW_MIN_MS = Fraction(5)
+_WINDOW_MAX_MS = Fraction(10)
+_TAGS_PER_SECOND = 200
 
 
 @dataclass(frozen=True)
@@ -135,24 +131,16 @@ class BudgetFinding:
     detail: str
 
 
-def check_budget(report: CostReport, limits: BudgetLimits = BudgetLimits()) -> list[BudgetFinding]:
+def check_budget(report: CostReport) -> list[BudgetFinding]:
     """Compare a report against the deployment envelope."""
     total = report.total_ms
-    per_tag_budget = Fraction(1000, limits.tags_per_second)
-    findings = [
-        BudgetFinding(
-            "within_min_window", total <= limits.window_min_ms,
-            f"session {report.rounded(total)} ms vs {limits.window_min_ms} ms available"),
-        BudgetFinding(
-            "within_max_window", total <= limits.window_max_ms,
-            f"session {report.rounded(total)} ms vs {limits.window_max_ms} ms available"),
-        BudgetFinding(
-            "reading_rate", total <= per_tag_budget,
-            f"session {report.rounded(total)} ms vs {report.rounded(per_tag_budget)} ms "
-            f"for {limits.tags_per_second} tags/s"),
+    session = f"session {report.rounded(total)} ms vs"
+    per_tag = Fraction(1000, _TAGS_PER_SECOND)
+    return [
+        BudgetFinding("within_min_window", total <= _WINDOW_MIN_MS,
+                      f"{session} {_WINDOW_MIN_MS} ms available"),
+        BudgetFinding("within_max_window", total <= _WINDOW_MAX_MS,
+                      f"{session} {_WINDOW_MAX_MS} ms available"),
+        BudgetFinding("reading_rate", total <= per_tag,
+                      f"{session} {report.rounded(per_tag)} ms for {_TAGS_PER_SECOND} tags/s"),
     ]
-    return findings
-
-
-def findings_pass(findings: list[BudgetFinding]) -> bool:
-    return all(f.passed for f in findings)

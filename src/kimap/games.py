@@ -160,6 +160,7 @@ class OracleHandle:
         self.test_used = False
         self.coin: Optional[int] = None
         self.challenge: tuple[int, ...] = ()
+        self.revealed: list[int] = []  # the period of every revealed key
         self.recorded: dict[int, dict[int, Quintuplet]] = {i: {} for i in range(len(tags))}
         self._pending_x_s: Optional[BitString] = None
         self._pending_reply: dict[int, PendingSession] = {}
@@ -315,12 +316,14 @@ class OracleHandle:
         return self._eavesdrop(tag, restricted=True)
 
     def reveal_secret(self, tag: int) -> BitString:
-        """The named tag's current key. Allowed on the challenge tag only."""
+        """The named tag's current key. Allowed on the challenge tag only; the
+        key's period bounds the instance ``test`` may target."""
         self._admit("reveal_secret", tag)
         if not self.challenge:
             raise OracleMisuseError("choose a challenge tag before revealing")
         if (tag,) != self.challenge:
             raise OracleMisuseError("reveal_secret is allowed on the challenge tag only")
+        self.revealed.append(self.tags[tag].counter)
         return self.tags[tag].key
 
     def test(self, tag: int, period: int) -> Quintuplet:
@@ -339,15 +342,23 @@ class OracleHandle:
         return self.coin
 
     def _test(self, tags: tuple[int, ...], period: int) -> Quintuplet:
-        """Single use, admission, the game's shape, then the coin: a pair's
-        coin picks a tag; a single tag's picks real (1) or uniform (0)."""
+        """Single use, admission, the game's shape, the reveal bound, then the
+        coin: a pair's coin picks a tag; a single tag's picks real (1) or
+        uniform (0). The reveal bound: the target lies strictly on the
+        ``test_offset`` side of every revealed period, before it in
+        ``forward`` and after it in ``backward``, so no revealed key binds it."""
         if self.test_used:
             raise OracleMisuseError("test may be called only once")
         self._admit("test")
         self._check_shape(tags)
         if tags != self.challenge:
             raise OracleMisuseError("test must target the chosen challenge")
-        target = period + DEFINITIONS[self.definition].test_offset
+        offset = DEFINITIONS[self.definition].test_offset
+        target, side = period + offset, "before" if offset < 0 else "after"
+        for revealed in self.revealed:
+            if (target - revealed) * offset <= 0:
+                raise OracleMisuseError(f"instance {target} is not {side} "
+                                        f"revealed period {revealed}")
         quints = [self.recorded[tag].get(target) for tag in tags]
         for tag, quint in zip(tags, quints):
             if quint is None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from kimap.bits import BitString, HashSpec, Prng
 from kimap.channel import AdversaryAction, FaultSchedule, World, run_session
-from kimap.costs import CostParams, check_budget, compute_cost, findings_pass
+from kimap.costs import CostParams, check_budget, compute_cost
 from kimap.games import (
     GameConfig,
     KeyKnowledge,
@@ -106,7 +106,7 @@ def test_criterion_03_tag_storage_is_lambda_bits():
 
 
 def test_criterion_04_cost_model_reference_figures():
-    rep = compute_cost(CostParams(), batch_tags=200)
+    rep = compute_cost(CostParams(batch_tags=200))
     r = rep.rounded
     figures = {
         "hash": str(r(rep.hash_time_ms)),
@@ -123,7 +123,7 @@ def test_criterion_04_cost_model_reference_figures():
         "total": "3.04", "approx_total": "3.0",
         "single_serial": "6.40", "batch_serial": "1.28",
     }, figures
-    assert findings_pass(check_budget(rep))
+    assert all(f.passed for f in check_budget(rep))
     report(4, "64-bit defaults reproduce 0.33/1.32/0.20/1.52 ms, total 3.04 (~3.0) ms, "
               "serial 6.40 ms, 200-tag batch 1.28 s")
 

@@ -14,10 +14,11 @@ from kimap.channel import (
     FaultSchedule,
     ScheduleError,
     World,
+    check_payload_widths,
     run_session,
     transcript_line,
 )
-from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, keygen
+from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, TagNonce, keygen
 
 TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
@@ -246,14 +247,23 @@ class TestScheduleValidation:
         ([AdversaryAction.drop(1, 3), AdversaryAction.replay(3, 2, 3)],
          "replay source session 2 flight 3 was never recorded"),
         ([AdversaryAction.replay(2, 2, 3)], "replay source session 2 flight 2 was never recorded"),
+        ([AdversaryAction.replace(1, Challenge(BitString(0, 8)), 3)],
+         "replacement x_s 00:8 is 8 bits, not 16"),
+        ([AdversaryAction.replace(2, TagNonce(BitString(0, 8)), 3)],
+         "replacement x_t 00:8 is 8 bits, not 16"),
+        ([AdversaryAction.replace(3, BroadcastAuth((ServerAuthCandidate(BitString(0, 16),
+                                                                        BitString(0, 8)),)), 3)],
+         "replacement delta 00:8 is 8 bits, not 16"),
     ], ids=["other-session", "other-session-second", "same-flight", "same-flight-numbered",
-            "unrecorded-source", "unrecorded-source-after-abort", "unrecorded-source-flight-2"])
+            "unrecorded-source", "unrecorded-source-after-abort", "unrecorded-source-flight-2",
+            "narrow-challenge", "narrow-nonce", "narrow-delta"])
     def test_run_session_rejects_actions_that_do_not_fit(self, actions, message):
         """An action numbered for another session, a second action on one
-        flight, or a replay of a flight its earlier session never emitted is
-        a malformed schedule: it raises before any flight runs. Session 1
-        lost flight 2 and session 2 lost flight 1, so neither emitted
-        flight 3, and session 2 emitted no flight 2."""
+        flight, a replacement narrower than the wire, or a replay of a flight
+        its earlier session never emitted is a malformed schedule: it raises
+        before any flight runs. Session 1 lost flight 2 and session 2 lost
+        flight 1, so neither emitted flight 3, and session 2 emitted no
+        flight 2."""
         server, tags = fresh_world(seed=117)
         world = World(server, tags, TOY16)
         world.session(0, [AdversaryAction.drop(2, 1)])
@@ -293,13 +303,30 @@ class TestScheduleValidation:
 
     def test_replay_unknown_source(self):
         """Session 1 loses flight 2, so session 2 cannot replay its flight 3:
-        the run stops there and keeps session 1."""
+        the run is refused whole, before session 1 runs."""
         server, tags = fresh_world(seed=113)
         world = World(server, tags, TOY16)
+        before = _state(server, tags[0], world.recording)
         sched = FaultSchedule([AdversaryAction.drop(2, 1), AdversaryAction.replay(3, 1, 2)])
         with pytest.raises(ScheduleError, match="session 1 flight 3 was never recorded"):
             world.run(sched, 3)
-        assert world.next_seq == 2 and sorted(world.recording) == [(1, 1), (1, 2)]
+        assert world.next_seq == 1 and world.recording == {}
+        assert _state(server, tags[0], world.recording) == before
+
+    def test_payload_widths_are_the_key_and_hash_widths(self):
+        """x_s, x_t and delta have the key's width, sigma and sigma' the hash
+        output's, told apart here by a 16-bit key and an 8-bit hash."""
+        key, out = BitString(0, 16), BitString(0, 8)
+        for payload in (Challenge(key), TagNonce(key), TagAuth(out),
+                        BroadcastAuth((ServerAuthCandidate(out, key),) * 2)):
+            check_payload_widths(payload, 16, 8)
+        for payload, name in [(Challenge(out), "x_s"), (TagNonce(out), "x_t"),
+                              (TagAuth(key), "sigma_prime"),
+                              (BroadcastAuth((ServerAuthCandidate(key, key),)), "sigma"),
+                              (BroadcastAuth((ServerAuthCandidate(out, key),
+                                              ServerAuthCandidate(out, out))), "delta")]:
+            with pytest.raises(ScheduleError, match=f"replacement {name} "):
+                check_payload_widths(payload, 16, 8)
 
     def test_replace_payload_shape_checked(self):
         with pytest.raises(ScheduleError):
@@ -326,14 +353,15 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
     sessions lost flight 1, 2 or 3. A replay can be built exactly when its
     source is an earlier session. The session either runs, or raises
     ScheduleError before any state changes, its number included. It raises
-    exactly when an action names another session, two share a flight, or a
-    replay's source flight was never recorded."""
+    exactly when an action names another session, two share a flight, a
+    replacement is 8 bits wide on a 16-bit wire, or a replay's source flight
+    was never recorded."""
     server, tags = fresh_world(n=2, seed=118)
     world = World(server, tags, TOY16)
     for earlier in range(1, seq):
         lost = aborts[earlier - 1]
         world.session(earlier % 2, [AdversaryAction.drop(lost, earlier)] if lost else [])
-    actions = []
+    actions, narrow = [], False
     for _ in range(data.draw(st.integers(0, 3))):
         kind = data.draw(st.sampled_from(["drop", "replace", "replay"]))
         flight, session = data.draw(st.integers(1, 4)), data.draw(st.integers(seq - 1, seq + 1))
@@ -348,11 +376,13 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
             else:
                 assert source < session
         else:
-            value = BitString(data.draw(st.integers(0, 0xFFFF)), 16)
+            width = data.draw(st.sampled_from([16, 8]))
+            narrow |= width != 16
+            value = BitString(data.draw(st.integers(0, (1 << width) - 1)), width)
             payload = (BroadcastAuth((ServerAuthCandidate(value, value),)) if flight == 3
                        else PAYLOAD_TYPES[flight](value))
             actions.append(AdversaryAction.replace(flight, payload, session))
-    fits = (all(a.session_seq == seq for a in actions)
+    fits = (all(a.session_seq == seq for a in actions) and not narrow
             and len({a.flight for a in actions}) == len(actions)
             and all((a.source_session, a.flight) in world.recording
                     for a in actions if a.kind == "replay"))
@@ -365,6 +395,53 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
         assert (_state(server, tag, world.recording), world.next_seq) == before
     else:
         assert fits and world.next_seq == seq + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(before=st.integers(0, 3), n=st.integers(1, 4), data=st.data())
+def test_run_is_whole_or_changes_nothing(before, n, data):
+    """A run of n sessions after some earlier ones, under random drops,
+    replays of any earlier session and replacements 16 or 8 bits wide. It
+    returns n transcripts, or it raises ScheduleError and leaves the
+    records, the tags, the recording and the next session number as they
+    were. It is refused exactly when the same sessions, run one at a time
+    on an identical world, would refuse one of them."""
+    world = World(*fresh_world(n=2, seed=124), TOY16)
+    for seq in range(1, before + 1):
+        lost = data.draw(st.sampled_from([None, 1, 2, 3]))
+        world.session((seq - 1) % 2, [AdversaryAction.drop(lost, seq)] if lost else [])
+    schedule, first = FaultSchedule(), before + 1
+    for seq in range(first, first + n):
+        for flight in data.draw(st.sets(st.integers(1, 4), max_size=2)):
+            kind = data.draw(st.sampled_from(["drop", "replace"] + ["replay"] * (seq > 1)))
+            if kind == "drop":
+                schedule.add(AdversaryAction.drop(flight, seq))
+            elif kind == "replay":
+                source = data.draw(st.integers(1, seq - 1))
+                schedule.add(AdversaryAction.replay(flight, source, seq))
+            else:
+                value = BitString(0, data.draw(st.sampled_from([16, 8])))
+                payload = (BroadcastAuth((ServerAuthCandidate(value, value),)) if flight == 3
+                           else PAYLOAD_TYPES[flight](value))
+                schedule.add(AdversaryAction.replace(flight, payload, seq))
+    twin = copy.deepcopy(world)
+    before_run = _world_state(world)
+    try:
+        transcripts = world.run(schedule, n)
+    except ScheduleError:
+        assert _world_state(world) == before_run
+        with pytest.raises(ScheduleError):
+            for _ in range(n):
+                twin.session((twin.next_seq - 1) % 2, schedule.for_session(twin.next_seq))
+    else:
+        assert len(transcripts) == n and world.next_seq == first + n
+        stepwise = [twin.session((twin.next_seq - 1) % 2, schedule.for_session(twin.next_seq))
+                    for _ in range(n)]
+        assert [transcript_line(t) for t in stepwise] == [transcript_line(t) for t in transcripts]
+
+
+def _world_state(world):
+    return [_state(world.server, tag, world.recording) for tag in world.tags], world.next_seq
 
 
 class TestWorld:

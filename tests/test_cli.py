@@ -123,7 +123,7 @@ EXIT_2_CASES = {
     "game-negative-budget": (None, ("game", "ind", "random-guess", "--e1", "-1"),
                              "budgets must be >= 0"),
     "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even"),
-    "cost-zero-batch": (None, ("cost", "--tags", "0"), "batch_tags must be >= 1, got 0"),
+    "cost-zero-batch": (None, ("cost", "--tags", "0"), "batch_tags must be positive"),
     "cost-zero-clock": (None, ("cost", "--clock-hz", "0"), "tag_clock_hz must be positive"),
     "lemma1-k-too-large": (None, ("lemma1", "--k", "20"), "k must be in 1..16"),
 }
@@ -305,7 +305,8 @@ class TestRun:
         assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
                        "--schedule", str(sched)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and "lambda 16" in captured.err
+        assert captured.err.startswith("kimap: ") and "sched.txt:1: replacement " in captured.err
+        assert "is 8 bits, not 16" in captured.err
         assert captured.out == ""
         assert (db_dir / "kimap.db").read_bytes() == before
 
@@ -477,13 +478,13 @@ class TestCost:
     @pytest.mark.parametrize("argv, params", [
         ((), CostParams()),
         (("--lambda", "32", "--hash-cycles", "2", "--clock-hz", "3", "--t2r-bps", "4",
-          "--r2t-bps", "5", "--serial-bps", "6", "--candidates", "7"),
-         CostParams(32, 2, 3, 4, 5, 6, 7)),
+          "--r2t-bps", "5", "--serial-bps", "6", "--candidates", "7", "--tags", "8"),
+         CostParams(32, 2, 3, 4, 5, 6, 7, 8)),
     ], ids=["defaults", "every-flag"])
     def test_flags_set_their_fields(self, monkeypatch, capsys, argv, params):
         seen, compute_cost = [], cli.compute_cost
         monkeypatch.setattr(cli, "compute_cost",
-                            lambda p, batch_tags: seen.append(p) or compute_cost(p, batch_tags))
+                            lambda p: seen.append(p) or compute_cost(p))
         assert run_cli("cost", *argv) == 0
         assert seen == [params]
 

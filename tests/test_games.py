@@ -259,6 +259,55 @@ class TestRevealSecret:
             h.reveal_secret(1)
 
 
+class TestRevealBound:
+    """A revealed key binds the instance of its own period, so ``test`` may
+    not target it. Without the bound each adversary below predicts the coin
+    in every world: the revealed key is consistent with the material
+    exactly when it is real."""
+
+    def test_forward_cannot_test_the_revealed_period(self):
+        for trial in range(20):
+            h = world("forward", trial=trial, seed=7)
+            h.choose_challenge(1)
+            key = h.reveal_secret(1)
+            h.execute(1)
+            assert KeyKnowledge._consistent(h.spec, key, h.recorded[1][1])
+            with pytest.raises(OracleMisuseError,
+                               match="instance 1 is not before revealed period 1"):
+                h.test(1, 2)
+            assert h.coin is None and not h.test_used
+
+    def test_backward_cannot_test_the_revealed_period(self):
+        for trial in range(20):
+            h = world("backward", trial=trial, seed=8)
+            h.choose_challenge(1)
+            key = h.reveal_secret(1)
+            h.execute_b(1)
+            assert KeyKnowledge._consistent(h.spec, key, h.recorded[1][1])
+            with pytest.raises(OracleMisuseError,
+                               match="instance 1 is not after revealed period 1"):
+                h.test(1, 0)
+            assert h.coin is None and not h.test_used
+
+    @pytest.mark.parametrize("definition, flavor, period, message", [
+        ("forward", "execute", 3, "instance 2 is not before revealed period 1"),
+        ("backward", "execute_b", 2, "instance 3 is not after revealed period 3"),
+    ])
+    def test_every_revealed_period_bounds_the_target(self, definition, flavor, period, message):
+        """Reveals at periods 1 and 3: a target on the right side of one of
+        them only is still refused."""
+        h = world(definition)
+        h.choose_challenge(1)
+        h.reveal_secret(1)
+        getattr(h, flavor)(1)
+        getattr(h, flavor)(1)
+        h.reveal_secret(1)
+        getattr(h, flavor)(1)
+        with pytest.raises(OracleMisuseError, match=message):
+            h.test(1, period)
+        assert h.coin is None
+
+
 class TestTestOracle:
     @pytest.mark.parametrize("definition", ["ind", "forward", "backward"])
     def test_single_use_in_every_game(self, definition):
