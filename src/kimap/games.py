@@ -227,8 +227,8 @@ class OracleHandle:
         x_s, self._pending_x_s = self._pending_x_s, None
         keys = slot_keys(self.spec, self.server.master, self.server.records[self._labels[tag]],
                          "current")
-        pair, expected = make_candidate(keys, session_operands(x_s, x_t))
-        self._pending_reply[tag] = PendingSession(x_s, (keys,), (expected,))
+        (pair,), expected = make_candidate((keys,), session_operands(x_s, x_t))
+        self._pending_reply[tag] = PendingSession(x_s, (keys,), expected)
         return pair
 
     def _reply_prime_core(self, tag: int, x_s: BitString, sigma: BitString,

@@ -31,6 +31,8 @@ both encoded as ints by the one ``hash2`` layout
 changes, at one hash (the partial key) and one XOR (``delta``), with the key
 halves taken from the ints; the session's terms are built once, with their
 width check, by :func:`session_operands`, and the tag's scan shares them.
+The slots are shuffled before any candidate is built, and one
+:func:`make_candidate` call builds the whole broadcast in that order.
 Digests stay ints until they reach the wire. The pending session keeps, in
 broadcast order, each candidate's :class:`SlotKeys` and expected ``sigma'``;
 the next key, one hash from the slot's cached ``k'' || x''`` term, is
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .bits import (COUNTER_BITS, BitString, HashSpec, LengthError, OpMeter, ParameterError, Prng,
                    _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
@@ -387,21 +389,29 @@ def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
                            base | (t << width | s) << ts_shift, sigma_bytes, sigma_prime_bytes)
 
 
-def make_candidate(keys: SlotKeys, ops: SessionOperands) -> tuple[ServerAuthCandidate, int]:
-    """Flight-3 computation for one (record, key slot), two hashes: the wire
-    pair ``(sigma, delta)`` and the expected ``sigma'`` as an int. These are
-    the digests of :func:`auth_server_tag` and :func:`auth_tag_msg`, each
-    hashed from one slot term ORed with one session term. The next key the
-    server commits if the expectation is met is computed on demand
-    (:meth:`SlotKeys.next_key`)."""
-    if keys.width != ops.width:
-        raise _mismatch(keys.x, ops.x_s, ops.x_t)
-    spec = keys.spec
-    sigma = _new_object(BitString)
-    sigma._value = hash2(spec, keys.sigma_term | ops.s_t_term, ops.sigma_bytes)
-    sigma._length = spec.output_len_bits
-    return (_new_tuple(ServerAuthCandidate, (sigma, keys.delta)),
-            hash2(spec, ops.t_s_term | keys.session_term, ops.sigma_prime_bytes))
+def make_candidate(slots: Sequence[SlotKeys],
+                   ops: SessionOperands) -> tuple[tuple[ServerAuthCandidate, ...], tuple[int, ...]]:
+    """Flight-3 computation for each (record, key slot) in ``slots``, two
+    hashes each: the wire pairs ``(sigma, delta)`` and the expected
+    ``sigma'`` of each as an int, as two tuples in the order of ``slots``.
+    These are the digests of :func:`auth_server_tag` and
+    :func:`auth_tag_msg`, each hashed from one slot term ORed with one
+    session term. The next key the server commits if an expectation is met
+    is computed on demand (:meth:`SlotKeys.next_key`)."""
+    width, s_t, t_s = ops.width, ops.s_t_term, ops.t_s_term
+    sigma_bytes, sigma_prime_bytes = ops.sigma_bytes, ops.sigma_prime_bytes
+    pairs: list[ServerAuthCandidate] = []
+    expected: list[int] = []
+    for keys in slots:
+        if keys.width != width:
+            raise _mismatch(keys.x, ops.x_s, ops.x_t)
+        spec = keys.spec
+        sigma = _new_object(BitString)
+        sigma._value = hash2(spec, keys.sigma_term | s_t, sigma_bytes)
+        sigma._length = spec.output_len_bits
+        pairs.append(_new_tuple(ServerAuthCandidate, (sigma, keys.delta)))
+        expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
+    return tuple(pairs), tuple(expected)
 
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
@@ -411,11 +421,15 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     no candidate.
 
     A slot's cached :class:`SlotKeys` is served only while its record's
-    counter and the very key object it was built from are unchanged."""
+    counter and the very key object it was built from are unchanged. Every
+    slot's width is checked before the shuffle, so a record of another
+    width than the session raises with the server's PRNG unmoved; the
+    shuffled slots then go to one :func:`make_candidate` call."""
     ops = session_operands(x_s, x_t)
+    width = ops.width
     master = server.master
     current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
-    entries: list[tuple[SlotKeys, ServerAuthCandidate, int]] = []
+    slots: list[SlotKeys] = []
     for rec in server.records.values():
         counter = rec.counter
         if (counter + 1) >> COUNTER_BITS:
@@ -423,16 +437,20 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
         keys = current.get(rec.label)
         if keys is None or keys.counter != counter or keys.key is not rec.key_current:
             keys = current[rec.label] = slot_keys(spec, master, rec, "current")
-        entries.append((keys, *make_candidate(keys, ops)))
+        if keys.width != width:
+            raise _mismatch(keys.x, x_s, x_t)
+        slots.append(keys)
         key = rec.key_previous
         if key is not None:
             keys = previous.get(rec.label)
             if keys is None or keys.counter != counter or keys.key is not key:
                 keys = previous[rec.label] = slot_keys(spec, master, rec, "previous")
-            entries.append((keys, *make_candidate(keys, ops)))
-    server.prng.shuffle(entries)
-    slots, pairs, expected = tuple(zip(*entries)) or ((), (), ())
-    return BroadcastAuth(pairs), PendingSession(x_s, slots, expected)
+            if keys.width != width:
+                raise _mismatch(keys.x, x_s, x_t)
+            slots.append(keys)
+    server.prng.shuffle(slots)
+    pairs, expected = make_candidate(slots, ops)
+    return BroadcastAuth(pairs), PendingSession(x_s, tuple(slots), expected)
 
 
 def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAuth, spec: HashSpec) -> TagAuth:

@@ -215,7 +215,7 @@ class TestTagVerify:
 def _make_candidate_of_other_width():
     server, _ = keygen(16, 1, Prng(24, 0))
     keys = slot_keys(TOY16, server.master, server.records["t001"], "current")
-    make_candidate(keys, session_operands(BitString(0, 8), BitString(0, 8)))
+    make_candidate((keys,), session_operands(BitString(0, 8), BitString(0, 8)))
 
 
 def _tag_scan_of_narrow_delta():
@@ -249,6 +249,18 @@ class TestWidthChecks:
         server, _ = keygen(16, 2, Prng(20, 0))
         with pytest.raises(LengthError):
             server_prepare(server, BitString(0, x_s_len), BitString(0, x_t_len), TOY16)
+
+    def test_width_error_leaves_the_prng_unmoved(self):
+        """Every slot's width is checked before the broadcast shuffle, so a
+        session that does not fit the records' keys raises with the server's
+        stream where it was."""
+        server, _ = keygen(16, 3, Prng(26, 0))
+        server.records["t002"].key_previous = BitString(0x5A5A, 16)
+        server_begin(server)  # the stream holds buffered bits
+        before = (server.prng._counter, server.prng._acc, server.prng._acc_bits)
+        with pytest.raises(LengthError):
+            server_prepare(server, BitString(0, 32), BitString(0, 32), TOY16)
+        assert (server.prng._counter, server.prng._acc, server.prng._acc_bits) == before
 
     def test_tag_scan_rejects_wrong_width_delta(self):
         server, tags = keygen(16, 2, Prng(21, 0))

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kimap.bits import BitString, HashSpec, Prng, split, xor
+from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
 from kimap.protocol import (
     BroadcastAuth,
     ServerAuthCandidate,
@@ -216,9 +216,41 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
     broadcast, pending = server_prepare(server, x_s, x_t, second)
     ops = session_operands(x_s, x_t)
     assert len(pending.candidates) == 3
-    assert list(zip(broadcast.candidates, pending.expected, strict=True)) == [
-        make_candidate(slot_keys(second, server.master, server.records[k.label], k.slot), ops)
-        for k in pending.candidates]
+    assert (broadcast.candidates, pending.expected) == make_candidate(
+        [slot_keys(second, server.master, server.records[k.label], k.slot)
+         for k in pending.candidates], ops)
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=["production64", "toy16"])
+def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
+    """``make_candidate`` over every live slot, in registry order, gives
+    what one call per slot gives and what the paper's formulas give, slot
+    for slot; an empty sequence gives two empty tuples."""
+    lam = spec.output_len_bits
+    server, _ = keygen(lam, 4, Prng(11, 0))
+    stream = Prng(11, 1)
+    for label in ("t001", "t003"):
+        server.records[label].key_previous = prng_next(stream, lam)
+    x_s, x_t = prng_next(Prng(11, 2), lam), prng_next(Prng(11, 3), lam)
+    ops = session_operands(x_s, x_t)
+    slots = [slot_keys(spec, server.master, rec, slot) for rec in server.records.values()
+             for slot in ("current", "previous")
+             if slot == "current" or rec.key_previous is not None]
+    assert len(slots) == 6
+
+    pairs, expected = make_candidate(slots, ops)
+    single = [make_candidate((keys,), ops) for keys in slots]
+    assert pairs == tuple(pair for (pair,), _ in single)
+    assert expected == tuple(value for _, (value,) in single)
+    reference = []
+    for keys in slots:
+        k_prime, _ = split(keys.key)
+        x_prime, _ = split(keys.x)
+        reference.append((auth_server_tag(spec, k_prime, keys.x, x_s, x_t), xor(keys.key, keys.x),
+                          auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
+    assert [(sigma, delta, BitString(v, lam))
+            for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
+    assert make_candidate((), ops) == ((), ())
 
 
 def ref_scan(spec, key, x_s, x_t, candidates):
@@ -267,7 +299,7 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
         slots = ("current",) if rec.key_previous is None else ("current", "previous")
         for slot in slots:
             keys = slot_keys(spec, server.master, rec, slot)
-            (sigma, delta), expected = make_candidate(keys, ops)
+            ((sigma, delta),), (expected,) = make_candidate((keys,), ops)
             k_prime, _ = split(keys.key)
             x_prime, _ = split(keys.x)
             assert sigma == auth_server_tag(spec, k_prime, keys.x, x_s, x_t)
