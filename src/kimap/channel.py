@@ -9,6 +9,12 @@ it. A replacement must fit the wire (:func:`check_payload_widths`). The
 simulator itself never mutates payloads; every transcript field is exactly
 what an endpoint emitted or an action substituted, and a field is present
 only if its flight was delivered.
+
+The recording keeps a flight as one tuple of ints, the ``(value, width)``
+of each bit string in field order, not as the payload objects: a tuple of
+ints is untracked by the garbage collector, so a recording of thousands of
+sessions adds nothing to a full collection. A replay rebuilds a payload
+equal to the one its source emitted.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .bits import HashSpec, ParameterError
+from .bits import HashSpec, ParameterError, _trusted
 from .protocol import (
     AuthResult,
     BroadcastAuth,
     Challenge,
+    ServerAuthCandidate,
     ServerState,
     TagAuth,
     TagNonce,
@@ -90,7 +97,9 @@ class FaultSchedule:
     slot may carry at most one action."""
 
     actions: list[AdversaryAction] = field(default_factory=list)
-    _slots: set = field(default_factory=set, init=False, repr=False, compare=False)
+    # session -> flight -> action, each session's actions in the order added
+    _by_session: dict[int, dict[int, AdversaryAction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         actions, self.actions = self.actions, []
@@ -98,14 +107,16 @@ class FaultSchedule:
             self.add(a)
 
     def add(self, action: AdversaryAction) -> None:
-        slot = (action.session_seq, action.flight)
-        if slot in self._slots:
-            raise ScheduleError(f"duplicate action for session {slot[0]} flight {slot[1]}")
-        self._slots.add(slot)
+        by_flight = self._by_session.setdefault(action.session_seq, {})
+        if action.flight in by_flight:
+            raise ScheduleError(f"duplicate action for session {action.session_seq} "
+                                f"flight {action.flight}")
+        by_flight[action.flight] = action
         self.actions.append(action)
 
     def for_session(self, seq: int) -> list[AdversaryAction]:
-        return [a for a in self.actions if a.session_seq == seq]
+        by_flight = self._by_session.get(seq)
+        return [] if by_flight is None else list(by_flight.values())
 
 
 @dataclass
@@ -134,7 +145,9 @@ class SessionTranscript:
 
 
 # Every emitted payload, keyed by (session_seq, flight): the replay source.
-Recording = dict[tuple[int, int], Payload]
+# A payload is kept as one flat tuple of ints (see _pack), which the garbage
+# collector untracks, so it never walks a recording.
+Recording = dict[tuple[int, int], tuple[int, ...]]
 
 
 def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
@@ -172,9 +185,30 @@ def _fit(actions: Sequence[AdversaryAction], session_seq: int, recorded,
     return by_flight
 
 
+def _pack(flight: int, payload: Payload) -> tuple[int, ...]:
+    """The ints a recording keeps of a payload: each bit string's value and
+    width in field order, a broadcast's candidates in broadcast order."""
+    if flight != 3:
+        (bits,) = vars(payload).values()
+        return bits._value, bits._length
+    ints: list[int] = []
+    for sigma, delta in payload.candidates:
+        ints += (sigma._value, sigma._length, delta._value, delta._length)
+    return tuple(ints)
+
+
+def _rebuild(flight: int, ints: tuple[int, ...]) -> Payload:
+    """The payload :func:`_pack` kept as ``ints``, equal to the one it packed."""
+    if flight != 3:
+        return PAYLOAD_TYPES[flight](_trusted(*ints))
+    bits = list(map(_trusted, ints[::2], ints[1::2]))
+    return BroadcastAuth(tuple(map(ServerAuthCandidate, bits[::2], bits[1::2])))
+
+
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
-             session_seq: int, recording: Recording) -> Optional[Payload]:
-    recording[(session_seq, flight)] = emitted
+             session_seq: int, recording: Optional[Recording]) -> Optional[Payload]:
+    if recording is not None:
+        recording[(session_seq, flight)] = _pack(flight, emitted)
     action = by_flight.get(flight)
     if action is None:
         return emitted
@@ -182,7 +216,7 @@ def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction
         return None
     if action.kind == "replace":
         return action.payload
-    return recording[(action.source_session, flight)]
+    return _rebuild(flight, recording[(action.source_session, flight)])
 
 
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
@@ -196,14 +230,14 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     ``spec``'s output (:func:`check_payload_widths`), and a replay's source
     flight is already in ``recording`` (its earlier session emitted it).
     Otherwise :class:`ScheduleError` is raised before any flight runs, and
-    no state changes.
+    no state changes. Without a ``recording`` nothing is recorded and no
+    replay fits.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
-    recording = {} if recording is None else recording
-    by_flight = (_fit(actions, session_seq, recording, server.lam, spec.output_len_bits)
+    by_flight = (_fit(actions, session_seq, recording or (), server.lam, spec.output_len_bits)
                  if actions else {})
     t = SessionTranscript(session_seq=session_seq, label=label)
 

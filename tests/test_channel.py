@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kimap import channel
 from kimap.bits import BitString, HashSpec, ParameterError, Prng
 from kimap.channel import (
     PAYLOAD_TYPES,
@@ -218,6 +220,22 @@ class TestScheduleValidation:
         with pytest.raises(ScheduleError, match="duplicate action for session 2 flight 4"):
             sched.add(AdversaryAction.drop(4, 2))
         assert sched.actions == [AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)]
+
+    def test_for_session_keeps_add_order_within_a_session(self):
+        """Actions added out of session order come back, for each session,
+        in the order they were added; a session with none gets []."""
+        bogus = TagAuth(BitString(0, 16))
+        added = [AdversaryAction.drop(4, 3), AdversaryAction.drop(2, 1),
+                 AdversaryAction.replay(3, 1, 2), AdversaryAction.replace(4, bogus, 1),
+                 AdversaryAction.drop(1, 3), AdversaryAction.drop(3, 1)]
+        sched = FaultSchedule(added[:2])
+        for a in added[2:]:
+            sched.add(a)
+        assert sched.actions == added
+        assert sched.for_session(1) == [added[1], added[3], added[5]]
+        assert sched.for_session(2) == [added[2]]
+        assert sched.for_session(3) == [added[0], added[4]]
+        assert sched.for_session(4) == []
 
     def test_action_without_session_rejected(self):
         """Every action names its session: one without cannot be built, so
@@ -497,3 +515,43 @@ def test_world_run_in_two_parts_equals_one_run(a, b, data):
     assert [transcript_line(t) for t in two] == [transcript_line(t) for t in one]
     assert list(split.server.records.values()) == list(whole.server.records.values())
     assert split.next_seq == whole.next_seq == a + b + 1
+
+
+class TestRecording:
+    def test_recording_holds_no_tracked_object(self):
+        """The recording keeps each flight as a tuple of ints, which the
+        garbage collector untracks: a recording of any length adds nothing
+        to a full collection."""
+        world = World(*keygen(64, 2, Prng(125, 0)), PROD64)
+        world.run(FaultSchedule([]), 4)
+        assert set(world.recording) == {(s, f) for s in range(1, 5) for f in range(1, 5)}
+        gc.collect()
+        assert [key for key, value in world.recording.items() if gc.is_tracked(value)] == []
+
+    @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16)], ids=["production", "toy"])
+    @pytest.mark.parametrize("flight", [1, 2, 3, 4])
+    def test_replay_delivers_what_the_source_emitted(self, flight, lam, spec):
+        """Session 2 replays session 1's flight: its transcript field equals
+        the payload session 1 emitted, widths included, and prints the same
+        bytes."""
+        world = World(*keygen(lam, 2, Prng(126, 0)), spec)
+        first, second = world.run(FaultSchedule([AdversaryAction.replay(flight, 1, 2)]), 2)
+        name = ("x_s", "x_t", "broadcast", "sigma_prime")[flight - 1]
+        emitted, replayed = getattr(first, name), getattr(second, name)
+        assert replayed == emitted and type(replayed) is PAYLOAD_TYPES[flight]
+        assert (transcript_line(dataclasses.replace(first, **{name: replayed}))
+                == transcript_line(first))
+
+    def test_no_recording_records_nothing(self, monkeypatch):
+        """Without a recording a session packs no flight, and a replay, which
+        has no source to read, is refused before flight 1 with nothing
+        changed."""
+        server, tags = fresh_world(seed=127)
+        packed = []
+        monkeypatch.setattr(channel, "_pack", lambda *args: packed.append(args))
+        t = run_session(server, tags[0], [], TOY16, session_seq=1, recording=None)
+        assert t.accepted and packed == []
+        before = _state(server, tags[0], {})
+        with pytest.raises(ScheduleError, match="session 1 flight 3 was never recorded"):
+            run_session(server, tags[0], [AdversaryAction.replay(3, 1, 2)], TOY16, session_seq=2)
+        assert _state(server, tags[0], {}) == before
