@@ -11,9 +11,13 @@ never inferred from a byte container). The module also provides:
   as an int already encoded.  Two variants exist:
   ``production`` (SHA-256 truncated to the output width) and ``toy`` (a
   small keyless mixer meant to be exhaustively brute-forceable in tests).
+  The toy mixer caches its state after an input's first 4 bytes, which for
+  :func:`hash2` are the left operand's length prefix; the digest is the same
+  as absorbing every byte, since the state after a prefix depends on nothing
+  else.
 * :class:`Prng` / :func:`prng_next` -- a deterministic counter-mode stream
   over SHA-256, replayable from ``(seed, stream_id)``.
-* :class:`OpMeter` / :func:`metered` -- instrumentation counters on the
+* :class:`OpMeter` / :class:`metered` -- instrumentation counters on the
   shared hash/PRNG/XOR entry points, used to account per-session tag cost.
 """
 
@@ -21,11 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 
 class LengthError(ValueError):
@@ -151,14 +154,24 @@ class OpMeter:
 _ACTIVE_METER: ContextVar[OpMeter | None] = ContextVar("kimap_op_meter", default=None)
 
 
-@contextmanager
-def metered(meter: OpMeter) -> Iterator[OpMeter]:
-    """Route hash/PRNG/XOR counts to ``meter`` within the block."""
-    token = _ACTIVE_METER.set(meter)
-    try:
-        yield meter
-    finally:
-        _ACTIVE_METER.reset(token)
+class metered:
+    """Route hash/PRNG/XOR counts to ``meter`` within the block:
+    ``with metered(meter) as m`` binds ``m`` to ``meter``, and leaving the
+    block, by an exception too, restores the meter that was active before.
+    A class rather than a generator context manager, since the tag enters
+    it twice a session; each object is entered once."""
+
+    __slots__ = ("_meter", "_token")
+
+    def __init__(self, meter: OpMeter):
+        self._meter = meter
+
+    def __enter__(self) -> OpMeter:
+        self._token = _ACTIVE_METER.set(self._meter)
+        return self._meter
+
+    def __exit__(self, *exc_info: object) -> None:
+        _ACTIVE_METER.reset(self._token)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +213,12 @@ class HashSpec:
 
     ``production`` truncates SHA-256; ``toy`` is a small multiply-rotate-xor
     mixer over 64 bits of state, weak by design so tests can brute-force
-    preimages over tiny domains.
+    preimages over tiny domains. The mixer absorbs one byte at a time, so its
+    state after the first 4 bytes is a function of those bytes alone. Every
+    :func:`hash2` input starts with the 32-bit length prefix of its left
+    operand, so that state depends only on the left width: it is cached per
+    prefix (a bounded cache), and each digest absorbs the remaining bytes
+    from it, giving the bytes the uncached loop gives.
     """
 
     output_len_bits: int
@@ -221,8 +239,7 @@ class HashSpec:
                                  f"got {self.output_len_bits}")
         out_bits, toy = self.output_len_bits, self.variant == "toy"
         object.__setattr__(self, "_sha_shift", None if toy or out_bits > 64 else 64 - out_bits)
-        object.__setattr__(self, "_digest", partial(_toy_digest if toy else _sha256_digest,
-                                                    out_bits=out_bits))
+        object.__setattr__(self, "_digest", partial(_toy_digest if toy else _sha256_digest, out_bits))
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":
@@ -233,28 +250,49 @@ class HashSpec:
         return cls(output_len_bits, "toy")
 
 
-# Toy mixer constants (state width; odd multipliers; pi-derived initial state).
+# Toy mixer constants (state width and mask; odd multipliers; pi-derived
+# initial state), and the number of leading input bytes whose state
+# _toy_head caches: hash2's 32-bit length prefix of the left operand.
 _TOY_STATE_BITS = 64
+_TOY_MASK = (1 << _TOY_STATE_BITS) - 1
 _TOY_INIT = 0x243F6A8885A308D3
 _TOY_MULT1 = 0x9E3779B97F4A7C15
 _TOY_MULT2 = 0xBF58476D1CE4E5B9
+_TOY_HEAD_BYTES = 4
 
 
-def _toy_digest(data: bytes, out_bits: int) -> int:
-    width = _TOY_STATE_BITS
-    mask = (1 << width) - 1
-    h = _TOY_INIT & mask
+def _toy_absorb(h: int, data: bytes) -> int:
+    """The toy mixer's state after absorbing ``data`` into state ``h``."""
+    mask, mult, back, half = _TOY_MASK, _TOY_MULT1, _TOY_STATE_BITS - 7, _TOY_STATE_BITS // 2
     for byte in data:
-        h = ((h ^ byte) * _TOY_MULT1) & mask
-        h = ((h << 7) | (h >> (width - 7))) & mask
-        h ^= h >> (width // 2)
+        h = ((h ^ byte) * mult) & mask
+        h = ((h << 7) | (h >> back)) & mask
+        h ^= h >> half
+    return h
+
+
+@lru_cache(maxsize=64)
+def _toy_head(head: bytes) -> int:
+    """The state after absorbing ``head``, an input's first (up to)
+    :data:`_TOY_HEAD_BYTES` bytes. For hash2 they are the left operand's
+    length prefix, so there is one head per left width: 4 in a game at
+    lambda = 16."""
+    return _toy_absorb(_TOY_INIT, head)
+
+
+def _toy_digest(out_bits: int, data: bytes) -> int:
+    """The toy digest of ``data``: absorb every byte (the head's state from
+    the cache), finalize the state, and XOR-fold it to ``out_bits`` bits."""
+    h = _toy_absorb(_toy_head(data[:_TOY_HEAD_BYTES]), data[_TOY_HEAD_BYTES:])
+    mask, half = _TOY_MASK, _TOY_STATE_BITS // 2
     h = ((h ^ len(data)) * _TOY_MULT2) & mask
-    h ^= h >> (width // 2 + 1)
+    h ^= h >> (half + 1)
     h = (h * _TOY_MULT1) & mask
-    h ^= h >> (width // 2)
+    h ^= h >> half
+    fold = (1 << out_bits) - 1
     out = 0
     while True:
-        out ^= h & ((1 << out_bits) - 1)
+        out ^= h & fold
         h >>= out_bits
         if not h:
             return out
@@ -265,7 +303,7 @@ _sha256 = hashlib.sha256
 _unpack_u64 = struct.Struct(">Q").unpack_from
 
 
-def _sha256_digest(data: bytes, out_bits: int) -> int:
+def _sha256_digest(out_bits: int, data: bytes) -> int:
     return int.from_bytes(_sha256(data).digest(), "big") >> (256 - out_bits)
 
 

@@ -19,6 +19,7 @@ from kimap.bits import (
     split,
     xor,
 )
+from kimap.bits import _toy_digest, _toy_head  # the toy mixer's digest and its head cache
 
 TOY8 = HashSpec.toy(8)
 TOY16 = HashSpec.toy(16)
@@ -197,6 +198,53 @@ class TestHash2Encoded:
         assert m.snapshot() == (2, 0, 0)
 
 
+def reference_toy_digest(data, width, out_bits):
+    """The toy mixer as tools/gen_known_answers.py states it, one byte at a
+    time from the initial state."""
+    mask = (1 << width) - 1
+    h = 0x243F6A8885A308D3 & mask
+    for byte in data:
+        h = ((h ^ byte) * 0x9E3779B97F4A7C15) & mask
+        h = ((h << 7) | (h >> (width - 7))) & mask
+        h ^= h >> (width // 2)
+    h = ((h ^ len(data)) * 0xBF58476D1CE4E5B9) & mask
+    h ^= h >> (width // 2 + 1)
+    h = (h * 0x9E3779B97F4A7C15) & mask
+    h ^= h >> (width // 2)
+    out = 0
+    while True:
+        out ^= h & ((1 << out_bits) - 1)
+        h >>= out_bits
+        if not h:
+            return out
+
+
+class TestToyMixer:
+    """The toy digest starts from a cached state for its first bytes (hash2's
+    length prefix) and absorbs the rest; it must equal the byte-at-a-time
+    reference, whether that state comes from the cache or not."""
+
+    @given(data=st.binary(min_size=0, max_size=80), out_bits=st.integers(1, 64))
+    @example(data=b"", out_bits=1)
+    @example(data=b"\x01", out_bits=64)
+    @example(data=b"\x00\x00", out_bits=16)
+    @example(data=b"\xff\x00\xff", out_bits=7)
+    @example(data=b"\x00\x00\x00\x10", out_bits=16)
+    @example(data=b"\x00\x00\x00\x10\xab", out_bits=33)
+    def test_matches_reference(self, data, out_bits):
+        want = reference_toy_digest(data, 64, out_bits)
+        _toy_head.cache_clear()
+        assert _toy_digest(out_bits, data) == want  # cold: the head is absorbed now
+        assert _toy_digest(out_bits, data) == want  # warm: the head state is cached
+
+    def test_head_cache_is_bounded(self):
+        maxsize = _toy_head.cache_info().maxsize
+        assert maxsize is not None
+        for n_left in range(301):
+            hash2(TOY16, BitString(0, n_left), BitString(1, 8))
+            assert _toy_head.cache_info().currsize <= maxsize
+
+
 class TestCounterHash:
     def test_deterministic(self):
         a, b = BitString(0x11, 8), BitString(0xEE, 8)
@@ -282,6 +330,33 @@ class TestMeter:
         assert (m.hash_calls, m.prng_calls, m.xor_calls) == (2, 1, 1)
         assert m.hash_equivalent == 3
 
+    def test_nested_blocks_restore_the_outer_meter(self):
+        outer, inner = OpMeter(), OpMeter()
+        with metered(outer) as got:
+            assert got is outer
+            xor(BitString(1, 2), BitString(2, 2))
+            with metered(inner) as got_inner:
+                assert got_inner is inner
+                xor(BitString(1, 2), BitString(2, 2))
+                hash2(TOY8, BitString(1, 4), BitString(2, 4))
+            xor(BitString(1, 2), BitString(2, 2))
+        xor(BitString(1, 2), BitString(2, 2))  # outside both: uncounted
+        assert outer.snapshot() == (0, 0, 2)
+        assert inner.snapshot() == (1, 0, 1)
+
+    def test_exception_restores_the_outer_meter(self):
+        outer, inner = OpMeter(), OpMeter()
+        with metered(outer):
+            with pytest.raises(LengthError):
+                with metered(inner):
+                    xor(BitString(1, 2), BitString(1, 3))
+            xor(BitString(1, 2), BitString(2, 2))
+        with pytest.raises(RuntimeError):
+            with metered(inner):
+                raise RuntimeError("leaves the block")
+        xor(BitString(1, 2), BitString(2, 2))  # outside both: uncounted
+        assert outer.snapshot() == (0, 0, 1)
+        assert inner.snapshot() == (0, 0, 0)
 
     @pytest.mark.parametrize("spec", [TOY8, PROD64])
     def test_hash2_counts_one_hash(self, spec):
