@@ -47,6 +47,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bits import BitString, HashSpec, ParameterError, Prng
 from .channel import (
@@ -92,6 +93,11 @@ _SHARED_FLAGS = {
 }
 
 
+def _shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 # ``kimap cost``'s own flags -> the CostParams field each sets and defaults to
 _COST_FLAGS = {"--tags": "batch_tags", "--hash-cycles": "hash_cycles_per_block",
                "--clock-hz": "tag_clock_hz", "--t2r-bps": "t2r_rate_bps",
@@ -105,57 +111,6 @@ def _mask(text: str) -> BitString:
         return BitString.from_text(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kimap", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=summary, allow_abbrev=False)
-
-    def shared(p: argparse.ArgumentParser, *flags: str) -> None:
-        for flag in flags:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-
-    p_init = add("init", "provision a server database and master key")
-    shared(p_init, "--lambda", "--seed")
-    p_init.add_argument("--tags", type=int, default=3, help="number of tags to provision")
-    p_init.add_argument("--db", required=True, help="directory for kimap.db and master.key")
-    p_init.add_argument("--force", action="store_true", help="overwrite an existing database")
-
-    p_run = add("run", "run authentication sessions against the database")
-    shared(p_run, "--seed", "--hash")
-    p_run.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
-    p_run.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
-    p_run.add_argument("--schedule", help="fault schedule file")
-    p_run.add_argument("--strict", action="store_true",
-                       help="exit 1 on any rejection or desynchronized record")
-
-    p_game = add("game", "run a privacy game and report the advantage")
-    shared(p_game, "--lambda", "--seed", "--hash", "--format")
-    p_game.add_argument("definition", choices=list(DEFINITIONS))
-    p_game.add_argument("distinguisher")
-    p_game.add_argument("--trials", type=int, default=GameConfig.trials)
-    p_game.add_argument("--tags", type=int, default=2, help="tags per game world")
-    p_game.add_argument("--e1", type=int, default=GameConfig.e1)
-    p_game.add_argument("--e2", type=int, default=GameConfig.e2)
-
-    p_cost = add("cost", "evaluate the session cost model")
-    shared(p_cost, "--lambda", "--format")
-    for flag, name in _COST_FLAGS.items():
-        p_cost.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
-                            type=int, default=getattr(CostParams, name),
-                            help="batch size for serial backhaul" if name == "batch_tags" else None)
-
-    p_lemma = add("lemma1", "exhaustive one-time-pad bijection check")
-    shared(p_lemma, "--seed")
-    p_lemma.add_argument("--k", type=int, default=8)
-    p_lemma.add_argument("--mask", type=_mask, default=None,
-                         help="fixed mask as hex:len (default: drawn from the seed)")
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +180,13 @@ def _db_paths(db: str) -> tuple[Path, Path]:
     return root / "kimap.db", root / "master.key"
 
 
+def _init_flags(p: argparse.ArgumentParser) -> None:
+    _shared(p, "--lambda", "--seed")
+    p.add_argument("--tags", type=int, default=3, help="number of tags to provision")
+    p.add_argument("--db", required=True, help="directory for kimap.db and master.key")
+    p.add_argument("--force", action="store_true", help="overwrite an existing database")
+
+
 def cmd_init(args) -> int:
     db_path, master_path = _db_paths(args.db)
     if (db_path.exists() or master_path.exists()) and not args.force:
@@ -237,6 +199,15 @@ def cmd_init(args) -> int:
     for label in server.records:
         print(label)
     return 0
+
+
+def _run_flags(p: argparse.ArgumentParser) -> None:
+    _shared(p, "--seed", "--hash")
+    p.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
+    p.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
+    p.add_argument("--schedule", help="fault schedule file")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 1 on any rejection or desynchronized record")
 
 
 def cmd_run(args) -> int:
@@ -270,6 +241,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _game_flags(p: argparse.ArgumentParser) -> None:
+    _shared(p, "--lambda", "--seed", "--hash", "--format")
+    p.add_argument("definition", choices=list(DEFINITIONS))
+    p.add_argument("distinguisher")
+    p.add_argument("--trials", type=int, default=GameConfig.trials)
+    p.add_argument("--tags", type=int, default=2, help="tags per game world")
+    p.add_argument("--e1", type=int, default=GameConfig.e1)
+    p.add_argument("--e2", type=int, default=GameConfig.e2)
+
+
 def cmd_game(args) -> int:
     d = make_distinguisher(args.distinguisher)
     # A multi-tag challenge plays in a world with at least one tag besides it.
@@ -286,6 +267,14 @@ def cmd_game(args) -> int:
         print(f"wins       {result.wins} (rate {result.win_rate:.4f})")
         print(f"advantage  {result.advantage:.6f} (95% CI half-width {result.ci95:.6f})")
     return 0
+
+
+def _cost_flags(p: argparse.ArgumentParser) -> None:
+    _shared(p, "--lambda", "--format")
+    for flag, name in _COST_FLAGS.items():
+        p.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                       type=int, default=getattr(CostParams, name),
+                       help="batch size for serial backhaul" if name == "batch_tags" else None)
 
 
 def cmd_cost(args) -> int:
@@ -306,6 +295,13 @@ def cmd_cost(args) -> int:
     return 0
 
 
+def _lemma1_flags(p: argparse.ArgumentParser) -> None:
+    _shared(p, "--seed")
+    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--mask", type=_mask, default=None,
+                   help="fixed mask as hex:len (default: drawn from the seed)")
+
+
 def cmd_lemma1(args) -> int:
     report = lemma1_bijection_check(args.k, mask=args.mask, prng=Prng(args.seed, 0))
     print(report.to_line())
@@ -315,14 +311,49 @@ def cmd_lemma1(args) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# The parser: one row per subcommand.
+# ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    summary: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {
+    "init": Command("provision a server database and master key", _init_flags, cmd_init),
+    "run": Command("run authentication sessions against the database", _run_flags, cmd_run),
+    "game": Command("run a privacy game and report the advantage", _game_flags, cmd_game),
+    "cost": Command("evaluate the session cost model", _cost_flags, cmd_cost),
+    "lemma1": Command("exhaustive one-time-pad bijection check", _lemma1_flags, cmd_lemma1),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``kimap`` parser. When ``command`` names a subcommand, only its
+    subparser is built, which is all that parsing an argv starting with it
+    needs; any other ``command`` (None, ``-h``, a typo) builds all five."""
+    if command in COMMANDS:
+        # The usage line names all five, as the full build's choices do.
+        rows, metavar = {command: COMMANDS[command]}, "{" + ",".join(COMMANDS) + "}"
+    else:
+        rows, metavar = COMMANDS, None
+    parser = argparse.ArgumentParser(prog="kimap", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, row in rows.items():
+        row.add_flags(sub.add_parser(name, help=row.summary, allow_abbrev=False))
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"init": cmd_init, "run": cmd_run, "game": cmd_game,
-                "cost": cmd_cost, "lemma1": cmd_lemma1}
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if "seed" in vars(args):
             args.seed = _resolve_seed(args.seed)
-        code = handlers[args.command](args)
+        code = COMMANDS[args.command].handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

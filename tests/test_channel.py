@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -555,3 +556,88 @@ class TestRecording:
         with pytest.raises(ScheduleError, match="session 1 flight 3 was never recorded"):
             run_session(server, tags[0], [AdversaryAction.replay(3, 1, 2)], TOY16, session_seq=2)
         assert _state(server, tags[0], {}) == before
+
+
+class TestDesyncPrice:
+    """ROADMAP item 14: what an adversary pays, in interceptions, to lose
+    tags on today's design, where every failed session re-parks every
+    record's previous slot."""
+
+    @staticmethod
+    def honest_round(world):
+        return [world.session(idx).accepted for idx in range(len(world.tags))]
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_n_plus_one_interceptions_lose_every_tag(self, n):
+        server, tags = keygen(64, n, Prng(7, 0))
+        world = World(server, tags, PROD64)
+        assert all(self.honest_round(world))
+        for idx in range(n):  # each tag ratchets while its proof is lost
+            assert not world.session(idx, [AdversaryAction.drop(4, world.next_seq)]).accepted
+        # one more failure re-parks every record past its tag's key
+        assert not world.session(0, [AdversaryAction.drop(3, world.next_seq)]).accepted
+        records = list(server.records.values())
+        assert all(rec.desynchronized for rec in records)
+        assert not any(tag.key in (rec.key_current, rec.key_previous)
+                       for tag, rec in zip(tags, records))
+        assert self.honest_round(world) == [False] * n
+
+    def test_two_interceptions_lose_one_chosen_tag(self):
+        server, tags = keygen(64, 4, Prng(7, 0))
+        world = World(server, tags, PROD64)
+        assert all(self.honest_round(world))
+        for _ in range(2):
+            assert not world.session(1, [AdversaryAction.drop(4, world.next_seq)]).accepted
+        assert self.honest_round(world) == [True, False, True, True]
+
+
+class TestAcceptLeftSlot:
+    """The oracle for ROADMAP item 15, which would clear the previous slot on
+    an accept: under a fault-mix of interceptions, no accept goes through a
+    previous slot that an accept left behind (the old current key, or the
+    matched previous key it keeps), while accepts through a slot a failed
+    session's hedge parked do happen and must keep working. Over seeds 1-3
+    these are 7 on production(64) and 4 on toy(16); the fleet is soon lost
+    (ROADMAP item 14), so the count stays small."""
+
+    KINDS = ("drop-2", "drop-3", "drop-4", "replay-3", "replace-4")
+
+    @classmethod
+    def episode(cls, spec, lam, seed, n_tags=8, n_sessions=1000):
+        """Accepts through the previous slot, by what last set it."""
+        server, tags = keygen(lam, n_tags, Prng(seed, 0))
+        world = World(server, tags, spec)
+        records = server.records
+        rng = random.Random(seed)
+        sources = []  # sessions that emitted a flight 3
+        set_by = dict.fromkeys(records)  # label -> "accept" | "hedge" | None
+        through = {"accept": 0, "hedge": 0}
+        for seq in range(1, n_sessions + 1):
+            kind = rng.choice(cls.KINDS) if rng.random() < 0.1 else None
+            if kind in ("drop-2", "drop-3", "drop-4"):
+                actions = [AdversaryAction.drop(int(kind[-1]), seq)]
+            elif kind == "replay-3" and sources:
+                actions = [AdversaryAction.replay(3, rng.choice(sources), seq)]
+            elif kind == "replace-4":
+                bits = BitString(rng.getrandbits(lam), lam)
+                actions = [AdversaryAction.replace(4, TagAuth(bits), seq)]
+            else:
+                actions = []
+            if kind != "drop-2":
+                sources.append(seq)
+            before = {label: rec.key_previous for label, rec in records.items()}
+            t = world.session((seq - 1) % n_tags, actions)
+            if t.accepted:
+                if t.outcome_server.matched_slot == "previous":
+                    through[set_by[t.label]] += 1
+                set_by[t.label] = "accept"
+            for label, rec in records.items():
+                if rec.key_previous is not before[label] and label != (t.accepted and t.label):
+                    set_by[label] = "hedge"
+        return through
+
+    @pytest.mark.parametrize("spec,lam", [(PROD64, 64), (TOY16, 16)], ids=["production64", "toy16"])
+    def test_no_accept_through_a_slot_an_accept_left(self, spec, lam):
+        through = [self.episode(spec, lam, seed) for seed in (1, 2, 3)]
+        assert [t["accept"] for t in through] == [0, 0, 0]
+        assert sum(t["hedge"] for t in through) > 0

@@ -1,5 +1,6 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -515,28 +516,101 @@ class TestLemma1:
         assert "from_text" not in captured.err and captured.out == ""
 
 
+# Each subcommand parses only the flags its handler reads, spelled in full,
+# so a flag its handler would ignore, or an abbreviation of one it reads, is
+# a usage error.
+UNREAD_FLAGS = [
+    ("init", "--hash", "toy"), ("init", "--format", "structured"),
+    ("run", "--lambda", "16"), ("run", "--format", "structured"),
+    ("cost", "--seed", "1"), ("cost", "--hash", "toy"),
+    ("lemma1", "--lambda", "16"), ("lemma1", "--hash", "toy"),
+    ("lemma1", "--format", "structured"),
+    ("game", "--r1", "5"), ("game", "--rb", "5"),
+    ("cost", "--hash-ops", "4"), ("cost", "--hash", "5"),
+]
+
+
+def with_required(argv, db="D", fresh="F"):
+    """``argv`` with its subcommand's required arguments put before the flags
+    (argparse would otherwise take a flag's value as game's definition)."""
+    required = {"init": ["--db", fresh], "run": ["--db", db], "game": ["ind", "random-guess"]}
+    return [argv[0], *required.get(argv[0], []), *argv[1:]]
+
+
 class TestFlags:
-    # Each subcommand parses only the flags its handler reads, spelled in
-    # full, so a flag its handler would ignore, or an abbreviation of one it
-    # reads, is a usage error.
-    @pytest.mark.parametrize("argv", [
-        ("init", "--hash", "toy"), ("init", "--format", "structured"),
-        ("run", "--lambda", "16"), ("run", "--format", "structured"),
-        ("cost", "--seed", "1"), ("cost", "--hash", "toy"),
-        ("lemma1", "--lambda", "16"), ("lemma1", "--hash", "toy"),
-        ("lemma1", "--format", "structured"),
-        ("game", "--r1", "5"), ("game", "--rb", "5"),
-        ("cost", "--hash-ops", "4"), ("cost", "--hash", "5"),
-    ])
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS)
     def test_unread_flag_is_usage_error(self, db_dir, tmp_path, capsys, argv):
-        required = {"init": ["--db", str(tmp_path / "fresh")], "run": ["--db", str(db_dir)],
-                    "game": ["ind", "random-guess"]}
         with pytest.raises(SystemExit) as exc:
-            run_cli(argv[0], *required.get(argv[0], []), *argv[1:])
+            run_cli(*with_required(argv, str(db_dir), str(tmp_path / "fresh")))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: " in err and argv[1] in err
         assert not (tmp_path / "fresh").exists()
+
+
+# A parser built for argv[0] alone must parse argv as the full parser does.
+PARSER_ARGV = [
+    *([name, "--help"] for name in cli.COMMANDS),
+    *(with_required(argv) for argv in UNREAD_FLAGS),
+    ["run", "--db", "D", "--sessions", "abc"],
+    *(["lemma1", "--mask", mask] for mask in TestLemma1.MASK_REASONS),
+    ["run"],
+    ["run", "--db", "D", "--bogus"],
+    ["game", "bogus", "random-guess"],
+    ["init", "--db", "D", "--lambda", "16", "--tags", "2", "--force"],
+    ["run", "--db", "D", "--sessions", "3", "--schedule", "S", "--strict", "--hash", "toy"],
+    ["game", "forward", "key-knowledge", "--trials", "5", "--format", "structured"],
+    ["cost", "--tags", "7", "--candidates", "3"],
+    ["lemma1", "--k", "4", "--mask", "a:4", "--seed", "3"],
+]
+
+
+class TestParser:
+    @staticmethod
+    def parse(parser, argv, capsysbinary):
+        """The Namespace, or the exit code, with what the parse printed."""
+        capsysbinary.readouterr()
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsysbinary.readouterr()
+
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+    def test_one_subcommand_parses_as_all_five(self, capsysbinary, argv):
+        one = self.parse(cli.build_parser(argv[0]), argv, capsysbinary)
+        assert one == self.parse(cli.build_parser(), argv, capsysbinary)
+
+    def test_one_subcommand_parser_refuses_the_others(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser("run").parse_args(["cost"])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage == "usage: kimap [-h] {init,run,game,cost,lemma1} ..."
+        choices = error.partition("invalid choice: 'cost' (choose from ")[2]
+        assert "run" in choices and "cost" not in choices
+
+    def test_main_builds_a_parser_per_call_for_argv0(self, db_dir, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or build(command))
+        for argv in (["run", "--db", str(db_dir), "--sessions", "1"], ["cost"], ["cost"], []):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+        assert built == ["run", "cost", "cost", None]
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["kimap", "lemma1", "--k", "1", "--mask", "1:1"])
+        assert main() == 0
+        assert "pair x=1 y=0" in capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["kimap", "run", "--db", "x", "--bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "usage: kimap [-h] {init,run,game,cost,lemma1} ..."
+        assert "unrecognized arguments: --bogus" in err
 
 
 class TestSeedResolution:
