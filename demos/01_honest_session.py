@@ -6,9 +6,8 @@ Provision a server and one tag, then walk the four flights by hand and
 watch both sides converge on the next shared key.
 """
 
-from kimap import (
-    HashSpec,
-    Prng,
+from kimap.bits import HashSpec, Prng
+from kimap.protocol import (
     keygen,
     server_begin,
     server_finalize,

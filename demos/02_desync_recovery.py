@@ -9,7 +9,9 @@ candidates for both slots, so one lost flight heals in the next session.
 Two consecutive losses are unrecoverable by design; the record is flagged.
 """
 
-from kimap import AdversaryAction, FaultSchedule, HashSpec, Prng, World, keygen
+from kimap.bits import HashSpec, Prng
+from kimap.channel import AdversaryAction, FaultSchedule, World
+from kimap.protocol import keygen
 
 spec = HashSpec.toy(16)
 

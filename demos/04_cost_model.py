@@ -8,15 +8,10 @@ arithmetic over a handful of rate parameters; instrumented protocol runs
 agree with its operation counts.
 """
 
-from kimap import (
-    CostParams,
-    HashSpec,
-    Prng,
-    check_budget,
-    compute_cost,
-    keygen,
-    run_session,
-)
+from kimap.bits import HashSpec, Prng
+from kimap.channel import run_session
+from kimap.costs import CostParams, check_budget, compute_cost
+from kimap.protocol import keygen
 
 # Default 64-bit deployment.
 report = compute_cost(CostParams(batch_tags=200))

@@ -1,95 +1,13 @@
 """Key-insulated mutual RFID authentication.
 
-A library in four layers: fixed-width bitstring and hash primitives
-(:mod:`kimap.bits`), the protocol algorithms and tag/server state machines
-(:mod:`kimap.protocol`), an adversarial channel simulator
-(:mod:`kimap.channel`), and a mechanized privacy-game harness
-(:mod:`kimap.games`), plus a session cost model (:mod:`kimap.costs`) and a
-command-line front end (:mod:`kimap.cli`).
+A library in four layers, one module each, every layer importing only the
+ones below it: fixed-width bitstrings, hashes, PRNG and op meters
+(:mod:`kimap.bits`); the protocol algorithms and tag/server state machines
+(:mod:`kimap.protocol`); the adversarial channel simulator and ``World``
+(:mod:`kimap.channel`); and the privacy-game harness (:mod:`kimap.games`).
+Beside the protocol sit the session cost model (:mod:`kimap.costs`) and the
+kimapdb file format (:mod:`kimap.storage`); :mod:`kimap.cli` is the
+command-line front end. Import each name from the module that defines it:
+the package re-exports nothing, so importing one layer loads only the
+layers below it.
 """
-
-from .bits import (
-    BitString,
-    HashSpec,
-    LengthError,
-    OpMeter,
-    ParameterError,
-    Prng,
-    concat,
-    counter_hash,
-    hash2,
-    hash2_layout,
-    metered,
-    prng_next,
-    split,
-    xor,
-)
-from .channel import (
-    AdversaryAction,
-    FaultSchedule,
-    ScheduleError,
-    SessionTranscript,
-    World,
-    run_session,
-    transcript_line,
-)
-from .costs import (
-    BudgetFinding,
-    CostParams,
-    CostReport,
-    check_budget,
-    compute_cost,
-)
-from .games import (
-    BudgetExceededError,
-    Distinguisher,
-    GameConfig,
-    GameError,
-    GameResult,
-    KeyKnowledge,
-    OracleHandle,
-    OracleMisuseError,
-    Quintuplet,
-    RandomGuess,
-    RestrictedTranscript,
-    lemma1_bijection_check,
-    make_distinguisher,
-    new_world,
-    run_game,
-    wilson_halfwidth,
-)
-from .protocol import (
-    AuthResult,
-    BroadcastAuth,
-    Challenge,
-    MasterKey,
-    PendingSession,
-    ServerAuthCandidate,
-    ServerState,
-    ServerTagRecord,
-    SessionOperands,
-    SessionOrderError,
-    SlotKeys,
-    TagAuth,
-    TagNonce,
-    TagState,
-    auth_server_tag,
-    auth_tag_msg,
-    check_key_width,
-    key_update,
-    keygen,
-    make_candidate,
-    partial_key,
-    server_begin,
-    server_finalize,
-    server_prepare,
-    server_timeout,
-    session_key,
-    session_operands,
-    slot_keys,
-    tag_respond_nonce,
-    tag_verify_and_respond,
-)
-from .storage import DatabaseFormatError, load_database, load_master, save_database, save_master
-
-__version__ = "0.1.0"

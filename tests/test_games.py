@@ -8,6 +8,7 @@ from kimap.games import (
     DEFINITIONS,
     BudgetExceededError,
     Definition,
+    Distinguisher,
     GameConfig,
     KeyKnowledge,
     OracleMisuseError,
@@ -492,6 +493,34 @@ class TestRunGame:
         cfg = GameConfig(lam=16, n=2, trials=1, seed=66)
         with pytest.raises(ValueError, match="unknown game definition"):
             run_game("bogus", cfg, RandomGuess(), TOY16)
+
+
+class Echo(Distinguisher):
+    """Public oracles only: eavesdrop the challenge tag with ``execute``, then
+    test an instance it saw, and guess "real" iff the tested ``x_t`` is one
+    it saw. ``test`` does not check whether an instance was observed."""
+
+    name = "echo"
+    # game -> (plain executes, test period), so the target is a seen instance
+    PLAN = {"ind": (1, 1), "forward": (1, 2), "backward": (2, 1)}
+
+    def interact(self, h):
+        c = h.n_tags - 1
+        h.choose_challenge(c)
+        executes, period = self.PLAN[h.definition]
+        self.seen = {h.execute(c).x_t.x_t for _ in range(executes)}
+        self.tested = h.test(c, period).x_t
+
+    def guess(self):
+        return 1 if self.tested in self.seen else 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_echo_of_an_observed_instance_has_no_advantage():
+    cfg = GameConfig(lam=16, n=2, trials=400, seed=3)
+    for definition in ("ind", "forward", "backward"):
+        r = run_game(definition, cfg, Echo(), TOY16)
+        assert r.advantage <= r.ci95, (definition, r.wins, r.advantage, r.ci95)
 
 
 class TestWilson:
