@@ -17,6 +17,16 @@ never inferred from a byte container). The module also provides:
   else.
 * :class:`Prng` / :func:`prng_next` -- a deterministic counter-mode stream
   over SHA-256, replayable from ``(seed, stream_id)``.
+* Every SHA-256 digest here comes from the interpreter's built-in SHA-256
+  (``hashlib.__get_builtin_constructor("sha256")``: ``_sha256``, or
+  ``_sha2`` from Python 3.12), not ``hashlib.sha256``, which goes through
+  OpenSSL and sets up a context on every call. Every input is one SHA-256
+  block (at most 55 bytes) at key widths up to 116 bits (at the default 64:
+  33 bytes at most, and the PRNG's 37), and for one block the built-in is
+  the faster. A longer input (a sigma at 128 bits is 61 bytes) uses it too,
+  though there OpenSSL is a little faster; no benchmark workload hashes one.
+  Both compute SHA-256, so the choice moves no digest bit. An interpreter
+  without the built-in uses ``hashlib.sha256``.
 * :class:`OpMeter` / :class:`metered` -- instrumentation counters on the
   shared hash/PRNG/XOR entry points, used to account per-session tag cost.
 """
@@ -211,9 +221,10 @@ def split(s: BitString) -> tuple[BitString, BitString]:
 class HashSpec:
     """Selects a hash variant and its output width.
 
-    ``production`` truncates SHA-256; ``toy`` is a small multiply-rotate-xor
-    mixer over 64 bits of state, weak by design so tests can brute-force
-    preimages over tiny domains. The mixer absorbs one byte at a time, so its
+    ``production`` truncates SHA-256 (computed as the module docstring
+    says); ``toy`` is a small multiply-rotate-xor mixer over 64 bits of
+    state, weak by design so tests can brute-force preimages over tiny
+    domains. The mixer absorbs one byte at a time, so its
     state after the first 4 bytes is a function of those bytes alone. Every
     :func:`hash2` input starts with the 32-bit length prefix of its left
     operand, so that state depends only on the left width: it is cached per
@@ -298,7 +309,10 @@ def _toy_digest(out_bits: int, data: bytes) -> int:
             return out
 
 
-_sha256 = hashlib.sha256
+try:
+    _sha256 = hashlib.__get_builtin_constructor("sha256")
+except (AttributeError, ValueError):  # no built-in, or no way to ask for it
+    _sha256 = hashlib.sha256
 # The first 8 bytes of a digest as a big-endian int.
 _unpack_u64 = struct.Struct(">Q").unpack_from
 
@@ -468,7 +482,7 @@ def _draw(p: Prng, nbits: int) -> int:
 def _fill(p: Prng, nbits: int) -> None:
     """Append stream blocks until at least ``nbits`` bits are buffered."""
     while p._acc_bits < nbits:
-        block = hashlib.sha256(
+        block = _sha256(
             _PRNG_DOMAIN
             + (p.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
             + p.stream_id.to_bytes(8, "big")

@@ -1,9 +1,16 @@
 """Bitstring arithmetic, hash, and PRNG contracts."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kimap import bits
 from kimap.bits import (
     BitString,
     HashSpec,
@@ -196,6 +203,84 @@ class TestHash2Encoded:
         assert type(got) is int
         assert (got, out_bits) == (want.value, len(want))
         assert m.snapshot() == (2, 0, 0)
+
+
+def sha256_truncated(data, out_bits):
+    """The top ``out_bits`` bits of ``hashlib.sha256(data)``, as an int."""
+    return int.from_bytes(hashlib.sha256(data).digest(), "big") >> (256 - out_bits)
+
+
+class TestSha256Choice:
+    """A production digest is SHA-256's whichever SHA-256 computes it: the
+    interpreter's built-in, or hashlib.sha256 where there is none. Inputs
+    of one block (at most 55 bytes) and of more are both checked."""
+
+    OUT_BITS = (1, 63, 64, 65, 256)
+
+    @given(data=st.binary(max_size=200), split_at=st.integers(0, 1600))
+    @example(data=b"", split_at=0)
+    @example(data=bytes(range(55)), split_at=200)
+    @example(data=bytes(range(56)), split_at=7)
+    @example(data=b"\xff" * 64, split_at=1600)
+    @example(data=bytes(range(119)), split_at=0)
+    @example(data=bytes(range(120)), split_at=480)
+    def test_both_forms_equal_hashlib(self, data, split_at):
+        """The encoded form digests ``data`` as it is. The BitString form,
+        for an input of at least 5 bytes, digests operands whose encoding
+        is ``data``'s size: the 32-bit length prefix, the left and right
+        bits taken from ``data``, and a final 1 bit."""
+        n = len(data)
+        enc = int.from_bytes(data, "big")
+        if n >= 5:
+            width = 8 * n - 33  # the operand bits: no 0 bits of padding
+            n_left = split_at % (width + 1)
+            n_right = width - n_left
+            payload = enc >> 1 & ((1 << width) - 1)
+            left = BitString(payload >> n_right, n_left)
+            right = BitString(payload & ((1 << n_right) - 1), n_right)
+            encoding = (n_left << (8 * n - 32) | payload << 1 | 1).to_bytes(n, "big")
+        for out_bits in self.OUT_BITS:
+            spec = HashSpec.production(out_bits)
+            assert hash2(spec, enc, n) == sha256_truncated(data, out_bits)
+            if n >= 5:
+                assert hash2(spec, left, right) == BitString(sha256_truncated(encoding, out_bits), out_bits)
+
+    def test_builtin_chosen_when_the_interpreter_has_one(self):
+        try:  # getattr: a dunder name in a class body would be mangled
+            builtin = getattr(hashlib, "__get_builtin_constructor")("sha256")
+        except ValueError:
+            builtin = hashlib.sha256
+        assert bits._sha256 is builtin
+
+    @pytest.mark.parametrize("remove", [
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None",
+        "import hashlib; del hashlib.__get_builtin_constructor",
+    ], ids=["no-builtin-module", "no-builtin-constructor"])
+    def test_fallback_without_a_builtin(self, remove):
+        """An interpreter without its own SHA-256, or a hashlib without
+        ``__get_builtin_constructor``, sends every input to hashlib.sha256
+        and keeps every known answer: the production hash2 and counter_hash
+        rows and the transcript (whose keys come from the PRNG) of
+        tests/fixtures/known_answers.json, checked by the tests of
+        test_known_answers.py in a process where the built-in cannot be
+        had."""
+        tests = Path(__file__).resolve().parent
+        code = ("import sys\n"
+                f"{remove}\n"
+                "import hashlib, json\n"
+                "from kimap import bits\n"
+                "assert bits._sha256 is hashlib.sha256\n"
+                "import test_known_answers as ka\n"
+                "fixture = json.loads(ka.FIXTURE.read_text())\n"
+                "ka.test_hash2_production_known_answers(fixture)\n"
+                "ka.test_counter_hash_production_known_answers(fixture)\n"
+                "ka.test_full_transcript_lambda8(fixture)\n"
+                "print('fallback ok')\n")
+        src = str(Path(bits.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "fallback ok\n"
 
 
 def reference_toy_digest(data, width, out_bits):
