@@ -23,7 +23,7 @@ server, tags = keygen(16, 1, Prng(seed=2024, stream_id=0))
 tag = tags[0]
 
 print("provisioned")
-print("  master key (server only):", server.master.value.to_text())
+print("  master key (server only):", server.master.to_text())
 print("  shared tag key k_1:      ", tag.key.to_text())
 print()
 

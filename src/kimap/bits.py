@@ -130,6 +130,14 @@ class BitString:
     def __repr__(self) -> str:
         return f"BitString('{self._value:0{self._length}b}')" if self._length else "BitString('')"
 
+    # Immutable, so a copy is the object itself: a deep copy of a server or
+    # a world shares its bit strings instead of rebuilding each one.
+    def __copy__(self) -> "BitString":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "BitString":
+        return self
+
 
 def _trusted(value: int, length: int) -> BitString:
     """A :class:`BitString` whose width holds by construction (a digest, or
@@ -251,6 +259,9 @@ class HashSpec:
         out_bits, toy = self.output_len_bits, self.variant == "toy"
         object.__setattr__(self, "_sha_shift", None if toy or out_bits > 64 else 64 - out_bits)
         object.__setattr__(self, "_digest", partial(_toy_digest if toy else _sha256_digest, out_bits))
+
+    def __deepcopy__(self, memo: dict) -> "HashSpec":
+        return self  # frozen, so a deep copy is the spec itself
 
     @classmethod
     def production(cls, output_len_bits: int) -> "HashSpec":

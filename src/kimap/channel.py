@@ -124,7 +124,8 @@ class SessionTranscript:
     """Wire view of one session plus both endpoints' outcomes. Message
     fields hold the delivered payloads; ``None`` means the flight was lost.
     ``outcome_server`` is ``None`` when the session died before the server
-    had an authentication decision to make (flight 1 or 2 lost)."""
+    had an authentication decision to make (flight 1 or 2 lost), or when
+    the view withholds it (a game's ``execute_b``)."""
 
     session_seq: int
     label: str

@@ -22,9 +22,11 @@ class CostParams:
     lightweight hash running one block in 33 cycles on a 100 kHz tag,
     640 kbps tag-to-reader and 126 kbps reader-to-tag air rates, and a
     20 kbps serial reader-to-server link. A session moves 2*lambda bits up
-    (nonce + tag authenticator) and 3*lambda bits down (challenge + one
-    sigma/delta candidate), and the tag computes 4 hash-equivalents. The
-    serial backhaul is also priced for a batch of ``batch_tags`` tags."""
+    (nonce + tag authenticator) and, with ``candidates`` c = 1, 3*lambda bits
+    down (challenge + one sigma/delta candidate) while the tag computes 4
+    hash-equivalents: the c = 1 case of :attr:`downlink_bits` and
+    :attr:`tag_hash_ops`. The serial backhaul is also priced for a batch of
+    ``batch_tags`` tags."""
 
     lambda_bits: int = 64
     hash_cycles_per_block: int = 33

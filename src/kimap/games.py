@@ -19,8 +19,11 @@ touches the world only through an :class:`OracleHandle`, whose every oracle
 is admitted by the definition and budgeted by :class:`GameConfig`. The
 ``*_b`` oracles model the restricted view in which the server's true
 challenge is consumed internally but withheld from the adversary (a decoy
-``x_rand`` is shown instead). The adversary fixes the challenge once, with
-as many distinct tags as the column says (``choose_challenge(a)``, or
+``x_rand`` is shown instead): ``execute_b`` returns the same
+:class:`~kimap.channel.SessionTranscript` as ``execute``, with the decoy as
+its delivered flight 1 and the server's outcome withheld (``outcome_server``
+is ``None``). The adversary fixes the challenge once, with as many distinct
+tags as the column says (``choose_challenge(a)``, or
 ``choose_challenge(a, b)`` in a two-tag game). ``test`` (``test_pair`` in a
 two-tag game) may be called once per world: it flips a coin and returns
 either the real recorded instance or uniform bitstrings of identical shape
@@ -44,7 +47,6 @@ from .protocol import (
     ServerState,
     SessionOrderError,
     TagAuth,
-    TagNonce,
     TagState,
     auth_server_tag,
     key_update,
@@ -131,20 +133,6 @@ class Quintuplet:
         return (self.x_s, self.sigma, self.delta, self.x_t, self.sigma_prime)
 
 
-@dataclass(frozen=True)
-class RestrictedTranscript:
-    """Adversary view of a restricted eavesdrop: everything except the true
-    challenge, with the decoy ``x_rand`` in its place."""
-
-    x_rand: BitString
-    x_t: BitString
-    sigma: BitString
-    delta: BitString
-    sigma_prime: BitString
-    session_seq: int
-    tag_updated: bool
-
-
 class OracleHandle:
     """The adversary's sole access to a game world."""
 
@@ -157,8 +145,7 @@ class OracleHandle:
         self.definition = definition
         self.aux = aux_prng
         self.counters: dict[str, int] = {}
-        self.test_used = False
-        self.coin: Optional[int] = None
+        self.coin: Optional[int] = None  # the test's coin, once test is used
         self.challenge: tuple[int, ...] = ()
         self.revealed: list[int] = []  # the period of every revealed key
         self.recorded: dict[int, dict[int, Quintuplet]] = {i: {} for i in range(len(tags))}
@@ -225,46 +212,44 @@ class OracleHandle:
         if self._pending_x_s is None:
             raise SessionOrderError("reply needs a pending server challenge")
         x_s, self._pending_x_s = self._pending_x_s, None
-        keys = slot_keys(self.spec, self.server.master, self.server.records[self._labels[tag]],
+        label = self._labels[tag]
+        keys = slot_keys(self.spec, self.server.master, label, self.server.records[label],
                          "current")
         (pair,), expected = make_candidate((keys,), session_operands(x_s, x_t))
         self._pending_reply[tag] = PendingSession(x_s, (keys,), expected)
         return pair
 
-    def _reply_prime_core(self, tag: int, x_s: BitString, sigma: BitString,
-                          delta: BitString) -> tuple[BitString, bool, Optional[object]]:
+    def _reply_prime_core(self, tag: int, x_s: BitString,
+                          bc: BroadcastAuth) -> tuple[TagAuth, bool, Optional[object]]:
+        """The tag's flight 4 to the one-candidate broadcast ``bc``."""
         state = self.tags[tag]
         if state.pending is None:
             raise SessionOrderError("reply' needs a pending tag nonce")
         x_t = state.pending
         period = state.counter
-        bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
         ta = tag_verify_and_respond(state, x_s, bc, self.spec)
         updated = state.counter != period
         pend = self._pending_reply.pop(tag, None)
         outcome = server_finalize(self.server, pend, ta) if pend is not None else None
         if updated:
+            ((sigma, delta),) = bc.candidates
             self.recorded[tag][period] = Quintuplet(
                 x_s=x_s, sigma=sigma, delta=delta, x_t=x_t, sigma_prime=ta.sigma_prime)
-        return ta.sigma_prime, updated, outcome
+        return ta, updated, outcome
 
-    def _eavesdrop(self, tag: int, restricted: bool) -> SessionTranscript | RestrictedTranscript:
+    def _eavesdrop(self, tag: int, restricted: bool) -> SessionTranscript:
         """One full honest session on the named tag. The restricted view
-        swaps the true challenge for a decoy drawn right after it."""
+        delivers a decoy drawn right after the true challenge as flight 1,
+        and withholds the server's outcome."""
         period = self.tags[tag].counter
         x_s, x_rand = self._begin(decoy=restricted)
-        x_t = tag_respond_nonce(self.tags[tag]).x_t
-        sigma, delta = self._reply_core(tag, x_t)
-        sigma_prime, updated, outcome = self._reply_prime_core(tag, x_s, sigma, delta)
-        if restricted:
-            return RestrictedTranscript(x_rand=x_rand, x_t=x_t, sigma=sigma, delta=delta,
-                                        sigma_prime=sigma_prime, session_seq=period,
-                                        tag_updated=updated)
+        nonce = tag_respond_nonce(self.tags[tag])
+        bc = BroadcastAuth((self._reply_core(tag, nonce.x_t),))
+        ta, updated, outcome = self._reply_prime_core(tag, x_s, bc)
         return SessionTranscript(
             session_seq=period, label=self._labels[tag],
-            x_s=Challenge(x_s), x_t=TagNonce(x_t),
-            broadcast=BroadcastAuth((ServerAuthCandidate(sigma, delta),)),
-            sigma_prime=TagAuth(sigma_prime), tag_updated=updated, outcome_server=outcome)
+            x_s=Challenge(x_rand if restricted else x_s), x_t=nonce, broadcast=bc,
+            sigma_prime=ta, tag_updated=updated, outcome_server=None if restricted else outcome)
 
     # -- public oracles ------------------------------------------------------
 
@@ -293,7 +278,8 @@ class OracleHandle:
         """Tag flight-4 computation (verify, answer, ratchet on success);
         the answer is forwarded to the server."""
         self._admit("reply_prime", tag)
-        return self._reply_prime_core(tag, x_s, sigma, delta)[0]
+        bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
+        return self._reply_prime_core(tag, x_s, bc)[0].sigma_prime
 
     def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Like reply_prime, but the tag is fed the session's hidden true
@@ -302,15 +288,17 @@ class OracleHandle:
         pend = self._pending_reply.get(tag)
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
-        return self._reply_prime_core(tag, pend.x_s, sigma, delta)[0]
+        bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
+        return self._reply_prime_core(tag, pend.x_s, bc)[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
         """Eavesdrop one full honest session."""
         self._admit("execute", tag)
         return self._eavesdrop(tag, restricted=False)
 
-    def execute_b(self, tag: int) -> RestrictedTranscript:
-        """Eavesdrop one honest session except the true challenge: the world
+    def execute_b(self, tag: int) -> SessionTranscript:
+        """Eavesdrop one honest session except the true challenge, whose
+        decoy is the delivered flight 1, and the server's outcome: the world
         still performs the real key update internally."""
         self._admit("execute_b", tag)
         return self._eavesdrop(tag, restricted=True)
@@ -336,18 +324,13 @@ class OracleHandle:
         instance; the adversary guesses which tag produced it."""
         return self._test((tag_a, tag_b), period)
 
-    def _flip(self) -> int:
-        self.test_used = True
-        self.coin = prng_next(self.aux, 1).value
-        return self.coin
-
     def _test(self, tags: tuple[int, ...], period: int) -> Quintuplet:
         """Single use, admission, the game's shape, the reveal bound, then the
         coin: a pair's coin picks a tag; a single tag's picks real (1) or
         uniform (0). The reveal bound: the target lies strictly on the
         ``test_offset`` side of every revealed period, before it in
         ``forward`` and after it in ``backward``, so no revealed key binds it."""
-        if self.test_used:
+        if self.coin is not None:
             raise OracleMisuseError("test may be called only once")
         self._admit("test")
         self._check_shape(tags)
@@ -363,7 +346,7 @@ class OracleHandle:
         for tag, quint in zip(tags, quints):
             if quint is None:
                 raise OracleMisuseError(f"instance {target} of tag {tag} was never materialized")
-        coin = self._flip()
+        coin = self.coin = prng_next(self.aux, 1).value
         if len(quints) > 1:
             return quints[coin]
         if coin == 1:
@@ -439,10 +422,9 @@ class KeyKnowledge(Distinguisher):
 
     def _eavesdrop(self, h: OracleHandle, tag: int) -> tuple[Optional[BitString], BitString]:
         """Observes one session: (its challenge, or None if withheld; delta)."""
-        if "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky:
-            return None, h.execute_b(tag).delta
-        t = h.execute(tag)
-        return t.x_s.x_s, t.broadcast.candidates[0].delta
+        restricted = "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky
+        t = h.execute_b(tag) if restricted else h.execute(tag)
+        return None if restricted else t.x_s.x_s, t.broadcast.candidates[0].delta
 
     @staticmethod
     def _evolve(spec: HashSpec, key: BitString, x_s: Optional[BitString],
@@ -573,7 +555,7 @@ def run_game(definition: str, cfg: GameConfig, d: Distinguisher, spec: HashSpec)
         handle = new_world(cfg, definition, spec, trial)
         d.reset(Prng(cfg.seed, _stream(_DIST_STREAM_BASE, definition, trial)))
         d.interact(handle)
-        if not handle.test_used:
+        if handle.coin is None:
             raise GameError(f"distinguisher {d.name} never called test")
         if d.guess() == handle.coin:
             wins += 1

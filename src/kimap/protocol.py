@@ -14,9 +14,9 @@ A session is four flights between a server and one tag:
 
 ``k'``/``k''`` and ``x'``/``x''`` are the left/right halves of ``k`` and
 ``x``. The tag keeps only its current key (and a session counter) between
-sessions; the server keeps, per tag, the current key, one previous-key slot
-used for desynchronization recovery, the counter and a count of consecutive
-failed sessions.
+sessions; the server keeps its master secret ``SK*`` and, per tag label,
+the current key, one previous-key slot used for desynchronization recovery,
+the counter and a count of consecutive failed sessions.
 
 The server never learns which tag it is talking to from the wire: flight 3
 carries one candidate per (record, key slot), shuffled, and flight 4
@@ -77,15 +77,6 @@ def _mismatch(*parts: BitString) -> LengthError:
 # State and message types.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MasterKey:
-    """Server-only master secret. Never serialized into tag state or wire
-    messages; only the partial key ``H_i(SK*, k)`` consumes it
-    (:func:`partial_key`, :func:`slot_keys`)."""
-
-    value: BitString
-
-
 @dataclass
 class TagState:
     """One tag. Persistent state between sessions is exactly the current
@@ -105,7 +96,9 @@ class TagState:
 
 @dataclass
 class ServerTagRecord:
-    label: str
+    """The server's state for one tag, stored under the tag's label in
+    ``ServerState.records``."""
+
     key_current: BitString
     key_previous: Optional[BitString]
     counter: int
@@ -122,14 +115,15 @@ class SlotKeys(NamedTuple):
     """One (record, key slot), as the record ``label`` held it in ``slot``
     ("current" | "previous"), and the values that stay fixed until the
     slot's key or the record's counter changes, derived from ``key`` at
-    session ``counter``: the partial key ``x = H_i(SK*, k)``, ``delta = k
-    XOR x``, and the slot's terms of the three hashes that use it, encoded
-    by :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the
+    session ``counter`` and its partial key ``x = H_i(SK*, k)``: ``delta = k
+    XOR x``, and the slot's terms of the three hashes that use ``x``,
+    encoded by :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the
     length-prefixed, shifted left operand ``k' || x`` of ``sigma``;
     ``session_term``, the shifted right operand ``k' || x'`` (the session
     key) of ``sigma'``; and ``next_term``, the length-prefixed, shifted
-    left operand ``k'' || x''`` of the key update. ``width`` is the width of
-    ``key`` and of ``x``. Built by :func:`slot_keys`."""
+    left operand ``k'' || x''`` of the key update. ``x`` itself is not
+    kept: ``delta XOR key`` gives it back. ``width`` is the width of ``key``
+    and of ``x``. Built by :func:`slot_keys`."""
 
     label: str
     slot: str
@@ -137,7 +131,6 @@ class SlotKeys(NamedTuple):
     counter: int
     key: BitString
     width: int
-    x: BitString
     delta: BitString
     sigma_term: int
     session_term: int
@@ -156,10 +149,16 @@ class SlotKeys(NamedTuple):
         return _trusted(hash2(spec, self.next_term | x_s._value << shift, nbytes),
                         spec.output_len_bits)
 
+    def __deepcopy__(self, memo: dict) -> "SlotKeys":
+        return self  # every field is immutable
+
 
 @dataclass
 class ServerState:
-    master: MasterKey
+    # The master secret SK*, as wide as the keys. Server-only: never
+    # serialized into tag state or wire messages; only the partial key
+    # H_i(SK*, k) consumes it (partial_key, slot_keys).
+    master: BitString
     records: dict[str, ServerTagRecord]
     prng: Prng
     # (spec, master) -> the current- and previous-slot maps, label ->
@@ -172,7 +171,7 @@ class ServerState:
 
     @property
     def lam(self) -> int:
-        return len(self.master.value)
+        return len(self.master)
 
 
 @dataclass(frozen=True)
@@ -272,13 +271,13 @@ def keygen(lam: int, n: int, prng: Prng) -> tuple[ServerState, list[TagState]]:
     if n < 1:
         raise ParameterError("need at least one tag")
 
-    master = MasterKey(prng_next(prng, lam))
+    master = prng_next(prng, lam)
     initial_keys = [prng_next(prng, lam) for _ in range(n)]
     stream_base = prng_next(prng, 64).value
 
     labels = [f"t{j:03d}" for j in range(1, n + 1)]
     records = {
-        label: ServerTagRecord(label=label, key_current=key, key_previous=None, counter=1)
+        label: ServerTagRecord(key_current=key, key_previous=None, counter=1)
         for label, key in zip(labels, initial_keys)
     }
     server = ServerState(master=master, records=records, prng=Prng(stream_base, 0))
@@ -289,10 +288,10 @@ def keygen(lam: int, n: int, prng: Prng) -> tuple[ServerState, list[TagState]]:
     return server, tags
 
 
-def partial_key(spec: HashSpec, i: int, sk_star: MasterKey, k: BitString) -> BitString:
+def partial_key(spec: HashSpec, i: int, sk_star: BitString, k: BitString) -> BitString:
     """Session ``i`` partial key ``x_i = H_i(SK*, k_i)``. Only a holder of
     the master secret can produce it."""
-    return counter_hash(spec, i, sk_star.value, k)
+    return counter_hash(spec, i, sk_star, k)
 
 
 def session_key(k_prime: BitString, x_prime: BitString) -> BitString:
@@ -352,17 +351,19 @@ def _layouts(width: int) -> tuple[tuple[int, int, int, int], ...]:
             hash2_layout(width, width))
 
 
-def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str) -> SlotKeys:
-    """The :class:`SlotKeys` of ``rec``'s key in ``slot`` at the record's
-    counter: one hash and one XOR. The halves ``k'``, ``k''``, ``x'`` and
-    ``x''`` are taken from the ints, so the terms hold the values
-    :func:`partial_key`, :func:`session_key` and :func:`key_update` take."""
+def slot_keys(spec: HashSpec, master: BitString, label: str, rec: ServerTagRecord,
+              slot: str) -> SlotKeys:
+    """The :class:`SlotKeys` of the key in ``slot`` of ``rec``, the record
+    of ``label``, at the record's counter: one hash and one XOR. The halves
+    ``k'``, ``k''``, ``x'`` and ``x''`` are taken from the ints, so the
+    terms hold the values :func:`partial_key`, :func:`session_key` and
+    :func:`key_update` take."""
     key = rec.key_current if slot == "current" else rec.key_previous
     width = key._length
     if width % 2:
         raise LengthError(f"cannot split odd length {width}")
     counter = rec.counter
-    x = counter_hash(spec, counter, master.value, key)
+    x = counter_hash(spec, counter, master, key)
     if x._length != width:
         raise _mismatch(key, x)
     half = width >> 1
@@ -371,7 +372,7 @@ def slot_keys(spec: HashSpec, master: MasterKey, rec: ServerTagRecord, slot: str
     k_prime = k >> half
     (base, shift, _, _), (_, _, sk_shift, _), (next_base, next_shift, _, _) = _layouts(width)
     return _new_tuple(SlotKeys, (
-        rec.label, slot, spec, counter, key, width, x, xor(key, x),
+        label, slot, spec, counter, key, width, xor(key, x),
         base | (k_prime << width | xv) << shift,
         (k_prime << half | xv >> half) << sk_shift,
         next_base | ((k & low) << half | xv & low) << next_shift))
@@ -404,7 +405,7 @@ def make_candidate(slots: Sequence[SlotKeys],
     expected: list[int] = []
     for keys in slots:
         if keys.width != width:
-            raise _mismatch(keys.x, ops.x_s, ops.x_t)
+            raise _mismatch(keys.key, ops.x_s, ops.x_t)
         spec = keys.spec
         sigma = _new_object(BitString)
         sigma._value = hash2(spec, keys.sigma_term | s_t, sigma_bytes)
@@ -430,23 +431,23 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     master = server.master
     current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
     slots: list[SlotKeys] = []
-    for rec in server.records.values():
+    for label, rec in server.records.items():
         counter = rec.counter
         if (counter + 1) >> COUNTER_BITS:
             continue
-        keys = current.get(rec.label)
+        keys = current.get(label)
         if keys is None or keys.counter != counter or keys.key is not rec.key_current:
-            keys = current[rec.label] = slot_keys(spec, master, rec, "current")
+            keys = current[label] = slot_keys(spec, master, label, rec, "current")
         if keys.width != width:
-            raise _mismatch(keys.x, x_s, x_t)
+            raise _mismatch(keys.key, x_s, x_t)
         slots.append(keys)
         key = rec.key_previous
         if key is not None:
-            keys = previous.get(rec.label)
+            keys = previous.get(label)
             if keys is None or keys.counter != counter or keys.key is not key:
-                keys = previous[rec.label] = slot_keys(spec, master, rec, "previous")
+                keys = previous[label] = slot_keys(spec, master, label, rec, "previous")
             if keys.width != width:
-                raise _mismatch(keys.x, x_s, x_t)
+                raise _mismatch(keys.key, x_s, x_t)
             slots.append(keys)
     server.prng.shuffle(slots)
     pairs, expected = make_candidate(slots, ops)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Union
 
 from .bits import COUNTER_BITS, BitString, ParameterError
-from .protocol import MasterKey, ServerTagRecord, check_key_width
+from .protocol import ServerTagRecord, check_key_width
 
 HEADER_PREFIX = "kimapdb v1 lambda="
 
@@ -48,8 +48,8 @@ def read_text(path: Union[str, Path], error: Callable[[int, str], ParameterError
 
 def dump_database(lam: int, records: dict[str, ServerTagRecord]) -> str:
     lines = [f"{HEADER_PREFIX}{lam}"]
-    for rec in records.values():
-        parts = [f"v1 {rec.label} {rec.counter} {rec.key_current.to_text()}"]
+    for label, rec in records.items():
+        parts = [f"v1 {label} {rec.counter} {rec.key_current.to_text()}"]
         if rec.key_previous is not None:
             parts.append(rec.key_previous.to_text())
         lines.append(" ".join(parts))
@@ -113,18 +113,18 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
                                       f"counter {counter} does not fit in {COUNTER_BITS} bits")
         if len(key_current) != lam or (key_previous is not None and len(key_previous) != lam):
             raise DatabaseFormatError(path, line_no, f"key width does not match header lambda={lam}")
-        records[label] = ServerTagRecord(label=label, key_current=key_current,
-                                         key_previous=key_previous, counter=counter)
+        records[label] = ServerTagRecord(key_current=key_current, key_previous=key_previous,
+                                         counter=counter)
     if not records:
         raise DatabaseFormatError(path, 2, "database has no tag records")
     return lam, records
 
 
-def save_master(path: Union[str, Path], master: MasterKey) -> None:
-    _write_atomic(path, master.value.to_text() + "\n")
+def save_master(path: Union[str, Path], master: BitString) -> None:
+    _write_atomic(path, master.to_text() + "\n")
 
 
-def load_master(path: Union[str, Path], lam: int) -> MasterKey:
+def load_master(path: Union[str, Path], lam: int) -> BitString:
     """Read the master key of a database of key width ``lam``."""
     text = read_text(path, partial(DatabaseFormatError, path)).strip()
     try:
@@ -133,4 +133,4 @@ def load_master(path: Union[str, Path], lam: int) -> MasterKey:
         raise DatabaseFormatError(path, 1, str(exc)) from None
     if len(value) != lam:
         raise DatabaseFormatError(path, 1, f"master key width {len(value)} != database lambda {lam}")
-    return MasterKey(value)
+    return value

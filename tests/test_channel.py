@@ -486,6 +486,34 @@ class TestWorld:
         assert (_state(server, tags[0], world.recording), world.next_seq) == before
         assert world.session(0).session_seq == 2
 
+    def test_deep_copy_shares_bit_strings_and_runs_the_same_session(self):
+        """Bit strings, hash specs and cached slot keys are immutable, so a
+        deep copy of a world shares them rather than rebuilding them. The
+        copy runs the next session as the original would, and leaves the
+        original's records and tag keys as they were."""
+        world = World(*fresh_world(n=2, seed=126), TOY16)
+        for seq in range(1, 5):
+            world.session(seq % 2, [AdversaryAction.drop(4, seq)] if seq == 3 else [])
+        twin = copy.deepcopy(world)
+        assert twin.server is not world.server and twin.spec is world.spec
+        assert twin.server.master is world.server.master
+        for rec, twin_rec in zip(world.server.records.values(), twin.server.records.values()):
+            assert twin_rec is not rec
+            assert twin_rec.key_current is rec.key_current
+            assert twin_rec.key_previous is rec.key_previous is not None
+        for tag, twin_tag in zip(world.tags, twin.tags):
+            assert twin_tag is not tag and twin_tag.key is tag.key
+        ((current, previous),) = world.server.slot_cache.values()
+        ((twin_current, twin_previous),) = twin.server.slot_cache.values()
+        assert [twin_current[label] is keys for label, keys in current.items()] == [True] * 2
+        assert [twin_previous[label] is keys for label, keys in previous.items()] == [True] * 2
+
+        before = _world_state(world)
+        copied = transcript_line(twin.session(0))
+        assert _world_state(world) == before
+        assert transcript_line(world.session(0)) == copied
+        assert _world_state(world) == _world_state(twin)
+
 
 @st.composite
 def schedules(draw, n_sessions):

@@ -199,15 +199,22 @@ class TestExecute:
     def test_execute_b_shape(self):
         h = world("backward")
         t = h.execute_b(0)
-        assert not hasattr(t, "x_s")
-        for name in ("x_rand", "x_t", "sigma", "delta", "sigma_prime"):
-            assert len(getattr(t, name)) == 16
+        (cand,) = t.broadcast.candidates
+        for value in (t.x_s.x_s, t.x_t.x_t, cand.sigma, cand.delta, t.sigma_prime.sigma_prime):
+            assert len(value) == 16
+        # flight 1 is the decoy, not the recorded instance's true challenge,
+        # and the server's outcome is withheld
+        real = h.recorded[0][1]
+        assert t.x_s.x_s != real.x_s
+        assert (t.x_t.x_t, cand.sigma, cand.delta, t.sigma_prime.sigma_prime) == \
+            (real.x_t, real.sigma, real.delta, real.sigma_prime)
+        assert t.outcome_server is None and not t.accepted
 
     def test_execute_b_still_updates_world(self):
         h = world("backward")
         t1 = h.execute_b(0)
         t2 = h.execute_b(0)
-        assert t1.delta != t2.delta
+        assert t1.broadcast.candidates[0].delta != t2.broadcast.candidates[0].delta
         assert h.tags[0].counter == 3
         assert t1.tag_updated and t2.tag_updated
 
@@ -276,7 +283,7 @@ class TestRevealBound:
             with pytest.raises(OracleMisuseError,
                                match="instance 1 is not before revealed period 1"):
                 h.test(1, 2)
-            assert h.coin is None and not h.test_used
+            assert h.coin is None
 
     def test_backward_cannot_test_the_revealed_period(self):
         for trial in range(20):
@@ -288,7 +295,7 @@ class TestRevealBound:
             with pytest.raises(OracleMisuseError,
                                match="instance 1 is not after revealed period 1"):
                 h.test(1, 0)
-            assert h.coin is None and not h.test_used
+            assert h.coin is None
 
     @pytest.mark.parametrize("definition, flavor, period, message", [
         ("forward", "execute", 3, "instance 2 is not before revealed period 1"),
@@ -437,7 +444,7 @@ class TestMisuse:
         h.execute(2)
         with pytest.raises(OracleMisuseError):
             h.test(1, 1)
-        assert not h.test_used
+        assert h.coin is None
 
     def test_test_pair_only_in_two_tag_game(self):
         h = world("ind")

@@ -41,9 +41,9 @@ def golden_lines() -> list[str]:
     server, tags = keygen(64, 4, Prng(7, 0))
     transcripts = World(server, tags, SPEC).run(SCHEDULE, SESSIONS)
     lines = [transcript_line(t) for t in transcripts]
-    for rec in server.records.values():
+    for label, rec in server.records.items():
         previous = rec.key_previous.to_text() if rec.key_previous is not None else "-"
-        lines.append(f"record {rec.label} key_current={rec.key_current.to_text()} "
+        lines.append(f"record {label} key_current={rec.key_current.to_text()} "
                      f"key_previous={previous} counter={rec.counter} "
                      f"consecutive_failures={rec.consecutive_failures}")
     return lines

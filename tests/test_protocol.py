@@ -9,7 +9,6 @@ from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, hash2_
 from kimap.protocol import (
     BroadcastAuth,
     LengthError,
-    MasterKey,
     ParameterError,
     ServerAuthCandidate,
     SessionOrderError,
@@ -56,7 +55,7 @@ class TestKeygen:
     def test_deterministic_under_seed(self):
         s1, t1 = keygen(64, 1, Prng(77, 0))
         s2, t2 = keygen(64, 1, Prng(77, 0))
-        assert s1.master.value == s2.master.value
+        assert s1.master == s2.master
         assert t1[0].key == t2[0].key
 
     def test_odd_width_rejected(self):
@@ -78,13 +77,13 @@ class TestKeygen:
 
 class TestAlgorithms:
     def test_partial_key_deterministic(self):
-        master = MasterKey(BitString(0xAB, 8))
+        master = BitString(0xAB, 8)
         k = BitString(0x12, 8)
         assert partial_key(TOY8, 3, master, k) == partial_key(TOY8, 3, master, k)
 
     def test_partial_key_counter_sensitivity(self):
         prng = Prng(2, 0)
-        master = MasterKey(prng_next(prng, 16))
+        master = prng_next(prng, 16)
         for i in range(1, 101):
             k = prng_next(prng, 16)
             assert partial_key(TOY16, i, master, k) != partial_key(TOY16, i + 1, master, k)
@@ -214,7 +213,7 @@ class TestTagVerify:
 
 def _make_candidate_of_other_width():
     server, _ = keygen(16, 1, Prng(24, 0))
-    keys = slot_keys(TOY16, server.master, server.records["t001"], "current")
+    keys = slot_keys(TOY16, server.master, "t001", server.records["t001"], "current")
     make_candidate((keys,), session_operands(BitString(0, 8), BitString(0, 8)))
 
 
@@ -490,7 +489,7 @@ class TestSlotKeys:
         server, rec = _with_previous(lam, seed)
         x_s = prng_next(Prng(seed, 2), lam)
         with metered(OpMeter()) as build:
-            keys = slot_keys(spec, server.master, rec, slot)
+            keys = slot_keys(spec, server.master, "t001", rec, slot)
         with metered(OpMeter()) as update:
             next_key = keys.next_key(x_s)
         assert build.snapshot() == (1, 0, 1)  # the partial key and delta
@@ -499,7 +498,7 @@ class TestSlotKeys:
         x = partial_key(spec, rec.counter, server.master, key)
         k_prime, k_dprime = split(key)
         x_prime, x_dprime = split(x)
-        assert keys == (rec.label, slot, spec, rec.counter, key, lam, x, xor(key, x),
+        assert keys == ("t001", slot, spec, rec.counter, key, lam, xor(key, x),
                         _left_term(k_prime + x, 2 * lam),
                         _right_term(2 * lam, session_key(k_prime, x_prime)),
                         _left_term(k_dprime + x_dprime, lam))
@@ -510,7 +509,7 @@ class TestSlotKeys:
     def test_next_key_checks_the_challenge_width(self, spec, width):
         lam = spec.output_len_bits
         server, rec = _with_previous(lam, 7)
-        keys = slot_keys(spec, server.master, rec, "current")
+        keys = slot_keys(spec, server.master, "t001", rec, "current")
         with metered(OpMeter()) as meter, pytest.raises(LengthError):
             keys.next_key(BitString(0, lam + width))
         assert meter.hash_calls == 0
@@ -519,14 +518,14 @@ class TestSlotKeys:
         server, rec = _with_previous(16, 8)
         rec.key_current = BitString(0x1234, 15)
         with pytest.raises(LengthError, match="odd length 15"):
-            slot_keys(HashSpec.toy(15), server.master, rec, "current")
+            slot_keys(HashSpec.toy(15), server.master, "t001", rec, "current")
 
     @pytest.mark.parametrize("spec", [HashSpec.toy(14), HashSpec.production(18)],
                              ids=["toy14", "production18"])
     def test_partial_key_of_another_width_raises(self, spec):
         server, rec = _with_previous(16, 9)
         with pytest.raises(LengthError, match="inconsistent operand lengths"):
-            slot_keys(spec, server.master, rec, "current")
+            slot_keys(spec, server.master, "t001", rec, "current")
 
 
 class TestTagStorage:

@@ -6,22 +6,27 @@ search applies every move to every state it reaches: one session of one tag,
 with no action or with flight 2, 3 or 4 dropped. States are told apart by an
 abstraction of each record: where its tag's key sits (the current slot, the
 previous slot, or neither: "lost"), ``min(consecutive_failures, 3)``, and
-whether the previous slot is empty. Each abstract state keeps the first
-concrete ``(server, tags)`` that reached it, and a move runs on a deep copy.
+whether the previous slot is empty. Each abstract state keeps the first two
+concrete worlds that reached it (server, tags, replay recording and session
+number), and a move runs on a deep copy of one. The first representative's
+moves are the transitions that the figures count; every other move must
+reach the same abstract successor, or the abstraction would not be a
+function of the state.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import pytest
 
-from kimap.bits import HashSpec, Prng
-from kimap.channel import AdversaryAction, run_session
-from kimap.protocol import keygen
+from kimap.bits import BitString, HashSpec, Prng
+from kimap.channel import PAYLOAD_TYPES, AdversaryAction, World
+from kimap.protocol import BroadcastAuth, ServerAuthCandidate, keygen
 
 SPEC = HashSpec.production(64)
 MOVES = ((), (2,), (3,), (4,))  # the flight a session drops, if any
+REPRESENTATIVES = 2
 
 
 def where(tag, rec):
@@ -32,9 +37,23 @@ def where(tag, rec):
     return "lost"
 
 
-def abstract(server, tags):
+def abstract(world):
     return tuple((where(tag, rec), min(rec.consecutive_failures, 3), rec.key_previous is None)
-                 for tag, rec in zip(tags, server.records.values()))
+                 for tag, rec in zip(world.tags, world.server.records.values()))
+
+
+def after(world, idx, actions):
+    """The abstract state a deep copy of ``world`` reaches, and the copy,
+    after one session of tag ``idx`` under ``actions``, each built for the
+    session's number."""
+    # A recorded flight is an immutable tuple of ints: copy the dict alone.
+    world = copy.deepcopy(world, {id(world.recording): dict(world.recording)})
+    world.session(idx, [action(world.next_seq) for action in actions])
+    return abstract(world), world
+
+
+def drops(move):
+    return [lambda seq, f=f: AdversaryAction.drop(f, seq) for f in move]
 
 
 @dataclass
@@ -47,38 +66,48 @@ class Search:
     flag_misses: int = 0       # lost records of reachable states not flagged
     flagged: int = 0           # flagged records of reachable states
     flagged_lost: int = 0      # ... whose tag is lost
+    sessions: int = 0          # concrete sessions run, every representative's moves
+    conflicts: int = 0         # moves whose abstract successor differs from the first's
+    # abstract state -> its representatives, and (state, tag, move) -> successor
+    worlds: dict = field(default_factory=dict, repr=False)
+    successor: dict = field(default_factory=dict, repr=False)
 
 
 @lru_cache(maxsize=None)
 def search(n):
-    server, tags = keygen(64, n, Prng(7, 0))
-    labels = list(server.records)
-    start = abstract(server, tags)
-    seen = {start: (server, tags)}
-    frontier = [start]
+    start = World(*keygen(64, n, Prng(7, 0)), SPEC)
     out = Search()
+    worlds, successor = out.worlds, out.successor
+    worlds[start_state := abstract(start)] = [start]
+    levels = {start_state: 0}
+    frontier = [(start_state, start)]
     while frontier:
-        out.depth += 1
         reached = []
-        for state in frontier:
+        for state, world in frontier:
             for idx in range(n):
-                for drop in MOVES:
-                    srv, tgs = copy.deepcopy(seen[state])
-                    run_session(srv, tgs[idx], [AdversaryAction.drop(f, 1) for f in drop], SPEC,
-                                label=labels[idx])
-                    after = abstract(srv, tgs)
-                    out.transitions += 1
-                    lost = [s[0] == "lost" for s in state], [s[0] == "lost" for s in after]
-                    out.left_lost += any(a and not b for a, b in zip(*lost))
-                    out.cross_tag_losses += any(b and not a for j, (a, b) in enumerate(zip(*lost))
-                                                if j != idx)
-                    if after not in seen:
-                        seen[after] = srv, tgs
-                        reached.append(after)
+                for move in MOVES:
+                    succ, next_world = after(world, idx, drops(move))
+                    out.sessions += 1
+                    key = state, idx, move
+                    if key in successor:
+                        out.conflicts += successor[key] != succ
+                    else:
+                        successor[key] = succ
+                        out.transitions += 1
+                        lost = [s[0] == "lost" for s in state], [s[0] == "lost" for s in succ]
+                        out.left_lost += any(a and not b for a, b in zip(*lost))
+                        out.cross_tag_losses += any(b and not a for j, (a, b)
+                                                    in enumerate(zip(*lost)) if j != idx)
+                    kept = worlds.setdefault(succ, [])
+                    if len(kept) < REPRESENTATIVES:
+                        kept.append(next_world)
+                        levels.setdefault(succ, levels[state] + 1)
+                        reached.append((succ, next_world))
         frontier = reached
-    out.states = len(seen)
-    for state, (srv, _) in seen.items():
-        for (place, _, _), rec in zip(state, srv.records.values()):
+    out.states = len(worlds)
+    out.depth = max(levels.values()) + 1
+    for state, (world, *_) in worlds.items():
+        for (place, _, _), rec in zip(state, world.server.records.values()):
             out.flag_misses += place == "lost" and not rec.desynchronized
             out.flagged += rec.desynchronized
             out.flagged_lost += rec.desynchronized and place == "lost"
@@ -104,6 +133,15 @@ def test_search_closes_with_the_pinned_figures(n):
 
 
 @pytest.mark.parametrize("n", sorted(PINS))
+def test_representatives_of_a_state_reach_the_same_successors(n):
+    """A second concrete world of each abstract state, where the search
+    found one, moves to the abstract successors the first moves to."""
+    s = search(n)
+    assert s.conflicts == 0
+    assert s.sessions > s.transitions
+
+
+@pytest.mark.parametrize("n", sorted(PINS))
 def test_lost_is_absorbing(n):
     assert search(n).left_lost == 0
 
@@ -117,3 +155,61 @@ def test_flag_never_misses_a_lost_record(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_no_session_loses_another_tag(n):
     assert search(n).cross_tag_losses == 0
+
+
+# Replacement payloads: zero bits of the wire's widths, which no endpoint
+# accepts at 64 bits.
+ZERO = BitString(0, 64)
+REPLACEMENTS = {1: PAYLOAD_TYPES[1](ZERO), 2: PAYLOAD_TYPES[2](ZERO),
+                3: BroadcastAuth((ServerAuthCandidate(ZERO, ZERO),)), 4: PAYLOAD_TYPES[4](ZERO)}
+
+
+def move_class(kind, flight):
+    """The drop move an action acts as: dropping flight 1 or 2 ends the
+    session before the server commits anything, like drop(2); a replaced or
+    replayed flight 1-3 makes the tag reject the broadcast, like drop(3);
+    a replaced or replayed flight 4 makes the server reject a tag that
+    ratcheted, like drop(4)."""
+    if kind == "drop" and flight <= 2:
+        return (2,)
+    return (3,) if flight <= 3 else (4,)
+
+
+def action(kind, flight, world):
+    """The action of ``kind`` on ``flight`` as a function of the session
+    number, or None for a replay with no earlier session that emitted the
+    flight. A replay names the latest such session."""
+    if kind == "drop":
+        return lambda seq: AdversaryAction.drop(flight, seq)
+    if kind == "replace":
+        return lambda seq: AdversaryAction.replace(flight, REPLACEMENTS[flight], seq)
+    sources = [seq for seq, f in world.recording if f == flight]
+    if not sources:
+        return None
+    return lambda seq: AdversaryAction.replay(flight, max(sources), seq)
+
+
+# N -> actions checked (every kind and flight of every tag in every state,
+# less the replays that have no source)
+ACTION_CHECKS = {1: 113, 2: 1762}
+
+
+@pytest.mark.parametrize("n", sorted(ACTION_CHECKS))
+def test_every_action_acts_as_its_move_class(n):
+    """From each state's first representative, every drop, replacement and
+    replay of every flight of every tag's session reaches the abstract
+    successor of its move class."""
+    s = search(n)
+    checks, mismatches = 0, []
+    for state, (world, *_) in s.worlds.items():
+        for idx in range(n):
+            for kind in ("drop", "replace", "replay"):
+                for flight in (1, 2, 3, 4):
+                    act = action(kind, flight, world)
+                    if act is None:
+                        continue
+                    checks += 1
+                    if after(world, idx, [act])[0] != s.successor[state, idx,
+                                                                  move_class(kind, flight)]:
+                        mismatches.append((state, idx, kind, flight))
+    assert (checks, mismatches) == (ACTION_CHECKS[n], [])

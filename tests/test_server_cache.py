@@ -62,7 +62,7 @@ class RefCandidate:
 def ref_prepare(server, x_s, x_t, spec) -> list[RefCandidate]:
     """Every candidate's four hashes, from the record state alone."""
     entries = []
-    for rec in server.records.values():
+    for label, rec in server.records.items():
         for slot, key in (("current", rec.key_current), ("previous", rec.key_previous)):
             if key is None:
                 continue
@@ -70,7 +70,7 @@ def ref_prepare(server, x_s, x_t, spec) -> list[RefCandidate]:
             k_prime, k_dprime = split(key)
             x_prime, x_dprime = split(x)
             entries.append(RefCandidate(
-                label=rec.label, slot=slot,
+                label=label, slot=slot,
                 sigma=auth_server_tag(spec, k_prime, x, x_s, x_t),
                 delta=xor(key, x),
                 expected=auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime)),
@@ -98,8 +98,8 @@ def ref_finalize(server, entries: list[RefCandidate], sigma_prime) -> None:
 
 
 def record_states(server):
-    return [(r.label, r.key_current, r.key_previous, r.counter, r.consecutive_failures)
-            for r in server.records.values()]
+    return [(label, r.key_current, r.key_previous, r.counter, r.consecutive_failures)
+            for label, r in server.records.items()]
 
 
 FAULTS = ("none", "none", "drop-2", "drop-3", "drop-4", "replace-4", "replay-3")
@@ -217,7 +217,7 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
     ops = session_operands(x_s, x_t)
     assert len(pending.candidates) == 3
     assert (broadcast.candidates, pending.expected) == make_candidate(
-        [slot_keys(second, server.master, server.records[k.label], k.slot)
+        [slot_keys(second, server.master, k.label, server.records[k.label], k.slot)
          for k in pending.candidates], ops)
 
 
@@ -233,8 +233,8 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
         server.records[label].key_previous = prng_next(stream, lam)
     x_s, x_t = prng_next(Prng(11, 2), lam), prng_next(Prng(11, 3), lam)
     ops = session_operands(x_s, x_t)
-    slots = [slot_keys(spec, server.master, rec, slot) for rec in server.records.values()
-             for slot in ("current", "previous")
+    slots = [slot_keys(spec, server.master, label, rec, slot)
+             for label, rec in server.records.items() for slot in ("current", "previous")
              if slot == "current" or rec.key_previous is not None]
     assert len(slots) == 6
 
@@ -244,9 +244,10 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     assert expected == tuple(value for _, (value,) in single)
     reference = []
     for keys in slots:
+        x = partial_key(spec, keys.counter, server.master, keys.key)
         k_prime, _ = split(keys.key)
-        x_prime, _ = split(keys.x)
-        reference.append((auth_server_tag(spec, k_prime, keys.x, x_s, x_t), xor(keys.key, keys.x),
+        x_prime, _ = split(x)
+        reference.append((auth_server_tag(spec, k_prime, x, x_s, x_t), xor(keys.key, x),
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
     assert [(sigma, delta, BitString(v, lam))
             for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
@@ -295,15 +296,16 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
     x_s = server_begin(server).x_s
     x_t = tag_respond_nonce(tag).x_t
     ops = session_operands(x_s, x_t)
-    for rec in server.records.values():
+    for label, rec in server.records.items():
         slots = ("current",) if rec.key_previous is None else ("current", "previous")
         for slot in slots:
-            keys = slot_keys(spec, server.master, rec, slot)
+            keys = slot_keys(spec, server.master, label, rec, slot)
             ((sigma, delta),), (expected,) = make_candidate((keys,), ops)
+            x = partial_key(spec, rec.counter, server.master, keys.key)
             k_prime, _ = split(keys.key)
-            x_prime, _ = split(keys.x)
-            assert sigma == auth_server_tag(spec, k_prime, keys.x, x_s, x_t)
-            assert delta == xor(keys.key, keys.x)
+            x_prime, _ = split(x)
+            assert sigma == auth_server_tag(spec, k_prime, x, x_s, x_t)
+            assert delta == xor(keys.key, x)
             assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
                 spec, x_t, x_s, session_key(k_prime, x_prime))
 

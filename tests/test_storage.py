@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from kimap.bits import BitString, Prng
-from kimap.protocol import MasterKey, ServerTagRecord, keygen
+from kimap.protocol import ServerTagRecord, keygen
 from kimap.storage import (
     DatabaseFormatError,
     dump_database,
@@ -36,7 +36,7 @@ def test_roundtrip(provisioned):
         assert rec.key_current == orig.key_current
         assert rec.key_previous == orig.key_previous
         assert rec.counter == orig.counter
-    assert load_master(mk, 64).value == server.master.value
+    assert load_master(mk, 64) == server.master
 
 
 def test_previous_key_persists(tmp_path):
@@ -147,10 +147,10 @@ def test_dump_is_deterministic(provisioned):
 
 
 def test_master_file_roundtrip(tmp_path):
-    mk = MasterKey(BitString(0x1234567890ABCDEF, 64))
+    mk = BitString(0x1234567890ABCDEF, 64)
     path = tmp_path / "master.key"
     save_master(path, mk)
-    assert load_master(path, 64).value == mk.value
+    assert load_master(path, 64) == mk
 
 
 # Has no UTF-8 encoding, so writing it raises once the file is already open.
@@ -166,9 +166,9 @@ def test_failed_save_leaves_old_file(provisioned, which):
         if which == "database":
             rec = server.records["t001"]
             server.records[UNENCODABLE] = ServerTagRecord(
-                label=UNENCODABLE, key_current=rec.key_current, key_previous=None, counter=1)
+                key_current=rec.key_current, key_previous=None, counter=1)
             save_database(db, 64, server.records)
         else:
-            save_master(mk, MasterKey(SimpleNamespace(to_text=lambda: UNENCODABLE)))
+            save_master(mk, SimpleNamespace(to_text=lambda: UNENCODABLE))
     assert path.read_bytes() == before
     assert sorted(p.name for p in path.parent.iterdir()) == ["kimap.db", "master.key"]
