@@ -208,16 +208,15 @@ class OracleHandle:
         self._pending_x_s = server_begin(self.server).x_s
         return self._pending_x_s, server_begin(self.server).x_s if decoy else None
 
-    def _reply_core(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
+    def _reply_core(self, tag: int, x_t: BitString) -> BroadcastAuth:
         if self._pending_x_s is None:
             raise SessionOrderError("reply needs a pending server challenge")
         x_s, self._pending_x_s = self._pending_x_s, None
         label = self._labels[tag]
         keys = slot_keys(self.spec, self.server.master, label, self.server.records[label],
                          "current")
-        (pair,), expected = make_candidate((keys,), session_operands(x_s, x_t))
-        self._pending_reply[tag] = PendingSession(x_s, (keys,), expected)
-        return pair
+        bc, self._pending_reply[tag] = make_candidate((keys,), session_operands(x_s, x_t))
+        return bc
 
     def _reply_prime_core(self, tag: int, x_s: BitString,
                           bc: BroadcastAuth) -> tuple[TagAuth, bool, Optional[object]]:
@@ -244,7 +243,7 @@ class OracleHandle:
         period = self.tags[tag].counter
         x_s, x_rand = self._begin(decoy=restricted)
         nonce = tag_respond_nonce(self.tags[tag])
-        bc = BroadcastAuth((self._reply_core(tag, nonce.x_t),))
+        bc = self._reply_core(tag, nonce.x_t)
         ta, updated, outcome = self._reply_prime_core(tag, x_s, bc)
         return SessionTranscript(
             session_seq=period, label=self._labels[tag],
@@ -272,7 +271,7 @@ class OracleHandle:
     def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
         """Server flight-3 computation for the named tag's current key."""
         self._admit("reply", tag)
-        return self._reply_core(tag, x_t)
+        return self._reply_core(tag, x_t).candidates[0]
 
     def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Tag flight-4 computation (verify, answer, ratchet on success);

@@ -32,18 +32,20 @@ changes, at one hash (the partial key) and one XOR (``delta``), with the key
 halves taken from the ints; the session's terms are built once, with their
 width check, by :func:`session_operands`, and the tag's scan shares them.
 The slots are shuffled before any candidate is built, and one
-:func:`make_candidate` call builds the whole broadcast in that order.
-Digests stay ints until they reach the wire. The pending session keeps, in
-broadcast order, each candidate's :class:`SlotKeys` and expected ``sigma'``;
-the next key, one hash from the slot's cached ``k'' || x''`` term, is
-computed only for the matched candidate, or for every record when a failed
-session hedges. :func:`partial_key`, :func:`session_key`,
-:func:`key_update`, :func:`auth_server_tag` and :func:`auth_tag_msg` state
-the paper's formulas on bitstrings, and the tests hold the int path to them.
+:func:`make_candidate` call builds the whole broadcast in that order, with
+its :class:`PendingSession`: no other code builds either. Digests stay ints
+until they reach the wire. The pending session keeps, in broadcast order,
+each candidate's :class:`SlotKeys` and expected ``sigma'``; the next key,
+one hash from the slot's cached ``k'' || x''`` term, is computed only for
+the matched candidate, or for every record when a failed session hedges.
+:func:`partial_key`, :func:`session_key`, :func:`key_update`,
+:func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
+on bitstrings, and the tests hold the int path to them.
 
-On a failed or missing flight 4 the server parks the candidate next-key in
-the record's previous-key slot so that a tag which did ratchet can still be
-matched next session. A record with two consecutive failures reads as
+A flight 4 that :func:`server_finalize` rejects fails as a missing one
+does, through :func:`server_timeout`: the server parks the candidate
+next-key in the record's previous-key slot so that a tag which did ratchet
+can still be matched next session. A record with two consecutive failures reads as
 desynchronized (a second blocked final flight is unrecoverable by design);
 the flag is derived from the failure count, never stored.
 
@@ -391,13 +393,13 @@ def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
 
 
 def make_candidate(slots: Sequence[SlotKeys],
-                   ops: SessionOperands) -> tuple[tuple[ServerAuthCandidate, ...], tuple[int, ...]]:
-    """Flight-3 computation for each (record, key slot) in ``slots``, two
-    hashes each: the wire pairs ``(sigma, delta)`` and the expected
-    ``sigma'`` of each as an int, as two tuples in the order of ``slots``.
-    These are the digests of :func:`auth_server_tag` and
-    :func:`auth_tag_msg`, each hashed from one slot term ORed with one
-    session term. The next key the server commits if an expectation is met
+                   ops: SessionOperands) -> tuple[BroadcastAuth, PendingSession]:
+    """Flight 3 over each (record, key slot) in ``slots``, two hashes each:
+    the broadcast of the wire pairs ``(sigma, delta)``, and the
+    :class:`PendingSession` of each slot and its expected ``sigma'`` as an
+    int, in the order of ``slots``. No other code builds either object. The
+    digests are those of :func:`auth_server_tag` and :func:`auth_tag_msg`,
+    each hashed from one slot term ORed with one session term; the next key
     is computed on demand (:meth:`SlotKeys.next_key`)."""
     width, s_t, t_s = ops.width, ops.s_t_term, ops.t_s_term
     sigma_bytes, sigma_prime_bytes = ops.sigma_bytes, ops.sigma_prime_bytes
@@ -412,7 +414,7 @@ def make_candidate(slots: Sequence[SlotKeys],
         sigma._length = spec.output_len_bits
         pairs.append(_new_tuple(ServerAuthCandidate, (sigma, keys.delta)))
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
-    return tuple(pairs), tuple(expected)
+    return BroadcastAuth(tuple(pairs)), PendingSession(ops.x_s, tuple(slots), tuple(expected))
 
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
@@ -425,7 +427,8 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     counter and the very key object it was built from are unchanged. Every
     slot's width is checked before the shuffle, so a record of another
     width than the session raises with the server's PRNG unmoved; the
-    shuffled slots then go to one :func:`make_candidate` call."""
+    shuffled slots then go to one :func:`make_candidate` call, which builds
+    the broadcast and the pending session returned."""
     ops = session_operands(x_s, x_t)
     width = ops.width
     master = server.master
@@ -450,8 +453,7 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
                 raise _mismatch(keys.key, x_s, x_t)
             slots.append(keys)
     server.prng.shuffle(slots)
-    pairs, expected = make_candidate(slots, ops)
-    return BroadcastAuth(pairs), PendingSession(x_s, tuple(slots), expected)
+    return make_candidate(slots, ops)
 
 
 def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAuth, spec: HashSpec) -> TagAuth:
@@ -509,8 +511,8 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     Exactly one candidate expectation must match; ties fail closed (an
     expectation collision at real widths is an attack or a bug). On a match
     the record commits: previous slot takes the matched key, current takes
-    the candidate's next key. Anything else is a rejection, which hedges
-    (see :func:`_hedge_on_failure`).
+    the candidate's next key. Anything else is a rejection, which fails as
+    a missing flight 4 does: through :func:`server_timeout`, which hedges.
     """
     # Every expectation is compared as an int; a sole match is then held
     # to the hash's output width.
@@ -525,25 +527,21 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
             rec.counter += 1
             rec.consecutive_failures = 0
             return AuthResult(accepted=True, label=keys.label, matched_slot=keys.slot)
-    _hedge_on_failure(server, pending)
-    return AuthResult(accepted=False)
+    return server_timeout(server, pending)
 
 
 def server_timeout(server: ServerState, pending: PendingSession) -> AuthResult:
-    """Flight 4 never arrived: same rejection handling as an invalid one."""
-    _hedge_on_failure(server, pending)
-    return AuthResult(accepted=False)
-
-
-def _hedge_on_failure(server: ServerState, pending: PendingSession) -> None:
-    # A failed session is anonymous: the tag may have ratcheted (its sigma'
-    # was lost or mangled) or not (it rejected the broadcast). Park each
-    # record's would-be next key in the previous-key slot so both cases can
-    # be matched next session. Counted per record; two consecutive failures
-    # without an accept mean the recovery slot itself was lost.
+    """A failed session: flight 4 never arrived, or :func:`server_finalize`
+    rejected it. A failed session is anonymous: the tag may have ratcheted
+    (its ``sigma'`` was lost or mangled) or not (it rejected the broadcast).
+    So each record's would-be next key is parked in its previous-key slot,
+    and both cases can be matched next session. Counted per record: two
+    consecutive failures without an accept mean the recovery slot itself was
+    lost."""
     for keys in pending.candidates:
         if keys.slot != "current":
             continue
         rec = server.records[keys.label]
         rec.key_previous = keys.next_key(pending.x_s)
         rec.consecutive_failures += 1
+    return AuthResult(accepted=False)

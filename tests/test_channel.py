@@ -21,7 +21,8 @@ from kimap.channel import (
     run_session,
     transcript_line,
 )
-from kimap.protocol import BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, TagNonce, keygen
+from kimap.protocol import (BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, TagNonce,
+                            auth_server_tag, keygen)
 
 TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
@@ -610,6 +611,23 @@ class TestDesyncPrice:
                        for tag, rec in zip(tags, records))
         assert self.honest_round(world) == [False] * n
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_n_interceptions_lose_every_tag(self, n):
+        """The last failure of the N + 1 above costs nothing: tag 0 is lost
+        once every tag's proof was dropped, and its next honest session is
+        rejected, which re-parks every record past its tag's key."""
+        server, tags = keygen(64, n, Prng(7, 0))
+        world = World(server, tags, PROD64)
+        assert all(self.honest_round(world))
+        for idx in range(n):  # each tag ratchets while its proof is lost
+            assert not world.session(idx, [AdversaryAction.drop(4, world.next_seq)]).accepted
+        assert not world.session(0).accepted
+        records = list(server.records.values())
+        assert all(rec.desynchronized for rec in records)
+        assert not any(tag.key in (rec.key_current, rec.key_previous)
+                       for tag, rec in zip(tags, records))
+        assert self.honest_round(world) == [False] * n
+
     def test_two_interceptions_lose_one_chosen_tag(self):
         server, tags = keygen(64, 4, Prng(7, 0))
         world = World(server, tags, PROD64)
@@ -669,3 +687,24 @@ class TestAcceptLeftSlot:
         through = [self.episode(spec, lam, seed) for seed in (1, 2, 3)]
         assert [t["accept"] for t in through] == [0, 0, 0]
         assert sum(t["hedge"] for t in through) > 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+    def test_a_read_key_verifies_in_no_broadcast_after_its_update(self):
+        """The dead-slot leak (ROADMAP item 3): an adversary reads tag 0's
+        key and misses the session that updates it. The accept keeps the
+        read key in the record's previous slot, so each later broadcast
+        carries one candidate that verifies under it by the tag's own check,
+        until tag 0's next session."""
+        server, tags = keygen(64, 8, Prng(7, 0))
+        world = World(server, tags, PROD64)
+        assert all(world.session(idx).accepted for idx in range(8))
+        read = tags[0].key
+        assert world.session(0).accepted
+        k_prime = read.split()[0]
+        verifying = []
+        for idx in range(1, 8):
+            t = world.session(idx)
+            verifying.append(sum(
+                auth_server_tag(PROD64, k_prime, c.delta ^ read, t.x_s.x_s, t.x_t.x_t) == c.sigma
+                for c in t.broadcast.candidates))
+        assert verifying == [0] * 7

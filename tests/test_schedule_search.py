@@ -15,6 +15,7 @@ function of the state.
 """
 
 import copy
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,13 +44,13 @@ def abstract(world):
 
 
 def after(world, idx, actions):
-    """The abstract state a deep copy of ``world`` reaches, and the copy,
-    after one session of tag ``idx`` under ``actions``, each built for the
-    session's number."""
+    """The abstract state a deep copy of ``world`` reaches, the copy, and the
+    session's transcript, after one session of tag ``idx`` under
+    ``actions``, each built for the session's number."""
     # A recorded flight is an immutable tuple of ints: copy the dict alone.
     world = copy.deepcopy(world, {id(world.recording): dict(world.recording)})
-    world.session(idx, [action(world.next_seq) for action in actions])
-    return abstract(world), world
+    t = world.session(idx, [action(world.next_seq) for action in actions])
+    return abstract(world), world, t
 
 
 def drops(move):
@@ -68,6 +69,10 @@ class Search:
     flagged_lost: int = 0      # ... whose tag is lost
     sessions: int = 0          # concrete sessions run, every representative's moves
     conflicts: int = 0         # moves whose abstract successor differs from the first's
+    # transitions that accept through the previous slot, by what last set
+    # that slot: the record's own accept, or a failed session's hedge
+    previous_slot_accepts: dict = field(default_factory=lambda: {"accept": 0, "hedge": 0})
+    start: tuple = ()          # the abstract state of the keygen world
     # abstract state -> its representatives, and (state, tag, move) -> successor
     worlds: dict = field(default_factory=dict, repr=False)
     successor: dict = field(default_factory=dict, repr=False)
@@ -79,6 +84,7 @@ def search(n):
     out = Search()
     worlds, successor = out.worlds, out.successor
     worlds[start_state := abstract(start)] = [start]
+    out.start = start_state
     levels = {start_state: 0}
     frontier = [(start_state, start)]
     while frontier:
@@ -86,7 +92,7 @@ def search(n):
         for state, world in frontier:
             for idx in range(n):
                 for move in MOVES:
-                    succ, next_world = after(world, idx, drops(move))
+                    succ, next_world, t = after(world, idx, drops(move))
                     out.sessions += 1
                     key = state, idx, move
                     if key in successor:
@@ -98,6 +104,13 @@ def search(n):
                         out.left_lost += any(a and not b for a, b in zip(*lost))
                         out.cross_tag_losses += any(b and not a for j, (a, b)
                                                     in enumerate(zip(*lost)) if j != idx)
+                        if t.accepted and t.outcome_server.matched_slot == "previous":
+                            # An accept zeroes the failure count and a hedge
+                            # raises it, so a zero count before the session
+                            # means the record's own accept set the slot.
+                            rec = world.server.records[t.label]
+                            setter = "hedge" if rec.consecutive_failures else "accept"
+                            out.previous_slot_accepts[setter] += 1
                     kept = worlds.setdefault(succ, [])
                     if len(kept) < REPRESENTATIVES:
                         kept.append(next_world)
@@ -155,6 +168,55 @@ def test_flag_never_misses_a_lost_record(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_no_session_loses_another_tag(n):
     assert search(n).cross_tag_losses == 0
+
+
+# N -> accepts through a previous slot that a hedge set (ROADMAP item 15)
+HEDGE_SET_ACCEPTS = {1: 3, 2: 36, 3: 315}
+
+
+@pytest.mark.parametrize("n", sorted(HEDGE_SET_ACCEPTS))
+def test_no_accept_goes_through_a_slot_an_accept_set(n):
+    """The exhaustive form of ``test_channel.TestAcceptLeftSlot``: a
+    previous slot set by the record's own accept is never matched, so an
+    accept may clear it (ROADMAP item 15); slots a hedge parked are matched
+    and must stay."""
+    assert search(n).previous_slot_accepts == {"accept": 0, "hedge": HEDGE_SET_ACCEPTS[n]}
+
+
+def fewest_interceptions(s, n, goal):
+    """The fewest dropped flights that take the keygen state to one where
+    ``goal`` holds: a 0-1 shortest path over the search's transitions, in
+    which a session with no action costs 0 and one with a drop costs 1."""
+    best = {s.start: 0}
+    queue = deque([(0, s.start)])
+    while queue:
+        cost, state = queue.popleft()
+        if cost > best[state]:
+            continue
+        if goal(state):
+            return cost
+        for idx in range(n):
+            for move in MOVES:
+                succ, succ_cost = s.successor[state, idx, move], cost + bool(move)
+                if succ_cost < best.get(succ, succ_cost + 1):
+                    best[succ] = succ_cost
+                    (queue.append if move else queue.appendleft)((succ_cost, succ))
+    return None
+
+
+# N -> fewest interceptions that lose every tag, and that lose tag 0
+PRICES = {1: (2, 2), 2: (2, 2), 3: (3, 2)}
+
+
+@pytest.mark.parametrize("n", sorted(PRICES))
+def test_desynchronization_price_is_n_interceptions(n):
+    """ROADMAP item 14: losing the whole fleet takes N interceptions (2 at
+    N = 1), not N + 1, because a lost tag's next honest session is rejected
+    and re-parks every record for free; losing one chosen tag takes 2."""
+    s = search(n)
+    every = fewest_interceptions(s, n, lambda state: all(r[0] == "lost" for r in state))
+    tag0 = fewest_interceptions(s, n, lambda state: state[0][0] == "lost")
+    assert (every, tag0) == PRICES[n]
 
 
 # Replacement payloads: zero bits of the wire's widths, which no endpoint

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
 from kimap.protocol import (
     BroadcastAuth,
+    PendingSession,
     ServerAuthCandidate,
     TagAuth,
     auth_server_tag,
@@ -216,7 +217,7 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
     broadcast, pending = server_prepare(server, x_s, x_t, second)
     ops = session_operands(x_s, x_t)
     assert len(pending.candidates) == 3
-    assert (broadcast.candidates, pending.expected) == make_candidate(
+    assert (broadcast, pending) == make_candidate(
         [slot_keys(second, server.master, k.label, server.records[k.label], k.slot)
          for k in pending.candidates], ops)
 
@@ -225,7 +226,8 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
 def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     """``make_candidate`` over every live slot, in registry order, gives
     what one call per slot gives and what the paper's formulas give, slot
-    for slot; an empty sequence gives two empty tuples."""
+    for slot, and a pending session of the challenge and those slots; an
+    empty sequence gives an empty broadcast and pending session."""
     lam = spec.output_len_bits
     server, _ = keygen(lam, 4, Prng(11, 0))
     stream = Prng(11, 1)
@@ -238,10 +240,12 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
              if slot == "current" or rec.key_previous is not None]
     assert len(slots) == 6
 
-    pairs, expected = make_candidate(slots, ops)
-    single = [make_candidate((keys,), ops) for keys in slots]
-    assert pairs == tuple(pair for (pair,), _ in single)
-    assert expected == tuple(value for _, (value,) in single)
+    broadcast, pending = make_candidate(slots, ops)
+    pairs, expected = broadcast.candidates, pending.expected
+    assert (pending.x_s, pending.candidates) == (x_s, tuple(slots))
+    assert [make_candidate((keys,), ops) for keys in slots] == [
+        (BroadcastAuth((pair,)), PendingSession(x_s, (keys,), (value,)))
+        for pair, keys, value in zip(pairs, slots, expected, strict=True)]
     reference = []
     for keys in slots:
         x = partial_key(spec, keys.counter, server.master, keys.key)
@@ -251,7 +255,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
     assert [(sigma, delta, BitString(v, lam))
             for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
-    assert make_candidate((), ops) == ((), ())
+    assert make_candidate((), ops) == (BroadcastAuth(()), PendingSession(x_s, (), ()))
 
 
 def ref_scan(spec, key, x_s, x_t, candidates):
@@ -300,7 +304,9 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
         slots = ("current",) if rec.key_previous is None else ("current", "previous")
         for slot in slots:
             keys = slot_keys(spec, server.master, label, rec, slot)
-            ((sigma, delta),), (expected,) = make_candidate((keys,), ops)
+            broadcast, pending = make_candidate((keys,), ops)
+            assert (pending.x_s, pending.candidates) == (x_s, (keys,))
+            ((sigma, delta),), (expected,) = broadcast.candidates, pending.expected
             x = partial_key(spec, rec.counter, server.master, keys.key)
             k_prime, _ = split(keys.key)
             x_prime, _ = split(x)
