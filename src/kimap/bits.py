@@ -85,7 +85,13 @@ class BitString:
             raise ValueError(f"missing ':<len>' in bitstring text {text!r}")
         length = int(lenpart)
         value = int(hexpart, 16) if hexpart else 0
-        return cls(value, length)
+        bits = cls(value, length)
+        # int() also takes a sign, a 0x prefix, '_' separators and spaces,
+        # which to_text would drop: such text is refused, not rewritten. Both
+        # parts parsed, so a hex letter or ':' can only be where it belongs.
+        if text.strip("0123456789abcdefABCDEF:"):
+            raise ValueError(f"bitstring text {text!r} is not '<hex digits>:<decimal digits>'")
+        return bits
 
     # -- accessors ---------------------------------------------------------
 

@@ -366,7 +366,3 @@ def main(argv=None) -> int:
     except (OSError, ParameterError, GameError) as exc:
         print(f"kimap: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -132,6 +132,15 @@ class TestTextEncoding:
         with pytest.raises(ValueError):
             BitString.from_text("abcd")
 
+    @pytest.mark.parametrize("text", ["+1f:8", "0x1f:8", "1_f:8", " 1f:8", "1f: 8", "1f:8 ",
+                                      "1f:+8", "1f:0_8"])
+    def test_text_only_int_takes_is_rejected(self, text):
+        """A sign, a 0x prefix, '_' separators or spaces, which to_text
+        would drop, are refused rather than rewritten."""
+        with pytest.raises(ValueError) as err:
+            BitString.from_text(text)
+        assert str(err.value) == f"bitstring text {text!r} is not '<hex digits>:<decimal digits>'"
+
 
 class TestHash2:
     def test_deterministic(self):

@@ -100,6 +100,9 @@ EXIT_2_CASES = {
     "run-duplicate-schedule-line": (_schedule("1 4 drop\n1 4 drop\n"),
                                     ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
                                     "sched.txt:2: duplicate action for session 1 flight 4"),
+    "run-two-field-schedule-line": (_schedule("1 4\n"),
+                                    ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                    "sched.txt:1: expected '<session> <flight> <action...>'"),
     "run-replace-on-flight-9": (_schedule("1 9 replace ab:16\n"),
                                 ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
                                 "sched.txt:1: flight must be 1-4, got 9"),
@@ -503,7 +506,9 @@ class TestLemma1:
     MASK_REASONS = {"zz:8": "invalid literal for int() with base 16: 'zz'",
                     "1ff:8": "value 0x1ff does not fit in 8 bits",
                     "ff": "missing ':<len>' in bitstring text 'ff'",
-                    "ab": "missing ':<len>' in bitstring text 'ab'"}
+                    "ab": "missing ':<len>' in bitstring text 'ab'",
+                    "+1f:8": "bitstring text '+1f:8' is not '<hex digits>:<decimal digits>'",
+                    "1f: 8": "bitstring text '1f: 8' is not '<hex digits>:<decimal digits>'"}
 
     @pytest.mark.parametrize("mask", list(MASK_REASONS))
     def test_malformed_mask_is_usage_error(self, capsys, mask):
@@ -612,6 +617,17 @@ class TestParser:
         assert err.splitlines()[0] == "usage: kimap [-h] {init,run,game,cost,lemma1} ..."
         assert "unrecognized arguments: --bogus" in err
 
+    def test_python_m_kimap_runs_main(self):
+        """``python -m kimap`` is the one module entry point, and needs
+        nothing beyond the stdlib (-S skips site-packages)."""
+        src = Path(kimap.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "kimap", "lemma1", "--k", "1", "--mask", "1:1"],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "pair x=1 y=0" in proc.stdout.splitlines()
+
 
 class TestSeedResolution:
     def test_env_seed(self, tmp_path, capsys, monkeypatch):
@@ -675,6 +691,14 @@ class TestScheduleParsing:
         with pytest.raises(ScheduleError) as err:
             parse_schedule(str(f), 16)
         assert str(err.value) == f"{f}:1: flight must be 1-4, got 9"
+
+    def test_payload_text_only_int_takes_is_rejected(self, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("1 4 drop\n2 3 replace 0xdead:16 beef:16\n")
+        with pytest.raises(ScheduleError) as err:
+            parse_schedule(str(f), 16)
+        assert str(err.value) == (f"{f}:2: bitstring text '0xdead:16' is not "
+                                  "'<hex digits>:<decimal digits>'")
 
     def test_error_carries_line_number(self, tmp_path):
         f = tmp_path / "s.txt"

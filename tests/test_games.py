@@ -3,13 +3,14 @@ and the game runner's calibration."""
 
 import pytest
 
-from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
+from kimap.bits import BitString, HashSpec, ParameterError, Prng, prng_next, split, xor
 from kimap.games import (
     DEFINITIONS,
     BudgetExceededError,
     Definition,
     Distinguisher,
     GameConfig,
+    GameError,
     KeyKnowledge,
     OracleMisuseError,
     RandomGuess,
@@ -120,6 +121,12 @@ class TestReplyOracles:
         out = h.reply_prime(0, x_s, sigma.flip(0), delta)
         assert len(out) == 16
         assert h.tags[0].key == key
+
+    def test_reply_prime_requires_pending_nonce(self):
+        h = world()
+        x_s = h.query_s()
+        with pytest.raises(SessionOrderError, match="reply' needs a pending tag nonce"):
+            h.reply_prime(0, x_s, BitString(0, 16), BitString(0, 16))
 
     def test_reply_prime_budget(self):
         h = world(r2=0)
@@ -446,6 +453,12 @@ class TestMisuse:
             h.test(1, 1)
         assert h.coin is None
 
+    @pytest.mark.parametrize("oracle, tag", [("execute", 5), ("execute", -1), ("query_t", 2)])
+    def test_tag_out_of_range(self, oracle, tag):
+        h = world()
+        with pytest.raises(OracleMisuseError, match=f"^no tag {tag}$"):
+            getattr(h, oracle)(tag)
+
     def test_test_pair_only_in_two_tag_game(self):
         h = world("ind")
         h.execute(0)
@@ -495,6 +508,17 @@ class TestRunGame:
     def test_unknown_distinguisher(self):
         with pytest.raises(ValueError):
             make_distinguisher("oracle-of-delphi")
+
+    def test_distinguisher_that_never_tests(self):
+        class Silent(RandomGuess):
+            name = "silent"
+
+            def interact(self, h):
+                pass
+
+        cfg = GameConfig(lam=16, n=2, trials=1, seed=67)
+        with pytest.raises(GameError, match="distinguisher silent never called test"):
+            run_game("ind", cfg, Silent(), TOY16)
 
     def test_unknown_definition(self):
         cfg = GameConfig(lam=16, n=2, trials=1, seed=66)
@@ -556,3 +580,7 @@ class TestLemma1:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             lemma1_bijection_check(17)
+
+    def test_mask_of_another_width(self):
+        with pytest.raises(ParameterError, match="mask width must equal k"):
+            lemma1_bijection_check(4, mask=BitString(0, 5))

@@ -104,5 +104,24 @@ def test_full_transcript_lambda8(fixture):
 def test_committed_fixture_matches_regeneration():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "gen_known_answers.py"), "--print"],
-        capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == json.loads(FIXTURE.read_text())
+        capture_output=True, check=True)
+    assert out.stdout == FIXTURE.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code, writes", [
+    ((), 0, True), (("--print",), 0, False), (("--help",), 0, False),
+    (("--bogus",), 2, False), (("--prin",), 2, False),
+], ids=["no-argument", "print", "help", "bogus", "abbreviated-print"])
+def test_generator_writes_the_fixture_only_without_arguments(tmp_path, argv, code, writes):
+    """A copy of the script writes ../tests/fixtures/known_answers.json
+    beside itself. The tracked fixture's bytes cannot show a stray rewrite:
+    with the kernel unchanged, it rewrites equal bytes."""
+    (tmp_path / "tools").mkdir()
+    script = tmp_path / "tools" / "gen_known_answers.py"
+    script.write_bytes((ROOT / "tools" / "gen_known_answers.py").read_bytes())
+    proc = subprocess.run([sys.executable, str(script), *argv], capture_output=True, check=False)
+    assert proc.returncode == code
+    written = tmp_path / "tests" / "fixtures" / "known_answers.json"
+    assert written.exists() == writes
+    if writes:
+        assert written.read_bytes() == FIXTURE.read_bytes()

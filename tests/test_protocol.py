@@ -225,6 +225,21 @@ def _tag_scan_of_narrow_delta():
     tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((bad,)), TOY16)
 
 
+def _server_prepare_of_narrow_previous_key():
+    server, tags = keygen(16, 1, Prng(27, 0))
+    server.records["t001"].key_previous = BitString(0, 8)
+    ch = server_begin(server)
+    server_prepare(server, ch.x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
+
+
+def _tag_scan_of_narrow_tag_key():
+    server, tags = keygen(16, 1, Prng(28, 0))
+    ch = server_begin(server)
+    bc, _ = server_prepare(server, ch.x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
+    tags[0].key = BitString(0, 8)
+    tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
+
+
 class TestWidthChecks:
     """Operands of the wrong width raise, whether they are checked once per
     session or once per candidate."""
@@ -237,8 +252,10 @@ class TestWidthChecks:
         lambda: session_operands(BitString(0, 16), BitString(0, 15)),
         _make_candidate_of_other_width,
         _tag_scan_of_narrow_delta,
+        _server_prepare_of_narrow_previous_key,
+        _tag_scan_of_narrow_tag_key,
     ], ids=["xor", "split", "bitstring", "counter_hash", "session_operands", "make_candidate",
-            "tag_scan_delta"])
+            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key"])
     def test_every_width_check_raises_length_error(self, broken):
         with pytest.raises(LengthError):
             broken()

@@ -1,0 +1,138 @@
+"""The repository's own pins: every xfail that cites a ROADMAP item is strict
+and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
+adds up from its runs, and each demo prints the bytes of its golden file."""
+
+import ast
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def read_tests():
+    """Each tests/*.py module's source, by its path from the root."""
+    return {f"tests/{p.name}": p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+
+
+def xfail_problems(sources, roadmap):
+    """The xfails in ``sources`` whose reason is "ROADMAP item N", and what
+    is wrong with each: not strict=True, or no item of ``roadmap`` headed
+    ``N. **``."""
+    items = set(re.findall(r"^(\d+)\. \*\*", roadmap, re.M))
+    cited, bad = [], []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source, path)):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.mark.xfail"):
+                continue
+            kw = {k.arg: k.value for k in node.keywords}
+            reason = kw["reason"].value if isinstance(kw.get("reason"), ast.Constant) else ""
+            item = re.fullmatch(r"ROADMAP item (\d+)", str(reason))
+            if not item:
+                continue
+            where = f"{path}:{node.lineno}"
+            cited.append(where)
+            strict = kw.get("strict")
+            if not (isinstance(strict, ast.Constant) and strict.value is True):
+                bad.append(f"{where}: the xfail citing ROADMAP item {item[1]} is not strict=True")
+            if item[1] not in items:
+                bad.append(f"{where}: ROADMAP.md has no item {item[1]}")
+    return cited, bad
+
+
+def claim_problems(path, record, better):
+    """What does not add up in the claims of one BENCH_*.json ``record``:
+    a run not correct or with failed operations, fewer than 10 pairs of one
+    parent and one change run, recorded change wins that differ from the
+    counted ones (in ``better``'s direction of the record's metric) or fall
+    under 9/10 of the pairs, or a side's median that differs from its
+    summary median to 4 places."""
+    metric = record["metric"]
+    bad = []
+    for n, claim in enumerate(record["claims"], 1):
+        where = f"{path}: claim {n}"
+        if not claim["runs"]:
+            bad.append(f"{where} has no runs")
+        pairs, values = {}, {"parent": [], "change": []}
+        for run in claim["runs"]:
+            result = run["result"]
+            if result.get("correct") is not True or result.get("failed") != 0:
+                bad.append(f"{where}, {run['side']} seed {run['seed']}: "
+                           f"correct={result.get('correct')} failed={result.get('failed')}")
+            value = result["metrics"][metric]["value"]
+            pairs.setdefault(run["pair"], {}).setdefault(run["side"], []).append(value)
+            values[run["side"]].append(value)
+        if len(pairs) < 10 or any(sorted(p) != ["change", "parent"]
+                                  or len(p["change"]) != 1 or len(p["parent"]) != 1
+                                  for p in pairs.values()):
+            bad.append(f"{where}: needs >= 10 pairs of one parent and one change run")
+            continue
+        sign = 1 if better[metric] == "higher" else -1
+        wins = sum(sign * (p["change"][0] - p["parent"][0]) > 0 for p in pairs.values())
+        if claim["result"]["change_wins"] != f"{wins}/{len(pairs)}" or 10 * wins < 9 * len(pairs):
+            bad.append(f"{where}: change wins {wins}/{len(pairs)} pairs, "
+                       f"recorded {claim['result']['change_wins']}")
+        for side, runs in values.items():
+            median, recorded = statistics.median(runs), claim["summary"][metric][side]["median"]
+            if round(median, 4) != round(recorded, 4):
+                bad.append(f"{where}: {side} median {median:.4f}, recorded {recorded}")
+    return bad
+
+
+def read_bench():
+    """Each root BENCH_*.json record by its file name, and BENCHMARK.json's
+    direction of each end-to-end metric."""
+    records = {p.name: json.loads(p.read_text()) for p in sorted(ROOT.glob("BENCH_*.json"))}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return records, {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+class TestXfailsCiteRoadmapItems:
+    def test_each_cited_item_is_strict_and_present(self):
+        cited, bad = xfail_problems(read_tests(), (ROOT / "ROADMAP.md").read_text())
+        assert cited and bad == []
+
+    @pytest.mark.parametrize("marker, bad", [
+        ('xfail(strict=True, reason="ROADMAP item 1")', []),
+        ('xfail(reason="ROADMAP item 1")',
+         ["tests/test_x.py:4: the xfail citing ROADMAP item 1 is not strict=True"]),
+        ('xfail(strict=True, reason="ROADMAP item 99")',
+         ["tests/test_x.py:4: ROADMAP.md has no item 99"]),
+    ], ids=["good", "not-strict", "item-99"])
+    def test_a_bad_citation_is_found(self, marker, bad):
+        source = f"import pytest\n\n\n@pytest.mark.{marker}\ndef test_x():\n    pass\n"
+        found = xfail_problems({"tests/test_x.py": source}, "1. **An item.**\n")
+        assert found == (["tests/test_x.py:4"], bad)
+
+
+class TestBenchRecords:
+    def test_every_claim_adds_up_from_its_runs(self):
+        records, better = read_bench()
+        assert records and all(r["claims"] for r in records.values())
+        assert [p for name, r in records.items() for p in claim_problems(name, r, better)] == []
+
+    def test_a_summary_median_off_in_its_4th_place_is_found(self):
+        records, better = read_bench()
+        name, record = next(iter(records.items()))
+        summary = record["claims"][0]["summary"][record["metric"]]["change"]
+        summary["median"] = round(summary["median"] + 0.0001, 4)
+        bad = claim_problems(name, record, better)
+        assert len(bad) == 1 and bad[0].startswith(f"{name}: claim 1: change median ")
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_prints_its_golden_file(demo, tmp_path):
+    """Each demo runs on the stdlib alone (-S skips site-packages) against
+    src/, and prints exactly its file under tests/fixtures/golden_demos/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    golden = ROOT / "tests" / "fixtures" / "golden_demos" / f"{demo.stem}.txt"
+    assert proc.stdout == golden.read_bytes()

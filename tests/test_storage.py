@@ -108,6 +108,42 @@ def test_widest_counter_loads(provisioned, tmp_path):
     assert load_database(ok)[1]["t001"].counter == 2 ** 32 - 1
 
 
+# (database text, the line at fault, its message)
+MALFORMED_DATABASES = {
+    "lambda-not-int": ("kimapdb v1 lambda=abc\nv1 t001 1 ab:8\n", 1, "bad lambda in header"),
+    "counter-0": ("kimapdb v1 lambda=8\nv1 t001 0 ab:8\n", 2, "counter must be >= 1, got 0"),
+    # int() takes these; the format does not
+    "key-0x-prefix": ("kimapdb v1 lambda=8\nv1 t001 1 0xab:8\n", 2,
+                      "bitstring text '0xab:8' is not '<hex digits>:<decimal digits>'"),
+    "previous-key-signed": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8 +cd:8\n", 2,
+                            "bitstring text '+cd:8' is not '<hex digits>:<decimal digits>'"),
+    "key-underscore": ("kimapdb v1 lambda=8\nv1 t000 1 ab:8\nv1 t001 1 a_b:8\n", 3,
+                       "bitstring text 'a_b:8' is not '<hex digits>:<decimal digits>'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DATABASES))
+def test_malformed_database_names_its_line(tmp_path, case):
+    text, line, message = MALFORMED_DATABASES[case]
+    path = tmp_path / "bad.db"
+    path.write_text(text)
+    with pytest.raises(DatabaseFormatError) as err:
+        load_database(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("zz", "missing ':<len>' in bitstring text 'zz'"),
+    ("ab: 8", "bitstring text 'ab: 8' is not '<hex digits>:<decimal digits>'"),
+], ids=["no-length", "space-before-length"])
+def test_malformed_master_names_its_line(tmp_path, text, message):
+    path = tmp_path / "master.key"
+    path.write_text(f"{text}\n")
+    with pytest.raises(DatabaseFormatError) as err:
+        load_master(path, 8)
+    assert str(err.value) == f"{path}:1: {message}"
+
+
 def test_width_mismatch_detected(tmp_path):
     path = tmp_path / "bad.db"
     path.write_text("kimapdb v1 lambda=64\nv1 t001 1 ab:8\n")

@@ -13,6 +13,7 @@ Usage:
     python tools/gen_known_answers.py --print    # dump to stdout instead
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -236,9 +237,14 @@ def generate():
 
 
 def main():
-    fixture = generate()
-    text = json.dumps(fixture, indent=2) + "\n"
-    if "--print" in sys.argv[1:]:
+    parser = argparse.ArgumentParser(
+        description="Regenerate tests/fixtures/known_answers.json from scratch.",
+        allow_abbrev=False)
+    parser.add_argument("--print", action="store_true",
+                        help="write the fixture to stdout instead of its file")
+    args = parser.parse_args()
+    text = json.dumps(generate(), indent=2) + "\n"
+    if args.print:
         sys.stdout.write(text)
         return
     out = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "known_answers.json"
