@@ -10,15 +10,24 @@ simulator itself never mutates payloads; every transcript field is exactly
 what an endpoint emitted or an action substituted, and a field is present
 only if its flight was delivered.
 
-The recording keeps a flight as one tuple of ints, the ``(value, width)``
-of each bit string in field order, not as the payload objects: a tuple of
-ints is untracked by the garbage collector, so a recording of thousands of
-sessions adds nothing to a full collection. A replay rebuilds a payload
-equal to the one its source emitted.
+The recording keeps a flight as a value the garbage collector does not
+track, never as the payload objects, so a recording of thousands of sessions
+adds nothing to a full collection. Flights 1, 2 and 4 are kept as the
+``(value, width)`` pair of their one bit string. A broadcast is kept as one
+``bytes``: an 8-byte header holding the sigma and delta widths, then each
+candidate's ``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian
+bytes, in broadcast order. The 32 candidates of 16 records at 64 bits take
+520 bytes (553 as a Python object), against about 3,350 for a tuple of each
+bit string's value and width. The header names the widths once because they
+are the same for every candidate of one broadcast: one spec hashes every
+sigma, and :func:`~kimap.protocol.server_prepare` checks every slot's width
+against the session's. A replay rebuilds a payload equal to the one its
+source emitted.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -146,9 +155,13 @@ class SessionTranscript:
 
 
 # Every emitted payload, keyed by (session_seq, flight): the replay source.
-# A payload is kept as one flat tuple of ints (see _pack), which the garbage
-# collector untracks, so it never walks a recording.
-Recording = dict[tuple[int, int], tuple[int, ...]]
+# Flights 1, 2 and 4 are kept as a (value, width) pair of ints, a broadcast
+# as one bytes of its widths and its candidates (see _pack). The garbage
+# collector tracks neither, so it never walks a recording.
+Recording = dict[tuple[int, int], Union[tuple[int, int], bytes]]
+
+# The header of a recorded broadcast: its sigma and delta widths.
+_WIDTHS = struct.Struct(">II")
 
 
 def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
@@ -186,24 +199,36 @@ def _fit(actions: Sequence[AdversaryAction], session_seq: int, recorded,
     return by_flight
 
 
-def _pack(flight: int, payload: Payload) -> tuple[int, ...]:
-    """The ints a recording keeps of a payload: each bit string's value and
-    width in field order, a broadcast's candidates in broadcast order."""
+def _pack(flight: int, payload: Payload) -> Union[tuple[int, int], bytes]:
+    """What a recording keeps of a payload: the value and width of the one
+    bit string of flight 1, 2 or 4, or a broadcast's :data:`_WIDTHS` header
+    and then each candidate's ``sigma || delta`` in as many whole bytes as
+    their widths need, in broadcast order. An empty broadcast is a header
+    of zero widths."""
     if flight != 3:
         (bits,) = vars(payload).values()
         return bits._value, bits._length
-    ints: list[int] = []
-    for sigma, delta in payload.candidates:
-        ints += (sigma._value, sigma._length, delta._value, delta._length)
-    return tuple(ints)
+    candidates = payload.candidates
+    if not candidates:
+        return _WIDTHS.pack(0, 0)
+    sigma, delta = candidates[0]
+    sigma_bits, delta_bits = sigma._length, delta._length
+    nbytes = (sigma_bits + delta_bits + 7) >> 3
+    return _WIDTHS.pack(sigma_bits, delta_bits) + b"".join(
+        [(s._value << delta_bits | d._value).to_bytes(nbytes, "big") for s, d in candidates])
 
 
-def _rebuild(flight: int, ints: tuple[int, ...]) -> Payload:
-    """The payload :func:`_pack` kept as ``ints``, equal to the one it packed."""
+def _rebuild(flight: int, packed: Union[tuple[int, int], bytes]) -> Payload:
+    """The payload :func:`_pack` kept as ``packed``, equal to the one it packed."""
     if flight != 3:
-        return PAYLOAD_TYPES[flight](_trusted(*ints))
-    bits = list(map(_trusted, ints[::2], ints[1::2]))
-    return BroadcastAuth(tuple(map(ServerAuthCandidate, bits[::2], bits[1::2])))
+        return PAYLOAD_TYPES[flight](_trusted(*packed))
+    sigma_bits, delta_bits = _WIDTHS.unpack_from(packed)
+    nbytes, mask = (sigma_bits + delta_bits + 7) >> 3, (1 << delta_bits) - 1
+    # nbytes is 0 only for an empty broadcast, where no byte follows the header.
+    wire = [int.from_bytes(packed[i:i + nbytes], "big")
+            for i in range(_WIDTHS.size, len(packed), nbytes or 1)]
+    return BroadcastAuth(tuple(ServerAuthCandidate(_trusted(v >> delta_bits, sigma_bits),
+                                                   _trusted(v & mask, delta_bits)) for v in wire))
 
 
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],

@@ -62,7 +62,8 @@ from .channel import (
 from .costs import CostParams, check_budget, compute_cost
 from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
 from .protocol import BroadcastAuth, ServerAuthCandidate, ServerState, TagState, keygen
-from .storage import load_database, load_master, read_text, save_database, save_master
+from .storage import (load_database, load_master, read_decimal, read_text, save_database,
+                      save_master)
 
 DEFAULT_SEED = 24301
 
@@ -116,6 +117,7 @@ def _mask(text: str) -> BitString:
 # ---------------------------------------------------------------------------
 # Schedule file parsing: one action per line,
 #   <session_seq> <flight 1-4> <drop | replay N | replace hex:len...>
+# with the session, flight and N in ASCII decimal digits.
 # ---------------------------------------------------------------------------
 
 def parse_schedule(path: str, lam: int) -> FaultSchedule:
@@ -133,17 +135,14 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
         fields = line.split()
         if len(fields) < 3:
             raise error(line_no, "expected '<session> <flight> <action...>'")
-        try:
-            seq = int(fields[0])
-            flight = int(fields[1])
-        except ValueError:
-            raise error(line_no, "session and flight must be integers") from None
         verb, rest = fields[2], fields[3:]
         try:
+            seq, flight = read_decimal("session", fields[0]), read_decimal("flight", fields[1])
             if verb == "drop" and not rest:
                 action = AdversaryAction.drop(flight, seq)
             elif verb == "replay" and len(rest) == 1:
-                action = AdversaryAction.replay(flight, int(rest[0]), seq)
+                source = read_decimal("replay source", rest[0])
+                action = AdversaryAction.replay(flight, source, seq)
             elif verb == "replace":
                 action = AdversaryAction.replace(flight, _parse_payload(flight, rest, lam), seq)
             elif verb in ("drop", "replay"):

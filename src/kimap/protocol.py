@@ -537,11 +537,25 @@ def server_timeout(server: ServerState, pending: PendingSession) -> AuthResult:
     So each record's would-be next key is parked in its previous-key slot,
     and both cases can be matched next session. Counted per record: two
     consecutive failures without an accept mean the recovery slot itself was
-    lost."""
+    lost.
+
+    The next key is :meth:`SlotKeys.next_key`'s, with the challenge's term
+    and the key update's layout built once for every record."""
+    x_s = pending.x_s
+    width = x_s._length
+    _, _, shift, nbytes = _layouts(width)[2]
+    challenge = x_s._value << shift
+    records = server.records
     for keys in pending.candidates:
         if keys.slot != "current":
             continue
-        rec = server.records[keys.label]
-        rec.key_previous = keys.next_key(pending.x_s)
+        if keys.width != width:
+            raise _mismatch(keys.key, x_s)
+        spec = keys.spec
+        key = _new_object(BitString)
+        key._value = hash2(spec, keys.next_term | challenge, nbytes)
+        key._length = spec.output_len_bits
+        rec = records[keys.label]
+        rec.key_previous = key
         rec.consecutive_failures += 1
     return AuthResult(accepted=False)

@@ -6,7 +6,8 @@
     v1 <label> <counter> <hex key_current>:<len> [<hex key_previous>:<len>]
 
 The counter is the record's session index, from 1 to 2**32 - 1 (the width
-``counter_hash`` binds). A record at 2**32 - 1 loads but is exhausted: the
+``counter_hash`` binds). It and ``<bits>`` are ASCII decimal digits alone,
+as a save writes them. A record at 2**32 - 1 loads but is exhausted: the
 server offers it no candidate, so its tag is rejected and the record is saved
 unchanged.
 
@@ -46,6 +47,15 @@ def read_text(path: Union[str, Path], error: Callable[[int, str], ParameterError
                     f"not UTF-8 text: can't decode byte {data[exc.start]:#04x}") from None
 
 
+def read_decimal(name: str, text: str) -> int:
+    """The int that ``text`` spells in ASCII decimal digits. ``int()`` also
+    takes a sign, ``_`` separators, spaces and other scripts' digits, which
+    a save would rewrite: such text raises ``ValueError`` naming ``name``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} {text!r} is not decimal digits")
+    return int(text)
+
+
 def dump_database(lam: int, records: dict[str, ServerTagRecord]) -> str:
     lines = [f"{HEADER_PREFIX}{lam}"]
     for label, rec in records.items():
@@ -82,7 +92,7 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise DatabaseFormatError(path, 1, f"expected header '{HEADER_PREFIX}<bits>'")
     try:
-        lam = int(lines[0][len(HEADER_PREFIX):])
+        lam = read_decimal("lambda", lines[0][len(HEADER_PREFIX):])
     except ValueError:
         raise DatabaseFormatError(path, 1, "bad lambda in header") from None
     try:
@@ -101,7 +111,7 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
         if label in records:
             raise DatabaseFormatError(path, line_no, f"duplicate label {label!r}")
         try:
-            counter = int(fields[2])
+            counter = read_decimal("counter", fields[2])
             key_current = BitString.from_text(fields[3])
             key_previous = BitString.from_text(fields[4]) if len(fields) == 5 else None
         except ValueError as exc:

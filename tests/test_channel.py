@@ -26,6 +26,7 @@ from kimap.protocol import (BroadcastAuth, Challenge, ServerAuthCandidate, TagAu
 
 TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
+PROD128 = HashSpec.production(128)
 
 
 def fresh_world(n=1, lam=16, seed=100):
@@ -558,7 +559,8 @@ class TestRecording:
         gc.collect()
         assert [key for key, value in world.recording.items() if gc.is_tracked(value)] == []
 
-    @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16)], ids=["production", "toy"])
+    @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
+                             ids=["production", "toy", "production128"])
     @pytest.mark.parametrize("flight", [1, 2, 3, 4])
     def test_replay_delivers_what_the_source_emitted(self, flight, lam, spec):
         """Session 2 replays session 1's flight: its transcript field equals
@@ -571,6 +573,31 @@ class TestRecording:
         assert replayed == emitted and type(replayed) is PAYLOAD_TYPES[flight]
         assert (transcript_line(dataclasses.replace(first, **{name: replayed}))
                 == transcript_line(first))
+
+    def test_replayed_empty_broadcast_is_empty(self):
+        """A server whose every record is exhausted broadcasts no candidate;
+        a replay of that broadcast delivers an empty one too."""
+        server, tags = keygen(64, 2, Prng(128, 0))
+        for rec, tag in zip(server.records.values(), tags):
+            rec.counter = tag.counter = 2**32 - 1
+        world = World(server, tags, PROD64)
+        first, second = world.run(FaultSchedule([AdversaryAction.replay(3, 1, 2)]), 2)
+        assert first.broadcast == second.broadcast == BroadcastAuth(())
+        assert not first.accepted and not second.accepted
+
+    @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
+                             ids=["production", "toy", "production128"])
+    def test_broadcast_is_recorded_as_its_wire_bytes(self, lam, spec):
+        """A broadcast of n candidates is recorded as one bytes: an 8-byte
+        header, then n times the whole bytes of one candidate's sigma and
+        delta."""
+        world = World(*keygen(lam, 3, Prng(129, 0)), spec)
+        transcripts = world.run(FaultSchedule([]), 6)
+        for t in transcripts:
+            n, wire_bits = len(t.broadcast.candidates), spec.output_len_bits + lam
+            packed = world.recording[(t.session_seq, 3)]
+            assert type(packed) is bytes and len(packed) == 8 + n * -(-wire_bits // 8)
+        assert len(transcripts[-1].broadcast.candidates) == 6  # both slots of every record
 
     def test_no_recording_records_nothing(self, monkeypatch):
         """Without a recording a session packs no flight, and a replay, which

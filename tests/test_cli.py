@@ -48,6 +48,10 @@ def _schedule(text):
     return setup
 
 
+def _set_underscore_counter(d, monkeypatch):
+    set_first_counter(d, "1_0")
+
+
 def _write_narrow_master(d, monkeypatch):
     (d / "master.key").write_text("ab:8\n")
 
@@ -106,6 +110,11 @@ EXIT_2_CASES = {
     "run-replace-on-flight-9": (_schedule("1 9 replace ab:16\n"),
                                 ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
                                 "sched.txt:1: flight must be 1-4, got 9"),
+    "run-underscore-flight": (_schedule("1 0_4 drop\n"),
+                              ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                              "sched.txt:1: flight '0_4' is not decimal digits"),
+    "run-underscore-counter": (_set_underscore_counter, ("run", "--db", "DB", "--hash", "toy"),
+                               "kimap.db:2: counter '1_0' is not decimal digits"),
     "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB", "--hash", "toy"),
                           "master.key:1: master key width 8 != database lambda 16"),
     "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
@@ -699,6 +708,26 @@ class TestScheduleParsing:
             parse_schedule(str(f), 16)
         assert str(err.value) == (f"{f}:2: bitstring text '0xdead:16' is not "
                                   "'<hex digits>:<decimal digits>'")
+
+    @pytest.mark.parametrize("line, message", [
+        ("+1 4 drop", "session '+1' is not decimal digits"),
+        ("1_0 4 drop", "session '1_0' is not decimal digits"),
+        ("1 0_4 drop", "flight '0_4' is not decimal digits"),
+        ("1 ٤ drop", "flight '٤' is not decimal digits"),
+        ("3 3 replay +1", "replay source '+1' is not decimal digits"),
+        ("3 3 replay 0_1", "replay source '0_1' is not decimal digits"),
+        ("3 3 replay １", "replay source '１' is not decimal digits"),
+    ], ids=["session-signed", "session-underscore", "flight-underscore",
+            "flight-non-ascii-digit", "source-signed", "source-underscore",
+            "source-non-ascii-digit"])
+    def test_integer_text_only_int_takes_is_rejected(self, tmp_path, line, message):
+        """A session, flight or replay source is ASCII decimal digits alone:
+        ``int()`` would also take a sign, ``_`` or another script's digits."""
+        f = tmp_path / "s.txt"
+        f.write_text(f"1 4 drop\n{line}\n")
+        with pytest.raises(ScheduleError) as err:
+            parse_schedule(str(f), 16)
+        assert str(err.value) == f"{f}:2: {message}"
 
     def test_error_carries_line_number(self, tmp_path):
         f = tmp_path / "s.txt"

@@ -409,6 +409,37 @@ class TestServerFinalize:
         assert rec.key_previous == expected_next
         assert rec.consecutive_failures == 1
 
+    @pytest.mark.parametrize("spec", [TOY16, PROD64], ids=["toy16", "production64"])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("failure", ["drop-3", "reject-4"])
+    def test_failure_parks_the_bitstring_key_update(self, spec, n, failure):
+        """After a failed session every record's previous slot holds
+        ``key_update(spec, k'', x'', x_s)`` of its current key ``k`` and
+        partial key ``x``, computed on bit strings; the current key and
+        counter stay. Every other record first completes a session, so the
+        broadcast mixes both slots."""
+        lam = spec.output_len_bits
+        server, tags = keygen(lam, n, Prng(30 + n, 0))
+        for tag in tags[::2]:
+            assert honest_session(server, tag, spec).accepted
+        before = {label: (rec.key_current, rec.counter) for label, rec in server.records.items()}
+        ch = server_begin(server)
+        nonce = tag_respond_nonce(tags[-1])
+        bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
+        if failure == "drop-3":
+            tags[-1].pending = None
+            result = server_timeout(server, pending)
+        else:
+            ta = tag_verify_and_respond(tags[-1], ch.x_s, bc, spec)
+            result = server_finalize(server, pending, TagAuth(ta.sigma_prime.flip(0)))
+        assert not result.accepted
+        for label, (key, counter) in before.items():
+            _, k_dprime = split(key)
+            _, x_dprime = split(partial_key(spec, counter, server.master, key))
+            rec = server.records[label]
+            assert (rec.key_current, rec.counter, rec.consecutive_failures) == (key, counter, 1)
+            assert rec.key_previous == key_update(spec, k_dprime, x_dprime, ch.x_s)
+
 
 class TestCostAccounting:
     def test_single_candidate_session_is_four_hashes_one_xor(self):

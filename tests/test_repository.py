@@ -50,12 +50,13 @@ def claim_problems(path, record, better):
     """What does not add up in the claims of one BENCH_*.json ``record``:
     a run not correct or with failed operations, fewer than 10 pairs of one
     parent and one change run, recorded change wins that differ from the
-    counted ones (in ``better``'s direction of the record's metric) or fall
+    counted ones (in ``better``'s direction of the claim's metric) or fall
     under 9/10 of the pairs, or a side's median that differs from its
-    summary median to 4 places."""
-    metric = record["metric"]
+    summary median to 4 places. A claim's metric is its own ``metric``, else
+    the record's."""
     bad = []
     for n, claim in enumerate(record["claims"], 1):
+        metric = claim.get("metric", record["metric"])
         where = f"{path}: claim {n}"
         if not claim["runs"]:
             bad.append(f"{where} has no runs")
@@ -124,6 +125,49 @@ class TestBenchRecords:
         summary["median"] = round(summary["median"] + 0.0001, 4)
         bad = claim_problems(name, record, better)
         assert len(bad) == 1 and bad[0].startswith(f"{name}: claim 1: change median ")
+
+
+def _claim(wins, pairs, **claim):
+    """A claim on ``peak_rss_mb`` of ``pairs`` pairs, the change lower (so
+    better) in the first ``wins`` and higher in the rest, recorded as
+    ``wins/pairs``."""
+    runs = [{"pair": p, "seed": p, "side": side,
+             "result": {"correct": True, "failed": 0, "metrics": {
+                 "ops_per_s": {"value": 100.0}, "peak_rss_mb": {"value": value}}}}
+            for p in range(1, pairs + 1)
+            for side, value in (("parent", 37.0), ("change", 30.0 if p <= wins else 38.0))]
+    change = [r["result"]["metrics"]["peak_rss_mb"]["value"] for r in runs if r["side"] == "change"]
+    return {**claim, "result": {"change_wins": f"{wins}/{pairs}"}, "runs": runs,
+            "summary": {"ops_per_s": {"parent": {"median": 100.0}, "change": {"median": 100.0}},
+                        "peak_rss_mb": {"parent": {"median": 37.0},
+                                        "change": {"median": statistics.median(change)}}}}
+
+
+class TestClaimMetric:
+    """A claim that names its own metric is counted on that metric, in its
+    direction, with the same rules as any claim."""
+
+    better = {"ops_per_s": "higher", "peak_rss_mb": "lower"}
+
+    def problems(self, claim):
+        record = {"metric": "ops_per_s", "claims": [claim]}
+        return claim_problems("BENCH_x.json", record, self.better)
+
+    def test_lower_is_better_wins_count_downward(self):
+        assert self.problems(_claim(10, 10, metric="peak_rss_mb")) == []
+        assert self.problems(_claim(9, 10, metric="peak_rss_mb")) == []
+
+    def test_too_few_wins_or_pairs_are_found(self):
+        assert self.problems(_claim(8, 10, metric="peak_rss_mb")) == [
+            "BENCH_x.json: claim 1: change wins 8/10 pairs, recorded 8/10"]
+        assert self.problems(_claim(9, 9, metric="peak_rss_mb")) == [
+            "BENCH_x.json: claim 1: needs >= 10 pairs of one parent and one change run"]
+
+    def test_a_claim_without_a_metric_counts_the_records_metric(self):
+        """The same runs counted on the record's ops_per_s, where no pair
+        differs, win none."""
+        assert self.problems(_claim(10, 10)) == [
+            "BENCH_x.json: claim 1: change wins 0/10 pairs, recorded 10/10"]
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)

@@ -119,6 +119,18 @@ MALFORMED_DATABASES = {
                             "bitstring text '+cd:8' is not '<hex digits>:<decimal digits>'"),
     "key-underscore": ("kimapdb v1 lambda=8\nv1 t000 1 ab:8\nv1 t001 1 a_b:8\n", 3,
                        "bitstring text 'a_b:8' is not '<hex digits>:<decimal digits>'"),
+    "counter-underscore": ("kimapdb v1 lambda=8\nv1 t001 1_0 ab:8\n", 2,
+                           "counter '1_0' is not decimal digits"),
+    "counter-signed": ("kimapdb v1 lambda=8\nv1 t000 1 ab:8\nv1 t001 +2 ab:8\n", 3,
+                       "counter '+2' is not decimal digits"),
+    "counter-non-ascii-digit": ("kimapdb v1 lambda=8\nv1 t001 ١ ab:8\n", 2,
+                                "counter '١' is not decimal digits"),
+    "lambda-space": ("kimapdb v1 lambda= 8\nv1 t001 1 ab:8\n", 1, "bad lambda in header"),
+    "lambda-underscore": ("kimapdb v1 lambda=1_6\nv1 t001 1 abcd:16\n", 1,
+                          "bad lambda in header"),
+    "lambda-signed": ("kimapdb v1 lambda=+8\nv1 t001 1 ab:8\n", 1, "bad lambda in header"),
+    "lambda-non-ascii-digit": ("kimapdb v1 lambda=８\nv1 t001 1 ab:8\n", 1,
+                               "bad lambda in header"),
 }
 
 
