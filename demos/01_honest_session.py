@@ -16,9 +16,9 @@ from kimap.protocol import (
     tag_verify_and_respond,
 )
 
-# A toy 16-bit world so the values fit on a line. Production deployments
-# use HashSpec.production(64) or wider.
-spec = HashSpec.toy(16)
+# A 16-bit world so the values fit on a line. It hashes as deployments do,
+# with SHA-256 truncated to the key width; deployments use 64 bits or wider.
+spec = HashSpec.production(16)
 server, tags = keygen(16, 1, Prng(seed=2024, stream_id=0))
 tag = tags[0]
 

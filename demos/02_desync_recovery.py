@@ -13,7 +13,7 @@ from kimap.bits import HashSpec, Prng
 from kimap.channel import AdversaryAction, FaultSchedule, World
 from kimap.protocol import keygen
 
-spec = HashSpec.toy(16)
+spec = HashSpec.production(16)
 
 
 def show(transcripts, server):

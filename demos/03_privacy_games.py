@@ -15,7 +15,7 @@ Three games, each 2,000 worlds here (the acceptance suite runs 10,000):
 from kimap.bits import HashSpec
 from kimap.games import GameConfig, KeyKnowledge, RandomGuess, run_game
 
-spec = HashSpec.toy(16)
+spec = HashSpec.production(16)
 cfg = GameConfig(lam=16, n=2, trials=2000, seed=42)
 
 

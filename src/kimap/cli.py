@@ -4,18 +4,17 @@ Subcommands and the flags each one reads::
 
     kimap init   --db DIR [--lambda N] [--tags N] [--seed N] [--force]
     kimap run    --db DIR [--sessions N] [--schedule FILE] [--strict] [--seed N]
-                 [--hash {production,toy}]
-    kimap game   DEFINITION DISTINGUISHER [--trials N] [--tags N] [--e1 N] [--e2 N]
-                 [--lambda N] [--seed N] [--hash {production,toy}]
-                 [--format {table,structured}]
+    kimap game   DEFINITION DISTINGUISHER [--trials N] [--tags N] [--lambda N]
+                 [--seed N] [--format {table,structured}]
     kimap cost   [--lambda N] [--tags N] [--hash-cycles N] [--clock-hz N]
                  [--t2r-bps N] [--r2t-bps N] [--serial-bps N] [--candidates N]
                  [--format {table,structured}]
     kimap lemma1 [--k N] [--mask HEX:LEN] [--seed N]
 
-Flags must be spelled in full. DEFINITION names a game in
-``kimap.games.DEFINITIONS``; ``game`` keeps the default step-oracle budgets
-(r1, r2, rb), which no registered distinguisher spends.
+Flags must be spelled in full, and each N in ASCII decimal digits. ``run``
+and ``game`` hash with ``HashSpec.production`` at the key width, and
+``game`` keeps every ``GameConfig`` budget at its default. DEFINITION names
+a game in ``kimap.games.DEFINITIONS``.
 
 The seed comes from --seed, else the KIMAP_SEED environment variable, else
 the fixed default 24301. Every command is deterministic under a fixed seed
@@ -31,12 +30,12 @@ rewrites the database only after every session ran. ``cost`` builds one
 Exit codes: 0 success, 1 operational failure (with --strict, rejections or
 desynchronized records; or stdout closed before the output was written), 2
 usage or configuration error. A usage error is argparse's own: an unknown
-flag or a bad value type, a malformed --mask included, with its reason. A
-configuration error is a ``ParameterError`` (a bad KIMAP_SEED, an
-out-of-range value, a malformed database, master key or schedule, one that
-is not UTF-8 text included, named as ``path:line``; a master key of another
-width than the database's keys), a ``GameError``, or an ``OSError`` (a path
-of the wrong kind, a failed read or write). ``main`` alone reports it, as
+flag or a bad value (a signed or non-decimal N, a malformed --mask), with
+its reason. A configuration error is a ``ParameterError`` (a bad
+KIMAP_SEED, an out-of-range value, a malformed database, master key or
+schedule, one that is not UTF-8 text included, named as ``path:line``; a
+master key of another width than the database's keys), a ``GameError``, or
+an ``OSError`` (a path of the wrong kind, a failed read or write). ``main`` alone reports it, as
 ``kimap: <message>`` on stderr, and returns 2. Any other exception is a
 library bug and ends in a traceback.
 """
@@ -46,6 +45,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -79,17 +79,29 @@ def _resolve_seed(value) -> int:
     if not env:
         return DEFAULT_SEED
     try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"KIMAP_SEED must be an integer, got {env!r}") from None
+        return read_decimal("KIMAP_SEED", env)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
 
+
+def _reasoned(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse ``type=`` of ``parse``: its ValueError is a usage error that says why."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+_decimal = _reasoned(partial(read_decimal, "value"))  # every integer flag's type
+_mask = _reasoned(BitString.from_text)
 
 # Flags shared by several subcommands; each subcommand takes only those its
 # handler reads.
 _SHARED_FLAGS = {
-    "--lambda": dict(dest="lam", type=int, default=64, help="key width in bits"),
-    "--seed": dict(type=int, default=None, help="PRNG seed (default: $KIMAP_SEED or 24301)"),
-    "--hash": dict(choices=["production", "toy"], default="production"),
+    "--lambda": dict(dest="lam", type=_decimal, default=64, help="key width in bits"),
+    "--seed": dict(type=_decimal, default=None, help="PRNG seed (default: $KIMAP_SEED or 24301)"),
     "--format": dict(choices=["table", "structured"], default="table"),
 }
 
@@ -104,14 +116,6 @@ _COST_FLAGS = {"--tags": "batch_tags", "--hash-cycles": "hash_cycles_per_block",
                "--clock-hz": "tag_clock_hz", "--t2r-bps": "t2r_rate_bps",
                "--r2t-bps": "r2t_rate_bps", "--serial-bps": "serial_rate_bps",
                "--candidates": "candidates"}
-
-
-def _mask(text: str) -> BitString:
-    """``--mask``'s type: a malformed mask is a usage error that says why."""
-    try:
-        return BitString.from_text(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _db_paths(db: str) -> tuple[Path, Path]:
 
 def _init_flags(p: argparse.ArgumentParser) -> None:
     _shared(p, "--lambda", "--seed")
-    p.add_argument("--tags", type=int, default=3, help="number of tags to provision")
+    p.add_argument("--tags", type=_decimal, default=3, help="number of tags to provision")
     p.add_argument("--db", required=True, help="directory for kimap.db and master.key")
     p.add_argument("--force", action="store_true", help="overwrite an existing database")
 
@@ -201,9 +205,9 @@ def cmd_init(args) -> int:
 
 
 def _run_flags(p: argparse.ArgumentParser) -> None:
-    _shared(p, "--seed", "--hash")
+    _shared(p, "--seed")
     p.add_argument("--db", required=True, help="directory holding kimap.db and master.key")
-    p.add_argument("--sessions", type=int, default=10, help="sessions to run (>= 1)")
+    p.add_argument("--sessions", type=_decimal, default=10, help="sessions to run (>= 1)")
     p.add_argument("--schedule", help="fault schedule file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on any rejection or desynchronized record")
@@ -214,14 +218,13 @@ def cmd_run(args) -> int:
     lam, records = load_database(db_path)
     master = load_master(master_path, lam)
     schedule = parse_schedule(args.schedule, lam) if args.schedule else FaultSchedule([])
-    spec = HashSpec(lam, args.hash)
 
     server = ServerState(master=master, records=records, prng=Prng(args.seed, _RUN_SERVER_STREAM))
     tags = [TagState(key=rec.key_current, counter=rec.counter,
                      prng=Prng(args.seed, _RUN_TAG_STREAM + idx))
             for idx, rec in enumerate(records.values())]
 
-    transcripts = World(server, tags, spec).run(schedule, args.sessions)
+    transcripts = World(server, tags, HashSpec.production(lam)).run(schedule, args.sessions)
     save_database(db_path, lam, server.records)
 
     for t in transcripts:
@@ -235,19 +238,15 @@ def cmd_run(args) -> int:
     desynced = sum(1 for rec in server.records.values() if rec.desynchronized)
     print(f"summary sessions={len(transcripts)} accepted={accepted} rejected={rejected} "
           f"aborted={aborted} recovered={recovered} desynced={desynced}")
-    if args.strict and (rejected > 0 or desynced > 0):
-        return 1
-    return 0
+    return 1 if args.strict and (rejected or desynced) else 0
 
 
 def _game_flags(p: argparse.ArgumentParser) -> None:
-    _shared(p, "--lambda", "--seed", "--hash", "--format")
+    _shared(p, "--lambda", "--seed", "--format")
     p.add_argument("definition", choices=list(DEFINITIONS))
     p.add_argument("distinguisher")
-    p.add_argument("--trials", type=int, default=GameConfig.trials)
-    p.add_argument("--tags", type=int, default=2, help="tags per game world")
-    p.add_argument("--e1", type=int, default=GameConfig.e1)
-    p.add_argument("--e2", type=int, default=GameConfig.e2)
+    p.add_argument("--trials", type=_decimal, default=GameConfig.trials)
+    p.add_argument("--tags", type=_decimal, default=2, help="tags per game world")
 
 
 def cmd_game(args) -> int:
@@ -255,8 +254,8 @@ def cmd_game(args) -> int:
     # A multi-tag challenge plays in a world with at least one tag besides it.
     k = DEFINITIONS[args.definition].challenge_tags
     n = args.tags if k == 1 else max(args.tags, k + 1)
-    cfg = GameConfig(lam=args.lam, n=n, e1=args.e1, e2=args.e2, trials=args.trials, seed=args.seed)
-    result = run_game(args.definition, cfg, d, HashSpec(args.lam, args.hash))
+    cfg = GameConfig(lam=args.lam, n=n, trials=args.trials, seed=args.seed)
+    result = run_game(args.definition, cfg, d, HashSpec.production(args.lam))
     if args.format == "structured":
         print(result.to_line())
     else:
@@ -272,7 +271,7 @@ def _cost_flags(p: argparse.ArgumentParser) -> None:
     _shared(p, "--lambda", "--format")
     for flag, name in _COST_FLAGS.items():
         p.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
-                       type=int, default=getattr(CostParams, name),
+                       type=_decimal, default=getattr(CostParams, name),
                        help="batch size for serial backhaul" if name == "batch_tags" else None)
 
 
@@ -296,7 +295,7 @@ def cmd_cost(args) -> int:
 
 def _lemma1_flags(p: argparse.ArgumentParser) -> None:
     _shared(p, "--seed")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=_decimal, default=8)
     p.add_argument("--mask", type=_mask, default=None,
                    help="fixed mask as hex:len (default: drawn from the seed)")
 

@@ -136,7 +136,7 @@ def test_criterion_05_lemma1_bijection():
 
 
 def test_criterion_06_oracle_composition_identity():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
     for trial in range(100):
         cfg = GameConfig(lam=16, n=2, seed=1006, trials=1)
         h = new_world(cfg, "ind", spec, trial)
@@ -156,7 +156,7 @@ def test_criterion_06_oracle_composition_identity():
 
 
 def test_criterion_07_restricted_backward_differential():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
     cfg = GameConfig(lam=16, n=2, trials=TRIALS, seed=GAME_SEED)
     started = time.monotonic()
     restricted = run_game("backward", cfg, KeyKnowledge(leaky=False), spec)
@@ -171,7 +171,7 @@ def test_criterion_07_restricted_backward_differential():
 
 
 def test_criterion_08_forward_security_sanity():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
     cfg = GameConfig(lam=16, n=2, trials=TRIALS, seed=GAME_SEED)
     result = run_game("forward", cfg, KeyKnowledge(leaky=False), spec)
     assert result.advantage <= 0.02, result.to_line()
@@ -180,7 +180,7 @@ def test_criterion_08_forward_security_sanity():
 
 
 def test_criterion_09_null_calibration():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
     cfg = GameConfig(lam=16, n=2, trials=TRIALS, seed=GAME_SEED)
     advantages = {}
     for definition in ("ind", "forward", "backward"):
@@ -192,7 +192,7 @@ def test_criterion_09_null_calibration():
 
 
 def test_criterion_10_tamper_countermeasure():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
     mutate = Prng(1010, 5)
     for round_no in range(100):
         server, tags = keygen(16, 1, Prng(1010, 10 + round_no))
@@ -221,7 +221,7 @@ def test_criterion_10_tamper_countermeasure():
 
 
 def test_criterion_11_desync_recovery_and_flagging():
-    spec = HashSpec.toy(16)
+    spec = HashSpec.production(16)
 
     server, tags = keygen(16, 1, Prng(1012, 0))
     ts = World(server, tags, spec).run(FaultSchedule([AdversaryAction.drop(4, 1)]), 2)

@@ -11,7 +11,7 @@ import pytest
 
 import kimap
 from kimap import channel, cli
-from kimap.bits import Prng
+from kimap.bits import HashSpec, Prng
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
 from kimap.costs import CostParams
@@ -56,12 +56,11 @@ def _write_narrow_master(d, monkeypatch):
     (d / "master.key").write_text("ab:8\n")
 
 
-def _set_bad_env_seed(d, monkeypatch):
-    monkeypatch.setenv("KIMAP_SEED", "abc")
-
-
-def _reinit_128_bits(d, monkeypatch):
-    assert main(["init", "--db", str(d), "--lambda", "128", "--tags", "1", "--force"]) == 0
+def _env_seed(text):
+    """A setup that sets KIMAP_SEED to ``text``."""
+    def setup(d, monkeypatch):
+        monkeypatch.setenv("KIMAP_SEED", text)
+    return setup
 
 
 def _write_non_utf8_db(d, monkeypatch):
@@ -89,52 +88,46 @@ EXIT_2_CASES = {
     "run-missing-db": (None, ("run", "--db", "DB/nope"), "nope"),
     "run-zero-sessions": (None, ("run", "--db", "DB", "--sessions", "0"),
                           "sessions must be >= 1, got 0"),
-    "run-bad-seed": (_set_bad_env_seed, ("run", "--db", "DB", "--sessions", "1"), "KIMAP_SEED"),
+    "run-bad-seed": (_env_seed("abc"), ("run", "--db", "DB", "--sessions", "1"), "KIMAP_SEED"),
+    "run-seed-only-int-takes": (_env_seed(" +1_0"), ("run", "--db", "DB", "--sessions", "1"),
+                                "KIMAP_SEED ' +1_0' is not decimal digits"),
     "run-unrecorded-replay": (_schedule("1 3 replay 5\n"),
-                              ("run", "--db", "DB", "--sessions", "3", "--hash", "toy",
-                               "--schedule", "SCHED"),
+                              ("run", "--db", "DB", "--sessions", "3", "--schedule", "SCHED"),
                               "sched.txt:1: replay source 5 is not before session 1"),
     "run-own-session-replay": (_schedule("1 3 replay 1\n"),
-                               ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                               ("run", "--db", "DB", "--schedule", "SCHED"),
                                "sched.txt:1: replay source 1 is not before session 1"),
     "run-aborted-replay-source": (_schedule("1 2 drop\n2 3 replay 1\n"),
-                                  ("run", "--db", "DB", "--sessions", "2", "--hash", "toy",
-                                   "--schedule", "SCHED"),
+                                  ("run", "--db", "DB", "--sessions", "2", "--schedule", "SCHED"),
                                   "replay source session 1 flight 3 was never recorded"),
     "run-duplicate-schedule-line": (_schedule("1 4 drop\n1 4 drop\n"),
-                                    ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                    ("run", "--db", "DB", "--schedule", "SCHED"),
                                     "sched.txt:2: duplicate action for session 1 flight 4"),
     "run-two-field-schedule-line": (_schedule("1 4\n"),
-                                    ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                    ("run", "--db", "DB", "--schedule", "SCHED"),
                                     "sched.txt:1: expected '<session> <flight> <action...>'"),
     "run-replace-on-flight-9": (_schedule("1 9 replace ab:16\n"),
-                                ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                                ("run", "--db", "DB", "--schedule", "SCHED"),
                                 "sched.txt:1: flight must be 1-4, got 9"),
     "run-underscore-flight": (_schedule("1 0_4 drop\n"),
-                              ("run", "--db", "DB", "--hash", "toy", "--schedule", "SCHED"),
+                              ("run", "--db", "DB", "--schedule", "SCHED"),
                               "sched.txt:1: flight '0_4' is not decimal digits"),
-    "run-underscore-counter": (_set_underscore_counter, ("run", "--db", "DB", "--hash", "toy"),
+    "run-underscore-counter": (_set_underscore_counter, ("run", "--db", "DB"),
                                "kimap.db:2: counter '1_0' is not decimal digits"),
-    "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB", "--hash", "toy"),
+    "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB"),
                           "master.key:1: master key width 8 != database lambda 16"),
-    "run-save-fails": (_fail_save, ("run", "--db", "DB", "--hash", "toy"), "disk full"),
-    "run-toy-hash-on-128-bits": (_reinit_128_bits, ("run", "--db", "DB", "--hash", "toy"),
-                                 "toy hash output width must be <= 64 bits, got 128"),
+    "run-save-fails": (_fail_save, ("run", "--db", "DB"), "disk full"),
     "run-db-not-utf8": (_write_non_utf8_db, ("run", "--db", "DB"),
                         "kimap.db:1: not UTF-8 text: can't decode byte 0xff"),
     "run-master-not-utf8": (_write_non_utf8_master, ("run", "--db", "DB"),
                             "master.key:1: not UTF-8 text: can't decode byte 0xff"),
-    "run-schedule-not-utf8": (_write_non_utf8_schedule, ("run", "--db", "DB", "--hash", "toy",
-                                                         "--schedule", "SCHED"),
+    "run-schedule-not-utf8": (_write_non_utf8_schedule,
+                              ("run", "--db", "DB", "--schedule", "SCHED"),
                               "sched.txt:1: not UTF-8 text: can't decode byte 0xff"),
     "init-lambda-above-any-hash": (None, ("init", "--db", "DB", "--lambda", "300", "--force"),
                                    "hash output width must be 1..256 bits, got 300"),
-    "game-no-execute-budget": (None, ("game", "ind", "random-guess", "--e1", "0"),
-                               "execute budget of 0 exhausted"),
     "game-unknown-distinguisher": (None, ("game", "ind", "psychic"), "unknown distinguisher"),
     "game-zero-trials": (None, ("game", "ind", "random-guess", "--trials", "0"), "trials >= 1"),
-    "game-negative-budget": (None, ("game", "ind", "random-guess", "--e1", "-1"),
-                             "budgets must be >= 0"),
     "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even"),
     "cost-zero-batch": (None, ("cost", "--tags", "0"), "batch_tags must be positive"),
     "cost-zero-clock": (None, ("cost", "--clock-hz", "0"), "tag_clock_hz must be positive"),
@@ -166,7 +159,7 @@ def test_library_bug_is_not_a_config_error(db_dir, monkeypatch):
         raise ValueError("broken invariant")
     monkeypatch.setattr(channel, "run_session", run_session)
     with pytest.raises(ValueError, match="broken invariant"):
-        run_cli("run", "--db", str(db_dir), "--hash", "toy")
+        run_cli("run", "--db", str(db_dir))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
@@ -183,7 +176,7 @@ def test_restart_changes_no_outcome(tmp_path, capsys):
 
     def run(d, sessions, *schedule):
         assert run_cli("run", "--db", str(d), "--sessions", str(sessions), "--seed", "9",
-                       "--hash", "toy", *schedule) == 0
+                       *schedule) == 0
         *transcripts, summary = capsys.readouterr().out.splitlines()
         return [t.rsplit(" server=", 1)[1] for t in transcripts], summary.rsplit(" ", 1)[1]
 
@@ -204,8 +197,8 @@ def test_closed_stdout_exits_1_without_message(db_dir):
     # 3000 transcript lines overflow any pipe buffer, so a write meets the
     # closed pipe.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kimap", "run", "--db", str(db_dir), "--sessions", "3000",
-         "--hash", "toy"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        [sys.executable, "-m", "kimap", "run", "--db", str(db_dir), "--sessions", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().startswith(b"transcript session=1 ")
     proc.stdout.close()
     err = proc.stderr.read()
@@ -251,8 +244,7 @@ class TestInit:
 
 class TestRun:
     def test_honest_sessions_all_accepted(self, db_dir, capsys):
-        code = run_cli("run", "--db", str(db_dir), "--sessions", "100",
-                       "--seed", "9", "--hash", "toy")
+        code = run_cli("run", "--db", str(db_dir), "--sessions", "100", "--seed", "9")
         out = capsys.readouterr().out
         assert code == 0
         assert "summary sessions=100 accepted=100 rejected=0" in out
@@ -262,7 +254,7 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 drop\n")
         code = run_cli("run", "--db", str(db_dir), "--sessions", "6", "--seed", "9",
-                       "--hash", "toy", "--schedule", str(sched))
+                       "--schedule", str(sched))
         out = capsys.readouterr().out
         assert code == 0
         assert "accepted=5 rejected=1" in out
@@ -273,7 +265,7 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 drop\n4 4 drop\n")
         run_cli("run", "--db", str(db_dir), "--sessions", "6", "--seed", "9",
-                "--hash", "toy", "--schedule", str(sched))
+                "--schedule", str(sched))
         out = capsys.readouterr().out
         assert "desynced=1" in out
 
@@ -281,10 +273,10 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text("1 4 drop\n")
         assert run_cli("run", "--db", str(db_dir), "--sessions", "2", "--seed", "9",
-                       "--hash", "toy", "--schedule", str(sched), "--strict") == 1
+                       "--schedule", str(sched), "--strict") == 1
 
     def test_db_rewritten_and_round_trips(self, db_dir, capsys):
-        run_cli("run", "--db", str(db_dir), "--sessions", "9", "--seed", "9", "--hash", "toy")
+        run_cli("run", "--db", str(db_dir), "--sessions", "9", "--seed", "9")
         lam, records = load_database(db_dir / "kimap.db")
         assert all(rec.counter == 4 for rec in records.values())
         assert all(rec.key_previous is not None for rec in records.values())
@@ -301,7 +293,7 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text("1 3 replay 5\n")
         before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
                        "--schedule", str(sched)) == 2
         err = capsys.readouterr().err
         assert err.startswith("kimap: ")
@@ -315,7 +307,7 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text(line + "\n")
         before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
                        "--schedule", str(sched)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("kimap: ") and "sched.txt:1: replacement " in captured.err
@@ -327,7 +319,7 @@ class TestRun:
         sched = tmp_path / "sched.txt"
         sched.write_text("0 4 drop\n")
         before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3", "--hash", "toy",
+        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
                        "--schedule", str(sched)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("kimap: ")
@@ -358,7 +350,7 @@ class TestRun:
         set_first_counter(d, 2**32)
         before = (d / "kimap.db").read_bytes()
         capsys.readouterr()
-        assert run_cli("run", "--db", str(d), "--hash", "toy") == 2
+        assert run_cli("run", "--db", str(d)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("kimap: ") and ":2:" in captured.err
         assert captured.out == ""
@@ -369,7 +361,7 @@ class TestRun:
         assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
         exhausted = set_first_counter(d, 2**32 - 1)
         capsys.readouterr()
-        assert run_cli("run", "--db", str(d), "--hash", "toy", "--sessions", "4") == 0
+        assert run_cli("run", "--db", str(d), "--sessions", "4") == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "summary sessions=4 accepted=2 rejected=2 aborted=0 recovered=0 desynced=0")
         assert (d / "kimap.db").read_text().splitlines()[1] == exhausted
@@ -402,7 +394,7 @@ class TestRun:
             d = tmp_path / name
             run_cli("init", "--db", str(d), "--tags", "2", "--seed", "77", "--lambda", "16")
             capsys.readouterr()
-            run_cli("run", "--db", str(d), "--sessions", "7", "--seed", "77", "--hash", "toy")
+            run_cli("run", "--db", str(d), "--sessions", "7", "--seed", "77")
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert (tmp_path / "a" / "kimap.db").read_bytes() == (tmp_path / "b" / "kimap.db").read_bytes()
@@ -411,20 +403,20 @@ class TestRun:
 class TestGame:
     def test_structured_output(self, capsys):
         code = run_cli("game", "ind", "random-guess", "--trials", "200", "--lambda", "16",
-                       "--hash", "toy", "--seed", "3", "--format", "structured")
+                       "--seed", "3", "--format", "structured")
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("gameresult definition=ind distinguisher=random-guess")
 
     def test_table_output(self, capsys):
         run_cli("game", "backward", "key-knowledge", "--trials", "100", "--lambda", "16",
-                "--hash", "toy", "--seed", "3")
+                "--seed", "3")
         out = capsys.readouterr().out
         assert "advantage" in out and "strategy   key-knowledge" in out
 
     def test_leaky_control_wins(self, capsys):
         run_cli("game", "backward", "key-knowledge-leaky", "--trials", "100",
-                "--lambda", "16", "--hash", "toy", "--seed", "3", "--format", "structured")
+                "--lambda", "16", "--seed", "3", "--format", "structured")
         out = capsys.readouterr().out
         wins = int(next(f for f in out.split() if f.startswith("wins=")).split("=")[1])
         assert wins >= 99
@@ -435,7 +427,7 @@ class TestGame:
 
     def test_deterministic_output(self, capsys):
         args = ("game", "forward", "random-guess", "--trials", "50", "--lambda", "16",
-                "--hash", "toy", "--seed", "5", "--format", "structured")
+                "--seed", "5", "--format", "structured")
         run_cli(*args)
         first = capsys.readouterr().out
         run_cli(*args)
@@ -443,13 +435,13 @@ class TestGame:
 
     def test_ind2tag_mode_runs(self, capsys):
         assert run_cli("game", "ind2tag", "random-guess", "--trials", "50",
-                       "--lambda", "16", "--hash", "toy", "--seed", "4") == 0
+                       "--lambda", "16", "--seed", "4") == 0
 
     def test_two_tag_game_is_one_table_row(self, monkeypatch, capsys):
         monkeypatch.setitem(DEFINITIONS, "link2tag",
                             Definition(DEFINITIONS["ind"].oracles, 0, 2))
         assert run_cli("game", "link2tag", "random-guess", "--trials", "20", "--lambda", "16",
-                       "--hash", "toy", "--seed", "4", "--format", "structured") == 0
+                       "--seed", "4", "--format", "structured") == 0
         out = capsys.readouterr().out
         assert out.startswith("gameresult definition=link2tag distinguisher=random-guess")
         assert " n=3 " in out and " trials=20 " in out
@@ -459,13 +451,14 @@ class TestGame:
                        "--trials", "10") == 2
 
     def test_budget_and_trial_defaults_are_game_config_defaults(self, monkeypatch, capsys):
+        """``game`` sets no budget, and hashes with production at the key width."""
         seen, run_game = [], cli.run_game
-        monkeypatch.setattr(cli, "run_game",
-                            lambda name, cfg, d, spec: seen.append(cfg) or run_game(name, cfg, d, spec))
-        assert run_cli("game", "ind", "random-guess", "--hash", "toy", "--lambda", "16") == 0
-        [cfg] = seen
-        defaults = GameConfig(lam=16, n=2)
-        assert (cfg.e1, cfg.e2, cfg.trials) == (defaults.e1, defaults.e2, defaults.trials)
+        monkeypatch.setattr(cli, "run_game", lambda name, cfg, d, spec:
+                            seen.append((cfg, spec)) or run_game(name, cfg, d, spec))
+        assert run_cli("game", "ind", "random-guess", "--lambda", "16") == 0
+        [(cfg, spec)] = seen
+        assert cfg == GameConfig(lam=16, n=2, seed=cfg.seed)
+        assert spec == HashSpec.production(16)
 
 
 class TestCost:
@@ -540,7 +533,19 @@ UNREAD_FLAGS = [
     ("lemma1", "--lambda", "16"), ("lemma1", "--hash", "toy"),
     ("lemma1", "--format", "structured"),
     ("game", "--r1", "5"), ("game", "--rb", "5"),
+    ("run", "--hash", "toy"), ("game", "--hash", "toy"),
+    ("game", "--e1", "5"), ("game", "--e2", "5"),
     ("cost", "--hash-ops", "4"), ("cost", "--hash", "5"),
+]
+
+
+# Integer text that only ``int()`` takes (a sign, ``_``, a space, another
+# script's digits) is a usage error that names the flag.
+NON_DECIMAL_FLAGS = [
+    ("init", "--tags", "0_3"), ("init", "--lambda", "1_6"), ("init", "--seed", " 9"),
+    ("run", "--sessions", "+1"), ("run", "--seed", "-5"),
+    ("game", "--trials", "-1"), ("game", "--tags", "\u0663"),
+    ("cost", "--candidates", "1 "), ("lemma1", "--k", "\uff18"),
 ]
 
 
@@ -561,18 +566,27 @@ class TestFlags:
         assert "error: " in err and argv[1] in err
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("argv", NON_DECIMAL_FLAGS, ids=" ".join)
+    def test_integer_text_only_int_takes_is_usage_error(self, db_dir, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*with_required(argv, str(db_dir), str(tmp_path / "fresh")))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[1]}: value {argv[2]!r} is not decimal digits" in err
+        assert not (tmp_path / "fresh").exists()
+
 
 # A parser built for argv[0] alone must parse argv as the full parser does.
 PARSER_ARGV = [
     *([name, "--help"] for name in cli.COMMANDS),
-    *(with_required(argv) for argv in UNREAD_FLAGS),
+    *(with_required(argv) for argv in UNREAD_FLAGS + NON_DECIMAL_FLAGS),
     ["run", "--db", "D", "--sessions", "abc"],
     *(["lemma1", "--mask", mask] for mask in TestLemma1.MASK_REASONS),
     ["run"],
     ["run", "--db", "D", "--bogus"],
     ["game", "bogus", "random-guess"],
     ["init", "--db", "D", "--lambda", "16", "--tags", "2", "--force"],
-    ["run", "--db", "D", "--sessions", "3", "--schedule", "S", "--strict", "--hash", "toy"],
+    ["run", "--db", "D", "--sessions", "3", "--schedule", "S", "--strict"],
     ["game", "forward", "key-knowledge", "--trials", "5", "--format", "structured"],
     ["cost", "--tags", "7", "--candidates", "3"],
     ["lemma1", "--k", "4", "--mask", "a:4", "--seed", "3"],

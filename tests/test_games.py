@@ -525,6 +525,17 @@ class TestRunGame:
         with pytest.raises(ValueError, match="unknown game definition"):
             run_game("bogus", cfg, RandomGuess(), TOY16)
 
+    def test_negative_budget_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="budgets must be >= 0"):
+            GameConfig(lam=16, n=2, e1=-1)
+
+    def test_no_execute_budget_ends_the_game(self):
+        """random-guess eavesdrops each tag once, so an execute budget of 0
+        stops its first trial."""
+        cfg = GameConfig(lam=16, n=2, e1=0, trials=1, seed=68)
+        with pytest.raises(BudgetExceededError, match="execute budget of 0 exhausted"):
+            run_game("ind", cfg, RandomGuess(), HashSpec.production(16))
+
 
 class Echo(Distinguisher):
     """Public oracles only: eavesdrop the challenge tag with ``execute``, then

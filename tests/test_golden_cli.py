@@ -35,7 +35,7 @@ def test_init_then_scheduled_run(tmp_path, capsys):
     sched.write_text(SCHEDULE)
     out = _stdout(capsys, "init", "--db", str(db), "--lambda", "16", "--tags", "3", "--seed", "9")
     out += _stdout(capsys, "run", "--db", str(db), "--sessions", "9", "--seed", "9",
-                   "--hash", "toy", "--schedule", str(sched))
+                   "--schedule", str(sched))
     assert out == (FIXTURES / "init_run.txt").read_text()
     assert (db / "kimap.db").read_bytes() == (FIXTURES / "init_run.db").read_bytes()
 
@@ -44,6 +44,6 @@ def test_init_then_scheduled_run(tmp_path, capsys):
 def test_game_structured(definition, capsys):
     out = "".join(
         _stdout(capsys, "game", definition, d, "--trials", "25", "--lambda", "16",
-                "--hash", "toy", "--seed", "3", "--format", "structured")
+                "--seed", "3", "--format", "structured")
         for d in GAMES[definition])
     assert out == (FIXTURES / f"game_{definition}.txt").read_text()

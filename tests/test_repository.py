@@ -1,17 +1,21 @@
 """The repository's own pins: every xfail that cites a ROADMAP item is strict
 and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
-adds up from its runs, and each demo prints the bytes of its golden file."""
+adds up from its runs, each demo prints the bytes of its golden file, and
+each ``kimap`` command in the README parses."""
 
 import ast
 import json
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from kimap import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -180,3 +184,33 @@ def test_demo_prints_its_golden_file(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     golden = ROOT / "tests" / "fixtures" / "golden_demos" / f"{demo.stem}.txt"
     assert proc.stdout == golden.read_bytes()
+
+
+def readme_commands(text):
+    """The argv of each ``kimap ...`` line in the ```sh blocks of ``text``,
+    split as a shell splits it, its comment dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines() if line.startswith("kimap ")]
+
+
+def parse_error(argv, capsys):
+    """What ``kimap`` prints for ``argv``'s usage error, or '' when it parses.
+    Parsing runs no command."""
+    try:
+        cli.build_parser(argv[0]).parse_args(argv)
+    except SystemExit:
+        return capsys.readouterr().err
+    return ""
+
+
+@pytest.mark.parametrize("argv", readme_commands((ROOT / "README.md").read_text()), ids=" ".join)
+def test_readme_command_parses(argv, capsys):
+    assert parse_error(argv, capsys) == ""
+
+
+def test_a_readme_command_with_a_removed_flag_is_found(capsys):
+    stale = "```sh\nkimap game ind random-guess --lambda 16 --hash toy   # old\n```\n"
+    [argv] = readme_commands(stale)
+    assert argv == ["game", "ind", "random-guess", "--lambda", "16", "--hash", "toy"]
+    assert "unrecognized arguments: --hash toy" in parse_error(argv, capsys)
