@@ -19,9 +19,9 @@ candidate's ``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian
 bytes, in broadcast order. The 32 candidates of 16 records at 64 bits take
 520 bytes (553 as a Python object), against about 3,350 for a tuple of each
 bit string's value and width. The header names the widths once because they
-are the same for every candidate of one broadcast: one spec hashes every
-sigma, and :func:`~kimap.protocol.server_prepare` checks every slot's width
-against the session's. A replay rebuilds a payload equal to the one its
+are the same for every candidate of one broadcast: the session's one spec
+hashes every sigma, and :func:`~kimap.protocol.make_candidate` holds every
+slot to the session's width. A replay rebuilds a payload equal to the one its
 source emitted.
 """
 

@@ -215,7 +215,7 @@ class OracleHandle:
         label = self._labels[tag]
         keys = slot_keys(self.spec, self.server.master, label, self.server.records[label],
                          "current")
-        bc, self._pending_reply[tag] = make_candidate((keys,), session_operands(x_s, x_t))
+        bc, self._pending_reply[tag] = make_candidate((keys,), session_operands(self.spec, x_s, x_t))
         return bc
 
     def _reply_prime_core(self, tag: int, x_s: BitString,
@@ -288,7 +288,7 @@ class OracleHandle:
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
         bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
-        return self._reply_prime_core(tag, pend.x_s, bc)[0].sigma_prime
+        return self._reply_prime_core(tag, pend.ops.x_s, bc)[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
         """Eavesdrop one full honest session."""

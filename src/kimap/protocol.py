@@ -28,15 +28,15 @@ expected ``sigma'``), each from one slot term ORed with one session term,
 both encoded as ints by the one ``hash2`` layout
 (:func:`~kimap.bits.hash2_layout`). A record slot's terms are cached in its
 :class:`SlotKeys`, rebuilt only when the slot's key or the record's counter
-changes, at one hash (the partial key) and one XOR (``delta``), with the key
-halves taken from the ints; the session's terms are built once, with their
-width check, by :func:`session_operands`, and the tag's scan shares them.
-The slots are shuffled before any candidate is built, and one
-:func:`make_candidate` call builds the whole broadcast in that order, with
-its :class:`PendingSession`: no other code builds either. Digests stay ints
-until they reach the wire. The pending session keeps, in broadcast order,
-each candidate's :class:`SlotKeys` and expected ``sigma'``; the next key,
-one hash from the slot's cached ``k'' || x''`` term, is computed only for
+changes, at one hash (the partial key) and one XOR (``delta``). The
+session's hash spec and terms are built once by :func:`session_operands`,
+and the tag's scan shares them. Each width is checked once, where it is
+made: a slot's key against the master, ``x_t`` against ``x_s``, and the
+session against the master, all before the shuffle. One
+:func:`make_candidate` call then builds the shuffled broadcast with its
+:class:`PendingSession`: no other code builds either. Digests stay ints
+until they reach the wire. The next key, one hash from the slot's cached
+``k'' || x''`` term and the session's ``x_s`` term, is computed only for
 the matched candidate, or for every record when a failed session hedges.
 :func:`partial_key`, :func:`session_key`, :func:`key_update`,
 :func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
@@ -124,12 +124,12 @@ class SlotKeys(NamedTuple):
     ``session_term``, the shifted right operand ``k' || x'`` (the session
     key) of ``sigma'``; and ``next_term``, the length-prefixed, shifted
     left operand ``k'' || x''`` of the key update. ``x`` itself is not
-    kept: ``delta XOR key`` gives it back. ``width`` is the width of ``key``
-    and of ``x``. Built by :func:`slot_keys`."""
+    kept: ``delta XOR key`` gives it back, nor is the spec, which is the
+    session's. ``width`` is the width of ``key``, of ``x`` and of the
+    master. Built by :func:`slot_keys`."""
 
     label: str
     slot: str
-    spec: HashSpec
     counter: int
     key: BitString
     width: int
@@ -138,18 +138,15 @@ class SlotKeys(NamedTuple):
     session_term: int
     next_term: int
 
-    def next_key(self, x_s: BitString) -> BitString:
+    def next_key(self, ops: "SessionOperands") -> BitString:
         """The key the server commits if this slot's candidate is matched in
-        the session with challenge ``x_s``: ``H(k'' || x'', x_s)``, the
-        digest of :func:`key_update`. One hash on every call, so only the
-        matched candidate and the hedging path pay for it."""
-        width = self.width
-        if x_s._length != width:
-            raise _mismatch(self.key, x_s)
-        _, _, shift, nbytes = _layouts(width)[2]
-        spec = self.spec
-        return _trusted(hash2(spec, self.next_term | x_s._value << shift, nbytes),
-                        spec.output_len_bits)
+        the session ``ops``: ``H(k'' || x'', x_s)``, the digest of
+        :func:`key_update`, from this slot's term ORed with the session's.
+        One hash per call, paid only by the matched candidate and hedging."""
+        if ops.width != self.width:
+            raise _mismatch(self.key, ops.x_s)
+        return _trusted(hash2(ops.spec, self.next_term | ops.s_term, ops.next_bytes),
+                        ops.spec.output_len_bits)
 
     def __deepcopy__(self, memo: dict) -> "SlotKeys":
         return self  # every field is immutable
@@ -210,32 +207,36 @@ class TagAuth:
 
 @dataclass(frozen=True, slots=True)
 class SessionOperands:
-    """A session's message operands, encoded once per session by
-    :func:`~kimap.bits.hash2_layout`: ``s_t_term`` is the shifted right
-    operand ``x_s || x_t`` of every candidate's ``sigma``, and ``t_s_term``
-    the length-prefixed, shifted left operand ``x_t || x_s`` of every
-    expected ``sigma'``; ``sigma_bytes`` and ``sigma_prime_bytes`` are the
-    two inputs' byte counts. ``width`` is the width of ``x_s`` and ``x_t``,
-    and so of every key."""
+    """One session: the hash ``spec`` of all its digests, and its message
+    operands, encoded once by :func:`~kimap.bits.hash2_layout`: ``s_t_term``
+    is the shifted right operand ``x_s || x_t`` of every ``sigma``,
+    ``t_s_term`` the length-prefixed, shifted left operand ``x_t || x_s`` of
+    every expected ``sigma'``, and ``s_term`` the shifted right operand
+    ``x_s`` of every key update; ``sigma_bytes``, ``sigma_prime_bytes`` and
+    ``next_bytes`` are the three inputs' byte counts. ``width`` is the width
+    of ``x_s`` and ``x_t``, and so of every key."""
 
+    spec: HashSpec
     x_s: BitString
     x_t: BitString
     width: int
     s_t_term: int
     t_s_term: int
+    s_term: int
     sigma_bytes: int
     sigma_prime_bytes: int
+    next_bytes: int
 
 
 @dataclass(frozen=True)
 class PendingSession:
-    """Server-side bookkeeping for one in-flight session, in broadcast
-    order: ``candidates`` holds the slot each broadcast candidate came from,
-    and ``expected`` each candidate's expected ``sigma'`` as an int (its
-    width is the hash's output width). Discarded after finalize/timeout;
-    never persisted."""
+    """Server-side bookkeeping for one in-flight session ``ops``, in
+    broadcast order: ``candidates`` holds the slot, as wide as the session,
+    each broadcast candidate came from, and ``expected`` each candidate's
+    expected ``sigma'`` as an int. Built only by :func:`make_candidate`;
+    discarded after finalize/timeout; never persisted."""
 
-    x_s: BitString
+    ops: SessionOperands
     candidates: tuple[SlotKeys, ...]
     expected: tuple[int, ...]
 
@@ -356,9 +357,10 @@ def _layouts(width: int) -> tuple[tuple[int, int, int, int], ...]:
 def slot_keys(spec: HashSpec, master: BitString, label: str, rec: ServerTagRecord,
               slot: str) -> SlotKeys:
     """The :class:`SlotKeys` of the key in ``slot`` of ``rec``, the record
-    of ``label``, at the record's counter: one hash and one XOR. The halves
-    ``k'``, ``k''``, ``x'`` and ``x''`` are taken from the ints, so the
-    terms hold the values :func:`partial_key`, :func:`session_key` and
+    of ``label``, at the record's counter under ``spec``: one hash and one
+    XOR. The key must be as wide as ``master`` and as the hash's output. The
+    halves ``k'``, ``k''``, ``x'`` and ``x''`` are taken from the ints, so
+    the terms hold the values :func:`partial_key`, :func:`session_key` and
     :func:`key_update` take."""
     key = rec.key_current if slot == "current" else rec.key_previous
     width = key._length
@@ -366,55 +368,60 @@ def slot_keys(spec: HashSpec, master: BitString, label: str, rec: ServerTagRecor
         raise LengthError(f"cannot split odd length {width}")
     counter = rec.counter
     x = counter_hash(spec, counter, master, key)
-    if x._length != width:
-        raise _mismatch(key, x)
+    if x._length != width or master._length != width:
+        raise _mismatch(key, master, x)
     half = width >> 1
     low = (1 << half) - 1
     k, xv = key._value, x._value
     k_prime = k >> half
     (base, shift, _, _), (_, _, sk_shift, _), (next_base, next_shift, _, _) = _layouts(width)
     return _new_tuple(SlotKeys, (
-        label, slot, spec, counter, key, width, xor(key, x),
+        label, slot, counter, key, width, xor(key, x),
         base | (k_prime << width | xv) << shift,
         (k_prime << half | xv >> half) << sk_shift,
         next_base | ((k & low) << half | xv & low) << next_shift))
 
 
-def session_operands(x_s: BitString, x_t: BitString) -> SessionOperands:
-    """The session's operands :class:`SessionOperands`, after the one width
-    check they need: ``x_s`` and ``x_t`` are equally wide."""
+def session_operands(spec: HashSpec, x_s: BitString, x_t: BitString) -> SessionOperands:
+    """The session :class:`SessionOperands` under ``spec``, after the one
+    width check its operands need: ``x_s`` and ``x_t`` are equally wide."""
     width = len(x_s)
     if len(x_t) != width:
         raise _mismatch(x_s, x_t)
-    (_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes), _ = _layouts(width)
+    ((_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes),
+     (_, _, s_shift, next_bytes)) = _layouts(width)
     s, t = x_s.value, x_t.value
-    return SessionOperands(x_s, x_t, width, (s << width | t) << st_shift,
-                           base | (t << width | s) << ts_shift, sigma_bytes, sigma_prime_bytes)
+    return SessionOperands(spec, x_s, x_t, width, (s << width | t) << st_shift,
+                           base | (t << width | s) << ts_shift, s << s_shift,
+                           sigma_bytes, sigma_prime_bytes, next_bytes)
 
 
 def make_candidate(slots: Sequence[SlotKeys],
                    ops: SessionOperands) -> tuple[BroadcastAuth, PendingSession]:
-    """Flight 3 over each (record, key slot) in ``slots``, two hashes each:
-    the broadcast of the wire pairs ``(sigma, delta)``, and the
-    :class:`PendingSession` of each slot and its expected ``sigma'`` as an
-    int, in the order of ``slots``. No other code builds either object. The
-    digests are those of :func:`auth_server_tag` and :func:`auth_tag_msg`,
-    each hashed from one slot term ORed with one session term; the next key
-    is computed on demand (:meth:`SlotKeys.next_key`)."""
-    width, s_t, t_s = ops.width, ops.s_t_term, ops.t_s_term
+    """Flight 3 of the session ``ops`` over each (record, key slot) in
+    ``slots``, two hashes each: the broadcast of the wire pairs ``(sigma,
+    delta)``, and the :class:`PendingSession` of each slot and its expected
+    ``sigma'``, in the order of ``slots``. No other code builds either. Each
+    slot is held to the session's width; every slot must have been built
+    under ``ops.spec``, as the slot cache's ``(spec, master)`` key ensures.
+    The digests are those of :func:`auth_server_tag` and
+    :func:`auth_tag_msg`, each hashed from one slot term ORed with one
+    session term; the next key is computed on demand
+    (:meth:`SlotKeys.next_key`)."""
+    spec, width, s_t, t_s = ops.spec, ops.width, ops.s_t_term, ops.t_s_term
     sigma_bytes, sigma_prime_bytes = ops.sigma_bytes, ops.sigma_prime_bytes
+    out_bits = spec.output_len_bits
     pairs: list[ServerAuthCandidate] = []
     expected: list[int] = []
     for keys in slots:
         if keys.width != width:
             raise _mismatch(keys.key, ops.x_s, ops.x_t)
-        spec = keys.spec
         sigma = _new_object(BitString)
         sigma._value = hash2(spec, keys.sigma_term | s_t, sigma_bytes)
-        sigma._length = spec.output_len_bits
+        sigma._length = out_bits
         pairs.append(_new_tuple(ServerAuthCandidate, (sigma, keys.delta)))
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
-    return BroadcastAuth(tuple(pairs)), PendingSession(ops.x_s, tuple(slots), tuple(expected))
+    return BroadcastAuth(tuple(pairs)), PendingSession(ops, tuple(slots), tuple(expected))
 
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
@@ -424,14 +431,16 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
     no candidate.
 
     A slot's cached :class:`SlotKeys` is served only while its record's
-    counter and the very key object it was built from are unchanged. Every
-    slot's width is checked before the shuffle, so a record of another
-    width than the session raises with the server's PRNG unmoved; the
-    shuffled slots then go to one :func:`make_candidate` call, which builds
-    the broadcast and the pending session returned."""
-    ops = session_operands(x_s, x_t)
-    width = ops.width
+    counter and the very key object it was built from are unchanged. The
+    session, and each slot as it is built, is held to the master's width
+    before the shuffle, so a session or record of another width raises with
+    the server's PRNG unmoved; the shuffled slots then go to one
+    :func:`make_candidate` call, which builds the broadcast and the pending
+    session returned."""
+    ops = session_operands(spec, x_s, x_t)
     master = server.master
+    if ops.width != master._length:
+        raise _mismatch(master, x_s, x_t)
     current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
     slots: list[SlotKeys] = []
     for label, rec in server.records.items():
@@ -441,16 +450,12 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
         keys = current.get(label)
         if keys is None or keys.counter != counter or keys.key is not rec.key_current:
             keys = current[label] = slot_keys(spec, master, label, rec, "current")
-        if keys.width != width:
-            raise _mismatch(keys.key, x_s, x_t)
         slots.append(keys)
         key = rec.key_previous
         if key is not None:
             keys = previous.get(label)
             if keys is None or keys.counter != counter or keys.key is not key:
                 keys = previous[label] = slot_keys(spec, master, label, rec, "previous")
-            if keys.width != width:
-                raise _mismatch(keys.key, x_s, x_t)
             slots.append(keys)
     server.prng.shuffle(slots)
     return make_candidate(slots, ops)
@@ -469,7 +474,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         raise SessionOrderError("no session in flight on this tag")
     x_t = tag.pending
     with metered(tag.meter):
-        ops = session_operands(x_s, x_t)
+        ops = session_operands(spec, x_s, x_t)
         key = tag.key
         width = ops.width
         if len(key) != width:
@@ -516,14 +521,14 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     """
     # Every expectation is compared as an int; a sole match is then held
     # to the hash's output width.
-    want = ta.sigma_prime
+    want, ops = ta.sigma_prime, pending.ops
     if pending.expected.count(want.value) == 1:
         keys = pending.candidates[pending.expected.index(want.value)]
-        if len(want) == keys.spec.output_len_bits:
+        if len(want) == ops.spec.output_len_bits:
             rec = server.records[keys.label]
             if keys.slot == "current":
                 rec.key_previous = rec.key_current
-            rec.key_current = keys.next_key(pending.x_s)
+            rec.key_current = keys.next_key(ops)
             rec.counter += 1
             rec.consecutive_failures = 0
             return AuthResult(accepted=True, label=keys.label, matched_slot=keys.slot)
@@ -539,21 +544,16 @@ def server_timeout(server: ServerState, pending: PendingSession) -> AuthResult:
     consecutive failures without an accept mean the recovery slot itself was
     lost.
 
-    The next key is :meth:`SlotKeys.next_key`'s, with the challenge's term
-    and the key update's layout built once for every record."""
-    x_s = pending.x_s
-    width = x_s._length
-    _, _, shift, nbytes = _layouts(width)[2]
-    challenge = x_s._value << shift
-    records = server.records
+    The next key is :meth:`SlotKeys.next_key`'s, with no width check:
+    :func:`make_candidate`, the only builder of a :class:`PendingSession`,
+    held every slot to the session's width."""
+    ops, records = pending.ops, server.records
+    spec, s_term, nbytes = ops.spec, ops.s_term, ops.next_bytes
     for keys in pending.candidates:
         if keys.slot != "current":
             continue
-        if keys.width != width:
-            raise _mismatch(keys.key, x_s)
-        spec = keys.spec
         key = _new_object(BitString)
-        key._value = hash2(spec, keys.next_term | challenge, nbytes)
+        key._value = hash2(spec, keys.next_term | s_term, nbytes)
         key._length = spec.output_len_bits
         rec = records[keys.label]
         rec.key_previous = key

@@ -1,8 +1,13 @@
 """Golden CLI output: fixed commands must print exactly the recorded bytes.
 
 The fixtures under ``tests/fixtures/golden_cli/`` were captured from the
-command lines below. Any change to hashing, key scheduling, broadcast order,
-fault handling or the printed formats shows up here as a byte difference.
+command lines below, which run the production hash at lambda=16.
+``init_run.*`` pins hashing, key scheduling, broadcast order, fault
+handling, the database format and the run's printed format: any change to
+them shows up there as a byte difference. The ``game_*.txt`` files pin the
+games' trial outcomes and printed format, but not the hash: their recorded
+wins come out the same on the toy hash, so they print the same bytes on
+both.
 """
 
 from pathlib import Path

@@ -3,10 +3,10 @@
 A 48-session round-robin run over four tags at lambda=64 with SHA-256, under
 drops on flights 2, 3 and 4, flight-3 replays and flight-4 replacements,
 must print exactly the recorded transcript lines and leave exactly the
-recorded server records. This is the server's flight-3 path at a real hash
-width (the CLI golden test covers only the toy lambda=16 path): any change
-to partial keys, candidates, the broadcast order, recovery or hedging shows
-up here as a byte difference.
+recorded server records. This is the server's flight-3 path at a real key
+width (the CLI golden test runs the production hash at lambda=16 only): any
+change to partial keys, candidates, the broadcast order, recovery or
+hedging shows up here as a byte difference.
 """
 
 from pathlib import Path

@@ -214,7 +214,16 @@ class TestTagVerify:
 def _make_candidate_of_other_width():
     server, _ = keygen(16, 1, Prng(24, 0))
     keys = slot_keys(TOY16, server.master, "t001", server.records["t001"], "current")
-    make_candidate((keys,), session_operands(BitString(0, 8), BitString(0, 8)))
+    make_candidate((keys,), session_operands(TOY16, BitString(0, 8), BitString(0, 8)))
+
+
+def _slot_keys_of_key_narrower_than_the_master():
+    """An 8-bit key under an 8-bit hash, with the 16-bit master: the partial
+    key is as wide as the key, so only the master's width tells."""
+    server, _ = keygen(16, 1, Prng(29, 0))
+    rec = server.records["t001"]
+    rec.key_current = BitString(0x5A, 8)
+    slot_keys(TOY8, server.master, "t001", rec, "current")
 
 
 def _tag_scan_of_narrow_delta():
@@ -249,12 +258,14 @@ class TestWidthChecks:
         lambda: split(BitString(0, 5)),
         lambda: BitString(16, 4),
         lambda: counter_hash(TOY16, 2**32, BitString(0, 16), BitString(0, 16)),
-        lambda: session_operands(BitString(0, 16), BitString(0, 15)),
+        lambda: session_operands(TOY16, BitString(0, 16), BitString(0, 15)),
+        _slot_keys_of_key_narrower_than_the_master,
         _make_candidate_of_other_width,
         _tag_scan_of_narrow_delta,
         _server_prepare_of_narrow_previous_key,
         _tag_scan_of_narrow_tag_key,
-    ], ids=["xor", "split", "bitstring", "counter_hash", "session_operands", "make_candidate",
+    ], ids=["xor", "split", "bitstring", "counter_hash", "session_operands",
+            "slot_keys_master", "make_candidate",
             "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key"])
     def test_every_width_check_raises_length_error(self, broken):
         with pytest.raises(LengthError):
@@ -266,16 +277,21 @@ class TestWidthChecks:
         with pytest.raises(LengthError):
             server_prepare(server, BitString(0, x_s_len), BitString(0, x_t_len), TOY16)
 
-    def test_width_error_leaves_the_prng_unmoved(self):
-        """Every slot's width is checked before the broadcast shuffle, so a
-        session that does not fit the records' keys raises with the server's
-        stream where it was."""
+    @pytest.mark.parametrize("narrow_key,width,spec", [(False, 32, TOY16), (True, 16, TOY8)],
+                             ids=["session", "record"])
+    def test_width_error_leaves_the_prng_unmoved(self, narrow_key, width, spec):
+        """The session and every slot are held to the master's width before
+        the broadcast shuffle, so a session that does not fit the master, or
+        a record whose key does not, raises with the server's stream where
+        it was."""
         server, _ = keygen(16, 3, Prng(26, 0))
         server.records["t002"].key_previous = BitString(0x5A5A, 16)
+        if narrow_key:  # an 8-bit key under an 8-bit hash, with the 16-bit master
+            server.records["t001"].key_current = BitString(0x5A, 8)
         server_begin(server)  # the stream holds buffered bits
         before = (server.prng._counter, server.prng._acc, server.prng._acc_bits)
         with pytest.raises(LengthError):
-            server_prepare(server, BitString(0, 32), BitString(0, 32), TOY16)
+            server_prepare(server, BitString(0, width), BitString(0, width), spec)
         assert (server.prng._counter, server.prng._acc, server.prng._acc_bits) == before
 
     def test_tag_scan_rejects_wrong_width_delta(self):
@@ -401,7 +417,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         _, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        expected_next = pending.candidates[0].next_key(ch.x_s)
+        expected_next = pending.candidates[0].next_key(pending.ops)
         tags[0].pending = None
         result = server_timeout(server, pending)
         assert not result.accepted
@@ -536,30 +552,35 @@ class TestSlotKeys:
         lam = spec.output_len_bits
         server, rec = _with_previous(lam, seed)
         x_s = prng_next(Prng(seed, 2), lam)
+        ops = session_operands(spec, x_s, prng_next(Prng(seed, 3), lam))
         with metered(OpMeter()) as build:
             keys = slot_keys(spec, server.master, "t001", rec, slot)
         with metered(OpMeter()) as update:
-            next_key = keys.next_key(x_s)
+            next_key = keys.next_key(ops)
         assert build.snapshot() == (1, 0, 1)  # the partial key and delta
         assert update.snapshot() == (1, 0, 0)
         key = rec.key_current if slot == "current" else rec.key_previous
         x = partial_key(spec, rec.counter, server.master, key)
         k_prime, k_dprime = split(key)
         x_prime, x_dprime = split(x)
-        assert keys == ("t001", slot, spec, rec.counter, key, lam, xor(key, x),
+        assert keys == ("t001", slot, rec.counter, key, lam, xor(key, x),
                         _left_term(k_prime + x, 2 * lam),
                         _right_term(2 * lam, session_key(k_prime, x_prime)),
                         _left_term(k_dprime + x_dprime, lam))
+        assert (ops.s_term, ops.next_bytes) == (_right_term(lam, x_s), hash2_layout(lam, lam)[3])
         assert next_key == key_update(spec, k_dprime, x_dprime, x_s)
 
     @pytest.mark.parametrize("spec", SLOT_SPECS, ids=SPEC_IDS)
     @pytest.mark.parametrize("width", [-2, -1, 1, 2])
     def test_next_key_checks_the_challenge_width(self, spec, width):
+        """A slot's next key in a session of another width raises before it
+        hashes."""
         lam = spec.output_len_bits
         server, rec = _with_previous(lam, 7)
         keys = slot_keys(spec, server.master, "t001", rec, "current")
+        ops = session_operands(spec, BitString(0, lam + width), BitString(0, lam + width))
         with metered(OpMeter()) as meter, pytest.raises(LengthError):
-            keys.next_key(BitString(0, lam + width))
+            keys.next_key(ops)
         assert meter.hash_calls == 0
 
     def test_odd_key_width_raises(self):

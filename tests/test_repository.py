@@ -1,7 +1,8 @@
 """The repository's own pins: every xfail that cites a ROADMAP item is strict
 and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
-adds up from its runs, each demo prints the bytes of its golden file, and
-each ``kimap`` command in the README parses."""
+adds up from its runs, each demo prints the bytes of its golden file, each
+``kimap`` command in the README parses, and the protocol's session objects
+are built by their one builder alone."""
 
 import ast
 import json
@@ -129,6 +130,48 @@ class TestBenchRecords:
         summary["median"] = round(summary["median"] + 0.0001, 4)
         bad = claim_problems(name, record, better)
         assert len(bad) == 1 and bad[0].startswith(f"{name}: claim 1: change median ")
+
+
+# Each class that one function alone builds, and that function. The protocol
+# relies on it: server_timeout checks no slot's width, because make_candidate
+# has held every slot of a PendingSession to the session's width.
+SOLE_BUILDERS = {"PendingSession": "make_candidate", "SessionOperands": "session_operands"}
+
+
+def builder_problems(sources):
+    """The classes of SOLE_BUILDERS that ``sources`` (path -> source) build
+    in their builder, and each call that builds one anywhere else."""
+    built, bad = set(), []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            name = ast.unparse(node.func).rpartition(".")[2]
+            if name in SOLE_BUILDERS and owner == SOLE_BUILDERS[name]:
+                built.add(name)
+            elif name in SOLE_BUILDERS:
+                bad.append(f"{path}:{node.lineno}: {name}( is called in {owner or 'the module'}, "
+                           f"not in {SOLE_BUILDERS[name]}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path, source in sources.items():
+        visit(ast.parse(source, path), path, None)
+    return built, bad
+
+
+class TestSoleBuilders:
+    def test_each_session_object_is_built_by_its_builder_alone(self):
+        sources = {f"src/kimap/{p.name}": p.read_text()
+                   for p in sorted((ROOT / "src" / "kimap").glob("*.py"))}
+        assert builder_problems(sources) == (set(SOLE_BUILDERS), [])
+
+    def test_a_pending_session_built_in_server_timeout_is_found(self):
+        source = ("def server_timeout(server, pending):\n"
+                  "    return protocol.PendingSession(pending.ops, (), ())\n")
+        assert builder_problems({"p.py": source}) == (set(), [
+            "p.py:2: PendingSession( is called in server_timeout, not in make_candidate"])
 
 
 def _claim(wins, pairs, **claim):

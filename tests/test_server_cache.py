@@ -148,7 +148,7 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
         assert [(k.label, k.slot, BitString(v, spec.output_len_bits))
                 for k, v in zip(pending.candidates, pending.expected, strict=True)] == \
             [(e.label, e.slot, e.expected) for e in entries]
-        assert [k.next_key(challenge.x_s) for k in pending.candidates] == \
+        assert [k.next_key(pending.ops) for k in pending.candidates] == \
             [e.next_key for e in entries]
 
         if fault == "drop-3":
@@ -215,7 +215,7 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
     x_s, x_t = BitString(0x0123, 16), BitString(0xFEDC, 16)
     server_prepare(server, x_s, x_t, first)
     broadcast, pending = server_prepare(server, x_s, x_t, second)
-    ops = session_operands(x_s, x_t)
+    ops = session_operands(second, x_s, x_t)
     assert len(pending.candidates) == 3
     assert (broadcast, pending) == make_candidate(
         [slot_keys(second, server.master, k.label, server.records[k.label], k.slot)
@@ -234,7 +234,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     for label in ("t001", "t003"):
         server.records[label].key_previous = prng_next(stream, lam)
     x_s, x_t = prng_next(Prng(11, 2), lam), prng_next(Prng(11, 3), lam)
-    ops = session_operands(x_s, x_t)
+    ops = session_operands(spec, x_s, x_t)
     slots = [slot_keys(spec, server.master, label, rec, slot)
              for label, rec in server.records.items() for slot in ("current", "previous")
              if slot == "current" or rec.key_previous is not None]
@@ -242,9 +242,9 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
 
     broadcast, pending = make_candidate(slots, ops)
     pairs, expected = broadcast.candidates, pending.expected
-    assert (pending.x_s, pending.candidates) == (x_s, tuple(slots))
+    assert (pending.ops, pending.candidates) == (ops, tuple(slots))
     assert [make_candidate((keys,), ops) for keys in slots] == [
-        (BroadcastAuth((pair,)), PendingSession(x_s, (keys,), (value,)))
+        (BroadcastAuth((pair,)), PendingSession(ops, (keys,), (value,)))
         for pair, keys, value in zip(pairs, slots, expected, strict=True)]
     reference = []
     for keys in slots:
@@ -255,7 +255,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
     assert [(sigma, delta, BitString(v, lam))
             for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
-    assert make_candidate((), ops) == (BroadcastAuth(()), PendingSession(x_s, (), ()))
+    assert make_candidate((), ops) == (BroadcastAuth(()), PendingSession(ops, (), ()))
 
 
 def ref_scan(spec, key, x_s, x_t, candidates):
@@ -299,13 +299,13 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
     tag = tags[tag_idx % n_tags]
     x_s = server_begin(server).x_s
     x_t = tag_respond_nonce(tag).x_t
-    ops = session_operands(x_s, x_t)
+    ops = session_operands(spec, x_s, x_t)
     for label, rec in server.records.items():
         slots = ("current",) if rec.key_previous is None else ("current", "previous")
         for slot in slots:
             keys = slot_keys(spec, server.master, label, rec, slot)
             broadcast, pending = make_candidate((keys,), ops)
-            assert (pending.x_s, pending.candidates) == (x_s, (keys,))
+            assert (pending.ops, pending.candidates) == (ops, (keys,))
             ((sigma, delta),), (expected,) = broadcast.candidates, pending.expected
             x = partial_key(spec, rec.counter, server.master, keys.key)
             k_prime, _ = split(keys.key)
