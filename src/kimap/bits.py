@@ -79,18 +79,25 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        """Parse the ``hex:len`` wire/fixture encoding (lowercase hex)."""
+        """Parse the ``hex:len`` wire/fixture encoding. Only the text
+        :meth:`to_text` writes is taken: any other spelling of the same bits
+        is refused, not rewritten."""
         hexpart, sep, lenpart = text.partition(":")
         if not sep:
             raise ValueError(f"missing ':<len>' in bitstring text {text!r}")
         length = int(lenpart)
         value = int(hexpart, 16) if hexpart else 0
         bits = cls(value, length)
-        # int() also takes a sign, a 0x prefix, '_' separators and spaces,
-        # which to_text would drop: such text is refused, not rewritten. Both
-        # parts parsed, so a hex letter or ':' can only be where it belongs.
+        # int() also takes a sign, a 0x prefix, '_' separators and spaces.
+        # Both parts parsed, so a hex letter or ':' can only be where it
+        # belongs.
         if text.strip("0123456789abcdefABCDEF:"):
             raise ValueError(f"bitstring text {text!r} is not '<hex digits>:<decimal digits>'")
+        # to_text writes ceil(len/4) lowercase digits and no leading zero in
+        # the length.
+        if (len(hexpart) != (length + 3) // 4 or hexpart != hexpart.lower()
+                or len(lenpart) > 1 and lenpart[0] == "0"):
+            raise ValueError(f"bitstring text {text!r} is not in canonical form {bits.to_text()!r}")
         return bits
 
     # -- accessors ---------------------------------------------------------

@@ -160,10 +160,10 @@ def parse_schedule(path: str, lam: int) -> FaultSchedule:
 
 
 def _parse_payload(flight: int, fields: list[str], lam: int):
-    values = [BitString.from_text(f) for f in fields]
     kind = PAYLOAD_TYPES.get(flight)
     if kind is None:  # no such flight: AdversaryAction says so
         return None
+    values = [BitString.from_text(f) for f in fields]
     if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
         payload = BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
     elif kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value

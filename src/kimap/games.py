@@ -517,11 +517,15 @@ class GameResult:
                 f"ci95={self.ci95:.6f} seed={c.seed}")
 
 
-def wilson_halfwidth(wins: int, trials: int, z: float = 1.959964) -> float:
+# The standard normal's 97.5 % quantile: the two-sided 95 % interval's z.
+_Z95 = 1.959964
+
+
+def wilson_halfwidth(wins: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for the win rate."""
     p = wins / trials
-    denom = 1.0 + z * z / trials
-    return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    return _Z95 * math.sqrt(p * (1.0 - p) / trials + _Z95 * _Z95 / (4.0 * trials * trials)) / denom
 
 
 # aux/distinguisher PRNG streams live far from the per-trial world streams,

@@ -542,20 +542,12 @@ def server_timeout(server: ServerState, pending: PendingSession) -> AuthResult:
     So each record's would-be next key is parked in its previous-key slot,
     and both cases can be matched next session. Counted per record: two
     consecutive failures without an accept mean the recovery slot itself was
-    lost.
-
-    The next key is :meth:`SlotKeys.next_key`'s, with no width check:
-    :func:`make_candidate`, the only builder of a :class:`PendingSession`,
-    held every slot to the session's width."""
+    lost."""
     ops, records = pending.ops, server.records
-    spec, s_term, nbytes = ops.spec, ops.s_term, ops.next_bytes
     for keys in pending.candidates:
         if keys.slot != "current":
             continue
-        key = _new_object(BitString)
-        key._value = hash2(spec, keys.next_term | s_term, nbytes)
-        key._length = spec.output_len_bits
         rec = records[keys.label]
-        rec.key_previous = key
+        rec.key_previous = keys.next_key(ops)
         rec.consecutive_failures += 1
     return AuthResult(accepted=False)

@@ -6,10 +6,16 @@
     v1 <label> <counter> <hex key_current>:<len> [<hex key_previous>:<len>]
 
 The counter is the record's session index, from 1 to 2**32 - 1 (the width
-``counter_hash`` binds). It and ``<bits>`` are ASCII decimal digits alone,
-as a save writes them. A record at 2**32 - 1 loads but is exhausted: the
+``counter_hash`` binds). A record at 2**32 - 1 loads but is exhausted: the
 server offers it no candidate, so its tag is rejected and the record is saved
 unchanged.
+
+A value that a save would not write back byte for byte is refused, not
+rewritten: the counter and ``<bits>`` are ASCII decimal digits with no
+leading zero, and each key is ``ceil(len/4)`` lowercase hex digits and a
+length with no leading zero (:meth:`~kimap.bits.BitString.from_text`). The
+layout between values is looser: blank lines and runs of whitespace load,
+and a save drops them.
 
 The master key lives in a separate file holding a single ``hex:len`` line,
 as wide as the database's keys; it never appears in the tag database. Both
@@ -48,11 +54,14 @@ def read_text(path: Union[str, Path], error: Callable[[int, str], ParameterError
 
 
 def read_decimal(name: str, text: str) -> int:
-    """The int that ``text`` spells in ASCII decimal digits. ``int()`` also
-    takes a sign, ``_`` separators, spaces and other scripts' digits, which
-    a save would rewrite: such text raises ``ValueError`` naming ``name``."""
+    """The int that ``text`` spells in ASCII decimal digits with no leading
+    zero. ``int()`` also takes a sign, ``_`` separators, spaces, other
+    scripts' digits and leading zeros, which a save would rewrite: such text
+    raises ``ValueError`` naming ``name``."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{name} {text!r} is not decimal digits")
+    if len(text) > 1 and text[0] == "0":
+        raise ValueError(f"{name} {text!r} has a leading zero")
     return int(text)
 
 

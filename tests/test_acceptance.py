@@ -1,5 +1,12 @@
 """Acceptance suite: one test per release criterion, at its stated tolerance.
 
+Each check lives in one place. A criterion is checked here and nowhere
+else; a unit test elsewhere checks only what no criterion does. A command
+line that ``kimap`` refuses with a ``kimap:`` line is one row of
+``EXIT_2_CASES`` in ``tests/test_cli.py``, and refused kimapdb or
+master-key text one row of ``MALFORMED_DATABASES`` or of the master table
+in ``tests/test_storage.py``.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. Statistical criteria (7-9) run 10,000-trial games under fixed
 seeds, so they are deterministic regressions of properties that hold for

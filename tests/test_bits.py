@@ -496,14 +496,6 @@ class TestResultsFitTheirWidth:
         assert len(results[0]) == spec.output_len_bits
 
 
-class TestLemma1AtBitLevel:
-    def test_toy_width_bijection(self):
-        # for fixed L the map y -> L xor y hits all 2^8 values exactly once
-        mask = BitString(0x5A, 8)
-        images = {xor(mask, BitString(y, 8)).value for y in range(256)}
-        assert len(images) == 256
-
-
 class TestHashSpecValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -57,17 +57,6 @@ class TestHonestRuns:
 
 
 class TestDrops:
-    def test_drop_flight4_then_recover(self):
-        server, tags = fresh_world(seed=103)
-        sched = FaultSchedule([AdversaryAction.drop(4, 1)])
-        ts = World(server, tags, TOY16).run(sched, 2)
-        first, second = ts
-        assert first.tag_updated and not first.accepted
-        assert second.accepted
-        assert second.outcome_server.matched_slot == "previous"
-        assert tags[0].key == server.records["t001"].key_current
-        assert not server.records["t001"].desynchronized
-
     def test_drop_flight4_twice_desynchronizes(self):
         server, tags = fresh_world(seed=104)
         sched = FaultSchedule([AdversaryAction.drop(4, 1), AdversaryAction.drop(4, 2)])

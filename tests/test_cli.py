@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,13 +12,12 @@ import pytest
 
 import kimap
 from kimap import channel, cli
-from kimap.bits import HashSpec, Prng
+from kimap.bits import HashSpec
 from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
 from kimap.costs import CostParams
 from kimap.games import DEFINITIONS, Definition, GameConfig
-from kimap.protocol import keygen
-from kimap.storage import load_database, save_database, save_master
+from kimap.storage import load_database
 
 
 def run_cli(*argv):
@@ -41,19 +41,23 @@ def set_first_counter(d, counter):
     return lines[1]
 
 
-def _schedule(text):
-    """A setup that writes ``text`` to the schedule file beside ``d``."""
+def _files(files):
+    """A setup that writes each ``files`` entry, text or bytes, to its path
+    under the test's directory, the parent of the database directory."""
     def setup(d, monkeypatch):
-        (d.parent / "sched.txt").write_text(text)
+        for name, data in files.items():
+            path = d.parent / name
+            path.write_bytes(data if isinstance(data, bytes) else data.encode())
     return setup
 
 
-def _set_underscore_counter(d, monkeypatch):
-    set_first_counter(d, "1_0")
+def _schedule(text):
+    return _files({"sched.txt": text})
 
 
-def _write_narrow_master(d, monkeypatch):
-    (d / "master.key").write_text("ab:8\n")
+def _counter(counter):
+    """A setup that rewrites t001's counter to ``counter``."""
+    return lambda d, monkeypatch: set_first_counter(d, counter)
 
 
 def _env_seed(text):
@@ -63,93 +67,147 @@ def _env_seed(text):
     return setup
 
 
-def _write_non_utf8_db(d, monkeypatch):
-    (d / "kimap.db").write_bytes(b"\xffkimapdb v1 lambda=16\n")
-
-
-def _write_non_utf8_master(d, monkeypatch):
-    (d / "master.key").write_bytes(b"\xff:16\n")
-
-
-def _write_non_utf8_schedule(d, monkeypatch):
-    (d.parent / "sched.txt").write_bytes(b"1 4 drop \xff\n")
-
-
 def _fail_save(d, monkeypatch):
     def save_database(*_):
         raise OSError("disk full")
     monkeypatch.setattr(cli, "save_database", save_database)
 
 
-# (setup, argv, text stderr must hold); DB and SCHED in argv name the
-# provisioned database directory and a schedule file beside it.
+def _replace(line, field):
+    """A row whose schedule replaces a flight with an 8-bit ``field``."""
+    return (_schedule(f"{line}\n"), ("run", "--db", "DB", "--schedule", "SCHED"),
+            f"SCHED:1: replacement {field} ad:8 is 8 bits, not 16")
+
+
+# a database and master key wider than any hash
+_WIDE_DB = _files({"db/kimap.db": f"kimapdb v1 lambda=258\nv1 t001 1 {'0' * 65}:258\n",
+                "db/master.key": f"{'0' * 65}:258\n"})
+
+# (setup, argv, the message stderr holds after "kimap: "). In argv and the
+# message, DB names the provisioned database directory, SCHED a schedule
+# file beside it, and TMP the directory that holds both.
 EXIT_2_CASES = {
-    "init-over-existing-db": (None, ("init", "--db", "DB"), "refusing to overwrite"),
-    "run-missing-db": (None, ("run", "--db", "DB/nope"), "nope"),
+    "init-over-existing-db": (None, ("init", "--db", "DB"),
+                              "refusing to overwrite DB (use --force)"),
+    "init-odd-lambda": (None, ("init", "--db", "DB/fresh", "--lambda", "63"),
+                        "key width must be even and >= 8, got 63"),
+    "init-lambda-above-any-hash": (None, ("init", "--db", "DB", "--lambda", "300", "--force"),
+                                   "hash output width must be 1..256 bits, got 300"),
+    "init-fresh-lambda-above-any-hash": (None, ("init", "--db", "DB/fresh", "--lambda", "300"),
+                                         "hash output width must be 1..256 bits, got 300"),
+    "init-db-path-is-a-file": (_files({"afile": "keep\n"}), ("init", "--db", "TMP/afile"),
+                               "[Errno 17] File exists: 'TMP/afile'"),
+    "run-missing-db": (None, ("run", "--db", "DB/nope"),
+                       "[Errno 2] No such file or directory: 'DB/nope/kimap.db'"),
+    "run-db-path-is-a-file": (_files({"afile": "keep\n"}), ("run", "--db", "TMP/afile"),
+                              "[Errno 20] Not a directory: 'TMP/afile/kimap.db'"),
+    "run-schedule-path-is-a-directory": (None, ("run", "--db", "DB", "--schedule", "TMP"),
+                                         "[Errno 21] Is a directory: 'TMP'"),
     "run-zero-sessions": (None, ("run", "--db", "DB", "--sessions", "0"),
                           "sessions must be >= 1, got 0"),
-    "run-bad-seed": (_env_seed("abc"), ("run", "--db", "DB", "--sessions", "1"), "KIMAP_SEED"),
+    "run-bad-seed": (_env_seed("abc"), ("run", "--db", "DB", "--sessions", "1"),
+                     "KIMAP_SEED 'abc' is not decimal digits"),
     "run-seed-only-int-takes": (_env_seed(" +1_0"), ("run", "--db", "DB", "--sessions", "1"),
                                 "KIMAP_SEED ' +1_0' is not decimal digits"),
+    "run-seed-leading-zero": (_env_seed("09"), ("run", "--db", "DB", "--sessions", "1"),
+                              "KIMAP_SEED '09' has a leading zero"),
     "run-unrecorded-replay": (_schedule("1 3 replay 5\n"),
                               ("run", "--db", "DB", "--sessions", "3", "--schedule", "SCHED"),
-                              "sched.txt:1: replay source 5 is not before session 1"),
+                              "SCHED:1: replay source 5 is not before session 1"),
     "run-own-session-replay": (_schedule("1 3 replay 1\n"),
                                ("run", "--db", "DB", "--schedule", "SCHED"),
-                               "sched.txt:1: replay source 1 is not before session 1"),
+                               "SCHED:1: replay source 1 is not before session 1"),
     "run-aborted-replay-source": (_schedule("1 2 drop\n2 3 replay 1\n"),
                                   ("run", "--db", "DB", "--sessions", "2", "--schedule", "SCHED"),
                                   "replay source session 1 flight 3 was never recorded"),
     "run-duplicate-schedule-line": (_schedule("1 4 drop\n1 4 drop\n"),
                                     ("run", "--db", "DB", "--schedule", "SCHED"),
-                                    "sched.txt:2: duplicate action for session 1 flight 4"),
+                                    "SCHED:2: duplicate action for session 1 flight 4"),
     "run-two-field-schedule-line": (_schedule("1 4\n"),
                                     ("run", "--db", "DB", "--schedule", "SCHED"),
-                                    "sched.txt:1: expected '<session> <flight> <action...>'"),
+                                    "SCHED:1: expected '<session> <flight> <action...>'"),
+    "run-session-zero": (_schedule("0 4 drop\n"), ("run", "--db", "DB", "--schedule", "SCHED"),
+                         "SCHED:1: session must be >= 1, got 0"),
+    "run-unknown-schedule-action": (_schedule("1 4 explode\n"),
+                                    ("run", "--db", "DB", "--schedule", "SCHED"),
+                                    "SCHED:1: unknown schedule action 'explode'"),
     "run-replace-on-flight-9": (_schedule("1 9 replace ab:16\n"),
                                 ("run", "--db", "DB", "--schedule", "SCHED"),
-                                "sched.txt:1: flight must be 1-4, got 9"),
+                                "SCHED:1: flight must be 1-4, got 9"),
+    "run-replace-x_s-of-8-bits": _replace("1 1 replace ad:8", "x_s"),
+    "run-replace-x_t-of-8-bits": _replace("1 2 replace ad:8", "x_t"),
+    "run-replace-sigma-of-8-bits": _replace("1 3 replace ad:8 ef:8", "sigma"),
+    "run-replace-delta-of-8-bits": _replace("1 3 replace beef:16 ad:8", "delta"),
+    "run-replace-sigma_prime-of-8-bits": _replace("2 4 replace ad:8", "sigma_prime"),
+    "run-replace-uppercase": (_schedule("1 3 replace DEAD:16 beef:16\n"),
+                              ("run", "--db", "DB", "--schedule", "SCHED"),
+                              "SCHED:1: bitstring text 'DEAD:16' is not in canonical form 'dead:16'"),
     "run-underscore-flight": (_schedule("1 0_4 drop\n"),
                               ("run", "--db", "DB", "--schedule", "SCHED"),
-                              "sched.txt:1: flight '0_4' is not decimal digits"),
-    "run-underscore-counter": (_set_underscore_counter, ("run", "--db", "DB"),
-                               "kimap.db:2: counter '1_0' is not decimal digits"),
-    "run-narrow-master": (_write_narrow_master, ("run", "--db", "DB"),
-                          "master.key:1: master key width 8 != database lambda 16"),
+                              "SCHED:1: flight '0_4' is not decimal digits"),
+    "run-corrupt-record": (_files({"db/kimap.db": "kimapdb v1 lambda=16\nv1 broken\n"}),
+                           ("run", "--db", "DB"),
+                           "DB/kimap.db:2: expected 'v1 <label> <counter> <key> [<prev>]'"),
+    "run-underscore-counter": (_counter("1_0"), ("run", "--db", "DB"),
+                               "DB/kimap.db:2: counter '1_0' is not decimal digits"),
+    "run-leading-zero-counter": (_counter("01"), ("run", "--db", "DB"),
+                                 "DB/kimap.db:2: counter '01' has a leading zero"),
+    "run-counter-wider-than-the-hash-binds": (_counter(2**32), ("run", "--db", "DB"),
+                                              "DB/kimap.db:2: counter 4294967296 does not fit "
+                                              "in 32 bits"),
+    "run-db-lambda-keygen-rejects": (_files({"db/kimap.db": "kimapdb v1 lambda=7\nv1 t001 1 00:7\n",
+                                             "db/master.key": "00:7\n"}),
+                                     ("run", "--db", "DB"),
+                                     "DB/kimap.db:1: key width must be even and >= 8, got 7"),
+    "run-db-wider-than-any-hash": (_WIDE_DB, ("run", "--db", "DB"),
+                                   "hash output width must be 1..256 bits, got 258"),
+    "run-narrow-master": (_files({"db/master.key": "ab:8\n"}), ("run", "--db", "DB"),
+                          "DB/master.key:1: master key width 8 != database lambda 16"),
     "run-save-fails": (_fail_save, ("run", "--db", "DB"), "disk full"),
-    "run-db-not-utf8": (_write_non_utf8_db, ("run", "--db", "DB"),
-                        "kimap.db:1: not UTF-8 text: can't decode byte 0xff"),
-    "run-master-not-utf8": (_write_non_utf8_master, ("run", "--db", "DB"),
-                            "master.key:1: not UTF-8 text: can't decode byte 0xff"),
-    "run-schedule-not-utf8": (_write_non_utf8_schedule,
+    "run-db-not-utf8": (_files({"db/kimap.db": b"\xffkimapdb v1 lambda=16\n"}),
+                        ("run", "--db", "DB"),
+                        "DB/kimap.db:1: not UTF-8 text: can't decode byte 0xff"),
+    "run-master-not-utf8": (_files({"db/master.key": b"\xff:16\n"}), ("run", "--db", "DB"),
+                            "DB/master.key:1: not UTF-8 text: can't decode byte 0xff"),
+    "run-schedule-not-utf8": (_schedule(b"1 4 drop \xff\n"),
                               ("run", "--db", "DB", "--schedule", "SCHED"),
-                              "sched.txt:1: not UTF-8 text: can't decode byte 0xff"),
-    "init-lambda-above-any-hash": (None, ("init", "--db", "DB", "--lambda", "300", "--force"),
-                                   "hash output width must be 1..256 bits, got 300"),
-    "game-unknown-distinguisher": (None, ("game", "ind", "psychic"), "unknown distinguisher"),
-    "game-zero-trials": (None, ("game", "ind", "random-guess", "--trials", "0"), "trials >= 1"),
-    "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even"),
+                              "SCHED:1: not UTF-8 text: can't decode byte 0xff"),
+    "game-unknown-distinguisher": (None, ("game", "ind", "psychic"),
+                                   "unknown distinguisher 'psychic' (have: key-knowledge, "
+                                   "key-knowledge-leaky, random-guess)"),
+    "game-odd-lambda": (None, ("game", "ind", "random-guess", "--lambda", "63", "--trials", "10"),
+                        "key width must be even and >= 8, got 63"),
+    "game-zero-trials": (None, ("game", "ind", "random-guess", "--trials", "0"),
+                         "need n >= 1 and trials >= 1"),
+    "cost-odd-width": (None, ("cost", "--lambda", "7"), "key width must be even and >= 8, got 7"),
     "cost-zero-batch": (None, ("cost", "--tags", "0"), "batch_tags must be positive"),
     "cost-zero-clock": (None, ("cost", "--clock-hz", "0"), "tag_clock_hz must be positive"),
-    "lemma1-k-too-large": (None, ("lemma1", "--k", "20"), "k must be in 1..16"),
+    "lemma1-k-too-large": (None, ("lemma1", "--k", "20"),
+                           "k must be in 1..16 (the check is exhaustive)"),
 }
+
+
+def _tree(root):
+    """Every path under ``root``, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 @pytest.mark.parametrize("case", list(EXIT_2_CASES))
 def test_library_errors_exit_2_and_leave_files(db_dir, monkeypatch, capsys, case):
-    setup, argv, needle = EXIT_2_CASES[case]
+    """Bad input exits 2 with one ``kimap:`` line, prints nothing to stdout,
+    and creates, changes and removes no file or directory."""
+    setup, argv, message = EXIT_2_CASES[case]
     if setup is not None:
         setup(db_dir, monkeypatch)
-    files = [db_dir / "kimap.db", db_dir / "master.key"]
-    before = [f.read_bytes() for f in files]
+    before = _tree(db_dir.parent)
+    paths = {"DB": str(db_dir), "SCHED": str(db_dir.parent / "sched.txt"),
+             "TMP": str(db_dir.parent)}
+    def place(text):
+        return re.sub("DB|SCHED|TMP", lambda m: paths[m[0]], text)
     capsys.readouterr()
-    argv = [a.replace("DB", str(db_dir)).replace("SCHED", str(db_dir.parent / "sched.txt"))
-            for a in argv]
-    assert run_cli(*argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("kimap: ") and needle in captured.err
-    assert captured.out == ""
-    assert [f.read_bytes() for f in files] == before
+    assert run_cli(*map(place, argv)) == 2
+    assert capsys.readouterr() == ("", f"kimap: {place(message)}\n")
+    assert _tree(db_dir.parent) == before
 
 
 def test_library_bug_is_not_a_config_error(db_dir, monkeypatch):
@@ -225,22 +283,6 @@ class TestInit:
         after = (db_dir / "kimap.db").read_bytes(), (db_dir / "master.key").read_bytes()
         assert before == after
 
-    def test_odd_width_is_config_error(self, tmp_path):
-        assert run_cli("init", "--db", str(tmp_path / "y"), "--lambda", "63") == 2
-
-    def test_width_above_any_hash_is_config_error(self, tmp_path, capsys):
-        d = tmp_path / "y"
-        assert run_cli("init", "--db", str(d), "--lambda", "300") == 2
-        assert capsys.readouterr().err.startswith("kimap: ")
-        assert not d.exists()
-
-    def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
-        f = tmp_path / "afile"
-        f.write_text("keep\n")
-        assert run_cli("init", "--db", str(f)) == 2
-        assert capsys.readouterr().err.startswith("kimap: ")
-        assert f.read_text() == "keep\n"
-
 
 class TestRun:
     def test_honest_sessions_all_accepted(self, db_dir, capsys):
@@ -281,81 +323,6 @@ class TestRun:
         assert all(rec.counter == 4 for rec in records.values())
         assert all(rec.key_previous is not None for rec in records.values())
 
-    def test_corrupt_db_reports_line(self, db_dir, capsys):
-        p = db_dir / "kimap.db"
-        lines = p.read_text().splitlines()
-        lines[1] = "v1 broken"
-        p.write_text("\n".join(lines) + "\n")
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "1") == 2
-        assert ":2:" in capsys.readouterr().err
-
-    def test_unrecorded_replay_source_is_config_error(self, db_dir, tmp_path, capsys):
-        sched = tmp_path / "sched.txt"
-        sched.write_text("1 3 replay 5\n")
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
-                       "--schedule", str(sched)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("kimap: ")
-        assert "sched.txt:1: replay source 5 is not before session 1" in err
-        assert (db_dir / "kimap.db").read_bytes() == before
-
-    @pytest.mark.parametrize("line", ["1 3 replace ad:8 ef:8", "1 1 replace ad:8",
-                                      "1 2 replace ad:8", "2 4 replace ad:8",
-                                      "1 3 replace beef:16 ad:8"])
-    def test_replace_payload_of_wrong_width_is_config_error(self, db_dir, tmp_path, capsys, line):
-        sched = tmp_path / "sched.txt"
-        sched.write_text(line + "\n")
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
-                       "--schedule", str(sched)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and "sched.txt:1: replacement " in captured.err
-        assert "is 8 bits, not 16" in captured.err
-        assert captured.out == ""
-        assert (db_dir / "kimap.db").read_bytes() == before
-
-    def test_session_zero_is_config_error(self, db_dir, tmp_path, capsys):
-        sched = tmp_path / "sched.txt"
-        sched.write_text("0 4 drop\n")
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "3",
-                       "--schedule", str(sched)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ")
-        assert ":1: session must be >= 1, got 0" in captured.err
-        assert captured.out == ""
-        assert (db_dir / "kimap.db").read_bytes() == before
-
-    def test_db_wider_than_any_hash_is_config_error(self, tmp_path, capsys):
-        # init refuses such a width, so the files are written directly
-        server, _ = keygen(258, 1, Prng(1, 0))
-        save_database(tmp_path / "kimap.db", 258, server.records)
-        save_master(tmp_path / "master.key", server.master)
-        before = (tmp_path / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and captured.out == ""
-        assert (tmp_path / "kimap.db").read_bytes() == before
-
-    def test_db_lambda_keygen_rejects_is_config_error(self, tmp_path, capsys):
-        (tmp_path / "kimap.db").write_text("kimapdb v1 lambda=7\nv1 t001 1 00:7\n")
-        (tmp_path / "master.key").write_text("00:7\n")
-        assert run_cli("run", "--db", str(tmp_path), "--sessions", "1") == 2
-        assert capsys.readouterr().err.startswith("kimap: ")
-
-    def test_counter_wider_than_the_hash_binds_is_config_error(self, tmp_path, capsys):
-        d = tmp_path / "db"
-        assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
-        set_first_counter(d, 2**32)
-        before = (d / "kimap.db").read_bytes()
-        capsys.readouterr()
-        assert run_cli("run", "--db", str(d)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and ":2:" in captured.err
-        assert captured.out == ""
-        assert (d / "kimap.db").read_bytes() == before
-
     def test_exhausted_counter_is_rejected_and_saved_unchanged(self, tmp_path, capsys):
         d = tmp_path / "db"
         assert run_cli("init", "--db", str(d), "--lambda", "16", "--tags", "2") == 0
@@ -365,28 +332,6 @@ class TestRun:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "summary sessions=4 accepted=2 rejected=2 aborted=0 recovered=0 desynced=0")
         assert (d / "kimap.db").read_text().splitlines()[1] == exhausted
-
-    def test_db_path_is_a_file_is_config_error(self, tmp_path, capsys):
-        f = tmp_path / "afile"
-        f.write_text("keep\n")
-        assert run_cli("run", "--db", str(f), "--sessions", "1") == 2
-        assert capsys.readouterr().err.startswith("kimap: ")
-        assert f.read_text() == "keep\n"
-
-    def test_schedule_path_is_a_directory_is_config_error(self, db_dir, tmp_path, capsys):
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "1",
-                       "--schedule", str(tmp_path)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("kimap: ") and captured.out == ""
-        assert (db_dir / "kimap.db").read_bytes() == before
-
-    def test_unknown_schedule_action(self, db_dir, tmp_path, capsys):
-        sched = tmp_path / "sched.txt"
-        sched.write_text("1 4 explode\n")
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "1",
-                       "--schedule", str(sched)) == 2
-        assert "explode" in capsys.readouterr().err
 
     def test_identical_invocations_byte_identical(self, tmp_path, capsys):
         outputs = []
@@ -421,10 +366,6 @@ class TestGame:
         wins = int(next(f for f in out.split() if f.startswith("wins=")).split("=")[1])
         assert wins >= 99
 
-    def test_unknown_distinguisher(self, capsys):
-        assert run_cli("game", "ind", "psychic") == 2
-        assert "unknown distinguisher" in capsys.readouterr().err
-
     def test_deterministic_output(self, capsys):
         args = ("game", "forward", "random-guess", "--trials", "50", "--lambda", "16",
                 "--seed", "5", "--format", "structured")
@@ -445,10 +386,6 @@ class TestGame:
         out = capsys.readouterr().out
         assert out.startswith("gameresult definition=link2tag distinguisher=random-guess")
         assert " n=3 " in out and " trials=20 " in out
-
-    def test_bad_width_is_config_error(self, capsys):
-        assert run_cli("game", "ind", "random-guess", "--lambda", "63",
-                       "--trials", "10") == 2
 
     def test_budget_and_trial_defaults_are_game_config_defaults(self, monkeypatch, capsys):
         """``game`` sets no budget, and hashes with production at the key width."""
@@ -506,6 +443,7 @@ class TestLemma1:
         assert "pair x=1 y=0" in out and "pair x=0 y=1" in out
 
     MASK_REASONS = {"zz:8": "invalid literal for int() with base 16: 'zz'",
+                    "0ab:8": "bitstring text '0ab:8' is not in canonical form 'ab:8'",
                     "1ff:8": "value 0x1ff does not fit in 8 bits",
                     "ff": "missing ':<len>' in bitstring text 'ff'",
                     "ab": "missing ':<len>' in bitstring text 'ab'",
@@ -662,14 +600,6 @@ class TestSeedResolution:
         b = (tmp_path / "b" / "kimap.db").read_bytes()
         assert a == b
 
-    def test_bad_env_seed_is_config_error(self, db_dir, monkeypatch, capsys):
-        monkeypatch.setenv("KIMAP_SEED", "abc")
-        before = (db_dir / "kimap.db").read_bytes()
-        assert run_cli("run", "--db", str(db_dir), "--sessions", "1") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("kimap: ") and "KIMAP_SEED" in err
-        assert (db_dir / "kimap.db").read_bytes() == before
-
     def test_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KIMAP_SEED", "1234")
         run_cli("init", "--db", str(tmp_path / "a"), "--tags", "1", "--seed", str(DEFAULT_SEED))
@@ -731,12 +661,14 @@ class TestScheduleParsing:
         ("3 3 replay +1", "replay source '+1' is not decimal digits"),
         ("3 3 replay 0_1", "replay source '0_1' is not decimal digits"),
         ("3 3 replay １", "replay source '１' is not decimal digits"),
+        ("01 4 drop", "session '01' has a leading zero"),
     ], ids=["session-signed", "session-underscore", "flight-underscore",
             "flight-non-ascii-digit", "source-signed", "source-underscore",
-            "source-non-ascii-digit"])
+            "source-non-ascii-digit", "session-leading-zero"])
     def test_integer_text_only_int_takes_is_rejected(self, tmp_path, line, message):
-        """A session, flight or replay source is ASCII decimal digits alone:
-        ``int()`` would also take a sign, ``_`` or another script's digits."""
+        """A session, flight or replay source is ASCII decimal digits with no
+        leading zero: ``int()`` would also take a sign, ``_``, another
+        script's digits or a leading zero."""
         f = tmp_path / "s.txt"
         f.write_text(f"1 4 drop\n{line}\n")
         with pytest.raises(ScheduleError) as err:

@@ -468,24 +468,6 @@ class TestMisuse:
 
 
 class TestRunGame:
-    def test_null_calibration_small(self):
-        cfg = GameConfig(lam=16, n=2, trials=3000, seed=60)
-        for definition in ("ind", "forward", "backward"):
-            r = run_game(definition, cfg, RandomGuess(), TOY16)
-            assert r.advantage <= r.ci95, (definition, r.advantage, r.ci95)
-
-    def test_restricted_vs_leaky_differential_small(self):
-        cfg = GameConfig(lam=16, n=2, trials=1500, seed=61)
-        restricted = run_game("backward", cfg, KeyKnowledge(leaky=False), TOY16)
-        leaky = run_game("backward", cfg, KeyKnowledge(leaky=True), TOY16)
-        assert restricted.advantage <= 0.05
-        assert leaky.win_rate >= 0.99
-
-    def test_forward_key_knowledge_small(self):
-        cfg = GameConfig(lam=16, n=2, trials=1500, seed=62)
-        r = run_game("forward", cfg, KeyKnowledge(leaky=False), TOY16)
-        assert r.advantage <= 0.05
-
     def test_ind2tag_mode(self):
         cfg = GameConfig(lam=16, n=3, trials=500, seed=63)
         r = run_game("ind2tag", cfg, RandomGuess(), TOY16)
@@ -575,11 +557,6 @@ class TestWilson:
 
 
 class TestLemma1:
-    def test_exhaustive_k8(self):
-        report = lemma1_bijection_check(8, prng=Prng(1, 0))
-        assert report.distinct_images == 256
-        assert report.bijection
-
     def test_k1_zero_mask(self):
         report = lemma1_bijection_check(1, mask=BitString(0, 1))
         assert report.pairs == ((0, 0), (1, 1))

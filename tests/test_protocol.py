@@ -458,15 +458,6 @@ class TestServerFinalize:
 
 
 class TestCostAccounting:
-    def test_single_candidate_session_is_four_hashes_one_xor(self):
-        server, tags = keygen(16, 1, Prng(20, 0))
-        tag = tags[0]
-        h0, p0, x0 = tag.meter.snapshot()
-        honest_session(server, tag, TOY16)
-        h1, p1, x1 = tag.meter.snapshot()
-        assert (h1 - h0) + (p1 - p0) == 4  # 1 nonce draw + verify + answer + ratchet
-        assert x1 - x0 == 1
-
     @pytest.mark.parametrize("n_tags", [2, 3, 5])
     def test_multi_candidate_session_is_three_plus_c(self, n_tags):
         server, tags = keygen(16, n_tags, Prng(21, 0))
@@ -595,20 +586,6 @@ class TestSlotKeys:
         server, rec = _with_previous(16, 9)
         with pytest.raises(LengthError, match="inconsistent operand lengths"):
             slot_keys(spec, server.master, "t001", rec, "current")
-
-
-class TestTagStorage:
-    def test_persistent_secret_is_exactly_lambda_bits(self):
-        server, tags = keygen(64, 1, Prng(22, 0))
-        tag = tags[0]
-        honest_session(server, tag, PROD64)
-        assert tag.pending is None
-        assert tag.persistent_secret_bits == 64
-        # structurally: the key is the only bitstring-valued field of a tag
-        # at rest (the counter is bookkeeping, not secret material)
-        secret_fields = [f.name for f in dataclasses.fields(tag)
-                         if isinstance(getattr(tag, f.name), BitString)]
-        assert secret_fields == ["key"]
 
 
 class TestPadProperty:
