@@ -42,10 +42,12 @@ from .protocol import (
     TagAuth,
     TagNonce,
     TagState,
+    offered_slots,
     server_begin,
     server_finalize,
     server_prepare,
     server_timeout,
+    slot_origin,
     tag_respond_nonce,
     tag_verify_and_respond,
 )
@@ -336,6 +338,23 @@ class World:
             last = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
             emitted.update(dict.fromkeys((seq, f) for f in range(1, last + 1)))
         return [self.session((self.next_seq - 1) % len(self.tags), actions) for actions in plan]
+
+    def whereabouts(self) -> dict[str, str]:
+        """Where each tag's key sits among the slots the next broadcast
+        offers its record (:func:`~kimap.protocol.offered_slots`), by the
+        record's label: ``"current"``, ``"accept-left"`` or ``"parked"``, as
+        :func:`~kimap.protocol.slot_origin` names the slot, or ``"lost"``
+        when no slot offered for its record holds it. An exhausted record
+        offers no slot, so its tag reads lost. Only a simulator can know
+        this: the server never sees a tag's key. Slots are built through the
+        server's slot cache, as a session builds them."""
+        server = self.server
+        keys = dict(zip(server.records, (tag.key for tag in self.tags)))
+        where = dict.fromkeys(keys, "lost")
+        for slot in offered_slots(server, self.spec):
+            if where[slot.label] == "lost" and slot.key == keys[slot.label]:
+                where[slot.label] = slot_origin(server, slot)
+        return where
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ The server never learns which tag it is talking to from the wire: flight 3
 carries one candidate per (record, key slot), shuffled, and flight 4
 identifies the record by matching ``sigma'`` against precomputed
 expectations. The tag checks every candidate whether or not one matches.
+:func:`offered_slots` is the one statement of which slots a broadcast
+offers; :func:`slot_origin` says what put a slot's key there (the record's
+accept or a failed session's hedge), so no caller reads that from the
+record's fields.
 
 Per session the server computes 2 hashes per candidate (``sigma`` and the
 expected ``sigma'``), each from one slot term ORed with one session term,
@@ -51,8 +55,8 @@ the flag is derived from the failure count, never stored.
 
 ``H_i`` binds the counter as a ``COUNTER_BITS``-bit (32-bit) prefix, so a
 record at counter 2**32 - 1 is exhausted: accepting it would move the
-counter past that width. :func:`server_prepare` offers such a record no
-candidate, so its tag's sessions are rejected and the record stays as it is.
+counter past that width. :func:`offered_slots` offers such a record no
+slot, so its tag's sessions are rejected and the record stays as it is.
 """
 
 from __future__ import annotations
@@ -424,23 +428,19 @@ def make_candidate(slots: Sequence[SlotKeys],
     return BroadcastAuth(tuple(pairs)), PendingSession(ops, tuple(slots), tuple(expected))
 
 
-def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
-    """Flight 3: one candidate per (record, available key slot), shuffled so
-    broadcast position leaks nothing about registry order. An exhausted
-    record, one whose next counter would not fit :data:`COUNTER_BITS`, gets
-    no candidate.
+def offered_slots(server: ServerState, spec: HashSpec) -> list[SlotKeys]:
+    """Every (record, key slot) that the next broadcast under ``spec``
+    offers, in record order: the record's current slot, then its previous
+    slot when one is set. An exhausted record, one whose next counter would
+    not fit :data:`COUNTER_BITS`, offers none. This is the one statement of
+    which keys the server offers: :func:`server_prepare` broadcasts exactly
+    these slots, and :meth:`~kimap.channel.World.whereabouts` finds each
+    tag's key among them.
 
     A slot's cached :class:`SlotKeys` is served only while its record's
-    counter and the very key object it was built from are unchanged. The
-    session, and each slot as it is built, is held to the master's width
-    before the shuffle, so a session or record of another width raises with
-    the server's PRNG unmoved; the shuffled slots then go to one
-    :func:`make_candidate` call, which builds the broadcast and the pending
-    session returned."""
-    ops = session_operands(spec, x_s, x_t)
+    counter and the very key object it was built from are unchanged; a slot
+    built afresh is held to the master's width (:func:`slot_keys`)."""
     master = server.master
-    if ops.width != master._length:
-        raise _mismatch(master, x_s, x_t)
     current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
     slots: list[SlotKeys] = []
     for label, rec in server.records.items():
@@ -457,6 +457,35 @@ def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: Ha
             if keys is None or keys.counter != counter or keys.key is not key:
                 keys = previous[label] = slot_keys(spec, master, label, rec, "previous")
             slots.append(keys)
+    return slots
+
+
+def slot_origin(server: ServerState, keys: SlotKeys) -> str:
+    """What put the key of ``keys``, a slot that :func:`offered_slots`
+    offers, where it is: ``"current"`` for a current slot; for a previous
+    slot, ``"accept-left"`` when the record's own accept left it there (no
+    session has failed since), or ``"parked"`` when a failed session's hedge
+    parked it. kimapdb v1 keeps no failure count, so a parked key read back
+    from a database reads as accept-left."""
+    if keys.slot == "current":
+        return "current"
+    return "parked" if server.records[keys.label].consecutive_failures else "accept-left"
+
+
+def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
+    """Flight 3: one candidate per slot of :func:`offered_slots`, shuffled
+    so broadcast position leaks nothing about registry order.
+
+    The session, and each slot as it is built, is held to the master's width
+    before the shuffle, so a session or record of another width raises with
+    the server's PRNG unmoved; the shuffled slots then go to one
+    :func:`make_candidate` call, which builds the broadcast and the pending
+    session returned."""
+    ops = session_operands(spec, x_s, x_t)
+    master = server.master
+    if ops.width != master._length:
+        raise _mismatch(master, x_s, x_t)
+    slots = offered_slots(server, spec)
     server.prng.shuffle(slots)
     return make_candidate(slots, ops)
 

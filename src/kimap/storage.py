@@ -10,16 +10,18 @@ The counter is the record's session index, from 1 to 2**32 - 1 (the width
 server offers it no candidate, so its tag is rejected and the record is saved
 unchanged.
 
-A value that a save would not write back byte for byte is refused, not
+A file that a save would not write back byte for byte is refused, not
 rewritten: the counter and ``<bits>`` are ASCII decimal digits with no
 leading zero, and each key is ``ceil(len/4)`` lowercase hex digits and a
-length with no leading zero (:meth:`~kimap.bits.BitString.from_text`). The
-layout between values is looser: blank lines and runs of whitespace load,
-and a save drops them.
+length with no leading zero (:meth:`~kimap.bits.BitString.from_text`). Each
+line ends in one line feed, the last line included, and the fields of a
+record are separated by single spaces: a blank line, a tab, a run of spaces,
+a space at either end of a line, a carriage return or a missing final line
+feed is refused with its line's number.
 
-The master key lives in a separate file holding a single ``hex:len`` line,
-as wide as the database's keys; it never appears in the tag database. Both
-files are replaced atomically: a failed or interrupted save leaves the
+The master key lives in a separate file holding exactly one ``hex:len``
+line, as wide as the database's keys; it never appears in the tag database.
+Both files are replaced atomically: a failed or interrupted save leaves the
 previous file intact.
 """
 
@@ -96,8 +98,17 @@ def save_database(path: Union[str, Path], lam: int, records: dict[str, ServerTag
     _write_atomic(path, dump_database(lam, records))
 
 
+def _lines(path: Union[str, Path]) -> list[str]:
+    """The lines of ``path``'s text, split at each line feed; the text must
+    end in one, which ends the last line."""
+    lines = read_text(path, partial(DatabaseFormatError, path)).split("\n")
+    if lines.pop():
+        raise DatabaseFormatError(path, len(lines) + 1, "missing final newline")
+    return lines
+
+
 def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecord]]:
-    lines = read_text(path, partial(DatabaseFormatError, path)).splitlines()
+    lines = _lines(path)
     if not lines or not lines[0].startswith(HEADER_PREFIX):
         raise DatabaseFormatError(path, 1, f"expected header '{HEADER_PREFIX}<bits>'")
     try:
@@ -111,9 +122,12 @@ def load_database(path: Union[str, Path]) -> tuple[int, dict[str, ServerTagRecor
 
     records: dict[str, ServerTagRecord] = {}
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            raise DatabaseFormatError(path, line_no, "blank line")
+        if " ".join(fields) != line:
+            raise DatabaseFormatError(path, line_no, "fields must be separated by single spaces, "
+                                      "with no other whitespace")
         if len(fields) not in (4, 5) or fields[0] != "v1":
             raise DatabaseFormatError(path, line_no, "expected 'v1 <label> <counter> <key> [<prev>]'")
         label = fields[1]
@@ -145,9 +159,11 @@ def save_master(path: Union[str, Path], master: BitString) -> None:
 
 def load_master(path: Union[str, Path], lam: int) -> BitString:
     """Read the master key of a database of key width ``lam``."""
-    text = read_text(path, partial(DatabaseFormatError, path)).strip()
+    lines = _lines(path)
+    if len(lines) != 1:
+        raise DatabaseFormatError(path, 2 if lines else 1, "expected one line")
     try:
-        value = BitString.from_text(text)
+        value = BitString.from_text(lines[0])
     except ValueError as exc:
         raise DatabaseFormatError(path, 1, str(exc)) from None
     if len(value) != lam:

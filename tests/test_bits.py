@@ -375,6 +375,14 @@ class TestPrng:
         with pytest.raises(ValueError):
             prng_next(Prng(0, 0), 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_randbelow_bound_must_be_positive(self, n, monkeypatch):
+        """No draw is below a bound under 1, so randbelow refuses one before
+        it draws, rather than loop for ever."""
+        monkeypatch.setattr(bits, "_draw", lambda *args: pytest.fail("randbelow drew"))
+        with pytest.raises(ValueError, match="n must be positive"):
+            Prng(0, 0).randbelow(n)
+
     def test_randbelow_range_and_determinism(self):
         p, q = Prng(1, 1), Prng(1, 1)
         vals = [p.randbelow(7) for _ in range(200)]

@@ -17,7 +17,7 @@ from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
 from kimap.costs import CostParams
 from kimap.games import DEFINITIONS, Definition, GameConfig
-from kimap.storage import load_database
+from kimap.storage import dump_database, load_database
 
 
 def run_cli(*argv):
@@ -321,7 +321,7 @@ class TestRun:
         run_cli("run", "--db", str(db_dir), "--sessions", "9", "--seed", "9")
         lam, records = load_database(db_dir / "kimap.db")
         assert all(rec.counter == 4 for rec in records.values())
-        assert all(rec.key_previous is not None for rec in records.values())
+        assert dump_database(lam, records) == (db_dir / "kimap.db").read_text()
 
     def test_exhausted_counter_is_rejected_and_saved_unchanged(self, tmp_path, capsys):
         d = tmp_path / "db"

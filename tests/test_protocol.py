@@ -18,6 +18,7 @@ from kimap.protocol import (
     key_update,
     keygen,
     make_candidate,
+    offered_slots,
     partial_key,
     server_begin,
     server_finalize,
@@ -43,14 +44,23 @@ def honest_session(server, tag, spec, label=None):
     return server_finalize(server, pending, ta)
 
 
+def offered_keys(server, spec):
+    """The keys the next broadcast under ``spec`` offers each record, by
+    label, in slot order."""
+    keys = {label: [] for label in server.records}
+    for slot in offered_slots(server, spec):
+        keys[slot.label].append(slot.key)
+    return keys
+
+
 class TestKeygen:
     def test_registry_mirrors_tags(self):
         server, tags = keygen(64, 3, Prng(1, 0))
         assert len(server.records) == 3
-        for rec, tag in zip(server.records.values(), tags):
-            assert rec.key_current == tag.key
-            assert rec.key_previous is None
-            assert rec.counter == tag.counter == 1
+        assert offered_keys(server, PROD64) == {label: [tag.key]
+                                                for label, tag in zip(server.records, tags)}
+        assert [(rec.counter, tag.counter)
+                for rec, tag in zip(server.records.values(), tags)] == [(1, 1)] * 3
 
     def test_deterministic_under_seed(self):
         s1, t1 = keygen(64, 1, Prng(77, 0))
@@ -362,10 +372,7 @@ class TestServerFinalize:
         rec_a_before = dataclasses.replace(server.records["t001"])
         result = honest_session(server, tags[1], TOY16)
         assert result.accepted and result.label == "t002"
-        rec_a = server.records["t001"]
-        assert rec_a.key_current == rec_a_before.key_current
-        assert rec_a.key_previous == rec_a_before.key_previous
-        assert rec_a.counter == rec_a_before.counter
+        assert server.records["t001"] == rec_a_before
 
     def test_exhausted_counter_gets_no_candidate(self):
         # accepting t001 at 2**32 - 1 would move its counter past the width
@@ -379,9 +386,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         _, pending = server_prepare(server, ch.x_s, BitString(2, 16), TOY16)
         assert {c.label for c in pending.candidates} == {"t002"}
-        rec = server.records["t001"]
-        assert (rec.key_current, rec.key_previous, rec.counter) == (
-            rec_before.key_current, rec_before.key_previous, rec_before.counter)
+        assert server.records["t001"] == rec_before
 
     def test_tied_expectation_fails_closed(self):
         # two records with the same current key and counter expect the same
@@ -395,9 +400,10 @@ class TestServerFinalize:
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
         assert tags[0].counter == 2 and pending.expected.count(ta.sigma_prime.value) == 2
         assert not server_finalize(server, pending, ta).accepted
-        for rec in server.records.values():
-            assert (rec.key_current, rec.key_previous, rec.counter, rec.consecutive_failures) \
-                == (key, tags[0].key, 1, 1)
+        assert [(rec.counter, rec.consecutive_failures) for rec in server.records.values()] \
+            == [(1, 1), (1, 1)]
+        assert offered_keys(server, TOY16) == {"t001": [key, tags[0].key],
+                                               "t002": [key, tags[0].key]}
 
     def test_all_records_exhausted_broadcasts_nothing(self):
         server, tags = keygen(16, 2, Prng(26, 0))
@@ -419,21 +425,21 @@ class TestServerFinalize:
         _, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         expected_next = pending.candidates[0].next_key(pending.ops)
         tags[0].pending = None
+        key = tags[0].key
         result = server_timeout(server, pending)
         assert not result.accepted
-        rec = server.records["t001"]
-        assert rec.key_previous == expected_next
-        assert rec.consecutive_failures == 1
+        assert offered_keys(server, TOY16) == {"t001": [key, expected_next]}
+        assert server.records["t001"].consecutive_failures == 1
 
     @pytest.mark.parametrize("spec", [TOY16, PROD64], ids=["toy16", "production64"])
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("failure", ["drop-3", "reject-4"])
     def test_failure_parks_the_bitstring_key_update(self, spec, n, failure):
-        """After a failed session every record's previous slot holds
-        ``key_update(spec, k'', x'', x_s)`` of its current key ``k`` and
-        partial key ``x``, computed on bit strings; the current key and
-        counter stay. Every other record first completes a session, so the
-        broadcast mixes both slots."""
+        """After a failed session the next broadcast offers every record its
+        current key ``k`` and ``key_update(spec, k'', x'', x_s)`` of ``k``
+        and its partial key ``x``, computed on bit strings; the current key
+        and counter stay. Every other record first completes a session, so
+        the failed session's broadcast mixes both slots."""
         lam = spec.output_len_bits
         server, tags = keygen(lam, n, Prng(30 + n, 0))
         for tag in tags[::2]:
@@ -449,12 +455,13 @@ class TestServerFinalize:
             ta = tag_verify_and_respond(tags[-1], ch.x_s, bc, spec)
             result = server_finalize(server, pending, TagAuth(ta.sigma_prime.flip(0)))
         assert not result.accepted
+        offered = offered_keys(server, spec)
         for label, (key, counter) in before.items():
             _, k_dprime = split(key)
             _, x_dprime = split(partial_key(spec, counter, server.master, key))
             rec = server.records[label]
-            assert (rec.key_current, rec.counter, rec.consecutive_failures) == (key, counter, 1)
-            assert rec.key_previous == key_update(spec, k_dprime, x_dprime, ch.x_s)
+            assert (rec.counter, rec.consecutive_failures) == (counter, 1)
+            assert offered[label] == [key, key_update(spec, k_dprime, x_dprime, ch.x_s)]
 
 
 class TestCostAccounting:

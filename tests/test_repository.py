@@ -1,8 +1,9 @@
 """The repository's own pins: every xfail that cites a ROADMAP item is strict
 and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
 adds up from its runs, each demo prints the bytes of its golden file, each
-``kimap`` command in the README parses, and the protocol's session objects
-are built by their one builder alone."""
+``kimap`` command in the README parses, the protocol's session objects
+are built by their one builder alone, and only the tests that name the
+stored recovery state read a record's previous slot as a field."""
 
 import ast
 import json
@@ -172,6 +173,49 @@ class TestSoleBuilders:
                   "    return protocol.PendingSession(pending.ops, (), ())\n")
         assert builder_problems({"p.py": source}) == (set(), [
             "p.py:2: PendingSession( is called in server_timeout, not in make_candidate"])
+
+
+# The tests that may read a record's previous slot as a field: the kimapdb
+# v1 format, the server-cache reference model, the golden record dump, and
+# the slot builder's own tests. Every other test asks the library where a
+# key sits (offered_slots, slot_origin, World.whereabouts), so a change to
+# the recovery representation breaks only the tests about it.
+FIELD_READERS = {"tests/test_storage.py", "tests/test_server_cache.py",
+                 "tests/test_golden_transcript.py", "tests/test_protocol.py::TestSlotKeys"}
+
+
+def field_read_problems(sources):
+    """Each load of ``.key_previous`` in ``sources`` (path -> source) outside
+    :data:`FIELD_READERS`. An assignment that builds a state is not a load."""
+    bad = []
+
+    def visit(node, path, scope):
+        if isinstance(node, ast.ClassDef) and scope == path:
+            scope = f"{path}::{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr == "key_previous"
+              and isinstance(node.ctx, ast.Load) and scope not in FIELD_READERS):
+            bad.append(f"{path}:{node.lineno}: reads .key_previous")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path, source in sources.items():
+        if path not in FIELD_READERS:
+            visit(ast.parse(source, path), path, path)
+    return bad
+
+
+class TestRecoveryFieldReads:
+    def test_no_test_reads_the_previous_slot_outside_its_readers(self):
+        assert field_read_problems(read_tests()) == []
+
+    def test_a_previous_slot_read_in_a_test_is_found(self):
+        source = ("class TestSlotKeys:\n"
+                  "    def test_x(self, rec):\n"
+                  "        rec.key_previous = None\n"
+                  "        assert rec.key_previous is None\n")
+        assert field_read_problems({"tests/test_protocol.py": source}) == []
+        assert field_read_problems({"tests/test_channel.py": source}) == [
+            "tests/test_channel.py:4: reads .key_previous"]
 
 
 def _claim(wins, pairs, **claim):

@@ -4,14 +4,16 @@ implementation (ROADMAP item 9).
 From the keygen state of N tags (production(64), seed 7), a breadth-first
 search applies every move to every state it reaches: one session of one tag,
 with no action or with flight 2, 3 or 4 dropped. States are told apart by an
-abstraction of each record: where its tag's key sits (the current slot, the
-previous slot, or neither: "lost"), ``min(consecutive_failures, 3)``, and
-whether the previous slot is empty. Each abstract state keeps the first two
-concrete worlds that reached it (server, tags, replay recording and session
-number), and a move runs on a deep copy of one. The first representative's
-moves are the transitions that the figures count; every other move must
-reach the same abstract successor, or the abstraction would not be a
-function of the state.
+abstraction of each record, read through the library's two queries: where
+its tag's key sits (``World.whereabouts``: the current slot, a previous slot
+the record's accept left, a previous slot a failed session parked, or none:
+"lost"), ``min(consecutive_failures, 3)``, and how many slots the next
+broadcast offers the record (``offered_slots``). Each abstract state keeps
+the first two concrete worlds that reached it (server, tags, replay
+recording and session number), and a move runs on a deep copy of one. The
+first representative's moves are the transitions that the figures count;
+every other move must reach the same abstract successor, or the abstraction
+would not be a function of the state.
 """
 
 import copy
@@ -23,24 +25,18 @@ import pytest
 
 from kimap.bits import BitString, HashSpec, Prng
 from kimap.channel import PAYLOAD_TYPES, AdversaryAction, World
-from kimap.protocol import BroadcastAuth, ServerAuthCandidate, keygen
+from kimap.protocol import BroadcastAuth, ServerAuthCandidate, keygen, offered_slots
 
 SPEC = HashSpec.production(64)
 MOVES = ((), (2,), (3,), (4,))  # the flight a session drops, if any
 REPRESENTATIVES = 2
 
 
-def where(tag, rec):
-    if tag.key == rec.key_current:
-        return "current"
-    if tag.key == rec.key_previous:
-        return "previous"
-    return "lost"
-
-
 def abstract(world):
-    return tuple((where(tag, rec), min(rec.consecutive_failures, 3), rec.key_previous is None)
-                 for tag, rec in zip(world.tags, world.server.records.values()))
+    offered = [keys.label for keys in offered_slots(world.server, world.spec)]
+    records = world.server.records
+    return tuple((place, min(records[label].consecutive_failures, 3), offered.count(label))
+                 for label, place in world.whereabouts().items())
 
 
 def after(world, idx, actions):
@@ -69,9 +65,10 @@ class Search:
     flagged_lost: int = 0      # ... whose tag is lost
     sessions: int = 0          # concrete sessions run, every representative's moves
     conflicts: int = 0         # moves whose abstract successor differs from the first's
-    # transitions that accept through the previous slot, by what last set
-    # that slot: the record's own accept, or a failed session's hedge
-    previous_slot_accepts: dict = field(default_factory=lambda: {"accept": 0, "hedge": 0})
+    # transitions that accept a tag whose key sat in a previous slot, by
+    # what put it there: the record's own accept, or a failed session's hedge
+    previous_slot_accepts: dict = field(
+        default_factory=lambda: {"accept-left": 0, "parked": 0})
     start: tuple = ()          # the abstract state of the keygen world
     # abstract state -> its representatives, and (state, tag, move) -> successor
     worlds: dict = field(default_factory=dict, repr=False)
@@ -104,13 +101,8 @@ def search(n):
                         out.left_lost += any(a and not b for a, b in zip(*lost))
                         out.cross_tag_losses += any(b and not a for j, (a, b)
                                                     in enumerate(zip(*lost)) if j != idx)
-                        if t.accepted and t.outcome_server.matched_slot == "previous":
-                            # An accept zeroes the failure count and a hedge
-                            # raises it, so a zero count before the session
-                            # means the record's own accept set the slot.
-                            rec = world.server.records[t.label]
-                            setter = "hedge" if rec.consecutive_failures else "accept"
-                            out.previous_slot_accepts[setter] += 1
+                        if t.accepted and state[idx][0] in out.previous_slot_accepts:
+                            out.previous_slot_accepts[state[idx][0]] += 1
                     kept = worlds.setdefault(succ, [])
                     if len(kept) < REPRESENTATIVES:
                         kept.append(next_world)
@@ -180,7 +172,7 @@ def test_no_accept_goes_through_a_slot_an_accept_set(n):
     previous slot set by the record's own accept is never matched, so an
     accept may clear it (ROADMAP item 15); slots a hedge parked are matched
     and must stay."""
-    assert search(n).previous_slot_accepts == {"accept": 0, "hedge": HEDGE_SET_ACCEPTS[n]}
+    assert search(n).previous_slot_accepts == {"accept-left": 0, "parked": HEDGE_SET_ACCEPTS[n]}
 
 
 def fewest_interceptions(s, n, goal):

@@ -64,6 +64,8 @@ def test_widest_counter_loads(provisioned, tmp_path):
     assert load_database(ok)[1]["t001"].counter == 2 ** 32 - 1
 
 
+SPACING = "fields must be separated by single spaces, with no other whitespace"
+
 # (database text or bytes, the line at fault, its message)
 MALFORMED_DATABASES = {
     "not-a-header": ("not a database\n", 1, "expected header 'kimapdb v1 lambda=<bits>'"),
@@ -121,6 +123,17 @@ MALFORMED_DATABASES = {
     "previous-key-length-leading-zero": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8 cd:08\n", 2,
                                          "bitstring text 'cd:08' is not in canonical form "
                                          "'cd:8'"),
+    # a save writes one space between fields and one \n after each line
+    "run-of-spaces": ("kimapdb v1 lambda=8\nv1  t001 1 ab:8\n", 2, SPACING),
+    "tab": ("kimapdb v1 lambda=8\nv1 t001\t1 ab:8\n", 2, SPACING),
+    "leading-space": ("kimapdb v1 lambda=8\n v1 t001 1 ab:8\n", 2, SPACING),
+    "trailing-space": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8 \n", 2, SPACING),
+    "crlf": ("kimapdb v1 lambda=8\nv1 t000 1 ab:8\r\nv1 t001 1 ab:8\r\n", 2, SPACING),
+    "crlf-header": ("kimapdb v1 lambda=8\r\nv1 t001 1 ab:8\r\n", 1, "bad lambda in header"),
+    "blank-line": ("kimapdb v1 lambda=8\n\nv1 t001 1 ab:8\n", 2, "blank line"),
+    "blank-last-line": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8\n\n", 3, "blank line"),
+    "spaces-only-line": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8\n  \n", 3, "blank line"),
+    "no-final-newline": ("kimapdb v1 lambda=8\nv1 t001 1 ab:8", 2, "missing final newline"),
 }
 
 
@@ -134,17 +147,32 @@ def test_malformed_database_names_its_line(tmp_path, case):
     assert str(err.value) == f"{path}:{line}: {message}"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("zz", "missing ':<len>' in bitstring text 'zz'"),
-    ("ab: 8", "bitstring text 'ab: 8' is not '<hex digits>:<decimal digits>'"),
-    ("AB:8", "bitstring text 'AB:8' is not in canonical form 'ab:8'"),
-], ids=["no-length", "space-before-length", "uppercase"])
-def test_malformed_master_names_its_line(tmp_path, text, message):
+# (master key file text, the line at fault, its message)
+MALFORMED_MASTERS = {
+    "no-length": ("zz\n", 1, "missing ':<len>' in bitstring text 'zz'"),
+    "space-before-length": ("ab: 8\n", 1,
+                            "bitstring text 'ab: 8' is not '<hex digits>:<decimal digits>'"),
+    "uppercase": ("AB:8\n", 1, "bitstring text 'AB:8' is not in canonical form 'ab:8'"),
+    # a save writes the key and one \n, nothing else
+    "no-final-newline": ("ab:8", 1, "missing final newline"),
+    "crlf": ("ab:8\r\n", 1, "bitstring text 'ab:8\\r' is not '<hex digits>:<decimal digits>'"),
+    "leading-space": (" ab:8\n", 1,
+                      "bitstring text ' ab:8' is not '<hex digits>:<decimal digits>'"),
+    "trailing-tab": ("ab:8\t\n", 1,
+                     "bitstring text 'ab:8\\t' is not '<hex digits>:<decimal digits>'"),
+    "blank-line-after": ("ab:8\n\n", 2, "expected one line"),
+    "blank-line-before": ("\nab:8\n", 2, "expected one line"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MASTERS))
+def test_malformed_master_names_its_line(tmp_path, case):
+    text, line, message = MALFORMED_MASTERS[case]
     path = tmp_path / "master.key"
-    path.write_text(f"{text}\n")
+    path.write_bytes(text.encode())
     with pytest.raises(DatabaseFormatError) as err:
         load_master(path, 8)
-    assert str(err.value) == f"{path}:1: {message}"
+    assert str(err.value) == f"{path}:{line}: {message}"
 
 
 def test_dump_is_deterministic(provisioned):
