@@ -6,7 +6,7 @@ Provision a server and one tag, then walk the four flights by hand and
 watch both sides converge on the next shared key.
 """
 
-from kimap.bits import HashSpec, Prng
+from kimap.bits import BitString, HashSpec, Prng
 from kimap.protocol import (
     keygen,
     server_begin,
@@ -38,10 +38,11 @@ print("flight 2  tag -> server   x_t =", nonce.x_t.to_text())
 # Flight 3: the server derives the session's partial key from its master
 # secret and one-time-pads it under the shared key; sigma lets the tag
 # authenticate the server before trusting delta.
+# The broadcast holds the two widths once and each candidate's values.
 broadcast, pending = server_prepare(server, challenge.x_s, nonce.x_t, spec)
-for cand in broadcast.candidates:
-    print("flight 3  server -> tag   sigma =", cand.sigma.to_text(),
-          " delta =", cand.delta.to_text())
+for sigma, delta in zip(broadcast.sigmas, broadcast.deltas):
+    print("flight 3  server -> tag   sigma =", BitString(sigma, broadcast.sigma_bits).to_text(),
+          " delta =", BitString(delta, broadcast.delta_bits).to_text())
 
 # Flight 4: the tag verifies, answers, and ratchets its key.
 tag_auth = tag_verify_and_respond(tag, challenge.x_s, broadcast, spec)

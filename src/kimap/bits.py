@@ -152,6 +152,15 @@ class BitString:
         return self
 
 
+def text_format(length: int, arg: int = 0) -> str:
+    """The :meth:`BitString.to_text` encoding of a ``length``-bit value as a
+    format string that reads positional argument ``arg``:
+    ``text_format(n).format(v) == BitString(v, n).to_text()``. It formats
+    many values of one width without a bit string for each."""
+    nibbles = (length + 3) // 4
+    return f"{{{arg}:0{nibbles}x}}:{length}" if nibbles else f":{length}"
+
+
 def _trusted(value: int, length: int) -> BitString:
     """A :class:`BitString` whose width holds by construction (a digest, or
     the result of an operation on checked operands), built without

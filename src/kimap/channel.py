@@ -13,16 +13,15 @@ only if its flight was delivered.
 The recording keeps a flight as a value the garbage collector does not
 track, never as the payload objects, so a recording of thousands of sessions
 adds nothing to a full collection. Flights 1, 2 and 4 are kept as the
-``(value, width)`` pair of their one bit string. A broadcast is kept as one
-``bytes``: an 8-byte header holding the sigma and delta widths, then each
+``(value, width)`` pair of their one bit string. A broadcast
+(:class:`~kimap.protocol.BroadcastAuth`) already holds its sigma and delta
+widths once and each candidate's ``sigma`` and ``delta`` as ints; it is kept
+as one ``bytes``: an 8-byte header holding the two widths, then each
 candidate's ``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian
 bytes, in broadcast order. The 32 candidates of 16 records at 64 bits take
 520 bytes (553 as a Python object), against about 3,350 for a tuple of each
-bit string's value and width. The header names the widths once because they
-are the same for every candidate of one broadcast: the session's one spec
-hashes every sigma, and :func:`~kimap.protocol.make_candidate` holds every
-slot to the session's width. A replay rebuilds a payload equal to the one its
-source emitted.
+bit string's value and width. A replay rebuilds a payload equal to the one
+its source emitted.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from __future__ import annotations
 import struct
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .bits import HashSpec, ParameterError, _trusted
+from .bits import BitString, HashSpec, ParameterError, _trusted, text_format
 from .protocol import (
     AuthResult,
     BroadcastAuth,
     Challenge,
-    ServerAuthCandidate,
     ServerState,
     TagAuth,
     TagNonce,
@@ -169,9 +167,20 @@ _WIDTHS = struct.Struct(">II")
 def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
     """The width rule of a payload on the wire: ``x_s``, ``x_t`` and every
     ``delta`` are ``key_bits`` wide, every ``sigma`` and ``sigma'``
-    ``hash_bits`` (the hash output width)."""
-    fields = ([kv for c in payload.candidates for kv in c._asdict().items()]
-              if isinstance(payload, BroadcastAuth) else vars(payload).items())
+    ``hash_bits`` (the hash output width). A broadcast's candidates share
+    their widths, so its first candidate stands for all."""
+    if isinstance(payload, BroadcastAuth):
+        fields = payload.candidates[0]._asdict().items() if payload.sigmas else ()
+    else:
+        fields = vars(payload).items()
+    check_field_widths(fields, key_bits, hash_bits)
+
+
+def check_field_widths(fields: Iterable[tuple[str, BitString]], key_bits: int,
+                       hash_bits: int) -> None:
+    """:func:`check_payload_widths` on each ``(name, value)`` of ``fields``,
+    named as the payload fields are: a name starting ``sigma`` is
+    ``hash_bits`` wide, any other ``key_bits``."""
     for name, value in fields:
         width = hash_bits if name.startswith("sigma") else key_bits
         if len(value) != width:
@@ -205,19 +214,14 @@ def _pack(flight: int, payload: Payload) -> Union[tuple[int, int], bytes]:
     """What a recording keeps of a payload: the value and width of the one
     bit string of flight 1, 2 or 4, or a broadcast's :data:`_WIDTHS` header
     and then each candidate's ``sigma || delta`` in as many whole bytes as
-    their widths need, in broadcast order. An empty broadcast is a header
-    of zero widths."""
+    their widths need, in broadcast order."""
     if flight != 3:
         (bits,) = vars(payload).values()
         return bits._value, bits._length
-    candidates = payload.candidates
-    if not candidates:
-        return _WIDTHS.pack(0, 0)
-    sigma, delta = candidates[0]
-    sigma_bits, delta_bits = sigma._length, delta._length
+    sigma_bits, delta_bits, sigmas, deltas = payload
     nbytes = (sigma_bits + delta_bits + 7) >> 3
     return _WIDTHS.pack(sigma_bits, delta_bits) + b"".join(
-        [(s._value << delta_bits | d._value).to_bytes(nbytes, "big") for s, d in candidates])
+        [(s << delta_bits | d).to_bytes(nbytes, "big") for s, d in zip(sigmas, deltas)])
 
 
 def _rebuild(flight: int, packed: Union[tuple[int, int], bytes]) -> Payload:
@@ -229,8 +233,8 @@ def _rebuild(flight: int, packed: Union[tuple[int, int], bytes]) -> Payload:
     # nbytes is 0 only for an empty broadcast, where no byte follows the header.
     wire = [int.from_bytes(packed[i:i + nbytes], "big")
             for i in range(_WIDTHS.size, len(packed), nbytes or 1)]
-    return BroadcastAuth(tuple(ServerAuthCandidate(_trusted(v >> delta_bits, sigma_bits),
-                                                   _trusted(v & mask, delta_bits)) for v in wire))
+    return BroadcastAuth(sigma_bits, delta_bits, tuple([v >> delta_bits for v in wire]),
+                         tuple([v & mask for v in wire]))
 
 
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
@@ -347,7 +351,13 @@ class World:
         when no slot offered for its record holds it. An exhausted record
         offers no slot, so its tag reads lost. Only a simulator can know
         this: the server never sees a tag's key. Slots are built through the
-        server's slot cache, as a session builds them."""
+        server's slot cache, as a session builds them.
+
+        Each tag is looked for in its own record's slots only. At narrow
+        keys (16 bits) another record's slot can hold the same key, and the
+        tag's sessions are then accepted as that record: the tag reads
+        ``"lost"`` here while its sessions are accepted under another
+        label."""
         server = self.server
         keys = dict(zip(server.records, (tag.key for tag in self.tags)))
         where = dict.fromkeys(keys, "lost")
@@ -368,7 +378,9 @@ def transcript_line(t: SessionTranscript) -> str:
 
     bc = "-"
     if t.broadcast is not None:
-        bc = ",".join(f"{c.sigma.to_text()}/{c.delta.to_text()}" for c in t.broadcast.candidates)
+        sigma_bits, delta_bits, sigmas, deltas = t.broadcast
+        pair = f"{text_format(sigma_bits)}/{text_format(delta_bits, 1)}"
+        bc = ",".join(map(pair.format, sigmas, deltas))
     server = "-" if t.outcome_server is None else t.outcome_server.outcome
     return (f"transcript session={t.session_seq} tag={t.label} "
             f"x_s={enc(t.x_s.x_s if t.x_s else None)} "

@@ -56,6 +56,7 @@ from .channel import (
     FaultSchedule,
     ScheduleError,
     World,
+    check_field_widths,
     check_payload_widths,
     transcript_line,
 )
@@ -164,14 +165,17 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
     if kind is None:  # no such flight: AdversaryAction says so
         return None
     values = [BitString.from_text(f) for f in fields]
+    # ``run`` hashes to lam bits. Each field is checked before a broadcast
+    # is built, so a delta of another width is named as any other.
     if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
-        payload = BroadcastAuth(tuple(map(ServerAuthCandidate, values[::2], values[1::2])))
-    elif kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
+        candidates = list(map(ServerAuthCandidate, values[::2], values[1::2]))
+        check_field_widths([kv for c in candidates for kv in c._asdict().items()], lam, lam)
+        return BroadcastAuth.of(candidates)
+    if kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
         payload = kind(values[0])
-    else:
-        raise ScheduleError(f"wrong replacement field count for flight {flight}")
-    check_payload_widths(payload, lam, lam)  # ``run`` hashes to lam bits
-    return payload
+        check_payload_widths(payload, lam, lam)
+        return payload
+    raise ScheduleError(f"wrong replacement field count for flight {flight}")
 
 
 # ---------------------------------------------------------------------------

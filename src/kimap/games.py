@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bits import BitString, HashSpec, ParameterError, Prng, prng_next, split, xor
+from .bits import BitString, HashSpec, ParameterError, Prng, _trusted, prng_next, split, xor
 from .channel import SessionTranscript
 from .protocol import (
     BroadcastAuth,
@@ -48,6 +48,7 @@ from .protocol import (
     SessionOrderError,
     TagAuth,
     TagState,
+    _new_tuple,
     auth_server_tag,
     key_update,
     keygen,
@@ -118,19 +119,16 @@ class GameConfig:
             raise ParameterError("budgets must be >= 0")
 
 
-@dataclass(frozen=True)
-class Quintuplet:
+class Quintuplet(NamedTuple):
     """One completed instance as recorded inside the world (the true
-    challenge included, whether or not the adversary saw it)."""
+    challenge included, whether or not the adversary saw it), its five
+    fields in wire order."""
 
     x_s: BitString
     sigma: BitString
     delta: BitString
     x_t: BitString
     sigma_prime: BitString
-
-    def fields(self) -> tuple[BitString, ...]:
-        return (self.x_s, self.sigma, self.delta, self.x_t, self.sigma_prime)
 
 
 class OracleHandle:
@@ -231,9 +229,9 @@ class OracleHandle:
         pend = self._pending_reply.pop(tag, None)
         outcome = server_finalize(self.server, pend, ta) if pend is not None else None
         if updated:
-            ((sigma, delta),) = bc.candidates
-            self.recorded[tag][period] = Quintuplet(
-                x_s=x_s, sigma=sigma, delta=delta, x_t=x_t, sigma_prime=ta.sigma_prime)
+            self.recorded[tag][period] = _new_tuple(Quintuplet, (
+                x_s, _trusted(bc.sigmas[0], bc.sigma_bits), _trusted(bc.deltas[0], bc.delta_bits),
+                x_t, ta.sigma_prime))
         return ta, updated, outcome
 
     def _eavesdrop(self, tag: int, restricted: bool) -> SessionTranscript:
@@ -277,7 +275,7 @@ class OracleHandle:
         """Tag flight-4 computation (verify, answer, ratchet on success);
         the answer is forwarded to the server."""
         self._admit("reply_prime", tag)
-        bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
+        bc = BroadcastAuth.of((ServerAuthCandidate(sigma, delta),))
         return self._reply_prime_core(tag, x_s, bc)[0].sigma_prime
 
     def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
@@ -287,7 +285,7 @@ class OracleHandle:
         pend = self._pending_reply.get(tag)
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
-        bc = BroadcastAuth((ServerAuthCandidate(sigma, delta),))
+        bc = BroadcastAuth.of((ServerAuthCandidate(sigma, delta),))
         return self._reply_prime_core(tag, pend.ops.x_s, bc)[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
@@ -350,7 +348,7 @@ class OracleHandle:
             return quints[coin]
         if coin == 1:
             return quints[0]
-        return Quintuplet(*(prng_next(self.aux, len(f)) for f in quints[0].fields()))
+        return Quintuplet(*(prng_next(self.aux, len(f)) for f in quints[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,8 @@ class KeyKnowledge(Distinguisher):
         """Observes one session: (its challenge, or None if withheld; delta)."""
         restricted = "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky
         t = h.execute_b(tag) if restricted else h.execute(tag)
-        return None if restricted else t.x_s.x_s, t.broadcast.candidates[0].delta
+        bc = t.broadcast
+        return None if restricted else t.x_s.x_s, _trusted(bc.deltas[0], bc.delta_bits)
 
     @staticmethod
     def _evolve(spec: HashSpec, key: BitString, x_s: Optional[BitString],

@@ -38,10 +38,16 @@ and the tag's scan shares them. Each width is checked once, where it is
 made: a slot's key against the master, ``x_t`` against ``x_s``, and the
 session against the master, all before the shuffle. One
 :func:`make_candidate` call then builds the shuffled broadcast with its
-:class:`PendingSession`: no other code builds either. Digests stay ints
-until they reach the wire. The next key, one hash from the slot's cached
-``k'' || x''`` term and the session's ``x_s`` term, is computed only for
-the matched candidate, or for every record when a failed session hedges.
+:class:`PendingSession`. A :class:`BroadcastAuth` is flight 3 as columns:
+the sigma width and the delta width once, then every candidate's ``sigma``
+and ``delta`` as ints, so building one makes no object per candidate, and
+the tag's scan holds each width to its own once per broadcast.
+:class:`ServerAuthCandidate` pairs of bit strings are read from it
+(:attr:`BroadcastAuth.candidates`) and built into one
+(:meth:`BroadcastAuth.of`, which refuses mixed widths). The next key, one
+hash from the slot's cached ``k'' || x''`` term and the session's ``x_s``
+term, is computed only for the matched candidate, or for every record when
+a failed session hedges.
 :func:`partial_key`, :func:`session_key`, :func:`key_update`,
 :func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
 on bitstrings, and the tests hold the int path to them.
@@ -61,9 +67,10 @@ slot, so its tag's sessions are rejected and the record stays as it is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bits import (COUNTER_BITS, BitString, HashSpec, LengthError, OpMeter, ParameterError, Prng,
                    _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
@@ -188,20 +195,73 @@ class TagNonce:
 
 
 class ServerAuthCandidate(NamedTuple):
+    """One broadcast candidate as a pair of bit strings."""
+
     sigma: BitString
     delta: BitString
 
 
-# Build a ServerAuthCandidate or SlotKeys from a tuple, and a BitString
-# whose width holds by construction, at C level, without a generated Python
-# __new__ or BitString's range checks.
+# Build a NamedTuple (SlotKeys, BroadcastAuth, ServerAuthCandidate) from a
+# tuple at C level, without its generated Python __new__.
 _new_tuple = tuple.__new__
-_new_object = object.__new__
 
 
-@dataclass(frozen=True)
-class BroadcastAuth:
-    candidates: tuple[ServerAuthCandidate, ...]
+def _column(name: str, values: Sequence[BitString]) -> tuple[int, tuple[int, ...]]:
+    """The one width of ``values`` (0 for none) and their ints, or
+    :class:`~kimap.bits.LengthError` naming the widths they mix."""
+    widths = sorted({len(v) for v in values})
+    if len(widths) > 1:
+        raise LengthError(f"broadcast {name}s mix widths {widths}")
+    return (widths[0] if widths else 0), tuple([v.value for v in values])
+
+
+class BroadcastAuth(NamedTuple):
+    """Flight 3 as the wire carries it: the width of every ``sigma`` and of
+    every ``delta``, then each candidate's ``sigma`` and ``delta`` as ints,
+    in broadcast order. One spec hashes every sigma and every slot is held
+    to the session's width, so the widths are stated once; a broadcast of
+    no candidate has widths 0. :func:`make_candidate` builds it from its
+    digests, and :meth:`of` from :class:`ServerAuthCandidate` pairs."""
+
+    sigma_bits: int
+    delta_bits: int
+    sigmas: tuple[int, ...]
+    deltas: tuple[int, ...]
+
+    @classmethod
+    def of(cls, candidates: Iterable[ServerAuthCandidate]) -> "BroadcastAuth":
+        """The broadcast of ``candidates``, in order. Candidates whose sigmas,
+        or whose deltas, differ in width are refused with
+        :class:`~kimap.bits.LengthError`: no broadcast carries them."""
+        pairs = tuple(candidates)
+        sigma_bits, sigmas = _column("sigma", [c.sigma for c in pairs])
+        delta_bits, deltas = _column("delta", [c.delta for c in pairs])
+        return _new_tuple(cls, (sigma_bits, delta_bits, sigmas, deltas))
+
+    @property
+    def candidates(self) -> "Candidates":
+        """The candidates as :class:`ServerAuthCandidate` pairs, built only
+        as they are read; their count is ``len()`` of the view."""
+        return Candidates(self)
+
+
+class Candidates:
+    """A read-only sequence view of a :class:`BroadcastAuth`'s candidates.
+    ``len()`` builds nothing; indexing, and so iterating, builds each pair."""
+
+    __slots__ = ("_broadcast",)
+
+    def __init__(self, broadcast: BroadcastAuth):
+        self._broadcast = broadcast
+
+    def __len__(self) -> int:
+        return len(self._broadcast.sigmas)
+
+    def __getitem__(self, i: int) -> ServerAuthCandidate:
+        sigma_bits, delta_bits, sigmas, deltas = self._broadcast
+        i = operator.index(i)  # an index, not a slice
+        return _new_tuple(ServerAuthCandidate,
+                          (_trusted(sigmas[i], sigma_bits), _trusted(deltas[i], delta_bits)))
 
 
 @dataclass(frozen=True)
@@ -403,29 +463,29 @@ def session_operands(spec: HashSpec, x_s: BitString, x_t: BitString) -> SessionO
 def make_candidate(slots: Sequence[SlotKeys],
                    ops: SessionOperands) -> tuple[BroadcastAuth, PendingSession]:
     """Flight 3 of the session ``ops`` over each (record, key slot) in
-    ``slots``, two hashes each: the broadcast of the wire pairs ``(sigma,
-    delta)``, and the :class:`PendingSession` of each slot and its expected
-    ``sigma'``, in the order of ``slots``. No other code builds either. Each
-    slot is held to the session's width; every slot must have been built
-    under ``ops.spec``, as the slot cache's ``(spec, master)`` key ensures.
-    The digests are those of :func:`auth_server_tag` and
-    :func:`auth_tag_msg`, each hashed from one slot term ORed with one
-    session term; the next key is computed on demand
+    ``slots``, two hashes each: the broadcast of each slot's ``sigma`` and
+    cached ``delta``, and the :class:`PendingSession` of each slot and its
+    expected ``sigma'``, in the order of ``slots``. No other code builds a
+    pending session. Each slot is held to the session's width; every slot
+    must have been built under ``ops.spec``, as the slot cache's ``(spec,
+    master)`` key ensures. The digests are those of :func:`auth_server_tag`
+    and :func:`auth_tag_msg`, each hashed from one slot term ORed with one
+    session term, and stay ints; the next key is computed on demand
     (:meth:`SlotKeys.next_key`)."""
     spec, width, s_t, t_s = ops.spec, ops.width, ops.s_t_term, ops.t_s_term
     sigma_bytes, sigma_prime_bytes = ops.sigma_bytes, ops.sigma_prime_bytes
-    out_bits = spec.output_len_bits
-    pairs: list[ServerAuthCandidate] = []
+    sigmas: list[int] = []
+    deltas: list[int] = []
     expected: list[int] = []
     for keys in slots:
         if keys.width != width:
             raise _mismatch(keys.key, ops.x_s, ops.x_t)
-        sigma = _new_object(BitString)
-        sigma._value = hash2(spec, keys.sigma_term | s_t, sigma_bytes)
-        sigma._length = out_bits
-        pairs.append(_new_tuple(ServerAuthCandidate, (sigma, keys.delta)))
+        sigmas.append(hash2(spec, keys.sigma_term | s_t, sigma_bytes))
+        deltas.append(keys.delta._value)
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
-    return BroadcastAuth(tuple(pairs)), PendingSession(ops, tuple(slots), tuple(expected))
+    widths = (spec.output_len_bits, width) if sigmas else (0, 0)
+    return (_new_tuple(BroadcastAuth, (*widths, tuple(sigmas), tuple(deltas))),
+            PendingSession(ops, tuple(slots), tuple(expected)))
 
 
 def offered_slots(server: ServerState, spec: HashSpec) -> list[SlotKeys]:
@@ -514,18 +574,21 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         (base, shift, _, _), (_, _, sk_shift, _), _ = _layouts(width)
         base |= k_prime.value << (shift + width) | ops.s_t_term
         nbytes, out_bits, k = ops.sigma_bytes, spec.output_len_bits, key.value
+        sigma_bits, delta_bits, sigmas, deltas = broadcast
+        # The widths are held once per broadcast: a delta of another width
+        # is an error, and a sigma of another width verifies nothing, though
+        # every candidate is still hashed.
+        if delta_bits != width and deltas:
+            raise LengthError(f"broadcast deltas are {delta_bits} bits, the key {width}")
         matched: Optional[int] = None
-        # Values and widths are read from the BitString slots directly, as
-        # bits' own helpers do, so hash2 is the one call per candidate.
-        for sigma, delta in broadcast.candidates:
-            if delta._length != width:
-                raise _mismatch(delta, key)
-            x_hat = delta._value ^ k
-            if (hash2(spec, base | x_hat << shift, nbytes) == sigma._value
-                    and sigma._length == out_bits and matched is None):
+        for sigma, delta in zip(sigmas, deltas):
+            x_hat = delta ^ k
+            if hash2(spec, base | x_hat << shift, nbytes) == sigma and matched is None:
                 matched = x_hat
+        if sigma_bits != out_bits:
+            matched = None
         # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
-        tag.meter.xor_calls += len(broadcast.candidates)
+        tag.meter.xor_calls += len(deltas)
         if matched is None:
             sigma_prime = prng_next(tag.prng, width)
             tag.pending = None

@@ -213,7 +213,7 @@ def test_criterion_10_tamper_countermeasure():
         else:
             c = ServerAuthCandidate(c.sigma, c.delta.flip(mutate.randbelow(16)))
         key_before = tag.key
-        ta = tag_verify_and_respond(tag, ch.x_s, BroadcastAuth((c,)), spec)
+        ta = tag_verify_and_respond(tag, ch.x_s, BroadcastAuth.of((c,)), spec)
         assert len(ta.sigma_prime) == 16
         assert tag.key == key_before, "tag key must not move on a corrupted broadcast"
         assert not server_finalize(server, pending, ta).accepted

@@ -124,6 +124,14 @@ class TestTextEncoding:
     def test_lowercase_padded(self):
         assert BitString(0xAB, 12).to_text() == "0ab:12"
 
+    @given(raw=st.integers(0, (1 << 300) - 1), length=st.integers(0, 300), arg=st.integers(0, 2))
+    @example(raw=5, length=0, arg=1)
+    def test_text_format_is_to_text(self, raw, length, arg):
+        """Values of one width are formatted as their bit strings are."""
+        value = raw & ((1 << length) - 1)
+        args = [None] * arg + [value]
+        assert bits.text_format(length, arg).format(*args) == BitString(value, length).to_text()
+
     def test_length_not_inferable_from_hex(self):
         # same hex, different declared widths: distinct values
         assert BitString.from_text("1:1") != BitString.from_text("1:4")

@@ -138,6 +138,8 @@ EXIT_2_CASES = {
     "run-replace-x_t-of-8-bits": _replace("1 2 replace ad:8", "x_t"),
     "run-replace-sigma-of-8-bits": _replace("1 3 replace ad:8 ef:8", "sigma"),
     "run-replace-delta-of-8-bits": _replace("1 3 replace beef:16 ad:8", "delta"),
+    "run-replace-deltas-of-16-and-8-bits": _replace("1 3 replace beef:16 beef:16 beef:16 ad:8",
+                                                    "delta"),
     "run-replace-sigma_prime-of-8-bits": _replace("2 4 replace ad:8", "sigma_prime"),
     "run-replace-uppercase": (_schedule("1 3 replace DEAD:16 beef:16\n"),
                               ("run", "--db", "DB", "--schedule", "SCHED"),

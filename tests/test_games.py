@@ -342,7 +342,7 @@ class TestTestOracle:
             h.choose_challenge(0)
             h.execute(0)
             q = h.test(0, 1)
-            shapes.add(tuple(len(f) for f in q.fields()))
+            shapes.add(tuple(len(f) for f in q))
         assert shapes == {(16, 16, 16, 16, 16)}
 
     def test_real_branch_returns_recorded_instance(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from kimap import protocol
 from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, hash2_layout, metered,
                         prng_next, split, xor)
 from kimap.protocol import (
@@ -197,7 +198,7 @@ class TestTagVerify:
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         k_before = tags[0].key
-        mangled = BroadcastAuth(tuple(
+        mangled = BroadcastAuth.of(tuple(
             ServerAuthCandidate(c.sigma.flip(0), c.delta) for c in bc.candidates))
         ta = tag_verify_and_respond(tags[0], ch.x_s, mangled, TOY16)
         assert len(ta.sigma_prime) == 16
@@ -206,7 +207,7 @@ class TestTagVerify:
 
     def test_requires_session_in_flight(self):
         server, tags = keygen(16, 1, Prng(14, 0))
-        bc = BroadcastAuth((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
+        bc = BroadcastAuth.of((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
         with pytest.raises(SessionOrderError):
             tag_verify_and_respond(tags[0], BitString(0, 16), bc, TOY16)
 
@@ -216,7 +217,7 @@ class TestTagVerify:
         assert tags[0].pending is None
         ch = server_begin(server)
         tag_respond_nonce(tags[0])
-        bad = BroadcastAuth((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
+        bad = BroadcastAuth.of((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
         tag_verify_and_respond(tags[0], ch.x_s, bad, TOY16)
         assert tags[0].pending is None
 
@@ -241,7 +242,7 @@ def _tag_scan_of_narrow_delta():
     ch = server_begin(server)
     tag_respond_nonce(tags[0])
     bad = ServerAuthCandidate(BitString(0, 16), BitString(0, 15))
-    tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((bad,)), TOY16)
+    tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((bad,)), TOY16)
 
 
 def _server_prepare_of_narrow_previous_key():
@@ -305,13 +306,21 @@ class TestWidthChecks:
         assert (server.prng._counter, server.prng._acc, server.prng._acc_bits) == before
 
     def test_tag_scan_rejects_wrong_width_delta(self):
+        """A broadcast's deltas share one width, so a delta of another width
+        beside the honest ones is refused where the broadcast is built; the
+        tag's scan refuses deltas of a width other than its key's before it
+        hashes any candidate."""
         server, tags = keygen(16, 2, Prng(21, 0))
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         bad = ServerAuthCandidate(bc.candidates[-1].sigma, BitString(0, 15))
-        with pytest.raises(LengthError):
-            tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((*bc.candidates, bad)), TOY16)
+        with pytest.raises(LengthError, match=r"broadcast deltas mix widths \[15, 16\]"):
+            BroadcastAuth.of((*bc.candidates, bad))
+        hashes = tags[0].meter.hash_calls
+        with pytest.raises(LengthError, match="broadcast deltas are 15 bits, the key 16"):
+            tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((bad,) * 3), TOY16)
+        assert tags[0].meter.hash_calls == hashes
 
     def test_tag_scan_rejects_wrong_width_challenge(self):
         server, tags = keygen(16, 1, Prng(22, 0))
@@ -335,7 +344,7 @@ class TestWidthChecks:
                                         ch.x_s, nonce.x_t)
         wide = ServerAuthCandidate(BitString(sigma.value, len(sigma) + extra), delta)
         key, counter = tags[0].key, tags[0].counter
-        tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((wide,)), spec)
+        tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((wide,)), spec)
         assert (tags[0].key, tags[0].counter) == (key, counter)
 
     @pytest.mark.parametrize("extra", [1, 8, 48])
@@ -353,6 +362,34 @@ class TestWidthChecks:
         assert not result.accepted
         assert [rec.consecutive_failures for rec in server.records.values()] == [1, 1]
         assert server.records["t002"].counter == 1
+
+
+class TestBroadcastColumns:
+    """A broadcast is its two widths and two columns of ints; its
+    candidates are read as pairs of bit strings and built from them."""
+
+    @pytest.mark.parametrize("column", ["sigma", "delta"])
+    def test_mixed_widths_are_refused_where_a_broadcast_is_built(self, column):
+        wide, narrow = BitString(0xBEEF, 16), BitString(0xAD, 8)
+        odd = {"sigma": ServerAuthCandidate(narrow, wide),
+               "delta": ServerAuthCandidate(wide, narrow)}
+        with pytest.raises(LengthError, match=rf"broadcast {column}s mix widths \[8, 16\]"):
+            BroadcastAuth.of([ServerAuthCandidate(wide, wide), odd[column]])
+
+    def test_columns_hold_the_pairs_in_order(self):
+        pairs = [ServerAuthCandidate(BitString(v, 12), BitString(v ^ 0x3, 6)) for v in (7, 9, 33)]
+        bc = BroadcastAuth.of(pairs)
+        assert bc == (12, 6, (7, 9, 33), (4, 10, 34))
+        assert len(bc.candidates) == 3 and list(bc.candidates) == pairs
+        assert (bc.candidates[0], bc.candidates[-1]) == (pairs[0], pairs[-1])
+        assert BroadcastAuth.of(()) == (0, 0, (), ())
+
+    def test_counting_the_candidates_builds_no_pair(self, monkeypatch):
+        """perfbench counts ``len(broadcast.candidates)`` after every scan."""
+        server, tags = keygen(16, 3, Prng(30, 0))
+        bc, _ = server_prepare(server, BitString(1, 16), BitString(2, 16), TOY16)
+        monkeypatch.setattr(protocol, "_trusted", None)
+        assert len(bc.candidates) == 3
 
 
 class TestServerFinalize:
@@ -413,7 +450,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        assert bc.candidates == pending.candidates == pending.expected == ()
+        assert bc == BroadcastAuth.of(()) and pending.candidates == pending.expected == ()
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
         assert not server_finalize(server, pending, ta).accepted
         assert list(server.records.values()) == before

@@ -215,7 +215,7 @@ def test_desynchronization_price_is_n_interceptions(n):
 # accepts at 64 bits.
 ZERO = BitString(0, 64)
 REPLACEMENTS = {1: PAYLOAD_TYPES[1](ZERO), 2: PAYLOAD_TYPES[2](ZERO),
-                3: BroadcastAuth((ServerAuthCandidate(ZERO, ZERO),)), 4: PAYLOAD_TYPES[4](ZERO)}
+                3: BroadcastAuth.of((ServerAuthCandidate(ZERO, ZERO),)), 4: PAYLOAD_TYPES[4](ZERO)}
 
 
 def move_class(kind, flight):

@@ -244,7 +244,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     pairs, expected = broadcast.candidates, pending.expected
     assert (pending.ops, pending.candidates) == (ops, tuple(slots))
     assert [make_candidate((keys,), ops) for keys in slots] == [
-        (BroadcastAuth((pair,)), PendingSession(ops, (keys,), (value,)))
+        (BroadcastAuth.of((pair,)), PendingSession(ops, (keys,), (value,)))
         for pair, keys, value in zip(pairs, slots, expected, strict=True)]
     reference = []
     for keys in slots:
@@ -255,7 +255,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
     assert [(sigma, delta, BitString(v, lam))
             for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
-    assert make_candidate((), ops) == (BroadcastAuth(()), PendingSession(ops, (), ()))
+    assert make_candidate((), ops) == (BroadcastAuth.of(()), PendingSession(ops, (), ()))
 
 
 def ref_scan(spec, key, x_s, x_t, candidates):
@@ -335,7 +335,7 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
         candidates.insert(pos % (len(candidates) + 1), ServerAuthCandidate(
             auth_server_tag(spec, split(key)[0], x, x_s, x_t), xor(x, key)))
     want = ref_scan(spec, key, x_s, x_t, candidates)
-    answer = tag_verify_and_respond(tag, x_s, BroadcastAuth(tuple(candidates)), spec)
+    answer = tag_verify_and_respond(tag, x_s, BroadcastAuth.of(tuple(candidates)), spec)
     if want is None:
         assert (tag.key, tag.counter) == (key, counter)
         assert len(answer.sigma_prime) == lam
