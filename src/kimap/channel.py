@@ -1,7 +1,7 @@
 """In-memory lossy/adversarial channel driving sessions between endpoints.
 
 The channel is a four-flight pipe. A :class:`World` numbers its sessions
-from 1 and records every emitted payload under ``(session, flight)``;
+from 1 and records every emitted payload under its session's number;
 :func:`run_session`, the kernel, drives one session. An
 :class:`AdversaryAction` intercepts one flight of one session: drop it,
 replace the payload, or replay that flight as an earlier session emitted
@@ -10,26 +10,28 @@ simulator itself never mutates payloads; every transcript field is exactly
 what an endpoint emitted or an action substituted, and a field is present
 only if its flight was delivered.
 
-The recording keeps a flight as a value the garbage collector does not
-track, never as the payload objects, so a recording of thousands of sessions
-adds nothing to a full collection. Flights 1, 2 and 4 are kept as the
-``(value, width)`` pair of their one bit string. A broadcast
-(:class:`~kimap.protocol.BroadcastAuth`) already holds its sigma and delta
-widths once and each candidate's ``sigma`` and ``delta`` as ints; it is kept
-as one ``bytes``: an 8-byte header holding the two widths, then each
-candidate's ``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian
-bytes, in broadcast order. The 32 candidates of 16 records at 64 bits take
-520 bytes (553 as a Python object), against about 3,350 for a tuple of each
-bit string's value and width. A replay rebuilds a payload equal to the one
-its source emitted.
+The recording keeps each session as one ``bytes``, never as the payload
+objects, so the garbage collector tracks nothing in it and a recording of
+thousands of sessions adds nothing to a full collection. A session's value
+holds the flights it emitted, in order: flights 1 to its first dropped
+flight, or to 4. Flights 1, 2 and 4 are a 4-byte header of their bit
+string's width, then its ``ceil(width / 8)`` big-endian bytes. A broadcast
+(:class:`~kimap.protocol.BroadcastAuth`) is a 12-byte header of its sigma
+width, its delta width and its candidate count, then each candidate's
+``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian bytes, in
+broadcast order. At 64 bits a session of 16 records, 32 candidates, is 560
+bytes (593 as a Python object). Over a 3,000-session fault-mix episode a
+session costs 667 bytes with its key and its share of the dict, against
+1,271 when each flight had a ``(session, flight)`` key. :func:`recorded` is
+the one query of what a replay may name; a replay rebuilds a payload equal
+to the one its source emitted.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bits import BitString, HashSpec, ParameterError, _trusted, text_format
 from .protocol import (
@@ -154,14 +156,16 @@ class SessionTranscript:
         return self.outcome_server is not None and self.outcome_server.accepted
 
 
-# Every emitted payload, keyed by (session_seq, flight): the replay source.
-# Flights 1, 2 and 4 are kept as a (value, width) pair of ints, a broadcast
-# as one bytes of its widths and its candidates (see _pack). The garbage
-# collector tracks neither, so it never walks a recording.
-Recording = dict[tuple[int, int], Union[tuple[int, int], bytes]]
+# Every emitted payload, the replay source: each session's number maps to
+# one bytes of the flights it emitted, in order (see _pack). The garbage
+# collector tracks no bytes, so it never walks a recording.
+Recording = dict[int, bytes]
 
-# The header of a recorded broadcast: its sigma and delta widths.
-_WIDTHS = struct.Struct(">II")
+# The header of a recorded flight 1, 2 or 4: its bit string's width.
+_WIDTH = struct.Struct(">I")
+# The header of a recorded broadcast: its sigma and delta widths and its
+# candidate count.
+_BROADCAST = struct.Struct(">III")
 
 
 def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
@@ -188,12 +192,13 @@ def check_field_widths(fields: Iterable[tuple[str, BitString]], key_bits: int,
                                 f"not {width}")
 
 
-def _fit(actions: Sequence[AdversaryAction], session_seq: int, recorded,
-         key_bits: int, hash_bits: int) -> dict[int, AdversaryAction]:
+def _fit(actions: Sequence[AdversaryAction], session_seq: int,
+         emitted: Callable[[int, int], bool], key_bits: int,
+         hash_bits: int) -> dict[int, AdversaryAction]:
     """The actions of session ``session_seq`` by flight, or :class:`ScheduleError`
     if one does not fit it: each names the session, no two act on one flight,
-    a replacement has the wire's widths, and a replay's source flight is in
-    ``recorded``."""
+    a replacement has the wire's widths, and a replay's source session
+    ``emitted`` the replayed flight."""
     by_flight: dict[int, AdversaryAction] = {}
     for a in actions:
         if a.session_seq != session_seq:
@@ -203,36 +208,56 @@ def _fit(actions: Sequence[AdversaryAction], session_seq: int, recorded,
             raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
         if a.kind == "replace":
             check_payload_widths(a.payload, key_bits, hash_bits)
-        elif a.kind == "replay" and (a.source_session, a.flight) not in recorded:
+        elif a.kind == "replay" and not emitted(a.source_session, a.flight):
             raise ScheduleError(f"replay source session {a.source_session} flight {a.flight} "
                                 f"was never recorded")
         by_flight[a.flight] = a
     return by_flight
 
 
-def _pack(flight: int, payload: Payload) -> Union[tuple[int, int], bytes]:
-    """What a recording keeps of a payload: the value and width of the one
-    bit string of flight 1, 2 or 4, or a broadcast's :data:`_WIDTHS` header
-    and then each candidate's ``sigma || delta`` in as many whole bytes as
-    their widths need, in broadcast order."""
+def recorded(recording: Recording, session: int, flight: int) -> Optional[bytes]:
+    """What ``recording`` keeps of ``flight`` of session ``session``: the
+    bytes :func:`_pack` made of it, or ``None`` when the session never
+    emitted that flight (it never ran, or lost an earlier one). A replay may
+    name a flight exactly when this is not ``None``."""
+    value = recording.get(session, b"")
+    start = end = 0
+    for f in range(1, flight + 1):
+        start = end
+        if start >= len(value):
+            return None
+        if f == 3:
+            sigma_bits, delta_bits, n = _BROADCAST.unpack_from(value, start)
+            end = start + _BROADCAST.size + n * ((sigma_bits + delta_bits + 7) >> 3)
+        else:
+            end = start + _WIDTH.size + ((_WIDTH.unpack_from(value, start)[0] + 7) >> 3)
+    return value[start:end]
+
+
+def _pack(flight: int, payload: Payload) -> bytes:
+    """What a recording keeps of a payload: the :data:`_WIDTH` header and
+    whole bytes of the one bit string of flight 1, 2 or 4, or a broadcast's
+    :data:`_BROADCAST` header and then each candidate's ``sigma || delta``
+    in as many whole bytes as their widths need, in broadcast order."""
     if flight != 3:
         (bits,) = vars(payload).values()
-        return bits._value, bits._length
+        return _WIDTH.pack(bits._length) + bits._value.to_bytes((bits._length + 7) >> 3, "big")
     sigma_bits, delta_bits, sigmas, deltas = payload
     nbytes = (sigma_bits + delta_bits + 7) >> 3
-    return _WIDTHS.pack(sigma_bits, delta_bits) + b"".join(
+    return _BROADCAST.pack(sigma_bits, delta_bits, len(sigmas)) + b"".join(
         [(s << delta_bits | d).to_bytes(nbytes, "big") for s, d in zip(sigmas, deltas)])
 
 
-def _rebuild(flight: int, packed: Union[tuple[int, int], bytes]) -> Payload:
+def _rebuild(flight: int, packed: bytes) -> Payload:
     """The payload :func:`_pack` kept as ``packed``, equal to the one it packed."""
     if flight != 3:
-        return PAYLOAD_TYPES[flight](_trusted(*packed))
-    sigma_bits, delta_bits = _WIDTHS.unpack_from(packed)
+        return PAYLOAD_TYPES[flight](
+            _trusted(int.from_bytes(packed[_WIDTH.size:], "big"), *_WIDTH.unpack_from(packed)))
+    sigma_bits, delta_bits, _ = _BROADCAST.unpack_from(packed)
     nbytes, mask = (sigma_bits + delta_bits + 7) >> 3, (1 << delta_bits) - 1
     # nbytes is 0 only for an empty broadcast, where no byte follows the header.
     wire = [int.from_bytes(packed[i:i + nbytes], "big")
-            for i in range(_WIDTHS.size, len(packed), nbytes or 1)]
+            for i in range(_BROADCAST.size, len(packed), nbytes or 1)]
     return BroadcastAuth(sigma_bits, delta_bits, tuple([v >> delta_bits for v in wire]),
                          tuple([v & mask for v in wire]))
 
@@ -240,7 +265,10 @@ def _rebuild(flight: int, packed: Union[tuple[int, int], bytes]) -> Payload:
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
              session_seq: int, recording: Optional[Recording]) -> Optional[Payload]:
     if recording is not None:
-        recording[(session_seq, flight)] = _pack(flight, emitted)
+        # Flight 1 starts the session's value, so a session re-run under the
+        # same number replaces it; each later flight extends it.
+        packed = _pack(flight, emitted)
+        recording[session_seq] = recording[session_seq] + packed if flight > 1 else packed
     action = by_flight.get(flight)
     if action is None:
         return emitted
@@ -248,7 +276,7 @@ def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction
         return None
     if action.kind == "replace":
         return action.payload
-    return _rebuild(flight, recording[(action.source_session, flight)])
+    return _rebuild(flight, recorded(recording, action.source_session, flight))
 
 
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
@@ -269,7 +297,9 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
-    by_flight = (_fit(actions, session_seq, recording or (), server.lam, spec.output_len_bits)
+    by_flight = (_fit(actions, session_seq,
+                      lambda source, f: recorded(recording or {}, source, f) is not None,
+                      server.lam, spec.output_len_bits)
                  if actions else {})
     t = SessionTranscript(session_seq=session_seq, label=label)
 
@@ -335,12 +365,16 @@ class World:
             raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
         first = self.next_seq
         plan = [schedule.for_session(seq) for seq in range(first, first + n_sessions)]
-        emitted: dict[tuple[int, int], None] = {}  # what the run's sessions will record
-        recorded = ChainMap(emitted, self.recording)
+        planned: dict[int, int] = {}  # a session of the run -> the last flight it will emit
+
+        def emitted(source: int, flight: int) -> bool:
+            if source in planned:
+                return flight <= planned[source]
+            return recorded(self.recording, source, flight) is not None
+
         for seq, actions in enumerate(plan, first):
-            by_flight = _fit(actions, seq, recorded, self.server.lam, self.spec.output_len_bits)
-            last = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
-            emitted.update(dict.fromkeys((seq, f) for f in range(1, last + 1)))
+            by_flight = _fit(actions, seq, emitted, self.server.lam, self.spec.output_len_bits)
+            planned[seq] = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
         return [self.session((self.next_seq - 1) % len(self.tags), actions) for actions in plan]
 
     def whereabouts(self) -> dict[str, str]:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from kimap.channel import (
     ScheduleError,
     World,
     check_payload_widths,
+    recorded,
     run_session,
     transcript_line,
 )
@@ -153,7 +155,8 @@ def test_a_failed_session_loses_no_other_tag(n_tags, seed, steps):
     world = World(*keygen(64, n_tags, Prng(seed, 0)), PROD64)
     for idx, kind, flight, bits in steps:
         seq = world.next_seq
-        sources = sorted(source for source, f in world.recording if f == flight)
+        sources = sorted(source for source in world.recording
+                         if recorded(world.recording, source, flight) is not None)
         if kind == "drop":
             actions = [AdversaryAction.drop(flight, seq)]
         elif kind == "replace":
@@ -439,7 +442,7 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
             actions.append(AdversaryAction.replace(flight, payload, session))
     fits = (all(a.session_seq == seq for a in actions) and not narrow
             and len({a.flight for a in actions}) == len(actions)
-            and all((a.source_session, a.flight) in world.recording
+            and all(recorded(world.recording, a.source_session, a.flight) is not None
                     for a in actions if a.kind == "replay"))
     tag = tags[seq % 2]
     before = _state(server, tag, world.recording), world.next_seq
@@ -586,14 +589,68 @@ def test_world_run_in_two_parts_equals_one_run(a, b, data):
 
 class TestRecording:
     def test_recording_holds_no_tracked_object(self):
-        """The recording keeps each flight as a tuple of ints, which the
-        garbage collector untracks: a recording of any length adds nothing
-        to a full collection."""
+        """The recording keeps each session as one bytes, which the garbage
+        collector does not track: a recording of any length adds nothing to
+        a full collection."""
         world = World(*keygen(64, 2, Prng(125, 0)), PROD64)
         world.run(FaultSchedule([]), 4)
-        assert set(world.recording) == {(s, f) for s in range(1, 5) for f in range(1, 5)}
+        assert ([(s, f) for s in range(1, 6) for f in range(1, 5)
+                 if recorded(world.recording, s, f) is not None]
+                == [(s, f) for s in range(1, 5) for f in range(1, 5)])
         gc.collect()
         assert [key for key, value in world.recording.items() if gc.is_tracked(value)] == []
+
+    def test_recording_of_a_fleet_stays_small(self):
+        """100 sessions of 16 tags at 64 bits, 32 candidates a broadcast once
+        every record has been accepted, record about 560 wire bytes a
+        session. Counting the recording, its keys and its values once each
+        (``sys.getsizeof``), the recording stays within 700 bytes a session,
+        where one entry a flight under a (session, flight) key took 1,271.
+        Nothing in it is tracked by the garbage collector."""
+        world = World(*keygen(64, 16, Prng(130, 0)), PROD64)
+        world.run(FaultSchedule([]), 100)
+        rec = world.recording
+        gc.collect()
+        assert [key for key, value in rec.items()
+                if gc.is_tracked(key) or gc.is_tracked(value)] == [] and not gc.is_tracked(rec)
+        size = sys.getsizeof(rec) + sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in rec.items())
+        assert size <= 700 * 100
+
+    def test_a_session_re_run_replaces_its_value(self):
+        """Session 1 run twice under one number with one recording keeps the
+        second run's flights 1-4 and nothing of the first: session 2's
+        replays deliver what the second run emitted."""
+        server, tags = fresh_world(seed=119)
+        recording = {}
+        run_session(server, tags[0], [], TOY16, session_seq=1, recording=recording)
+        again = run_session(server, tags[0], [], TOY16, session_seq=1, recording=recording)
+        assert [f for f in range(1, 5) if recorded(recording, 1, f) is not None] == [1, 2, 3, 4]
+        for flight, name in enumerate(("x_s", "x_t", "broadcast", "sigma_prime"), 1):
+            t = run_session(server, tags[0], [AdversaryAction.replay(flight, 1, 2)], TOY16,
+                            session_seq=2, recording=recording)
+            assert getattr(t, name) == getattr(again, name)
+
+    @pytest.mark.parametrize("last", [1, 2, 3, 4])
+    def test_a_session_records_the_flights_it_emitted(self, last):
+        """A session that drops flight ``last`` emitted flights 1 to
+        ``last``. A replay of each of those runs; a replay of a later flight
+        is refused before flight 1, with nothing changed."""
+        server, tags = fresh_world(seed=131)
+        recording = {}
+        drop = [AdversaryAction.drop(last, 1)] if last < 4 else []
+        run_session(server, tags[0], drop, TOY16, session_seq=1, recording=recording)
+        assert ([f for f in range(1, 5) if recorded(recording, 1, f) is not None]
+                == list(range(1, last + 1)))
+        for flight in range(1, 5):
+            replay = [AdversaryAction.replay(flight, 1, 2)]
+            if flight <= last:
+                run_session(server, tags[0], replay, TOY16, session_seq=2, recording=recording)
+                continue
+            before = _state(server, tags[0], recording)
+            with pytest.raises(ScheduleError,
+                               match=f"session 1 flight {flight} was never recorded"):
+                run_session(server, tags[0], replay, TOY16, session_seq=2, recording=recording)
+            assert _state(server, tags[0], recording) == before
 
     @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
                              ids=["production", "toy", "production128"])
@@ -624,15 +681,19 @@ class TestRecording:
     @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
                              ids=["production", "toy", "production128"])
     def test_broadcast_is_recorded_as_its_wire_bytes(self, lam, spec):
-        """A broadcast of n candidates is recorded as one bytes: an 8-byte
-        header, then n times the whole bytes of one candidate's sigma and
-        delta."""
+        """A session is recorded as one bytes. Its broadcast of n candidates
+        is a 12-byte header and n times the whole bytes of one candidate's
+        sigma and delta; flights 1, 2 and 4 are a 4-byte header each and
+        their whole bytes."""
         world = World(*keygen(lam, 3, Prng(129, 0)), spec)
         transcripts = world.run(FaultSchedule([]), 6)
+        key, out = -(-lam // 8), -(-spec.output_len_bits // 8)
         for t in transcripts:
             n, wire_bits = len(t.broadcast.candidates), spec.output_len_bits + lam
-            packed = world.recording[(t.session_seq, 3)]
-            assert type(packed) is bytes and len(packed) == 8 + n * -(-wire_bits // 8)
+            broadcast = 12 + n * -(-wire_bits // 8)
+            assert len(recorded(world.recording, t.session_seq, 3)) == broadcast
+            value = world.recording[t.session_seq]
+            assert type(value) is bytes and len(value) == 3 * 4 + 2 * key + out + broadcast
         assert len(transcripts[-1].broadcast.candidates) == 6  # both slots of every record
 
     def test_no_recording_records_nothing(self, monkeypatch):
@@ -651,29 +712,53 @@ class TestRecording:
 
 
 @st.composite
-def broadcasts(draw):
-    """A broadcast of 0-6 candidates of one sigma width and one delta width,
-    each drawn from 1 to 300 bits, odd widths included."""
-    sigma_bits, delta_bits = draw(st.integers(1, 300)), draw(st.integers(1, 300))
-    return BroadcastAuth.of([
-        ServerAuthCandidate(BitString(draw(st.integers(0, (1 << sigma_bits) - 1)), sigma_bits),
-                            BitString(draw(st.integers(0, (1 << delta_bits) - 1)), delta_bits))
-        for _ in range(draw(st.integers(0, 6)))])
+def sessions(draw):
+    """The four payloads of one session and how many of them it emitted.
+    Its key width (x_s, x_t and every delta) and hash width (every sigma)
+    are drawn from 1 to 300 bits, odd widths included; the broadcast holds
+    0-6 candidates, and sigma' is of the hash width (a match) or of the key
+    width (no match)."""
+    key_bits, hash_bits = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+
+    def bits(width):
+        return BitString(draw(st.integers(0, (1 << width) - 1)), width)
+
+    payloads = [Challenge(bits(key_bits)), TagNonce(bits(key_bits)),
+                BroadcastAuth.of([ServerAuthCandidate(bits(hash_bits), bits(key_bits))
+                                  for _ in range(draw(st.integers(0, 6)))]),
+                TagAuth(bits(draw(st.sampled_from([hash_bits, key_bits]))))]
+    return payloads, draw(st.integers(1, 4))
 
 
 @settings(max_examples=200, deadline=None)
-@given(bc=broadcasts())
-@example(bc=BroadcastAuth.of(()))
-@example(bc=BroadcastAuth.of([ServerAuthCandidate(BitString(1, 1), BitString(5, 3))] * 2))
-def test_a_recorded_broadcast_rebuilds_equal(bc):
-    """What a recording keeps of a broadcast rebuilds a broadcast equal to
-    it, widths included, and its transcript text is the text of each
-    candidate's two bit strings."""
-    rebuilt = channel._rebuild(3, channel._pack(3, bc))
-    assert rebuilt == bc and type(rebuilt) is BroadcastAuth
-    text = ",".join(f"{c.sigma.to_text()}/{c.delta.to_text()}" for c in bc.candidates)
-    t = channel.SessionTranscript(session_seq=1, label="t001", broadcast=rebuilt)
-    assert f" broadcast={text} " in transcript_line(t)
+@given(session=sessions())
+@example(session=([Challenge(BitString(1, 3)), TagNonce(BitString(5, 3)), BroadcastAuth.of(()),
+                   TagAuth(BitString(2, 3))], 4))
+@example(session=([Challenge(BitString(5, 3)), TagNonce(BitString(0, 3)),
+                   BroadcastAuth.of([ServerAuthCandidate(BitString(1, 1), BitString(5, 3))] * 2),
+                   TagAuth(BitString(1, 1))], 4))
+def test_a_recorded_session_rebuilds_equal(session):
+    """Each flight a session emitted, recorded as the channel records it,
+    rebuilds a payload equal to the one emitted, widths included; a flight
+    it never emitted is not recorded. A rebuilt broadcast's transcript text
+    is the text of each candidate's two bit strings."""
+    payloads, emitted = session
+    recording = {}
+    for flight, payload in enumerate(payloads[:emitted], 1):
+        assert channel._deliver(flight, payload, {}, 7, recording) is payload
+    for flight, payload in enumerate(payloads, 1):
+        packed = recorded(recording, 7, flight)
+        if flight > emitted:
+            assert packed is None
+            continue
+        rebuilt = channel._rebuild(flight, packed)
+        assert rebuilt == payload and type(rebuilt) is PAYLOAD_TYPES[flight]
+    if emitted >= 3:
+        bc = payloads[2]
+        text = ",".join(f"{c.sigma.to_text()}/{c.delta.to_text()}" for c in bc.candidates)
+        t = channel.SessionTranscript(session_seq=7, label="t001",
+                                      broadcast=channel._rebuild(3, recorded(recording, 7, 3)))
+        assert f" broadcast={text} " in transcript_line(t)
 
 
 class TestDesyncPrice:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import pytest
 
 from kimap.bits import BitString, HashSpec, Prng
-from kimap.channel import PAYLOAD_TYPES, AdversaryAction, World
+from kimap.channel import PAYLOAD_TYPES, AdversaryAction, World, recorded
 from kimap.protocol import BroadcastAuth, ServerAuthCandidate, keygen, offered_slots
 
 SPEC = HashSpec.production(64)
@@ -43,7 +43,7 @@ def after(world, idx, actions):
     """The abstract state a deep copy of ``world`` reaches, the copy, and the
     session's transcript, after one session of tag ``idx`` under
     ``actions``, each built for the session's number."""
-    # A recorded flight is an immutable tuple of ints: copy the dict alone.
+    # A recorded session is an immutable bytes: copy the dict alone.
     world = copy.deepcopy(world, {id(world.recording): dict(world.recording)})
     t = world.session(idx, [action(world.next_seq) for action in actions])
     return abstract(world), world, t
@@ -237,7 +237,8 @@ def action(kind, flight, world):
         return lambda seq: AdversaryAction.drop(flight, seq)
     if kind == "replace":
         return lambda seq: AdversaryAction.replace(flight, REPLACEMENTS[flight], seq)
-    sources = [seq for seq, f in world.recording if f == flight]
+    sources = [seq for seq in world.recording
+               if recorded(world.recording, seq, flight) is not None]
     if not sources:
         return None
     return lambda seq: AdversaryAction.replay(flight, max(sources), seq)
