@@ -32,7 +32,6 @@ either the real recorded instance or uniform bitstrings of identical shape
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -156,10 +155,6 @@ class OracleHandle:
     @property
     def n_tags(self) -> int:
         return len(self.tags)
-
-    def clone(self) -> "OracleHandle":
-        """Deep-copy snapshot of the whole world (states, streams, counters)."""
-        return copy.deepcopy(self)
 
     def choose_challenge(self, *tags: int) -> None:
         """Fixes the challenge once: as many distinct tags as the game's
@@ -543,9 +538,14 @@ def _stream(base: int, definition: str, trial: int) -> int:
 
 def new_world(cfg: GameConfig, definition: str, spec: HashSpec,
               trial: int = 0) -> OracleHandle:
-    """One fresh game world, fully determined by (cfg.seed, definition, trial)."""
-    server, tags = keygen(cfg.lam, cfg.n, Prng(cfg.seed, trial))
+    """One fresh game world, fully determined by (cfg.seed, definition, trial).
+    The world holds at least the game's challenge tags."""
     aux = Prng(cfg.seed, _stream(_AUX_STREAM_BASE, definition, trial))
+    want = DEFINITIONS[definition].challenge_tags
+    if cfg.n < want:
+        raise ParameterError(f"the {definition} game takes {want} challenge tag(s), "
+                             f"but n is {cfg.n}")
+    server, tags = keygen(cfg.lam, cfg.n, Prng(cfg.seed, trial))
     return OracleHandle(server, tags, spec, cfg, definition, aux)
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, at its stated tolerance.
 
 Each check lives in one place. A criterion is checked here and nowhere
-else; a unit test elsewhere checks only what no criterion does. A command
-line that ``kimap`` refuses with a ``kimap:`` line is one row of
+else; a unit test elsewhere checks only what no criterion does. A call the
+library refuses is one row of its module's ``REFUSED_CALLS`` table, a
+command line that ``kimap`` refuses with a ``kimap:`` line one row of
 ``EXIT_2_CASES`` in ``tests/test_cli.py``, and refused kimapdb or
 master-key text one row of ``MALFORMED_DATABASES`` or of the master table
 in ``tests/test_storage.py``.
@@ -13,6 +14,7 @@ seeds, so they are deterministic regressions of properties that hold for
 an overwhelming fraction of seeds.
 """
 
+import copy
 import dataclasses
 import json
 import time
@@ -147,7 +149,7 @@ def test_criterion_06_oracle_composition_identity():
     for trial in range(100):
         cfg = GameConfig(lam=16, n=2, seed=1006, trials=1)
         h = new_world(cfg, "ind", spec, trial)
-        clone = h.clone()
+        clone = copy.deepcopy(h)
         t = h.execute(0)
         x_s = clone.query_s()
         x_t = clone.query_t(0)
@@ -158,6 +160,7 @@ def test_criterion_06_oracle_composition_identity():
         assert t.broadcast.candidates[0].sigma == sigma
         assert t.broadcast.candidates[0].delta == delta
         assert t.sigma_prime.sigma_prime == sigma_prime
+        assert h.tags[0].key == clone.tags[0].key
     report(6, "execute equals query/query'/reply/reply' composition bitwise "
               "in 100 cloned worlds")
 

@@ -1,5 +1,6 @@
 """Bitstring arithmetic, hash, and PRNG contracts."""
 
+import copy
 import hashlib
 import os
 import subprocess
@@ -16,6 +17,7 @@ from kimap.bits import (
     HashSpec,
     LengthError,
     OpMeter,
+    ParameterError,
     Prng,
     concat,
     counter_hash,
@@ -58,10 +60,6 @@ class TestBitString:
     def test_xor_hand_computed(self):
         assert xor(BitString(0b1010, 4), BitString(0b0110, 4)) == BitString(0b1100, 4)
 
-    def test_xor_length_mismatch(self):
-        with pytest.raises(LengthError):
-            xor(BitString(0, 4), BitString(0, 5))
-
     def test_concat_identity_element(self):
         x = BitString(0b101, 3)
         assert concat(BitString(0, 0), x) == x
@@ -76,14 +74,6 @@ class TestBitString:
     def test_split_of_doubled(self):
         a = BitString(0b110, 3)
         assert split(concat(a, a)) == (a, a)
-
-    def test_split_odd_rejected(self):
-        with pytest.raises(LengthError):
-            split(BitString(0b101, 5))
-
-    def test_value_must_fit(self):
-        with pytest.raises(ValueError):
-            BitString(16, 4)
 
     def test_flip(self):
         assert BitString(0b000, 3).flip(0) == BitString(0b100, 3)
@@ -135,19 +125,6 @@ class TestTextEncoding:
     def test_length_not_inferable_from_hex(self):
         # same hex, different declared widths: distinct values
         assert BitString.from_text("1:1") != BitString.from_text("1:4")
-
-    def test_missing_length_rejected(self):
-        with pytest.raises(ValueError):
-            BitString.from_text("abcd")
-
-    @pytest.mark.parametrize("text", ["+1f:8", "0x1f:8", "1_f:8", " 1f:8", "1f: 8", "1f:8 ",
-                                      "1f:+8", "1f:0_8"])
-    def test_text_only_int_takes_is_rejected(self, text):
-        """A sign, a 0x prefix, '_' separators or spaces, which to_text
-        would drop, are refused rather than rewritten."""
-        with pytest.raises(ValueError) as err:
-            BitString.from_text(text)
-        assert str(err.value) == f"bitstring text {text!r} is not '<hex digits>:<decimal digits>'"
 
 
 class TestHash2:
@@ -359,10 +336,6 @@ class TestCounterHash:
             b = prng_next(prng, 16)
             assert counter_hash(TOY16, 1, a, b) != counter_hash(TOY16, 2, a, b)
 
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            counter_hash(TOY8, 0, BitString(0, 8), BitString(0, 8))
-
 
 class TestPrng:
     def test_reproducible(self):
@@ -378,18 +351,6 @@ class TestPrng:
     @pytest.mark.parametrize("nbits", [1, 8, 64, 128])
     def test_output_length(self, nbits):
         assert len(prng_next(Prng(0, 0), nbits)) == nbits
-
-    def test_nbits_must_be_positive(self):
-        with pytest.raises(ValueError):
-            prng_next(Prng(0, 0), 0)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_randbelow_bound_must_be_positive(self, n, monkeypatch):
-        """No draw is below a bound under 1, so randbelow refuses one before
-        it draws, rather than loop for ever."""
-        monkeypatch.setattr(bits, "_draw", lambda *args: pytest.fail("randbelow drew"))
-        with pytest.raises(ValueError, match="n must be positive"):
-            Prng(0, 0).randbelow(n)
 
     def test_randbelow_range_and_determinism(self):
         p, q = Prng(1, 1), Prng(1, 1)
@@ -512,11 +473,57 @@ class TestResultsFitTheirWidth:
         assert len(results[0]) == spec.output_len_bits
 
 
-class TestHashSpecValidation:
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            HashSpec(8, "sponge")
+# Every call the bits module refuses: (the call, given a fresh stream that it
+# must leave as it was; its error class and its message).
+REFUSED_CALLS = {
+    "value-too-wide": (lambda p: BitString(16, 4), LengthError,
+                       "value 0x10 does not fit in 4 bits"),
+    "value-negative": (lambda p: BitString(-1, 4), LengthError,
+                       "value -0x1 does not fit in 4 bits"),
+    "length-negative": (lambda p: BitString(0, -1), LengthError, "length must be >= 0"),
+    "text-without-length": (lambda p: BitString.from_text("abcd"), ValueError,
+                            "missing ':<len>' in bitstring text 'abcd'"),
+    # a sign, a 0x prefix, '_' separators or spaces, which to_text would
+    # drop, are refused rather than rewritten
+    **{f"text-{text}": (lambda p, text=text: BitString.from_text(text), ValueError,
+                        f"bitstring text {text!r} is not '<hex digits>:<decimal digits>'")
+       for text in ("+1f:8", "0x1f:8", "1_f:8", " 1f:8", "1f: 8", "1f:8 ", "1f:+8", "1f:0_8")},
+    "text-uppercase": (lambda p: BitString.from_text("3ACA:16"), ValueError,
+                       "bitstring text '3ACA:16' is not in canonical form '3aca:16'"),
+    "flip-past-the-end": (lambda p: BitString(0, 3).flip(3), IndexError,
+                          "bit index 3 out of range for length 3"),
+    "flip-negative": (lambda p: BitString(0, 3).flip(-1), IndexError,
+                      "bit index -1 out of range for length 3"),
+    "xor-of-4-and-5-bits": (lambda p: xor(BitString(0, 4), BitString(0, 5)), LengthError,
+                            "xor of lengths 4 and 5"),
+    "split-odd": (lambda p: split(BitString(0b101, 5)), LengthError, "cannot split odd length 5"),
+    "counter_hash-index-0": (lambda p: counter_hash(TOY8, 0, BitString(0, 8), BitString(0, 8)),
+                             ValueError, "session index must be >= 1"),
+    "counter_hash-index-2^32": (lambda p: counter_hash(TOY16, 2**32, BitString(0, 16),
+                                                       BitString(0, 16)),
+                                LengthError, "session index 4294967296 does not fit in 32 bits"),
+    "prng_next-0-bits": (lambda p: prng_next(p, 0), ValueError, "nbits must be >= 1"),
+    # no draw is below a bound under 1, so randbelow refuses one before it
+    # draws, rather than loop for ever
+    "randbelow-0": (lambda p: p.randbelow(0), ValueError, "n must be positive"),
+    "randbelow--1": (lambda p: p.randbelow(-1), ValueError, "n must be positive"),
+    "hash-variant": (lambda p: HashSpec(8, "sponge"), ParameterError,
+                     "unknown hash variant 'sponge'"),
+    "hash-width-0": (lambda p: HashSpec.production(0), ParameterError,
+                     "hash output width must be 1..256 bits, got 0"),
+    "hash-width-257": (lambda p: HashSpec.production(257), ParameterError,
+                       "hash output width must be 1..256 bits, got 257"),
+    "toy-hash-wider-than-its-state": (lambda p: HashSpec.toy(65), ParameterError,
+                                      "toy hash output width must be <= 64 bits, got 65"),
+}
 
-    def test_toy_state_bounds(self):
-        with pytest.raises(ValueError):
-            HashSpec.toy(65)
+
+@pytest.mark.parametrize("case", list(REFUSED_CALLS))
+def test_refused_call_changes_nothing(case):
+    call, error, message = REFUSED_CALLS[case]
+    stream = Prng(0, 0)
+    before = copy.deepcopy(stream)
+    with pytest.raises(error) as err:
+        call(stream)
+    assert (type(err.value), str(err.value)) == (error, message)
+    assert stream == before

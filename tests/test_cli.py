@@ -348,13 +348,6 @@ class TestRun:
 
 
 class TestGame:
-    def test_structured_output(self, capsys):
-        code = run_cli("game", "ind", "random-guess", "--trials", "200", "--lambda", "16",
-                       "--seed", "3", "--format", "structured")
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("gameresult definition=ind distinguisher=random-guess")
-
     def test_table_output(self, capsys):
         run_cli("game", "backward", "key-knowledge", "--trials", "100", "--lambda", "16",
                 "--seed", "3")
@@ -367,18 +360,6 @@ class TestGame:
         out = capsys.readouterr().out
         wins = int(next(f for f in out.split() if f.startswith("wins=")).split("=")[1])
         assert wins >= 99
-
-    def test_deterministic_output(self, capsys):
-        args = ("game", "forward", "random-guess", "--trials", "50", "--lambda", "16",
-                "--seed", "5", "--format", "structured")
-        run_cli(*args)
-        first = capsys.readouterr().out
-        run_cli(*args)
-        assert capsys.readouterr().out == first
-
-    def test_ind2tag_mode_runs(self, capsys):
-        assert run_cli("game", "ind2tag", "random-guess", "--trials", "50",
-                       "--lambda", "16", "--seed", "4") == 0
 
     def test_two_tag_game_is_one_table_row(self, monkeypatch, capsys):
         monkeypatch.setitem(DEFINITIONS, "link2tag",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kimap.bits import HashSpec, Prng
+from kimap.bits import HashSpec, ParameterError, Prng
 from kimap.costs import CostParams, check_budget, compute_cost
 from kimap.protocol import keygen
 from kimap.channel import run_session
@@ -82,15 +82,6 @@ class TestBudget:
         assert findings["reading_rate"].passed
         assert findings["within_max_window"].passed
 
-    def test_params_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CostParams(tag_clock_hz=0)
-
-    @pytest.mark.parametrize("batch", [0, -5])
-    def test_batch_must_be_positive(self, batch):
-        with pytest.raises(ValueError, match="batch_tags must be positive"):
-            CostParams(batch_tags=batch)
-
 
 class TestAgreementWithInstrumentation:
     def test_model_and_metered_tag_agree_on_hash_ops(self):
@@ -135,3 +126,23 @@ class TestPresentation:
     def test_table_mentions_session_total(self):
         table = compute_cost(CostParams()).to_table()
         assert "session total" in table and "3.04 ms" in table
+
+
+# Every call the costs module refuses: (its CostParams fields; the message of
+# the ParameterError it raises). A CostParams is frozen, so nothing is left
+# to change.
+REFUSED_CALLS = {
+    "lambda_bits-63": ({"lambda_bits": 63}, "key width must be even and >= 8, got 63"),
+    **{f"{name}-0": ({name: 0}, f"{name} must be positive")
+       for name in ("hash_cycles_per_block", "tag_clock_hz", "t2r_rate_bps", "r2t_rate_bps",
+                    "serial_rate_bps", "candidates", "batch_tags")},
+    "batch_tags--5": ({"batch_tags": -5}, "batch_tags must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CALLS))
+def test_refused_call(case):
+    fields, message = REFUSED_CALLS[case]
+    with pytest.raises(ParameterError) as err:
+        CostParams(**fields)
+    assert (type(err.value), str(err.value)) == (ParameterError, message)

@@ -1,10 +1,15 @@
-"""Oracle harness: budgets, composition identity, reveal/test semantics,
-and the game runner's calibration."""
+"""Oracle harness: composition identity, reveal/test semantics, and the game
+runner's calibration. Every call the games module refuses is one row of
+:data:`REFUSED_CALLS`."""
+
+import copy
+import inspect
 
 import pytest
 
 from kimap.bits import BitString, HashSpec, ParameterError, Prng, prng_next, split, xor
 from kimap.games import (
+    _BUDGET,
     DEFINITIONS,
     BudgetExceededError,
     Definition,
@@ -12,6 +17,7 @@ from kimap.games import (
     GameConfig,
     GameError,
     KeyKnowledge,
+    OracleHandle,
     OracleMisuseError,
     RandomGuess,
     lemma1_bijection_check,
@@ -24,6 +30,7 @@ from kimap.protocol import SessionOrderError, key_update
 
 TOY16 = HashSpec.toy(16)
 TOY8 = HashSpec.toy(8)
+Z = BitString(0, 16)
 
 
 def world(definition="ind", trial=0, lam=16, n=2, seed=50, **budgets):
@@ -32,15 +39,229 @@ def world(definition="ind", trial=0, lam=16, n=2, seed=50, **budgets):
     return new_world(cfg, definition, spec, trial)
 
 
+def refuse(h, call, error, message):
+    """Makes ``call`` on the world ``h``: an oracle's name and arguments, or,
+    with no world, a function and its arguments. It must raise exactly
+    ``error(message)`` and leave the world as it was, except that an oracle
+    of the game that draws on a budget with room left spends one unit:
+    ``_admit`` spends it before it checks the tags and the session."""
+    name, *args = call
+    before = copy.deepcopy(vars(h)) if h else None
+    with pytest.raises(error) as err:
+        (getattr(h, name) if h else name)(*args)
+    assert (type(err.value), str(err.value)) == (error, message)
+    if h:
+        used = before["counters"].get(name, 0)
+        if (name in DEFINITIONS[h.definition].oracles and name in _BUDGET
+                and used < getattr(h.cfg, _BUDGET[name])):
+            before["counters"][name] = used + 1
+        assert vars(h) == before
+
+
+class Silent(RandomGuess):
+    name = "silent"
+
+    def interact(self, h):
+        pass
+
+
+# Every call the games module refuses: (the game of a fresh world(), or None
+# for a call without one; the world's other world() arguments; the calls, of
+# which all but the last run and the last is refused as refuse() checks; its
+# error class and its message).
+SPENT, MISUSE, ORDER = BudgetExceededError, OracleMisuseError, SessionOrderError
+REFUSED_CALLS = {
+    # each budget, spent (GameConfig: r1 for query_s and reply, r2 for
+    # query_t and reply_prime, rb for the restricted pair, e1 and e2)
+    "query_s-budget": ("ind", {"r1": 0}, [("query_s",)], SPENT, "query_s budget of 0 exhausted"),
+    "query_t-budget": ("ind", {"r2": 0}, [("query_t", 0)], SPENT, "query_t budget of 0 exhausted"),
+    "query_b-budget": ("backward", {"rb": 0}, [("query_b",)], SPENT,
+                       "query_b budget of 0 exhausted"),
+    "reply-budget": ("ind", {"r1": 1}, [("query_s",), ("query_t", 0), ("reply", 0, Z),
+                                        ("query_t", 0), ("reply", 0, Z)],
+                     SPENT, "reply budget of 1 exhausted"),
+    "reply_prime-budget": ("ind", {"r2": 0}, [("reply_prime", 0, Z, Z, Z)], SPENT,
+                           "reply_prime budget of 0 exhausted"),
+    "reply_b-budget": ("backward", {"rb": 0}, [("reply_b", 0, Z, Z, Z)], SPENT,
+                       "reply_b budget of 0 exhausted"),
+    "execute-budget": ("ind", {"e1": 2}, [("execute", 0)] * 3, SPENT,
+                       "execute budget of 2 exhausted"),
+    "execute_b-budget": ("backward", {"e2": 1}, [("execute_b", 0)] * 2, SPENT,
+                         "execute_b budget of 1 exhausted"),
+    # random-guess eavesdrops each tag once, so it stops its first trial
+    "run_game-execute-budget": (None, {}, [(run_game, "ind", GameConfig(16, 2, e1=0, trials=1,
+                                                                          seed=68),
+                                            RandomGuess(), HashSpec.production(16))],
+                                SPENT, "execute budget of 0 exhausted"),
+    # session order
+    "reply-without-challenge": ("ind", {}, [("query_t", 0), ("reply", 0, Z)], ORDER,
+                                "reply needs a pending server challenge"),
+    "reply_prime-without-nonce": ("ind", {}, [("query_s",), ("reply_prime", 0, Z, Z, Z)], ORDER,
+                                  "reply' needs a pending tag nonce"),
+    "reply_b-without-restricted-session": ("backward", {}, [("query_t", 0),
+                                                            ("reply_b", 0, Z, Z, Z)],
+                                           ORDER, "reply_b needs a pending restricted session"),
+    # an oracle outside the game
+    "query_b-in-ind": ("ind", {}, [("query_b",)], MISUSE,
+                       "query_b is not in the ind game's oracle set"),
+    "reply_b-in-ind": ("ind", {}, [("reply_b", 0, Z, Z, Z)], MISUSE,
+                       "reply_b is not in the ind game's oracle set"),
+    "execute_b-in-ind": ("ind", {}, [("execute_b", 0)], MISUSE,
+                         "execute_b is not in the ind game's oracle set"),
+    "reveal_secret-in-ind": ("ind", {}, [("choose_challenge", 1), ("reveal_secret", 1)], MISUSE,
+                             "reveal_secret is not in the ind game's oracle set"),
+    "query_s-in-backward": ("backward", {}, [("query_s",)], MISUSE,
+                            "query_s is not in the backward game's oracle set"),
+    "reply_prime-in-backward": ("backward", {}, [("reply_prime", 0, Z, Z, Z)], MISUSE,
+                                "reply_prime is not in the backward game's oracle set"),
+    # a tag the world does not have
+    "execute-tag-5": ("ind", {}, [("execute", 5)], MISUSE, "no tag 5"),
+    "execute-tag--1": ("ind", {}, [("execute", -1)], MISUSE, "no tag -1"),
+    "query_t-tag-2": ("ind", {}, [("query_t", 2)], MISUSE, "no tag 2"),
+    "reply-tag-2": ("ind", {}, [("reply", 2, Z)], MISUSE, "no tag 2"),
+    "reply_prime-tag-2": ("ind", {}, [("reply_prime", 2, Z, Z, Z)], MISUSE, "no tag 2"),
+    "reply_b-tag-2": ("backward", {}, [("reply_b", 2, Z, Z, Z)], MISUSE, "no tag 2"),
+    "execute_b-tag-2": ("backward", {}, [("execute_b", 2)], MISUSE, "no tag 2"),
+    "reveal_secret-tag-2": ("forward", {}, [("reveal_secret", 2)], MISUSE, "no tag 2"),
+    "choose_challenge-tag-2": ("ind", {}, [("choose_challenge", 2)], MISUSE, "no tag 2"),
+    # the challenge: chosen once, in the game's shape
+    "challenge-twice": ("forward", {}, [("choose_challenge", 0), ("choose_challenge", 1)],
+                        MISUSE, "challenge already chosen"),
+    "challenge-pair-twice": ("ind2tag", {"n": 3}, [("choose_challenge", 1, 2),
+                                                   ("choose_challenge", 0, 1)],
+                             MISUSE, "challenge already chosen"),
+    "challenge-of-2-in-ind": ("ind", {"n": 3}, [("choose_challenge", 0, 1)], MISUSE,
+                              "the ind game takes 1 challenge tag(s), got 2"),
+    "challenge-of-0-in-forward": ("forward", {"n": 3}, [("choose_challenge",)], MISUSE,
+                                  "the forward game takes 1 challenge tag(s), got 0"),
+    "challenge-of-1-in-ind2tag": ("ind2tag", {"n": 3}, [("choose_challenge", 1)], MISUSE,
+                                  "the ind2tag game takes 2 challenge tag(s), got 1"),
+    "challenge-of-3-in-ind2tag": ("ind2tag", {"n": 3}, [("choose_challenge", 0, 1, 2)], MISUSE,
+                                  "the ind2tag game takes 2 challenge tag(s), got 3"),
+    "challenge-of-0-in-ind2tag": ("ind2tag", {"n": 3}, [("choose_challenge",)], MISUSE,
+                                  "the ind2tag game takes 2 challenge tag(s), got 0"),
+    "challenge-tag-twice-in-ind2tag": ("ind2tag", {"n": 3}, [("choose_challenge", 1, 1)], MISUSE,
+                                       "challenge tags must be distinct"),
+    # the reveal: of the challenge tag, once it is chosen
+    "reveal-before-challenge": ("forward", {}, [("reveal_secret", 0)], MISUSE,
+                                "choose a challenge tag before revealing"),
+    "reveal-off-challenge": ("forward", {}, [("choose_challenge", 1), ("reveal_secret", 0)],
+                             MISUSE, "reveal_secret is allowed on the challenge tag only"),
+    # the test: once, of the challenge, of an instance that exists and no
+    # revealed key binds; reveals at periods 1 and 3 refuse a target on the
+    # right side of one of them only
+    "test-twice-in-ind": ("ind", {}, [("choose_challenge", 0), ("execute", 0), ("execute", 0),
+                                      ("test", 0, 1), ("test", 0, 1)],
+                          MISUSE, "test may be called only once"),
+    "test-twice-in-forward": ("forward", {}, [("choose_challenge", 0), ("execute", 0),
+                                              ("execute", 0), ("test", 0, 2), ("test", 0, 1)],
+                              MISUSE, "test may be called only once"),
+    "test-twice-in-backward": ("backward", {}, [("choose_challenge", 0), ("execute_b", 0),
+                                                ("execute_b", 0), ("test", 0, 1), ("test", 0, 1)],
+                               MISUSE, "test may be called only once"),
+    "test-without-challenge": ("ind", {}, [("execute", 0), ("test", 0, 1)], MISUSE,
+                               "test must target the chosen challenge"),
+    "test-of-one-in-ind2tag": ("ind2tag", {"n": 3}, [("choose_challenge", 1, 2), ("execute", 1),
+                                                     ("execute", 2), ("test", 1, 1)],
+                               MISUSE, "the ind2tag game takes 2 challenge tag(s), got 1"),
+    "test_pair-in-ind": ("ind", {}, [("execute", 0), ("execute", 1), ("test_pair", 0, 1, 1)],
+                         MISUSE, "the ind game takes 1 challenge tag(s), got 2"),
+    "test-of-an-unmaterialized-instance": ("ind", {}, [("choose_challenge", 0), ("execute", 0),
+                                                       ("test", 0, 7)],
+                                           MISUSE, "instance 7 of tag 0 was never materialized"),
+    "forward-test-behind-two-reveals": ("forward", {}, [
+        ("choose_challenge", 1), ("reveal_secret", 1), ("execute", 1), ("execute", 1),
+        ("reveal_secret", 1), ("execute", 1), ("test", 1, 3)],
+        MISUSE, "instance 2 is not before revealed period 1"),
+    "backward-test-between-two-reveals": ("backward", {}, [
+        ("choose_challenge", 1), ("reveal_secret", 1), ("execute_b", 1), ("execute_b", 1),
+        ("reveal_secret", 1), ("execute_b", 1), ("test", 1, 2)],
+        MISUSE, "instance 3 is not after revealed period 3"),
+    # the runner and its parameters
+    "unknown-definition": (None, {}, [(run_game, "bogus", GameConfig(16, 2, trials=1, seed=66),
+                                       RandomGuess(), TOY16)], ParameterError,
+                           "unknown game definition 'bogus' (have: ind, forward, backward, "
+                           "ind2tag)"),
+    "world-smaller-than-its-challenge": (None, {}, [(run_game, "ind2tag",
+                                                     GameConfig(16, 1, trials=2, seed=1),
+                                                     RandomGuess(), HashSpec.production(16))],
+                                         ParameterError,
+                                         "the ind2tag game takes 2 challenge tag(s), but n is 1"),
+    "distinguisher-never-tests": (None, {}, [(run_game, "ind",
+                                              GameConfig(16, 2, trials=1, seed=67), Silent(),
+                                              TOY16)],
+                                  GameError, "distinguisher silent never called test"),
+    "key-knowledge-without-reveal": (None, {}, [(run_game, "ind",
+                                                 GameConfig(16, 2, trials=1, seed=69),
+                                                 KeyKnowledge(), TOY16)],
+                                     MISUSE, "key-knowledge needs a reveal oracle; run it on "
+                                     "the forward or backward game"),
+    "unknown-distinguisher": (None, {}, [(make_distinguisher, "oracle-of-delphi")],
+                              ParameterError, "unknown distinguisher 'oracle-of-delphi' (have: "
+                              "key-knowledge, key-knowledge-leaky, random-guess)"),
+    "negative-budget": (None, {}, [(GameConfig, 16, 2, -1)], ParameterError,
+                        "budgets must be >= 0"),
+    "no-tags": (None, {}, [(GameConfig, 16, 0)], ParameterError, "need n >= 1 and trials >= 1"),
+    "no-trials": (None, {}, [(lambda: GameConfig(16, 2, trials=0),)], ParameterError,
+                  "need n >= 1 and trials >= 1"),
+    "lemma1-k-17": (None, {}, [(lemma1_bijection_check, 17)], ParameterError,
+                    "k must be in 1..16 (the check is exhaustive)"),
+    "lemma1-k-0": (None, {}, [(lemma1_bijection_check, 0)], ParameterError,
+                   "k must be in 1..16 (the check is exhaustive)"),
+    "lemma1-mask-of-another-width": (None, {}, [(lemma1_bijection_check, 4, BitString(0, 5))],
+                                     ParameterError, "mask width must equal k"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CALLS))
+def test_refused_call_changes_nothing_but_its_spend(case):
+    game, args, calls, error, message = REFUSED_CALLS[case]
+    h = world(game, **args) if game else None
+    for name, *call_args in calls[:-1]:
+        getattr(h, name)(*call_args)
+    refuse(h, calls[-1], error, message)
+
+
+def missing_rows(table):
+    """What ``table``, shaped as :data:`REFUSED_CALLS`, lacks: a row that
+    finds each budget of ``games._BUDGET`` spent, one that calls each oracle
+    some game leaves out in such a game, and one that names a tag the world
+    lacks to each oracle that takes a tag. ``test`` takes its tag too, but
+    checks it only against the challenge."""
+    rows = [(calls[-1][0], game, message) for game, _, calls, _, message in table.values()
+            if game]
+    oracles = set().union(*(d.oracles for d in DEFINITIONS.values()))
+    missing = [f"{o}: no row finds its budget spent" for o in sorted(_BUDGET)
+               if not any(name == o and message.startswith(f"{o} budget of ")
+                          for name, _, message in rows)]
+    outside = {name for name, game, message in rows
+               if message == f"{name} is not in the {game} game's oracle set"}
+    missing += [f"{o}: no row calls it outside its games" for o in sorted(oracles - outside)
+                if any(o not in d.oracles for d in DEFINITIONS.values())]
+    missing += [f"{o}: no row names a tag the world lacks" for o in sorted(oracles - {"test"})
+                if "tag" in inspect.signature(getattr(OracleHandle, o)).parameters
+                and not any(name == o and message.startswith("no tag ")
+                            for name, _, message in rows)]
+    return missing
+
+
+class TestRefusedCallsTable:
+    def test_every_budget_game_boundary_and_tag_check_has_a_row(self):
+        assert missing_rows(REFUSED_CALLS) == []
+
+    @pytest.mark.parametrize("case, problem", [
+        ("reply_b-budget", "reply_b: no row finds its budget spent"),
+        ("execute_b-in-ind", "execute_b: no row calls it outside its games"),
+        ("reveal_secret-tag-2", "reveal_secret: no row names a tag the world lacks"),
+    ])
+    def test_a_missing_row_is_found(self, case, problem):
+        assert missing_rows({k: v for k, v in REFUSED_CALLS.items() if k != case}) == [problem]
+
+
 class TestQueryOracles:
     def test_query_s_shape(self):
         h = world()
         assert len(h.query_s()) == 16
-
-    def test_query_s_budget_zero(self):
-        h = world(r1=0)
-        with pytest.raises(BudgetExceededError):
-            h.query_s()
 
     def test_query_s_fresh_across_periods(self):
         h = world(lam=64, r1=2000, r2=2000, e1=2000)
@@ -49,14 +270,11 @@ class TestQueryOracles:
             seen.add(h.query_s())
         assert len(seen) == 1000
 
-    def test_query_t_shape_budget_freshness(self):
+    def test_query_t_shape_and_freshness(self):
         h = world(lam=64, r2=2000)
         assert len(h.query_t(0)) == 64
         seen = {h.query_t(0) for _ in range(999)}
         assert len(seen) == 999
-        h2 = world(r2=0)
-        with pytest.raises(BudgetExceededError):
-            h2.query_t(0)
 
     def test_query_b_returns_decoy_not_true_challenge(self):
         h = world("backward")
@@ -64,11 +282,6 @@ class TestQueryOracles:
         assert len(x_rand) == 16
         assert h._pending_x_s is not None
         assert x_rand != h._pending_x_s  # decoy differs from the hidden value
-
-    def test_query_b_budget(self):
-        h = world("backward", rb=0)
-        with pytest.raises(BudgetExceededError):
-            h.query_b()
 
     def test_query_b_decoys_fresh(self):
         h = world("backward", lam=64, rb=2000)
@@ -83,21 +296,6 @@ class TestReplyOracles:
         h.query_s()
         sigma, delta = h.reply(0, x_t)
         assert len(sigma) == len(delta) == 16
-
-    def test_reply_requires_pending_challenge(self):
-        h = world()
-        x_t = h.query_t(0)
-        with pytest.raises(SessionOrderError):
-            h.reply(0, x_t)
-
-    def test_reply_budget(self):
-        h = world(r1=1)
-        h.query_s()  # consumes the r1-limited query counter? no: separate counters
-        x_t = h.query_t(0)
-        h.reply(0, x_t)
-        h2_xt = h.query_t(0)
-        with pytest.raises(BudgetExceededError):
-            h.reply(0, h2_xt)
 
     def test_reply_prime_valid_matches_direct_recompute(self):
         from kimap.protocol import auth_tag_msg, session_key
@@ -122,17 +320,6 @@ class TestReplyOracles:
         assert len(out) == 16
         assert h.tags[0].key == key
 
-    def test_reply_prime_requires_pending_nonce(self):
-        h = world()
-        x_s = h.query_s()
-        with pytest.raises(SessionOrderError, match="reply' needs a pending tag nonce"):
-            h.reply_prime(0, x_s, BitString(0, 16), BitString(0, 16))
-
-    def test_reply_prime_budget(self):
-        h = world(r2=0)
-        with pytest.raises(BudgetExceededError):
-            h.reply_prime(0, BitString(0, 16), BitString(0, 16), BitString(0, 16))
-
     def test_reply_b_uses_hidden_challenge(self):
         h = world("backward")
         h.query_b()
@@ -145,12 +332,6 @@ class TestReplyOracles:
         assert len(out) == 16
         assert h.tags[0].counter == 2
         assert h.server.records[list(h.server.records)[0]].counter == 2
-
-    def test_reply_b_requires_restricted_session(self):
-        h = world("backward")
-        h.query_t(0)
-        with pytest.raises(SessionOrderError):
-            h.reply_b(0, BitString(0, 16), BitString(0, 16), BitString(0, 16))
 
     def test_reply_known_answer_against_fixture(self):
         # the 8-bit oracle-script fixture provisions the same world the game
@@ -172,36 +353,12 @@ class TestReplyOracles:
 
 
 class TestExecute:
-    def test_composition_identity_cloned_world(self):
-        for trial in range(10):
-            h = world(trial=trial)
-            clone = h.clone()
-            t = h.execute(0)
-            x_s = clone.query_s()
-            x_t = clone.query_t(0)
-            sigma, delta = clone.reply(0, x_t)
-            sp = clone.reply_prime(0, x_s, sigma, delta)
-            assert t.x_s.x_s == x_s
-            assert t.x_t.x_t == x_t
-            assert t.broadcast.candidates[0].sigma == sigma
-            assert t.broadcast.candidates[0].delta == delta
-            assert t.sigma_prime.sigma_prime == sp
-            # and both worlds ended in the same state
-            assert h.tags[0].key == clone.tags[0].key
-
     def test_execute_advances_keys(self):
         h = world()
         t1 = h.execute(0)
         t2 = h.execute(0)
         assert t1.broadcast.candidates[0].delta != t2.broadcast.candidates[0].delta
         assert h.tags[0].counter == 3
-
-    def test_execute_budget(self):
-        h = world(e1=2)
-        h.execute(0)
-        h.execute(0)
-        with pytest.raises(BudgetExceededError):
-            h.execute(0)
 
     def test_execute_b_shape(self):
         h = world("backward")
@@ -232,12 +389,6 @@ class TestExecute:
         t = h1.execute_b(0)
         assert h1.tags[0].key == h1.server.records[list(h1.server.records)[0]].key_current
 
-    def test_execute_b_budget(self):
-        h = world("backward", e2=1)
-        h.execute_b(0)
-        with pytest.raises(BudgetExceededError):
-            h.execute_b(0)
-
 
 class TestRevealSecret:
     def test_returns_current_key(self):
@@ -261,18 +412,6 @@ class TestRevealSecret:
         _, x_dprime = split(x)
         assert k_next == key_update(h.spec, k_dprime, x_dprime, t.x_s.x_s)
 
-    def test_challenge_tag_only(self):
-        h = world("forward")
-        h.choose_challenge(1)
-        with pytest.raises(OracleMisuseError):
-            h.reveal_secret(0)
-
-    def test_not_allowed_in_ind(self):
-        h = world("ind")
-        h.choose_challenge(1)
-        with pytest.raises(OracleMisuseError):
-            h.reveal_secret(1)
-
 
 class TestRevealBound:
     """A revealed key binds the instance of its own period, so ``test`` may
@@ -287,10 +426,8 @@ class TestRevealBound:
             key = h.reveal_secret(1)
             h.execute(1)
             assert KeyKnowledge._consistent(h.spec, key, h.recorded[1][1])
-            with pytest.raises(OracleMisuseError,
-                               match="instance 1 is not before revealed period 1"):
-                h.test(1, 2)
-            assert h.coin is None
+            refuse(h, ("test", 1, 2), OracleMisuseError,
+                   "instance 1 is not before revealed period 1")
 
     def test_backward_cannot_test_the_revealed_period(self):
         for trial in range(20):
@@ -299,42 +436,11 @@ class TestRevealBound:
             key = h.reveal_secret(1)
             h.execute_b(1)
             assert KeyKnowledge._consistent(h.spec, key, h.recorded[1][1])
-            with pytest.raises(OracleMisuseError,
-                               match="instance 1 is not after revealed period 1"):
-                h.test(1, 0)
-            assert h.coin is None
-
-    @pytest.mark.parametrize("definition, flavor, period, message", [
-        ("forward", "execute", 3, "instance 2 is not before revealed period 1"),
-        ("backward", "execute_b", 2, "instance 3 is not after revealed period 3"),
-    ])
-    def test_every_revealed_period_bounds_the_target(self, definition, flavor, period, message):
-        """Reveals at periods 1 and 3: a target on the right side of one of
-        them only is still refused."""
-        h = world(definition)
-        h.choose_challenge(1)
-        h.reveal_secret(1)
-        getattr(h, flavor)(1)
-        getattr(h, flavor)(1)
-        h.reveal_secret(1)
-        getattr(h, flavor)(1)
-        with pytest.raises(OracleMisuseError, match=message):
-            h.test(1, period)
-        assert h.coin is None
+            refuse(h, ("test", 1, 0), OracleMisuseError,
+                   "instance 1 is not after revealed period 1")
 
 
 class TestTestOracle:
-    @pytest.mark.parametrize("definition", ["ind", "forward", "backward"])
-    def test_single_use_in_every_game(self, definition):
-        h = world(definition)
-        h.choose_challenge(0)
-        flavor = h.execute_b if definition == "backward" else h.execute
-        flavor(0)
-        flavor(0)
-        h.test(0, 1 if definition != "forward" else 2)
-        with pytest.raises(OracleMisuseError, match="test may be called only once"):
-            h.test(0, 1)
-
     def test_shapes_identical_for_both_coins(self):
         shapes = set()
         for trial in range(30):
@@ -369,13 +475,6 @@ class TestTestOracle:
         # binomial 3-sigma band around n/2
         assert abs(heads - n / 2) <= 3 * (n ** 0.5) / 2
 
-    def test_unmaterialized_instance_rejected(self):
-        h = world()
-        h.choose_challenge(0)
-        h.execute(0)
-        with pytest.raises(OracleMisuseError):
-            h.test(0, 7)
-
     def test_offsets_per_game(self):
         h_fwd = world("forward", trial=1)
         h_fwd.choose_challenge(0)
@@ -395,76 +494,11 @@ class TestTestOracle:
 
 
 class TestMisuse:
-    def test_oracle_outside_definition(self):
-        h = world("ind")
-        with pytest.raises(OracleMisuseError):
-            h.query_b()
-        h2 = world("backward")
-        with pytest.raises(OracleMisuseError):
-            h2.query_s()
-        with pytest.raises(OracleMisuseError):
-            h2.reply_prime(0, BitString(0, 16), BitString(0, 16), BitString(0, 16))
-
     def test_backward_admits_plain_execute(self):
         # the boundary of the restricted game still counts full eavesdrops,
         # and the leak-control arm depends on them
         h = world("backward")
         assert h.execute(0).tag_updated
-
-    def test_test_requires_challenge_tag(self):
-        h = world()
-        h.execute(0)
-        with pytest.raises(OracleMisuseError):
-            h.test(0, 1)
-
-    def test_reveal_requires_chosen_challenge(self):
-        h = world("forward")
-        with pytest.raises(OracleMisuseError):
-            h.reveal_secret(0)
-
-    def test_challenge_chosen_once(self):
-        h = world("forward")
-        h.choose_challenge(0)
-        with pytest.raises(OracleMisuseError):
-            h.choose_challenge(1)
-
-    @pytest.mark.parametrize("definition,wrong", [
-        ("ind", (0, 1)), ("forward", ()), ("ind2tag", (1,)), ("ind2tag", (0, 1, 2)),
-        ("ind2tag", ()), ("ind2tag", (1, 1))])
-    def test_challenge_must_match_the_game_shape(self, definition, wrong):
-        h = world(definition, n=3)
-        with pytest.raises(OracleMisuseError):
-            h.choose_challenge(*wrong)
-        assert h.challenge == ()
-
-    def test_challenge_pair_in_two_tag_game(self):
-        h = world("ind2tag", n=3)
-        h.choose_challenge(1, 2)
-        assert h.challenge == (1, 2)
-        with pytest.raises(OracleMisuseError):
-            h.choose_challenge(0, 1)
-
-    def test_single_test_in_two_tag_game_is_misuse(self):
-        h = world("ind2tag", n=3)
-        h.choose_challenge(1, 2)
-        h.execute(1)
-        h.execute(2)
-        with pytest.raises(OracleMisuseError):
-            h.test(1, 1)
-        assert h.coin is None
-
-    @pytest.mark.parametrize("oracle, tag", [("execute", 5), ("execute", -1), ("query_t", 2)])
-    def test_tag_out_of_range(self, oracle, tag):
-        h = world()
-        with pytest.raises(OracleMisuseError, match=f"^no tag {tag}$"):
-            getattr(h, oracle)(tag)
-
-    def test_test_pair_only_in_two_tag_game(self):
-        h = world("ind")
-        h.execute(0)
-        h.execute(1)
-        with pytest.raises(OracleMisuseError):
-            h.test_pair(0, 1, 1)
 
 
 class TestRunGame:
@@ -486,37 +520,6 @@ class TestRunGame:
         for token in ("definition=ind", "distinguisher=random-guess", "lambda=16",
                       "n=2", "trials=50", "wins=", "advantage=", "ci95=", "seed=65"):
             assert token in line
-
-    def test_unknown_distinguisher(self):
-        with pytest.raises(ValueError):
-            make_distinguisher("oracle-of-delphi")
-
-    def test_distinguisher_that_never_tests(self):
-        class Silent(RandomGuess):
-            name = "silent"
-
-            def interact(self, h):
-                pass
-
-        cfg = GameConfig(lam=16, n=2, trials=1, seed=67)
-        with pytest.raises(GameError, match="distinguisher silent never called test"):
-            run_game("ind", cfg, Silent(), TOY16)
-
-    def test_unknown_definition(self):
-        cfg = GameConfig(lam=16, n=2, trials=1, seed=66)
-        with pytest.raises(ValueError, match="unknown game definition"):
-            run_game("bogus", cfg, RandomGuess(), TOY16)
-
-    def test_negative_budget_is_a_parameter_error(self):
-        with pytest.raises(ParameterError, match="budgets must be >= 0"):
-            GameConfig(lam=16, n=2, e1=-1)
-
-    def test_no_execute_budget_ends_the_game(self):
-        """random-guess eavesdrops each tag once, so an execute budget of 0
-        stops its first trial."""
-        cfg = GameConfig(lam=16, n=2, e1=0, trials=1, seed=68)
-        with pytest.raises(BudgetExceededError, match="execute budget of 0 exhausted"):
-            run_game("ind", cfg, RandomGuess(), HashSpec.production(16))
 
 
 class Echo(Distinguisher):
@@ -564,11 +567,3 @@ class TestLemma1:
     def test_k1_one_mask(self):
         report = lemma1_bijection_check(1, mask=BitString(1, 1))
         assert report.pairs == ((1, 0), (0, 1))
-
-    def test_width_cap(self):
-        with pytest.raises(ValueError):
-            lemma1_bijection_check(17)
-
-    def test_mask_of_another_width(self):
-        with pytest.raises(ParameterError, match="mask width must equal k"):
-            lemma1_bijection_check(4, mask=BitString(0, 5))

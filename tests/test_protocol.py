@@ -1,12 +1,14 @@
 """Protocol algorithm and state-machine contracts."""
 
+import copy
 import dataclasses
 
 import pytest
 
 from kimap import protocol
-from kimap.bits import (BitString, HashSpec, OpMeter, Prng, counter_hash, hash2_layout, metered,
-                        prng_next, split, xor)
+from kimap.bits import (BitString, HashSpec, OpMeter, Prng, hash2_layout, metered, prng_next,
+                        split, xor)
+from kimap.channel import run_session
 from kimap.protocol import (
     BroadcastAuth,
     LengthError,
@@ -37,12 +39,8 @@ TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
 
 
-def honest_session(server, tag, spec, label=None):
-    ch = server_begin(server)
-    nonce = tag_respond_nonce(tag)
-    bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
-    ta = tag_verify_and_respond(tag, ch.x_s, bc, spec)
-    return server_finalize(server, pending, ta)
+def honest_session(server, tag, spec):
+    return run_session(server, tag, [], spec).outcome_server
 
 
 def offered_keys(server, spec):
@@ -68,18 +66,6 @@ class TestKeygen:
         s2, t2 = keygen(64, 1, Prng(77, 0))
         assert s1.master == s2.master
         assert t1[0].key == t2[0].key
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(ParameterError):
-            keygen(63, 1, Prng(0, 0))
-
-    def test_tiny_width_rejected(self):
-        with pytest.raises(ParameterError):
-            keygen(6, 1, Prng(0, 0))
-
-    def test_no_tags_rejected(self):
-        with pytest.raises(ParameterError):
-            keygen(64, 0, Prng(0, 0))
 
     def test_tag_keys_independent(self):
         _, tags = keygen(64, 4, Prng(5, 0))
@@ -205,12 +191,6 @@ class TestTagVerify:
         assert tags[0].key == k_before
         assert tags[0].counter == 1
 
-    def test_requires_session_in_flight(self):
-        server, tags = keygen(16, 1, Prng(14, 0))
-        bc = BroadcastAuth.of((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
-        with pytest.raises(SessionOrderError):
-            tag_verify_and_respond(tags[0], BitString(0, 16), bc, TOY16)
-
     def test_pending_erased_on_both_paths(self):
         server, tags = keygen(16, 1, Prng(15, 0))
         honest_session(server, tags[0], TOY16)
@@ -222,113 +202,8 @@ class TestTagVerify:
         assert tags[0].pending is None
 
 
-def _make_candidate_of_other_width():
-    server, _ = keygen(16, 1, Prng(24, 0))
-    keys = slot_keys(TOY16, server.master, "t001", server.records["t001"], "current")
-    make_candidate((keys,), session_operands(TOY16, BitString(0, 8), BitString(0, 8)))
-
-
-def _slot_keys_of_key_narrower_than_the_master():
-    """An 8-bit key under an 8-bit hash, with the 16-bit master: the partial
-    key is as wide as the key, so only the master's width tells."""
-    server, _ = keygen(16, 1, Prng(29, 0))
-    rec = server.records["t001"]
-    rec.key_current = BitString(0x5A, 8)
-    slot_keys(TOY8, server.master, "t001", rec, "current")
-
-
-def _tag_scan_of_narrow_delta():
-    server, tags = keygen(16, 1, Prng(25, 0))
-    ch = server_begin(server)
-    tag_respond_nonce(tags[0])
-    bad = ServerAuthCandidate(BitString(0, 16), BitString(0, 15))
-    tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((bad,)), TOY16)
-
-
-def _server_prepare_of_narrow_previous_key():
-    server, tags = keygen(16, 1, Prng(27, 0))
-    server.records["t001"].key_previous = BitString(0, 8)
-    ch = server_begin(server)
-    server_prepare(server, ch.x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
-
-
-def _tag_scan_of_narrow_tag_key():
-    server, tags = keygen(16, 1, Prng(28, 0))
-    ch = server_begin(server)
-    bc, _ = server_prepare(server, ch.x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
-    tags[0].key = BitString(0, 8)
-    tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
-
-
 class TestWidthChecks:
-    """Operands of the wrong width raise, whether they are checked once per
-    session or once per candidate."""
-
-    @pytest.mark.parametrize("broken", [
-        lambda: xor(BitString(0, 4), BitString(0, 5)),
-        lambda: split(BitString(0, 5)),
-        lambda: BitString(16, 4),
-        lambda: counter_hash(TOY16, 2**32, BitString(0, 16), BitString(0, 16)),
-        lambda: session_operands(TOY16, BitString(0, 16), BitString(0, 15)),
-        _slot_keys_of_key_narrower_than_the_master,
-        _make_candidate_of_other_width,
-        _tag_scan_of_narrow_delta,
-        _server_prepare_of_narrow_previous_key,
-        _tag_scan_of_narrow_tag_key,
-    ], ids=["xor", "split", "bitstring", "counter_hash", "session_operands",
-            "slot_keys_master", "make_candidate",
-            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key"])
-    def test_every_width_check_raises_length_error(self, broken):
-        with pytest.raises(LengthError):
-            broken()
-
-    @pytest.mark.parametrize("x_s_len,x_t_len", [(16, 15), (15, 16), (14, 14)])
-    def test_server_prepare_rejects_wrong_width_operands(self, x_s_len, x_t_len):
-        server, _ = keygen(16, 2, Prng(20, 0))
-        with pytest.raises(LengthError):
-            server_prepare(server, BitString(0, x_s_len), BitString(0, x_t_len), TOY16)
-
-    @pytest.mark.parametrize("narrow_key,width,spec", [(False, 32, TOY16), (True, 16, TOY8)],
-                             ids=["session", "record"])
-    def test_width_error_leaves_the_prng_unmoved(self, narrow_key, width, spec):
-        """The session and every slot are held to the master's width before
-        the broadcast shuffle, so a session that does not fit the master, or
-        a record whose key does not, raises with the server's stream where
-        it was."""
-        server, _ = keygen(16, 3, Prng(26, 0))
-        server.records["t002"].key_previous = BitString(0x5A5A, 16)
-        if narrow_key:  # an 8-bit key under an 8-bit hash, with the 16-bit master
-            server.records["t001"].key_current = BitString(0x5A, 8)
-        server_begin(server)  # the stream holds buffered bits
-        before = (server.prng._counter, server.prng._acc, server.prng._acc_bits)
-        with pytest.raises(LengthError):
-            server_prepare(server, BitString(0, width), BitString(0, width), spec)
-        assert (server.prng._counter, server.prng._acc, server.prng._acc_bits) == before
-
-    def test_tag_scan_rejects_wrong_width_delta(self):
-        """A broadcast's deltas share one width, so a delta of another width
-        beside the honest ones is refused where the broadcast is built; the
-        tag's scan refuses deltas of a width other than its key's before it
-        hashes any candidate."""
-        server, tags = keygen(16, 2, Prng(21, 0))
-        ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0])
-        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        bad = ServerAuthCandidate(bc.candidates[-1].sigma, BitString(0, 15))
-        with pytest.raises(LengthError, match=r"broadcast deltas mix widths \[15, 16\]"):
-            BroadcastAuth.of((*bc.candidates, bad))
-        hashes = tags[0].meter.hash_calls
-        with pytest.raises(LengthError, match="broadcast deltas are 15 bits, the key 16"):
-            tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((bad,) * 3), TOY16)
-        assert tags[0].meter.hash_calls == hashes
-
-    def test_tag_scan_rejects_wrong_width_challenge(self):
-        server, tags = keygen(16, 1, Prng(22, 0))
-        ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0])
-        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        with pytest.raises(LengthError):
-            tag_verify_and_respond(tags[0], BitString(0, 15), bc, TOY16)
+    """A sigma or sigma' of the wrong width does not authenticate."""
 
     @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
     @pytest.mark.parametrize("extra", [1, 8, 48])
@@ -367,14 +242,6 @@ class TestWidthChecks:
 class TestBroadcastColumns:
     """A broadcast is its two widths and two columns of ints; its
     candidates are read as pairs of bit strings and built from them."""
-
-    @pytest.mark.parametrize("column", ["sigma", "delta"])
-    def test_mixed_widths_are_refused_where_a_broadcast_is_built(self, column):
-        wide, narrow = BitString(0xBEEF, 16), BitString(0xAD, 8)
-        odd = {"sigma": ServerAuthCandidate(narrow, wide),
-               "delta": ServerAuthCandidate(wide, narrow)}
-        with pytest.raises(LengthError, match=rf"broadcast {column}s mix widths \[8, 16\]"):
-            BroadcastAuth.of([ServerAuthCandidate(wide, wide), odd[column]])
 
     def test_columns_hold_the_pairs_in_order(self):
         pairs = [ServerAuthCandidate(BitString(v, 12), BitString(v ^ 0x3, 6)) for v in (7, 9, 33)]
@@ -605,32 +472,6 @@ class TestSlotKeys:
         assert (ops.s_term, ops.next_bytes) == (_right_term(lam, x_s), hash2_layout(lam, lam)[3])
         assert next_key == key_update(spec, k_dprime, x_dprime, x_s)
 
-    @pytest.mark.parametrize("spec", SLOT_SPECS, ids=SPEC_IDS)
-    @pytest.mark.parametrize("width", [-2, -1, 1, 2])
-    def test_next_key_checks_the_challenge_width(self, spec, width):
-        """A slot's next key in a session of another width raises before it
-        hashes."""
-        lam = spec.output_len_bits
-        server, rec = _with_previous(lam, 7)
-        keys = slot_keys(spec, server.master, "t001", rec, "current")
-        ops = session_operands(spec, BitString(0, lam + width), BitString(0, lam + width))
-        with metered(OpMeter()) as meter, pytest.raises(LengthError):
-            keys.next_key(ops)
-        assert meter.hash_calls == 0
-
-    def test_odd_key_width_raises(self):
-        server, rec = _with_previous(16, 8)
-        rec.key_current = BitString(0x1234, 15)
-        with pytest.raises(LengthError, match="odd length 15"):
-            slot_keys(HashSpec.toy(15), server.master, "t001", rec, "current")
-
-    @pytest.mark.parametrize("spec", [HashSpec.toy(14), HashSpec.production(18)],
-                             ids=["toy14", "production18"])
-    def test_partial_key_of_another_width_raises(self, spec):
-        server, rec = _with_previous(16, 9)
-        with pytest.raises(LengthError, match="inconsistent operand lengths"):
-            slot_keys(spec, server.master, "t001", rec, "current")
-
 
 class TestPadProperty:
     def test_delta_admits_one_partial_key_per_key_hypothesis(self):
@@ -673,3 +514,161 @@ class TestForwardOneWayness:
             if key_update(spec, kd, xd, ch.x_s) == k_next:
                 survivors.append(k_hat)
         assert survivors == [k_i]
+
+
+def _record(seed, **fields):
+    """The server of :func:`_with_previous` at 16 bits, its record's
+    ``fields`` set."""
+    server, rec = _with_previous(16, seed)
+    for name, value in fields.items():
+        setattr(rec, name, value)
+    return server
+
+
+def _begun(seed, n=1, edits=()):
+    """A 16-bit server of ``n`` records, each ``(label, field, value)`` of
+    ``edits`` set, past flight 1 (so its stream holds buffered bits): the
+    server, its tags and the challenge."""
+    server, tags = keygen(16, n, Prng(seed, 0))
+    for label, name, value in edits:
+        setattr(server.records[label], name, value)
+    return server, tags, server_begin(server).x_s
+
+
+def _at_flight_3(seed, n=1, tag_key=None):
+    """A 16-bit world whose tag t001 has a nonce in flight, its key then
+    replaced by ``tag_key`` if given: the server, the tags, the challenge and
+    the honest broadcast."""
+    server, tags, x_s = _begun(seed, n)
+    bc, _ = server_prepare(server, x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
+    if tag_key:
+        tags[0].key = tag_key
+    return server, tags, x_s, bc
+
+
+def _next_key(spec, width):
+    """A slot's next key in a session ``width`` bits wider than its key,
+    under ``spec``, counted on the world's meter."""
+    lam = spec.output_len_bits
+
+    def call(world):
+        server, meter = world
+        keys = slot_keys(spec, server.master, "t001", server.records["t001"], "current")
+        ops = session_operands(spec, *_bits(lam + width, lam + width))
+        with metered(meter):
+            keys.next_key(ops)
+    return (lambda: (_with_previous(lam, 7)[0], OpMeter()), call, LengthError,
+            _lengths(lam, lam + width))
+
+
+def _bits(*widths):
+    return [BitString(0, width) for width in widths]
+
+
+def _broadcast(*pairs):
+    return BroadcastAuth.of([ServerAuthCandidate(BitString(0, s), BitString(0, d))
+                             for s, d in pairs])
+
+
+def _lengths(*widths):
+    return f"inconsistent operand lengths: {list(widths)}"
+
+
+# Every call the protocol module refuses: (a function that builds the world
+# the call may change, or None; the call, given that world, which it must
+# leave as it was; its error class and its message). Width checks made once
+# per session run before the broadcast shuffle and the tag's first hash, so a
+# refused session leaves every stream and meter where it was.
+REFUSED_CALLS = {
+    "keygen-63-bits": (lambda: Prng(0, 0), lambda p: keygen(63, 1, p), ParameterError,
+                       "key width must be even and >= 8, got 63"),
+    "keygen-6-bits": (lambda: Prng(0, 0), lambda p: keygen(6, 1, p), ParameterError,
+                      "key width must be even and >= 8, got 6"),
+    "keygen-no-tags": (lambda: Prng(0, 0), lambda p: keygen(64, 0, p), ParameterError,
+                       "need at least one tag"),
+    "session_key": (None, lambda _: session_key(*_bits(8, 7)), LengthError, _lengths(8, 7)),
+    "key_update": (None, lambda _: key_update(TOY16, *_bits(8, 8, 15)), LengthError,
+                   _lengths(8, 8, 15)),
+    "auth_server_tag": (None, lambda _: auth_server_tag(TOY16, *_bits(8, 16, 16, 15)),
+                        LengthError, _lengths(8, 16, 16, 15)),
+    "auth_tag_msg": (None, lambda _: auth_tag_msg(TOY16, *_bits(16, 16, 15)), LengthError,
+                     _lengths(16, 16, 15)),
+    "session_operands": (None, lambda _: session_operands(TOY16, *_bits(16, 15)), LengthError,
+                         _lengths(16, 15)),
+    "broadcast-sigmas-mix": (None, lambda _: _broadcast((16, 16), (8, 16)), LengthError,
+                             "broadcast sigmas mix widths [8, 16]"),
+    "broadcast-deltas-mix": (None, lambda _: _broadcast((16, 16), (16, 8)), LengthError,
+                             "broadcast deltas mix widths [8, 16]"),
+    "broadcast-deltas-mix-15": (None, lambda _: _broadcast((16, 16), (16, 16), (16, 15)),
+                                LengthError, "broadcast deltas mix widths [15, 16]"),
+    "slot_keys-odd-key": (lambda: _record(8, key_current=BitString(0x1234, 15)),
+                          lambda server: slot_keys(HashSpec.toy(15), server.master, "t001",
+                                                   server.records["t001"], "current"),
+                          LengthError, "cannot split odd length 15"),
+    **{f"slot_keys-partial-key-{spec.variant}{spec.output_len_bits}": (
+        lambda: _record(9),
+        lambda server, spec=spec: slot_keys(spec, server.master, "t001",
+                                            server.records["t001"], "current"),
+        LengthError, _lengths(16, 16, spec.output_len_bits))
+       for spec in (HashSpec.toy(14), HashSpec.production(18))},
+    # an 8-bit key under an 8-bit hash, with the 16-bit master: the partial
+    # key is as wide as the key, so only the master's width tells
+    "slot_keys-key-narrower-than-the-master": (
+        lambda: _record(29, key_current=BitString(0x5A, 8)),
+        lambda server: slot_keys(TOY8, server.master, "t001", server.records["t001"], "current"),
+        LengthError, _lengths(8, 16, 8)),
+    **{f"next_key-{spec.variant}{spec.output_len_bits}-{width:+d}": _next_key(spec, width)
+       for spec in SLOT_SPECS for width in (-2, -1, 1, 2)},
+    "make_candidate-of-another-width": (
+        lambda: keygen(16, 1, Prng(24, 0))[0],
+        lambda server: make_candidate(
+            (slot_keys(TOY16, server.master, "t001", server.records["t001"], "current"),),
+            session_operands(TOY16, *_bits(8, 8))),
+        LengthError, _lengths(16, 8, 8)),
+    **{f"server_prepare-{x_s}-{x_t}-bits": (
+        lambda: keygen(16, 2, Prng(20, 0))[0],
+        lambda server, x_s=x_s, x_t=x_t: server_prepare(server, *_bits(x_s, x_t), TOY16),
+        LengthError, _lengths(*widths))
+       for x_s, x_t, widths in [(16, 15, (16, 15)), (15, 16, (15, 16)), (14, 14, (16, 14, 14))]},
+    "server_prepare-wider-than-the-master": (
+        lambda: _begun(26, 3, [("t002", "key_previous", BitString(0x5A5A, 16))]),
+        lambda w: server_prepare(w[0], *_bits(32, 32), TOY16), LengthError, _lengths(16, 32, 32)),
+    "server_prepare-key-narrower-than-the-master": (
+        lambda: _begun(26, 3, [("t002", "key_previous", BitString(0x5A5A, 16)),
+                               ("t001", "key_current", BitString(0x5A, 8))]),
+        lambda w: server_prepare(w[0], *_bits(16, 16), TOY8), LengthError, _lengths(8, 16, 8)),
+    "server_prepare-previous-key-narrower": (
+        lambda: _begun(27, edits=[("t001", "key_previous", BitString(0, 8))]),
+        lambda w: server_prepare(w[0], w[2], BitString(0, 16), TOY16), LengthError,
+        _lengths(8, 16, 16)),
+    "tag_scan-without-session": (lambda: keygen(16, 1, Prng(14, 0))[1],
+                                 lambda tags: tag_verify_and_respond(
+                                     tags[0], BitString(0, 16), _broadcast((16, 16)), TOY16),
+                                 SessionOrderError, "no session in flight on this tag"),
+    "tag_scan-narrow-challenge": (lambda: _at_flight_3(22),
+                                  lambda w: tag_verify_and_respond(w[1][0], BitString(0, 15),
+                                                                   w[3], TOY16),
+                                  LengthError, _lengths(15, 16)),
+    "tag_scan-narrow-tag-key": (lambda: _at_flight_3(28, tag_key=BitString(0, 8)),
+                                lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], TOY16),
+                                LengthError, _lengths(8, 16, 16)),
+    "tag_scan-narrow-delta": (lambda: _at_flight_3(25),
+                              lambda w: tag_verify_and_respond(w[1][0], w[2],
+                                                               _broadcast((16, 15)), TOY16),
+                              LengthError, "broadcast deltas are 15 bits, the key 16"),
+    "tag_scan-narrow-deltas": (lambda: _at_flight_3(21, 2),
+                               lambda w: tag_verify_and_respond(w[1][0], w[2],
+                                                                _broadcast(*[(16, 15)] * 3), TOY16),
+                               LengthError, "broadcast deltas are 15 bits, the key 16"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CALLS))
+def test_refused_call_changes_nothing(case):
+    setup, call, error, message = REFUSED_CALLS[case]
+    world = setup() if setup else None
+    before = copy.deepcopy(world)
+    with pytest.raises(error) as err:
+        call(world)
+    assert (type(err.value), str(err.value)) == (error, message)
+    assert world == before
