@@ -60,6 +60,9 @@ class TestBitString:
     def test_xor_hand_computed(self):
         assert xor(BitString(0b1010, 4), BitString(0b0110, 4)) == BitString(0b1100, 4)
 
+    def test_xor_length_mismatch(self):
+        refused("xor-of-4-and-5-bits")
+
     def test_concat_identity_element(self):
         x = BitString(0b101, 3)
         assert concat(BitString(0, 0), x) == x
@@ -75,9 +78,23 @@ class TestBitString:
         a = BitString(0b110, 3)
         assert split(concat(a, a)) == (a, a)
 
+    def test_split_odd_rejected(self):
+        refused("split-odd")
+
+    def test_value_must_fit(self):
+        refused("value-too-wide")
+
+    @pytest.mark.parametrize("case", ["value-negative", "length-negative"])
+    def test_negative_value_or_length_rejected(self, case):
+        refused(case)
+
     def test_flip(self):
         assert BitString(0b000, 3).flip(0) == BitString(0b100, 3)
         assert BitString(0b111, 3).flip(2) == BitString(0b110, 3)
+
+    @pytest.mark.parametrize("case", ["flip-past-the-end", "flip-negative"])
+    def test_flip_out_of_range(self, case):
+        refused(case)
 
     def test_equality_is_value_and_length(self):
         assert BitString(1, 4) != BitString(1, 5)
@@ -125,6 +142,19 @@ class TestTextEncoding:
     def test_length_not_inferable_from_hex(self):
         # same hex, different declared widths: distinct values
         assert BitString.from_text("1:1") != BitString.from_text("1:4")
+
+    def test_missing_length_rejected(self):
+        refused("text-without-length")
+
+    @pytest.mark.parametrize("text", ["+1f:8", "0x1f:8", "1_f:8", " 1f:8", "1f: 8", "1f:8 ",
+                                      "1f:+8", "1f:0_8"])
+    def test_text_only_int_takes_is_rejected(self, text):
+        """A sign, a 0x prefix, '_' separators or spaces, which to_text
+        would drop, are refused rather than rewritten."""
+        refused(f"text-{text}")
+
+    def test_uppercase_rejected(self):
+        refused("text-uppercase")
 
 
 class TestHash2:
@@ -336,6 +366,12 @@ class TestCounterHash:
             b = prng_next(prng, 16)
             assert counter_hash(TOY16, 1, a, b) != counter_hash(TOY16, 2, a, b)
 
+    def test_index_must_be_positive(self):
+        refused("counter_hash-index-0")
+
+    def test_index_must_fit_32_bits(self):
+        refused("counter_hash-index-2^32")
+
 
 class TestPrng:
     def test_reproducible(self):
@@ -351,6 +387,13 @@ class TestPrng:
     @pytest.mark.parametrize("nbits", [1, 8, 64, 128])
     def test_output_length(self, nbits):
         assert len(prng_next(Prng(0, 0), nbits)) == nbits
+
+    def test_nbits_must_be_positive(self):
+        refused("prng_next-0-bits")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_randbelow_bound_must_be_positive(self, n):
+        refused(f"randbelow-{n}")
 
     def test_randbelow_range_and_determinism(self):
         p, q = Prng(1, 1), Prng(1, 1)
@@ -473,8 +516,21 @@ class TestResultsFitTheirWidth:
         assert len(results[0]) == spec.output_len_bits
 
 
+class TestHashSpecValidation:
+    def test_unknown_variant(self):
+        refused("hash-variant")
+
+    @pytest.mark.parametrize("case", ["hash-width-0", "hash-width-257"])
+    def test_output_width_bounds(self, case):
+        refused(case)
+
+    def test_toy_state_bounds(self):
+        refused("toy-hash-wider-than-its-state")
+
+
 # Every call the bits module refuses: (the call, given a fresh stream that it
-# must leave as it was; its error class and its message).
+# must leave as it was; its error class and its message). The one test that
+# names a row makes its call, through :func:`refused`.
 REFUSED_CALLS = {
     "value-too-wide": (lambda p: BitString(16, 4), LengthError,
                        "value 0x10 does not fit in 4 bits"),
@@ -518,8 +574,9 @@ REFUSED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("case", list(REFUSED_CALLS))
-def test_refused_call_changes_nothing(case):
+def refused(case):
+    """Make the refused call of row ``case``: it raises its error with its
+    message and leaves the stream it was given as it was."""
     call, error, message = REFUSED_CALLS[case]
     stream = Prng(0, 0)
     before = copy.deepcopy(stream)

@@ -247,6 +247,12 @@ class TestTranscriptFidelity:
 
 
 class TestScheduleValidation:
+    def test_duplicate_slot_rejected(self):
+        refused("duplicate-slot")
+
+    def test_add_rejects_a_taken_slot_and_keeps_the_schedule(self):
+        refused("add-a-taken-slot")
+
     def test_for_session_keeps_add_order_within_a_session(self):
         """Actions added out of session order come back, for each session,
         in the order they were added; a session with none gets []."""
@@ -281,14 +287,48 @@ class TestScheduleValidation:
         t = run_session(server, tags[0], [AdversaryAction.drop(4, 3)], TOY16, session_seq=3)
         assert t.tag_updated and t.sigma_prime is None and not t.accepted
 
+    @pytest.mark.parametrize("case", [
+        "other-session", "other-session-second", "same-flight", "same-flight-numbered",
+        "unrecorded-source", "unrecorded-source-after-abort", "unrecorded-source-flight-2",
+        "narrow-challenge", "narrow-nonce", "narrow-delta"])
+    def test_run_session_rejects_actions_that_do_not_fit(self, case):
+        """An action numbered for another session, a second action on one
+        flight, a replacement narrower than the wire, or a replay of a flight
+        its earlier session never emitted is a malformed schedule: it raises
+        before any flight runs."""
+        refused(f"session-{case}")
+
+    @pytest.mark.parametrize("case", ["later", "later-far", "own-session", "own-later-session",
+                                      "zero", "none"],
+                             ids=["later-source", "later-source-far", "own-session",
+                                  "own-later-session", "source-zero", "no-source"])
+    def test_replay_source_must_be_an_earlier_session(self, case):
+        refused(f"replay-source-{case}")
+
+    def test_session_below_one_rejected(self):
+        refused("session-zero")
+
+    def test_flight_outside_one_to_four_rejected(self):
+        refused("flight-9")
+
+    def test_replay_unknown_source(self):
+        refused("run-replaying-what-the-run-loses")
+
     def test_payload_widths_are_the_key_and_hash_widths(self):
         """x_s, x_t and delta have the key's width, sigma and sigma' the hash
-        output's, told apart here by a 16-bit key and an 8-bit hash (each
-        other width is a row of REFUSED_CALLS)."""
+        output's, told apart here by a 16-bit key and an 8-bit hash."""
         key, out = BitString(0, 16), BitString(0, 8)
         for payload in (Challenge(key), TagNonce(key), TagAuth(out),
                         BroadcastAuth.of((ServerAuthCandidate(out, key),) * 2)):
             check_payload_widths(payload, 16, 8)
+        for name in ("x_s", "x_t", "sigma_prime", "sigma", "delta"):
+            refused(f"payload-{name}")
+
+    def test_replace_payload_shape_checked(self):
+        refused("replace-with-another-flight-payload")
+
+    def test_bad_kind_rejected(self):
+        refused("unknown-kind")
 
 
 def _two_aborted():
@@ -324,7 +364,8 @@ B8, B16 = BitString(0, 8), BitString(0, 16)
 # leave as it was; its error class and its message). An action that breaks a
 # rule of its own cannot be built; one that does not fit its session is
 # refused before any flight runs, and a run is refused whole before its first
-# session.
+# session. The one test that names a row makes its call, through
+# :func:`refused`.
 REFUSED_CALLS = {
     "unknown-kind": (None, lambda _: AdversaryAction("mangle", 1, 1), ScheduleError,
                      "unknown action kind 'mangle'"),
@@ -357,9 +398,9 @@ REFUSED_CALLS = {
             "replacement sigma 0000:16 is 16 bits, not 8"),
            ("delta", BroadcastAuth.of((ServerAuthCandidate(B8, B8),) * 2),
             "replacement delta 00:8 is 8 bits, not 16")]},
-    "session-for-another-session": (*_session_3(AdversaryAction.drop(4, 7)), ScheduleError,
+    "session-other-session": (*_session_3(AdversaryAction.drop(4, 7)), ScheduleError,
                                     "action on flight 4 is for session 7, not session 3"),
-    "session-for-another-session-second": (
+    "session-other-session-second": (
         *_session_3(AdversaryAction.drop(2, 3), AdversaryAction.drop(4, 7)), ScheduleError,
         "action on flight 4 is for session 7, not session 3"),
     "session-same-flight": (
@@ -398,8 +439,9 @@ REFUSED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("case", list(REFUSED_CALLS))
-def test_refused_call_changes_nothing(case):
+def refused(case):
+    """Make the refused call of row ``case``: it raises its error with its
+    message and leaves its world as it was."""
     setup, call, error, message = REFUSED_CALLS[case]
     world = setup() if setup else None
     before = copy.deepcopy(world)
@@ -510,6 +552,12 @@ class TestWorld:
         assert (first.session_seq, first.label) == (1, "t002")
         assert (second.session_seq, second.label) == (2, "t001")
         assert world.next_seq == 3 and first.accepted and second.accepted
+
+    def test_refused_session_changes_nothing(self):
+        """An action for another session, or a run of no sessions, is
+        refused: the number, the recording, the server and the tag stay."""
+        refused("session-numbered-behind-the-world")
+        refused("run-of-no-sessions")
 
     def test_deep_copy_shares_bit_strings_and_runs_the_same_session(self):
         """Bit strings, hash specs and cached slot keys are immutable, so a

@@ -67,6 +67,15 @@ class TestKeygen:
         assert s1.master == s2.master
         assert t1[0].key == t2[0].key
 
+    def test_odd_width_rejected(self):
+        refused("keygen-63-bits")
+
+    def test_tiny_width_rejected(self):
+        refused("keygen-6-bits")
+
+    def test_no_tags_rejected(self):
+        refused("keygen-no-tags")
+
     def test_tag_keys_independent(self):
         _, tags = keygen(64, 4, Prng(5, 0))
         assert len({t.key for t in tags}) == 4
@@ -191,6 +200,9 @@ class TestTagVerify:
         assert tags[0].key == k_before
         assert tags[0].counter == 1
 
+    def test_requires_session_in_flight(self):
+        refused("tag_scan-without-session")
+
     def test_pending_erased_on_both_paths(self):
         server, tags = keygen(16, 1, Prng(15, 0))
         honest_session(server, tags[0], TOY16)
@@ -203,7 +215,40 @@ class TestTagVerify:
 
 
 class TestWidthChecks:
-    """A sigma or sigma' of the wrong width does not authenticate."""
+    """Operands of the wrong width raise, whether they are checked once per
+    session or once per candidate; a sigma or sigma' of the wrong width does
+    not authenticate."""
+
+    @pytest.mark.parametrize("case", [
+        "session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
+        "slot_keys-key-narrower-than-the-master", "make_candidate-of-another-width",
+        "tag_scan-narrow-delta", "server_prepare-previous-key-narrower", "tag_scan-narrow-tag-key",
+    ], ids=["session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
+            "slot_keys_master", "make_candidate",
+            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key"])
+    def test_every_width_check_raises_length_error(self, case):
+        refused(case)
+
+    @pytest.mark.parametrize("x_s_len,x_t_len", [(16, 15), (15, 16), (14, 14)])
+    def test_server_prepare_rejects_wrong_width_operands(self, x_s_len, x_t_len):
+        refused(f"server_prepare-{x_s_len}-{x_t_len}-bits")
+
+    @pytest.mark.parametrize("case", ["server_prepare-wider-than-the-master",
+                                      "server_prepare-key-narrower-than-the-master"],
+                             ids=["session", "record"])
+    def test_width_error_leaves_the_prng_unmoved(self, case):
+        refused(case)
+
+    def test_tag_scan_rejects_wrong_width_delta(self):
+        """A broadcast's deltas share one width, so a delta of another width
+        beside the honest ones is refused where the broadcast is built; the
+        tag's scan refuses deltas of a width other than its key's before it
+        hashes any candidate."""
+        refused("broadcast-deltas-mix-15")
+        refused("tag_scan-narrow-deltas")
+
+    def test_tag_scan_rejects_wrong_width_challenge(self):
+        refused("tag_scan-narrow-challenge")
 
     @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
     @pytest.mark.parametrize("extra", [1, 8, 48])
@@ -242,6 +287,10 @@ class TestWidthChecks:
 class TestBroadcastColumns:
     """A broadcast is its two widths and two columns of ints; its
     candidates are read as pairs of bit strings and built from them."""
+
+    @pytest.mark.parametrize("column", ["sigma", "delta"])
+    def test_mixed_widths_are_refused_where_a_broadcast_is_built(self, column):
+        refused(f"broadcast-{column}s-mix")
 
     def test_columns_hold_the_pairs_in_order(self):
         pairs = [ServerAuthCandidate(BitString(v, 12), BitString(v ^ 0x3, 6)) for v in (7, 9, 33)]
@@ -472,6 +521,21 @@ class TestSlotKeys:
         assert (ops.s_term, ops.next_bytes) == (_right_term(lam, x_s), hash2_layout(lam, lam)[3])
         assert next_key == key_update(spec, k_dprime, x_dprime, x_s)
 
+    @pytest.mark.parametrize("spec", SLOT_SPECS, ids=SPEC_IDS)
+    @pytest.mark.parametrize("width", [-2, -1, 1, 2])
+    def test_next_key_checks_the_challenge_width(self, spec, width):
+        """A slot's next key in a session of another width raises before it
+        hashes."""
+        refused(f"next_key-{spec.variant}{spec.output_len_bits}-{width:+d}")
+
+    def test_odd_key_width_raises(self):
+        refused("slot_keys-odd-key")
+
+    @pytest.mark.parametrize("spec", [HashSpec.toy(14), HashSpec.production(18)],
+                             ids=["toy14", "production18"])
+    def test_partial_key_of_another_width_raises(self, spec):
+        refused(f"slot_keys-partial-key-{spec.variant}{spec.output_len_bits}")
+
 
 class TestPadProperty:
     def test_delta_admits_one_partial_key_per_key_hypothesis(self):
@@ -578,7 +642,8 @@ def _lengths(*widths):
 # the call may change, or None; the call, given that world, which it must
 # leave as it was; its error class and its message). Width checks made once
 # per session run before the broadcast shuffle and the tag's first hash, so a
-# refused session leaves every stream and meter where it was.
+# refused session leaves every stream and meter where it was. The one test
+# that names a row makes its call, through :func:`refused`.
 REFUSED_CALLS = {
     "keygen-63-bits": (lambda: Prng(0, 0), lambda p: keygen(63, 1, p), ParameterError,
                        "key width must be even and >= 8, got 63"),
@@ -663,8 +728,9 @@ REFUSED_CALLS = {
 }
 
 
-@pytest.mark.parametrize("case", list(REFUSED_CALLS))
-def test_refused_call_changes_nothing(case):
+def refused(case):
+    """Make the refused call of row ``case``: it raises its error with its
+    message and leaves its world as it was."""
     setup, call, error, message = REFUSED_CALLS[case]
     world = setup() if setup else None
     before = copy.deepcopy(world)
