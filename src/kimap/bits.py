@@ -145,9 +145,6 @@ class BitString:
 
     # Immutable, so a copy is the object itself: a deep copy of a server or
     # a world shares its bit strings instead of rebuilding each one.
-    def __copy__(self) -> "BitString":
-        return self
-
     def __deepcopy__(self, memo: dict) -> "BitString":
         return self
 

@@ -171,10 +171,12 @@ _BROADCAST = struct.Struct(">III")
 def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
     """The width rule of a payload on the wire: ``x_s``, ``x_t`` and every
     ``delta`` are ``key_bits`` wide, every ``sigma`` and ``sigma'``
-    ``hash_bits`` (the hash output width). A broadcast's candidates share
-    their widths, so its first candidate stands for all."""
+    ``hash_bits`` (the hash output width). A broadcast states each column's
+    width once, so its first ``sigma`` and ``delta`` stand for all."""
     if isinstance(payload, BroadcastAuth):
-        fields = payload.candidates[0]._asdict().items() if payload.sigmas else ()
+        sigma_bits, delta_bits, sigmas, deltas = payload
+        fields = ((("sigma", _trusted(sigmas[0], sigma_bits)),
+                   ("delta", _trusted(deltas[0], delta_bits))) if sigmas else ())
     else:
         fields = vars(payload).items()
     check_field_widths(fields, key_bits, hash_bits)

@@ -62,7 +62,7 @@ from .channel import (
 )
 from .costs import CostParams, check_budget, compute_cost
 from .games import DEFINITIONS, GameConfig, GameError, lemma1_bijection_check, make_distinguisher, run_game
-from .protocol import BroadcastAuth, ServerAuthCandidate, ServerState, TagState, keygen
+from .protocol import BroadcastAuth, ServerState, TagState, keygen
 from .storage import (load_database, load_master, read_decimal, read_text, save_database,
                       save_master)
 
@@ -166,11 +166,12 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
         return None
     values = [BitString.from_text(f) for f in fields]
     # ``run`` hashes to lam bits. Each field is checked before a broadcast
-    # is built, so a delta of another width is named as any other.
+    # is built, so a delta of another width is named as any other, and both
+    # of the broadcast's columns are lam bits wide.
     if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
-        candidates = list(map(ServerAuthCandidate, values[::2], values[1::2]))
-        check_field_widths([kv for c in candidates for kv in c._asdict().items()], lam, lam)
-        return BroadcastAuth.of(candidates)
+        check_field_widths(zip(("sigma", "delta") * (len(values) // 2), values), lam, lam)
+        return BroadcastAuth(lam, lam, tuple(v.value for v in values[::2]),
+                             tuple(v.value for v in values[1::2]))
     if kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
         payload = kind(values[0])
         check_payload_widths(payload, lam, lam)

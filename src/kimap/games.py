@@ -42,7 +42,6 @@ from .protocol import (
     BroadcastAuth,
     Challenge,
     PendingSession,
-    ServerAuthCandidate,
     ServerState,
     SessionOrderError,
     TagAuth,
@@ -264,13 +263,14 @@ class OracleHandle:
     def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
         """Server flight-3 computation for the named tag's current key."""
         self._admit("reply", tag)
-        return self._reply_core(tag, x_t).candidates[0]
+        sigma_bits, delta_bits, (sigma,), (delta,) = self._reply_core(tag, x_t)
+        return _trusted(sigma, sigma_bits), _trusted(delta, delta_bits)
 
     def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Tag flight-4 computation (verify, answer, ratchet on success);
         the answer is forwarded to the server."""
         self._admit("reply_prime", tag)
-        bc = BroadcastAuth.of((ServerAuthCandidate(sigma, delta),))
+        bc = BroadcastAuth(len(sigma), len(delta), (sigma.value,), (delta.value,))
         return self._reply_prime_core(tag, x_s, bc)[0].sigma_prime
 
     def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
@@ -280,7 +280,7 @@ class OracleHandle:
         pend = self._pending_reply.get(tag)
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
-        bc = BroadcastAuth.of((ServerAuthCandidate(sigma, delta),))
+        bc = BroadcastAuth(len(sigma), len(delta), (sigma.value,), (delta.value,))
         return self._reply_prime_core(tag, pend.ops.x_s, bc)[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
@@ -439,12 +439,12 @@ class KeyKnowledge(Distinguisher):
     def interact(self, h: OracleHandle) -> None:
         self.match = False
         d = DEFINITIONS[h.definition]
-        c = h.n_tags - 1
-        for t in range(c):
-            self._eavesdrop(h, t)
         if "reveal_secret" not in d.oracles:
             raise OracleMisuseError("key-knowledge needs a reveal oracle; run it on the "
                                     "forward or backward game")
+        c = h.n_tags - 1
+        for t in range(c):
+            self._eavesdrop(h, t)
         h.choose_challenge(c)
         self._eavesdrop(h, c)                       # instance 1
         if d.test_offset > 0:

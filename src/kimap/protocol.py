@@ -40,14 +40,12 @@ session against the master, all before the shuffle. One
 :func:`make_candidate` call then builds the shuffled broadcast with its
 :class:`PendingSession`. A :class:`BroadcastAuth` is flight 3 as columns:
 the sigma width and the delta width once, then every candidate's ``sigma``
-and ``delta`` as ints, so building one makes no object per candidate, and
-the tag's scan holds each width to its own once per broadcast.
-:class:`ServerAuthCandidate` pairs of bit strings are read from it
-(:attr:`BroadcastAuth.candidates`) and built into one
-(:meth:`BroadcastAuth.of`, which refuses mixed widths). The next key, one
-hash from the slot's cached ``k'' || x''`` term and the session's ``x_s``
-term, is computed only for the matched candidate, or for every record when
-a failed session hedges.
+and ``delta`` as ints, so building one makes no object per candidate, no
+broadcast can mix widths, and the tag's scan holds each width to its own
+once per broadcast. A reader that wants one candidate as bit strings builds
+them from the columns. The next key, one hash from the slot's cached
+``k'' || x''`` term and the session's ``x_s`` term, is computed only for the
+matched candidate, or for every record when a failed session hedges.
 :func:`partial_key`, :func:`session_key`, :func:`key_update`,
 :func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
 on bitstrings, and the tests hold the int path to them.
@@ -67,10 +65,9 @@ slot, so its tag's sessions are rejected and the record stays as it is.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bits import (COUNTER_BITS, BitString, HashSpec, LengthError, OpMeter, ParameterError, Prng,
                    _trusted, counter_hash, hash2, hash2_layout, metered, prng_next, split, xor)
@@ -194,25 +191,9 @@ class TagNonce:
     x_t: BitString
 
 
-class ServerAuthCandidate(NamedTuple):
-    """One broadcast candidate as a pair of bit strings."""
-
-    sigma: BitString
-    delta: BitString
-
-
-# Build a NamedTuple (SlotKeys, BroadcastAuth, ServerAuthCandidate) from a
-# tuple at C level, without its generated Python __new__.
+# Build a NamedTuple (SlotKeys, BroadcastAuth) from a tuple at C level,
+# without its generated Python __new__.
 _new_tuple = tuple.__new__
-
-
-def _column(name: str, values: Sequence[BitString]) -> tuple[int, tuple[int, ...]]:
-    """The one width of ``values`` (0 for none) and their ints, or
-    :class:`~kimap.bits.LengthError` naming the widths they mix."""
-    widths = sorted({len(v) for v in values})
-    if len(widths) > 1:
-        raise LengthError(f"broadcast {name}s mix widths {widths}")
-    return (widths[0] if widths else 0), tuple([v.value for v in values])
 
 
 class BroadcastAuth(NamedTuple):
@@ -221,47 +202,19 @@ class BroadcastAuth(NamedTuple):
     in broadcast order. One spec hashes every sigma and every slot is held
     to the session's width, so the widths are stated once; a broadcast of
     no candidate has widths 0. :func:`make_candidate` builds it from its
-    digests, and :meth:`of` from :class:`ServerAuthCandidate` pairs."""
+    digests."""
 
     sigma_bits: int
     delta_bits: int
     sigmas: tuple[int, ...]
     deltas: tuple[int, ...]
 
-    @classmethod
-    def of(cls, candidates: Iterable[ServerAuthCandidate]) -> "BroadcastAuth":
-        """The broadcast of ``candidates``, in order. Candidates whose sigmas,
-        or whose deltas, differ in width are refused with
-        :class:`~kimap.bits.LengthError`: no broadcast carries them."""
-        pairs = tuple(candidates)
-        sigma_bits, sigmas = _column("sigma", [c.sigma for c in pairs])
-        delta_bits, deltas = _column("delta", [c.delta for c in pairs])
-        return _new_tuple(cls, (sigma_bits, delta_bits, sigmas, deltas))
-
     @property
-    def candidates(self) -> "Candidates":
-        """The candidates as :class:`ServerAuthCandidate` pairs, built only
-        as they are read; their count is ``len()`` of the view."""
-        return Candidates(self)
-
-
-class Candidates:
-    """A read-only sequence view of a :class:`BroadcastAuth`'s candidates.
-    ``len()`` builds nothing; indexing, and so iterating, builds each pair."""
-
-    __slots__ = ("_broadcast",)
-
-    def __init__(self, broadcast: BroadcastAuth):
-        self._broadcast = broadcast
-
-    def __len__(self) -> int:
-        return len(self._broadcast.sigmas)
-
-    def __getitem__(self, i: int) -> ServerAuthCandidate:
-        sigma_bits, delta_bits, sigmas, deltas = self._broadcast
-        i = operator.index(i)  # an index, not a slice
-        return _new_tuple(ServerAuthCandidate,
-                          (_trusted(sigmas[i], sigma_bits), _trusted(deltas[i], delta_bits)))
+    def candidates(self) -> tuple[int, ...]:
+        """One entry per candidate, for ``len()``: the benchmark's tag meter
+        (``perfbench/spans.py``) counts the candidates scanned with it, and
+        is its only reader. ROADMAP item 16 deletes it."""
+        return self.sigmas
 
 
 @dataclass(frozen=True)

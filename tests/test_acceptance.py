@@ -33,7 +33,6 @@ from kimap.games import (
 )
 from kimap.protocol import (
     BroadcastAuth,
-    ServerAuthCandidate,
     keygen,
     server_begin,
     server_finalize,
@@ -90,7 +89,7 @@ def test_criterion_02_tag_operation_budget():
         ch = server_begin(server)
         nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
-        c = len(bc.candidates)
+        c = len(bc.sigmas)
         ta = tag_verify_and_respond(tag, ch.x_s, bc, spec)
         h1, p1, _ = tag.meter.snapshot()
         assert server_finalize(server, pending, ta).accepted
@@ -157,8 +156,7 @@ def test_criterion_06_oracle_composition_identity():
         sigma_prime = clone.reply_prime(0, x_s, sigma, delta)
         assert t.x_s.x_s == x_s
         assert t.x_t.x_t == x_t
-        assert t.broadcast.candidates[0].sigma == sigma
-        assert t.broadcast.candidates[0].delta == delta
+        assert t.broadcast == BroadcastAuth(len(sigma), len(delta), (sigma.value,), (delta.value,))
         assert t.sigma_prime.sigma_prime == sigma_prime
         assert h.tags[0].key == clone.tags[0].key
     report(6, "execute equals query/query'/reply/reply' composition bitwise "
@@ -210,13 +208,13 @@ def test_criterion_10_tamper_countermeasure():
         ch = server_begin(server)
         nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, spec)
-        c = bc.candidates[0]
+        (sigma,), (delta,) = bc.sigmas, bc.deltas
         if mutate.randbelow(2):
-            c = ServerAuthCandidate(c.sigma.flip(mutate.randbelow(16)), c.delta)
+            bc = bc._replace(sigmas=(sigma ^ 1 << (15 - mutate.randbelow(16)),))
         else:
-            c = ServerAuthCandidate(c.sigma, c.delta.flip(mutate.randbelow(16)))
+            bc = bc._replace(deltas=(delta ^ 1 << (15 - mutate.randbelow(16)),))
         key_before = tag.key
-        ta = tag_verify_and_respond(tag, ch.x_s, BroadcastAuth.of((c,)), spec)
+        ta = tag_verify_and_respond(tag, ch.x_s, bc, spec)
         assert len(ta.sigma_prime) == 16
         assert tag.key == key_before, "tag key must not move on a corrupted broadcast"
         assert not server_finalize(server, pending, ta).accepted
@@ -261,8 +259,8 @@ def test_criterion_12_known_answer_transcript():
 
     observed = {
         "x_i": x1.to_text(),
-        "sigma": t.broadcast.candidates[0].sigma.to_text(),
-        "delta": t.broadcast.candidates[0].delta.to_text(),
+        "sigma": BitString(t.broadcast.sigmas[0], t.broadcast.sigma_bits).to_text(),
+        "delta": BitString(t.broadcast.deltas[0], t.broadcast.delta_bits).to_text(),
         "sk": sk.to_text(),
         "sigma_prime": t.sigma_prime.sigma_prime.to_text(),
         "k2": tags[0].key.to_text(),

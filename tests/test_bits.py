@@ -35,10 +35,6 @@ TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
 
 
-def rand_bits(prng, n):
-    return prng_next(prng, n)
-
-
 # -- strategies --------------------------------------------------------------
 
 bitstrings = st.integers(min_value=0, max_value=256).flatmap(

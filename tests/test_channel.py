@@ -23,8 +23,8 @@ from kimap.channel import (
     run_session,
     transcript_line,
 )
-from kimap.protocol import (BroadcastAuth, Challenge, ServerAuthCandidate, TagAuth, TagNonce,
-                            auth_server_tag, keygen, offered_slots, slot_origin)
+from kimap.protocol import (BroadcastAuth, Challenge, TagAuth, TagNonce, auth_server_tag,
+                            keygen, offered_slots, slot_origin)
 
 TOY16 = HashSpec.toy(16)
 PROD64 = HashSpec.production(64)
@@ -132,10 +132,9 @@ class TestDrops:
 
 def _replacement(flight, bits):
     """A payload of the 64-bit wire's widths for ``flight``, from ``bits``."""
-    value = BitString(bits, 64)
     if flight == 3:
-        return BroadcastAuth.of((ServerAuthCandidate(value, value),))
-    return PAYLOAD_TYPES[flight](value)
+        return BroadcastAuth(64, 64, (bits,), (bits,))
+    return PAYLOAD_TYPES[flight](BitString(bits, 64))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
@@ -186,8 +185,7 @@ class TestTampering:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        c = bc.candidates[0]
-        mangled = BroadcastAuth.of((ServerAuthCandidate(c.sigma, c.delta.flip(3)),))
+        mangled = bc._replace(deltas=(bc.deltas[0] ^ 1 << 12,))
         ta = tag_verify_and_respond(tags[0], ch.x_s, mangled, TOY16)
         result = server_finalize(server, pending, ta)
         assert not result.accepted
@@ -227,8 +225,7 @@ class TestTranscriptFidelity:
         for t in World(server, tags, spec).run(FaultSchedule([]), 10):
             assert len(t.x_s.x_s) == lam
             assert len(t.x_t.x_t) == lam
-            for cand in t.broadcast.candidates:
-                assert len(cand.sigma) == lam and len(cand.delta) == lam
+            assert t.broadcast.sigma_bits == t.broadcast.delta_bits == lam
             assert len(t.sigma_prime.sigma_prime) == lam
 
     def test_dropped_fields_absent(self):
@@ -240,7 +237,7 @@ class TestTranscriptFidelity:
     def test_failure_response_shape_matches_success(self):
         server, tags = fresh_world(seed=112)
         ok = run_session(server, tags[0], [], TOY16)
-        zero = BroadcastAuth.of((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
+        zero = BroadcastAuth(16, 16, (0,), (0,))
         bad = run_session(server, tags[0], [AdversaryAction.replace(3, zero, 1)], TOY16)
         assert ok.tag_updated and not bad.tag_updated
         assert len(ok.sigma_prime.sigma_prime) == len(bad.sigma_prime.sigma_prime)
@@ -319,7 +316,7 @@ class TestScheduleValidation:
         output's, told apart here by a 16-bit key and an 8-bit hash."""
         key, out = BitString(0, 16), BitString(0, 8)
         for payload in (Challenge(key), TagNonce(key), TagAuth(out),
-                        BroadcastAuth.of((ServerAuthCandidate(out, key),) * 2)):
+                        BroadcastAuth(8, 16, (0, 0), (0, 0))):
             check_payload_widths(payload, 16, 8)
         for name in ("x_s", "x_t", "sigma_prime", "sigma", "delta"):
             refused(f"payload-{name}")
@@ -394,9 +391,9 @@ REFUSED_CALLS = {
            ("x_s", Challenge(B8), "replacement x_s 00:8 is 8 bits, not 16"),
            ("x_t", TagNonce(B8), "replacement x_t 00:8 is 8 bits, not 16"),
            ("sigma_prime", TagAuth(B16), "replacement sigma_prime 0000:16 is 16 bits, not 8"),
-           ("sigma", BroadcastAuth.of((ServerAuthCandidate(B16, B16),)),
+           ("sigma", BroadcastAuth(16, 16, (0,), (0,)),
             "replacement sigma 0000:16 is 16 bits, not 8"),
-           ("delta", BroadcastAuth.of((ServerAuthCandidate(B8, B8),) * 2),
+           ("delta", BroadcastAuth(8, 8, (0, 0), (0, 0)),
             "replacement delta 00:8 is 8 bits, not 16")]},
     "session-other-session": (*_session_3(AdversaryAction.drop(4, 7)), ScheduleError,
                                     "action on flight 4 is for session 7, not session 3"),
@@ -422,8 +419,7 @@ REFUSED_CALLS = {
     "session-narrow-nonce": (*_session_3(AdversaryAction.replace(2, TagNonce(B8), 3)),
                              ScheduleError, "replacement x_t 00:8 is 8 bits, not 16"),
     "session-narrow-delta": (
-        *_session_3(AdversaryAction.replace(3, BroadcastAuth.of(
-            (ServerAuthCandidate(B16, B8),)), 3)),
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, 8, (0,), (0,)), 3)),
         ScheduleError, "replacement delta 00:8 is 8 bits, not 16"),
     "session-numbered-behind-the-world": (
         _after_one_session, lambda world: world.session(0, [AdversaryAction.drop(4, 1)]),
@@ -484,9 +480,9 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
         else:
             width = data.draw(st.sampled_from([16, 8]))
             narrow |= width != 16
-            value = BitString(data.draw(st.integers(0, (1 << width) - 1)), width)
-            payload = (BroadcastAuth.of((ServerAuthCandidate(value, value),)) if flight == 3
-                       else PAYLOAD_TYPES[flight](value))
+            value = data.draw(st.integers(0, (1 << width) - 1))
+            payload = (BroadcastAuth(width, width, (value,), (value,)) if flight == 3
+                       else PAYLOAD_TYPES[flight](BitString(value, width)))
             actions.append(AdversaryAction.replace(flight, payload, session))
     fits = (all(a.session_seq == seq for a in actions) and not narrow
             and len({a.flight for a in actions}) == len(actions)
@@ -525,9 +521,9 @@ def test_run_is_whole_or_changes_nothing(before, n, data):
                 source = data.draw(st.integers(1, seq - 1))
                 schedule.add(AdversaryAction.replay(flight, source, seq))
             else:
-                value = BitString(0, data.draw(st.sampled_from([16, 8])))
-                payload = (BroadcastAuth.of((ServerAuthCandidate(value, value),)) if flight == 3
-                           else PAYLOAD_TYPES[flight](value))
+                width = data.draw(st.sampled_from([16, 8]))
+                payload = (BroadcastAuth(width, width, (0,), (0,)) if flight == 3
+                           else PAYLOAD_TYPES[flight](BitString(0, width)))
                 schedule.add(AdversaryAction.replace(flight, payload, seq))
     twin = copy.deepcopy(world)
     try:
@@ -709,7 +705,7 @@ class TestRecording:
             rec.counter = tag.counter = 2**32 - 1
         world = World(server, tags, PROD64)
         first, second = world.run(FaultSchedule([AdversaryAction.replay(3, 1, 2)]), 2)
-        assert first.broadcast == second.broadcast == BroadcastAuth.of(())
+        assert first.broadcast == second.broadcast == BroadcastAuth(0, 0, (), ())
         assert not first.accepted and not second.accepted
 
     @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
@@ -723,12 +719,12 @@ class TestRecording:
         transcripts = world.run(FaultSchedule([]), 6)
         key, out = -(-lam // 8), -(-spec.output_len_bits // 8)
         for t in transcripts:
-            n, wire_bits = len(t.broadcast.candidates), spec.output_len_bits + lam
+            n, wire_bits = len(t.broadcast.sigmas), spec.output_len_bits + lam
             broadcast = 12 + n * -(-wire_bits // 8)
             assert len(recorded(world.recording, t.session_seq, 3)) == broadcast
             value = world.recording[t.session_seq]
             assert type(value) is bytes and len(value) == 3 * 4 + 2 * key + out + broadcast
-        assert len(transcripts[-1].broadcast.candidates) == 6  # both slots of every record
+        assert len(transcripts[-1].broadcast.sigmas) == 6  # both slots of every record
 
     def test_no_recording_records_nothing(self, monkeypatch):
         """Without a recording a session packs no flight, and a replay, which
@@ -758,19 +754,24 @@ def sessions(draw):
     def bits(width):
         return BitString(draw(st.integers(0, (1 << width) - 1)), width)
 
+    def column(width, n):
+        return tuple(bits(width).value for _ in range(n))
+
+    n = draw(st.integers(0, 6))
     payloads = [Challenge(bits(key_bits)), TagNonce(bits(key_bits)),
-                BroadcastAuth.of([ServerAuthCandidate(bits(hash_bits), bits(key_bits))
-                                  for _ in range(draw(st.integers(0, 6)))]),
+                BroadcastAuth(hash_bits, key_bits, column(hash_bits, n), column(key_bits, n))
+                if n else BroadcastAuth(0, 0, (), ()),
                 TagAuth(bits(draw(st.sampled_from([hash_bits, key_bits]))))]
     return payloads, draw(st.integers(1, 4))
 
 
 @settings(max_examples=200, deadline=None)
 @given(session=sessions())
-@example(session=([Challenge(BitString(1, 3)), TagNonce(BitString(5, 3)), BroadcastAuth.of(()),
+@example(session=([Challenge(BitString(1, 3)), TagNonce(BitString(5, 3)),
+                   BroadcastAuth(0, 0, (), ()),
                    TagAuth(BitString(2, 3))], 4))
 @example(session=([Challenge(BitString(5, 3)), TagNonce(BitString(0, 3)),
-                   BroadcastAuth.of([ServerAuthCandidate(BitString(1, 1), BitString(5, 3))] * 2),
+                   BroadcastAuth(1, 3, (1, 1), (5, 5)),
                    TagAuth(BitString(1, 1))], 4))
 def test_a_recorded_session_rebuilds_equal(session):
     """Each flight a session emitted, recorded as the channel records it,
@@ -790,7 +791,9 @@ def test_a_recorded_session_rebuilds_equal(session):
         assert rebuilt == payload and type(rebuilt) is PAYLOAD_TYPES[flight]
     if emitted >= 3:
         bc = payloads[2]
-        text = ",".join(f"{c.sigma.to_text()}/{c.delta.to_text()}" for c in bc.candidates)
+        text = ",".join(f"{BitString(sigma, bc.sigma_bits).to_text()}/"
+                        f"{BitString(delta, bc.delta_bits).to_text()}"
+                        for sigma, delta in zip(bc.sigmas, bc.deltas))
         t = channel.SessionTranscript(session_seq=7, label="t001",
                                       broadcast=channel._rebuild(3, recorded(recording, 7, 3)))
         assert f" broadcast={text} " in transcript_line(t)
@@ -925,6 +928,7 @@ class TestAcceptLeftSlot:
         for idx in range(1, 8):
             t = world.session(idx)
             verifying.append(sum(
-                auth_server_tag(PROD64, k_prime, c.delta ^ read, t.x_s.x_s, t.x_t.x_t) == c.sigma
-                for c in t.broadcast.candidates))
+                auth_server_tag(PROD64, k_prime, BitString(delta, 64) ^ read, t.x_s.x_s,
+                                t.x_t.x_t) == BitString(sigma, t.broadcast.sigma_bits)
+                for sigma, delta in zip(t.broadcast.sigmas, t.broadcast.deltas)))
         assert verifying == [0] * 7

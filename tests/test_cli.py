@@ -17,6 +17,7 @@ from kimap.cli import DEFAULT_SEED, main, parse_schedule
 from kimap.channel import ScheduleError
 from kimap.costs import CostParams
 from kimap.games import DEFINITIONS, Definition, GameConfig
+from kimap.protocol import BroadcastAuth
 from kimap.storage import dump_database, load_database
 
 
@@ -598,7 +599,7 @@ class TestScheduleParsing:
         sched = parse_schedule(str(f), 16)
         assert len(sched.actions) == 1
         assert sched.actions[0].kind == "replace"
-        assert len(sched.actions[0].payload.candidates) == 1
+        assert sched.actions[0].payload == BroadcastAuth(16, 16, (0xDEAD,), (0xBEEF,))
 
     def test_replay_line(self, tmp_path):
         f = tmp_path / "s.txt"

@@ -118,7 +118,7 @@ class TestAgreementWithInstrumentation:
             h0, p0, _ = tag.meter.snapshot()
             t = run_session(server, tag, [], HashSpec.production(64), label="t001")
             h1, p1, _ = tag.meter.snapshot()
-            assert t.accepted and len(t.broadcast.candidates) == c
+            assert t.accepted and len(t.broadcast.sigmas) == c
             report = compute_cost(CostParams(candidates=c))
             metered = (h1 - h0) + (p1 - p0)
             assert report.params.tag_hash_ops == metered, c

@@ -29,7 +29,6 @@ from kimap.games import (
 from kimap.protocol import SessionOrderError, key_update
 
 TOY16 = HashSpec.toy(16)
-TOY8 = HashSpec.toy(8)
 Z = BitString(0, 16)
 
 
@@ -222,6 +221,18 @@ def test_refused_call_changes_nothing_but_its_spend(case):
     refuse(h, calls[-1], error, message)
 
 
+def test_key_knowledge_refuses_a_game_without_reveal_before_it_acts():
+    """``KeyKnowledge`` checks the game's oracle set before it eavesdrops,
+    so its refusal leaves the world as it was."""
+    h = world("ind", n=3)
+    before = copy.deepcopy(vars(h))
+    with pytest.raises(OracleMisuseError) as err:
+        KeyKnowledge().interact(h)
+    assert str(err.value) == ("key-knowledge needs a reveal oracle; run it on the forward or "
+                              "backward game")
+    assert vars(h) == before
+
+
 def missing_rows(table):
     """What ``table``, shaped as :data:`REFUSED_CALLS`, lacks: a row that
     finds each budget of ``games._BUDGET`` spent, one that calls each oracle
@@ -357,20 +368,21 @@ class TestExecute:
         h = world()
         t1 = h.execute(0)
         t2 = h.execute(0)
-        assert t1.broadcast.candidates[0].delta != t2.broadcast.candidates[0].delta
+        assert t1.broadcast.deltas != t2.broadcast.deltas
         assert h.tags[0].counter == 3
 
     def test_execute_b_shape(self):
         h = world("backward")
         t = h.execute_b(0)
-        (cand,) = t.broadcast.candidates
-        for value in (t.x_s.x_s, t.x_t.x_t, cand.sigma, cand.delta, t.sigma_prime.sigma_prime):
+        sigma_bits, delta_bits, (sigma,), (delta,) = t.broadcast
+        sigma, delta = BitString(sigma, sigma_bits), BitString(delta, delta_bits)
+        for value in (t.x_s.x_s, t.x_t.x_t, sigma, delta, t.sigma_prime.sigma_prime):
             assert len(value) == 16
         # flight 1 is the decoy, not the recorded instance's true challenge,
         # and the server's outcome is withheld
         real = h.recorded[0][1]
         assert t.x_s.x_s != real.x_s
-        assert (t.x_t.x_t, cand.sigma, cand.delta, t.sigma_prime.sigma_prime) == \
+        assert (t.x_t.x_t, sigma, delta, t.sigma_prime.sigma_prime) == \
             (real.x_t, real.sigma, real.delta, real.sigma_prime)
         assert t.outcome_server is None and not t.accepted
 
@@ -378,7 +390,7 @@ class TestExecute:
         h = world("backward")
         t1 = h.execute_b(0)
         t2 = h.execute_b(0)
-        assert t1.broadcast.candidates[0].delta != t2.broadcast.candidates[0].delta
+        assert t1.broadcast.deltas != t2.broadcast.deltas
         assert h.tags[0].counter == 3
         assert t1.tag_updated and t2.tag_updated
 
@@ -407,7 +419,7 @@ class TestRevealSecret:
         k_i = h.reveal_secret(1)
         t = h.execute(1)
         k_next = h.reveal_secret(1)
-        x = xor(t.broadcast.candidates[0].delta, k_i)
+        x = xor(BitString(t.broadcast.deltas[0], t.broadcast.delta_bits), k_i)
         _, k_dprime = split(k_i)
         _, x_dprime = split(x)
         assert k_next == key_update(h.spec, k_dprime, x_dprime, t.x_s.x_s)

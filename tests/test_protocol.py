@@ -5,7 +5,6 @@ import dataclasses
 
 import pytest
 
-from kimap import protocol
 from kimap.bits import (BitString, HashSpec, OpMeter, Prng, hash2_layout, metered, prng_next,
                         split, xor)
 from kimap.channel import run_session
@@ -13,7 +12,6 @@ from kimap.protocol import (
     BroadcastAuth,
     LengthError,
     ParameterError,
-    ServerAuthCandidate,
     SessionOrderError,
     TagAuth,
     auth_server_tag,
@@ -155,13 +153,13 @@ class TestFlights:
     def test_candidate_count_without_previous(self):
         server, tags = keygen(16, 3, Prng(10, 0))
         bc, _ = server_prepare(server, BitString(1, 16), BitString(2, 16), TOY16)
-        assert len(bc.candidates) == 3
+        assert len(bc.sigmas) == 3
 
     def test_candidate_count_with_previous(self):
         server, tags = keygen(16, 3, Prng(10, 0))
         honest_session(server, tags[0], TOY16)  # first record gains a previous key
         bc, _ = server_prepare(server, BitString(1, 16), BitString(2, 16), TOY16)
-        assert len(bc.candidates) == 4
+        assert len(bc.sigmas) == 4
 
     def test_candidate_order_is_shuffled(self):
         # across sessions the same record should not sit at a fixed position
@@ -193,8 +191,7 @@ class TestTagVerify:
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
         k_before = tags[0].key
-        mangled = BroadcastAuth.of(tuple(
-            ServerAuthCandidate(c.sigma.flip(0), c.delta) for c in bc.candidates))
+        mangled = bc._replace(sigmas=tuple(sigma ^ 1 << 15 for sigma in bc.sigmas))
         ta = tag_verify_and_respond(tags[0], ch.x_s, mangled, TOY16)
         assert len(ta.sigma_prime) == 16
         assert tags[0].key == k_before
@@ -209,8 +206,7 @@ class TestTagVerify:
         assert tags[0].pending is None
         ch = server_begin(server)
         tag_respond_nonce(tags[0])
-        bad = BroadcastAuth.of((ServerAuthCandidate(BitString(0, 16), BitString(0, 16)),))
-        tag_verify_and_respond(tags[0], ch.x_s, bad, TOY16)
+        tag_verify_and_respond(tags[0], ch.x_s, _broadcast(16, 16), TOY16)
         assert tags[0].pending is None
 
 
@@ -240,11 +236,9 @@ class TestWidthChecks:
         refused(case)
 
     def test_tag_scan_rejects_wrong_width_delta(self):
-        """A broadcast's deltas share one width, so a delta of another width
-        beside the honest ones is refused where the broadcast is built; the
-        tag's scan refuses deltas of a width other than its key's before it
-        hashes any candidate."""
-        refused("broadcast-deltas-mix-15")
+        """A broadcast states one width for all its deltas, and the tag's
+        scan refuses a width other than its key's before it hashes any
+        candidate."""
         refused("tag_scan-narrow-deltas")
 
     def test_tag_scan_rejects_wrong_width_challenge(self):
@@ -259,12 +253,12 @@ class TestWidthChecks:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, spec)
-        (sigma, delta), = bc.candidates
-        assert sigma == auth_server_tag(spec, split(tags[0].key)[0], xor(delta, tags[0].key),
-                                        ch.x_s, nonce.x_t)
-        wide = ServerAuthCandidate(BitString(sigma.value, len(sigma) + extra), delta)
+        sigma_bits, delta_bits, (sigma,), (delta,) = bc
         key, counter = tags[0].key, tags[0].counter
-        tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth.of((wide,)), spec)
+        assert BitString(sigma, sigma_bits) == auth_server_tag(
+            spec, split(key)[0], xor(BitString(delta, delta_bits), key), ch.x_s, nonce.x_t)
+        wide = bc._replace(sigma_bits=sigma_bits + extra)
+        tag_verify_and_respond(tags[0], ch.x_s, wide, spec)
         assert (tags[0].key, tags[0].counter) == (key, counter)
 
     @pytest.mark.parametrize("extra", [1, 8, 48])
@@ -285,27 +279,14 @@ class TestWidthChecks:
 
 
 class TestBroadcastColumns:
-    """A broadcast is its two widths and two columns of ints; its
-    candidates are read as pairs of bit strings and built from them."""
+    """A broadcast is its two widths and two columns of ints."""
 
-    @pytest.mark.parametrize("column", ["sigma", "delta"])
-    def test_mixed_widths_are_refused_where_a_broadcast_is_built(self, column):
-        refused(f"broadcast-{column}s-mix")
-
-    def test_columns_hold_the_pairs_in_order(self):
-        pairs = [ServerAuthCandidate(BitString(v, 12), BitString(v ^ 0x3, 6)) for v in (7, 9, 33)]
-        bc = BroadcastAuth.of(pairs)
-        assert bc == (12, 6, (7, 9, 33), (4, 10, 34))
-        assert len(bc.candidates) == 3 and list(bc.candidates) == pairs
-        assert (bc.candidates[0], bc.candidates[-1]) == (pairs[0], pairs[-1])
-        assert BroadcastAuth.of(()) == (0, 0, (), ())
-
-    def test_counting_the_candidates_builds_no_pair(self, monkeypatch):
-        """perfbench counts ``len(broadcast.candidates)`` after every scan."""
+    def test_counting_the_candidates_builds_no_pair(self):
+        """perfbench counts ``len(broadcast.candidates)`` after every scan:
+        one entry per candidate, read from a column."""
         server, tags = keygen(16, 3, Prng(30, 0))
         bc, _ = server_prepare(server, BitString(1, 16), BitString(2, 16), TOY16)
-        monkeypatch.setattr(protocol, "_trusted", None)
-        assert len(bc.candidates) == 3
+        assert len(bc.candidates) == len(bc.sigmas) == len(bc.deltas) == 3
 
 
 class TestServerFinalize:
@@ -366,7 +347,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        assert bc == BroadcastAuth.of(()) and pending.candidates == pending.expected == ()
+        assert bc == BroadcastAuth(0, 0, (), ()) and pending.candidates == pending.expected == ()
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
         assert not server_finalize(server, pending, ta).accepted
         assert list(server.records.values()) == before
@@ -425,7 +406,7 @@ class TestCostAccounting:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tag)
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        c = len(bc.candidates)
+        c = len(bc.sigmas)
         h0, p0, x0 = tag.meter.snapshot()
         ta = tag_verify_and_respond(tag, ch.x_s, bc, TOY16)
         h1, p1, x1 = tag.meter.snapshot()
@@ -545,7 +526,7 @@ class TestPadProperty:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY8)
-        delta = bc.candidates[0].delta
+        delta = BitString(bc.deltas[0], bc.delta_bits)
         xs = {xor(delta, BitString(k, 8)) for k in range(256)}
         assert len(xs) == 256
 
@@ -565,7 +546,8 @@ class TestForwardOneWayness:
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, spec)
         server_finalize(server, pending, ta)
         k_next = tags[0].key
-        sigma, delta = bc.candidates[0].sigma, bc.candidates[0].delta
+        sigma_bits, delta_bits, (sigma,), (delta,) = bc
+        sigma, delta = BitString(sigma, sigma_bits), BitString(delta, delta_bits)
 
         survivors = []
         for guess in range(1 << 16):
@@ -629,9 +611,9 @@ def _bits(*widths):
     return [BitString(0, width) for width in widths]
 
 
-def _broadcast(*pairs):
-    return BroadcastAuth.of([ServerAuthCandidate(BitString(0, s), BitString(0, d))
-                             for s, d in pairs])
+def _broadcast(sigma_bits, delta_bits, n=1):
+    """A broadcast of ``n`` all-zero candidates of the given widths."""
+    return BroadcastAuth(sigma_bits, delta_bits, (0,) * n, (0,) * n)
 
 
 def _lengths(*widths):
@@ -660,12 +642,6 @@ REFUSED_CALLS = {
                      _lengths(16, 16, 15)),
     "session_operands": (None, lambda _: session_operands(TOY16, *_bits(16, 15)), LengthError,
                          _lengths(16, 15)),
-    "broadcast-sigmas-mix": (None, lambda _: _broadcast((16, 16), (8, 16)), LengthError,
-                             "broadcast sigmas mix widths [8, 16]"),
-    "broadcast-deltas-mix": (None, lambda _: _broadcast((16, 16), (16, 8)), LengthError,
-                             "broadcast deltas mix widths [8, 16]"),
-    "broadcast-deltas-mix-15": (None, lambda _: _broadcast((16, 16), (16, 16), (16, 15)),
-                                LengthError, "broadcast deltas mix widths [15, 16]"),
     "slot_keys-odd-key": (lambda: _record(8, key_current=BitString(0x1234, 15)),
                           lambda server: slot_keys(HashSpec.toy(15), server.master, "t001",
                                                    server.records["t001"], "current"),
@@ -708,7 +684,7 @@ REFUSED_CALLS = {
         _lengths(8, 16, 16)),
     "tag_scan-without-session": (lambda: keygen(16, 1, Prng(14, 0))[1],
                                  lambda tags: tag_verify_and_respond(
-                                     tags[0], BitString(0, 16), _broadcast((16, 16)), TOY16),
+                                     tags[0], BitString(0, 16), _broadcast(16, 16), TOY16),
                                  SessionOrderError, "no session in flight on this tag"),
     "tag_scan-narrow-challenge": (lambda: _at_flight_3(22),
                                   lambda w: tag_verify_and_respond(w[1][0], BitString(0, 15),
@@ -719,11 +695,11 @@ REFUSED_CALLS = {
                                 LengthError, _lengths(8, 16, 16)),
     "tag_scan-narrow-delta": (lambda: _at_flight_3(25),
                               lambda w: tag_verify_and_respond(w[1][0], w[2],
-                                                               _broadcast((16, 15)), TOY16),
+                                                               _broadcast(16, 15), TOY16),
                               LengthError, "broadcast deltas are 15 bits, the key 16"),
     "tag_scan-narrow-deltas": (lambda: _at_flight_3(21, 2),
                                lambda w: tag_verify_and_respond(w[1][0], w[2],
-                                                                _broadcast(*[(16, 15)] * 3), TOY16),
+                                                                _broadcast(16, 15, 3), TOY16),
                                LengthError, "broadcast deltas are 15 bits, the key 16"),
 }
 

@@ -2,10 +2,12 @@
 and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
 adds up from its runs, each demo prints the bytes of its golden file, each
 ``kimap`` command in the README parses, the protocol's session objects
-are built by their one builder alone, and only the tests that name the
-stored recovery state read a record's previous slot as a field."""
+are built by their one builder alone, only the tests that name the
+stored recovery state read a record's previous slot as a field, and every
+library name that the benchmark's spans rebind exists."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from kimap import cli
+from kimap import cli, protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -294,6 +296,39 @@ def parse_error(argv, capsys):
 @pytest.mark.parametrize("argv", readme_commands((ROOT / "README.md").read_text()), ids=" ".join)
 def test_readme_command_parses(argv, capsys):
     assert parse_error(argv, capsys) == ""
+
+
+def benchmark_patch_targets():
+    """Every ``(object, name)`` that ``perfbench/spans.py`` rebinds: its
+    server and tag meters' calls, its timed spans and its counted ones. The
+    file is imported from its path, as the benchmark leaves it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    groups = [spans.SERVER_CALLS, spans.TAG_CALLS, *spans.TIMED.values(),
+              *spans.COUNTED.values()]
+    return [target for group in groups for target in group]
+
+
+def unresolved(targets):
+    """Each ``(object, name)`` of ``targets`` whose object has no callable
+    ``name``, as ``object.name``."""
+    return [f"{obj.__name__}.{name}" for obj, name in targets
+            if not callable(getattr(obj, name, None))]
+
+
+class TestBenchmarkPatchTargets:
+    """A change that deletes or renames a library name the benchmark wraps
+    fails here, not in a benchmark run."""
+
+    def test_every_target_resolves(self):
+        targets = benchmark_patch_targets()
+        assert targets and unresolved(targets) == []
+
+    def test_a_missing_name_is_found(self):
+        targets = [(protocol, "server_prepare"), (protocol, "make_candidates")]
+        assert unresolved(targets) == ["kimap.protocol.make_candidates"]
 
 
 def test_a_readme_command_with_a_removed_flag_is_found(capsys):

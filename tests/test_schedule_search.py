@@ -25,7 +25,7 @@ import pytest
 
 from kimap.bits import BitString, HashSpec, Prng
 from kimap.channel import PAYLOAD_TYPES, AdversaryAction, World, recorded
-from kimap.protocol import BroadcastAuth, ServerAuthCandidate, keygen, offered_slots
+from kimap.protocol import BroadcastAuth, keygen, offered_slots
 
 SPEC = HashSpec.production(64)
 MOVES = ((), (2,), (3,), (4,))  # the flight a session drops, if any
@@ -215,7 +215,7 @@ def test_desynchronization_price_is_n_interceptions(n):
 # accepts at 64 bits.
 ZERO = BitString(0, 64)
 REPLACEMENTS = {1: PAYLOAD_TYPES[1](ZERO), 2: PAYLOAD_TYPES[2](ZERO),
-                3: BroadcastAuth.of((ServerAuthCandidate(ZERO, ZERO),)), 4: PAYLOAD_TYPES[4](ZERO)}
+                3: BroadcastAuth(64, 64, (0,), (0,)), 4: PAYLOAD_TYPES[4](ZERO)}
 
 
 def move_class(kind, flight):

@@ -28,7 +28,6 @@ from kimap.bits import BitString, HashSpec, Prng, prng_next, split, xor
 from kimap.protocol import (
     BroadcastAuth,
     PendingSession,
-    ServerAuthCandidate,
     TagAuth,
     auth_server_tag,
     auth_tag_msg,
@@ -79,6 +78,14 @@ def ref_prepare(server, x_s, x_t, spec) -> list[RefCandidate]:
                 next_key=key_update(spec, k_dprime, x_dprime, x_s)))
     server.prng.shuffle(entries)
     return entries
+
+
+def ref_broadcast(entries: list[RefCandidate]) -> BroadcastAuth:
+    """The broadcast of ``entries``, in order: every entry's sigma and
+    delta are as wide as the first entry's."""
+    widths = (len(entries[0].sigma), len(entries[0].delta)) if entries else (0, 0)
+    return BroadcastAuth(*widths, tuple(e.sigma.value for e in entries),
+                         tuple(e.delta.value for e in entries))
 
 
 def ref_finalize(server, entries: list[RefCandidate], sigma_prime) -> None:
@@ -139,8 +146,7 @@ def test_cached_server_matches_reference(tmp_path, lam, n_tags, seed, steps):
         broadcast, pending = server_prepare(server, challenge.x_s, nonce.x_t, spec)
         entries = ref_prepare(ref, challenge.x_s, nonce.x_t, spec)
 
-        assert [(c.sigma, c.delta) for c in broadcast.candidates] == \
-            [(e.sigma, e.delta) for e in entries]
+        assert broadcast == ref_broadcast(entries)
         assert [(k.label, k.slot, BitString(v, spec.output_len_bits))
                 for k, v in zip(pending.candidates, pending.expected, strict=True)] == \
             [(e.label, e.slot, e.expected) for e in entries]
@@ -193,8 +199,7 @@ def test_each_slot_check_holds_on_its_own(change):
 
     broadcast, pending = server_prepare(server, x_s, x_t, spec)
     entries = ref_prepare(ref, x_s, x_t, spec)
-    assert [(c.sigma, c.delta) for c in broadcast.candidates] == \
-        [(e.sigma, e.delta) for e in entries]
+    assert broadcast == ref_broadcast(entries)
     assert [(k.label, k.slot, BitString(v, spec.output_len_bits))
             for k, v in zip(pending.candidates, pending.expected, strict=True)] == \
         [(e.label, e.slot, e.expected) for e in entries]
@@ -237,11 +242,13 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     assert len(slots) == 6
 
     broadcast, pending = make_candidate(slots, ops)
-    pairs, expected = broadcast.candidates, pending.expected
+    sigma_bits, delta_bits, sigmas, deltas = broadcast
+    expected = pending.expected
     assert (pending.ops, pending.candidates) == (ops, tuple(slots))
     assert [make_candidate((keys,), ops) for keys in slots] == [
-        (BroadcastAuth.of((pair,)), PendingSession(ops, (keys,), (value,)))
-        for pair, keys, value in zip(pairs, slots, expected, strict=True)]
+        (BroadcastAuth(sigma_bits, delta_bits, (sigma,), (delta,)),
+         PendingSession(ops, (keys,), (value,)))
+        for sigma, delta, keys, value in zip(sigmas, deltas, slots, expected, strict=True)]
     reference = []
     for keys in slots:
         x = partial_key(spec, keys.counter, server.master, keys.key)
@@ -249,18 +256,18 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
         x_prime, _ = split(x)
         reference.append((auth_server_tag(spec, k_prime, x, x_s, x_t), xor(keys.key, x),
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
-    assert [(sigma, delta, BitString(v, lam))
-            for (sigma, delta), v in zip(pairs, expected, strict=True)] == reference
-    assert make_candidate((), ops) == (BroadcastAuth.of(()), PendingSession(ops, (), ()))
+    assert [(BitString(sigma, sigma_bits), BitString(delta, delta_bits), BitString(v, lam))
+            for sigma, delta, v in zip(sigmas, deltas, expected, strict=True)] == reference
+    assert make_candidate((), ops) == (BroadcastAuth(0, 0, (), ()), PendingSession(ops, (), ()))
 
 
-def ref_scan(spec, key, x_s, x_t, candidates):
+def ref_scan(spec, key, x_s, x_t, broadcast):
     """The tag's flight 4 from the paper's formulas: ``(sigma', next key)``
     from the first candidate that authenticates the server, else None."""
     k_prime, k_dprime = split(key)
-    for c in candidates:
-        x = xor(c.delta, key)
-        if auth_server_tag(spec, k_prime, x, x_s, x_t) == c.sigma:
+    for sigma, delta in zip(broadcast.sigmas, broadcast.deltas):
+        x = xor(BitString(delta, broadcast.delta_bits), key)
+        if auth_server_tag(spec, k_prime, x, x_s, x_t) == BitString(sigma, broadcast.sigma_bits):
             x_prime, x_dprime = split(x)
             return (auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime)),
                     key_update(spec, k_dprime, x_dprime, x_s))
@@ -302,36 +309,36 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
             keys = slot_keys(spec, server.master, label, rec, slot)
             broadcast, pending = make_candidate((keys,), ops)
             assert (pending.ops, pending.candidates) == (ops, (keys,))
-            ((sigma, delta),), (expected,) = broadcast.candidates, pending.expected
+            (sigma_bits, delta_bits, (sigma,), (delta,)), (expected,) = broadcast, pending.expected
             x = partial_key(spec, rec.counter, server.master, keys.key)
             k_prime, _ = split(keys.key)
             x_prime, _ = split(x)
-            assert sigma == auth_server_tag(spec, k_prime, x, x_s, x_t)
-            assert delta == xor(keys.key, x)
+            assert BitString(sigma, sigma_bits) == auth_server_tag(spec, k_prime, x, x_s, x_t)
+            assert BitString(delta, delta_bits) == xor(keys.key, x)
             assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
                 spec, x_t, x_s, session_key(k_prime, x_prime))
 
-    candidates = list(server_prepare(server, x_s, x_t, spec)[0].candidates)
+    broadcast = server_prepare(server, x_s, x_t, spec)[0]
+    sigmas, deltas = list(broadcast.sigmas), list(broadcast.deltas)
     if foreign:  # one more session's broadcast, for the same challenge and nonce
         other, _ = keygen(lam, 1, Prng(seed + 1, 0))
-        candidates += server_prepare(other, x_s, x_t, spec)[0].candidates
-    for idx, field_name, bit in mangle:
-        i = idx % len(candidates)
-        sigma, delta = candidates[i].sigma, candidates[i].delta
-        if field_name == "sigma":
-            sigma = sigma.flip(bit % lam)
-        else:
-            delta = delta.flip(bit % lam)
-        candidates[i] = ServerAuthCandidate(sigma, delta)
+        _, _, more_sigmas, more_deltas = server_prepare(other, x_s, x_t, spec)[0]
+        sigmas += more_sigmas
+        deltas += more_deltas
+    for idx, field_name, bit in mangle:  # sigma and delta are both lam bits wide
+        column = sigmas if field_name == "sigma" else deltas
+        column[idx % len(column)] ^= 1 << (lam - 1 - bit % lam)
 
     key, counter = tag.key, tag.counter
     if forge is not None:  # a second candidate that verifies under the tag's key
         pos, bits = forge
         x = BitString(bits >> (64 - lam), lam)
-        candidates.insert(pos % (len(candidates) + 1), ServerAuthCandidate(
-            auth_server_tag(spec, split(key)[0], x, x_s, x_t), xor(x, key)))
-    want = ref_scan(spec, key, x_s, x_t, candidates)
-    answer = tag_verify_and_respond(tag, x_s, BroadcastAuth.of(tuple(candidates)), spec)
+        at = pos % (len(sigmas) + 1)
+        sigmas.insert(at, auth_server_tag(spec, split(key)[0], x, x_s, x_t).value)
+        deltas.insert(at, xor(x, key).value)
+    broadcast = broadcast._replace(sigmas=tuple(sigmas), deltas=tuple(deltas))
+    want = ref_scan(spec, key, x_s, x_t, broadcast)
+    answer = tag_verify_and_respond(tag, x_s, broadcast, spec)
     if want is None:
         assert (tag.key, tag.counter) == (key, counter)
         assert len(answer.sigma_prime) == lam
