@@ -16,15 +16,15 @@ thousands of sessions adds nothing to a full collection. A session's value
 holds the flights it emitted, in order: flights 1 to its first dropped
 flight, or to 4. Flights 1, 2 and 4 are a 4-byte header of their bit
 string's width, then its ``ceil(width / 8)`` big-endian bytes. A broadcast
-(:class:`~kimap.protocol.BroadcastAuth`) is a 12-byte header of its sigma
-width, its delta width and its candidate count, then each candidate's
-``sigma || delta`` as ``ceil((sigma + delta) / 8)`` big-endian bytes, in
-broadcast order. At 64 bits a session of 16 records, 32 candidates, is 560
-bytes (593 as a Python object). Over a 3,000-session fault-mix episode a
-session costs 667 bytes with its key and its share of the dict, against
-1,271 when each flight had a ``(session, flight)`` key. :func:`recorded` is
-the one query of what a replay may name; a replay rebuilds a payload equal
-to the one its source emitted.
+(:class:`~kimap.protocol.BroadcastAuth`) is an 8-byte header of its width
+and its candidate count, then each candidate's ``sigma || delta`` as
+``ceil(2 * width / 8)`` big-endian bytes, in broadcast order. At 64 bits a
+session of 16 records, 32 candidates, is 556 bytes (589 as a Python
+object). Over a 3,000-session fault-mix episode a session costs 663 bytes
+with its key and its share of the dict, against 1,271 when each flight had
+a ``(session, flight)`` key. :func:`recorded` is the one query of what a
+replay may name; a replay rebuilds a payload equal to the one its source
+emitted.
 """
 
 from __future__ import annotations
@@ -163,43 +163,40 @@ Recording = dict[int, bytes]
 
 # The header of a recorded flight 1, 2 or 4: its bit string's width.
 _WIDTH = struct.Struct(">I")
-# The header of a recorded broadcast: its sigma and delta widths and its
-# candidate count.
-_BROADCAST = struct.Struct(">III")
+# The header of a recorded broadcast: its width and its candidate count.
+_BROADCAST = struct.Struct(">II")
 
 
-def check_payload_widths(payload: Payload, key_bits: int, hash_bits: int) -> None:
-    """The width rule of a payload on the wire: ``x_s``, ``x_t`` and every
-    ``delta`` are ``key_bits`` wide, every ``sigma`` and ``sigma'``
-    ``hash_bits`` (the hash output width). A broadcast states each column's
-    width once, so its first ``sigma`` and ``delta`` stand for all."""
-    if isinstance(payload, BroadcastAuth):
-        sigma_bits, delta_bits, sigmas, deltas = payload
-        fields = ((("sigma", _trusted(sigmas[0], sigma_bits)),
-                   ("delta", _trusted(deltas[0], delta_bits))) if sigmas else ())
-    else:
-        fields = vars(payload).items()
-    check_field_widths(fields, key_bits, hash_bits)
+def check_payload_widths(payload: Payload, width: int) -> None:
+    """The width rule of a payload on the wire: ``x_s``, ``x_t``, every
+    ``sigma`` and ``delta`` and ``sigma'`` are ``width`` bits, the key width,
+    which the hash output shares because it is the next key. A broadcast
+    of candidates states that width once, and each of its values must fit
+    it."""
+    if not isinstance(payload, BroadcastAuth):
+        return check_field_widths(vars(payload).items(), width)
+    stated, sigmas, deltas = payload
+    if stated != width and sigmas:
+        raise ScheduleError(f"replacement broadcast is {stated} bits, not {width}")
+    for name, column in (("sigma", sigmas), ("delta", deltas)):
+        for value in column:
+            if value >> width:
+                raise ScheduleError(f"replacement {name} {value:#x} does not fit in {width} bits")
 
 
-def check_field_widths(fields: Iterable[tuple[str, BitString]], key_bits: int,
-                       hash_bits: int) -> None:
-    """:func:`check_payload_widths` on each ``(name, value)`` of ``fields``,
-    named as the payload fields are: a name starting ``sigma`` is
-    ``hash_bits`` wide, any other ``key_bits``."""
+def check_field_widths(fields: Iterable[tuple[str, BitString]], width: int) -> None:
+    """:func:`check_payload_widths` on each ``(name, value)`` of ``fields``."""
     for name, value in fields:
-        width = hash_bits if name.startswith("sigma") else key_bits
         if len(value) != width:
             raise ScheduleError(f"replacement {name} {value.to_text()} is {len(value)} bits, "
                                 f"not {width}")
 
 
 def _fit(actions: Sequence[AdversaryAction], session_seq: int,
-         emitted: Callable[[int, int], bool], key_bits: int,
-         hash_bits: int) -> dict[int, AdversaryAction]:
+         emitted: Callable[[int, int], bool], width: int) -> dict[int, AdversaryAction]:
     """The actions of session ``session_seq`` by flight, or :class:`ScheduleError`
     if one does not fit it: each names the session, no two act on one flight,
-    a replacement has the wire's widths, and a replay's source session
+    a replacement has the wire's width, and a replay's source session
     ``emitted`` the replayed flight."""
     by_flight: dict[int, AdversaryAction] = {}
     for a in actions:
@@ -209,7 +206,7 @@ def _fit(actions: Sequence[AdversaryAction], session_seq: int,
         if a.flight in by_flight:
             raise ScheduleError(f"two actions on flight {a.flight} of session {session_seq}")
         if a.kind == "replace":
-            check_payload_widths(a.payload, key_bits, hash_bits)
+            check_payload_widths(a.payload, width)
         elif a.kind == "replay" and not emitted(a.source_session, a.flight):
             raise ScheduleError(f"replay source session {a.source_session} flight {a.flight} "
                                 f"was never recorded")
@@ -229,8 +226,8 @@ def recorded(recording: Recording, session: int, flight: int) -> Optional[bytes]
         if start >= len(value):
             return None
         if f == 3:
-            sigma_bits, delta_bits, n = _BROADCAST.unpack_from(value, start)
-            end = start + _BROADCAST.size + n * ((sigma_bits + delta_bits + 7) >> 3)
+            width, n = _BROADCAST.unpack_from(value, start)
+            end = start + _BROADCAST.size + n * ((2 * width + 7) >> 3)
         else:
             end = start + _WIDTH.size + ((_WIDTH.unpack_from(value, start)[0] + 7) >> 3)
     return value[start:end]
@@ -240,14 +237,14 @@ def _pack(flight: int, payload: Payload) -> bytes:
     """What a recording keeps of a payload: the :data:`_WIDTH` header and
     whole bytes of the one bit string of flight 1, 2 or 4, or a broadcast's
     :data:`_BROADCAST` header and then each candidate's ``sigma || delta``
-    in as many whole bytes as their widths need, in broadcast order."""
+    in as many whole bytes as twice its width needs, in broadcast order."""
     if flight != 3:
         (bits,) = vars(payload).values()
         return _WIDTH.pack(bits._length) + bits._value.to_bytes((bits._length + 7) >> 3, "big")
-    sigma_bits, delta_bits, sigmas, deltas = payload
-    nbytes = (sigma_bits + delta_bits + 7) >> 3
-    return _BROADCAST.pack(sigma_bits, delta_bits, len(sigmas)) + b"".join(
-        [(s << delta_bits | d).to_bytes(nbytes, "big") for s, d in zip(sigmas, deltas)])
+    width, sigmas, deltas = payload
+    nbytes = (2 * width + 7) >> 3
+    return _BROADCAST.pack(width, len(sigmas)) + b"".join(
+        [(s << width | d).to_bytes(nbytes, "big") for s, d in zip(sigmas, deltas)])
 
 
 def _rebuild(flight: int, packed: bytes) -> Payload:
@@ -255,13 +252,12 @@ def _rebuild(flight: int, packed: bytes) -> Payload:
     if flight != 3:
         return PAYLOAD_TYPES[flight](
             _trusted(int.from_bytes(packed[_WIDTH.size:], "big"), *_WIDTH.unpack_from(packed)))
-    sigma_bits, delta_bits, _ = _BROADCAST.unpack_from(packed)
-    nbytes, mask = (sigma_bits + delta_bits + 7) >> 3, (1 << delta_bits) - 1
+    width, _ = _BROADCAST.unpack_from(packed)
+    nbytes, mask = (2 * width + 7) >> 3, (1 << width) - 1
     # nbytes is 0 only for an empty broadcast, where no byte follows the header.
     wire = [int.from_bytes(packed[i:i + nbytes], "big")
             for i in range(_BROADCAST.size, len(packed), nbytes or 1)]
-    return BroadcastAuth(sigma_bits, delta_bits, tuple([v >> delta_bits for v in wire]),
-                         tuple([v & mask for v in wire]))
+    return BroadcastAuth(width, tuple([v >> width for v in wire]), tuple([v & mask for v in wire]))
 
 
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
@@ -288,20 +284,23 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     actions: the kernel of :meth:`World.session`, which numbers sessions.
 
     Every action must fit this session: it names ``session_seq``, no two act
-    on one flight, a replacement has the widths of ``server``'s keys and of
-    ``spec``'s output (:func:`check_payload_widths`), and a replay's source
-    flight is already in ``recording`` (its earlier session emitted it).
-    Otherwise :class:`ScheduleError` is raised before any flight runs, and
-    no state changes. Without a ``recording`` nothing is recorded and no
-    replay fits.
+    on one flight, a replacement has the width of ``server``'s keys
+    (:func:`check_payload_widths`), and a replay's source flight is already
+    in ``recording`` (its earlier session emitted it). Otherwise
+    :class:`ScheduleError` is raised before any flight runs, and no state
+    changes; so is :class:`~kimap.bits.ParameterError` when ``spec``'s
+    output is not as wide as the keys. Without a ``recording`` nothing is
+    recorded and no replay fits.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
+    if spec.output_len_bits != server.lam:
+        raise ParameterError(f"hash output is {spec.output_len_bits} bits, the keys {server.lam}")
     by_flight = (_fit(actions, session_seq,
                       lambda source, f: recorded(recording or {}, source, f) is not None,
-                      server.lam, spec.output_len_bits)
+                      server.lam)
                  if actions else {})
     t = SessionTranscript(session_seq=session_seq, label=label)
 
@@ -375,7 +374,7 @@ class World:
             return recorded(self.recording, source, flight) is not None
 
         for seq, actions in enumerate(plan, first):
-            by_flight = _fit(actions, seq, emitted, self.server.lam, self.spec.output_len_bits)
+            by_flight = _fit(actions, seq, emitted, self.server.lam)
             planned[seq] = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
         return [self.session((self.next_seq - 1) % len(self.tags), actions) for actions in plan]
 
@@ -414,8 +413,8 @@ def transcript_line(t: SessionTranscript) -> str:
 
     bc = "-"
     if t.broadcast is not None:
-        sigma_bits, delta_bits, sigmas, deltas = t.broadcast
-        pair = f"{text_format(sigma_bits)}/{text_format(delta_bits, 1)}"
+        width, sigmas, deltas = t.broadcast
+        pair = f"{text_format(width)}/{text_format(width, 1)}"
         bc = ",".join(map(pair.format, sigmas, deltas))
     server = "-" if t.outcome_server is None else t.outcome_server.outcome
     return (f"transcript session={t.session_seq} tag={t.label} "

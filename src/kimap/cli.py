@@ -165,16 +165,15 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
     if kind is None:  # no such flight: AdversaryAction says so
         return None
     values = [BitString.from_text(f) for f in fields]
-    # ``run`` hashes to lam bits. Each field is checked before a broadcast
-    # is built, so a delta of another width is named as any other, and both
-    # of the broadcast's columns are lam bits wide.
+    # Each field is checked before a broadcast is built, so a delta of
+    # another width is named as any other.
     if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
-        check_field_widths(zip(("sigma", "delta") * (len(values) // 2), values), lam, lam)
-        return BroadcastAuth(lam, lam, tuple(v.value for v in values[::2]),
+        check_field_widths(zip(("sigma", "delta") * (len(values) // 2), values), lam)
+        return BroadcastAuth(lam, tuple(v.value for v in values[::2]),
                              tuple(v.value for v in values[1::2]))
     if kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
         payload = kind(values[0])
-        check_payload_widths(payload, lam, lam)
+        check_payload_widths(payload, lam)
         return payload
     raise ScheduleError(f"wrong replacement field count for flight {flight}")
 

@@ -46,6 +46,7 @@ from .protocol import (
     SessionOrderError,
     TagAuth,
     TagState,
+    _mismatch,
     _new_tuple,
     auth_server_tag,
     key_update,
@@ -127,6 +128,13 @@ class Quintuplet(NamedTuple):
     delta: BitString
     x_t: BitString
     sigma_prime: BitString
+
+
+def _one_candidate(sigma: BitString, delta: BitString) -> BroadcastAuth:
+    """The broadcast of the one candidate ``(sigma, delta)``, of one width."""
+    if len(sigma) != len(delta):
+        raise _mismatch(sigma, delta)
+    return BroadcastAuth(len(sigma), (sigma.value,), (delta.value,))
 
 
 class OracleHandle:
@@ -224,7 +232,7 @@ class OracleHandle:
         outcome = server_finalize(self.server, pend, ta) if pend is not None else None
         if updated:
             self.recorded[tag][period] = _new_tuple(Quintuplet, (
-                x_s, _trusted(bc.sigmas[0], bc.sigma_bits), _trusted(bc.deltas[0], bc.delta_bits),
+                x_s, _trusted(bc.sigmas[0], bc.width), _trusted(bc.deltas[0], bc.width),
                 x_t, ta.sigma_prime))
         return ta, updated, outcome
 
@@ -263,15 +271,14 @@ class OracleHandle:
     def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
         """Server flight-3 computation for the named tag's current key."""
         self._admit("reply", tag)
-        sigma_bits, delta_bits, (sigma,), (delta,) = self._reply_core(tag, x_t)
-        return _trusted(sigma, sigma_bits), _trusted(delta, delta_bits)
+        width, (sigma,), (delta,) = self._reply_core(tag, x_t)
+        return _trusted(sigma, width), _trusted(delta, width)
 
     def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Tag flight-4 computation (verify, answer, ratchet on success);
         the answer is forwarded to the server."""
         self._admit("reply_prime", tag)
-        bc = BroadcastAuth(len(sigma), len(delta), (sigma.value,), (delta.value,))
-        return self._reply_prime_core(tag, x_s, bc)[0].sigma_prime
+        return self._reply_prime_core(tag, x_s, _one_candidate(sigma, delta))[0].sigma_prime
 
     def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Like reply_prime, but the tag is fed the session's hidden true
@@ -280,8 +287,7 @@ class OracleHandle:
         pend = self._pending_reply.get(tag)
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
-        bc = BroadcastAuth(len(sigma), len(delta), (sigma.value,), (delta.value,))
-        return self._reply_prime_core(tag, pend.ops.x_s, bc)[0].sigma_prime
+        return self._reply_prime_core(tag, pend.ops.x_s, _one_candidate(sigma, delta))[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
         """Eavesdrop one full honest session."""
@@ -417,7 +423,7 @@ class KeyKnowledge(Distinguisher):
         restricted = "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky
         t = h.execute_b(tag) if restricted else h.execute(tag)
         bc = t.broadcast
-        return None if restricted else t.x_s.x_s, _trusted(bc.deltas[0], bc.delta_bits)
+        return None if restricted else t.x_s.x_s, _trusted(bc.deltas[0], bc.width)
 
     @staticmethod
     def _evolve(spec: HashSpec, key: BitString, x_s: Optional[BitString],
@@ -545,6 +551,8 @@ def new_world(cfg: GameConfig, definition: str, spec: HashSpec,
     if cfg.n < want:
         raise ParameterError(f"the {definition} game takes {want} challenge tag(s), "
                              f"but n is {cfg.n}")
+    if spec.output_len_bits != cfg.lam:
+        raise ParameterError(f"hash output is {spec.output_len_bits} bits, the keys {cfg.lam}")
     server, tags = keygen(cfg.lam, cfg.n, Prng(cfg.seed, trial))
     return OracleHandle(server, tags, spec, cfg, definition, aux)
 

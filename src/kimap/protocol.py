@@ -38,14 +38,15 @@ and the tag's scan shares them. Each width is checked once, where it is
 made: a slot's key against the master, ``x_t`` against ``x_s``, and the
 session against the master, all before the shuffle. One
 :func:`make_candidate` call then builds the shuffled broadcast with its
-:class:`PendingSession`. A :class:`BroadcastAuth` is flight 3 as columns:
-the sigma width and the delta width once, then every candidate's ``sigma``
-and ``delta`` as ints, so building one makes no object per candidate, no
-broadcast can mix widths, and the tag's scan holds each width to its own
-once per broadcast. A reader that wants one candidate as bit strings builds
+:class:`PendingSession`. The hash output is the next key and the partial
+key, so every value on the wire is as wide as the keys. A
+:class:`BroadcastAuth` is flight 3 as columns: that one width, then every
+candidate's ``sigma`` and ``delta`` as ints, so building one makes no object
+per candidate, and the tag's scan holds the broadcast and the hash to the
+key's width once. A reader that wants one candidate as bit strings builds
 them from the columns. The next key, one hash from the slot's cached
-``k'' || x''`` term and the session's ``x_s`` term, is computed only for the
-matched candidate, or for every record when a failed session hedges.
+``k'' || x''`` term and the session's ``x_s`` term, is computed only for
+the matched candidate, or for every record when a failed session hedges.
 :func:`partial_key`, :func:`session_key`, :func:`key_update`,
 :func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
 on bitstrings, and the tests hold the int path to them.
@@ -153,8 +154,7 @@ class SlotKeys(NamedTuple):
         One hash per call, paid only by the matched candidate and hedging."""
         if ops.width != self.width:
             raise _mismatch(self.key, ops.x_s)
-        return _trusted(hash2(ops.spec, self.next_term | ops.s_term, ops.next_bytes),
-                        ops.spec.output_len_bits)
+        return _trusted(hash2(ops.spec, self.next_term | ops.s_term, ops.next_bytes), self.width)
 
     def __deepcopy__(self, memo: dict) -> "SlotKeys":
         return self  # every field is immutable
@@ -197,15 +197,12 @@ _new_tuple = tuple.__new__
 
 
 class BroadcastAuth(NamedTuple):
-    """Flight 3 as the wire carries it: the width of every ``sigma`` and of
-    every ``delta``, then each candidate's ``sigma`` and ``delta`` as ints,
-    in broadcast order. One spec hashes every sigma and every slot is held
-    to the session's width, so the widths are stated once; a broadcast of
-    no candidate has widths 0. :func:`make_candidate` builds it from its
-    digests."""
+    """Flight 3 as the wire carries it: the width of every ``sigma`` and
+    every ``delta``, the key width, then each candidate's ``sigma`` and
+    ``delta`` as ints, in broadcast order. A broadcast of no candidate has
+    width 0. :func:`make_candidate` builds it from its digests."""
 
-    sigma_bits: int
-    delta_bits: int
+    width: int
     sigmas: tuple[int, ...]
     deltas: tuple[int, ...]
 
@@ -436,8 +433,7 @@ def make_candidate(slots: Sequence[SlotKeys],
         sigmas.append(hash2(spec, keys.sigma_term | s_t, sigma_bytes))
         deltas.append(keys.delta._value)
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
-    widths = (spec.output_len_bits, width) if sigmas else (0, 0)
-    return (_new_tuple(BroadcastAuth, (*widths, tuple(sigmas), tuple(deltas))),
+    return (_new_tuple(BroadcastAuth, (width if sigmas else 0, tuple(sigmas), tuple(deltas))),
             PendingSession(ops, tuple(slots), tuple(expected)))
 
 
@@ -510,7 +506,9 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     ratchet the tag key, bump the counter. On no match: emit fresh random
     bits of the same width and keep the key, so success and failure are
     indistinguishable on the wire. Every candidate is checked, so the hash
-    count does not depend on where (or whether) a match sits.
+    count does not depend on where (or whether) a match sits. A broadcast
+    of candidates, or a hash output, of another width than the key raises
+    :class:`~kimap.bits.LengthError` before any candidate is hashed.
     """
     if tag.pending is None:
         raise SessionOrderError("no session in flight on this tag")
@@ -521,25 +519,20 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         width = ops.width
         if len(key) != width:
             raise _mismatch(key, x_s, x_t)
+        stated, sigmas, deltas = broadcast
+        if stated != width and sigmas or spec.output_len_bits != width:
+            raise LengthError(f"broadcast {stated}, hash {spec.output_len_bits}, key {width} bits")
         k_prime, k_dprime = split(key)
         # sigma's input for a candidate is base | x_hat << shift: the slot
         # term of k' || x_hat without x_hat, ORed with the session's term.
         (base, shift, _, _), (_, _, sk_shift, _), _ = _layouts(width)
         base |= k_prime.value << (shift + width) | ops.s_t_term
-        nbytes, out_bits, k = ops.sigma_bytes, spec.output_len_bits, key.value
-        sigma_bits, delta_bits, sigmas, deltas = broadcast
-        # The widths are held once per broadcast: a delta of another width
-        # is an error, and a sigma of another width verifies nothing, though
-        # every candidate is still hashed.
-        if delta_bits != width and deltas:
-            raise LengthError(f"broadcast deltas are {delta_bits} bits, the key {width}")
+        nbytes, k = ops.sigma_bytes, key.value
         matched: Optional[int] = None
         for sigma, delta in zip(sigmas, deltas):
             x_hat = delta ^ k
             if hash2(spec, base | x_hat << shift, nbytes) == sigma and matched is None:
                 matched = x_hat
-        if sigma_bits != out_bits:
-            matched = None
         # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
         tag.meter.xor_calls += len(deltas)
         if matched is None:
@@ -548,7 +541,7 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
             return TagAuth(sigma_prime)
         x_prime, x_dprime = split(_trusted(matched, width))
         sk_term = session_key(k_prime, x_prime).value << sk_shift
-        sigma_prime = _trusted(hash2(spec, ops.t_s_term | sk_term, ops.sigma_prime_bytes), out_bits)
+        sigma_prime = _trusted(hash2(spec, ops.t_s_term | sk_term, ops.sigma_prime_bytes), width)
         tag.key = key_update(spec, k_dprime, x_dprime, x_s)
     tag.counter += 1
     tag.pending = None
@@ -565,11 +558,11 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     a missing flight 4 does: through :func:`server_timeout`, which hedges.
     """
     # Every expectation is compared as an int; a sole match is then held
-    # to the hash's output width.
+    # to the session's width.
     want, ops = ta.sigma_prime, pending.ops
     if pending.expected.count(want.value) == 1:
         keys = pending.candidates[pending.expected.index(want.value)]
-        if len(want) == ops.spec.output_len_bits:
+        if len(want) == ops.width:
             rec = server.records[keys.label]
             if keys.slot == "current":
                 rec.key_previous = rec.key_current

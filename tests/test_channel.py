@@ -133,7 +133,7 @@ class TestDrops:
 def _replacement(flight, bits):
     """A payload of the 64-bit wire's widths for ``flight``, from ``bits``."""
     if flight == 3:
-        return BroadcastAuth(64, 64, (bits,), (bits,))
+        return BroadcastAuth(64, (bits,), (bits,))
     return PAYLOAD_TYPES[flight](BitString(bits, 64))
 
 
@@ -225,7 +225,7 @@ class TestTranscriptFidelity:
         for t in World(server, tags, spec).run(FaultSchedule([]), 10):
             assert len(t.x_s.x_s) == lam
             assert len(t.x_t.x_t) == lam
-            assert t.broadcast.sigma_bits == t.broadcast.delta_bits == lam
+            assert t.broadcast.width == lam
             assert len(t.sigma_prime.sigma_prime) == lam
 
     def test_dropped_fields_absent(self):
@@ -237,7 +237,7 @@ class TestTranscriptFidelity:
     def test_failure_response_shape_matches_success(self):
         server, tags = fresh_world(seed=112)
         ok = run_session(server, tags[0], [], TOY16)
-        zero = BroadcastAuth(16, 16, (0,), (0,))
+        zero = BroadcastAuth(16, (0,), (0,))
         bad = run_session(server, tags[0], [AdversaryAction.replace(3, zero, 1)], TOY16)
         assert ok.tag_updated and not bad.tag_updated
         assert len(ok.sigma_prime.sigma_prime) == len(bad.sigma_prime.sigma_prime)
@@ -311,15 +311,20 @@ class TestScheduleValidation:
     def test_replay_unknown_source(self):
         refused("run-replaying-what-the-run-loses")
 
-    def test_payload_widths_are_the_key_and_hash_widths(self):
-        """x_s, x_t and delta have the key's width, sigma and sigma' the hash
-        output's, told apart here by a 16-bit key and an 8-bit hash."""
-        key, out = BitString(0, 16), BitString(0, 8)
-        for payload in (Challenge(key), TagNonce(key), TagAuth(out),
-                        BroadcastAuth(8, 16, (0, 0), (0, 0))):
-            check_payload_widths(payload, 16, 8)
-        for name in ("x_s", "x_t", "sigma_prime", "sigma", "delta"):
+    def test_payload_widths_are_the_key_width(self):
+        """x_s, x_t, every sigma and delta, and sigma' have the key's width,
+        which the hash output shares. A broadcast states it once, unless it
+        has no candidate, and each of its values must fit it."""
+        key = BitString(0xFFFF, 16)
+        for payload in (Challenge(key), TagNonce(key), TagAuth(key),
+                        BroadcastAuth(16, (0, 0xFFFF), (0xFFFF, 0)), BroadcastAuth(0, (), ()),
+                        BroadcastAuth(8, (), ())):
+            check_payload_widths(payload, 16)
+        for name in ("x_s", "x_t", "sigma_prime", "narrow-broadcast", "wide-broadcast",
+                     "negative-sigma"):
             refused(f"payload-{name}")
+        refused("session-sigma-value")
+        refused("session-delta-value")
 
     def test_replace_payload_shape_checked(self):
         refused("replace-with-another-flight-payload")
@@ -385,16 +390,18 @@ REFUSED_CALLS = {
                        ScheduleError, "duplicate action for session 1 flight 4"),
     "add-a-taken-slot": (_schedule_of_two, lambda sched: sched.add(AdversaryAction.drop(4, 2)),
                          ScheduleError, "duplicate action for session 2 flight 4"),
-    **{f"payload-{name}": (None, lambda _, payload=payload: check_payload_widths(payload, 16, 8),
+    **{f"payload-{name}": (None, lambda _, payload=payload: check_payload_widths(payload, 16),
                            ScheduleError, message)
        for name, payload, message in [
            ("x_s", Challenge(B8), "replacement x_s 00:8 is 8 bits, not 16"),
            ("x_t", TagNonce(B8), "replacement x_t 00:8 is 8 bits, not 16"),
-           ("sigma_prime", TagAuth(B16), "replacement sigma_prime 0000:16 is 16 bits, not 8"),
-           ("sigma", BroadcastAuth(16, 16, (0,), (0,)),
-            "replacement sigma 0000:16 is 16 bits, not 8"),
-           ("delta", BroadcastAuth(8, 8, (0, 0), (0, 0)),
-            "replacement delta 00:8 is 8 bits, not 16")]},
+           ("sigma_prime", TagAuth(B8), "replacement sigma_prime 00:8 is 8 bits, not 16"),
+           ("narrow-broadcast", BroadcastAuth(8, (0, 0), (0, 0)),
+            "replacement broadcast is 8 bits, not 16"),
+           ("wide-broadcast", BroadcastAuth(24, (0,), (0,)),
+            "replacement broadcast is 24 bits, not 16"),
+           ("negative-sigma", BroadcastAuth(16, (-1,), (0,)),
+            "replacement sigma -0x1 does not fit in 16 bits")]},
     "session-other-session": (*_session_3(AdversaryAction.drop(4, 7)), ScheduleError,
                                     "action on flight 4 is for session 7, not session 3"),
     "session-other-session-second": (
@@ -419,8 +426,24 @@ REFUSED_CALLS = {
     "session-narrow-nonce": (*_session_3(AdversaryAction.replace(2, TagNonce(B8), 3)),
                              ScheduleError, "replacement x_t 00:8 is 8 bits, not 16"),
     "session-narrow-delta": (
-        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, 8, (0,), (0,)), 3)),
-        ScheduleError, "replacement delta 00:8 is 8 bits, not 16"),
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth(8, (0,), (0,)), 3)),
+        ScheduleError, "replacement broadcast is 8 bits, not 16"),
+    # values the stated width cannot hold: a text that reads back as no bit
+    # string, and a delta whose XOR with the key spills past the hash input
+    "session-sigma-value": (
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, (1 << 20,), (0,)), 3)),
+        ScheduleError, "replacement sigma 0x100000 does not fit in 16 bits"),
+    "session-delta-value": (
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, (0,), (1 << 60,)), 3)),
+        ScheduleError, "replacement delta 0x1000000000000000 does not fit in 16 bits"),
+    # a hash of another width than the keys: refused before flight 1
+    "session-hash-of-another-width": (
+        lambda: World(*fresh_world(n=2, seed=1), HashSpec.production(32)),
+        lambda world: world.session(0), ParameterError, "hash output is 32 bits, the keys 16"),
+    "run-hash-of-another-width": (
+        lambda: World(*fresh_world(n=2, seed=1), HashSpec.toy(14)),
+        lambda world: world.run(FaultSchedule([]), 2), ParameterError,
+        "hash output is 14 bits, the keys 16"),
     "session-numbered-behind-the-world": (
         _after_one_session, lambda world: world.session(0, [AdversaryAction.drop(4, 1)]),
         ScheduleError, "action on flight 4 is for session 1, not session 2"),
@@ -481,7 +504,7 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
             width = data.draw(st.sampled_from([16, 8]))
             narrow |= width != 16
             value = data.draw(st.integers(0, (1 << width) - 1))
-            payload = (BroadcastAuth(width, width, (value,), (value,)) if flight == 3
+            payload = (BroadcastAuth(width, (value,), (value,)) if flight == 3
                        else PAYLOAD_TYPES[flight](BitString(value, width)))
             actions.append(AdversaryAction.replace(flight, payload, session))
     fits = (all(a.session_seq == seq for a in actions) and not narrow
@@ -496,6 +519,45 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
         assert world == before
     else:
         assert fits and world.next_seq == seq + 1
+
+
+WIRE_FIELDS = ("x_s", "x_t", "broadcast", "sigma_prime")
+
+
+@settings(max_examples=200, deadline=None)
+@given(flight=st.integers(1, 4), width=st.sampled_from([16, 8, 24]),
+       pairs=st.lists(st.tuples(*[st.integers(0, (1 << 16) - 1) | st.integers(0, (1 << 24) - 1)]
+                                * 2), min_size=1, max_size=3))
+@example(flight=3, width=16, pairs=[(1 << 20, 0)])
+@example(flight=3, width=16, pairs=[(0, 1), (0, 1 << 16)])
+def test_an_admitted_replacement_runs_and_reads_back(flight, width, pairs):
+    """A replacement on a 16-bit wire whose values reach 2**24: a broadcast
+    of the pairs as candidates, or for any other flight the first value
+    masked to the drawn width. One that :func:`check_payload_widths`
+    admits runs through ``World.session``, and every ``hex:len`` text of
+    the session's transcript line reads back as a bit string that prints
+    the same; one it refuses is refused by the session with nothing
+    changed."""
+    world = World(*fresh_world(n=2, seed=125), TOY16)
+    world.session(0)
+    if flight == 3:
+        payload = BroadcastAuth(width, *map(tuple, zip(*pairs)))
+    else:
+        payload = PAYLOAD_TYPES[flight](BitString(pairs[0][0] & ((1 << width) - 1), width))
+    action = AdversaryAction.replace(flight, payload, 2)
+    try:
+        check_payload_widths(payload, 16)
+    except ScheduleError:
+        before = copy.deepcopy(world)
+        with pytest.raises(ScheduleError):
+            world.session(1, [action])
+        assert world == before
+        return
+    line = transcript_line(world.session(1, [action]))
+    fields = dict(token.split("=", 1) for token in line.split()[1:])
+    texts = [text for name in WIRE_FIELDS if fields[name] != "-"
+             for pair in fields[name].split(",") for text in pair.split("/")]
+    assert texts and [BitString.from_text(text).to_text() for text in texts] == texts
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,7 +584,7 @@ def test_run_is_whole_or_changes_nothing(before, n, data):
                 schedule.add(AdversaryAction.replay(flight, source, seq))
             else:
                 width = data.draw(st.sampled_from([16, 8]))
-                payload = (BroadcastAuth(width, width, (0,), (0,)) if flight == 3
+                payload = (BroadcastAuth(width, (0,), (0,)) if flight == 3
                            else PAYLOAD_TYPES[flight](BitString(0, width)))
                 schedule.add(AdversaryAction.replace(flight, payload, seq))
     twin = copy.deepcopy(world)
@@ -550,10 +612,14 @@ class TestWorld:
         assert world.next_seq == 3 and first.accepted and second.accepted
 
     def test_refused_session_changes_nothing(self):
-        """An action for another session, or a run of no sessions, is
-        refused: the number, the recording, the server and the tag stay."""
+        """An action for another session, a run of no sessions, or a session
+        or run under a hash of another width than the keys (no session could
+        pass flight 3) is refused: the number, the recording, the server and
+        the tag stay."""
         refused("session-numbered-behind-the-world")
         refused("run-of-no-sessions")
+        refused("session-hash-of-another-width")
+        refused("run-hash-of-another-width")
 
     def test_deep_copy_shares_bit_strings_and_runs_the_same_session(self):
         """Bit strings, hash specs and cached slot keys are immutable, so a
@@ -705,25 +771,23 @@ class TestRecording:
             rec.counter = tag.counter = 2**32 - 1
         world = World(server, tags, PROD64)
         first, second = world.run(FaultSchedule([AdversaryAction.replay(3, 1, 2)]), 2)
-        assert first.broadcast == second.broadcast == BroadcastAuth(0, 0, (), ())
+        assert first.broadcast == second.broadcast == BroadcastAuth(0, (), ())
         assert not first.accepted and not second.accepted
 
     @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
                              ids=["production", "toy", "production128"])
     def test_broadcast_is_recorded_as_its_wire_bytes(self, lam, spec):
         """A session is recorded as one bytes. Its broadcast of n candidates
-        is a 12-byte header and n times the whole bytes of one candidate's
+        is an 8-byte header and n times the whole bytes of one candidate's
         sigma and delta; flights 1, 2 and 4 are a 4-byte header each and
         their whole bytes."""
         world = World(*keygen(lam, 3, Prng(129, 0)), spec)
         transcripts = world.run(FaultSchedule([]), 6)
-        key, out = -(-lam // 8), -(-spec.output_len_bits // 8)
         for t in transcripts:
-            n, wire_bits = len(t.broadcast.sigmas), spec.output_len_bits + lam
-            broadcast = 12 + n * -(-wire_bits // 8)
+            broadcast = 8 + len(t.broadcast.sigmas) * -(-2 * lam // 8)
             assert len(recorded(world.recording, t.session_seq, 3)) == broadcast
             value = world.recording[t.session_seq]
-            assert type(value) is bytes and len(value) == 3 * 4 + 2 * key + out + broadcast
+            assert type(value) is bytes and len(value) == 3 * (4 + -(-lam // 8)) + broadcast
         assert len(transcripts[-1].broadcast.sigmas) == 6  # both slots of every record
 
     def test_no_recording_records_nothing(self, monkeypatch):
@@ -745,11 +809,9 @@ class TestRecording:
 @st.composite
 def sessions(draw):
     """The four payloads of one session and how many of them it emitted.
-    Its key width (x_s, x_t and every delta) and hash width (every sigma)
-    are drawn from 1 to 300 bits, odd widths included; the broadcast holds
-    0-6 candidates, and sigma' is of the hash width (a match) or of the key
-    width (no match)."""
-    key_bits, hash_bits = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    Their one width is drawn from 1 to 300 bits, odd widths included, and
+    the broadcast holds 0-6 candidates."""
+    width = draw(st.integers(1, 300))
 
     def bits(width):
         return BitString(draw(st.integers(0, (1 << width) - 1)), width)
@@ -758,21 +820,20 @@ def sessions(draw):
         return tuple(bits(width).value for _ in range(n))
 
     n = draw(st.integers(0, 6))
-    payloads = [Challenge(bits(key_bits)), TagNonce(bits(key_bits)),
-                BroadcastAuth(hash_bits, key_bits, column(hash_bits, n), column(key_bits, n))
-                if n else BroadcastAuth(0, 0, (), ()),
-                TagAuth(bits(draw(st.sampled_from([hash_bits, key_bits]))))]
+    payloads = [Challenge(bits(width)), TagNonce(bits(width)),
+                BroadcastAuth(width if n else 0, column(width, n), column(width, n)),
+                TagAuth(bits(width))]
     return payloads, draw(st.integers(1, 4))
 
 
 @settings(max_examples=200, deadline=None)
 @given(session=sessions())
 @example(session=([Challenge(BitString(1, 3)), TagNonce(BitString(5, 3)),
-                   BroadcastAuth(0, 0, (), ()),
+                   BroadcastAuth(0, (), ()),
                    TagAuth(BitString(2, 3))], 4))
 @example(session=([Challenge(BitString(5, 3)), TagNonce(BitString(0, 3)),
-                   BroadcastAuth(1, 3, (1, 1), (5, 5)),
-                   TagAuth(BitString(1, 1))], 4))
+                   BroadcastAuth(3, (1, 1), (5, 5)),
+                   TagAuth(BitString(1, 3))], 4))
 def test_a_recorded_session_rebuilds_equal(session):
     """Each flight a session emitted, recorded as the channel records it,
     rebuilds a payload equal to the one emitted, widths included; a flight
@@ -791,8 +852,8 @@ def test_a_recorded_session_rebuilds_equal(session):
         assert rebuilt == payload and type(rebuilt) is PAYLOAD_TYPES[flight]
     if emitted >= 3:
         bc = payloads[2]
-        text = ",".join(f"{BitString(sigma, bc.sigma_bits).to_text()}/"
-                        f"{BitString(delta, bc.delta_bits).to_text()}"
+        text = ",".join(f"{BitString(sigma, bc.width).to_text()}/"
+                        f"{BitString(delta, bc.width).to_text()}"
                         for sigma, delta in zip(bc.sigmas, bc.deltas))
         t = channel.SessionTranscript(session_seq=7, label="t001",
                                       broadcast=channel._rebuild(3, recorded(recording, 7, 3)))
@@ -929,6 +990,6 @@ class TestAcceptLeftSlot:
             t = world.session(idx)
             verifying.append(sum(
                 auth_server_tag(PROD64, k_prime, BitString(delta, 64) ^ read, t.x_s.x_s,
-                                t.x_t.x_t) == BitString(sigma, t.broadcast.sigma_bits)
+                                t.x_t.x_t) == BitString(sigma, t.broadcast.width)
                 for sigma, delta in zip(t.broadcast.sigmas, t.broadcast.deltas)))
         assert verifying == [0] * 7

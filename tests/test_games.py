@@ -7,7 +7,8 @@ import inspect
 
 import pytest
 
-from kimap.bits import BitString, HashSpec, ParameterError, Prng, prng_next, split, xor
+from kimap.bits import (BitString, HashSpec, LengthError, ParameterError, Prng, prng_next, split,
+                        xor)
 from kimap.games import (
     _BUDGET,
     DEFINITIONS,
@@ -29,7 +30,7 @@ from kimap.games import (
 from kimap.protocol import SessionOrderError, key_update
 
 TOY16 = HashSpec.toy(16)
-Z = BitString(0, 16)
+Z, B8 = BitString(0, 16), BitString(0, 8)
 
 
 def world(definition="ind", trial=0, lam=16, n=2, seed=50, **budgets):
@@ -120,6 +121,12 @@ REFUSED_CALLS = {
     "reply-tag-2": ("ind", {}, [("reply", 2, Z)], MISUSE, "no tag 2"),
     "reply_prime-tag-2": ("ind", {}, [("reply_prime", 2, Z, Z, Z)], MISUSE, "no tag 2"),
     "reply_b-tag-2": ("backward", {}, [("reply_b", 2, Z, Z, Z)], MISUSE, "no tag 2"),
+    # a candidate's sigma and delta are of one width, held before the tag acts
+    "reply_prime-of-unequal-widths": ("ind", {}, [("query_t", 0), ("reply_prime", 0, Z, B8, Z)],
+                                      LengthError, "inconsistent operand lengths: [8, 16]"),
+    "reply_b-of-unequal-widths": ("backward", {}, [("query_b",), ("query_t", 0), ("reply", 0, Z),
+                                                   ("reply_b", 0, Z, B8, Z)],
+                                  LengthError, "inconsistent operand lengths: [8, 16]"),
     "execute_b-tag-2": ("backward", {}, [("execute_b", 2)], MISUSE, "no tag 2"),
     "reveal_secret-tag-2": ("forward", {}, [("reveal_secret", 2)], MISUSE, "no tag 2"),
     "choose_challenge-tag-2": ("ind", {}, [("choose_challenge", 2)], MISUSE, "no tag 2"),
@@ -181,6 +188,15 @@ REFUSED_CALLS = {
                                        RandomGuess(), TOY16)], ParameterError,
                            "unknown game definition 'bogus' (have: ind, forward, backward, "
                            "ind2tag)"),
+    # no session can pass flight 3 under a hash of another width than the
+    # keys, so no world is built with one
+    "world-hashing-to-another-width": (None, {}, [(new_world, GameConfig(16, 2, seed=5), "ind",
+                                                   HashSpec.production(18))],
+                                       ParameterError, "hash output is 18 bits, the keys 16"),
+    "game-hashing-to-another-width": (None, {}, [(run_game, "ind",
+                                                  GameConfig(16, 2, trials=1, seed=5),
+                                                  RandomGuess(), HashSpec.toy(14))],
+                                      ParameterError, "hash output is 14 bits, the keys 16"),
     "world-smaller-than-its-challenge": (None, {}, [(run_game, "ind2tag",
                                                      GameConfig(16, 1, trials=2, seed=1),
                                                      RandomGuess(), HashSpec.production(16))],
@@ -374,8 +390,8 @@ class TestExecute:
     def test_execute_b_shape(self):
         h = world("backward")
         t = h.execute_b(0)
-        sigma_bits, delta_bits, (sigma,), (delta,) = t.broadcast
-        sigma, delta = BitString(sigma, sigma_bits), BitString(delta, delta_bits)
+        width, (sigma,), (delta,) = t.broadcast
+        sigma, delta = BitString(sigma, width), BitString(delta, width)
         for value in (t.x_s.x_s, t.x_t.x_t, sigma, delta, t.sigma_prime.sigma_prime):
             assert len(value) == 16
         # flight 1 is the decoy, not the recorded instance's true challenge,
@@ -419,7 +435,7 @@ class TestRevealSecret:
         k_i = h.reveal_secret(1)
         t = h.execute(1)
         k_next = h.reveal_secret(1)
-        x = xor(BitString(t.broadcast.deltas[0], t.broadcast.delta_bits), k_i)
+        x = xor(BitString(t.broadcast.deltas[0], t.broadcast.width), k_i)
         _, k_dprime = split(k_i)
         _, x_dprime = split(x)
         assert k_next == key_update(h.spec, k_dprime, x_dprime, t.x_s.x_s)

@@ -88,9 +88,9 @@ def test_full_transcript_lambda8(fixture):
     assert t.accepted and t.tag_updated
     assert t.x_s.x_s.to_text() == tr["x_s"]
     assert t.x_t.x_t.to_text() == tr["x_t"]
-    sigma_bits, delta_bits, (sigma,), (delta,) = t.broadcast
-    assert BitString(sigma, sigma_bits).to_text() == tr["sigma"]
-    assert BitString(delta, delta_bits).to_text() == tr["delta"]
+    width, (sigma,), (delta,) = t.broadcast
+    assert BitString(sigma, width).to_text() == tr["sigma"]
+    assert BitString(delta, width).to_text() == tr["delta"]
     assert t.sigma_prime.sigma_prime.to_text() == tr["sigma_prime"]
     assert tags[0].key.to_text() == tr["k2"]
     assert server.records["t001"].key_current.to_text() == tr["k2"]

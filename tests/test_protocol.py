@@ -206,22 +206,24 @@ class TestTagVerify:
         assert tags[0].pending is None
         ch = server_begin(server)
         tag_respond_nonce(tags[0])
-        tag_verify_and_respond(tags[0], ch.x_s, _broadcast(16, 16), TOY16)
+        tag_verify_and_respond(tags[0], ch.x_s, _broadcast(16), TOY16)
         assert tags[0].pending is None
 
 
 class TestWidthChecks:
     """Operands of the wrong width raise, whether they are checked once per
-    session or once per candidate; a sigma or sigma' of the wrong width does
-    not authenticate."""
+    session or once per candidate, and so does a broadcast or a hash of
+    another width than the key; a sigma' of the wrong width does not
+    authenticate."""
 
     @pytest.mark.parametrize("case", [
         "session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
         "slot_keys-key-narrower-than-the-master", "make_candidate-of-another-width",
         "tag_scan-narrow-delta", "server_prepare-previous-key-narrower", "tag_scan-narrow-tag-key",
+        "tag_scan-hash-of-another-width",
     ], ids=["session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
             "slot_keys_master", "make_candidate",
-            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key"])
+            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key", "tag_scan_hash"])
     def test_every_width_check_raises_length_error(self, case):
         refused(case)
 
@@ -236,7 +238,7 @@ class TestWidthChecks:
         refused(case)
 
     def test_tag_scan_rejects_wrong_width_delta(self):
-        """A broadcast states one width for all its deltas, and the tag's
+        """A broadcast states one width for all its values, and the tag's
         scan refuses a width other than its key's before it hashes any
         candidate."""
         refused("tag_scan-narrow-deltas")
@@ -247,19 +249,9 @@ class TestWidthChecks:
     @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
     @pytest.mark.parametrize("extra", [1, 8, 48])
     def test_tag_scan_holds_sigma_to_its_width(self, spec, extra):
-        """A candidate whose sigma has the digest's value but another width
-        does not authenticate the server."""
-        server, tags = keygen(16, 1, Prng(23, 0))
-        ch = server_begin(server)
-        nonce = tag_respond_nonce(tags[0])
-        bc, _ = server_prepare(server, ch.x_s, nonce.x_t, spec)
-        sigma_bits, delta_bits, (sigma,), (delta,) = bc
-        key, counter = tags[0].key, tags[0].counter
-        assert BitString(sigma, sigma_bits) == auth_server_tag(
-            spec, split(key)[0], xor(BitString(delta, delta_bits), key), ch.x_s, nonce.x_t)
-        wide = bc._replace(sigma_bits=sigma_bits + extra)
-        tag_verify_and_respond(tags[0], ch.x_s, wide, spec)
-        assert (tags[0].key, tags[0].counter) == (key, counter)
+        """A broadcast of the honest candidate that states a width wider
+        than the key is refused before the tag hashes it."""
+        refused(f"tag_scan-wide-{spec.variant}-{extra}")
 
     @pytest.mark.parametrize("extra", [1, 8, 48])
     def test_finalize_holds_sigma_prime_to_its_width(self, extra):
@@ -279,7 +271,7 @@ class TestWidthChecks:
 
 
 class TestBroadcastColumns:
-    """A broadcast is its two widths and two columns of ints."""
+    """A broadcast is its width and two columns of ints."""
 
     def test_counting_the_candidates_builds_no_pair(self):
         """perfbench counts ``len(broadcast.candidates)`` after every scan:
@@ -347,7 +339,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        assert bc == BroadcastAuth(0, 0, (), ()) and pending.candidates == pending.expected == ()
+        assert bc == BroadcastAuth(0, (), ()) and pending.candidates == pending.expected == ()
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
         assert not server_finalize(server, pending, ta).accepted
         assert list(server.records.values()) == before
@@ -526,7 +518,7 @@ class TestPadProperty:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY8)
-        delta = BitString(bc.deltas[0], bc.delta_bits)
+        delta = BitString(bc.deltas[0], bc.width)
         xs = {xor(delta, BitString(k, 8)) for k in range(256)}
         assert len(xs) == 256
 
@@ -546,8 +538,8 @@ class TestForwardOneWayness:
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, spec)
         server_finalize(server, pending, ta)
         k_next = tags[0].key
-        sigma_bits, delta_bits, (sigma,), (delta,) = bc
-        sigma, delta = BitString(sigma, sigma_bits), BitString(delta, delta_bits)
+        width, (sigma,), (delta,) = bc
+        sigma, delta = BitString(sigma, width), BitString(delta, width)
 
         survivors = []
         for guess in range(1 << 16):
@@ -581,12 +573,12 @@ def _begun(seed, n=1, edits=()):
     return server, tags, server_begin(server).x_s
 
 
-def _at_flight_3(seed, n=1, tag_key=None):
+def _at_flight_3(seed, n=1, tag_key=None, spec=TOY16):
     """A 16-bit world whose tag t001 has a nonce in flight, its key then
     replaced by ``tag_key`` if given: the server, the tags, the challenge and
-    the honest broadcast."""
+    the honest broadcast under ``spec``."""
     server, tags, x_s = _begun(seed, n)
-    bc, _ = server_prepare(server, x_s, tag_respond_nonce(tags[0]).x_t, TOY16)
+    bc, _ = server_prepare(server, x_s, tag_respond_nonce(tags[0]).x_t, spec)
     if tag_key:
         tags[0].key = tag_key
     return server, tags, x_s, bc
@@ -611,9 +603,9 @@ def _bits(*widths):
     return [BitString(0, width) for width in widths]
 
 
-def _broadcast(sigma_bits, delta_bits, n=1):
-    """A broadcast of ``n`` all-zero candidates of the given widths."""
-    return BroadcastAuth(sigma_bits, delta_bits, (0,) * n, (0,) * n)
+def _broadcast(width, n=1):
+    """A broadcast of ``n`` all-zero candidates ``width`` bits wide."""
+    return BroadcastAuth(width, (0,) * n, (0,) * n)
 
 
 def _lengths(*widths):
@@ -684,7 +676,7 @@ REFUSED_CALLS = {
         _lengths(8, 16, 16)),
     "tag_scan-without-session": (lambda: keygen(16, 1, Prng(14, 0))[1],
                                  lambda tags: tag_verify_and_respond(
-                                     tags[0], BitString(0, 16), _broadcast(16, 16), TOY16),
+                                     tags[0], BitString(0, 16), _broadcast(16), TOY16),
                                  SessionOrderError, "no session in flight on this tag"),
     "tag_scan-narrow-challenge": (lambda: _at_flight_3(22),
                                   lambda w: tag_verify_and_respond(w[1][0], BitString(0, 15),
@@ -694,13 +686,24 @@ REFUSED_CALLS = {
                                 lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], TOY16),
                                 LengthError, _lengths(8, 16, 16)),
     "tag_scan-narrow-delta": (lambda: _at_flight_3(25),
-                              lambda w: tag_verify_and_respond(w[1][0], w[2],
-                                                               _broadcast(16, 15), TOY16),
-                              LengthError, "broadcast deltas are 15 bits, the key 16"),
+                              lambda w: tag_verify_and_respond(w[1][0], w[2], _broadcast(15),
+                                                               TOY16),
+                              LengthError, "broadcast 15, hash 16, key 16 bits"),
     "tag_scan-narrow-deltas": (lambda: _at_flight_3(21, 2),
-                               lambda w: tag_verify_and_respond(w[1][0], w[2],
-                                                                _broadcast(16, 15, 3), TOY16),
-                               LengthError, "broadcast deltas are 15 bits, the key 16"),
+                               lambda w: tag_verify_and_respond(w[1][0], w[2], _broadcast(15, 3),
+                                                                TOY16),
+                               LengthError, "broadcast 15, hash 16, key 16 bits"),
+    # the honest broadcast, stated wider: the scan hashes none of it
+    **{f"tag_scan-wide-{spec.variant}-{extra}": (
+        lambda spec=spec: _at_flight_3(23, spec=spec),
+        lambda w, spec=spec, extra=extra: tag_verify_and_respond(
+            w[1][0], w[2], w[3]._replace(width=16 + extra), spec),
+        LengthError, f"broadcast {16 + extra}, hash 16, key 16 bits")
+       for spec in (TOY16, HashSpec.production(16)) for extra in (1, 8, 48)},
+    "tag_scan-hash-of-another-width": (
+        lambda: _at_flight_3(30),
+        lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], HashSpec.toy(18)),
+        LengthError, "broadcast 16, hash 18, key 16 bits"),
 }
 
 
