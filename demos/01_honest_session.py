@@ -38,11 +38,13 @@ print("flight 2  tag -> server   x_t =", nonce.x_t.to_text())
 # Flight 3: the server derives the session's partial key from its master
 # secret and one-time-pads it under the shared key; sigma lets the tag
 # authenticate the server before trusting delta.
-# The broadcast holds its width once and each candidate's values.
+# The broadcast holds each candidate's values; like every value on the
+# wire they are as wide as the challenge.
 broadcast, pending = server_prepare(server, challenge.x_s, nonce.x_t, spec)
+width = len(challenge.x_s)
 for sigma, delta in zip(broadcast.sigmas, broadcast.deltas):
-    print("flight 3  server -> tag   sigma =", BitString(sigma, broadcast.width).to_text(),
-          " delta =", BitString(delta, broadcast.width).to_text())
+    print("flight 3  server -> tag   sigma =", BitString(sigma, width).to_text(),
+          " delta =", BitString(delta, width).to_text())
 
 # Flight 4: the tag verifies, answers, and ratchets its key.
 tag_auth = tag_verify_and_respond(tag, challenge.x_s, broadcast, spec)

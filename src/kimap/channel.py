@@ -12,24 +12,23 @@ only if its flight was delivered.
 
 The recording keeps each session as one ``bytes``, never as the payload
 objects, so the garbage collector tracks nothing in it and a recording of
-thousands of sessions adds nothing to a full collection. A session's value
-holds the flights it emitted, in order: flights 1 to its first dropped
-flight, or to 4. Flights 1, 2 and 4 are a 4-byte header of their bit
-string's width, then its ``ceil(width / 8)`` big-endian bytes. A broadcast
-(:class:`~kimap.protocol.BroadcastAuth`) is an 8-byte header of its width
-and its candidate count, then each candidate's ``sigma || delta`` as
-``ceil(2 * width / 8)`` big-endian bytes, in broadcast order. At 64 bits a
-session of 16 records, 32 candidates, is 556 bytes (589 as a Python
-object). Over a 3,000-session fault-mix episode a session costs 663 bytes
-with its key and its share of the dict, against 1,271 when each flight had
-a ``(session, flight)`` key. :func:`recorded` is the one query of what a
-replay may name; a replay rebuilds a payload equal to the one its source
-emitted.
+thousands of sessions adds nothing to a full collection. Every value a
+world emits is as wide as its keys, ``lam`` bits, so the recording states
+no width: whoever reads it passes the world's. A session's value holds the
+flights it emitted, in order: flights 1 to its first dropped flight, or to
+4. Flights 1, 2 and 4 are their bit string's ``ceil(lam / 8)`` big-endian
+bytes. A broadcast (:class:`~kimap.protocol.BroadcastAuth`) is a 4-byte
+candidate count, then each candidate's ``sigma || delta`` as ``ceil(2 *
+lam / 8)`` big-endian bytes, in broadcast order. At 64 bits a session of 16
+records, 32 candidates, is 540 bytes (573 as a Python object). Over a
+3,000-session fault-mix episode a session costs 647 bytes with its key and
+its share of the dict, against 1,271 when each flight had a ``(session,
+flight)`` key. :func:`recorded` is the one query of what a replay may name;
+a replay rebuilds a payload equal to the one its source emitted.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -161,23 +160,19 @@ class SessionTranscript:
 # collector tracks no bytes, so it never walks a recording.
 Recording = dict[int, bytes]
 
-# The header of a recorded flight 1, 2 or 4: its bit string's width.
-_WIDTH = struct.Struct(">I")
-# The header of a recorded broadcast: its width and its candidate count.
-_BROADCAST = struct.Struct(">II")
-
 
 def check_payload_widths(payload: Payload, width: int) -> None:
     """The width rule of a payload on the wire: ``x_s``, ``x_t``, every
     ``sigma`` and ``delta`` and ``sigma'`` are ``width`` bits, the key width,
     which the hash output shares because it is the next key. A broadcast
-    of candidates states that width once, and each of its values must fit
-    it."""
+    of candidates has one delta for each sigma, and each of its values must
+    fit that width."""
     if not isinstance(payload, BroadcastAuth):
         return check_field_widths(vars(payload).items(), width)
-    stated, sigmas, deltas = payload
-    if stated != width and sigmas:
-        raise ScheduleError(f"replacement broadcast is {stated} bits, not {width}")
+    sigmas, deltas = payload
+    if len(sigmas) != len(deltas):
+        raise ScheduleError(f"replacement broadcast has {len(sigmas)} sigma and "
+                            f"{len(deltas)} delta values")
     for name, column in (("sigma", sigmas), ("delta", deltas)):
         for value in column:
             if value >> width:
@@ -214,11 +209,12 @@ def _fit(actions: Sequence[AdversaryAction], session_seq: int,
     return by_flight
 
 
-def recorded(recording: Recording, session: int, flight: int) -> Optional[bytes]:
-    """What ``recording`` keeps of ``flight`` of session ``session``: the
-    bytes :func:`_pack` made of it, or ``None`` when the session never
-    emitted that flight (it never ran, or lost an earlier one). A replay may
-    name a flight exactly when this is not ``None``."""
+def recorded(recording: Recording, session: int, flight: int, width: int) -> Optional[bytes]:
+    """What ``recording``, of a world whose keys are ``width`` bits, keeps of
+    ``flight`` of session ``session``: the bytes :func:`_pack` made of it, or
+    ``None`` when the session never emitted that flight (it never ran, or
+    lost an earlier one). A replay may name a flight exactly when this is
+    not ``None``."""
     value = recording.get(session, b"")
     start = end = 0
     for f in range(1, flight + 1):
@@ -226,46 +222,43 @@ def recorded(recording: Recording, session: int, flight: int) -> Optional[bytes]
         if start >= len(value):
             return None
         if f == 3:
-            width, n = _BROADCAST.unpack_from(value, start)
-            end = start + _BROADCAST.size + n * ((2 * width + 7) >> 3)
+            end = start + 4 + int.from_bytes(value[start:start + 4], "big") * ((2 * width + 7) >> 3)
         else:
-            end = start + _WIDTH.size + ((_WIDTH.unpack_from(value, start)[0] + 7) >> 3)
+            end = start + ((width + 7) >> 3)
     return value[start:end]
 
 
-def _pack(flight: int, payload: Payload) -> bytes:
-    """What a recording keeps of a payload: the :data:`_WIDTH` header and
-    whole bytes of the one bit string of flight 1, 2 or 4, or a broadcast's
-    :data:`_BROADCAST` header and then each candidate's ``sigma || delta``
-    in as many whole bytes as twice its width needs, in broadcast order."""
+def _pack(flight: int, payload: Payload, width: int) -> bytes:
+    """What a recording keeps of a payload whose values are ``width`` bits:
+    the whole bytes of the one bit string of flight 1, 2 or 4, or a
+    broadcast's 4-byte candidate count and then each candidate's ``sigma ||
+    delta`` in as many whole bytes as twice the width needs, in broadcast
+    order."""
     if flight != 3:
         (bits,) = vars(payload).values()
-        return _WIDTH.pack(bits._length) + bits._value.to_bytes((bits._length + 7) >> 3, "big")
-    width, sigmas, deltas = payload
+        return bits._value.to_bytes((width + 7) >> 3, "big")
+    sigmas, deltas = payload
     nbytes = (2 * width + 7) >> 3
-    return _BROADCAST.pack(width, len(sigmas)) + b"".join(
+    return len(sigmas).to_bytes(4, "big") + b"".join(
         [(s << width | d).to_bytes(nbytes, "big") for s, d in zip(sigmas, deltas)])
 
 
-def _rebuild(flight: int, packed: bytes) -> Payload:
-    """The payload :func:`_pack` kept as ``packed``, equal to the one it packed."""
+def _rebuild(flight: int, packed: bytes, width: int) -> Payload:
+    """The payload :func:`_pack` kept as ``packed`` at ``width`` bits, equal
+    to the one it packed."""
     if flight != 3:
-        return PAYLOAD_TYPES[flight](
-            _trusted(int.from_bytes(packed[_WIDTH.size:], "big"), *_WIDTH.unpack_from(packed)))
-    width, _ = _BROADCAST.unpack_from(packed)
+        return PAYLOAD_TYPES[flight](_trusted(int.from_bytes(packed, "big"), width))
     nbytes, mask = (2 * width + 7) >> 3, (1 << width) - 1
-    # nbytes is 0 only for an empty broadcast, where no byte follows the header.
-    wire = [int.from_bytes(packed[i:i + nbytes], "big")
-            for i in range(_BROADCAST.size, len(packed), nbytes or 1)]
-    return BroadcastAuth(width, tuple([v >> width for v in wire]), tuple([v & mask for v in wire]))
+    wire = [int.from_bytes(packed[i:i + nbytes], "big") for i in range(4, len(packed), nbytes)]
+    return BroadcastAuth(tuple([v >> width for v in wire]), tuple([v & mask for v in wire]))
 
 
 def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction],
-             session_seq: int, recording: Optional[Recording]) -> Optional[Payload]:
+             session_seq: int, recording: Optional[Recording], width: int) -> Optional[Payload]:
     if recording is not None:
         # Flight 1 starts the session's value, so a session re-run under the
         # same number replaces it; each later flight extends it.
-        packed = _pack(flight, emitted)
+        packed = _pack(flight, emitted, width)
         recording[session_seq] = recording[session_seq] + packed if flight > 1 else packed
     action = by_flight.get(flight)
     if action is None:
@@ -274,7 +267,7 @@ def _deliver(flight: int, emitted: Payload, by_flight: dict[int, AdversaryAction
         return None
     if action.kind == "replace":
         return action.payload
-    return _rebuild(flight, recorded(recording, action.source_session, flight))
+    return _rebuild(flight, recorded(recording, action.source_session, flight, width), width)
 
 
 def run_session(server: ServerState, tag: TagState, actions: list[AdversaryAction],
@@ -289,36 +282,39 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     in ``recording`` (its earlier session emitted it). Otherwise
     :class:`ScheduleError` is raised before any flight runs, and no state
     changes; so is :class:`~kimap.bits.ParameterError` when ``spec``'s
-    output is not as wide as the keys. Without a ``recording`` nothing is
-    recorded and no replay fits.
+    output or ``tag``'s key is not as wide as the server's keys. Without a
+    ``recording`` nothing is recorded and no replay fits.
 
     Drops and rejections are recorded outcomes, never exceptions. A lost
     flight 3 or 4 leaves the server with an unanswered session, which it
     treats exactly like an invalid answer (timeout path).
     """
-    if spec.output_len_bits != server.lam:
-        raise ParameterError(f"hash output is {spec.output_len_bits} bits, the keys {server.lam}")
+    lam = server.lam
+    if spec.output_len_bits != lam:
+        raise ParameterError(f"hash output is {spec.output_len_bits} bits, the keys {lam}")
+    if len(tag.key) != lam:
+        raise ParameterError(f"tag key is {len(tag.key)} bits, the keys {lam}")
     by_flight = (_fit(actions, session_seq,
-                      lambda source, f: recorded(recording or {}, source, f) is not None,
-                      server.lam)
+                      lambda source, f: recorded(recording or {}, source, f, lam) is not None,
+                      lam)
                  if actions else {})
     t = SessionTranscript(session_seq=session_seq, label=label)
 
     challenge = server_begin(server)
-    delivered_ch = _deliver(1, challenge, by_flight, session_seq, recording)
+    delivered_ch = _deliver(1, challenge, by_flight, session_seq, recording, lam)
     t.x_s = delivered_ch
     if delivered_ch is None:
         return t
 
     nonce = tag_respond_nonce(tag)
-    delivered_nonce = _deliver(2, nonce, by_flight, session_seq, recording)
+    delivered_nonce = _deliver(2, nonce, by_flight, session_seq, recording, lam)
     t.x_t = delivered_nonce
     if delivered_nonce is None:
         tag.pending = None
         return t
 
     broadcast, pending = server_prepare(server, challenge.x_s, delivered_nonce.x_t, spec)
-    delivered_bc = _deliver(3, broadcast, by_flight, session_seq, recording)
+    delivered_bc = _deliver(3, broadcast, by_flight, session_seq, recording, lam)
     t.broadcast = delivered_bc
     if delivered_bc is None:
         tag.pending = None
@@ -328,7 +324,7 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
     counter_before = tag.counter
     ta = tag_verify_and_respond(tag, delivered_ch.x_s, delivered_bc, spec)
     t.tag_updated = tag.counter != counter_before
-    delivered_ta = _deliver(4, ta, by_flight, session_seq, recording)
+    delivered_ta = _deliver(4, ta, by_flight, session_seq, recording, lam)
     t.sigma_prime = delivered_ta
     if delivered_ta is None:
         t.outcome_server = server_timeout(server, pending)
@@ -364,17 +360,17 @@ class World:
         must drop no flight before the replayed one."""
         if n_sessions < 1:
             raise ParameterError(f"sessions must be >= 1, got {n_sessions}")
-        first = self.next_seq
+        first, lam = self.next_seq, self.server.lam
         plan = [schedule.for_session(seq) for seq in range(first, first + n_sessions)]
         planned: dict[int, int] = {}  # a session of the run -> the last flight it will emit
 
         def emitted(source: int, flight: int) -> bool:
             if source in planned:
                 return flight <= planned[source]
-            return recorded(self.recording, source, flight) is not None
+            return recorded(self.recording, source, flight, lam) is not None
 
         for seq, actions in enumerate(plan, first):
-            by_flight = _fit(actions, seq, emitted, self.server.lam)
+            by_flight = _fit(actions, seq, emitted, lam)
             planned[seq] = min((f for f, a in by_flight.items() if a.kind == "drop"), default=4)
         return [self.session((self.next_seq - 1) % len(self.tags), actions) for actions in plan]
 
@@ -413,9 +409,10 @@ def transcript_line(t: SessionTranscript) -> str:
 
     bc = "-"
     if t.broadcast is not None:
-        width, sigmas, deltas = t.broadcast
+        # a delivered broadcast follows a delivered flight 1, at the wire's width
+        width = len(t.x_s.x_s)
         pair = f"{text_format(width)}/{text_format(width, 1)}"
-        bc = ",".join(map(pair.format, sigmas, deltas))
+        bc = ",".join(map(pair.format, *t.broadcast))
     server = "-" if t.outcome_server is None else t.outcome_server.outcome
     return (f"transcript session={t.session_seq} tag={t.label} "
             f"x_s={enc(t.x_s.x_s if t.x_s else None)} "

@@ -169,7 +169,7 @@ def _parse_payload(flight: int, fields: list[str], lam: int):
     # another width is named as any other.
     if kind is BroadcastAuth and values and len(values) % 2 == 0:  # (sigma, delta) pairs
         check_field_widths(zip(("sigma", "delta") * (len(values) // 2), values), lam)
-        return BroadcastAuth(lam, tuple(v.value for v in values[::2]),
+        return BroadcastAuth(tuple(v.value for v in values[::2]),
                              tuple(v.value for v in values[1::2]))
     if kind is not BroadcastAuth and len(values) == 1:  # every other flight: one value
         payload = kind(values[0])

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bits import BitString, HashSpec, ParameterError, Prng, _trusted, prng_next, split, xor
+from .bits import (BitString, HashSpec, LengthError, ParameterError, Prng, _trusted, prng_next,
+                   split, xor)
 from .channel import SessionTranscript
 from .protocol import (
     BroadcastAuth,
@@ -46,7 +47,6 @@ from .protocol import (
     SessionOrderError,
     TagAuth,
     TagState,
-    _mismatch,
     _new_tuple,
     auth_server_tag,
     key_update,
@@ -130,11 +130,12 @@ class Quintuplet(NamedTuple):
     sigma_prime: BitString
 
 
-def _one_candidate(sigma: BitString, delta: BitString) -> BroadcastAuth:
-    """The broadcast of the one candidate ``(sigma, delta)``, of one width."""
-    if len(sigma) != len(delta):
-        raise _mismatch(sigma, delta)
-    return BroadcastAuth(len(sigma), (sigma.value,), (delta.value,))
+def _one_candidate(sigma: BitString, delta: BitString, lam: int) -> BroadcastAuth:
+    """The broadcast of the one candidate ``(sigma, delta)``, each ``lam`` bits
+    wide, the key width."""
+    if not len(sigma) == len(delta) == lam:
+        raise LengthError(f"candidate is {len(sigma)} and {len(delta)} bits, the keys {lam}")
+    return BroadcastAuth((sigma.value,), (delta.value,))
 
 
 class OracleHandle:
@@ -211,11 +212,13 @@ class OracleHandle:
     def _reply_core(self, tag: int, x_t: BitString) -> BroadcastAuth:
         if self._pending_x_s is None:
             raise SessionOrderError("reply needs a pending server challenge")
-        x_s, self._pending_x_s = self._pending_x_s, None
+        # An x_t of another width is refused with the challenge still pending.
+        ops = session_operands(self.spec, self._pending_x_s, x_t)
+        self._pending_x_s = None
         label = self._labels[tag]
         keys = slot_keys(self.spec, self.server.master, label, self.server.records[label],
                          "current")
-        bc, self._pending_reply[tag] = make_candidate((keys,), session_operands(self.spec, x_s, x_t))
+        bc, self._pending_reply[tag] = make_candidate((keys,), ops)
         return bc
 
     def _reply_prime_core(self, tag: int, x_s: BitString,
@@ -232,7 +235,7 @@ class OracleHandle:
         outcome = server_finalize(self.server, pend, ta) if pend is not None else None
         if updated:
             self.recorded[tag][period] = _new_tuple(Quintuplet, (
-                x_s, _trusted(bc.sigmas[0], bc.width), _trusted(bc.deltas[0], bc.width),
+                x_s, _trusted(bc.sigmas[0], len(x_s)), _trusted(bc.deltas[0], len(x_s)),
                 x_t, ta.sigma_prime))
         return ta, updated, outcome
 
@@ -271,14 +274,15 @@ class OracleHandle:
     def reply(self, tag: int, x_t: BitString) -> tuple[BitString, BitString]:
         """Server flight-3 computation for the named tag's current key."""
         self._admit("reply", tag)
-        width, (sigma,), (delta,) = self._reply_core(tag, x_t)
-        return _trusted(sigma, width), _trusted(delta, width)
+        (sigma,), (delta,) = self._reply_core(tag, x_t)
+        return _trusted(sigma, len(x_t)), _trusted(delta, len(x_t))
 
     def reply_prime(self, tag: int, x_s: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Tag flight-4 computation (verify, answer, ratchet on success);
         the answer is forwarded to the server."""
         self._admit("reply_prime", tag)
-        return self._reply_prime_core(tag, x_s, _one_candidate(sigma, delta))[0].sigma_prime
+        return self._reply_prime_core(tag, x_s,
+                                      _one_candidate(sigma, delta, self.cfg.lam))[0].sigma_prime
 
     def reply_b(self, tag: int, x_rand: BitString, sigma: BitString, delta: BitString) -> BitString:
         """Like reply_prime, but the tag is fed the session's hidden true
@@ -287,7 +291,8 @@ class OracleHandle:
         pend = self._pending_reply.get(tag)
         if pend is None:
             raise SessionOrderError("reply_b needs a pending restricted session")
-        return self._reply_prime_core(tag, pend.ops.x_s, _one_candidate(sigma, delta))[0].sigma_prime
+        return self._reply_prime_core(tag, pend.ops.x_s,
+                                      _one_candidate(sigma, delta, self.cfg.lam))[0].sigma_prime
 
     def execute(self, tag: int) -> SessionTranscript:
         """Eavesdrop one full honest session."""
@@ -422,8 +427,7 @@ class KeyKnowledge(Distinguisher):
         """Observes one session: (its challenge, or None if withheld; delta)."""
         restricted = "execute_b" in DEFINITIONS[h.definition].oracles and not self.leaky
         t = h.execute_b(tag) if restricted else h.execute(tag)
-        bc = t.broadcast
-        return None if restricted else t.x_s.x_s, _trusted(bc.deltas[0], bc.width)
+        return None if restricted else t.x_s.x_s, _trusted(t.broadcast.deltas[0], len(t.x_t.x_t))
 
     @staticmethod
     def _evolve(spec: HashSpec, key: BitString, x_s: Optional[BitString],

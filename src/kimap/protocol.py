@@ -39,12 +39,12 @@ made: a slot's key against the master, ``x_t`` against ``x_s``, and the
 session against the master, all before the shuffle. One
 :func:`make_candidate` call then builds the shuffled broadcast with its
 :class:`PendingSession`. The hash output is the next key and the partial
-key, so every value on the wire is as wide as the keys. A
-:class:`BroadcastAuth` is flight 3 as columns: that one width, then every
-candidate's ``sigma`` and ``delta`` as ints, so building one makes no object
-per candidate, and the tag's scan holds the broadcast and the hash to the
-key's width once. A reader that wants one candidate as bit strings builds
-them from the columns. The next key, one hash from the slot's cached
+key, so every value on the wire is as wide as the keys, and the broadcast
+does not state that width. A :class:`BroadcastAuth` is flight 3 as columns:
+every candidate's ``sigma`` and ``delta`` as ints, so building one makes no
+object per candidate, and the tag's scan holds the hash to the key's width
+once. A reader that wants one candidate as bit strings builds them from the
+columns at the key width. The next key, one hash from the slot's cached
 ``k'' || x''`` term and the session's ``x_s`` term, is computed only for
 the matched candidate, or for every record when a failed session hedges.
 :func:`partial_key`, :func:`session_key`, :func:`key_update`,
@@ -197,12 +197,11 @@ _new_tuple = tuple.__new__
 
 
 class BroadcastAuth(NamedTuple):
-    """Flight 3 as the wire carries it: the width of every ``sigma`` and
-    every ``delta``, the key width, then each candidate's ``sigma`` and
-    ``delta`` as ints, in broadcast order. A broadcast of no candidate has
-    width 0. :func:`make_candidate` builds it from its digests."""
+    """Flight 3 as the wire carries it: each candidate's ``sigma`` and
+    ``delta`` as ints, in broadcast order, each as wide as the keys, a width
+    the session states and the broadcast does not. :func:`make_candidate`
+    builds it from its digests."""
 
-    width: int
     sigmas: tuple[int, ...]
     deltas: tuple[int, ...]
 
@@ -433,7 +432,7 @@ def make_candidate(slots: Sequence[SlotKeys],
         sigmas.append(hash2(spec, keys.sigma_term | s_t, sigma_bytes))
         deltas.append(keys.delta._value)
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
-    return (_new_tuple(BroadcastAuth, (width if sigmas else 0, tuple(sigmas), tuple(deltas))),
+    return (_new_tuple(BroadcastAuth, (tuple(sigmas), tuple(deltas))),
             PendingSession(ops, tuple(slots), tuple(expected)))
 
 
@@ -506,9 +505,9 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     ratchet the tag key, bump the counter. On no match: emit fresh random
     bits of the same width and keep the key, so success and failure are
     indistinguishable on the wire. Every candidate is checked, so the hash
-    count does not depend on where (or whether) a match sits. A broadcast
-    of candidates, or a hash output, of another width than the key raises
-    :class:`~kimap.bits.LengthError` before any candidate is hashed.
+    count does not depend on where (or whether) a match sits. A hash output
+    of another width than the key raises :class:`~kimap.bits.LengthError`
+    before any candidate is hashed.
     """
     if tag.pending is None:
         raise SessionOrderError("no session in flight on this tag")
@@ -519,9 +518,8 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         width = ops.width
         if len(key) != width:
             raise _mismatch(key, x_s, x_t)
-        stated, sigmas, deltas = broadcast
-        if stated != width and sigmas or spec.output_len_bits != width:
-            raise LengthError(f"broadcast {stated}, hash {spec.output_len_bits}, key {width} bits")
+        if spec.output_len_bits != width:
+            raise LengthError(f"hash {spec.output_len_bits}, key {width} bits")
         k_prime, k_dprime = split(key)
         # sigma's input for a candidate is base | x_hat << shift: the slot
         # term of k' || x_hat without x_hat, ORed with the session's term.
@@ -529,12 +527,12 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         base |= k_prime.value << (shift + width) | ops.s_t_term
         nbytes, k = ops.sigma_bytes, key.value
         matched: Optional[int] = None
-        for sigma, delta in zip(sigmas, deltas):
+        for sigma, delta in zip(*broadcast):
             x_hat = delta ^ k
             if hash2(spec, base | x_hat << shift, nbytes) == sigma and matched is None:
                 matched = x_hat
         # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
-        tag.meter.xor_calls += len(deltas)
+        tag.meter.xor_calls += len(broadcast.deltas)
         if matched is None:
             sigma_prime = prng_next(tag.prng, width)
             tag.pending = None

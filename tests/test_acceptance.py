@@ -156,7 +156,7 @@ def test_criterion_06_oracle_composition_identity():
         sigma_prime = clone.reply_prime(0, x_s, sigma, delta)
         assert t.x_s.x_s == x_s
         assert t.x_t.x_t == x_t
-        assert t.broadcast == BroadcastAuth(len(sigma), (sigma.value,), (delta.value,))
+        assert t.broadcast == BroadcastAuth((sigma.value,), (delta.value,))
         assert t.sigma_prime.sigma_prime == sigma_prime
         assert h.tags[0].key == clone.tags[0].key
     report(6, "execute equals query/query'/reply/reply' composition bitwise "
@@ -259,8 +259,8 @@ def test_criterion_12_known_answer_transcript():
 
     observed = {
         "x_i": x1.to_text(),
-        "sigma": BitString(t.broadcast.sigmas[0], t.broadcast.width).to_text(),
-        "delta": BitString(t.broadcast.deltas[0], t.broadcast.width).to_text(),
+        "sigma": BitString(t.broadcast.sigmas[0], len(x1)).to_text(),
+        "delta": BitString(t.broadcast.deltas[0], len(x1)).to_text(),
         "sk": sk.to_text(),
         "sigma_prime": t.sigma_prime.sigma_prime.to_text(),
         "k2": tags[0].key.to_text(),

@@ -133,7 +133,7 @@ class TestDrops:
 def _replacement(flight, bits):
     """A payload of the 64-bit wire's widths for ``flight``, from ``bits``."""
     if flight == 3:
-        return BroadcastAuth(64, (bits,), (bits,))
+        return BroadcastAuth((bits,), (bits,))
     return PAYLOAD_TYPES[flight](BitString(bits, 64))
 
 
@@ -155,7 +155,7 @@ def test_a_failed_session_loses_no_other_tag(n_tags, seed, steps):
     for idx, kind, flight, bits in steps:
         seq = world.next_seq
         sources = sorted(source for source in world.recording
-                         if recorded(world.recording, source, flight) is not None)
+                         if recorded(world.recording, source, flight, 64) is not None)
         if kind == "drop":
             actions = [AdversaryAction.drop(flight, seq)]
         elif kind == "replace":
@@ -225,7 +225,7 @@ class TestTranscriptFidelity:
         for t in World(server, tags, spec).run(FaultSchedule([]), 10):
             assert len(t.x_s.x_s) == lam
             assert len(t.x_t.x_t) == lam
-            assert t.broadcast.width == lam
+            assert max(t.broadcast.sigmas + t.broadcast.deltas) >> lam == 0
             assert len(t.sigma_prime.sigma_prime) == lam
 
     def test_dropped_fields_absent(self):
@@ -237,7 +237,7 @@ class TestTranscriptFidelity:
     def test_failure_response_shape_matches_success(self):
         server, tags = fresh_world(seed=112)
         ok = run_session(server, tags[0], [], TOY16)
-        zero = BroadcastAuth(16, (0,), (0,))
+        zero = BroadcastAuth((0,), (0,))
         bad = run_session(server, tags[0], [AdversaryAction.replace(3, zero, 1)], TOY16)
         assert ok.tag_updated and not bad.tag_updated
         assert len(ok.sigma_prime.sigma_prime) == len(bad.sigma_prime.sigma_prime)
@@ -287,12 +287,12 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("case", [
         "other-session", "other-session-second", "same-flight", "same-flight-numbered",
         "unrecorded-source", "unrecorded-source-after-abort", "unrecorded-source-flight-2",
-        "narrow-challenge", "narrow-nonce", "narrow-delta"])
+        "narrow-challenge", "narrow-nonce", "uneven-columns"])
     def test_run_session_rejects_actions_that_do_not_fit(self, case):
         """An action numbered for another session, a second action on one
-        flight, a replacement narrower than the wire, or a replay of a flight
-        its earlier session never emitted is a malformed schedule: it raises
-        before any flight runs."""
+        flight, a replacement narrower than the wire or a broadcast with more
+        sigmas than deltas, or a replay of a flight its earlier session never
+        emitted is a malformed schedule: it raises before any flight runs."""
         refused(f"session-{case}")
 
     @pytest.mark.parametrize("case", ["later", "later-far", "own-session", "own-later-session",
@@ -313,15 +313,13 @@ class TestScheduleValidation:
 
     def test_payload_widths_are_the_key_width(self):
         """x_s, x_t, every sigma and delta, and sigma' have the key's width,
-        which the hash output shares. A broadcast states it once, unless it
-        has no candidate, and each of its values must fit it."""
+        which the hash output shares. A broadcast does not state it: each of
+        its values must fit it."""
         key = BitString(0xFFFF, 16)
         for payload in (Challenge(key), TagNonce(key), TagAuth(key),
-                        BroadcastAuth(16, (0, 0xFFFF), (0xFFFF, 0)), BroadcastAuth(0, (), ()),
-                        BroadcastAuth(8, (), ())):
+                        BroadcastAuth((0, 0xFFFF), (0xFFFF, 0)), BroadcastAuth((), ())):
             check_payload_widths(payload, 16)
-        for name in ("x_s", "x_t", "sigma_prime", "narrow-broadcast", "wide-broadcast",
-                     "negative-sigma"):
+        for name in ("x_s", "x_t", "sigma_prime", "negative-sigma"):
             refused(f"payload-{name}")
         refused("session-sigma-value")
         refused("session-delta-value")
@@ -352,6 +350,13 @@ def _schedule_of_two():
     sched = FaultSchedule([AdversaryAction.drop(4, 1)])
     sched.add(AdversaryAction.drop(4, 2))
     return sched
+
+
+def _tag_key_of_18_bits():
+    """A 16-bit world whose one tag holds an 18-bit key."""
+    world = World(*fresh_world(seed=132), TOY16)
+    world.tags[0].key = BitString(5, 18)
+    return world
 
 
 def _session_3(*actions):
@@ -396,11 +401,7 @@ REFUSED_CALLS = {
            ("x_s", Challenge(B8), "replacement x_s 00:8 is 8 bits, not 16"),
            ("x_t", TagNonce(B8), "replacement x_t 00:8 is 8 bits, not 16"),
            ("sigma_prime", TagAuth(B8), "replacement sigma_prime 00:8 is 8 bits, not 16"),
-           ("narrow-broadcast", BroadcastAuth(8, (0, 0), (0, 0)),
-            "replacement broadcast is 8 bits, not 16"),
-           ("wide-broadcast", BroadcastAuth(24, (0,), (0,)),
-            "replacement broadcast is 24 bits, not 16"),
-           ("negative-sigma", BroadcastAuth(16, (-1,), (0,)),
+           ("negative-sigma", BroadcastAuth((-1,), (0,)),
             "replacement sigma -0x1 does not fit in 16 bits")]},
     "session-other-session": (*_session_3(AdversaryAction.drop(4, 7)), ScheduleError,
                                     "action on flight 4 is for session 7, not session 3"),
@@ -425,16 +426,18 @@ REFUSED_CALLS = {
                                  ScheduleError, "replacement x_s 00:8 is 8 bits, not 16"),
     "session-narrow-nonce": (*_session_3(AdversaryAction.replace(2, TagNonce(B8), 3)),
                              ScheduleError, "replacement x_t 00:8 is 8 bits, not 16"),
-    "session-narrow-delta": (
-        *_session_3(AdversaryAction.replace(3, BroadcastAuth(8, (0,), (0,)), 3)),
-        ScheduleError, "replacement broadcast is 8 bits, not 16"),
-    # values the stated width cannot hold: a text that reads back as no bit
+    # a broadcast whose columns differ in length: the scan and the transcript
+    # would see one candidate where the broadcast holds three sigmas
+    "session-uneven-columns": (
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth((1, 2, 3), (4,)), 3)),
+        ScheduleError, "replacement broadcast has 3 sigma and 1 delta values"),
+    # values the wire's width cannot hold: a text that reads back as no bit
     # string, and a delta whose XOR with the key spills past the hash input
     "session-sigma-value": (
-        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, (1 << 20,), (0,)), 3)),
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth((1 << 20,), (0,)), 3)),
         ScheduleError, "replacement sigma 0x100000 does not fit in 16 bits"),
     "session-delta-value": (
-        *_session_3(AdversaryAction.replace(3, BroadcastAuth(16, (0,), (1 << 60,)), 3)),
+        *_session_3(AdversaryAction.replace(3, BroadcastAuth((0,), (1 << 60,)), 3)),
         ScheduleError, "replacement delta 0x1000000000000000 does not fit in 16 bits"),
     # a hash of another width than the keys: refused before flight 1
     "session-hash-of-another-width": (
@@ -444,6 +447,10 @@ REFUSED_CALLS = {
         lambda: World(*fresh_world(n=2, seed=1), HashSpec.toy(14)),
         lambda world: world.run(FaultSchedule([]), 2), ParameterError,
         "hash output is 14 bits, the keys 16"),
+    # a tag whose key is not as wide as the server's: refused before flight 1
+    "session-tag-key-of-another-width": (
+        _tag_key_of_18_bits, lambda world: world.session(0), ParameterError,
+        "tag key is 18 bits, the keys 16"),
     "session-numbered-behind-the-world": (
         _after_one_session, lambda world: world.session(0, [AdversaryAction.drop(4, 1)]),
         ScheduleError, "action on flight 4 is for session 1, not session 2"),
@@ -479,8 +486,8 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
     source is an earlier session. The session either runs, or raises
     ScheduleError before any state changes, its number included. It raises
     exactly when an action names another session, two share a flight, a
-    replacement is 8 bits wide on a 16-bit wire, or a replay's source flight
-    was never recorded."""
+    replacement bit string is 8 bits wide on a 16-bit wire, or a replay's
+    source flight was never recorded."""
     server, tags = fresh_world(n=2, seed=118)
     world = World(server, tags, TOY16)
     for earlier in range(1, seq):
@@ -502,14 +509,14 @@ def test_session_runs_or_changes_nothing(seq, aborts, data):
                 assert source < session
         else:
             width = data.draw(st.sampled_from([16, 8]))
-            narrow |= width != 16
+            narrow |= width != 16 and flight != 3
             value = data.draw(st.integers(0, (1 << width) - 1))
-            payload = (BroadcastAuth(width, (value,), (value,)) if flight == 3
+            payload = (BroadcastAuth((value,), (value,)) if flight == 3
                        else PAYLOAD_TYPES[flight](BitString(value, width)))
             actions.append(AdversaryAction.replace(flight, payload, session))
     fits = (all(a.session_seq == seq for a in actions) and not narrow
             and len({a.flight for a in actions}) == len(actions)
-            and all(recorded(world.recording, a.source_session, a.flight) is not None
+            and all(recorded(world.recording, a.source_session, a.flight, 16) is not None
                     for a in actions if a.kind == "replay"))
     before = copy.deepcopy(world)
     try:
@@ -541,7 +548,7 @@ def test_an_admitted_replacement_runs_and_reads_back(flight, width, pairs):
     world = World(*fresh_world(n=2, seed=125), TOY16)
     world.session(0)
     if flight == 3:
-        payload = BroadcastAuth(width, *map(tuple, zip(*pairs)))
+        payload = BroadcastAuth(*map(tuple, zip(*pairs)))
     else:
         payload = PAYLOAD_TYPES[flight](BitString(pairs[0][0] & ((1 << width) - 1), width))
     action = AdversaryAction.replace(flight, payload, 2)
@@ -584,7 +591,7 @@ def test_run_is_whole_or_changes_nothing(before, n, data):
                 schedule.add(AdversaryAction.replay(flight, source, seq))
             else:
                 width = data.draw(st.sampled_from([16, 8]))
-                payload = (BroadcastAuth(width, (0,), (0,)) if flight == 3
+                payload = (BroadcastAuth((0,), (0,)) if flight == 3
                            else PAYLOAD_TYPES[flight](BitString(0, width)))
                 schedule.add(AdversaryAction.replace(flight, payload, seq))
     twin = copy.deepcopy(world)
@@ -614,12 +621,13 @@ class TestWorld:
     def test_refused_session_changes_nothing(self):
         """An action for another session, a run of no sessions, or a session
         or run under a hash of another width than the keys (no session could
-        pass flight 3) is refused: the number, the recording, the server and
-        the tag stay."""
+        pass flight 3), or of a tag whose key is of another width, is
+        refused: the number, the recording, the server and the tag stay."""
         refused("session-numbered-behind-the-world")
         refused("run-of-no-sessions")
         refused("session-hash-of-another-width")
         refused("run-hash-of-another-width")
+        refused("session-tag-key-of-another-width")
 
     def test_deep_copy_shares_bit_strings_and_runs_the_same_session(self):
         """Bit strings, hash specs and cached slot keys are immutable, so a
@@ -691,14 +699,14 @@ class TestRecording:
         world = World(*keygen(64, 2, Prng(125, 0)), PROD64)
         world.run(FaultSchedule([]), 4)
         assert ([(s, f) for s in range(1, 6) for f in range(1, 5)
-                 if recorded(world.recording, s, f) is not None]
+                 if recorded(world.recording, s, f, 64) is not None]
                 == [(s, f) for s in range(1, 5) for f in range(1, 5)])
         gc.collect()
         assert [key for key, value in world.recording.items() if gc.is_tracked(value)] == []
 
     def test_recording_of_a_fleet_stays_small(self):
         """100 sessions of 16 tags at 64 bits, 32 candidates a broadcast once
-        every record has been accepted, record about 560 wire bytes a
+        every record has been accepted, record about 540 wire bytes a
         session. Counting the recording, its keys and its values once each
         (``sys.getsizeof``), the recording stays within 700 bytes a session,
         where one entry a flight under a (session, flight) key took 1,271.
@@ -720,7 +728,7 @@ class TestRecording:
         recording = {}
         run_session(server, tags[0], [], TOY16, session_seq=1, recording=recording)
         again = run_session(server, tags[0], [], TOY16, session_seq=1, recording=recording)
-        assert [f for f in range(1, 5) if recorded(recording, 1, f) is not None] == [1, 2, 3, 4]
+        assert [f for f in range(1, 5) if recorded(recording, 1, f, 16) is not None] == [1, 2, 3, 4]
         for flight, name in enumerate(("x_s", "x_t", "broadcast", "sigma_prime"), 1):
             t = run_session(server, tags[0], [AdversaryAction.replay(flight, 1, 2)], TOY16,
                             session_seq=2, recording=recording)
@@ -735,7 +743,7 @@ class TestRecording:
         recording = {}
         drop = [AdversaryAction.drop(last, 1)] if last < 4 else []
         run_session(server, tags[0], drop, TOY16, session_seq=1, recording=recording)
-        assert ([f for f in range(1, 5) if recorded(recording, 1, f) is not None]
+        assert ([f for f in range(1, 5) if recorded(recording, 1, f, 16) is not None]
                 == list(range(1, last + 1)))
         for flight in range(1, 5):
             replay = [AdversaryAction.replay(flight, 1, 2)]
@@ -771,23 +779,23 @@ class TestRecording:
             rec.counter = tag.counter = 2**32 - 1
         world = World(server, tags, PROD64)
         first, second = world.run(FaultSchedule([AdversaryAction.replay(3, 1, 2)]), 2)
-        assert first.broadcast == second.broadcast == BroadcastAuth(0, (), ())
+        assert first.broadcast == second.broadcast == BroadcastAuth((), ())
         assert not first.accepted and not second.accepted
 
     @pytest.mark.parametrize("lam,spec", [(64, PROD64), (16, TOY16), (128, PROD128)],
                              ids=["production", "toy", "production128"])
     def test_broadcast_is_recorded_as_its_wire_bytes(self, lam, spec):
-        """A session is recorded as one bytes. Its broadcast of n candidates
-        is an 8-byte header and n times the whole bytes of one candidate's
-        sigma and delta; flights 1, 2 and 4 are a 4-byte header each and
-        their whole bytes."""
+        """A session is recorded as one bytes, with no width. Its broadcast of
+        n candidates is a 4-byte count and n times the whole bytes of one
+        candidate's sigma and delta; flights 1, 2 and 4 are their whole
+        bytes."""
         world = World(*keygen(lam, 3, Prng(129, 0)), spec)
         transcripts = world.run(FaultSchedule([]), 6)
         for t in transcripts:
-            broadcast = 8 + len(t.broadcast.sigmas) * -(-2 * lam // 8)
-            assert len(recorded(world.recording, t.session_seq, 3)) == broadcast
+            broadcast = 4 + len(t.broadcast.sigmas) * -(-2 * lam // 8)
+            assert len(recorded(world.recording, t.session_seq, 3, lam)) == broadcast
             value = world.recording[t.session_seq]
-            assert type(value) is bytes and len(value) == 3 * (4 + -(-lam // 8)) + broadcast
+            assert type(value) is bytes and len(value) == 3 * -(-lam // 8) + broadcast
         assert len(transcripts[-1].broadcast.sigmas) == 6  # both slots of every record
 
     def test_no_recording_records_nothing(self, monkeypatch):
@@ -821,7 +829,7 @@ def sessions(draw):
 
     n = draw(st.integers(0, 6))
     payloads = [Challenge(bits(width)), TagNonce(bits(width)),
-                BroadcastAuth(width if n else 0, column(width, n), column(width, n)),
+                BroadcastAuth(column(width, n), column(width, n)),
                 TagAuth(bits(width))]
     return payloads, draw(st.integers(1, 4))
 
@@ -829,34 +837,36 @@ def sessions(draw):
 @settings(max_examples=200, deadline=None)
 @given(session=sessions())
 @example(session=([Challenge(BitString(1, 3)), TagNonce(BitString(5, 3)),
-                   BroadcastAuth(0, (), ()),
+                   BroadcastAuth((), ()),
                    TagAuth(BitString(2, 3))], 4))
 @example(session=([Challenge(BitString(5, 3)), TagNonce(BitString(0, 3)),
-                   BroadcastAuth(3, (1, 1), (5, 5)),
+                   BroadcastAuth((1, 1), (5, 5)),
                    TagAuth(BitString(1, 3))], 4))
 def test_a_recorded_session_rebuilds_equal(session):
     """Each flight a session emitted, recorded as the channel records it,
-    rebuilds a payload equal to the one emitted, widths included; a flight
-    it never emitted is not recorded. A rebuilt broadcast's transcript text
-    is the text of each candidate's two bit strings."""
+    rebuilds at the session's width a payload equal to the one emitted; a
+    flight it never emitted is not recorded. A rebuilt broadcast's
+    transcript text is the text of each candidate's two bit strings."""
     payloads, emitted = session
+    width = len(payloads[0].x_s)
     recording = {}
     for flight, payload in enumerate(payloads[:emitted], 1):
-        assert channel._deliver(flight, payload, {}, 7, recording) is payload
+        assert channel._deliver(flight, payload, {}, 7, recording, width) is payload
     for flight, payload in enumerate(payloads, 1):
-        packed = recorded(recording, 7, flight)
+        packed = recorded(recording, 7, flight, width)
         if flight > emitted:
             assert packed is None
             continue
-        rebuilt = channel._rebuild(flight, packed)
+        rebuilt = channel._rebuild(flight, packed, width)
         assert rebuilt == payload and type(rebuilt) is PAYLOAD_TYPES[flight]
     if emitted >= 3:
         bc = payloads[2]
-        text = ",".join(f"{BitString(sigma, bc.width).to_text()}/"
-                        f"{BitString(delta, bc.width).to_text()}"
+        text = ",".join(f"{BitString(sigma, width).to_text()}/"
+                        f"{BitString(delta, width).to_text()}"
                         for sigma, delta in zip(bc.sigmas, bc.deltas))
-        t = channel.SessionTranscript(session_seq=7, label="t001",
-                                      broadcast=channel._rebuild(3, recorded(recording, 7, 3)))
+        t = channel.SessionTranscript(
+            session_seq=7, label="t001", x_s=payloads[0],
+            broadcast=channel._rebuild(3, recorded(recording, 7, 3, width), width))
         assert f" broadcast={text} " in transcript_line(t)
 
 
@@ -990,6 +1000,6 @@ class TestAcceptLeftSlot:
             t = world.session(idx)
             verifying.append(sum(
                 auth_server_tag(PROD64, k_prime, BitString(delta, 64) ^ read, t.x_s.x_s,
-                                t.x_t.x_t) == BitString(sigma, t.broadcast.width)
+                                t.x_t.x_t) == BitString(sigma, 64)
                 for sigma, delta in zip(t.broadcast.sigmas, t.broadcast.deltas)))
         assert verifying == [0] * 7

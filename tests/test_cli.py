@@ -599,7 +599,7 @@ class TestScheduleParsing:
         sched = parse_schedule(str(f), 16)
         assert len(sched.actions) == 1
         assert sched.actions[0].kind == "replace"
-        assert sched.actions[0].payload == BroadcastAuth(16, (0xDEAD,), (0xBEEF,))
+        assert sched.actions[0].payload == BroadcastAuth((0xDEAD,), (0xBEEF,))
 
     def test_replay_line(self, tmp_path):
         f = tmp_path / "s.txt"

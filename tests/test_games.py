@@ -121,12 +121,19 @@ REFUSED_CALLS = {
     "reply-tag-2": ("ind", {}, [("reply", 2, Z)], MISUSE, "no tag 2"),
     "reply_prime-tag-2": ("ind", {}, [("reply_prime", 2, Z, Z, Z)], MISUSE, "no tag 2"),
     "reply_b-tag-2": ("backward", {}, [("reply_b", 2, Z, Z, Z)], MISUSE, "no tag 2"),
-    # a candidate's sigma and delta are of one width, held before the tag acts
+    # a candidate's sigma and delta are each as wide as the keys, held before
+    # the tag acts
     "reply_prime-of-unequal-widths": ("ind", {}, [("query_t", 0), ("reply_prime", 0, Z, B8, Z)],
-                                      LengthError, "inconsistent operand lengths: [8, 16]"),
+                                      LengthError, "candidate is 8 and 16 bits, the keys 16"),
     "reply_b-of-unequal-widths": ("backward", {}, [("query_b",), ("query_t", 0), ("reply", 0, Z),
                                                    ("reply_b", 0, Z, B8, Z)],
-                                  LengthError, "inconsistent operand lengths: [8, 16]"),
+                                  LengthError, "candidate is 8 and 16 bits, the keys 16"),
+    "reply_prime-narrower-than-the-keys": ("ind", {}, [("query_t", 0),
+                                                       ("reply_prime", 0, Z, B8, B8)],
+                                           LengthError, "candidate is 8 and 8 bits, the keys 16"),
+    # an x_t of another width is refused with the server's challenge pending
+    "reply-of-another-width": ("ind", {}, [("query_s",), ("query_t", 0), ("reply", 0, B8)],
+                               LengthError, "inconsistent operand lengths: [16, 8]"),
     "execute_b-tag-2": ("backward", {}, [("execute_b", 2)], MISUSE, "no tag 2"),
     "reveal_secret-tag-2": ("forward", {}, [("reveal_secret", 2)], MISUSE, "no tag 2"),
     "choose_challenge-tag-2": ("ind", {}, [("choose_challenge", 2)], MISUSE, "no tag 2"),
@@ -390,8 +397,8 @@ class TestExecute:
     def test_execute_b_shape(self):
         h = world("backward")
         t = h.execute_b(0)
-        width, (sigma,), (delta,) = t.broadcast
-        sigma, delta = BitString(sigma, width), BitString(delta, width)
+        (sigma,), (delta,) = t.broadcast
+        sigma, delta = BitString(sigma, 16), BitString(delta, 16)
         for value in (t.x_s.x_s, t.x_t.x_t, sigma, delta, t.sigma_prime.sigma_prime):
             assert len(value) == 16
         # flight 1 is the decoy, not the recorded instance's true challenge,
@@ -435,7 +442,7 @@ class TestRevealSecret:
         k_i = h.reveal_secret(1)
         t = h.execute(1)
         k_next = h.reveal_secret(1)
-        x = xor(BitString(t.broadcast.deltas[0], t.broadcast.width), k_i)
+        x = xor(BitString(t.broadcast.deltas[0], 16), k_i)
         _, k_dprime = split(k_i)
         _, x_dprime = split(x)
         assert k_next == key_update(h.spec, k_dprime, x_dprime, t.x_s.x_s)

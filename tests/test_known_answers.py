@@ -88,7 +88,7 @@ def test_full_transcript_lambda8(fixture):
     assert t.accepted and t.tag_updated
     assert t.x_s.x_s.to_text() == tr["x_s"]
     assert t.x_t.x_t.to_text() == tr["x_t"]
-    width, (sigma,), (delta,) = t.broadcast
+    width, ((sigma,), (delta,)) = len(t.x_s.x_s), t.broadcast
     assert BitString(sigma, width).to_text() == tr["sigma"]
     assert BitString(delta, width).to_text() == tr["delta"]
     assert t.sigma_prime.sigma_prime.to_text() == tr["sigma_prime"]

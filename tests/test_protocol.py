@@ -206,24 +206,23 @@ class TestTagVerify:
         assert tags[0].pending is None
         ch = server_begin(server)
         tag_respond_nonce(tags[0])
-        tag_verify_and_respond(tags[0], ch.x_s, _broadcast(16), TOY16)
+        tag_verify_and_respond(tags[0], ch.x_s, BroadcastAuth((0,), (0,)), TOY16)
         assert tags[0].pending is None
 
 
 class TestWidthChecks:
     """Operands of the wrong width raise, whether they are checked once per
-    session or once per candidate, and so does a broadcast or a hash of
-    another width than the key; a sigma' of the wrong width does not
-    authenticate."""
+    session or once per candidate, and so does a hash of another width than
+    the key; a sigma or sigma' of the wrong width does not authenticate."""
 
     @pytest.mark.parametrize("case", [
         "session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
         "slot_keys-key-narrower-than-the-master", "make_candidate-of-another-width",
-        "tag_scan-narrow-delta", "server_prepare-previous-key-narrower", "tag_scan-narrow-tag-key",
+        "server_prepare-previous-key-narrower", "tag_scan-narrow-tag-key",
         "tag_scan-hash-of-another-width",
     ], ids=["session_key", "key_update", "auth_server_tag", "auth_tag_msg", "session_operands",
             "slot_keys_master", "make_candidate",
-            "tag_scan_delta", "server_prepare_previous_key", "tag_scan_tag_key", "tag_scan_hash"])
+            "server_prepare_previous_key", "tag_scan_tag_key", "tag_scan_hash"])
     def test_every_width_check_raises_length_error(self, case):
         refused(case)
 
@@ -237,21 +236,24 @@ class TestWidthChecks:
     def test_width_error_leaves_the_prng_unmoved(self, case):
         refused(case)
 
-    def test_tag_scan_rejects_wrong_width_delta(self):
-        """A broadcast states one width for all its values, and the tag's
-        scan refuses a width other than its key's before it hashes any
-        candidate."""
-        refused("tag_scan-narrow-deltas")
-
     def test_tag_scan_rejects_wrong_width_challenge(self):
         refused("tag_scan-narrow-challenge")
 
     @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
     @pytest.mark.parametrize("extra", [1, 8, 48])
     def test_tag_scan_holds_sigma_to_its_width(self, spec, extra):
-        """A broadcast of the honest candidate that states a width wider
-        than the key is refused before the tag hashes it."""
-        refused(f"tag_scan-wide-{spec.variant}-{extra}")
+        """The honest candidate with its sigma made ``extra`` bits wider than
+        the key (its top bit set) does not authenticate the server: the tag
+        hashes it, answers at random and keeps its key."""
+        _, tags, x_s, bc = _at_flight_3(23, spec=spec)
+        (sigma,), (delta,) = bc
+        key, counter, (hashes, draws, xors) = tags[0].key, tags[0].counter, tags[0].meter.snapshot()
+        assert BitString(sigma, 16) == auth_server_tag(
+            spec, split(key)[0], xor(BitString(delta, 16), key), x_s, tags[0].pending)
+        wide = BroadcastAuth((sigma | 1 << (15 + extra),), (delta,))
+        tag_verify_and_respond(tags[0], x_s, wide, spec)
+        assert (tags[0].key, tags[0].counter) == (key, counter)
+        assert tags[0].meter.snapshot() == (hashes + 1, draws + 1, xors + 1)
 
     @pytest.mark.parametrize("extra", [1, 8, 48])
     def test_finalize_holds_sigma_prime_to_its_width(self, extra):
@@ -339,7 +341,7 @@ class TestServerFinalize:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, pending = server_prepare(server, ch.x_s, nonce.x_t, TOY16)
-        assert bc == BroadcastAuth(0, (), ()) and pending.candidates == pending.expected == ()
+        assert bc == BroadcastAuth((), ()) and pending.candidates == pending.expected == ()
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, TOY16)
         assert not server_finalize(server, pending, ta).accepted
         assert list(server.records.values()) == before
@@ -518,7 +520,7 @@ class TestPadProperty:
         ch = server_begin(server)
         nonce = tag_respond_nonce(tags[0])
         bc, _ = server_prepare(server, ch.x_s, nonce.x_t, TOY8)
-        delta = BitString(bc.deltas[0], bc.width)
+        delta = BitString(bc.deltas[0], 8)
         xs = {xor(delta, BitString(k, 8)) for k in range(256)}
         assert len(xs) == 256
 
@@ -538,8 +540,8 @@ class TestForwardOneWayness:
         ta = tag_verify_and_respond(tags[0], ch.x_s, bc, spec)
         server_finalize(server, pending, ta)
         k_next = tags[0].key
-        width, (sigma,), (delta,) = bc
-        sigma, delta = BitString(sigma, width), BitString(delta, width)
+        (sigma,), (delta,) = bc
+        sigma, delta = BitString(sigma, 16), BitString(delta, 16)
 
         survivors = []
         for guess in range(1 << 16):
@@ -573,11 +575,11 @@ def _begun(seed, n=1, edits=()):
     return server, tags, server_begin(server).x_s
 
 
-def _at_flight_3(seed, n=1, tag_key=None, spec=TOY16):
-    """A 16-bit world whose tag t001 has a nonce in flight, its key then
+def _at_flight_3(seed, tag_key=None, spec=TOY16):
+    """A 16-bit world whose one tag t001 has a nonce in flight, its key then
     replaced by ``tag_key`` if given: the server, the tags, the challenge and
     the honest broadcast under ``spec``."""
-    server, tags, x_s = _begun(seed, n)
+    server, tags, x_s = _begun(seed)
     bc, _ = server_prepare(server, x_s, tag_respond_nonce(tags[0]).x_t, spec)
     if tag_key:
         tags[0].key = tag_key
@@ -601,11 +603,6 @@ def _next_key(spec, width):
 
 def _bits(*widths):
     return [BitString(0, width) for width in widths]
-
-
-def _broadcast(width, n=1):
-    """A broadcast of ``n`` all-zero candidates ``width`` bits wide."""
-    return BroadcastAuth(width, (0,) * n, (0,) * n)
 
 
 def _lengths(*widths):
@@ -676,7 +673,7 @@ REFUSED_CALLS = {
         _lengths(8, 16, 16)),
     "tag_scan-without-session": (lambda: keygen(16, 1, Prng(14, 0))[1],
                                  lambda tags: tag_verify_and_respond(
-                                     tags[0], BitString(0, 16), _broadcast(16), TOY16),
+                                     tags[0], BitString(0, 16), BroadcastAuth((0,), (0,)), TOY16),
                                  SessionOrderError, "no session in flight on this tag"),
     "tag_scan-narrow-challenge": (lambda: _at_flight_3(22),
                                   lambda w: tag_verify_and_respond(w[1][0], BitString(0, 15),
@@ -685,25 +682,10 @@ REFUSED_CALLS = {
     "tag_scan-narrow-tag-key": (lambda: _at_flight_3(28, tag_key=BitString(0, 8)),
                                 lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], TOY16),
                                 LengthError, _lengths(8, 16, 16)),
-    "tag_scan-narrow-delta": (lambda: _at_flight_3(25),
-                              lambda w: tag_verify_and_respond(w[1][0], w[2], _broadcast(15),
-                                                               TOY16),
-                              LengthError, "broadcast 15, hash 16, key 16 bits"),
-    "tag_scan-narrow-deltas": (lambda: _at_flight_3(21, 2),
-                               lambda w: tag_verify_and_respond(w[1][0], w[2], _broadcast(15, 3),
-                                                                TOY16),
-                               LengthError, "broadcast 15, hash 16, key 16 bits"),
-    # the honest broadcast, stated wider: the scan hashes none of it
-    **{f"tag_scan-wide-{spec.variant}-{extra}": (
-        lambda spec=spec: _at_flight_3(23, spec=spec),
-        lambda w, spec=spec, extra=extra: tag_verify_and_respond(
-            w[1][0], w[2], w[3]._replace(width=16 + extra), spec),
-        LengthError, f"broadcast {16 + extra}, hash 16, key 16 bits")
-       for spec in (TOY16, HashSpec.production(16)) for extra in (1, 8, 48)},
     "tag_scan-hash-of-another-width": (
         lambda: _at_flight_3(30),
         lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], HashSpec.toy(18)),
-        LengthError, "broadcast 16, hash 18, key 16 bits"),
+        LengthError, "hash 18, key 16 bits"),
 }
 
 

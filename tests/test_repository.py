@@ -136,8 +136,9 @@ class TestBenchRecords:
 
 
 # Each class that one function alone builds, and that function. The protocol
-# relies on it: server_timeout checks no slot's width, because make_candidate
-# has held every slot of a PendingSession to the session's width.
+# relies on it: a PendingSession's expectations line up with its slots, each
+# held to the session's width, and a SessionOperands' terms are those of its
+# x_s and x_t, held to one width.
 SOLE_BUILDERS = {"PendingSession": "make_candidate", "SessionOperands": "session_operands"}
 
 
@@ -177,32 +178,42 @@ class TestSoleBuilders:
             "p.py:2: PendingSession( is called in server_timeout, not in make_candidate"])
 
 
-# The tests that may read a record's previous slot as a field: the kimapdb
+# The recovery representation's fields, and the tests (modules, or classes
+# of a module) that may read each as a field. The previous slot: the kimapdb
 # v1 format, the server-cache reference model, the golden record dump, and
-# the slot builder's own tests. Every other test asks the library where a
-# key sits (offered_slots, slot_origin, World.whereabouts), so a change to
-# the recovery representation breaks only the tests about it.
-FIELD_READERS = {"tests/test_storage.py", "tests/test_server_cache.py",
-                 "tests/test_golden_transcript.py", "tests/test_protocol.py::TestSlotKeys"}
+# the slot builder's own tests. The failure count: the server-cache
+# reference model, the golden record dump, the schedule search's state, and
+# the protocol's finalize and width tests. Every other test asks the library
+# where a key sits (offered_slots, slot_origin, World.whereabouts) or whether
+# a record is desynchronized, so a change to the recovery representation
+# breaks only the tests about it.
+FIELD_READERS = {
+    "key_previous": {"tests/test_storage.py", "tests/test_server_cache.py",
+                     "tests/test_golden_transcript.py", "tests/test_protocol.py::TestSlotKeys"},
+    "consecutive_failures": {"tests/test_server_cache.py", "tests/test_golden_transcript.py",
+                             "tests/test_schedule_search.py",
+                             "tests/test_protocol.py::TestServerFinalize",
+                             "tests/test_protocol.py::TestWidthChecks"},
+}
 
 
 def field_read_problems(sources):
-    """Each load of ``.key_previous`` in ``sources`` (path -> source) outside
-    :data:`FIELD_READERS`. An assignment that builds a state is not a load."""
+    """Each load of a field of :data:`FIELD_READERS` in ``sources`` (path ->
+    source) outside that field's readers. An assignment that builds a state
+    is not a load."""
     bad = []
 
     def visit(node, path, scope):
         if isinstance(node, ast.ClassDef) and scope == path:
             scope = f"{path}::{node.name}"
-        elif (isinstance(node, ast.Attribute) and node.attr == "key_previous"
-              and isinstance(node.ctx, ast.Load) and scope not in FIELD_READERS):
-            bad.append(f"{path}:{node.lineno}: reads .key_previous")
+        elif (isinstance(node, ast.Attribute) and node.attr in FIELD_READERS
+              and isinstance(node.ctx, ast.Load) and not {path, scope} & FIELD_READERS[node.attr]):
+            bad.append(f"{path}:{node.lineno}: reads .{node.attr}")
         for child in ast.iter_child_nodes(node):
             visit(child, path, scope)
 
     for path, source in sources.items():
-        if path not in FIELD_READERS:
-            visit(ast.parse(source, path), path, path)
+        visit(ast.parse(source, path), path, path)
     return bad
 
 
@@ -218,6 +229,19 @@ class TestRecoveryFieldReads:
         assert field_read_problems({"tests/test_protocol.py": source}) == []
         assert field_read_problems({"tests/test_channel.py": source}) == [
             "tests/test_channel.py:4: reads .key_previous"]
+
+    def test_a_failure_count_read_in_a_test_is_found(self):
+        source = ("class TestServerFinalize:\n"
+                  "    def test_x(self, rec):\n"
+                  "        rec.consecutive_failures = 0\n"
+                  "        assert rec.consecutive_failures == 0\n")
+        assert field_read_problems({"tests/test_protocol.py": source}) == []
+        assert field_read_problems({"tests/test_schedule_search.py": source}) == []
+        assert field_read_problems({"tests/test_channel.py": source}) == [
+            "tests/test_channel.py:4: reads .consecutive_failures"]
+        assert field_read_problems({"tests/test_protocol.py": source.replace(
+            "TestServerFinalize", "TestSlotKeys")}) == [
+            "tests/test_protocol.py:4: reads .consecutive_failures"]
 
 
 def _claim(wins, pairs, **claim):

@@ -215,7 +215,7 @@ def test_desynchronization_price_is_n_interceptions(n):
 # accepts at 64 bits.
 ZERO = BitString(0, 64)
 REPLACEMENTS = {1: PAYLOAD_TYPES[1](ZERO), 2: PAYLOAD_TYPES[2](ZERO),
-                3: BroadcastAuth(64, (0,), (0,)), 4: PAYLOAD_TYPES[4](ZERO)}
+                3: BroadcastAuth((0,), (0,)), 4: PAYLOAD_TYPES[4](ZERO)}
 
 
 def move_class(kind, flight):
@@ -238,7 +238,7 @@ def action(kind, flight, world):
     if kind == "replace":
         return lambda seq: AdversaryAction.replace(flight, REPLACEMENTS[flight], seq)
     sources = [seq for seq in world.recording
-               if recorded(world.recording, seq, flight) is not None]
+               if recorded(world.recording, seq, flight, world.server.lam) is not None]
     if not sources:
         return None
     return lambda seq: AdversaryAction.replay(flight, max(sources), seq)

@@ -82,9 +82,8 @@ def ref_prepare(server, x_s, x_t, spec) -> list[RefCandidate]:
 
 def ref_broadcast(entries: list[RefCandidate]) -> BroadcastAuth:
     """The broadcast of ``entries``, in order: every entry's sigma and
-    delta are as wide as the first entry's delta, the key."""
-    return BroadcastAuth(len(entries[0].delta) if entries else 0,
-                         tuple(e.sigma.value for e in entries),
+    delta as an int."""
+    return BroadcastAuth(tuple(e.sigma.value for e in entries),
                          tuple(e.delta.value for e in entries))
 
 
@@ -242,11 +241,11 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
     assert len(slots) == 6
 
     broadcast, pending = make_candidate(slots, ops)
-    width, sigmas, deltas = broadcast
+    sigmas, deltas = broadcast
     expected = pending.expected
     assert (pending.ops, pending.candidates) == (ops, tuple(slots))
     assert [make_candidate((keys,), ops) for keys in slots] == [
-        (BroadcastAuth(width, (sigma,), (delta,)),
+        (BroadcastAuth((sigma,), (delta,)),
          PendingSession(ops, (keys,), (value,)))
         for sigma, delta, keys, value in zip(sigmas, deltas, slots, expected, strict=True)]
     reference = []
@@ -256,9 +255,9 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
         x_prime, _ = split(x)
         reference.append((auth_server_tag(spec, k_prime, x, x_s, x_t), xor(keys.key, x),
                           auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime))))
-    assert [(BitString(sigma, width), BitString(delta, width), BitString(v, lam))
+    assert [(BitString(sigma, lam), BitString(delta, lam), BitString(v, lam))
             for sigma, delta, v in zip(sigmas, deltas, expected, strict=True)] == reference
-    assert make_candidate((), ops) == (BroadcastAuth(0, (), ()), PendingSession(ops, (), ()))
+    assert make_candidate((), ops) == (BroadcastAuth((), ()), PendingSession(ops, (), ()))
 
 
 def ref_scan(spec, key, x_s, x_t, broadcast):
@@ -266,8 +265,8 @@ def ref_scan(spec, key, x_s, x_t, broadcast):
     from the first candidate that authenticates the server, else None."""
     k_prime, k_dprime = split(key)
     for sigma, delta in zip(broadcast.sigmas, broadcast.deltas):
-        x = xor(BitString(delta, broadcast.width), key)
-        if auth_server_tag(spec, k_prime, x, x_s, x_t) == BitString(sigma, broadcast.width):
+        x = xor(BitString(delta, len(key)), key)
+        if auth_server_tag(spec, k_prime, x, x_s, x_t) == BitString(sigma, len(key)):
             x_prime, x_dprime = split(x)
             return (auth_tag_msg(spec, x_t, x_s, session_key(k_prime, x_prime)),
                     key_update(spec, k_dprime, x_dprime, x_s))
@@ -309,12 +308,12 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
             keys = slot_keys(spec, server.master, label, rec, slot)
             broadcast, pending = make_candidate((keys,), ops)
             assert (pending.ops, pending.candidates) == (ops, (keys,))
-            (width, (sigma,), (delta,)), (expected,) = broadcast, pending.expected
+            ((sigma,), (delta,)), (expected,) = broadcast, pending.expected
             x = partial_key(spec, rec.counter, server.master, keys.key)
             k_prime, _ = split(keys.key)
             x_prime, _ = split(x)
-            assert BitString(sigma, width) == auth_server_tag(spec, k_prime, x, x_s, x_t)
-            assert BitString(delta, width) == xor(keys.key, x)
+            assert BitString(sigma, lam) == auth_server_tag(spec, k_prime, x, x_s, x_t)
+            assert BitString(delta, lam) == xor(keys.key, x)
             assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
                 spec, x_t, x_s, session_key(k_prime, x_prime))
 
@@ -322,7 +321,7 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
     sigmas, deltas = list(broadcast.sigmas), list(broadcast.deltas)
     if foreign:  # one more session's broadcast, for the same challenge and nonce
         other, _ = keygen(lam, 1, Prng(seed + 1, 0))
-        _, more_sigmas, more_deltas = server_prepare(other, x_s, x_t, spec)[0]
+        more_sigmas, more_deltas = server_prepare(other, x_s, x_t, spec)[0]
         sigmas += more_sigmas
         deltas += more_deltas
     for idx, field_name, bit in mangle:  # sigma and delta are both lam bits wide
