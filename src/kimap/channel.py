@@ -337,13 +337,18 @@ def run_session(server: ServerState, tag: TagState, actions: list[AdversaryActio
 @dataclass
 class World:
     """A server, its tags (``tags[i]`` answers for its ``i``-th record), the replay
-    recording and the next session's number: sessions count from 1 as they complete."""
+    recording and the next session's number: sessions count from 1 as they complete.
+    A world has one tag per record: any other count is refused when it is built."""
 
     server: ServerState
     tags: list[TagState]
     spec: HashSpec
     recording: Recording = field(default_factory=dict, init=False)
     next_seq: int = field(default=1, init=False)
+
+    def __post_init__(self) -> None:
+        if len(self.tags) != len(self.server.records):
+            raise ParameterError(f"{len(self.tags)} tags for {len(self.server.records)} records")
 
     def session(self, idx: int, actions: Sequence[AdversaryAction] = ()) -> SessionTranscript:
         """Run session ``next_seq`` on ``tags[idx]``; a refused one changes nothing."""

@@ -216,8 +216,9 @@ class OracleHandle:
         ops = session_operands(self.spec, self._pending_x_s, x_t)
         self._pending_x_s = None
         label = self._labels[tag]
-        keys = slot_keys(self.spec, self.server.master, label, self.server.records[label],
-                         "current")
+        rec = self.server.records[label]
+        keys = slot_keys(self.spec, self.server.master, label, "current", rec.counter,
+                         rec.key_current)
         bc, self._pending_reply[tag] = make_candidate((keys,), ops)
         return bc
 

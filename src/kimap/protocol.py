@@ -22,34 +22,30 @@ The server never learns which tag it is talking to from the wire: flight 3
 carries one candidate per (record, key slot), shuffled, and flight 4
 identifies the record by matching ``sigma'`` against precomputed
 expectations. The tag checks every candidate whether or not one matches.
-:func:`offered_slots` is the one statement of which slots a broadcast
-offers; :func:`slot_origin` says what put a slot's key there (the record's
-accept or a failed session's hedge), so no caller reads that from the
-record's fields.
 
-Per session the server computes 2 hashes per candidate (``sigma`` and the
-expected ``sigma'``), each from one slot term ORed with one session term,
-both encoded as ints by the one ``hash2`` layout
-(:func:`~kimap.bits.hash2_layout`). A record slot's terms are cached in its
-:class:`SlotKeys`, rebuilt only when the slot's key or the record's counter
-changes, at one hash (the partial key) and one XOR (``delta``). The
-session's hash spec and terms are built once by :func:`session_operands`,
-and the tag's scan shares them. Each width is checked once, where it is
-made: a slot's key against the master, ``x_t`` against ``x_s``, and the
-session against the master, all before the shuffle. One
-:func:`make_candidate` call then builds the shuffled broadcast with its
-:class:`PendingSession`. The hash output is the next key and the partial
-key, so every value on the wire is as wide as the keys, and the broadcast
-does not state that width. A :class:`BroadcastAuth` is flight 3 as columns:
-every candidate's ``sigma`` and ``delta`` as ints, so building one makes no
-object per candidate, and the tag's scan holds the hash to the key's width
-once. A reader that wants one candidate as bit strings builds them from the
-columns at the key width. The next key, one hash from the slot's cached
-``k'' || x''`` term and the session's ``x_s`` term, is computed only for
-the matched candidate, or for every record when a failed session hedges.
-:func:`partial_key`, :func:`session_key`, :func:`key_update`,
-:func:`auth_server_tag` and :func:`auth_tag_msg` state the paper's formulas
-on bitstrings, and the tests hold the int path to them.
+A slot is a :class:`SlotKeys`, which :func:`slot_keys` builds from the key
+and counter it is given, at one hash (the partial key) and one XOR
+(``delta``), and the server caches until the key or the counter changes.
+In this module only :func:`offered_slots` reads a record's keys into slots,
+and only :func:`server_finalize`/:func:`server_timeout` write a slot's next
+key back (commit and hedge); :func:`slot_origin` says what put a slot's key
+there. A session's spec and terms are a :class:`SessionOperands`, built
+once by :func:`session_operands` and shared by the tag's scan. Neither
+object restates a width: a slot's is its key's, a session's is ``x_s``'s
+(``x_t`` is held to it), and each is held to the master's before the
+shuffle. Per session, one :func:`make_candidate` call hashes 2 digests per
+candidate (``sigma`` and the expected ``sigma'``), each from one slot term
+ORed with one session term (:func:`~kimap.bits.hash2_layout`), and returns
+the broadcast and its :class:`PendingSession`. The next key, one hash from
+the slot's ``k'' || x''`` term and the session's ``x_s`` term, is computed
+only for the matched candidate, or for every record when a failed session
+hedges. Every value on the wire is as wide as the keys, because the hash
+output is the next key and the partial key, so a :class:`BroadcastAuth`
+states no width: it is flight 3 as two int columns, which the tag's scan
+holds to the key's width before its first hash. :func:`partial_key`,
+:func:`session_key`, :func:`key_update`, :func:`auth_server_tag` and
+:func:`auth_tag_msg` state the paper's formulas on bitstrings, and the tests
+hold the int path to them.
 
 A flight 4 that :func:`server_finalize` rejects fails as a missing one
 does, through :func:`server_timeout`: the server parks the candidate
@@ -123,26 +119,24 @@ class ServerTagRecord:
 
 
 class SlotKeys(NamedTuple):
-    """One (record, key slot), as the record ``label`` held it in ``slot``
-    ("current" | "previous"), and the values that stay fixed until the
-    slot's key or the record's counter changes, derived from ``key`` at
-    session ``counter`` and its partial key ``x = H_i(SK*, k)``: ``delta = k
-    XOR x``, and the slot's terms of the three hashes that use ``x``,
-    encoded by :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the
-    length-prefixed, shifted left operand ``k' || x`` of ``sigma``;
-    ``session_term``, the shifted right operand ``k' || x'`` (the session
-    key) of ``sigma'``; and ``next_term``, the length-prefixed, shifted
-    left operand ``k'' || x''`` of the key update. ``x`` itself is not
-    kept: ``delta XOR key`` gives it back, nor is the spec, which is the
-    session's. ``width`` is the width of ``key``, of ``x`` and of the
-    master. Built by :func:`slot_keys`."""
+    """One (record, key slot): the record ``label`` holds ``key`` in
+    ``slot`` ("current" | "previous"), and the values derived from ``key``
+    at session ``counter`` and its partial key ``x = H_i(SK*, k)``:
+    ``delta``, the int ``k XOR x`` that the broadcast carries, and the
+    slot's terms of the three hashes that use ``x``, encoded by
+    :func:`~kimap.bits.hash2_layout`: ``sigma_term``, the length-prefixed,
+    shifted left operand ``k' || x`` of ``sigma``; ``session_term``, the
+    shifted right operand ``k' || x'`` (the session key) of ``sigma'``; and
+    ``next_term``, the length-prefixed, shifted left operand ``k'' || x''``
+    of the key update. Not kept: ``x`` (``delta XOR key`` gives it back),
+    the spec (the session's) and the width (the key's, and so ``x``'s and
+    the master's). Built by :func:`slot_keys`."""
 
     label: str
     slot: str
     counter: int
     key: BitString
-    width: int
-    delta: BitString
+    delta: int
     sigma_term: int
     session_term: int
     next_term: int
@@ -152,9 +146,9 @@ class SlotKeys(NamedTuple):
         the session ``ops``: ``H(k'' || x'', x_s)``, the digest of
         :func:`key_update`, from this slot's term ORed with the session's.
         One hash per call, paid only by the matched candidate and hedging."""
-        if ops.width != self.width:
+        if ops.x_s._length != self.key._length:
             raise _mismatch(self.key, ops.x_s)
-        return _trusted(hash2(ops.spec, self.next_term | ops.s_term, ops.next_bytes), self.width)
+        return _trusted(hash2(ops.spec, self.next_term | ops.s_term, ops.next_bytes), len(self.key))
 
     def __deepcopy__(self, memo: dict) -> "SlotKeys":
         return self  # every field is immutable
@@ -226,13 +220,11 @@ class SessionOperands:
     ``t_s_term`` the length-prefixed, shifted left operand ``x_t || x_s`` of
     every expected ``sigma'``, and ``s_term`` the shifted right operand
     ``x_s`` of every key update; ``sigma_bytes``, ``sigma_prime_bytes`` and
-    ``next_bytes`` are the three inputs' byte counts. ``width`` is the width
-    of ``x_s`` and ``x_t``, and so of every key."""
+    ``next_bytes`` are the three inputs' byte counts. Its width is ``x_s``'s,
+    to which :func:`session_operands` held ``x_t``."""
 
     spec: HashSpec
     x_s: BitString
-    x_t: BitString
-    width: int
     s_t_term: int
     t_s_term: int
     s_term: int
@@ -367,19 +359,17 @@ def _layouts(width: int) -> tuple[tuple[int, int, int, int], ...]:
             hash2_layout(width, width))
 
 
-def slot_keys(spec: HashSpec, master: BitString, label: str, rec: ServerTagRecord,
-              slot: str) -> SlotKeys:
-    """The :class:`SlotKeys` of the key in ``slot`` of ``rec``, the record
-    of ``label``, at the record's counter under ``spec``: one hash and one
-    XOR. The key must be as wide as ``master`` and as the hash's output. The
-    halves ``k'``, ``k''``, ``x'`` and ``x''`` are taken from the ints, so
-    the terms hold the values :func:`partial_key`, :func:`session_key` and
-    :func:`key_update` take."""
-    key = rec.key_current if slot == "current" else rec.key_previous
+def slot_keys(spec: HashSpec, master: BitString, label: str, slot: str, counter: int,
+              key: BitString) -> SlotKeys:
+    """The :class:`SlotKeys` of ``key``, held in ``slot`` of the record of
+    ``label`` at session ``counter``, under ``spec``: one hash and one XOR.
+    It reads no record. The key must be of even width, as wide as ``master``
+    and as the hash's output. The halves ``k'``, ``k''``, ``x'`` and ``x''``
+    are taken from the ints, so the terms hold the values
+    :func:`partial_key`, :func:`session_key` and :func:`key_update` take."""
     width = key._length
     if width % 2:
         raise LengthError(f"cannot split odd length {width}")
-    counter = rec.counter
     x = counter_hash(spec, counter, master, key)
     if x._length != width or master._length != width:
         raise _mismatch(key, master, x)
@@ -389,7 +379,7 @@ def slot_keys(spec: HashSpec, master: BitString, label: str, rec: ServerTagRecor
     k_prime = k >> half
     (base, shift, _, _), (_, _, sk_shift, _), (next_base, next_shift, _, _) = _layouts(width)
     return _new_tuple(SlotKeys, (
-        label, slot, counter, key, width, xor(key, x),
+        label, slot, counter, key, xor(key, x)._value,
         base | (k_prime << width | xv) << shift,
         (k_prime << half | xv >> half) << sk_shift,
         next_base | ((k & low) << half | xv & low) << next_shift))
@@ -404,33 +394,33 @@ def session_operands(spec: HashSpec, x_s: BitString, x_t: BitString) -> SessionO
     ((_, _, st_shift, sigma_bytes), (base, ts_shift, _, sigma_prime_bytes),
      (_, _, s_shift, next_bytes)) = _layouts(width)
     s, t = x_s.value, x_t.value
-    return SessionOperands(spec, x_s, x_t, width, (s << width | t) << st_shift,
+    return SessionOperands(spec, x_s, (s << width | t) << st_shift,
                            base | (t << width | s) << ts_shift, s << s_shift,
                            sigma_bytes, sigma_prime_bytes, next_bytes)
 
 
 def make_candidate(slots: Sequence[SlotKeys],
                    ops: SessionOperands) -> tuple[BroadcastAuth, PendingSession]:
-    """Flight 3 of the session ``ops`` over each (record, key slot) in
-    ``slots``, two hashes each: the broadcast of each slot's ``sigma`` and
-    cached ``delta``, and the :class:`PendingSession` of each slot and its
-    expected ``sigma'``, in the order of ``slots``. No other code builds a
-    pending session. Each slot is held to the session's width; every slot
-    must have been built under ``ops.spec``, as the slot cache's ``(spec,
-    master)`` key ensures. The digests are those of :func:`auth_server_tag`
-    and :func:`auth_tag_msg`, each hashed from one slot term ORed with one
-    session term, and stay ints; the next key is computed on demand
+    """Flight 3 of the session ``ops`` over ``slots``, two hashes each, in
+    their order: the broadcast of each slot's ``sigma`` and cached
+    ``delta``, and the :class:`PendingSession` of each slot and its expected
+    ``sigma'``. Each slot is held to the session's width, and must have been
+    built under ``ops.spec``, as the slot cache's ``(spec, master)`` key
+    ensures. The digests, those of :func:`auth_server_tag` and
+    :func:`auth_tag_msg`, are hashed from one slot term ORed with one
+    session term and stay ints; the next key is computed on demand
     (:meth:`SlotKeys.next_key`)."""
-    spec, width, s_t, t_s = ops.spec, ops.width, ops.s_t_term, ops.t_s_term
+    spec, x_s, s_t, t_s = ops.spec, ops.x_s, ops.s_t_term, ops.t_s_term
+    width = x_s._length
     sigma_bytes, sigma_prime_bytes = ops.sigma_bytes, ops.sigma_prime_bytes
     sigmas: list[int] = []
     deltas: list[int] = []
     expected: list[int] = []
     for keys in slots:
-        if keys.width != width:
-            raise _mismatch(keys.key, ops.x_s, ops.x_t)
+        if keys.key._length != width:
+            raise _mismatch(keys.key, x_s)
         sigmas.append(hash2(spec, keys.sigma_term | s_t, sigma_bytes))
-        deltas.append(keys.delta._value)
+        deltas.append(keys.delta)
         expected.append(hash2(spec, t_s | keys.session_term, sigma_prime_bytes))
     return (_new_tuple(BroadcastAuth, (tuple(sigmas), tuple(deltas))),
             PendingSession(ops, tuple(slots), tuple(expected)))
@@ -443,11 +433,9 @@ def offered_slots(server: ServerState, spec: HashSpec) -> list[SlotKeys]:
     not fit :data:`COUNTER_BITS`, offers none. This is the one statement of
     which keys the server offers: :func:`server_prepare` broadcasts exactly
     these slots, and :meth:`~kimap.channel.World.whereabouts` finds each
-    tag's key among them.
-
-    A slot's cached :class:`SlotKeys` is served only while its record's
-    counter and the very key object it was built from are unchanged; a slot
-    built afresh is held to the master's width (:func:`slot_keys`)."""
+    tag's key among them. Slots are served from ``server.slot_cache`` as
+    :class:`ServerState` states; one built afresh is held to the master's
+    width (:func:`slot_keys`)."""
     master = server.master
     current, previous = server.slot_cache.setdefault((spec, master), ({}, {}))
     slots: list[SlotKeys] = []
@@ -457,13 +445,14 @@ def offered_slots(server: ServerState, spec: HashSpec) -> list[SlotKeys]:
             continue
         keys = current.get(label)
         if keys is None or keys.counter != counter or keys.key is not rec.key_current:
-            keys = current[label] = slot_keys(spec, master, label, rec, "current")
+            keys = current[label] = slot_keys(spec, master, label, "current", counter,
+                                              rec.key_current)
         slots.append(keys)
         key = rec.key_previous
         if key is not None:
             keys = previous.get(label)
             if keys is None or keys.counter != counter or keys.key is not key:
-                keys = previous[label] = slot_keys(spec, master, label, rec, "previous")
+                keys = previous[label] = slot_keys(spec, master, label, "previous", counter, key)
             slots.append(keys)
     return slots
 
@@ -482,17 +471,14 @@ def slot_origin(server: ServerState, keys: SlotKeys) -> str:
 
 def server_prepare(server: ServerState, x_s: BitString, x_t: BitString, spec: HashSpec) -> tuple[BroadcastAuth, PendingSession]:
     """Flight 3: one candidate per slot of :func:`offered_slots`, shuffled
-    so broadcast position leaks nothing about registry order.
-
-    The session, and each slot as it is built, is held to the master's width
-    before the shuffle, so a session or record of another width raises with
-    the server's PRNG unmoved; the shuffled slots then go to one
-    :func:`make_candidate` call, which builds the broadcast and the pending
-    session returned."""
+    so broadcast position leaks nothing about registry order. The session,
+    and each slot as it is built, is held to the master's width before the
+    shuffle, so one of another width raises with the server's PRNG unmoved;
+    one :func:`make_candidate` call then builds the broadcast and the
+    pending session returned."""
     ops = session_operands(spec, x_s, x_t)
-    master = server.master
-    if ops.width != master._length:
-        raise _mismatch(master, x_s, x_t)
+    if len(x_s) != server.lam:
+        raise _mismatch(server.master, x_s, x_t)
     slots = offered_slots(server, spec)
     server.prng.shuffle(slots)
     return make_candidate(slots, ops)
@@ -505,9 +491,11 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     ratchet the tag key, bump the counter. On no match: emit fresh random
     bits of the same width and keep the key, so success and failure are
     indistinguishable on the wire. Every candidate is checked, so the hash
-    count does not depend on where (or whether) a match sits. A hash output
-    of another width than the key raises :class:`~kimap.bits.LengthError`
-    before any candidate is hashed.
+    count does not depend on where (or whether) a match sits. A hash of
+    another width than the key, unequal columns or a ``delta`` that does not
+    fit the key raise :class:`~kimap.bits.LengthError` before the first
+    hash, with the nonce pending; a ``sigma`` wider than the key verifies
+    nothing.
     """
     if tag.pending is None:
         raise SessionOrderError("no session in flight on this tag")
@@ -515,11 +503,16 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
     with metered(tag.meter):
         ops = session_operands(spec, x_s, x_t)
         key = tag.key
-        width = ops.width
+        width = x_s._length
         if len(key) != width:
             raise _mismatch(key, x_s, x_t)
         if spec.output_len_bits != width:
             raise LengthError(f"hash {spec.output_len_bits}, key {width} bits")
+        sigmas, deltas = broadcast
+        if len(sigmas) != len(deltas):
+            raise LengthError(f"broadcast has {len(sigmas)} sigma and {len(deltas)} delta values")
+        if deltas and (max(deltas) >> width or min(deltas) < 0):
+            raise LengthError(f"a delta does not fit in {width} bits")
         k_prime, k_dprime = split(key)
         # sigma's input for a candidate is base | x_hat << shift: the slot
         # term of k' || x_hat without x_hat, ORed with the session's term.
@@ -527,12 +520,12 @@ def tag_verify_and_respond(tag: TagState, x_s: BitString, broadcast: BroadcastAu
         base |= k_prime.value << (shift + width) | ops.s_t_term
         nbytes, k = ops.sigma_bytes, key.value
         matched: Optional[int] = None
-        for sigma, delta in zip(*broadcast):
+        for sigma, delta in zip(sigmas, deltas):
             x_hat = delta ^ k
             if hash2(spec, base | x_hat << shift, nbytes) == sigma and matched is None:
                 matched = x_hat
         # Each candidate's delta XOR k is one metered XOR, as xor() counts it.
-        tag.meter.xor_calls += len(broadcast.deltas)
+        tag.meter.xor_calls += len(deltas)
         if matched is None:
             sigma_prime = prng_next(tag.prng, width)
             tag.pending = None
@@ -560,7 +553,7 @@ def server_finalize(server: ServerState, pending: PendingSession, ta: TagAuth) -
     want, ops = ta.sigma_prime, pending.ops
     if pending.expected.count(want.value) == 1:
         keys = pending.candidates[pending.expected.index(want.value)]
-        if len(want) == ops.width:
+        if len(want) == ops.x_s._length:
             rec = server.records[keys.label]
             if keys.slot == "current":
                 rec.key_previous = rec.key_current

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -303,25 +304,18 @@ class TestSha256Choice:
         assert out.stdout == "fallback ok\n"
 
 
-def reference_toy_digest(data, width, out_bits):
-    """The toy mixer as tools/gen_known_answers.py states it, one byte at a
-    time from the initial state."""
-    mask = (1 << width) - 1
-    h = 0x243F6A8885A308D3 & mask
-    for byte in data:
-        h = ((h ^ byte) * 0x9E3779B97F4A7C15) & mask
-        h = ((h << 7) | (h >> (width - 7))) & mask
-        h ^= h >> (width // 2)
-    h = ((h ^ len(data)) * 0xBF58476D1CE4E5B9) & mask
-    h ^= h >> (width // 2 + 1)
-    h = (h * 0x9E3779B97F4A7C15) & mask
-    h ^= h >> (width // 2)
-    out = 0
-    while True:
-        out ^= h & ((1 << out_bits) - 1)
-        h >>= out_bits
-        if not h:
-            return out
+def load_tool(name):
+    """The module of ``tools/<name>.py``, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The byte-at-a-time toy mixer, from the initial state, as the known-answer
+# generator states it.
+reference_toy_digest = load_tool("gen_known_answers").toy_digest
 
 
 class TestToyMixer:

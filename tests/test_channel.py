@@ -75,7 +75,7 @@ class TestDrops:
         assert ts[1].accepted  # next session matches the current slot
         assert ts[1].outcome_server.matched_slot == "current"
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
     def test_other_tags_failure_keeps_recovery(self):
         # t001 ratchets while its flight 4 is lost; t002's lost flight 3 in
         # the next session must not take t001's recovery slot away
@@ -359,6 +359,15 @@ def _tag_key_of_18_bits():
     return world
 
 
+def _unpaired(n_tags, n_records):
+    """The server and tags of a 16-bit keygen cut to ``n_records`` records
+    and ``n_tags`` tags."""
+    server, tags = fresh_world(n=max(n_tags, n_records), seed=133)
+    for label in list(server.records)[n_records:]:
+        del server.records[label]
+    return server, tags[:n_tags]
+
+
 def _session_3(*actions):
     """Session 3 of :func:`_two_aborted`, under ``actions``."""
     return _two_aborted, lambda world: world.session(0, actions)
@@ -451,6 +460,11 @@ REFUSED_CALLS = {
     "session-tag-key-of-another-width": (
         _tag_key_of_18_bits, lambda world: world.session(0), ParameterError,
         "tag key is 18 bits, the keys 16"),
+    # a world of more or fewer tags than records: refused when it is built
+    **{f"world-of-{n_tags}-tags-for-{n_records}-records": (
+        lambda n_tags=n_tags, n_records=n_records: _unpaired(n_tags, n_records),
+        lambda w: World(*w, TOY16), ParameterError, f"{n_tags} tags for {n_records} records")
+       for n_tags, n_records in [(3, 2), (2, 3)]},
     "session-numbered-behind-the-world": (
         _after_one_session, lambda world: world.session(0, [AdversaryAction.drop(4, 1)]),
         ScheduleError, "action on flight 4 is for session 1, not session 2"),
@@ -628,6 +642,13 @@ class TestWorld:
         refused("session-hash-of-another-width")
         refused("run-hash-of-another-width")
         refused("session-tag-key-of-another-width")
+
+    @pytest.mark.parametrize("n_tags, n_records", [(3, 2), (2, 3)])
+    def test_a_world_has_one_tag_per_record(self, n_tags, n_records):
+        """A world whose tag count is not its record count is refused when
+        it is built, so no run can stop part way at a tag with no record or
+        a record with no tag."""
+        refused(f"world-of-{n_tags}-tags-for-{n_records}-records")
 
     def test_deep_copy_shares_bit_strings_and_runs_the_same_session(self):
         """Bit strings, hash specs and cached slot keys are immutable, so a

@@ -223,7 +223,7 @@ def test_library_bug_is_not_a_config_error(db_dir, monkeypatch):
         run_cli("run", "--db", str(db_dir))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5")
 def test_restart_changes_no_outcome(tmp_path, capsys):
     """``run --sessions 3`` and ``run --sessions 2`` then ``run --sessions 1``
     on a copy of the same database give the same per-session outcomes and

@@ -239,6 +239,13 @@ class TestWidthChecks:
     def test_tag_scan_rejects_wrong_width_challenge(self):
         refused("tag_scan-narrow-challenge")
 
+    @pytest.mark.parametrize("case", ["uneven-columns", "wide-delta", "negative-delta"])
+    def test_tag_scan_holds_the_broadcast_to_the_key(self, case):
+        """A broadcast whose columns differ in length, or with a delta that
+        does not fit the key width, is refused before the first hash, with
+        the tag's nonce still pending and its meter unmoved."""
+        refused(f"tag_scan-{case}")
+
     @pytest.mark.parametrize("spec", [TOY16, HashSpec.production(16)])
     @pytest.mark.parametrize("extra", [1, 8, 48])
     def test_tag_scan_holds_sigma_to_its_width(self, spec, extra):
@@ -479,17 +486,17 @@ class TestSlotKeys:
         server, rec = _with_previous(lam, seed)
         x_s = prng_next(Prng(seed, 2), lam)
         ops = session_operands(spec, x_s, prng_next(Prng(seed, 3), lam))
+        key = rec.key_current if slot == "current" else rec.key_previous
         with metered(OpMeter()) as build:
-            keys = slot_keys(spec, server.master, "t001", rec, slot)
+            keys = slot_keys(spec, server.master, "t001", slot, rec.counter, key)
         with metered(OpMeter()) as update:
             next_key = keys.next_key(ops)
         assert build.snapshot() == (1, 0, 1)  # the partial key and delta
         assert update.snapshot() == (1, 0, 0)
-        key = rec.key_current if slot == "current" else rec.key_previous
         x = partial_key(spec, rec.counter, server.master, key)
         k_prime, k_dprime = split(key)
         x_prime, x_dprime = split(x)
-        assert keys == ("t001", slot, rec.counter, key, lam, xor(key, x),
+        assert keys == ("t001", slot, rec.counter, key, xor(key, x).value,
                         _left_term(k_prime + x, 2 * lam),
                         _right_term(2 * lam, session_key(k_prime, x_prime)),
                         _left_term(k_dprime + x_dprime, lam))
@@ -586,6 +593,13 @@ def _at_flight_3(seed, tag_key=None, spec=TOY16):
     return server, tags, x_s, bc
 
 
+def _current_slot(spec, server):
+    """The :class:`SlotKeys` of the current key of ``server``'s record
+    t001 under ``spec``."""
+    rec = server.records["t001"]
+    return slot_keys(spec, server.master, "t001", "current", rec.counter, rec.key_current)
+
+
 def _next_key(spec, width):
     """A slot's next key in a session ``width`` bits wider than its key,
     under ``spec``, counted on the world's meter."""
@@ -593,7 +607,7 @@ def _next_key(spec, width):
 
     def call(world):
         server, meter = world
-        keys = slot_keys(spec, server.master, "t001", server.records["t001"], "current")
+        keys = _current_slot(spec, server)
         ops = session_operands(spec, *_bits(lam + width, lam + width))
         with metered(meter):
             keys.next_key(ops)
@@ -632,29 +646,26 @@ REFUSED_CALLS = {
     "session_operands": (None, lambda _: session_operands(TOY16, *_bits(16, 15)), LengthError,
                          _lengths(16, 15)),
     "slot_keys-odd-key": (lambda: _record(8, key_current=BitString(0x1234, 15)),
-                          lambda server: slot_keys(HashSpec.toy(15), server.master, "t001",
-                                                   server.records["t001"], "current"),
+                          lambda server: _current_slot(HashSpec.toy(15), server),
                           LengthError, "cannot split odd length 15"),
     **{f"slot_keys-partial-key-{spec.variant}{spec.output_len_bits}": (
         lambda: _record(9),
-        lambda server, spec=spec: slot_keys(spec, server.master, "t001",
-                                            server.records["t001"], "current"),
+        lambda server, spec=spec: _current_slot(spec, server),
         LengthError, _lengths(16, 16, spec.output_len_bits))
        for spec in (HashSpec.toy(14), HashSpec.production(18))},
     # an 8-bit key under an 8-bit hash, with the 16-bit master: the partial
     # key is as wide as the key, so only the master's width tells
     "slot_keys-key-narrower-than-the-master": (
         lambda: _record(29, key_current=BitString(0x5A, 8)),
-        lambda server: slot_keys(TOY8, server.master, "t001", server.records["t001"], "current"),
+        lambda server: _current_slot(TOY8, server),
         LengthError, _lengths(8, 16, 8)),
     **{f"next_key-{spec.variant}{spec.output_len_bits}-{width:+d}": _next_key(spec, width)
        for spec in SLOT_SPECS for width in (-2, -1, 1, 2)},
     "make_candidate-of-another-width": (
         lambda: keygen(16, 1, Prng(24, 0))[0],
-        lambda server: make_candidate(
-            (slot_keys(TOY16, server.master, "t001", server.records["t001"], "current"),),
-            session_operands(TOY16, *_bits(8, 8))),
-        LengthError, _lengths(16, 8, 8)),
+        lambda server: make_candidate((_current_slot(TOY16, server),),
+                                      session_operands(TOY16, *_bits(8, 8))),
+        LengthError, _lengths(16, 8)),
     **{f"server_prepare-{x_s}-{x_t}-bits": (
         lambda: keygen(16, 2, Prng(20, 0))[0],
         lambda server, x_s=x_s, x_t=x_t: server_prepare(server, *_bits(x_s, x_t), TOY16),
@@ -686,6 +697,16 @@ REFUSED_CALLS = {
         lambda: _at_flight_3(30),
         lambda w: tag_verify_and_respond(w[1][0], w[2], w[3], HashSpec.toy(18)),
         LengthError, "hash 18, key 16 bits"),
+    # a broadcast the scan cannot hold to the key: columns of unequal length,
+    # or a delta whose XOR with the key spills past the hash input
+    **{f"tag_scan-{name}": (
+        lambda: _at_flight_3(31),
+        lambda w, bc=bc: tag_verify_and_respond(w[1][0], w[2], bc, TOY16), LengthError, message)
+       for name, bc, message in [
+           ("uneven-columns", BroadcastAuth((0,), (1, 2, 3)),
+            "broadcast has 1 sigma and 3 delta values"),
+           ("wide-delta", BroadcastAuth((0,), (1 << 60,)), "a delta does not fit in 16 bits"),
+           ("negative-delta", BroadcastAuth((0, 0), (0, -1)), "a delta does not fit in 16 bits")]},
 }
 
 

@@ -1,10 +1,11 @@
-"""The repository's own pins: every xfail that cites a ROADMAP item is strict
-and cites an item ROADMAP.md has, every speed claim in a root BENCH_*.json
-adds up from its runs, each demo prints the bytes of its golden file, each
-``kimap`` command in the README parses, the protocol's session objects
-are built by their one builder alone, only the tests that name the
-stored recovery state read a record's previous slot as a field, and every
-library name that the benchmark's spans rebind exists."""
+"""The repository's own pins: every xfail that cites a ROADMAP item is strict,
+expects only its own assertion to fail and cites an item ROADMAP.md has,
+every speed claim in a root BENCH_*.json adds up from its runs, each demo
+prints the bytes of its golden file, each ``kimap`` command in the README
+parses, the protocol's session objects are built by their one builder
+alone, only the tests that name the stored recovery state read a record's
+previous slot as a field, and every library name that the benchmark's
+spans rebind exists."""
 
 import ast
 import importlib.util
@@ -31,8 +32,9 @@ def read_tests():
 
 def xfail_problems(sources, roadmap):
     """The xfails in ``sources`` whose reason is "ROADMAP item N", and what
-    is wrong with each: not strict=True, or no item of ``roadmap`` headed
-    ``N. **``."""
+    is wrong with each: not strict=True, no raises=AssertionError (so that
+    a test broken by, say, a ``TypeError`` does not read as xfailed), or no
+    item of ``roadmap`` headed ``N. **``."""
     items = set(re.findall(r"^(\d+)\. \*\*", roadmap, re.M))
     cited, bad = [], []
     for path, source in sources.items():
@@ -49,6 +51,10 @@ def xfail_problems(sources, roadmap):
             strict = kw.get("strict")
             if not (isinstance(strict, ast.Constant) and strict.value is True):
                 bad.append(f"{where}: the xfail citing ROADMAP item {item[1]} is not strict=True")
+            raises = kw.get("raises")
+            if raises is None or ast.unparse(raises) != "AssertionError":
+                bad.append(f"{where}: the xfail citing ROADMAP item {item[1]} does not state "
+                           "raises=AssertionError")
             if item[1] not in items:
                 bad.append(f"{where}: ROADMAP.md has no item {item[1]}")
     return cited, bad
@@ -108,12 +114,18 @@ class TestXfailsCiteRoadmapItems:
         assert cited and bad == []
 
     @pytest.mark.parametrize("marker, bad", [
-        ('xfail(strict=True, reason="ROADMAP item 1")', []),
-        ('xfail(reason="ROADMAP item 1")',
+        ('xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")', []),
+        ('xfail(raises=AssertionError, reason="ROADMAP item 1")',
          ["tests/test_x.py:4: the xfail citing ROADMAP item 1 is not strict=True"]),
-        ('xfail(strict=True, reason="ROADMAP item 99")',
+        ('xfail(strict=True, raises=AssertionError, reason="ROADMAP item 99")',
          ["tests/test_x.py:4: ROADMAP.md has no item 99"]),
-    ], ids=["good", "not-strict", "item-99"])
+        ('xfail(strict=True, reason="ROADMAP item 1")',
+         ["tests/test_x.py:4: the xfail citing ROADMAP item 1 does not state "
+          "raises=AssertionError"]),
+        ('xfail(strict=True, raises=TypeError, reason="ROADMAP item 1")',
+         ["tests/test_x.py:4: the xfail citing ROADMAP item 1 does not state "
+          "raises=AssertionError"]),
+    ], ids=["good", "not-strict", "item-99", "no-raises", "raises-another-error"])
     def test_a_bad_citation_is_found(self, marker, bad):
         source = f"import pytest\n\n\n@pytest.mark.{marker}\ndef test_x():\n    pass\n"
         found = xfail_problems({"tests/test_x.py": source}, "1. **An item.**\n")

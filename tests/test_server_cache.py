@@ -80,6 +80,16 @@ def ref_prepare(server, x_s, x_t, spec) -> list[RefCandidate]:
     return entries
 
 
+def record_slots(spec, server):
+    """The :class:`~kimap.protocol.SlotKeys` of every live key slot, record
+    by record, each built by ``slot_keys`` from its record's key and
+    counter."""
+    return [slot_keys(spec, server.master, label, slot, rec.counter, key)
+            for label, rec in server.records.items()
+            for slot, key in (("current", rec.key_current), ("previous", rec.key_previous))
+            if key is not None]
+
+
 def ref_broadcast(entries: list[RefCandidate]) -> BroadcastAuth:
     """The broadcast of ``entries``, in order: every entry's sigma and
     delta as an int."""
@@ -216,10 +226,10 @@ def test_spec_switch_serves_the_new_specs_slots(first, second):
     server_prepare(server, x_s, x_t, first)
     broadcast, pending = server_prepare(server, x_s, x_t, second)
     ops = session_operands(second, x_s, x_t)
+    fresh = {(k.label, k.slot): k for k in record_slots(second, server)}
     assert len(pending.candidates) == 3
     assert (broadcast, pending) == make_candidate(
-        [slot_keys(second, server.master, k.label, server.records[k.label], k.slot)
-         for k in pending.candidates], ops)
+        [fresh[k.label, k.slot] for k in pending.candidates], ops)
 
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=["production64", "toy16"])
@@ -235,9 +245,7 @@ def test_one_call_over_every_slot_equals_per_slot_calls_and_formulas(spec):
         server.records[label].key_previous = prng_next(stream, lam)
     x_s, x_t = prng_next(Prng(11, 2), lam), prng_next(Prng(11, 3), lam)
     ops = session_operands(spec, x_s, x_t)
-    slots = [slot_keys(spec, server.master, label, rec, slot)
-             for label, rec in server.records.items() for slot in ("current", "previous")
-             if slot == "current" or rec.key_previous is not None]
+    slots = record_slots(spec, server)
     assert len(slots) == 6
 
     broadcast, pending = make_candidate(slots, ops)
@@ -302,20 +310,17 @@ def test_candidates_and_tag_scan_match_reference(lam, toy, n_tags, seed, warm, t
     x_s = server_begin(server).x_s
     x_t = tag_respond_nonce(tag).x_t
     ops = session_operands(spec, x_s, x_t)
-    for label, rec in server.records.items():
-        slots = ("current",) if rec.key_previous is None else ("current", "previous")
-        for slot in slots:
-            keys = slot_keys(spec, server.master, label, rec, slot)
-            broadcast, pending = make_candidate((keys,), ops)
-            assert (pending.ops, pending.candidates) == (ops, (keys,))
-            ((sigma,), (delta,)), (expected,) = broadcast, pending.expected
-            x = partial_key(spec, rec.counter, server.master, keys.key)
-            k_prime, _ = split(keys.key)
-            x_prime, _ = split(x)
-            assert BitString(sigma, lam) == auth_server_tag(spec, k_prime, x, x_s, x_t)
-            assert BitString(delta, lam) == xor(keys.key, x)
-            assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
-                spec, x_t, x_s, session_key(k_prime, x_prime))
+    for keys in record_slots(spec, server):
+        broadcast, pending = make_candidate((keys,), ops)
+        assert (pending.ops, pending.candidates) == (ops, (keys,))
+        ((sigma,), (delta,)), (expected,) = broadcast, pending.expected
+        x = partial_key(spec, keys.counter, server.master, keys.key)
+        k_prime, _ = split(keys.key)
+        x_prime, _ = split(x)
+        assert BitString(sigma, lam) == auth_server_tag(spec, k_prime, x, x_s, x_t)
+        assert BitString(delta, lam) == xor(keys.key, x)
+        assert BitString(expected, spec.output_len_bits) == auth_tag_msg(
+            spec, x_t, x_s, session_key(k_prime, x_prime))
 
     broadcast = server_prepare(server, x_s, x_t, spec)[0]
     sigmas, deltas = list(broadcast.sigmas), list(broadcast.deltas)
